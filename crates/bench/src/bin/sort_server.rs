@@ -20,9 +20,9 @@
 //! serving. `--listen 127.0.0.1:0` switches to TCP mode and prints the
 //! bound address as `listening <addr>` on stderr.
 //!
-//! The plane kernel (scalar or SIMD) follows the widest backend this CPU
-//! supports; set `MCS_KERNEL=scalar|avx2|neon` to force one. Unknown names
-//! and backends the CPU cannot run are refused before any worker starts.
+//! The plane kernel tier follows the best one this CPU supports; set
+//! `MCS_KERNEL=scalar|avx2` to force one. Unknown names and tiers the CPU
+//! cannot run are refused before any worker starts.
 //!
 //! The frame protocol, coalescing and backpressure semantics are
 //! documented in [`mcs_bench::server`]; stdin-mode output is byte-identical

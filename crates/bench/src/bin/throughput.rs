@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! throughput [--vectors N] [--workers W] [--planes 1|4|8] [--seed S]
-//!            [--kernels scalar,avx2,neon] [--chunk-lanes L]
+//!            [--kernels scalar,avx2] [--chunk-lanes L]
 //!            [--cells nxB[,nxB...]] [--json PATH]
 //! ```
 //!
@@ -14,10 +14,11 @@
 //! 1 M vectors per cell, one worker per core, 4-wide planes, results written
 //! to `BENCH_throughput.json`.
 //!
-//! `--kernels` runs every cell once per listed backend (side-by-side rows in
-//! the table and the JSON); without it the `MCS_KERNEL` environment override
-//! applies, falling back to the widest backend this CPU supports. Unknown
-//! names and backends the CPU cannot run are refused with a typed error.
+//! `--kernels` runs every cell once per listed kernel tier (side-by-side
+//! rows in the table and the JSON); without it the `MCS_KERNEL` environment
+//! override applies, falling back to the best tier this CPU supports.
+//! Unknown names and tiers the CPU cannot run are refused with a typed
+//! error and a nonzero exit.
 //!
 //! Every cell pre-flights a differential sample — the tape must match
 //! `Netlist::eval_block` lane-for-lane at every plane width and every
@@ -154,7 +155,7 @@ fn run() -> Result<(), CliError> {
             .collect();
     }
     if kernels.is_empty() {
-        // MCS_KERNEL forces one backend; unset means the widest available.
+        // MCS_KERNEL forces one tier; unset means the best available.
         kernels.push(kernel::from_env()?.unwrap_or_else(kernel::preferred));
     }
 
@@ -178,7 +179,7 @@ fn run() -> Result<(), CliError> {
     );
     let mut reports: Vec<CellReport> = Vec::new();
     for (channels, width) in cells {
-        // Side-by-side backend rows per cell: same stream, same checksum.
+        // Side-by-side tier rows per cell: same stream, same checksum.
         for &k in &kernels {
             let cfg = ThroughputConfig {
                 channels,

@@ -24,8 +24,9 @@
 //!
 //! Values are unitless `u64`s; both consumers record **nanoseconds** and
 //! report quantiles in microseconds. Quantiles return the *upper bound* of
-//! the bucket containing the requested rank — a conservative (never
-//! under-reporting) estimate that is monotone in `q` by construction.
+//! the bucket containing the requested rank, clamped to the recorded max —
+//! a conservative (never under-reporting) estimate that is monotone in `q`
+//! by construction and never exceeds the largest observation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -158,8 +159,9 @@ impl LatencyHistogram {
     }
 
     /// The `q`-quantile (`q ∈ [0, 1]`, clamped): the upper bound of the
-    /// bucket containing the `⌈q·count⌉`-th smallest observation, so the
-    /// estimate never under-reports and is monotone in `q`. `0` when
+    /// bucket containing the `⌈q·count⌉`-th smallest observation, capped at
+    /// [`LatencyHistogram::max`]. The estimate never under-reports, never
+    /// exceeds the largest observation, and is monotone in `q`. `0` when
     /// empty.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
@@ -172,7 +174,7 @@ impl LatencyHistogram {
         for (i, &b) in self.buckets.iter().enumerate() {
             seen = seen.saturating_add(b);
             if seen >= rank {
-                return bucket_upper(i);
+                return bucket_upper(i).min(self.max);
             }
         }
         // Unreachable while count equals the bucket sum; saturated counts
@@ -356,9 +358,22 @@ mod tests {
         assert_eq!(h.quantile(0.0), 0);
         // rank 4 of 7 → bucket of 2..=3.
         assert_eq!(h.quantile(0.5), 3);
-        // rank 7 of 7 → bucket of 512..=1023.
-        assert_eq!(h.quantile(1.0), 1023);
-        assert_eq!(h.quantile(0.999), 1023);
+        // rank 7 of 7 → bucket of 512..=1023, capped at the max.
+        assert_eq!(h.quantile(1.0), 1000);
+        assert_eq!(h.quantile(0.999), 1000);
+    }
+
+    #[test]
+    fn quantiles_never_exceed_the_recorded_max() {
+        // 1298 lands in the 1024..=2047 bucket; its upper bound must not
+        // leak out as a p99 above the max.
+        let mut h = LatencyHistogram::new();
+        h.record(1298);
+        for q in [0.0, 0.5, 0.9, 0.99, 0.999, 1.0] {
+            assert!(h.quantile(q) <= h.max(), "q={q}: {}", h.quantile(q));
+        }
+        assert_eq!(h.quantile(0.99), 1298);
+        assert_eq!(h.mean(), 1298);
     }
 
     #[test]
@@ -432,6 +447,8 @@ mod tests {
             // Extremes bracket everything in between.
             prop_assert!(h.quantile(0.0) <= h.quantile(lo));
             prop_assert!(h.quantile(hi) <= h.quantile(1.0));
+            // No quantile exceeds the largest observation.
+            prop_assert!(h.quantile(1.0) <= h.max());
         }
 
         /// A recorded value always lands inside its own bucket's bounds,
@@ -446,8 +463,9 @@ mod tests {
             for (j, &b) in h.buckets().iter().enumerate() {
                 prop_assert_eq!(b, u64::from(j == i), "bucket {}", j);
             }
-            // The single observation is its own every-quantile.
-            prop_assert_eq!(h.quantile(0.5), bucket_upper(i));
+            // The single observation is its own every-quantile: its
+            // bucket's upper bound, capped at the value itself.
+            prop_assert_eq!(h.quantile(0.5), v);
         }
     }
 }

@@ -81,7 +81,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, LockResult, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::metrics::{
@@ -830,6 +830,15 @@ struct QueueState {
     closed: bool,
 }
 
+/// Recovers the queue guard from a poisoned lock or wait. Sound because
+/// every critical section changes [`QueueState`] by one push, one drain or
+/// one flag store, so a thread that panicked while holding the lock cannot
+/// have left it half-updated; one panicking worker must not take down
+/// serving for everyone else.
+fn unpoison<T>(result: LockResult<T>) -> T {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The bounded request queue with plane-fill/linger batching semantics —
 /// the heart of the serving layer, exposed so tests can pin its contract
 /// without sockets or timing races.
@@ -863,7 +872,7 @@ impl CoalescerQueue {
 
     /// Requests currently queued (racy snapshot, for reporting).
     pub fn queued(&self) -> usize {
-        self.state.lock().expect("queue lock").jobs.len()
+        unpoison(self.state.lock()).jobs.len()
     }
 
     /// Socket-mode submission: **rejects** when the queue is at its bound
@@ -875,7 +884,7 @@ impl CoalescerQueue {
     /// [`FrameError::Overloaded`] with a retry hint when full,
     /// [`FrameError::ShuttingDown`] after [`CoalescerQueue::close`].
     pub fn try_submit(&self, job: Job) -> Result<(), (Job, FrameError)> {
-        let mut state = self.state.lock().expect("queue lock");
+        let mut state = unpoison(self.state.lock());
         if state.closed {
             return Err((job, FrameError::ShuttingDown));
         }
@@ -902,7 +911,7 @@ impl CoalescerQueue {
     /// [`FrameError::ShuttingDown`] (with the job handed back) if the
     /// queue closes while waiting.
     pub fn submit_blocking(&self, job: Job) -> Result<(), (Job, FrameError)> {
-        let mut state = self.state.lock().expect("queue lock");
+        let mut state = unpoison(self.state.lock());
         loop {
             if state.closed {
                 return Err((job, FrameError::ShuttingDown));
@@ -912,14 +921,14 @@ impl CoalescerQueue {
                 self.nonempty.notify_one();
                 return Ok(());
             }
-            state = self.space.wait(state).expect("queue lock");
+            state = unpoison(self.space.wait(state));
         }
     }
 
     /// Closes the queue: producers are refused from now on, workers drain
     /// what is already queued and then see `None`.
     pub fn close(&self) {
-        let mut state = self.state.lock().expect("queue lock");
+        let mut state = unpoison(self.state.lock());
         state.closed = true;
         self.nonempty.notify_all();
         self.space.notify_all();
@@ -930,7 +939,7 @@ impl CoalescerQueue {
     /// `max_linger`, everything left once the queue closes. `None` when
     /// closed and empty — the worker's exit signal.
     pub fn next_batch(&self) -> Option<Vec<Job>> {
-        let mut state = self.state.lock().expect("queue lock");
+        let mut state = unpoison(self.state.lock());
         loop {
             if state.jobs.len() >= self.max_batch || state.closed {
                 break;
@@ -940,13 +949,11 @@ impl CoalescerQueue {
                 if waited >= self.max_linger {
                     break;
                 }
-                let (s, _timeout) = self
-                    .nonempty
-                    .wait_timeout(state, self.max_linger - waited)
-                    .expect("queue lock");
+                let (s, _timeout) =
+                    unpoison(self.nonempty.wait_timeout(state, self.max_linger - waited));
                 state = s;
             } else {
-                state = self.nonempty.wait(state).expect("queue lock");
+                state = unpoison(self.nonempty.wait(state));
             }
         }
         if state.jobs.is_empty() {
@@ -1528,5 +1535,41 @@ mod tests {
         queue.close();
         let (_, e) = queue.try_submit(job(3)).unwrap_err();
         assert_eq!(e, FrameError::ShuttingDown);
+    }
+
+    #[test]
+    fn a_poisoned_queue_keeps_serving() {
+        let queue = CoalescerQueue::new(4, 2, Duration::from_secs(60));
+        let (tx, _rx) = channel();
+        let job = |seq| Job {
+            seq,
+            id: format!("r{seq}"),
+            keys: vec!["00".parse().unwrap()],
+            enqueued: Instant::now(),
+            reply: tx.clone(),
+        };
+        queue.try_submit(job(0)).unwrap();
+        std::thread::scope(|s| {
+            let panicked = s
+                .spawn(|| {
+                    let _guard = queue.state.lock().unwrap();
+                    panic!("worker dies holding the queue lock");
+                })
+                .join();
+            assert!(panicked.is_err());
+        });
+        assert!(queue.state.is_poisoned());
+        queue.try_submit(job(1)).unwrap();
+        assert_eq!(queue.queued(), 2);
+        // A full plane leaves at once, without waiting out the linger.
+        let batch = queue.next_batch().expect("a full batch");
+        assert_eq!(batch.iter().map(|j| j.seq).collect::<Vec<_>>(), [0, 1]);
+        queue.try_submit(job(2)).unwrap();
+        queue.close();
+        let (_, e) = queue.try_submit(job(3)).unwrap_err();
+        assert_eq!(e, FrameError::ShuttingDown);
+        // Close drains what is queued, then signals exit.
+        assert_eq!(queue.next_batch().map(|b| b.len()), Some(1));
+        assert!(queue.next_batch().is_none());
     }
 }

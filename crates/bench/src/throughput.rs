@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 use mcs_gray::ValidString;
 use mcs_logic::plane::kernel::{self, KernelId, UnknownKernel};
 use mcs_logic::{PlaneWidth, TritBlock, TritVec, TritWord};
-use mcs_netlist::{EvalTape, Netlist};
+use mcs_netlist::{EvalTape, Netlist, TapeEvalError};
 use mcs_networks::circuit::{build_sorting_circuit, TwoSortFlavor};
 use mcs_networks::generators::batcher_odd_even;
 use mcs_networks::optimal::best_size;
@@ -146,6 +146,18 @@ pub enum ThroughputError {
     Network(String),
     /// The instantiated circuit failed the gate-level 0-1 sweep.
     Circuit(CircuitVerifyError),
+    /// The plane-packed input generator disagreed with
+    /// [`ValidString::from_rank`] on the differential sample.
+    Generator {
+        /// First mismatching lane.
+        lane: usize,
+        /// Its channel.
+        channel: usize,
+        /// Its bit position (MSB first).
+        bit: usize,
+    },
+    /// The tape refused the differential sample.
+    Tape(TapeEvalError),
     /// The tape disagreed with `eval_block` on the differential sample.
     Differential {
         /// First mismatching lane.
@@ -190,6 +202,12 @@ impl fmt::Display for ThroughputError {
             ThroughputError::Circuit(e) => {
                 write!(f, "circuit verification failed: {e}")
             }
+            ThroughputError::Generator { lane, channel, bit } => write!(
+                f,
+                "input generator diverged from ValidString::from_rank at \
+                 lane {lane}, channel {channel}, bit {bit}"
+            ),
+            ThroughputError::Tape(e) => write!(f, "differential sample: {e}"),
             ThroughputError::Differential {
                 lane,
                 plane_width,
@@ -222,6 +240,12 @@ impl std::error::Error for ThroughputError {}
 impl From<CircuitVerifyError> for ThroughputError {
     fn from(e: CircuitVerifyError) -> ThroughputError {
         ThroughputError::Circuit(e)
+    }
+}
+
+impl From<TapeEvalError> for ThroughputError {
+    fn from(e: TapeEvalError) -> ThroughputError {
+        ThroughputError::Tape(e)
     }
 }
 
@@ -531,23 +555,7 @@ fn differential_check(
     let lanes = cfg.sample_lanes;
     let rank_count = (1u64 << (cfg.width + 1)) - 1;
     let inputs = chunk_inputs(cfg, 0, lanes);
-
-    // Generator cross-check: plane packing vs the reference rank decoder.
-    for lane in 0..lanes {
-        for c in 0..cfg.channels {
-            let rank = rank_for(cfg.seed, lane as u64, c as u64, rank_count);
-            let want = ValidString::from_rank(cfg.width, rank)
-                .expect("rank is in range by construction");
-            for (b, t) in want.bits().iter().enumerate() {
-                assert_eq!(
-                    inputs[c * cfg.width + b].lane(lane),
-                    t,
-                    "input generator diverged from ValidString::from_rank \
-                     at lane {lane}, channel {c}, bit {b}"
-                );
-            }
-        }
-    }
+    generator_check(cfg, &inputs)?;
 
     let want = circuit.eval_block(&inputs);
     for plane_width in PlaneWidth::ALL {
@@ -555,9 +563,7 @@ fn differential_check(
         // that diverged from the interpreter would be caught before the
         // timed loop streams a single vector.
         let mut scratch = tape.try_scratch(plane_width, cfg.kernel)?;
-        let got = tape
-            .try_eval_block_with(&inputs, &mut scratch)
-            .expect("sample inputs are well-formed by construction");
+        let got = tape.try_eval_block_with(&inputs, &mut scratch)?;
         for (port, (g, w)) in got.iter().zip(&want).enumerate() {
             if let Some(lane) = g.first_mismatch(w) {
                 let name = circuit
@@ -601,6 +607,35 @@ fn differential_check(
         }
     }
     Ok(lanes)
+}
+
+/// Generator cross-check: the plane-packed `inputs` (one block per
+/// `(channel, bit)` port, as [`chunk_inputs`] lays them out from lane 0)
+/// must agree bit-for-bit with [`ValidString::from_rank`] of each lane's
+/// rank.
+fn generator_check(cfg: &ThroughputConfig, inputs: &[TritBlock]) -> Result<(), ThroughputError> {
+    let rank_count = (1u64 << (cfg.width + 1)) - 1;
+    let lanes = inputs.first().map_or(0, TritBlock::lanes);
+    for lane in 0..lanes {
+        for channel in 0..cfg.channels {
+            let rank = rank_for(cfg.seed, lane as u64, channel as u64, rank_count);
+            // `rank_for` reduces modulo the rank count, so a refusal here
+            // means the generator itself is broken: report its first bit.
+            let want = ValidString::from_rank(cfg.width, rank).map_err(|_| {
+                ThroughputError::Generator {
+                    lane,
+                    channel,
+                    bit: 0,
+                }
+            })?;
+            for (bit, t) in want.bits().iter().enumerate() {
+                if inputs[channel * cfg.width + bit].lane(lane) != t {
+                    return Err(ThroughputError::Generator { lane, channel, bit });
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 fn json_escape(s: &str) -> String {
@@ -736,6 +771,31 @@ mod tests {
     }
 
     #[test]
+    fn generator_check_reports_a_flipped_input_bit() {
+        let cfg = small_cfg();
+        let mut inputs = chunk_inputs(&cfg, 0, 130);
+        generator_check(&cfg, &inputs).unwrap();
+        // Flip one lane of channel 2, bit 1 to a value it does not hold.
+        let (lane, channel, bit) = (97, 2, 1);
+        let port = &mut inputs[channel * cfg.width + bit];
+        let flipped = match port.lane(lane) {
+            Trit::Zero => Trit::One,
+            _ => Trit::Zero,
+        };
+        port.set_lane(lane, flipped);
+        match generator_check(&cfg, &inputs) {
+            Err(ThroughputError::Generator {
+                lane: l,
+                channel: c,
+                bit: b,
+            }) => {
+                assert_eq!((l, c, b), (lane, channel, bit))
+            }
+            other => panic!("expected a generator divergence, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn checksum_is_invariant_across_workers_and_plane_widths() {
         let mut reference = None;
         for workers in [1usize, 2, 4] {
@@ -866,19 +926,24 @@ mod tests {
 
     #[test]
     fn unavailable_kernel_is_a_typed_error() {
-        let usable = kernel::kernels();
-        let missing = KernelId::ALL
-            .into_iter()
-            .find(|k| !usable.contains(k))
-            .expect("no build target supports every backend");
-        let mut cfg = small_cfg();
-        cfg.kernel = missing;
-        match run_cell(&cfg) {
-            Err(ThroughputError::Kernel(UnknownKernel::Unavailable(k))) => {
-                assert_eq!(k, missing)
+        for k in KernelId::ALL {
+            let mut cfg = small_cfg();
+            cfg.kernel = k;
+            match (kernel::available(k), run_cell(&cfg)) {
+                (true, Ok(r)) => assert_eq!(r.kernel, k),
+                (false, Err(ThroughputError::Kernel(UnknownKernel::Unavailable(got)))) => {
+                    assert_eq!(got, k)
+                }
+                (_, other) => panic!("kernel {k}: unexpected result {other:?}"),
             }
-            other => panic!("expected a kernel refusal, got {other:?}"),
         }
+        // run_cell refuses through kernel::require; pin the refusal a CPU
+        // without AVX2 gives, whatever this host has.
+        let refusal = kernel::require_on(KernelId::Avx2, false).unwrap_err();
+        assert!(matches!(
+            ThroughputError::from(refusal),
+            ThroughputError::Kernel(UnknownKernel::Unavailable(KernelId::Avx2))
+        ));
     }
 
     #[test]

@@ -290,10 +290,9 @@ fn ten_k_requests_identical_across_workers_and_planes() {
     }
 }
 
-/// The kernel backend must not matter either: the same mixed-size batch
-/// file serves byte-identical output under every available backend, at a
-/// 1-wide and a 4-wide plane (tail-only SIMD and full-vector SIMD), and
-/// the report names the kernel that actually ran.
+/// The kernel tier must not matter either: the same mixed-size batch file
+/// serves byte-identical output under every available tier, at a 1-wide
+/// and a 4-wide plane, and the report names the kernel that actually ran.
 #[test]
 fn forced_kernels_serve_byte_identical_output() {
     let file = mixed_request_file(2_000, 0x51D_2018);
@@ -321,25 +320,33 @@ fn forced_kernels_serve_byte_identical_output() {
     }
 }
 
-/// Forcing a backend this CPU cannot run is refused at engine
-/// construction with a typed error — before any worker thread spawns.
+/// Forcing a tier this CPU cannot run is refused at engine construction
+/// with a typed error — before any worker thread spawns — and every tier
+/// it can run is accepted. The refusal a CPU without AVX2 gives is pinned
+/// through the pure `require_on`, so the test bites on every host.
 #[test]
 fn unavailable_kernel_is_refused_at_construction() {
     for k in KernelId::ALL {
-        if kernel::available(k) {
-            continue;
-        }
         let mut cfg = ServerConfig::new(4, 2);
         cfg.kernel = k;
-        match SortEngine::new(cfg) {
-            Err(ServerError::Kernel(UnknownKernel::Unavailable(got))) => {
+        match (kernel::available(k), SortEngine::new(cfg)) {
+            (true, Ok(_)) => {}
+            (false, Err(ServerError::Kernel(UnknownKernel::Unavailable(got)))) => {
                 assert_eq!(got, k)
             }
-            other => {
-                panic!("expected typed kernel refusal, got {:?}", other.map(|_| ()))
+            (_, other) => {
+                panic!(
+                    "kernel {k}: unexpected construction result {:?}",
+                    other.map(|_| ())
+                )
             }
         }
     }
+    let refusal = kernel::require_on(KernelId::Avx2, false).unwrap_err();
+    assert!(
+        ServerError::Kernel(refusal).to_string().contains("avx2"),
+        "the refusal names the tier"
+    );
 }
 
 /// Batch packing must not matter either: degenerate 1-lane batches, a

@@ -51,10 +51,9 @@ fn checksum_is_identical_across_plane_widths() {
     }
 }
 
-/// Every available kernel backend (scalar plus whatever SIMD this CPU
-/// has) streams the same bytes — at every plane width, so the SIMD
-/// full-vector path and the sub-vector tail path are both covered. This
-/// is the throughput-layer face of the kernel conformance contract.
+/// Every available kernel tier (scalar, plus AVX2 where the CPU has it)
+/// streams the same bytes — at every plane width. This is the
+/// throughput-layer face of the kernel conformance contract.
 #[test]
 fn checksum_is_identical_across_kernels() {
     let mut reference = None;
@@ -71,23 +70,25 @@ fn checksum_is_identical_across_kernels() {
     }
 }
 
-/// Forcing a backend this CPU cannot run is a typed preflight refusal,
-/// never a panic mid-stream.
+/// Forcing a tier this CPU cannot run is a typed preflight refusal, never
+/// a panic mid-stream, and every tier it can run streams. The refusal a
+/// CPU without AVX2 gives is pinned through the pure `require_on`, so the
+/// test bites on every host.
 #[test]
 fn unavailable_kernel_is_a_typed_preflight_error() {
     for k in KernelId::ALL {
-        if kernel::available(k) {
-            continue;
-        }
         let mut c = cfg(4, 2, 10);
         c.kernel = k;
-        match run_cell(&c) {
-            Err(ThroughputError::Kernel(UnknownKernel::Unavailable(got))) => {
+        match (kernel::available(k), run_cell(&c)) {
+            (true, Ok(r)) => assert_eq!(r.kernel, k),
+            (false, Err(ThroughputError::Kernel(UnknownKernel::Unavailable(got)))) => {
                 assert_eq!(got, k)
             }
-            other => panic!("expected typed kernel refusal, got {other:?}"),
+            (_, other) => panic!("kernel {k}: unexpected preflight result {other:?}"),
         }
     }
+    let refusal = kernel::require_on(KernelId::Avx2, false).unwrap_err();
+    assert!(ThroughputError::from(refusal).to_string().contains("avx2"));
 }
 
 /// Back-to-back runs repeat exactly; a different seed diverges (the digest

@@ -74,7 +74,7 @@ pub mod word;
 pub use block::TritBlock;
 pub use closure::{closure_fn, closure_fn_multi};
 pub use plane::kernel::{KernelId, UnknownKernel};
-pub use plane::{ParsePlaneWidthError, PlaneWidth, TritPlanes};
+pub use plane::{ParsePlaneWidthError, PlaneWidth};
 pub use resolution::{superpose_slices, Resolutions};
 pub use table::{Implicant, TruthTable};
 pub use trit::{ParseTritError, Trit};

@@ -1,215 +1,24 @@
-//! Wide bit-plane tier: `W` interleaved [`TritWord`]-sized plane pairs
-//! (`W × 64` ternary lanes) processed as one value, plus the runtime
-//! [`PlaneWidth`] selector used by the compiled-tape evaluator and the
-//! [`kernel`] backends (scalar / AVX2 / NEON) it dispatches through.
+//! Wide bit-plane tier: the runtime [`PlaneWidth`] selector for how many
+//! [`TritWord`](crate::TritWord)-sized `(can_zero, can_one)` word pairs one
+//! tape slot spans, and the [`kernel`] module holding the Kleene gate
+//! formulas the compiled-tape evaluator applies to every word of a slot.
 
 pub mod kernel;
 
 use std::fmt;
-use std::ops::{BitAnd, BitOr, Not};
 use std::str::FromStr;
 
-use crate::trit::Trit;
-use crate::word::{TritWord, LANES};
-
-/// `W × 64` ternary lanes as two arrays of possibility planes.
-///
-/// A [`TritWord`] carries 64 lanes in one `(can_zero, can_one)` pair of
-/// `u64`s; `TritPlanes<W>` widens that to `W` consecutive pairs so a single
-/// Kleene operation covers `W × 64` lanes. The per-lane encoding is identical
-/// to [`TritWord`] (`0 = (1,0)`, `1 = (0,1)`, `M = (1,1)`, `(0,0)` never
-/// produced), and every operation is plane-parallel across the `W` words —
-/// the compiler unrolls the `W`-length loops into straight-line register
-/// code, which is what lets the tape evaluator trade instruction count for
-/// memory-level parallelism.
-///
-/// # Example
-///
-/// ```
-/// use mcs_logic::{Trit, TritPlanes, TritWord};
-///
-/// let a = TritPlanes::<4>::splat(Trit::Meta);
-/// let b = TritPlanes::<4>::splat(Trit::Zero);
-/// assert_eq!((a & b).word(3), TritWord::ZERO); // M AND 0 = 0, all 256 lanes
-/// assert_eq!((a | b).word(0), TritWord::META); // M OR 0 = M
-/// ```
-#[derive(Copy, Clone, Eq, PartialEq, Hash, Debug)]
-pub struct TritPlanes<const W: usize> {
-    can_zero: [u64; W],
-    can_one: [u64; W],
-}
-
-impl<const W: usize> TritPlanes<W> {
-    /// All `W × 64` lanes stable `0`.
-    pub const ZERO: TritPlanes<W> = TritPlanes {
-        can_zero: [!0; W],
-        can_one: [0; W],
-    };
-
-    /// All `W × 64` lanes stable `1`.
-    pub const ONE: TritPlanes<W> = TritPlanes {
-        can_zero: [0; W],
-        can_one: [!0; W],
-    };
-
-    /// All `W × 64` lanes metastable.
-    pub const META: TritPlanes<W> = TritPlanes {
-        can_zero: [!0; W],
-        can_one: [!0; W],
-    };
-
-    /// Every lane equal to `t`.
-    pub fn splat(t: Trit) -> TritPlanes<W> {
-        match t {
-            Trit::Zero => TritPlanes::ZERO,
-            Trit::One => TritPlanes::ONE,
-            Trit::Meta => TritPlanes::META,
-        }
-    }
-
-    /// Builds from raw plane arrays.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if any lane would be encoded as `(0,0)`.
-    #[inline]
-    pub fn from_planes(can_zero: [u64; W], can_one: [u64; W]) -> TritPlanes<W> {
-        for j in 0..W {
-            debug_assert_eq!(
-                can_zero[j] | can_one[j],
-                !0,
-                "every lane must be able to take at least one value"
-            );
-        }
-        TritPlanes { can_zero, can_one }
-    }
-
-    /// Builds from up to `W` words; missing tail words are stable `0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than `W` words are given.
-    pub fn from_words(words: &[TritWord]) -> TritPlanes<W> {
-        assert!(words.len() <= W, "at most {W} words");
-        let mut p = TritPlanes::ZERO;
-        for (j, w) in words.iter().enumerate() {
-            p.can_zero[j] = w.can_zero_plane();
-            p.can_one[j] = w.can_one_plane();
-        }
-        p
-    }
-
-    /// The `can_zero` planes.
-    #[inline]
-    pub fn can_zero_planes(self) -> [u64; W] {
-        self.can_zero
-    }
-
-    /// The `can_one` planes.
-    #[inline]
-    pub fn can_one_planes(self) -> [u64; W] {
-        self.can_one
-    }
-
-    /// Word `j` (lanes `64j .. 64j+63`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j ≥ W`.
-    pub fn word(self, j: usize) -> TritWord {
-        TritWord::from_planes(self.can_zero[j], self.can_one[j])
-    }
-
-    /// Reads lane `i` (of `W × 64`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i ≥ W × 64`.
-    pub fn lane(self, i: usize) -> Trit {
-        self.word(i / LANES).lane(i % LANES)
-    }
-
-    /// Per-word mask of metastable lanes (`can_zero ∧ can_one`).
-    #[inline]
-    pub fn meta(self) -> [u64; W] {
-        let mut m = [0u64; W];
-        for j in 0..W {
-            m[j] = self.can_zero[j] & self.can_one[j];
-        }
-        m
-    }
-
-    /// Widens the lanes in `mask` to metastable: the worst-case poisoning
-    /// step used by pessimistic (non-MC-certified) cell models, lifted from
-    /// the scalar `meta_poison` to `W` words.
-    #[inline]
-    pub fn poison(self, mask: [u64; W]) -> TritPlanes<W> {
-        let mut r = self;
-        for j in 0..W {
-            r.can_zero[j] |= mask[j];
-            r.can_one[j] |= mask[j];
-        }
-        r
-    }
-}
-
-impl<const W: usize> Default for TritPlanes<W> {
-    fn default() -> TritPlanes<W> {
-        TritPlanes::ZERO
-    }
-}
-
-impl<const W: usize> BitAnd for TritPlanes<W> {
-    type Output = TritPlanes<W>;
-
-    /// Kleene AND, word-parallel across all `W` plane pairs.
-    #[inline]
-    fn bitand(self, rhs: TritPlanes<W>) -> TritPlanes<W> {
-        let mut r = self;
-        for j in 0..W {
-            r.can_zero[j] |= rhs.can_zero[j];
-            r.can_one[j] &= rhs.can_one[j];
-        }
-        r
-    }
-}
-
-impl<const W: usize> BitOr for TritPlanes<W> {
-    type Output = TritPlanes<W>;
-
-    /// Kleene OR, word-parallel across all `W` plane pairs.
-    #[inline]
-    fn bitor(self, rhs: TritPlanes<W>) -> TritPlanes<W> {
-        let mut r = self;
-        for j in 0..W {
-            r.can_zero[j] &= rhs.can_zero[j];
-            r.can_one[j] |= rhs.can_one[j];
-        }
-        r
-    }
-}
-
-impl<const W: usize> Not for TritPlanes<W> {
-    type Output = TritPlanes<W>;
-
-    /// Kleene NOT: swaps the plane arrays.
-    #[inline]
-    fn not(self) -> TritPlanes<W> {
-        TritPlanes {
-            can_zero: self.can_one,
-            can_one: self.can_zero,
-        }
-    }
-}
+use crate::word::LANES;
 
 /// Runtime selector for how many 64-lane words one tape slot spans.
 ///
-/// The compiled-tape evaluator in `mcs-netlist` is monomorphised over
-/// [`TritPlanes<W>`] for each of these widths; `PlaneWidth` is the value-level
-/// handle benches and CLIs use to pick one.
+/// The compiled-tape evaluator in `mcs-netlist` is monomorphised over the
+/// slot width `W ∈ {1, 4, 8}` ([`kernel::apply_slot`]); `PlaneWidth` is the
+/// value-level handle benches and CLIs use to pick one.
 #[derive(Copy, Clone, Eq, PartialEq, Hash, Debug, Default)]
 pub enum PlaneWidth {
-    /// One 64-lane word per slot (the classic [`TritWord`] layout).
+    /// One 64-lane word per slot (the classic [`TritWord`](crate::TritWord)
+    /// layout).
     X1,
     /// Four interleaved words (256 lanes) per slot.
     #[default]
@@ -272,7 +81,9 @@ impl FromStr for PlaneWidth {
 
 #[cfg(test)]
 mod tests {
+    use super::kernel::{apply_slot, ops, GateOp};
     use super::*;
+    use crate::TritWord;
 
     fn word_pattern(seed: u64) -> TritWord {
         // A deterministic well-encoded word: meta where both bits set.
@@ -281,61 +92,38 @@ mod tests {
         TritWord::from_planes(z | !(z | o), o)
     }
 
+    /// Slot 2 of a `W`-wide plane buffer after applying `G` to slots 0, 1.
+    fn apply_wide<G: GateOp, const W: usize>(a: &[TritWord], b: &[TritWord]) -> Vec<TritWord> {
+        let mut z = vec![!0u64; 3 * W];
+        let mut o = vec![0u64; 3 * W];
+        for j in 0..W {
+            (z[j], o[j]) = (a[j].can_zero_plane(), a[j].can_one_plane());
+            (z[W + j], o[W + j]) = (b[j].can_zero_plane(), b[j].can_one_plane());
+        }
+        // SAFETY: slots 0..3 all lie within the 3-slot buffers.
+        unsafe { apply_slot::<G, W>(&mut z, &mut o, 2, 0, 1, 0) };
+        (0..W)
+            .map(|j| TritWord::from_planes(z[2 * W + j], o[2 * W + j]))
+            .collect()
+    }
+
     #[test]
     fn wide_ops_match_tritword_ops_per_word() {
         fn check<const W: usize>() {
             let aw: Vec<TritWord> = (0..W as u64).map(word_pattern).collect();
             let bw: Vec<TritWord> = (0..W as u64).map(|j| word_pattern(j + 77)).collect();
-            let a = TritPlanes::<W>::from_words(&aw);
-            let b = TritPlanes::<W>::from_words(&bw);
-            let and = a & b;
-            let or = a | b;
-            let not = !a;
+            let and = apply_wide::<ops::And2, W>(&aw, &bw);
+            let or = apply_wide::<ops::Or2, W>(&aw, &bw);
+            let not = apply_wide::<ops::Inv, W>(&aw, &bw);
             for j in 0..W {
-                assert_eq!(and.word(j), aw[j] & bw[j], "AND word {j} of {W}");
-                assert_eq!(or.word(j), aw[j] | bw[j], "OR word {j} of {W}");
-                assert_eq!(not.word(j), !aw[j], "NOT word {j} of {W}");
-                assert_eq!(
-                    and.meta()[j],
-                    (aw[j] & bw[j]).meta_mask(LANES),
-                    "meta word {j} of {W}"
-                );
+                assert_eq!(and[j], aw[j] & bw[j], "AND word {j} of {W}");
+                assert_eq!(or[j], aw[j] | bw[j], "OR word {j} of {W}");
+                assert_eq!(not[j], !aw[j], "NOT word {j} of {W}");
             }
         }
         check::<1>();
         check::<4>();
         check::<8>();
-    }
-
-    #[test]
-    fn poison_forces_masked_lanes_to_meta() {
-        let a = TritPlanes::<4>::splat(Trit::One);
-        let mut mask = [0u64; 4];
-        mask[2] = 0b101;
-        let p = a.poison(mask);
-        assert_eq!(p.lane(2 * 64), Trit::Meta);
-        assert_eq!(p.lane(2 * 64 + 1), Trit::One);
-        assert_eq!(p.lane(2 * 64 + 2), Trit::Meta);
-        assert_eq!(p.lane(0), Trit::One);
-    }
-
-    #[test]
-    fn from_words_pads_tail_with_stable_zero() {
-        let p = TritPlanes::<8>::from_words(&[TritWord::META]);
-        assert_eq!(p.word(0), TritWord::META);
-        for j in 1..8 {
-            assert_eq!(p.word(j), TritWord::ZERO);
-        }
-    }
-
-    #[test]
-    fn splat_constants_round_trip() {
-        for t in Trit::ALL {
-            let p = TritPlanes::<4>::splat(t);
-            for i in [0usize, 63, 64, 255] {
-                assert_eq!(p.lane(i), t);
-            }
-        }
     }
 
     #[test]

@@ -1,30 +1,32 @@
-//! SIMD plane kernels: backend selection plus the ten Kleene gate ops,
-//! written once over a [`PlaneVec`] register abstraction.
+//! Plane kernels: the ten Kleene gate formulas over `u64` possibility
+//! planes, and the two compile tiers the tape evaluator runs them under.
 //!
 //! The compiled-tape evaluator in `mcs-netlist` spends essentially all of
-//! its time doing bitwise AND/OR over `u64` plane words. Those ops
-//! vectorise perfectly, so this module provides three backends over the
-//! same formulas:
+//! its time doing bitwise AND/OR over `u64` plane words. The formulas
+//! ([`GateOp`] impls below) are written once, over plain `u64`, and
+//! [`apply_slot`] applies one to every word of a tape slot; the compiler
+//! vectorises that word loop itself. A [`KernelId`] names the instruction
+//! set the evaluator's loop is compiled for, not a separate implementation:
 //!
-//! | backend | register | words/op | gated on |
-//! |------------------|--------------|----------|---------------------------|
-//! | [`KernelId::Scalar`] | `u64` | 1 | always available |
-//! | [`KernelId::Avx2`] | `__m256i` | 4 | x86-64 + runtime `avx2` |
-//! | [`KernelId::Neon`] | `uint64x2_t` | 2 | aarch64 (baseline) |
+//! | tier | compiled for | gated on |
+//! |------|--------------|----------|
+//! | [`KernelId::Scalar`] | the build's baseline target features | always available |
+//! | [`KernelId::Avx2`] | the same source under `#[target_feature(enable = "avx2")]` | x86-64 + runtime `avx2` |
 //!
-//! **Bit-exactness is the contract.** Every backend computes the identical
-//! plane words — including masked tails and meta-poison propagation —
-//! because the formulas are pure bitwise expressions instantiated per
-//! backend from one generic definition (the [`GateOp`] impls below). The
-//! kernel conformance suite (`tests/kernel_conformance.rs`) re-proves this
+//! **Bit-exactness is the contract.** Both tiers compile the identical
+//! pure-bitwise source, so they compute the identical plane words —
+//! including masked tails and meta-poison propagation. The kernel
+//! conformance suite (`tests/kernel_conformance.rs`) re-proves this
 //! differentially on every run.
 //!
-//! Selection is runtime: [`preferred()`] picks the widest backend the CPU
+//! Selection is runtime: [`preferred()`] picks the best tier the CPU
 //! supports, [`kernels()`] lists every usable one for tests to iterate, and
-//! the `MCS_KERNEL={scalar,avx2,neon}` environment variable (read via
-//! [`from_env()`]) forces a specific backend, refusing with a typed
+//! the `MCS_KERNEL={scalar,avx2}` environment variable (read via
+//! [`from_env()`]) forces a specific tier, refusing with a typed
 //! [`UnknownKernel`] error — never a panic — when the name is unknown or
-//! the backend cannot run on this CPU.
+//! the tier cannot run on this CPU. Availability is a pure function of the
+//! detected CPU feature ([`available_on`], [`require_on`]), so the refusal
+//! is testable on any host.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -38,11 +40,11 @@ struct CacheLine([u64; 8]);
 /// A cache-line-aligned plane buffer.
 ///
 /// `Vec<u64>` only guarantees 8-byte alignment, so on x86-64 half of all
-/// 32-byte SIMD operand loads against it straddle a cache-line boundary
-/// and cost a split access. Backing the evaluator's plane scratch with
-/// 64-byte-aligned lines keeps every whole-vector load and store of every
-/// backend (and the compiler's auto-vectorised scalar loop) inside one
-/// line, for any slot stride that is a multiple of the vector width.
+/// 32-byte vector loads against it straddle a cache-line boundary and cost
+/// a split access. Backing the evaluator's plane scratch with 64-byte
+/// aligned lines keeps every whole-vector load and store the compiler
+/// emits inside one line, for any slot stride that is a multiple of the
+/// vector width.
 ///
 /// Dereferences to `[u64]` of the exact requested length, so it drops in
 /// wherever a plane slice is indexed or split; the padding words of the
@@ -89,41 +91,29 @@ impl DerefMut for PlaneBuf {
     }
 }
 
-/// Identifier for one plane-kernel backend.
+/// Identifier for one compile tier of the plane kernels.
 ///
-/// The default is [`KernelId::Scalar`] — the portable backend that exists
-/// on every target — so zero-initialised reports are always valid;
-/// runtime entry points should start from [`preferred()`] instead.
+/// The default is [`KernelId::Scalar`] — the tier that exists on every
+/// target — so zero-initialised reports are always valid; runtime entry
+/// points should start from [`preferred()`] instead.
 #[derive(Copy, Clone, Eq, PartialEq, Hash, Debug, Default)]
 pub enum KernelId {
-    /// Portable scalar backend: one `u64` plane word per op.
+    /// The formulas compiled for the build's baseline target features.
     #[default]
     Scalar,
-    /// AVX2 backend (`std::arch::x86_64`): 4 × `u64` per op.
+    /// The same formulas compiled with AVX2 enabled (x86-64 only).
     Avx2,
-    /// NEON backend (`std::arch::aarch64`): 2 × `u64` per op.
-    Neon,
 }
 
 impl KernelId {
-    /// Every backend this build knows about, portable first.
-    pub const ALL: [KernelId; 3] = [KernelId::Scalar, KernelId::Avx2, KernelId::Neon];
+    /// Every tier this build knows about, portable first.
+    pub const ALL: [KernelId; 2] = [KernelId::Scalar, KernelId::Avx2];
 
     /// The lower-case name used by `MCS_KERNEL`, reports and JSON fields.
     pub const fn name(self) -> &'static str {
         match self {
             KernelId::Scalar => "scalar",
             KernelId::Avx2 => "avx2",
-            KernelId::Neon => "neon",
-        }
-    }
-
-    /// Number of `u64` plane words one register of this backend carries.
-    pub const fn words_per_op(self) -> usize {
-        match self {
-            KernelId::Scalar => 1,
-            KernelId::Avx2 => 4,
-            KernelId::Neon => 2,
         }
     }
 }
@@ -142,20 +132,19 @@ impl FromStr for KernelId {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" => Ok(KernelId::Scalar),
             "avx2" => Ok(KernelId::Avx2),
-            "neon" => Ok(KernelId::Neon),
             _ => Err(UnknownKernel::Name(s.to_string())),
         }
     }
 }
 
 /// Typed refusal from kernel selection. Selection never panics: an
-/// unrecognised `MCS_KERNEL` value or a backend the current CPU cannot run
+/// unrecognised `MCS_KERNEL` value or a tier the current CPU cannot run
 /// surfaces as one of these variants for the caller to report.
 #[derive(Clone, Eq, PartialEq, Debug)]
 pub enum UnknownKernel {
-    /// The name is not one of `scalar`, `avx2`, `neon`.
+    /// The name is not one of `scalar`, `avx2`.
     Name(String),
-    /// The backend exists but this CPU (or this build target) cannot run it.
+    /// The tier exists but this CPU (or this build target) cannot run it.
     Unavailable(KernelId),
 }
 
@@ -163,7 +152,7 @@ impl fmt::Display for UnknownKernel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             UnknownKernel::Name(s) => {
-                write!(f, "unknown kernel {s:?} (expected scalar, avx2 or neon)")
+                write!(f, "unknown kernel {s:?} (expected scalar or avx2)")
             }
             UnknownKernel::Unavailable(k) => {
                 write!(f, "kernel `{k}` is not available on this cpu (available:")?;
@@ -178,52 +167,75 @@ impl fmt::Display for UnknownKernel {
 
 impl std::error::Error for UnknownKernel {}
 
-/// Whether `kernel` can run on the current CPU.
-///
-/// [`KernelId::Scalar`] is always available; [`KernelId::Avx2`] requires an
-/// x86-64 CPU whose `avx2` feature is detected at runtime; [`KernelId::Neon`]
-/// requires aarch64 (where NEON is architecturally baseline).
-pub fn available(kernel: KernelId) -> bool {
-    match kernel {
-        KernelId::Scalar => true,
-        #[cfg(target_arch = "x86_64")]
-        KernelId::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
-        #[cfg(target_arch = "aarch64")]
-        KernelId::Neon => true,
-        #[allow(unreachable_patterns)]
-        _ => false,
+/// Whether the current CPU has AVX2, detected at runtime (always `false`
+/// off x86-64).
+fn avx2_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
     }
 }
 
-/// Every backend usable on the current CPU, portable first.
-///
-/// Tests iterate this instead of hard-coding backend names, so the same
-/// suite exercises AVX2 on x86-64 hosts and NEON on aarch64 hosts.
+/// Whether `kernel` can run on a CPU whose `avx2` feature is `avx2`:
+/// [`KernelId::Scalar`] always can, [`KernelId::Avx2`] exactly when the
+/// feature is present.
+pub const fn available_on(kernel: KernelId, avx2: bool) -> bool {
+    match kernel {
+        KernelId::Scalar => true,
+        KernelId::Avx2 => avx2,
+    }
+}
+
+/// Whether `kernel` can run on the current CPU ([`available_on`] with the
+/// detected feature).
+pub fn available(kernel: KernelId) -> bool {
+    available_on(kernel, avx2_detected())
+}
+
+/// Every tier usable on the current CPU, portable first.
 pub fn kernels() -> Vec<KernelId> {
     KernelId::ALL.into_iter().filter(|&k| available(k)).collect()
 }
 
-/// The widest backend available on the current CPU.
+/// The best tier available on the current CPU.
 pub fn preferred() -> KernelId {
     *kernels().last().expect("scalar kernel is always available")
 }
 
-/// Checks that `kernel` can run here, passing it through if so.
-pub fn require(kernel: KernelId) -> Result<KernelId, UnknownKernel> {
-    if available(kernel) {
+/// Checks that `kernel` can run on a CPU whose `avx2` feature is `avx2`,
+/// passing it through if so.
+///
+/// # Errors
+///
+/// [`UnknownKernel::Unavailable`] when it cannot.
+pub fn require_on(kernel: KernelId, avx2: bool) -> Result<KernelId, UnknownKernel> {
+    if available_on(kernel, avx2) {
         Ok(kernel)
     } else {
         Err(UnknownKernel::Unavailable(kernel))
     }
 }
 
-/// Environment variable that forces a specific backend.
+/// Checks that `kernel` can run here, passing it through if so.
+///
+/// # Errors
+///
+/// [`UnknownKernel::Unavailable`] when this CPU cannot run it.
+pub fn require(kernel: KernelId) -> Result<KernelId, UnknownKernel> {
+    require_on(kernel, avx2_detected())
+}
+
+/// Environment variable that forces a specific tier.
 pub const ENV_VAR: &str = "MCS_KERNEL";
 
 /// Parses an optional `MCS_KERNEL`-style override.
 ///
 /// `None` (variable unset) and empty/whitespace values mean "no override";
-/// otherwise the value must name an [`available`] backend.
+/// otherwise the value must name an [`available`] tier.
 pub fn parse_override(value: Option<&str>) -> Result<Option<KernelId>, UnknownKernel> {
     match value {
         None => Ok(None),
@@ -235,8 +247,8 @@ pub fn parse_override(value: Option<&str>) -> Result<Option<KernelId>, UnknownKe
 /// Reads the [`ENV_VAR`] override from the process environment.
 ///
 /// Returns `Ok(None)` when unset (callers fall back to [`preferred()`]),
-/// `Ok(Some(k))` for a valid forced backend, and a typed [`UnknownKernel`]
-/// — never a panic — for unknown names or unavailable backends. A value
+/// `Ok(Some(k))` for a valid forced tier, and a typed [`UnknownKernel`]
+/// — never a panic — for unknown names or unavailable tiers. A value
 /// that is not valid UTF-8 is reported as an unknown name.
 pub fn from_env() -> Result<Option<KernelId>, UnknownKernel> {
     match std::env::var_os(ENV_VAR) {
@@ -248,174 +260,7 @@ pub fn from_env() -> Result<Option<KernelId>, UnknownKernel> {
     }
 }
 
-/// One SIMD (or scalar) register holding [`PlaneVec::WORDS`] `u64` plane
-/// words, with the two bitwise ops every Kleene gate formula is built from.
-///
-/// Implementations are thin newtypes over `std::arch` vector types (plus
-/// `u64` itself for the portable backend). Loads and stores are unaligned:
-/// scratch buffers are plain `Vec<u64>` with 8-byte alignment.
-///
-/// # Safety
-///
-/// `load`/`store` dereference raw pointers, and every method of a SIMD
-/// implementation may execute instructions the CPU lacks: callers must only
-/// instantiate a backend after [`available`] has confirmed it (the tape
-/// evaluator guarantees this by construction — a SIMD kernel id cannot
-/// enter a scratch without passing [`require`]).
-pub trait PlaneVec: Copy {
-    /// Number of `u64` plane words per register.
-    const WORDS: usize;
-
-    /// Loads `WORDS` consecutive `u64`s from `ptr` (unaligned).
-    ///
-    /// # Safety
-    ///
-    /// `ptr` must be valid for reading `WORDS` `u64`s, and the backend's
-    /// CPU feature must be available.
-    unsafe fn load(ptr: *const u64) -> Self;
-
-    /// Stores `WORDS` consecutive `u64`s to `ptr` (unaligned).
-    ///
-    /// # Safety
-    ///
-    /// `ptr` must be valid for writing `WORDS` `u64`s, and the backend's
-    /// CPU feature must be available.
-    unsafe fn store(self, ptr: *mut u64);
-
-    /// Lane-wise bitwise AND.
-    fn and(self, rhs: Self) -> Self;
-
-    /// Lane-wise bitwise OR.
-    fn or(self, rhs: Self) -> Self;
-
-    /// Whether [`PlaneVec::prefetch`] does anything. `false` by default;
-    /// the evaluator consults this at compile time so backends without a
-    /// prefetch hint pay nothing — not even the lookahead index loads.
-    const PREFETCHES: bool = false;
-
-    /// Hints the cache hierarchy that the vector at `ptr` will be loaded
-    /// soon. A no-op by default — the portable backend leaves scheduling
-    /// to the hardware prefetcher. SIMD backends may override it: the tape
-    /// evaluator's fan-in loads are index-driven (not striding), which the
-    /// hardware prefetcher cannot predict, so an explicit lookahead hint
-    /// hides the L2/LLC latency the sweep is otherwise bound by.
-    ///
-    /// # Safety
-    ///
-    /// `ptr` must be a location within an allocation (a prefetch never
-    /// faults, but the address must be valid to compute), and the CPU
-    /// feature backing `Self` must be available.
-    #[inline(always)]
-    unsafe fn prefetch(_ptr: *const u64) {}
-}
-
-impl PlaneVec for u64 {
-    const WORDS: usize = 1;
-
-    #[inline(always)]
-    unsafe fn load(ptr: *const u64) -> u64 {
-        // SAFETY: caller guarantees `ptr` is readable.
-        unsafe { ptr.read() }
-    }
-
-    #[inline(always)]
-    unsafe fn store(self, ptr: *mut u64) {
-        // SAFETY: caller guarantees `ptr` is writable.
-        unsafe { ptr.write(self) }
-    }
-
-    #[inline(always)]
-    fn and(self, rhs: u64) -> u64 {
-        self & rhs
-    }
-
-    #[inline(always)]
-    fn or(self, rhs: u64) -> u64 {
-        self | rhs
-    }
-}
-
-/// AVX2 backend register: four `u64` plane words per op.
-#[cfg(target_arch = "x86_64")]
-#[derive(Copy, Clone)]
-pub struct Avx2(std::arch::x86_64::__m256i);
-
-#[cfg(target_arch = "x86_64")]
-impl PlaneVec for Avx2 {
-    const WORDS: usize = 4;
-    const PREFETCHES: bool = true;
-
-    #[inline(always)]
-    unsafe fn load(ptr: *const u64) -> Avx2 {
-        use std::arch::x86_64::{__m256i, _mm256_loadu_si256};
-        // SAFETY: caller guarantees readability and the avx2 feature.
-        Avx2(unsafe { _mm256_loadu_si256(ptr as *const __m256i) })
-    }
-
-    #[inline(always)]
-    unsafe fn store(self, ptr: *mut u64) {
-        use std::arch::x86_64::{__m256i, _mm256_storeu_si256};
-        // SAFETY: caller guarantees writability and the avx2 feature.
-        unsafe { _mm256_storeu_si256(ptr as *mut __m256i, self.0) }
-    }
-
-    #[inline(always)]
-    fn and(self, rhs: Avx2) -> Avx2 {
-        // SAFETY: `Avx2` values only exist after `available(Avx2)` held.
-        Avx2(unsafe { std::arch::x86_64::_mm256_and_si256(self.0, rhs.0) })
-    }
-
-    #[inline(always)]
-    fn or(self, rhs: Avx2) -> Avx2 {
-        // SAFETY: `Avx2` values only exist after `available(Avx2)` held.
-        Avx2(unsafe { std::arch::x86_64::_mm256_or_si256(self.0, rhs.0) })
-    }
-
-    #[inline(always)]
-    unsafe fn prefetch(ptr: *const u64) {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        // SAFETY: prefetches never fault; avx2 availability implies sse.
-        unsafe { _mm_prefetch::<_MM_HINT_T0>(ptr as *const i8) }
-    }
-}
-
-/// NEON backend register: two `u64` plane words per op.
-#[cfg(target_arch = "aarch64")]
-#[derive(Copy, Clone)]
-pub struct Neon(std::arch::aarch64::uint64x2_t);
-
-#[cfg(target_arch = "aarch64")]
-impl PlaneVec for Neon {
-    const WORDS: usize = 2;
-
-    #[inline(always)]
-    unsafe fn load(ptr: *const u64) -> Neon {
-        // SAFETY: caller guarantees readability; NEON is aarch64 baseline.
-        Neon(unsafe { std::arch::aarch64::vld1q_u64(ptr) })
-    }
-
-    #[inline(always)]
-    unsafe fn store(self, ptr: *mut u64) {
-        // SAFETY: caller guarantees writability; NEON is aarch64 baseline.
-        unsafe { std::arch::aarch64::vst1q_u64(ptr, self.0) }
-    }
-
-    #[inline(always)]
-    fn and(self, rhs: Neon) -> Neon {
-        // SAFETY: NEON is architecturally baseline on aarch64.
-        Neon(unsafe { std::arch::aarch64::vandq_u64(self.0, rhs.0) })
-    }
-
-    #[inline(always)]
-    fn or(self, rhs: Neon) -> Neon {
-        // SAFETY: NEON is architecturally baseline on aarch64.
-        Neon(unsafe { std::arch::aarch64::vorrq_u64(self.0, rhs.0) })
-    }
-}
-
-/// One gate's Kleene plane formula, written once and instantiated for each
-/// backend register type (the `u64` instantiation doubles as the tail
-/// handler when a slot width is not a multiple of the register width).
+/// One gate's Kleene plane formula over a single `u64` word of lanes.
 ///
 /// The operands are `(can_zero, can_one)` plane pairs in the [`TritWord`]
 /// encoding (`0 = (1,0)`, `1 = (0,1)`, `M = (1,1)`); unary ops read only
@@ -425,31 +270,26 @@ impl PlaneVec for Neon {
 ///
 /// [`TritWord`]: crate::TritWord
 pub trait GateOp {
-    /// Number of fanins the formula reads (1, 2 or 3).
-    const ARITY: usize;
-
-    /// Evaluates the formula on one register's worth of lanes.
-    fn eval<V: PlaneVec>(a: (V, V), b: (V, V), c: (V, V)) -> (V, V);
+    /// Evaluates the formula on one word of lanes.
+    fn eval(a: (u64, u64), b: (u64, u64), c: (u64, u64)) -> (u64, u64);
 }
 
 /// The meta mask `can_zero ∧ can_one` of one operand.
 #[inline(always)]
-fn meta<V: PlaneVec>((z, o): (V, V)) -> V {
-    z.and(o)
+fn meta((z, o): (u64, u64)) -> u64 {
+    z & o
 }
 
 /// Namespaced marker types, one per tape gate kind.
 pub mod ops {
-    use super::{meta, GateOp, PlaneVec};
+    use super::{meta, GateOp};
 
     /// Kleene NOT: swap the planes.
     pub struct Inv;
 
     impl GateOp for Inv {
-        const ARITY: usize = 1;
-
         #[inline(always)]
-        fn eval<V: PlaneVec>((za, oa): (V, V), _b: (V, V), _c: (V, V)) -> (V, V) {
+        fn eval((za, oa): (u64, u64), _b: (u64, u64), _c: (u64, u64)) -> (u64, u64) {
             (oa, za)
         }
     }
@@ -458,11 +298,9 @@ pub mod ops {
     pub struct And2;
 
     impl GateOp for And2 {
-        const ARITY: usize = 2;
-
         #[inline(always)]
-        fn eval<V: PlaneVec>((za, oa): (V, V), (zb, ob): (V, V), _c: (V, V)) -> (V, V) {
-            (za.or(zb), oa.and(ob))
+        fn eval((za, oa): (u64, u64), (zb, ob): (u64, u64), _c: (u64, u64)) -> (u64, u64) {
+            (za | zb, oa & ob)
         }
     }
 
@@ -470,11 +308,9 @@ pub mod ops {
     pub struct Or2;
 
     impl GateOp for Or2 {
-        const ARITY: usize = 2;
-
         #[inline(always)]
-        fn eval<V: PlaneVec>((za, oa): (V, V), (zb, ob): (V, V), _c: (V, V)) -> (V, V) {
-            (za.and(zb), oa.or(ob))
+        fn eval((za, oa): (u64, u64), (zb, ob): (u64, u64), _c: (u64, u64)) -> (u64, u64) {
+            (za & zb, oa | ob)
         }
     }
 
@@ -482,11 +318,9 @@ pub mod ops {
     pub struct Nand2;
 
     impl GateOp for Nand2 {
-        const ARITY: usize = 2;
-
         #[inline(always)]
-        fn eval<V: PlaneVec>((za, oa): (V, V), (zb, ob): (V, V), _c: (V, V)) -> (V, V) {
-            (oa.and(ob), za.or(zb))
+        fn eval((za, oa): (u64, u64), (zb, ob): (u64, u64), _c: (u64, u64)) -> (u64, u64) {
+            (oa & ob, za | zb)
         }
     }
 
@@ -494,11 +328,9 @@ pub mod ops {
     pub struct Nor2;
 
     impl GateOp for Nor2 {
-        const ARITY: usize = 2;
-
         #[inline(always)]
-        fn eval<V: PlaneVec>((za, oa): (V, V), (zb, ob): (V, V), _c: (V, V)) -> (V, V) {
-            (oa.or(ob), za.and(zb))
+        fn eval((za, oa): (u64, u64), (zb, ob): (u64, u64), _c: (u64, u64)) -> (u64, u64) {
+            (oa | ob, za & zb)
         }
     }
 
@@ -506,15 +338,13 @@ pub mod ops {
     pub struct Xor2;
 
     impl GateOp for Xor2 {
-        const ARITY: usize = 2;
-
         #[inline(always)]
-        fn eval<V: PlaneVec>(a: (V, V), b: (V, V), _c: (V, V)) -> (V, V) {
+        fn eval(a: (u64, u64), b: (u64, u64), _c: (u64, u64)) -> (u64, u64) {
             let ((za, oa), (zb, ob)) = (a, b);
-            let m = meta(a).or(meta(b));
-            let z = za.or(ob).and(oa.or(zb));
-            let o = oa.and(zb).or(za.and(ob));
-            (z.or(m), o.or(m))
+            let m = meta(a) | meta(b);
+            let z = (za | ob) & (oa | zb);
+            let o = (oa & zb) | (za & ob);
+            (z | m, o | m)
         }
     }
 
@@ -522,15 +352,13 @@ pub mod ops {
     pub struct Xnor2;
 
     impl GateOp for Xnor2 {
-        const ARITY: usize = 2;
-
         #[inline(always)]
-        fn eval<V: PlaneVec>(a: (V, V), b: (V, V), _c: (V, V)) -> (V, V) {
+        fn eval(a: (u64, u64), b: (u64, u64), _c: (u64, u64)) -> (u64, u64) {
             let ((za, oa), (zb, ob)) = (a, b);
-            let m = meta(a).or(meta(b));
-            let z = za.or(zb).and(oa.or(ob));
-            let o = oa.and(ob).or(za.and(zb));
-            (z.or(m), o.or(m))
+            let m = meta(a) | meta(b);
+            let z = (za | zb) & (oa | ob);
+            let o = (oa & ob) | (za & zb);
+            (z | m, o | m)
         }
     }
 
@@ -539,15 +367,13 @@ pub mod ops {
     pub struct Mux2;
 
     impl GateOp for Mux2 {
-        const ARITY: usize = 3;
-
         #[inline(always)]
-        fn eval<V: PlaneVec>(v0: (V, V), v1: (V, V), sel: (V, V)) -> (V, V) {
+        fn eval(v0: (u64, u64), v1: (u64, u64), sel: (u64, u64)) -> (u64, u64) {
             let ((z0, o0), (z1, o1), (zs, os)) = (v0, v1, sel);
             let m = meta(sel);
-            let z = z1.or(zs).and(z0.or(os));
-            let o = o1.and(os).or(o0.and(zs));
-            (z.or(m), o.or(m))
+            let z = (z1 | zs) & (z0 | os);
+            let o = (o1 & os) | (o0 & zs);
+            (z | m, o | m)
         }
     }
 
@@ -555,13 +381,11 @@ pub mod ops {
     pub struct AndNot2;
 
     impl GateOp for AndNot2 {
-        const ARITY: usize = 2;
-
         #[inline(always)]
-        fn eval<V: PlaneVec>(a: (V, V), b: (V, V), _c: (V, V)) -> (V, V) {
+        fn eval(a: (u64, u64), b: (u64, u64), _c: (u64, u64)) -> (u64, u64) {
             let ((za, oa), (zb, ob)) = (a, b);
-            let m = meta(a).or(meta(b));
-            (za.or(ob).or(m), oa.and(zb).or(m))
+            let m = meta(a) | meta(b);
+            (za | ob | m, (oa & zb) | m)
         }
     }
 
@@ -569,36 +393,45 @@ pub mod ops {
     pub struct Ao21;
 
     impl GateOp for Ao21 {
-        const ARITY: usize = 3;
-
         #[inline(always)]
-        fn eval<V: PlaneVec>(a: (V, V), b: (V, V), c: (V, V)) -> (V, V) {
+        fn eval(a: (u64, u64), b: (u64, u64), c: (u64, u64)) -> (u64, u64) {
             let ((za, oa), (zb, ob), (zc, oc)) = (a, b, c);
-            let m = meta(a).or(meta(b)).or(meta(c));
-            let z = za.and(zb.or(zc));
-            let o = oa.or(ob.and(oc));
-            (z.or(m), o.or(m))
+            let m = meta(a) | meta(b) | meta(c);
+            let z = za & (zb | zc);
+            let o = oa | (ob & oc);
+            (z | m, o | m)
         }
     }
 }
 
+/// Reads the `W` words of slot `s` from a plane buffer.
+///
+/// # Safety
+///
+/// `(s + 1) * W` words must be readable from `p`.
+#[inline(always)]
+unsafe fn load<const W: usize>(p: *const u64, s: usize) -> [u64; W] {
+    // SAFETY: the caller guarantees the slot lies inside the buffer, and
+    // `[u64; W]` has the alignment of `u64`.
+    unsafe { p.add(s * W).cast::<[u64; W]>().read() }
+}
+
 /// Applies gate `G` to one `W`-word tape slot: reads the fanin slots `a`,
-/// `b`, `c` from the `z`/`o` plane buffers and writes slot `dst`, walking
-/// the `W` words in `V::WORDS`-wide register steps with a `u64` tail (so
-/// `W = 1` under a SIMD backend takes the pure-tail path).
+/// `b`, `c` from the `z`/`o` plane buffers and writes slot `dst`. All
+/// fan-in words are loaded before any result word is stored, which leaves
+/// the compiler free to turn the word loop into whole-vector operations.
 ///
 /// Fanins a unary or binary gate does not read may be any in-bounds slot
 /// (the loads are dead and eliminated after inlining).
 ///
 /// # Safety
 ///
-/// * `z.len() == o.len()`, and `(s + 1) * W <= z.len()` for each of
-///   `dst`, `a`, `b`, `c`;
-/// * the CPU feature backing `V` must be available (see [`PlaneVec`]).
+/// `z.len() == o.len()`, and `(s + 1) * W <= z.len()` for each of `dst`,
+/// `a`, `b`, `c`.
 ///
 /// Reads happen before the write, so `dst` may alias a fanin.
 #[inline(always)]
-pub unsafe fn apply_slot<G: GateOp, V: PlaneVec, const W: usize>(
+pub unsafe fn apply_slot<G: GateOp, const W: usize>(
     z: &mut [u64],
     o: &mut [u64],
     dst: usize,
@@ -612,31 +445,26 @@ pub unsafe fn apply_slot<G: GateOp, V: PlaneVec, const W: usize>(
     }
     let zp = z.as_mut_ptr();
     let op = o.as_mut_ptr();
-    let mut j = 0;
-    // SAFETY (both loops): the caller guarantees every `slot * W + j` index
-    // stays within the buffers and that `V`'s CPU feature is available; all
-    // loads complete before the store to `dst`.
-    while j + V::WORDS <= W {
-        unsafe {
-            let at = (V::load(zp.add(a * W + j)), V::load(op.add(a * W + j)));
-            let bt = (V::load(zp.add(b * W + j)), V::load(op.add(b * W + j)));
-            let ct = (V::load(zp.add(c * W + j)), V::load(op.add(c * W + j)));
-            let (rz, ro) = G::eval(at, bt, ct);
-            rz.store(zp.add(dst * W + j));
-            ro.store(op.add(dst * W + j));
-        }
-        j += V::WORDS;
+    // SAFETY: the caller guarantees every slot lies within both buffers.
+    let (za, oa, zb, ob, zc, oc) = unsafe {
+        (
+            load::<W>(zp, a),
+            load::<W>(op, a),
+            load::<W>(zp, b),
+            load::<W>(op, b),
+            load::<W>(zp, c),
+            load::<W>(op, c),
+        )
+    };
+    let mut rz = [0u64; W];
+    let mut ro = [0u64; W];
+    for j in 0..W {
+        (rz[j], ro[j]) = G::eval((za[j], oa[j]), (zb[j], ob[j]), (zc[j], oc[j]));
     }
-    while j < W {
-        unsafe {
-            let at = (u64::load(zp.add(a * W + j)), u64::load(op.add(a * W + j)));
-            let bt = (u64::load(zp.add(b * W + j)), u64::load(op.add(b * W + j)));
-            let ct = (u64::load(zp.add(c * W + j)), u64::load(op.add(c * W + j)));
-            let (rz, ro) = G::eval(at, bt, ct);
-            rz.store(zp.add(dst * W + j));
-            ro.store(op.add(dst * W + j));
-        }
-        j += 1;
+    // SAFETY: as above; every load has completed.
+    unsafe {
+        zp.add(dst * W).cast::<[u64; W]>().write(rz);
+        op.add(dst * W).cast::<[u64; W]>().write(ro);
     }
 }
 
@@ -644,7 +472,7 @@ pub unsafe fn apply_slot<G: GateOp, V: PlaneVec, const W: usize>(
 mod tests {
     use super::ops::*;
     use super::*;
-    use crate::plane::TritPlanes;
+    use crate::TritWord;
 
     /// Deterministic well-encoded plane pair (meta wherever both bits set).
     fn planes(seed: u64) -> (u64, u64) {
@@ -653,44 +481,41 @@ mod tests {
         (z | !(z | o), o)
     }
 
-    fn tp(p: (u64, u64)) -> TritPlanes<1> {
-        TritPlanes::from_planes([p.0], [p.1])
+    fn word(p: (u64, u64)) -> TritWord {
+        TritWord::from_planes(p.0, p.1)
     }
 
-    fn mask1(p: TritPlanes<1>) -> [u64; 1] {
-        p.meta()
-    }
-
-    /// Reference results straight from the `TritPlanes` operators, mirroring
-    /// the formulas the tape evaluator used before the kernel layer.
-    fn reference(op: usize, a: TritPlanes<1>, b: TritPlanes<1>, c: TritPlanes<1>) -> TritPlanes<1> {
-        let m2 = [mask1(a)[0] | mask1(b)[0]];
+    /// Reference results from the `TritWord` Kleene operators, with the
+    /// pessimistic cells poisoned to `M` wherever `meta_mask` marks an
+    /// operand metastable.
+    fn reference(op: usize, a: TritWord, b: TritWord, c: TritWord) -> TritWord {
+        let meta = |w: TritWord| w.meta_mask(64);
+        let poison = |w: TritWord, m: u64| TritWord::select(m, TritWord::META, w);
+        let m2 = meta(a) | meta(b);
         match op {
             0 => !a,
             1 => a & b,
             2 => a | b,
             3 => !(a & b),
             4 => !(a | b),
-            5 => ((a & !b) | (!a & b)).poison(m2),
-            6 => ((a & b) | (!a & !b)).poison(m2),
-            7 => ((b & c) | (a & !c)).poison(mask1(c)),
-            8 => (a & !b).poison(m2),
-            9 => (a | (b & c)).poison([m2[0] | mask1(c)[0]]),
+            5 => poison((a & !b) | (!a & b), m2),
+            6 => poison((a & b) | (!a & !b), m2),
+            7 => poison((b & c) | (a & !c), meta(c)),
+            8 => poison(a & !b, m2),
+            9 => poison(a | (b & c), m2 | meta(c)),
             _ => unreachable!(),
         }
     }
 
-    fn kernel_result<G: GateOp>(a: (u64, u64), b: (u64, u64), c: (u64, u64)) -> TritPlanes<1> {
-        let (z, o) = G::eval(a, b, c);
-        TritPlanes::from_planes([z], [o])
+    fn kernel_result<G: GateOp>(a: (u64, u64), b: (u64, u64), c: (u64, u64)) -> TritWord {
+        word(G::eval(a, b, c))
     }
 
     #[test]
-    fn gate_formulas_match_tritplanes_reference() {
+    fn gate_formulas_match_tritword_reference() {
         for seed in 0..64u64 {
             let (a, b, c) = (planes(seed), planes(seed + 101), planes(seed + 999));
-            let (ta, tb, tc) = (tp(a), tp(b), tp(c));
-            let got: [TritPlanes<1>; 10] = [
+            let got: [TritWord; 10] = [
                 kernel_result::<Inv>(a, b, c),
                 kernel_result::<And2>(a, b, c),
                 kernel_result::<Or2>(a, b, c),
@@ -703,7 +528,11 @@ mod tests {
                 kernel_result::<Ao21>(a, b, c),
             ];
             for (op, &r) in got.iter().enumerate() {
-                assert_eq!(r, reference(op, ta, tb, tc), "op {op} seed {seed}");
+                assert_eq!(
+                    r,
+                    reference(op, word(a), word(b), word(c)),
+                    "op {op} seed {seed}"
+                );
             }
         }
     }
@@ -718,9 +547,8 @@ mod tests {
             z[j] = zz;
             o[j] = oo;
         }
-        // SAFETY: slots 0..4 all lie within the 4-slot buffers; u64 needs
-        // no CPU feature.
-        unsafe { apply_slot::<Mux2, u64, W>(&mut z, &mut o, 3, 0, 1, 2) };
+        // SAFETY: slots 0..4 all lie within the 4-slot buffers.
+        unsafe { apply_slot::<Mux2, W>(&mut z, &mut o, 3, 0, 1, 2) };
         for j in 0..W {
             let (rz, ro) = Mux2::eval(
                 (z[j], o[j]),
@@ -743,8 +571,8 @@ mod tests {
         let expect: Vec<(u64, u64)> = (0..W)
             .map(|j| And2::eval((z[j], o[j]), (z[W + j], o[W + j]), (0, 0)))
             .collect();
-        // SAFETY: in-bounds slots, scalar backend.
-        unsafe { apply_slot::<And2, u64, W>(&mut z, &mut o, 0, 0, 1, 1) };
+        // SAFETY: in-bounds slots.
+        unsafe { apply_slot::<And2, W>(&mut z, &mut o, 0, 0, 1, 1) };
         for j in 0..W {
             assert_eq!((z[j], o[j]), expect[j], "word {j}");
         }
@@ -757,14 +585,14 @@ mod tests {
             assert_eq!(k.to_string(), k.name());
             assert_eq!(k.name().to_uppercase().parse::<KernelId>(), Ok(k));
         }
-        assert_eq!(
-            "sse9".parse::<KernelId>(),
-            Err(UnknownKernel::Name("sse9".to_string()))
-        );
+        assert_eq!(KernelId::ALL, [KernelId::Scalar, KernelId::Avx2]);
+        for name in ["sse9", "neon"] {
+            assert_eq!(
+                name.parse::<KernelId>(),
+                Err(UnknownKernel::Name(name.to_string()))
+            );
+        }
         assert_eq!(KernelId::default(), KernelId::Scalar);
-        assert_eq!(KernelId::Scalar.words_per_op(), 1);
-        assert_eq!(KernelId::Avx2.words_per_op(), 4);
-        assert_eq!(KernelId::Neon.words_per_op(), 2);
     }
 
     #[test]
@@ -785,14 +613,28 @@ mod tests {
 
     #[test]
     fn preferred_is_the_widest_available_backend() {
-        let p = preferred();
-        for k in kernels() {
-            assert!(k.words_per_op() <= p.words_per_op() || k == p);
+        let want = if available(KernelId::Avx2) {
+            KernelId::Avx2
+        } else {
+            KernelId::Scalar
+        };
+        assert_eq!(preferred(), want);
+    }
+
+    #[test]
+    fn availability_is_a_pure_function_of_the_avx2_feature() {
+        for avx2 in [false, true] {
+            assert!(available_on(KernelId::Scalar, avx2));
+            assert_eq!(available_on(KernelId::Avx2, avx2), avx2);
+            assert_eq!(require_on(KernelId::Scalar, avx2), Ok(KernelId::Scalar));
         }
-        #[cfg(target_arch = "x86_64")]
-        assert_ne!(p, KernelId::Neon);
-        #[cfg(target_arch = "aarch64")]
-        assert_eq!(p, KernelId::Neon);
+        assert_eq!(require_on(KernelId::Avx2, true), Ok(KernelId::Avx2));
+        // The refusal a CPU without AVX2 gives, on any host: it names the
+        // refused tier and the always-available alternative.
+        let err = require_on(KernelId::Avx2, false).unwrap_err();
+        assert_eq!(err, UnknownKernel::Unavailable(KernelId::Avx2));
+        let msg = err.to_string();
+        assert!(msg.contains("`avx2`") && msg.contains("scalar"), "{msg}");
     }
 
     #[test]
@@ -801,10 +643,12 @@ mod tests {
         assert_eq!(parse_override(Some("")), Ok(None));
         assert_eq!(parse_override(Some("  ")), Ok(None));
         assert_eq!(parse_override(Some("scalar")), Ok(Some(KernelId::Scalar)));
-        assert_eq!(
-            parse_override(Some("turbo")),
-            Err(UnknownKernel::Name("turbo".to_string()))
-        );
+        for name in ["turbo", "neon"] {
+            assert_eq!(
+                parse_override(Some(name)),
+                Err(UnknownKernel::Name(name.to_string()))
+            );
+        }
         for k in KernelId::ALL {
             let parsed = parse_override(Some(k.name()));
             if available(k) {
@@ -813,9 +657,8 @@ mod tests {
                 assert_eq!(parsed, Err(UnknownKernel::Unavailable(k)));
             }
         }
-        // The error messages render without panicking and name the kernel.
-        let msg = UnknownKernel::Unavailable(KernelId::Neon).to_string();
-        assert!(msg.contains("neon") && msg.contains("scalar"), "{msg}");
-        assert!(UnknownKernel::Name("x".into()).to_string().contains("\"x\""));
+        // The error messages render without panicking and name the input.
+        let msg = UnknownKernel::Name("x".into()).to_string();
+        assert!(msg.contains("\"x\"") && msg.contains("avx2"), "{msg}");
     }
 }

@@ -17,21 +17,22 @@
 //!   consecutive slots, recorded as a [`TapeRun`] `{op, start, len}` — the
 //!   inner loop dispatches once per run, not once per gate, and walks the
 //!   fan-in index arrays (`a`, `b`, `c`) linearly.
-//! * **Wide planes.** Evaluation is monomorphised over
-//!   [`TritPlanes<W>`](mcs_logic::TritPlanes) for `W ∈ {1, 4, 8}`
-//!   ([`PlaneWidth`]), so one pass over the tape advances 64, 256 or 512
-//!   lanes.
-//! * **SIMD kernels.** The per-run inner loops are instantiated per
-//!   [`KernelId`] backend (portable scalar, AVX2, NEON) from the shared
-//!   gate formulas in [`mcs_logic::plane::kernel`]. Each [`TapeScratch`]
-//!   carries the backend it was built for — [`EvalTape::scratch`] picks
-//!   the widest one the CPU supports, [`EvalTape::try_scratch`] forces a
-//!   specific one (refusing unavailable backends with a typed error).
+//! * **Wide planes.** Evaluation is monomorphised over the slot width
+//!   `W ∈ {1, 4, 8}` ([`PlaneWidth`]), so one pass over the tape advances
+//!   64, 256 or 512 lanes.
+//! * **Two compile tiers.** The per-run inner loop applies the shared
+//!   `u64` gate formulas of [`mcs_logic::plane::kernel`] and is compiled
+//!   twice: for the build's baseline features ([`KernelId::Scalar`]) and
+//!   under `#[target_feature(enable = "avx2")]` ([`KernelId::Avx2`]). Each
+//!   [`TapeScratch`] carries the tier it was built for —
+//!   [`EvalTape::scratch`] picks the best one the CPU supports,
+//!   [`EvalTape::try_scratch`] forces a specific one (refusing an
+//!   unavailable tier with a typed error).
 //!
 //! The tape computes exactly the function of [`Netlist::eval_block`] — the
 //! per-cell plane formulas are the same as [`Gate::eval_word`], lifted to
 //! `W` words — and the `tape_differential` + `kernel_conformance` suites
-//! pin lane-for-lane equality at every plane width under every backend.
+//! pin lane-for-lane equality at every plane width under every tier.
 //!
 //! # Example
 //!
@@ -56,7 +57,7 @@
 
 use std::fmt;
 
-use mcs_logic::plane::kernel::{self, ops, KernelId, PlaneVec, UnknownKernel};
+use mcs_logic::plane::kernel::{self, ops, KernelId, UnknownKernel};
 use mcs_logic::{PlaneWidth, TritBlock, TritWord};
 
 use crate::gate::Gate;
@@ -190,10 +191,10 @@ pub struct TapeRun {
 /// be reused across any number of [`EvalTape::eval_block_with`] calls —
 /// which is exactly what the throughput engine's streaming workers do.
 ///
-/// The scratch also pins the [`KernelId`] backend evaluation dispatches
-/// through. A SIMD backend can only enter a scratch after
-/// [`kernel::require`] confirmed the CPU supports it, which is what makes
-/// the evaluator's unchecked SIMD inner loops sound.
+/// The scratch also pins the [`KernelId`] compile tier evaluation runs
+/// under. The AVX2 tier can only enter a scratch after [`kernel::require`]
+/// confirmed the CPU supports it, which is what makes calling the
+/// AVX2-compiled loop sound.
 #[derive(Clone, Debug)]
 pub struct TapeScratch {
     width: PlaneWidth,
@@ -209,7 +210,7 @@ impl TapeScratch {
         self.width
     }
 
-    /// The kernel backend evaluation with this scratch dispatches through.
+    /// The kernel tier evaluation with this scratch runs under.
     pub fn kernel(&self) -> KernelId {
         self.kernel
     }
@@ -340,13 +341,13 @@ impl EvalTape {
     }
 
     /// Allocates plane buffers for this tape at the given width, with
-    /// constant slots prefilled, dispatching through the widest kernel
-    /// backend available on this CPU ([`kernel::preferred`]).
+    /// constant slots prefilled, running under the best kernel tier
+    /// available on this CPU ([`kernel::preferred`]).
     pub fn scratch(&self, width: PlaneWidth) -> TapeScratch {
         self.scratch_impl(width, kernel::preferred())
     }
 
-    /// Like [`EvalTape::scratch`], but forcing a specific kernel backend.
+    /// Like [`EvalTape::scratch`], but forcing a specific kernel tier.
     ///
     /// # Errors
     ///
@@ -447,7 +448,7 @@ impl EvalTape {
     }
 
     /// The one validation gate every eval entry point funnels through
-    /// (directly or via [`EvalTape::try_eval_block_with`]), so no backend
+    /// (directly or via [`EvalTape::try_eval_block_with`]), so no tier
     /// or width can grow its own divergent error surface. Returns the
     /// shared lane count.
     fn check_call(
@@ -524,31 +525,20 @@ impl EvalTape {
         out
     }
 
-    /// Executes every run through the backend the scratch was built for.
-    ///
-    /// The SIMD arms are sound because `kernel` comes from a
-    /// [`TapeScratch`], whose constructors only admit backends that passed
-    /// [`kernel::require`] on this CPU.
+    /// Executes every run under the compile tier the scratch was built for.
     fn run_tape<const W: usize>(&self, kernel: KernelId, z: &mut [u64], o: &mut [u64]) {
         match kernel {
-            KernelId::Scalar => self.run_tape_v::<u64, W>(z, o),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: scratch construction verified avx2 is available.
+            // SAFETY: a scratch only carries `Avx2` after `kernel::require`
+            // detected the feature on this CPU.
             KernelId::Avx2 => unsafe { self.run_tape_avx2::<W>(z, o) },
-            #[cfg(target_arch = "aarch64")]
-            // SAFETY: NEON is architecturally baseline on aarch64.
-            KernelId::Neon => unsafe { self.run_tape_neon::<W>(z, o) },
-            // A backend this build target cannot even name never enters a
-            // scratch; keep the match total with the portable backend
-            // rather than a panic path.
-            #[allow(unreachable_patterns)]
-            _ => self.run_tape_v::<u64, W>(z, o),
+            // `Scalar`, and off x86-64 a tier that can never enter a scratch.
+            _ => self.run_tape_v::<W>(z, o),
         }
     }
 
-    /// The AVX2 instantiation of [`EvalTape::run_tape_v`]. The
-    /// `target_feature` attribute lets the inlined [`PlaneVec`] ops compile
-    /// to real AVX2 instructions.
+    /// [`EvalTape::run_tape_v`] compiled with AVX2 enabled, so the inlined
+    /// word loops of [`kernel::apply_slot`] vectorise to 256-bit ops.
     ///
     /// # Safety
     ///
@@ -556,74 +546,32 @@ impl EvalTape {
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     unsafe fn run_tape_avx2<const W: usize>(&self, z: &mut [u64], o: &mut [u64]) {
-        self.run_tape_v::<kernel::Avx2, W>(z, o)
+        self.run_tape_v::<W>(z, o)
     }
 
-    /// The NEON instantiation of [`EvalTape::run_tape_v`].
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support `neon` (always true on aarch64).
-    #[cfg(target_arch = "aarch64")]
-    #[target_feature(enable = "neon")]
-    unsafe fn run_tape_neon<const W: usize>(&self, z: &mut [u64], o: &mut [u64]) {
-        self.run_tape_v::<kernel::Neon, W>(z, o)
-    }
-
-    /// One pass over every run, generic over the backend register type:
-    /// each slot applies its gate formula `V::WORDS` plane words at a time
-    /// with a `u64` tail (see [`kernel::apply_slot`]).
+    /// One pass over every run: one dispatch per run, then a branch-free
+    /// sweep applying its gate formula to each slot (see
+    /// [`kernel::apply_slot`]).
     #[inline(always)]
-    fn run_tape_v<V: PlaneVec, const W: usize>(&self, z: &mut [u64], o: &mut [u64]) {
+    fn run_tape_v<const W: usize>(&self, z: &mut [u64], o: &mut [u64]) {
         debug_assert_eq!(z.len(), self.slot_count() * W);
         debug_assert_eq!(o.len(), self.slot_count() * W);
         for run in &self.runs {
             let start = run.start as usize;
             let end = start + run.len as usize;
-            // One dispatch per run, then a branch-free sweep over its
-            // slots. The sweep prefetches the fan-ins a few slots ahead
-            // (a no-op on the portable backend): fan-in addresses are
-            // index-driven, so the hardware prefetcher cannot anticipate
-            // them, and on circuits whose working set has left L1 the
-            // sweep is bound by exactly that load latency.
-            const PREFETCH_AHEAD: usize = 16;
             macro_rules! sweep {
                 ($gate:ty) => {
                     for s in start..end {
                         // SAFETY: compile() keeps every fan-in slot strictly
-                        // below its consumer and below slot_count(); the
-                        // buffers hold slot_count() × W words; `V`'s CPU
-                        // feature was verified when the scratch was built
-                        // (and u64 needs none).
-                        // SAFETY (fan-in indexing): `s` and `t` stay below
-                        // `end <= slot_count() == a.len() == b.len() ==
-                        // c.len()` (compile() sizes all three to one entry
-                        // per slot), so the unchecked loads are in bounds;
-                        // skipping the per-slot bounds checks is worth
-                        // several percent on this loop.
+                        // below its consumer and below slot_count(), and the
+                        // buffers hold slot_count() × W words. `s` stays
+                        // below `end <= slot_count() == a.len() == b.len()
+                        // == c.len()` (compile() sizes all three to one
+                        // entry per slot), so the unchecked fan-in loads are
+                        // in bounds; skipping the per-slot bounds checks is
+                        // worth several percent on this loop.
                         unsafe {
-                            let t = s + PREFETCH_AHEAD;
-                            if V::PREFETCHES && t < end {
-                                let arity =
-                                    <$gate as kernel::GateOp>::ARITY;
-                                let pa =
-                                    *self.a.get_unchecked(t) as usize * W;
-                                V::prefetch(z.as_ptr().add(pa));
-                                V::prefetch(o.as_ptr().add(pa));
-                                if arity >= 2 {
-                                    let pb =
-                                        *self.b.get_unchecked(t) as usize * W;
-                                    V::prefetch(z.as_ptr().add(pb));
-                                    V::prefetch(o.as_ptr().add(pb));
-                                }
-                                if arity >= 3 {
-                                    let pc =
-                                        *self.c.get_unchecked(t) as usize * W;
-                                    V::prefetch(z.as_ptr().add(pc));
-                                    V::prefetch(o.as_ptr().add(pc));
-                                }
-                            }
-                            kernel::apply_slot::<$gate, V, W>(
+                            kernel::apply_slot::<$gate, W>(
                                 z,
                                 o,
                                 s,
@@ -855,20 +803,26 @@ mod tests {
     #[test]
     fn try_scratch_refuses_unavailable_backends_with_a_typed_error() {
         let tape = EvalTape::compile(&full_cell_netlist());
-        let usable = kernel::kernels();
         assert_eq!(tape.scratch(PlaneWidth::X4).kernel(), kernel::preferred());
         for k in KernelId::ALL {
             match tape.try_scratch(PlaneWidth::X4, k) {
-                Ok(s) => assert!(usable.contains(&s.kernel())),
+                Ok(s) => {
+                    assert!(kernel::available(k));
+                    assert_eq!(s.kernel(), k);
+                }
                 Err(e) => {
-                    assert!(!usable.contains(&k));
+                    assert!(!kernel::available(k));
                     assert_eq!(e, UnknownKernel::Unavailable(k));
                 }
             }
         }
-        // No single build target supports every backend, so the typed
-        // refusal path is exercised on every host.
-        assert!(KernelId::ALL.iter().any(|&k| !usable.contains(&k)));
+        // try_scratch refuses through kernel::require, whose verdict is a
+        // pure function of the detected feature: pin the refusal a CPU
+        // without AVX2 gives, whatever this host has.
+        assert_eq!(
+            kernel::require_on(KernelId::Avx2, false),
+            Err(UnknownKernel::Unavailable(KernelId::Avx2))
+        );
     }
 
     #[test]

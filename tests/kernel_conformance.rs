@@ -1,20 +1,22 @@
-//! Kernel conformance suite: every plane-kernel backend is bit-identical.
+//! Kernel conformance suite: every plane-kernel compile tier is
+//! bit-identical.
 //!
-//! The SIMD layer under the tape ([`mcs::logic::plane::kernel`]) promises
-//! that backend choice is *unobservable* in the output: for every netlist,
+//! The tape's plane kernels ([`mcs::logic::plane::kernel`]) are one set of
+//! `u64` gate formulas compiled in two tiers (baseline and AVX2), and the
+//! tier choice must be *unobservable* in the output: for every netlist,
 //! every plane width, and every lane count — including the masked-tail
-//! edge grid (0, 1, 63, 64, 65, 1000 lanes) — the scalar, AVX2 and NEON
-//! backends produce byte-identical plane words, and all of them agree
-//! lane-for-lane with the [`Netlist::eval_block`] interpreter. That
-//! includes metastability poisoning: an `M` operand must poison XOR / MUX /
-//! AO21 outputs identically no matter which backend computed it.
+//! edge grid (0, 1, 63, 64, 65, 1000 lanes) — both tiers produce
+//! byte-identical plane words, and both agree lane-for-lane with the
+//! [`Netlist::eval_block`] interpreter. That includes metastability
+//! poisoning: an `M` operand must poison XOR / MUX / AO21 outputs
+//! identically under either tier.
 //!
 //! The suite honours the `MCS_KERNEL` environment override by *restricting*
-//! the kernels under test to the forced backend (plus the scalar reference
-//! it is compared against), so CI can run the whole file once per backend
-//! and a forced run is never silently vacuous.
+//! the kernels under test to the forced tier (plus the scalar reference it
+//! is compared against), so CI can run the whole file once per tier and a
+//! forced run is never silently vacuous.
 
-use mcs::logic::plane::kernel::{self, KernelId};
+use mcs::logic::plane::kernel::{self, KernelId, UnknownKernel};
 use mcs::logic::{PlaneWidth, Trit, TritBlock};
 use mcs::netlist::{EvalTape, Netlist};
 use proptest::prelude::*;
@@ -101,10 +103,10 @@ fn input_blocks(inputs: usize, seed_bits: &[u8], lanes: usize) -> Vec<TritBlock>
 /// not a multiple of 64.
 const EDGE_LANES: [usize; 6] = [0, 1, 63, 64, 65, 1000];
 
-/// The backends this run must prove conformant: every available backend by
-/// default; under `MCS_KERNEL` the forced backend plus the scalar
-/// reference. Always contains `Scalar`, so a forced-SIMD run still
-/// compares SIMD against the portable kernel rather than only itself.
+/// The tiers this run must prove conformant: every available tier by
+/// default; under `MCS_KERNEL` the forced tier plus the scalar reference.
+/// Always contains `Scalar`, so a forced-AVX2 run still compares against
+/// the baseline build rather than only itself.
 fn kernels_under_test() -> Vec<KernelId> {
     let mut ks = match kernel::from_env().expect("MCS_KERNEL must parse") {
         Some(k) => vec![KernelId::Scalar, k],
@@ -116,14 +118,14 @@ fn kernels_under_test() -> Vec<KernelId> {
 
 /// Asserts that under every kernel under test and every plane width, the
 /// tape agrees with `eval_block` lane for lane — which also proves the
-/// backends agree with *each other* byte for byte.
+/// tiers agree with *each other* byte for byte.
 fn assert_kernels_match(n: &Netlist, tape: &EvalTape, inputs: &[TritBlock]) {
     let want = n.eval_block(inputs);
     for k in kernels_under_test() {
         for width in PlaneWidth::ALL {
             let mut scratch = tape
                 .try_scratch(width, k)
-                .expect("kernels_under_test() only lists available backends");
+                .expect("kernels_under_test() only lists available tiers");
             let got = tape.eval_block_with(inputs, &mut scratch);
             assert_eq!(want.len(), got.len());
             for (out, (w, g)) in want.iter().zip(&got).enumerate() {
@@ -144,9 +146,9 @@ fn assert_kernels_match(n: &Netlist, tape: &EvalTape, inputs: &[TritBlock]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Random full-cell-set netlists: every backend × every plane width is
+    /// Random full-cell-set netlists: every tier × every plane width is
     /// lane-for-lane identical to the interpreter on a >64-lane block
-    /// (full SIMD vectors plus a masked tail in the same evaluation).
+    /// (full words plus a masked tail in the same evaluation).
     #[test]
     fn every_kernel_is_lane_for_lane_equivalent(
         (inputs, recipes) in full_strategy(40),
@@ -157,11 +159,11 @@ proptest! {
         assert_kernels_match(&n, &tape, &input_blocks(inputs, &seed_bits, 200));
     }
 
-    /// The masked-tail edge grid through one reused scratch per backend:
-    /// a 1000-lane evaluation dirties the scratch before shorter and empty
-    /// evaluations reuse it, so a backend that leaked stale SIMD-width tail
-    /// bits between calls would be caught here. Proves per-backend
-    /// statelessness of `TapeScratch` reuse.
+    /// The masked-tail edge grid through one reused scratch per tier: a
+    /// 1000-lane evaluation dirties the scratch before shorter and empty
+    /// evaluations reuse it, so a tier that leaked stale tail bits between
+    /// calls would be caught here. Proves per-tier statelessness of
+    /// `TapeScratch` reuse.
     #[test]
     fn edge_lane_counts_with_scratch_reuse_per_kernel(
         (inputs, recipes) in full_strategy(25),
@@ -172,7 +174,7 @@ proptest! {
         for k in kernels_under_test() {
             for width in PlaneWidth::ALL {
                 let mut scratch = tape.try_scratch(width, k)
-                    .expect("kernels_under_test() only lists available backends");
+                    .expect("kernels_under_test() only lists available tiers");
                 prop_assert_eq!(scratch.kernel(), k);
                 for &lanes in EDGE_LANES.iter().rev() {
                     let blocks = input_blocks(inputs, &seed_bits, lanes);
@@ -196,9 +198,8 @@ proptest! {
 /// Metastability containment is backend-invariant: on input vectors that
 /// mix `M` into every port pattern, the poisoning cells (XOR, XNOR, MUX,
 /// ANDNOT, AO21) and the certified cells propagate `M` identically under
-/// every backend. The 3^3 = 27 exhaustive ternary patterns are tiled past
-/// a word boundary so SIMD full-vector lanes and masked tail lanes both
-/// carry `M`.
+/// every tier. The 3^3 = 27 exhaustive ternary patterns are tiled past a
+/// word boundary so full-word lanes and masked tail lanes both carry `M`.
 #[test]
 fn meta_poison_propagates_identically_under_every_kernel() {
     let mut n = Netlist::new("poison");
@@ -240,7 +241,7 @@ fn meta_poison_propagates_identically_under_every_kernel() {
 }
 
 /// The paper's own circuit: a certified 4×2 sorting circuit streams every
-/// edge lane count through every backend identically.
+/// edge lane count through every tier identically.
 #[test]
 fn sorting_circuit_matches_under_every_kernel_on_edge_lanes() {
     use mcs::networks::circuit::{build_sorting_circuit, TwoSortFlavor};
@@ -260,8 +261,8 @@ fn sorting_circuit_matches_under_every_kernel_on_edge_lanes() {
 }
 
 /// Introspection invariants: the portable kernel is always available and
-/// listed first, `preferred()` is the last (widest) listed kernel, and
-/// every listed kernel round-trips through its name and passes `require`.
+/// listed first, `preferred()` is the last listed kernel, and every listed
+/// kernel round-trips through its name and passes `require`.
 #[test]
 fn kernel_introspection_invariants() {
     let ks = kernel::kernels();
@@ -272,22 +273,25 @@ fn kernel_introspection_invariants() {
         assert!(kernel::available(k));
         assert_eq!(kernel::require(k), Ok(k));
         assert_eq!(k.name().parse::<KernelId>(), Ok(k));
-        assert!(k.words_per_op() >= 1);
     }
-    // Wider backends never precede narrower ones in the listing.
-    for pair in ks.windows(2) {
-        assert!(pair[0].words_per_op() <= pair[1].words_per_op());
+    // Unknown names — including the retired `neon` — are a typed parse
+    // error, not a panic.
+    for name in ["sse9", "neon"] {
+        assert!(name.parse::<KernelId>().is_err());
+        assert_eq!(
+            kernel::parse_override(Some(name)),
+            Err(UnknownKernel::Name(name.to_string()))
+        );
     }
-    // Unknown names are a typed parse error, not a panic.
-    assert!("sse9".parse::<KernelId>().is_err());
-    assert!(kernel::parse_override(Some("sse9")).is_err());
     assert_eq!(kernel::parse_override(Some("  ")), Ok(None));
     assert_eq!(kernel::parse_override(None), Ok(None));
 }
 
-/// An unavailable backend is refused with a typed error from
-/// `try_scratch`, never a panic — the contract the `MCS_KERNEL` override
-/// plumbing in the bins relies on.
+/// An unavailable tier is refused with a typed error from `try_scratch`,
+/// never a panic — the contract the `MCS_KERNEL` override plumbing in the
+/// bins relies on. Every tier is either accepted or refused according to
+/// `available`, and the refusal itself is pinned through the pure
+/// `require_on`, so the test bites on hosts with and without AVX2.
 #[test]
 fn unavailable_backends_are_refused_with_a_typed_error() {
     let mut n = Netlist::new("tiny");
@@ -297,16 +301,21 @@ fn unavailable_backends_are_refused_with_a_typed_error() {
     n.set_output("o", g);
     let tape = EvalTape::compile(&n);
     for k in KernelId::ALL {
-        if kernel::available(k) {
-            continue;
+        match tape.try_scratch(PlaneWidth::X4, k) {
+            Ok(scratch) => {
+                assert!(kernel::available(k));
+                assert_eq!(scratch.kernel(), k);
+            }
+            Err(err) => {
+                assert!(!kernel::available(k));
+                assert_eq!(err, UnknownKernel::Unavailable(k));
+            }
         }
-        let err = tape
-            .try_scratch(PlaneWidth::X4, k)
-            .err()
-            .expect("unavailable backend must be refused");
-        // The refusal names the backend and the available alternatives.
-        let msg = err.to_string();
-        assert!(msg.contains(k.name()), "{msg}");
-        assert!(msg.contains("scalar"), "{msg}");
     }
+    let err = kernel::require_on(KernelId::Avx2, false)
+        .expect_err("avx2 must be refused without the feature");
+    // The refusal names the tier and the available alternatives.
+    let msg = err.to_string();
+    assert!(msg.contains("avx2"), "{msg}");
+    assert!(msg.contains("scalar"), "{msg}");
 }
