@@ -18,11 +18,29 @@
 //!    checksum is **byte-identical across runs and worker counts** (and
 //!    across plane widths).
 //!
-//! Input generation is a pure function of `(seed, lane, channel)`: a
-//! splitmix64-mixed rank in `0 .. 2^{B+1}−1` is turned directly into the
-//! two possibility-plane bit patterns of the corresponding valid string
-//! (stable Gray codeword for even ranks, adjacent-codeword superposition
-//! for odd ranks), so workers need no shared RNG state.
+//! Input generation is a pure function of `(seed, lane, channel)`: the
+//! rank `splitmix64(seed ^ lane·C₁ ^ channel·C₂) mod (2^{B+1}−1)` selects
+//! one valid string — the stable Gray codeword `rg(x)` for an even rank
+//! `2x`, the superposition `rg(x) ∗ rg(x+1)` for an odd rank `2x+1` — so
+//! workers need no shared RNG state. `rank_for` is the one scalar
+//! definition of that stream. The timed loop uses a bit-sliced twin of it
+//! that works on 64 lanes at a time:
+//!
+//! 1. the 64 splitmix64 values of a (word, channel) pair go into a stack
+//!    array, with `seed ^ channel·C₂` hoisted out of the lane loop;
+//! 2. an exact, division-free reducer (`RankReducer`, multiply-high by a
+//!    per-cell reciprocal plus one conditional subtract) replaces the `%`;
+//! 3. only the `B+1` rank bits are transposed into rank planes
+//!    `R_0 ..= R_B`, and every port word follows from word ops: the Gray
+//!    code of `x = rank >> 1` and of `x + 1` (a bit-sliced ripple-carry
+//!    increment), merged per lane by the parity plane `R_0`.
+//!
+//! The generator body is compiled in the same two tiers as the tape: for
+//! the build's baseline features under [`KernelId::Scalar`], and under
+//! `#[target_feature(enable = "avx2")]` under [`KernelId::Avx2`], picked by
+//! the cell's `kernel`. Every cell's pre-flight compares the generated
+//! planes against [`ValidString::from_rank`] of `rank_for`, so the fast
+//! path is cross-checked against the definition before anything is timed.
 //!
 //! [`report_json`] serialises the per-cell results as
 //! `BENCH_throughput.json` (schema [`JSON_SCHEMA`]) so the perf trajectory
@@ -97,9 +115,10 @@ pub struct ThroughputConfig {
     pub workers: usize,
     /// Plane width of the tape evaluation.
     pub plane_width: PlaneWidth,
-    /// Kernel backend of the tape evaluation. Must be available on this
-    /// CPU ([`ThroughputError::Kernel`] otherwise); the checksum is
-    /// backend-independent by the kernel conformance contract.
+    /// Compile tier of the tape evaluation and of the stimulus generator.
+    /// Must be available on this CPU ([`ThroughputError::Kernel`]
+    /// otherwise); the checksum is tier-independent by the kernel
+    /// conformance contract.
     pub kernel: KernelId,
     /// Seed of the deterministic input stream.
     pub seed: u64,
@@ -282,7 +301,8 @@ pub struct CellReport {
     pub checksum: u64,
     /// Lanes covered by the pre-flight differential sample.
     pub differential_lanes: usize,
-    /// Per-chunk tape-eval wall-clock latency (nanoseconds), merged
+    /// Per-chunk wall-clock latency (nanoseconds) of the whole chunk:
+    /// input generation, tape eval and output checksum together, merged
     /// across workers. Observational only — recording it does not change
     /// the streamed bytes or the checksum.
     pub eval_latency: LatencyHistogram,
@@ -321,9 +341,9 @@ pub fn run_cell(cfg: &ThroughputConfig) -> Result<CellReport, ThroughputError> {
     if cfg.chunk_lanes == 0 {
         return Err(unsupported("chunk_lanes must be positive".into()));
     }
-    // Refuse unavailable backends up front, so the per-worker scratch
-    // construction below cannot fail.
-    kernel::require(cfg.kernel)?;
+    // Refuse unavailable tiers up front, so the per-worker scratch
+    // construction below cannot fail and the generator may enter the tier.
+    let stimulus = Stimulus::new(cfg)?;
 
     let network = cell_network(cfg.channels);
     if cfg.channels <= MAX_CHECK_CHANNELS {
@@ -337,7 +357,7 @@ pub fn run_cell(cfg: &ThroughputConfig) -> Result<CellReport, ThroughputError> {
     let tape = EvalTape::compile(&circuit);
 
     let differential_lanes = if cfg.sample_lanes > 0 {
-        differential_check(cfg, &circuit, &tape)?
+        differential_check(cfg, &circuit, &tape, &stimulus)?
     } else {
         0
     };
@@ -352,11 +372,11 @@ pub fn run_cell(cfg: &ThroughputConfig) -> Result<CellReport, ThroughputError> {
         let mut scratch = cell_scratch(&tape, cfg);
         for (chunk, sum) in sums.iter_mut().enumerate() {
             let t0 = Instant::now();
-            *sum = eval_chunk(cfg, &tape, &mut scratch, chunk);
+            *sum = eval_chunk(cfg, &stimulus, &tape, &mut scratch, chunk);
             eval_latency.record(nanos_u64(t0.elapsed()));
         }
     } else {
-        let tape = &tape;
+        let (tape, stimulus) = (&tape, &stimulus);
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
@@ -372,8 +392,13 @@ pub fn run_cell(cfg: &ThroughputConfig) -> Result<CellReport, ThroughputError> {
                         // index, never of timing.
                         while chunk < chunks {
                             let t0 = Instant::now();
-                            let sum =
-                                eval_chunk(cfg, tape, &mut scratch, chunk);
+                            let sum = eval_chunk(
+                                cfg,
+                                stimulus,
+                                tape,
+                                &mut scratch,
+                                chunk,
+                            );
                             latency.record(nanos_u64(t0.elapsed()));
                             local.push((chunk, sum));
                             chunk += workers;
@@ -442,83 +467,196 @@ fn resolve_workers(requested: usize, chunks: usize) -> usize {
 /// `(cfg, chunk)` — scratch is only a buffer.
 fn eval_chunk(
     cfg: &ThroughputConfig,
+    stimulus: &Stimulus,
     tape: &EvalTape,
     scratch: &mut mcs_netlist::TapeScratch,
     chunk: usize,
 ) -> u64 {
     let lane0 = chunk as u64 * cfg.chunk_lanes as u64;
     let lanes = (cfg.vectors - lane0).min(cfg.chunk_lanes as u64) as usize;
-    let inputs = chunk_inputs(cfg, lane0, lanes);
+    let inputs = stimulus.chunk_inputs(lane0, lanes);
     let out = tape.eval_block_with(&inputs, scratch);
     checksum_blocks(&out)
 }
 
-/// Generates the input blocks for `lanes` vectors starting at global lane
-/// `lane0`: one [`TritBlock`] per port, packed plane-wise straight from the
-/// per-lane ranks.
-fn chunk_inputs(cfg: &ThroughputConfig, lane0: u64, lanes: usize) -> Vec<TritBlock> {
-    let ports = cfg.channels * cfg.width;
-    let nwords = lanes.div_ceil(64);
-    let mut words: Vec<Vec<TritWord>> = vec![Vec::with_capacity(nwords); ports];
-    let rank_count = (1u64 << (cfg.width + 1)) - 1;
-    for k in 0..nwords {
-        let used = (lanes - 64 * k).min(64);
-        for c in 0..cfg.channels {
-            let mut zb = [0u64; MAX_WIDTH];
-            let mut ob = [0u64; MAX_WIDTH];
-            for j in 0..used {
-                let lane = lane0 + (64 * k + j) as u64;
-                let rank = rank_for(cfg.seed, lane, c as u64, rank_count);
-                let (lz, lo) = rank_planes(cfg.width, rank);
-                for b in 0..cfg.width {
-                    // Port b is the Gray codeword MSB-first, so it carries
-                    // integer bit width−1−b.
-                    let ib = cfg.width - 1 - b;
-                    zb[b] |= ((lz >> ib) & 1) << j;
-                    ob[b] |= ((lo >> ib) & 1) << j;
-                }
-            }
-            for b in 0..cfg.width {
-                // Pad lanes stay stable 0 (TritBlock re-masks the tail word
-                // anyway; this keeps the planes well-encoded up front).
-                zb[b] |= !TritWord::lane_mask(used);
-                words[c * cfg.width + b]
-                    .push(TritWord::from_planes(zb[b], ob[b]));
-            }
-        }
+/// Multiplier of the lane index in the stream definition ([`rank_for`]).
+const LANE_MIX: u64 = 0xA24B_AED4_963E_E407;
+/// Multiplier of the channel index in the stream definition.
+const CHANNEL_MIX: u64 = 0x9FB2_1C65_1E98_DF25;
+
+/// `LANE_BIT[j] = 1 << j`: lane `j`'s bit in a plane word.
+const LANE_BIT: [u64; 64] = {
+    let mut bits = [0u64; 64];
+    let mut j = 0;
+    while j < 64 {
+        bits[j] = 1 << j;
+        j += 1;
     }
-    words
-        .into_iter()
-        .map(|w| TritBlock::from_words(w, lanes))
-        .collect()
+    bits
+};
+
+/// The number of valid strings of width `width`: `2^{B+1} − 1`.
+fn rank_count(width: usize) -> u64 {
+    (1u64 << (width + 1)) - 1
 }
 
 /// The rank streamed into `(lane, channel)` under `seed`: uniform-ish over
-/// all `2^{B+1} − 1` valid strings, pure and stateless.
+/// all `2^{B+1} − 1` valid strings, pure and stateless. This is the one
+/// scalar definition of the stream; [`Stimulus`] is its batched twin and
+/// is checked against it.
 fn rank_for(seed: u64, lane: u64, channel: u64, rank_count: u64) -> u64 {
-    splitmix64(
-        seed ^ lane.wrapping_mul(0xA24B_AED4_963E_E407)
-            ^ channel.wrapping_mul(0x9FB2_1C65_1E98_DF25),
-    ) % rank_count
+    splitmix64(seed ^ lane.wrapping_mul(LANE_MIX) ^ channel.wrapping_mul(CHANNEL_MIX))
+        % rank_count
 }
 
-/// The `(can_zero, can_one)` bit patterns (integer bit order) of the valid
-/// string with this rank: the plane-level twin of
-/// [`ValidString::from_rank`].
-fn rank_planes(width: usize, rank: u64) -> (u64, u64) {
-    let mask = (1u64 << width) - 1;
-    let x = rank >> 1;
-    let g = x ^ (x >> 1);
-    if rank & 1 == 0 {
-        // Stable codeword rg(x).
-        (!g & mask, g)
-    } else {
-        // rg(x) ∗ rg(x+1): the differing bit can take both values.
-        let h = (x + 1) ^ ((x + 1) >> 1);
-        (!(g & h) & mask, g | h)
+/// Exact `x % d` for a divisor fixed per cell, without a divide.
+#[derive(Copy, Clone, Debug)]
+struct RankReducer {
+    d: u64,
+    /// `⌊(2^64 − 1) / d⌋`.
+    m: u64,
+}
+
+impl RankReducer {
+    fn new(d: u64) -> RankReducer {
+        RankReducer { d, m: u64::MAX / d }
+    }
+
+    /// `x % d`.
+    ///
+    /// `q = ⌊x·m / 2^64⌋` never overshoots the true quotient `⌊x/d⌋`,
+    /// because `m·d ≤ 2^64 − 1`. It falls short by at most 1: flooring
+    /// `(2^64−1)/d` drops less than 1, so `m·d ≥ 2^64 − d`, and then
+    /// `x/d − x·m/2^64 = x·(2^64 − m·d) / (d·2^64) ≤ x/2^64 < 1`. So
+    /// `x·m/2^64 > x/d − 1 ≥ ⌊x/d⌋ − 1`, and flooring keeps `q ≥ ⌊x/d⌋ − 1`.
+    /// Hence `x − q·d` lies in `[0, 2d)` and one conditional subtract
+    /// finishes it.
+    #[inline(always)]
+    fn reduce(self, x: u64) -> u64 {
+        let q = ((u128::from(x) * u128::from(self.m)) >> 64) as u64;
+        let r = x - q * self.d;
+        if r >= self.d {
+            r - self.d
+        } else {
+            r
+        }
     }
 }
 
+/// A cell's input stream, generated 64 lanes per step: the batched,
+/// bit-sliced twin of [`rank_for`] + [`ValidString::from_rank`].
+struct Stimulus {
+    seed: u64,
+    channels: usize,
+    width: usize,
+    /// Compile tier of the generator body (the cell's `kernel`).
+    kernel: KernelId,
+    ranks: RankReducer,
+}
+
+impl Stimulus {
+    /// The stream of `cfg`, refusing a `kernel` tier this CPU cannot run:
+    /// [`Stimulus::chunk_inputs`] enters the tier on that condition.
+    fn new(cfg: &ThroughputConfig) -> Result<Stimulus, UnknownKernel> {
+        Ok(Stimulus {
+            seed: cfg.seed,
+            channels: cfg.channels,
+            width: cfg.width,
+            kernel: kernel::require(cfg.kernel)?,
+            ranks: RankReducer::new(rank_count(cfg.width)),
+        })
+    }
+
+    /// The input blocks for `lanes` vectors starting at global lane
+    /// `lane0`: one [`TritBlock`] per port, channel-major, each channel's
+    /// Gray codeword MSB first.
+    fn chunk_inputs(&self, lane0: u64, lanes: usize) -> Vec<TritBlock> {
+        match self.kernel {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Stimulus::new` admits `Avx2` only after
+            // `kernel::require` detected the feature on this CPU.
+            KernelId::Avx2 => unsafe { self.chunk_inputs_avx2(lane0, lanes) },
+            // `Scalar`, and off x86-64 a tier `kernel::require` never admits.
+            _ => self.chunk_inputs_v(lane0, lanes),
+        }
+    }
+
+    /// [`Stimulus::chunk_inputs_v`] compiled with AVX2 enabled.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `avx2`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn chunk_inputs_avx2(&self, lane0: u64, lanes: usize) -> Vec<TritBlock> {
+        self.chunk_inputs_v(lane0, lanes)
+    }
+
+    /// The generator body, shared by both tiers.
+    #[inline(always)]
+    fn chunk_inputs_v(&self, lane0: u64, lanes: usize) -> Vec<TritBlock> {
+        let width = self.width;
+        let nwords = lanes.div_ceil(64);
+        let mut words: Vec<Vec<TritWord>> =
+            vec![Vec::with_capacity(nwords); self.channels * width];
+        let mut ranks = [0u64; 64];
+        // Rank planes R_0 ..= R_B; R_{B+1} stays 0, the zero bit above
+        // x = rank >> 1.
+        let mut r = [0u64; MAX_WIDTH + 2];
+        // Planes of x + 1; Y_B stays 0 (see below).
+        let mut y = [0u64; MAX_WIDTH + 1];
+        for k in 0..nwords {
+            let first = lane0 + 64 * k as u64;
+            // Lanes past the chunk end are generated like any other and
+            // then forced to stable 0.
+            let live = TritWord::lane_mask(lanes - 64 * k);
+            for c in 0..self.channels {
+                let base = self.seed ^ (c as u64).wrapping_mul(CHANNEL_MIX);
+                for (j, rank) in ranks.iter_mut().enumerate() {
+                    let lane = first + j as u64;
+                    *rank = splitmix64(base ^ lane.wrapping_mul(LANE_MIX));
+                }
+                for rank in &mut ranks {
+                    *rank = self.ranks.reduce(*rank);
+                }
+                // Rank bit i of lane j, selected by mask rather than
+                // shifted into place: no per-lane shift count, so the
+                // loop vectorises in both tiers.
+                for (i, plane) in r[..=width].iter_mut().enumerate() {
+                    *plane = ranks.iter().zip(&LANE_BIT).fold(0, |acc, (&rank, &bit)| {
+                        acc | (((rank >> i) & 1).wrapping_neg() & bit)
+                    });
+                }
+                // x + 1, bit-sliced: bit k of x is R_{k+1}. Only odd lanes
+                // read it, and there x ≤ 2^B − 2, so the carry out of bit
+                // B−1 is 0 on every lane that matters.
+                let mut carry = !0u64;
+                for (yk, &xk) in y[..width].iter_mut().zip(&r[1..=width]) {
+                    *yk = xk ^ carry;
+                    carry &= xk;
+                }
+                let odd = r[0];
+                for b in 0..width {
+                    // Port b carries integer bit ib = B−1−b of the codeword.
+                    let ib = width - 1 - b;
+                    let g = r[ib + 1] ^ r[ib + 2];
+                    let h = y[ib] ^ y[ib + 1];
+                    // Even rank: stable rg(x). Odd rank: rg(x) ∗ rg(x+1),
+                    // whose differing bit can take both values.
+                    let can_zero = !(g & (h | !odd)) | !live;
+                    let can_one = (g | (h & odd)) & live;
+                    words[c * width + b].push(TritWord::from_planes(can_zero, can_one));
+                }
+            }
+        }
+        words
+            .into_iter()
+            .map(|w| TritBlock::from_words(w, lanes))
+            .collect()
+    }
+}
+
+#[inline(always)]
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -551,11 +689,12 @@ fn differential_check(
     cfg: &ThroughputConfig,
     circuit: &Netlist,
     tape: &EvalTape,
+    stimulus: &Stimulus,
 ) -> Result<usize, ThroughputError> {
     let lanes = cfg.sample_lanes;
-    let rank_count = (1u64 << (cfg.width + 1)) - 1;
-    let inputs = chunk_inputs(cfg, 0, lanes);
-    generator_check(cfg, &inputs)?;
+    let rank_count = rank_count(cfg.width);
+    let inputs = stimulus.chunk_inputs(0, lanes);
+    generator_check(cfg, 0, &inputs)?;
 
     let want = circuit.eval_block(&inputs);
     for plane_width in PlaneWidth::ALL {
@@ -610,13 +749,19 @@ fn differential_check(
 }
 
 /// Generator cross-check: the plane-packed `inputs` (one block per
-/// `(channel, bit)` port, as [`chunk_inputs`] lays them out from lane 0)
-/// must agree bit-for-bit with [`ValidString::from_rank`] of each lane's
-/// rank.
-fn generator_check(cfg: &ThroughputConfig, inputs: &[TritBlock]) -> Result<(), ThroughputError> {
-    let rank_count = (1u64 << (cfg.width + 1)) - 1;
+/// `(channel, bit)` port, as [`Stimulus::chunk_inputs`] lays them out from
+/// global lane `lane0`) must agree bit-for-bit with
+/// [`ValidString::from_rank`] of each lane's [`rank_for`] rank. A mismatch
+/// reports its global lane.
+fn generator_check(
+    cfg: &ThroughputConfig,
+    lane0: u64,
+    inputs: &[TritBlock],
+) -> Result<(), ThroughputError> {
+    let rank_count = rank_count(cfg.width);
     let lanes = inputs.first().map_or(0, TritBlock::lanes);
-    for lane in 0..lanes {
+    for i in 0..lanes {
+        let lane = (lane0 + i as u64) as usize;
         for channel in 0..cfg.channels {
             let rank = rank_for(cfg.seed, lane as u64, channel as u64, rank_count);
             // `rank_for` reduces modulo the rank count, so a refusal here
@@ -629,7 +774,7 @@ fn generator_check(cfg: &ThroughputConfig, inputs: &[TritBlock]) -> Result<(), T
                 }
             })?;
             for (bit, t) in want.bits().iter().enumerate() {
-                if inputs[channel * cfg.width + bit].lane(lane) != t {
+                if inputs[channel * cfg.width + bit].lane(i) != t {
                     return Err(ThroughputError::Generator { lane, channel, bit });
                 }
             }
@@ -743,29 +888,73 @@ mod tests {
         cfg
     }
 
+    /// `RankReducer::reduce` over `xs`, in place, compiled in `tier` the
+    /// way [`Stimulus::chunk_inputs`] compiles it.
+    fn reduce_in_tier(tier: KernelId, ranks: RankReducer, xs: &mut [u64]) {
+        #[inline(always)]
+        fn body(ranks: RankReducer, xs: &mut [u64]) {
+            for x in xs {
+                *x = ranks.reduce(*x);
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx2")]
+        unsafe fn avx2(ranks: RankReducer, xs: &mut [u64]) {
+            body(ranks, xs)
+        }
+        match tier {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: callers pass tiers from `kernel::kernels()`, which
+            // lists only what this CPU supports.
+            KernelId::Avx2 => unsafe { avx2(ranks, xs) },
+            _ => body(ranks, xs),
+        }
+    }
+
     #[test]
-    fn rank_planes_match_valid_string_from_rank() {
-        for width in 1..=5usize {
-            let rank_count = (1u64 << (width + 1)) - 1;
-            for rank in 0..rank_count {
-                let (z, o) = rank_planes(width, rank);
-                let vs = ValidString::from_rank(width, rank).unwrap();
-                for (b, t) in vs.bits().iter().enumerate() {
-                    let ib = width - 1 - b;
-                    let want = match t {
-                        Trit::Zero => (1, 0),
-                        Trit::One => (0, 1),
-                        Trit::Meta => (1, 1),
-                    };
-                    assert_eq!(
-                        ((z >> ib) & 1, (o >> ib) & 1),
-                        want,
-                        "width {width} rank {rank} bit {b}"
-                    );
+    fn rank_reducer_equals_the_remainder_for_every_width() {
+        let mut state = 0x5eed_u64;
+        let random: Vec<u64> = (0..100_000)
+            .map(|_| {
+                state = splitmix64(state);
+                state
+            })
+            .collect();
+        for tier in kernel::kernels() {
+            for width in 1..=MAX_WIDTH {
+                let d = rank_count(width);
+                let top = u64::MAX / d;
+                let mut xs = vec![0, 1, d - 1, d, d + 1, u64::MAX - 1, u64::MAX];
+                for k in [2, 3, 1 << 20, top - 1, top] {
+                    xs.extend([k * d, k * d - 1]);
                 }
-                // No stray bits above the width.
-                assert_eq!(z >> width, 0, "width {width} rank {rank}");
-                assert_eq!(o >> width, 0, "width {width} rank {rank}");
+                xs.extend(&random);
+                let mut got = xs.clone();
+                reduce_in_tier(tier, RankReducer::new(d), &mut got);
+                for (x, r) in xs.iter().zip(&got) {
+                    assert_eq!(*r, x % d, "tier {tier}, width {width}, x = {x:#x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_generator_matches_from_rank_of_rank_for() {
+        for tier in kernel::kernels() {
+            for width in 1..=MAX_WIDTH {
+                let mut cfg = ThroughputConfig::new(3, width);
+                cfg.kernel = tier;
+                let stimulus = Stimulus::new(&cfg).unwrap();
+                for lane0 in [0u64, 4097] {
+                    for lanes in [0usize, 1, 63, 64, 65, 1000] {
+                        let inputs = stimulus.chunk_inputs(lane0, lanes);
+                        assert_eq!(inputs.len(), cfg.channels * width);
+                        assert!(inputs.iter().all(|b| b.lanes() == lanes));
+                        if let Err(e) = generator_check(&cfg, lane0, &inputs) {
+                            panic!("tier {tier}, width {width}, lane0 {lane0}, lanes {lanes}: {e}");
+                        }
+                    }
+                }
             }
         }
     }
@@ -773,8 +962,9 @@ mod tests {
     #[test]
     fn generator_check_reports_a_flipped_input_bit() {
         let cfg = small_cfg();
-        let mut inputs = chunk_inputs(&cfg, 0, 130);
-        generator_check(&cfg, &inputs).unwrap();
+        let lane0 = 100;
+        let mut inputs = Stimulus::new(&cfg).unwrap().chunk_inputs(lane0, 130);
+        generator_check(&cfg, lane0, &inputs).unwrap();
         // Flip one lane of channel 2, bit 1 to a value it does not hold.
         let (lane, channel, bit) = (97, 2, 1);
         let port = &mut inputs[channel * cfg.width + bit];
@@ -783,13 +973,14 @@ mod tests {
             _ => Trit::Zero,
         };
         port.set_lane(lane, flipped);
-        match generator_check(&cfg, &inputs) {
+        match generator_check(&cfg, lane0, &inputs) {
             Err(ThroughputError::Generator {
                 lane: l,
                 channel: c,
                 bit: b,
             }) => {
-                assert_eq!((l, c, b), (lane, channel, bit))
+                // The report names the global lane.
+                assert_eq!((l, c, b), (lane0 as usize + lane, channel, bit))
             }
             other => panic!("expected a generator divergence, got {other:?}"),
         }
@@ -797,19 +988,23 @@ mod tests {
 
     #[test]
     fn checksum_is_invariant_across_workers_and_plane_widths() {
+        // Under every tier, since the tier compiles the generator too.
         let mut reference = None;
-        for workers in [1usize, 2, 4] {
-            for plane_width in PlaneWidth::ALL {
-                let mut cfg = small_cfg();
-                cfg.workers = workers;
-                cfg.plane_width = plane_width;
-                let r = run_cell(&cfg).unwrap();
-                let c = *reference.get_or_insert(r.checksum);
-                assert_eq!(
-                    r.checksum, c,
-                    "workers={workers} plane_width={plane_width}"
-                );
-                assert!(r.vectors_per_s() > 0.0);
+        for k in kernel::kernels() {
+            for workers in [1usize, 2, 4] {
+                for plane_width in PlaneWidth::ALL {
+                    let mut cfg = small_cfg();
+                    cfg.kernel = k;
+                    cfg.workers = workers;
+                    cfg.plane_width = plane_width;
+                    let r = run_cell(&cfg).unwrap();
+                    let c = *reference.get_or_insert(r.checksum);
+                    assert_eq!(
+                        r.checksum, c,
+                        "kernel={k} workers={workers} plane_width={plane_width}"
+                    );
+                    assert!(r.vectors_per_s() > 0.0);
+                }
             }
         }
     }

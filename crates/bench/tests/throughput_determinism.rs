@@ -177,6 +177,57 @@ fn json_report_carries_the_forced_kernel() {
     assert!(json.contains("\"kernel\": \"scalar\""), "{json}");
 }
 
+/// Checksums recorded from the per-lane generator the bit-sliced one
+/// replaced: `(channels, width, chunk_lanes, vectors, checksum)` at the
+/// default seed, one worker. They pin the stream definition itself — a
+/// generator change that keeps the contract above but alters one input
+/// bit fails here. `chunk_lanes = 100` puts every chunk after the first at
+/// a `lane0` that is not a multiple of 64. The last row is the committed
+/// 8×2 cell: 100k vectors give the checksum `BENCH_throughput.json`
+/// records for it.
+const PINNED: [(usize, usize, usize, u64, u64); 19] = [
+    (2, 1, 64, 3_000, 0xc094_6815_7e85_4886),
+    (4, 1, 100, 3_000, 0x667f_e47b_e05b_5cb2),
+    (8, 1, 8192, 9_000, 0x342d_0a6b_3f3b_a667),
+    (2, 2, 100, 3_000, 0x2ac0_3ce3_e84e_39a9),
+    (4, 2, 8192, 9_000, 0x5a9c_a096_e65e_3ff3),
+    (8, 2, 64, 3_000, 0x3290_e2f6_ceda_8c48),
+    (2, 3, 8192, 9_000, 0xa25b_08eb_2d59_27c7),
+    (4, 3, 64, 3_000, 0xe905_3f90_c8b0_ba21),
+    (8, 3, 100, 3_000, 0xf4a4_90c3_10b5_bc93),
+    (2, 16, 64, 3_000, 0xd6fc_cd86_0fe0_c36c),
+    (4, 16, 100, 3_000, 0xa56a_29c4_65ae_24a0),
+    (8, 16, 8192, 9_000, 0x36f6_21e9_44c5_5a43),
+    (2, 31, 100, 3_000, 0x0b13_9bc9_758c_487e),
+    (4, 31, 8192, 9_000, 0x18dd_6a0c_affa_44ef),
+    (8, 31, 64, 3_000, 0xa73c_7290_1fcf_17e4),
+    (2, 32, 8192, 9_000, 0xf73e_6714_8737_d24a),
+    (4, 32, 64, 3_000, 0x9c1b_c9ae_5138_4ec4),
+    (8, 32, 100, 3_000, 0xc52e_5c6e_8856_5b86),
+    (8, 2, 8192, 100_000, 0x6cac_fc07_fe24_8fd7),
+];
+
+/// Every pinned cell streams its recorded checksum under every available
+/// kernel tier (the tier compiles the generator as well as the tape).
+#[test]
+fn pinned_checksums_hold_under_every_tier() {
+    for k in kernel::kernels() {
+        for (channels, width, chunk_lanes, vectors, want) in PINNED {
+            let mut c = ThroughputConfig::new(channels, width);
+            c.vectors = vectors;
+            c.chunk_lanes = chunk_lanes;
+            c.workers = 1;
+            c.kernel = k;
+            let r = run_cell(&c).unwrap();
+            assert_eq!(
+                r.checksum, want,
+                "{channels}x{width}, chunk_lanes {chunk_lanes}, kernel {k}: 0x{:016x}",
+                r.checksum
+            );
+        }
+    }
+}
+
 /// Misconfigured cells fail with typed errors before any streaming.
 #[test]
 fn preflight_rejects_bad_configs() {
