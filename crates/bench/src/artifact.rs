@@ -2,19 +2,19 @@
 //! netlists in any of the repo's serialisation formats, **re-verifying on
 //! every load** so a cache can never silently serve a wrong artifact.
 //!
-//! Formats are sniffed by content, not trusted from the file name:
+//! Every artifact is text. Formats are sniffed by content, not trusted
+//! from the file name:
 //!
-//! * `MCSN…` / `mcs-network v…` — network artifact (binary / text), see
+//! * `mcs-network v…` — network artifact, see
 //!   [`mcs_networks::io::NetworkArtifact`].
-//! * `MCSB…` / `mcs-netlist v…` — netlist artifact (binary / text), see
-//!   [`mcs_netlist::serdes`].
+//! * `mcs-netlist v…` — netlist artifact, see [`mcs_netlist::serdes`].
 //! * `module …` — structural Verilog, re-imported through
 //!   [`mcs_netlist::export::from_verilog`].
 //!
 //! On save the format follows the extension, matched **case-insensitively**
-//! (`FOO.MCSNB` is binary, not silently text): `.mcsnb`/`.mcsnlb` binary,
-//! `.v` Verilog, `.dot` Graphviz, `.mcsn`/`.mcsnl` (or no extension at
-//! all) the text artifact form. Any other extension is a typed
+//! (`FOO.V` is Verilog too): `.v` Verilog, `.dot` Graphviz, `.mcsn` /
+//! `.mcsnl` (or no extension at all) the artifact form. Any other
+//! extension is a typed
 //! [`ArtifactError::UnknownExtension`] — a typo like `.mcsbn` must fail
 //! loudly at save time, not produce a file the loader then rejects with a
 //! misleading format error.
@@ -110,8 +110,8 @@ fn write(path: &Path, bytes: &[u8]) -> Result<(), ArtifactError> {
         .map_err(|e| ArtifactError::Io(format!("cannot write {}: {e}", path.display())))
 }
 
-/// Loads a cached network artifact (text or binary, sniffed by magic) and
-/// **re-verifies** it with the 0-1 principle before handing it out.
+/// Loads a cached network artifact and **re-verifies** it with the 0-1
+/// principle before handing it out.
 ///
 /// # Errors
 ///
@@ -122,9 +122,8 @@ pub fn load_network(path: &Path) -> Result<NetworkArtifact, ArtifactError> {
     Ok(artifact)
 }
 
-/// Saves a network artifact; the extension (matched case-insensitively)
-/// selects the form: `.mcsnb` binary, `.mcsn` or no extension the text
-/// form.
+/// Saves a network artifact as text; the extension, matched
+/// case-insensitively, must be `.mcsn` or absent.
 ///
 /// # Errors
 ///
@@ -132,7 +131,6 @@ pub fn load_network(path: &Path) -> Result<NetworkArtifact, ArtifactError> {
 /// extension that names no network format.
 pub fn save_network(path: &Path, artifact: &NetworkArtifact) -> Result<(), ArtifactError> {
     match extension_of(path)?.as_deref() {
-        Some("mcsnb") => write(path, &artifact.to_bytes()),
         Some("mcsn") | None => write(path, artifact.to_text().as_bytes()),
         Some(other) => Err(ArtifactError::UnknownExtension {
             extension: other.to_string(),
@@ -140,8 +138,8 @@ pub fn save_network(path: &Path, artifact: &NetworkArtifact) -> Result<(), Artif
     }
 }
 
-/// Loads a cached netlist from any supported format: the text or binary
-/// netlist artifact, or structural Verilog (re-imported).
+/// Loads a cached netlist from any supported format: the netlist artifact
+/// or structural Verilog (re-imported).
 ///
 /// Structural validity (node references, header figures) is re-checked by
 /// the loaders; semantic re-verification is the caller's policy — see
@@ -153,9 +151,6 @@ pub fn save_network(path: &Path, artifact: &NetworkArtifact) -> Result<(), Artif
 /// match no known magic.
 pub fn load_netlist(path: &Path) -> Result<Netlist, ArtifactError> {
     let bytes = read(path)?;
-    if bytes.starts_with(mcs_netlist::serdes::BINARY_MAGIC) {
-        return Ok(serdes::from_bytes(&bytes)?);
-    }
     let text = std::str::from_utf8(&bytes).map_err(|_| ArtifactError::UnknownFormat)?;
     if text.starts_with(mcs_netlist::serdes::TEXT_MAGIC) {
         return Ok(serdes::from_text(text)?);
@@ -167,8 +162,8 @@ pub fn load_netlist(path: &Path) -> Result<Netlist, ArtifactError> {
 }
 
 /// Saves a netlist; the extension (matched case-insensitively) picks the
-/// format: `.v` structural Verilog, `.dot` Graphviz, `.mcsnlb` the binary
-/// artifact, `.mcsnl` or no extension the text artifact.
+/// format: `.v` structural Verilog, `.dot` Graphviz, `.mcsnl` or no
+/// extension the netlist artifact.
 ///
 /// # Errors
 ///
@@ -179,7 +174,6 @@ pub fn save_netlist(path: &Path, netlist: &Netlist) -> Result<(), ArtifactError>
     match extension_of(path)?.as_deref() {
         Some("v") => write(path, to_verilog(netlist).as_bytes()),
         Some("dot") => write(path, to_dot(netlist).as_bytes()),
-        Some("mcsnlb") => write(path, &serdes::to_bytes(netlist)?),
         Some("mcsnl") | None => write(path, serdes::to_text(netlist)?.as_bytes()),
         Some(other) => Err(ArtifactError::UnknownExtension {
             extension: other.to_string(),
@@ -198,10 +192,11 @@ mod tests {
         dir.join(name)
     }
 
+    /// Both save forms: the `.mcsn` extension and none at all.
     #[test]
     fn network_cache_roundtrips_in_both_forms() {
         let artifact = NetworkArtifact::new(best_size(6).unwrap(), 11);
-        for name in ["net.mcsn", "net.mcsnb"] {
+        for name in ["net.mcsn", "net_no_ext"] {
             let path = temp_path(name);
             save_network(&path, &artifact).unwrap();
             let back = load_network(&path).unwrap();
@@ -211,28 +206,23 @@ mod tests {
 
     #[test]
     fn extensions_match_case_insensitively() {
-        // FOO.MCSNB used to fall through to the text form; the binary/text
-        // choice must not depend on the case the shell happened to use.
+        // The format choice must not depend on the case the shell happened
+        // to use.
         let artifact = NetworkArtifact::new(best_size(6).unwrap(), 11);
-        for name in ["net_upper.MCSNB", "net_mixed.McSnB"] {
+        for name in ["net_upper.MCSN", "net_mixed.McSn"] {
             let path = temp_path(name);
             save_network(&path, &artifact).unwrap();
             let bytes = std::fs::read(&path).unwrap();
-            assert!(!bytes.starts_with(b"mcs-network"), "{name} saved as text");
+            assert!(bytes.starts_with(b"mcs-network"), "{name} must be text");
             assert_eq!(load_network(&path).unwrap(), artifact, "{name}");
         }
-        let path = temp_path("net_upper.MCSN");
-        save_network(&path, &artifact).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        assert!(bytes.starts_with(b"mcs-network"), "MCSN must be text");
-        assert_eq!(load_network(&path).unwrap(), artifact);
 
         let mut n = Netlist::new("t");
         let a = n.input("a");
         let b = n.input("b");
         let f = n.nand2(a, b);
         n.set_output("f", f);
-        for name in ["n_upper.MCSNLB", "n_mixed.McSnLb"] {
+        for name in ["n_upper.MCSNL", "n_mixed.McSnL"] {
             let path = temp_path(name);
             save_netlist(&path, &n).unwrap();
             let back = load_netlist(&path).unwrap();
@@ -248,22 +238,30 @@ mod tests {
     fn unknown_save_extensions_are_typed_errors() {
         let artifact = NetworkArtifact::new(best_size(6).unwrap(), 11);
         // A typo'd extension errors at save time instead of writing a file
-        // the loader will reject with a misleading message.
-        match save_network(&temp_path("net.mcsbn"), &artifact) {
-            Err(ArtifactError::UnknownExtension { extension }) => {
-                assert_eq!(extension, "mcsbn");
+        // the loader will reject with a misleading message, and so do the
+        // extensions of binary forms this repo does not write.
+        for ext in ["mcsbn", "mcsnb", "mcsnlb"] {
+            match save_network(&temp_path(&format!("net.{ext}")), &artifact) {
+                Err(ArtifactError::UnknownExtension { extension }) => {
+                    assert_eq!(extension, ext);
+                }
+                other => panic!("expected UnknownExtension, got {other:?}"),
             }
-            other => panic!("expected UnknownExtension, got {other:?}"),
         }
         let mut n = Netlist::new("t");
         let a = n.input("a");
         let b = n.input("b");
         let f = n.nand2(a, b);
         n.set_output("f", f);
-        assert!(matches!(
-            save_netlist(&temp_path("n.json"), &n),
-            Err(ArtifactError::UnknownExtension { .. })
-        ));
+        for ext in ["json", "mcsnb", "mcsnlb", "MCSNLB"] {
+            assert!(
+                matches!(
+                    save_netlist(&temp_path(&format!("n.{ext}")), &n),
+                    Err(ArtifactError::UnknownExtension { .. })
+                ),
+                "{ext}"
+            );
+        }
         // No extension at all stays the text form (pipes, tempfiles).
         let bare = temp_path("netlist_no_ext");
         save_netlist(&bare, &n).unwrap();
@@ -286,6 +284,29 @@ mod tests {
         ));
         std::fs::write(&path, "garbage").unwrap();
         assert!(load_network(&path).is_err());
+        // Bytes laid out like a binary network artifact: a typed load
+        // error, not a panic.
+        let mut binary = b"MCSN".to_vec();
+        binary.extend_from_slice(&[2, 0, 4, 0, 0xe2, 7, 0, 0, 0, 0, 0, 0, 0, 0xff]);
+        std::fs::write(&path, &binary).unwrap();
+        assert!(matches!(
+            load_network(&path),
+            Err(ArtifactError::Network(NetworkArtifactError::BadMagic))
+        ));
+    }
+
+    #[test]
+    fn corrupt_netlist_cache_entries_are_refused() {
+        // Bytes laid out like a binary netlist artifact, valid UTF-8 or
+        // not: a typed load error, not a panic.
+        let path = temp_path("corrupt.mcsnl");
+        for binary in [&b"MCSB\x01\x00\x01\x00\x00\x00t"[..], b"MCSB\x01\x00\xff\xfe"] {
+            std::fs::write(&path, binary).unwrap();
+            assert!(matches!(
+                load_netlist(&path),
+                Err(ArtifactError::UnknownFormat)
+            ));
+        }
     }
 
     #[test]
@@ -295,7 +316,7 @@ mod tests {
         let b = n.input("b");
         let f = n.nand2(a, b);
         n.set_output("f", f);
-        for name in ["n.mcsnl", "n.mcsnlb", "n.v"] {
+        for name in ["n.mcsnl", "n_no_ext", "n.v"] {
             let path = temp_path(name);
             save_netlist(&path, &n).unwrap();
             let back = load_netlist(&path).unwrap();

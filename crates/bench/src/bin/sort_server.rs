@@ -156,7 +156,7 @@ fn run() -> Result<(), CliError> {
     let engine = match circuit {
         Some(path) => {
             let netlist = load_netlist(&path)?;
-            SortEngine::from_netlist(cfg, &netlist)?
+            SortEngine::from_netlist(cfg, netlist)?
         }
         None => SortEngine::new(cfg)?,
     };

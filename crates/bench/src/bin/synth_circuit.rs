@@ -16,8 +16,8 @@
 //! being re-searched. The instantiated circuit is then re-verified at gate
 //! level (every 0-1 channel pattern must sort), measured under the
 //! calibrated technology model, and optionally written with `--save`; the
-//! extension picks the format (`.mcsnl` text artifact, `.mcsnlb` binary,
-//! `.v` structural Verilog, `.dot` Graphviz).
+//! extension picks the format (`.mcsnl` netlist artifact, `.v` structural
+//! Verilog, `.dot` Graphviz).
 //!
 //! `--optimize` runs the standard `mcs-netlist` pass pipeline (dead sweep,
 //! constant folding + strength reduction, CSE, depth rebalancing) to a

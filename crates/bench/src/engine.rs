@@ -1,0 +1,230 @@
+//! The one verified sorting engine behind [`crate::throughput`] and
+//! [`crate::server`]: a certified MC sorting circuit and its compiled
+//! [`EvalTape`].
+//!
+//! Two constructors build it, and both certify the circuit before anything
+//! streams or serves through it:
+//!
+//! * [`Engine::for_cell`] — a stock cell: validate → [`cell_network`] →
+//!   [`zero_one_verify`] → the paper-flavour circuit → check → compile.
+//! * [`Engine::from_netlist`] — a loaded artifact: validate → check →
+//!   compile.
+//!
+//! "Check" is the gate-level [`zero_one_circuit_check`] up to
+//! [`MAX_CHECK_CHANNELS`] channels. Above that bound the exhaustive sweep
+//! is out of reach and only the port counts are checked
+//! ([`CircuitVerifyError::PortMismatch`]). The network-level
+//! [`zero_one_verify`] follows the same bound.
+
+use std::fmt;
+
+use mcs_logic::plane::kernel::{self, KernelId, UnknownKernel};
+use mcs_logic::PlaneWidth;
+use mcs_netlist::{EvalTape, Netlist, TapeScratch};
+use mcs_networks::circuit::{build_sorting_circuit, TwoSortFlavor};
+use mcs_networks::generators::batcher_odd_even;
+use mcs_networks::optimal::best_size;
+use mcs_networks::verify::zero_one_verify;
+use mcs_networks::Network;
+
+use crate::verify::{zero_one_circuit_check, CircuitVerifyError, MAX_CHECK_CHANNELS};
+
+/// Widest supported channel value (rank arithmetic uses `u64` codewords).
+pub const MAX_WIDTH: usize = 32;
+
+/// Why a sorting engine could not be built. Nothing streams or serves
+/// unless construction succeeds.
+#[derive(Debug)]
+pub enum EngineError {
+    /// The channel count or width is outside the supported range.
+    UnsupportedCell {
+        /// Channel count of the offending cell.
+        channels: usize,
+        /// Bit width of the offending cell.
+        width: usize,
+        /// What exactly is unsupported.
+        reason: String,
+    },
+    /// The comparator network failed 0-1 verification.
+    Network(String),
+    /// The circuit failed the gate-level 0-1 sweep or the port check.
+    Circuit(CircuitVerifyError),
+    /// The requested kernel backend cannot run on this CPU.
+    Kernel(UnknownKernel),
+}
+
+impl fmt::Display for EngineError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            EngineError::UnsupportedCell {
+                channels,
+                width,
+                reason,
+            } => write!(f, "cell {channels}x{width}: {reason}"),
+            EngineError::Network(msg) => {
+                write!(f, "network verification failed: {msg}")
+            }
+            EngineError::Circuit(e) => {
+                write!(f, "circuit verification failed: {e}")
+            }
+            EngineError::Kernel(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for EngineError {}
+
+impl From<CircuitVerifyError> for EngineError {
+    fn from(e: CircuitVerifyError) -> EngineError {
+        EngineError::Circuit(e)
+    }
+}
+
+impl From<UnknownKernel> for EngineError {
+    fn from(e: UnknownKernel) -> EngineError {
+        EngineError::Kernel(e)
+    }
+}
+
+/// The comparator network a cell streams: the best-known optimal table
+/// where one exists (n ≤ 10), Batcher odd-even beyond.
+pub fn cell_network(channels: usize) -> Network {
+    best_size(channels).unwrap_or_else(|| batcher_odd_even(channels))
+}
+
+/// Worker threads for a requested count: `0` means one per available core.
+pub fn resolve_workers(requested: usize) -> usize {
+    if requested == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        requested
+    }
+}
+
+/// The one cell validator: `channels ≥ 2`, `1 ≤ width ≤ MAX_WIDTH`, and a
+/// kernel tier this CPU can run.
+fn validate_cell(
+    channels: usize,
+    width: usize,
+    kernel: KernelId,
+) -> Result<(), EngineError> {
+    let unsupported = |reason: String| {
+        Err(EngineError::UnsupportedCell {
+            channels,
+            width,
+            reason,
+        })
+    };
+    if channels < 2 {
+        return unsupported("need at least 2 channels".into());
+    }
+    if width == 0 || width > MAX_WIDTH {
+        return unsupported(format!("width must be in 1..={MAX_WIDTH}"));
+    }
+    kernel::require(kernel)?;
+    Ok(())
+}
+
+/// A verified `channels × width` sorting circuit, compiled to an
+/// [`EvalTape`] for one kernel tier. Shared read-only across workers; each
+/// worker owns a [`TapeScratch`] from [`Engine::scratch`].
+#[derive(Debug)]
+pub struct Engine {
+    kernel: KernelId,
+    comparators: Option<usize>,
+    circuit: Netlist,
+    tape: EvalTape,
+}
+
+impl Engine {
+    /// Builds the stock cell: [`cell_network`], 0-1-verified, instantiated
+    /// with the paper's 2-sort, checked and compiled.
+    ///
+    /// # Errors
+    ///
+    /// See [`EngineError`].
+    pub fn for_cell(
+        channels: usize,
+        width: usize,
+        kernel: KernelId,
+    ) -> Result<Engine, EngineError> {
+        validate_cell(channels, width, kernel)?;
+        let network = cell_network(channels);
+        if channels <= MAX_CHECK_CHANNELS {
+            zero_one_verify(&network).map_err(|e| EngineError::Network(e.to_string()))?;
+        }
+        let circuit = build_sorting_circuit(&network, width, TwoSortFlavor::Paper);
+        Engine::certify(channels, width, kernel, circuit, Some(network.size()))
+    }
+
+    /// Builds the engine from an existing sorting netlist, e.g. an artifact
+    /// loaded by [`crate::artifact::load_netlist`]. The netlist is checked
+    /// before it is compiled.
+    ///
+    /// # Errors
+    ///
+    /// See [`EngineError`].
+    pub fn from_netlist(
+        channels: usize,
+        width: usize,
+        kernel: KernelId,
+        circuit: Netlist,
+    ) -> Result<Engine, EngineError> {
+        validate_cell(channels, width, kernel)?;
+        Engine::certify(channels, width, kernel, circuit, None)
+    }
+
+    /// Check, then compile.
+    fn certify(
+        channels: usize,
+        width: usize,
+        kernel: KernelId,
+        circuit: Netlist,
+        comparators: Option<usize>,
+    ) -> Result<Engine, EngineError> {
+        if channels <= MAX_CHECK_CHANNELS {
+            zero_one_circuit_check(&circuit, channels, width)?;
+        } else if circuit.input_count() != channels * width
+            || circuit.output_count() != channels * width
+        {
+            return Err(EngineError::Circuit(CircuitVerifyError::PortMismatch {
+                inputs: circuit.input_count(),
+                outputs: circuit.output_count(),
+                channels,
+                width,
+            }));
+        }
+        let tape = EvalTape::compile(&circuit);
+        Ok(Engine {
+            kernel,
+            comparators,
+            circuit,
+            tape,
+        })
+    }
+
+    /// Comparators of the underlying network; `None` for an engine built
+    /// from a netlist.
+    pub fn comparators(&self) -> Option<usize> {
+        self.comparators
+    }
+
+    /// The verified circuit.
+    pub fn circuit(&self) -> &Netlist {
+        &self.circuit
+    }
+
+    /// The compiled tape.
+    pub fn tape(&self) -> &EvalTape {
+        &self.tape
+    }
+
+    /// Allocates one worker's scratch at `plane_width` for the engine's
+    /// kernel tier.
+    pub fn scratch(&self, plane_width: PlaneWidth) -> TapeScratch {
+        self.tape
+            .try_scratch(plane_width, self.kernel)
+            .expect("kernel availability is validated at engine construction")
+    }
+}
+

@@ -13,14 +13,19 @@
 //!   cached `find_network --save` artifact via `--network`) × 2-sort
 //!   flavour → full gate-level netlist, re-verified, measured, and
 //!   saved/loaded as netlist artifacts (`--save`/`--load`).
-//! * `throughput` — sustained-throughput engine: compiles circuits to
-//!   [`mcs_netlist::EvalTape`]s and streams millions of Gray-code
-//!   vectors across worker threads, reporting sorted vectors per second
-//!   as `BENCH_throughput.json` (see [`throughput`]).
-//! * `sort_server` — batching, backpressured serving layer over the
-//!   throughput engine: framed valid-string requests on stdin or a
+//! * `throughput` — sustained-throughput benchmark: streams millions of
+//!   Gray-code vectors through the verified [`engine::Engine`] across
+//!   worker threads, reporting sorted vectors per second as
+//!   `BENCH_throughput.json` (see [`throughput`]).
+//! * `sort_server` — batching, backpressured serving layer over the same
+//!   [`engine::Engine`]: framed valid-string requests on stdin or a
 //!   localhost TCP socket, coalesced into shared plane words and sorted
 //!   deterministically (see [`server`]).
+//!
+//! Library modules: [`engine`] (the one verified circuit and compiled tape
+//! behind both), [`artifact`] (text and Verilog artifacts, re-verified on
+//! load), [`verify`] (the gate-level 0-1 check), [`metrics`] (latency
+//! histograms) and [`published`] (the paper's numbers).
 //!
 //! The Criterion benches (`cargo bench -p mcs-bench`) time the same
 //! construction + analysis pipelines and the gate-level simulator.
@@ -30,6 +35,8 @@
 //! paper-vs-measured tables).
 
 pub mod artifact;
+pub mod engine;
+mod json;
 pub mod metrics;
 pub mod published;
 pub mod server;

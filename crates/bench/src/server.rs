@@ -1,12 +1,13 @@
 //! `sort_server`: a batching, backpressured serving layer over the
-//! throughput engine — certified MC sorting circuits as a request/response
-//! service.
+//! verified [`Engine`] — certified MC sorting circuits as a
+//! request/response service.
 //!
-//! The PR 7 engine streams a fixed synthetic workload; this module serves
-//! *traffic*: framed batches of valid strings arrive on stdin or a
-//! localhost TCP socket, are sorted through a compiled [`EvalTape`] with a
-//! per-connection reusable [`TapeScratch`], and come back as sorted
-//! batches. Three production concerns are first-class:
+//! The throughput engine streams a fixed synthetic workload through the
+//! same [`Engine`]; this module serves *traffic*: framed batches of valid
+//! strings arrive on stdin or a localhost TCP socket, are sorted through
+//! the engine's compiled [`EvalTape`] with a per-worker reusable
+//! [`TapeScratch`], and come back as sorted batches. Three production
+//! concerns are first-class:
 //!
 //! * **Request coalescing.** Each request is one lane. Small concurrent
 //!   requests are packed into shared plane words — the [`CoalescerQueue`]
@@ -31,6 +32,8 @@
 //! oversized requests, overload, timeouts and shutdown are all
 //! [`FrameError`] responses on the wire ([`ServerError`] covers setup and
 //! I/O), and the serving loop itself never panics on input.
+//!
+//! [`EvalTape`]: mcs_netlist::EvalTape
 //!
 //! # Observability
 //!
@@ -89,14 +92,12 @@ use crate::metrics::{
 };
 
 use mcs_gray::ValidString;
-use mcs_logic::plane::kernel::{self, KernelId, UnknownKernel};
+use mcs_logic::plane::kernel::{self, KernelId};
 use mcs_logic::{PlaneWidth, Trit, TritBlock, TritVec};
-use mcs_netlist::{EvalTape, Netlist, TapeScratch};
-use mcs_networks::circuit::{build_sorting_circuit, TwoSortFlavor};
-use mcs_networks::verify::zero_one_verify;
+use mcs_netlist::{Netlist, TapeScratch};
 
-use crate::throughput::{cell_network, MAX_WIDTH};
-use crate::verify::{zero_one_circuit_check, CircuitVerifyError, MAX_CHECK_CHANNELS};
+use crate::engine::{resolve_workers, Engine, EngineError};
+use crate::json::JsonWriter;
 
 /// Serving knobs. Everything latency/throughput-relevant is explicit so
 /// tests (and operators) can pin the exact coalescing behaviour.
@@ -104,7 +105,7 @@ use crate::verify::{zero_one_circuit_check, CircuitVerifyError, MAX_CHECK_CHANNE
 pub struct ServerConfig {
     /// Channel count `n` of the sorting circuit (max keys per request).
     pub channels: usize,
-    /// Bits per key `B` (1 ..= [`MAX_WIDTH`]).
+    /// Bits per key `B` (1 ..= [`crate::engine::MAX_WIDTH`]).
     pub width: usize,
     /// Worker threads draining the queue; `0` means one per core.
     pub workers: usize,
@@ -153,17 +154,15 @@ impl ServerConfig {
 /// rejections of individual requests are [`FrameError`]s instead.
 #[derive(Debug)]
 pub enum ServerError {
-    /// The configuration is out of range.
+    /// A serving field (`max_batch`, `queue_depth`, `max_frame_bytes`) is
+    /// out of range.
     BadConfig {
         /// What exactly is wrong.
         reason: String,
     },
-    /// The comparator network failed 0-1 verification.
-    Network(String),
-    /// The sorting circuit failed the gate-level 0-1 sweep.
-    Circuit(CircuitVerifyError),
-    /// The configured kernel backend cannot run on this CPU.
-    Kernel(UnknownKernel),
+    /// The engine could not be built: a bad channel count or width, a
+    /// failed verification, or an unavailable kernel.
+    Engine(EngineError),
     /// An I/O error on the listener, a pipe, or a socket.
     Io(std::io::Error),
 }
@@ -174,13 +173,7 @@ impl fmt::Display for ServerError {
             ServerError::BadConfig { reason } => {
                 write!(f, "bad configuration: {reason}")
             }
-            ServerError::Network(msg) => {
-                write!(f, "network verification failed: {msg}")
-            }
-            ServerError::Circuit(e) => {
-                write!(f, "circuit verification failed: {e}")
-            }
-            ServerError::Kernel(e) => write!(f, "{e}"),
+            ServerError::Engine(e) => write!(f, "{e}"),
             ServerError::Io(e) => write!(f, "i/o error: {e}"),
         }
     }
@@ -188,15 +181,9 @@ impl fmt::Display for ServerError {
 
 impl std::error::Error for ServerError {}
 
-impl From<CircuitVerifyError> for ServerError {
-    fn from(e: CircuitVerifyError) -> ServerError {
-        ServerError::Circuit(e)
-    }
-}
-
-impl From<UnknownKernel> for ServerError {
-    fn from(e: UnknownKernel) -> ServerError {
-        ServerError::Kernel(e)
+impl From<EngineError> for ServerError {
+    fn from(e: EngineError) -> ServerError {
+        ServerError::Engine(e)
     }
 }
 
@@ -477,8 +464,8 @@ impl ServerStats {
         }
     }
 
-    fn add_served(&self) {
-        self.served.fetch_add(1, Ordering::Relaxed);
+    fn add_served(&self, requests: usize) {
+        self.served.fetch_add(requests as u64, Ordering::Relaxed);
     }
 
     fn add_rejected(&self) {
@@ -540,50 +527,40 @@ pub fn format_stats_line(id: &str, report: &ServeReport) -> String {
 }
 
 /// Serialises a report as the versioned `mcs-serverstats-v1` JSON document
-/// (`sort_server --stats-json`). Hand-rolled like the throughput emitter:
-/// the repo takes no serde dependency.
+/// (`sort_server --stats-json`).
 pub fn stats_json(report: &ServeReport) -> String {
     let us = |ns: u64| ns / 1_000;
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{STATS_SCHEMA}\",\n"));
-    out.push_str(&format!("  \"served\": {},\n", report.served));
-    out.push_str(&format!("  \"rejected\": {},\n", report.rejected));
-    out.push_str(&format!("  \"batches\": {},\n", report.batches));
-    out.push_str(&format!("  \"workers\": {},\n", report.workers));
-    // Additive field (schema stays v1): the kernel backend that evaluated
-    // every batch of this serve.
-    out.push_str(&format!("  \"kernel\": \"{}\",\n", report.kernel));
-    out.push_str("  \"stages\": {\n");
-    let stages = report.stages.stages();
-    for (i, (name, h)) in stages.iter().enumerate() {
-        out.push_str(&format!("    \"{name}\": {{\n"));
-        out.push_str(&format!("      \"count\": {},\n", h.count()));
-        out.push_str(&format!("      \"p50_us\": {},\n", us(h.quantile(0.50))));
-        out.push_str(&format!("      \"p90_us\": {},\n", us(h.quantile(0.90))));
-        out.push_str(&format!("      \"p99_us\": {},\n", us(h.quantile(0.99))));
-        out.push_str(&format!(
-            "      \"p999_us\": {},\n",
-            us(h.quantile(0.999))
-        ));
-        out.push_str(&format!("      \"max_us\": {},\n", us(h.max())));
-        out.push_str(&format!("      \"mean_us\": {}\n", us(h.mean())));
-        out.push_str(if i + 1 == stages.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
+    let mut w = JsonWriter::new();
+    w.string("schema", STATS_SCHEMA)
+        .raw("served", report.served)
+        .raw("rejected", report.rejected)
+        .raw("batches", report.batches)
+        .raw("workers", report.workers)
+        // Additive field (schema stays v1): the kernel backend that
+        // evaluated every batch of this serve.
+        .string("kernel", report.kernel.name())
+        .open(Some("stages"), '{');
+    for (name, h) in report.stages.stages() {
+        w.open(Some(name), '{')
+            .raw("count", h.count())
+            .raw("p50_us", us(h.quantile(0.50)))
+            .raw("p90_us", us(h.quantile(0.90)))
+            .raw("p99_us", us(h.quantile(0.99)))
+            .raw("p999_us", us(h.quantile(0.999)))
+            .raw("max_us", us(h.max()))
+            .raw("mean_us", us(h.mean()))
+            .close('}');
     }
-    out.push_str("  }\n}\n");
-    out
+    w.close('}');
+    w.finish()
 }
 
-/// The sorting engine: a verified circuit compiled to an [`EvalTape`],
-/// plus the padding row that lets short requests share a plane with full
-/// ones. Shared read-only across workers; each worker owns a scratch.
+/// The serving wrapper of the verified [`Engine`]: the engine plus the
+/// padding row that lets short requests share a plane with full ones.
+/// Shared read-only across workers; each worker owns a scratch.
 pub struct SortEngine {
     cfg: ServerConfig,
-    tape: EvalTape,
+    engine: Engine,
     /// Bits of the maximum valid string — free channels of a short request
     /// are padded with it so the sorted prefix is exactly the request.
     pad: TritVec,
@@ -591,63 +568,45 @@ pub struct SortEngine {
 
 impl SortEngine {
     /// Builds the engine for `cfg` from the stock cell network (optimal
-    /// table for small `n`, Batcher odd-even beyond), verifying network and
-    /// circuit before anything is served.
+    /// table for small `n`, Batcher odd-even beyond) through
+    /// [`Engine::for_cell`], verifying network and circuit before anything
+    /// is served.
     ///
     /// # Errors
     ///
     /// See [`ServerError`]; nothing is served unless verification passes.
     pub fn new(cfg: ServerConfig) -> Result<SortEngine, ServerError> {
         validate(&cfg)?;
-        let network = cell_network(cfg.channels);
-        if cfg.channels <= MAX_CHECK_CHANNELS {
-            zero_one_verify(&network)
-                .map_err(|e| ServerError::Network(e.to_string()))?;
-        }
-        let circuit =
-            build_sorting_circuit(&network, cfg.width, TwoSortFlavor::Paper);
-        SortEngine::from_netlist(cfg, &circuit)
+        let engine = Engine::for_cell(cfg.channels, cfg.width, cfg.kernel)?;
+        SortEngine::with_engine(cfg, engine)
     }
 
     /// Builds the engine from an existing sorting netlist — e.g. an
     /// optimized golden or zoo artifact loaded via
-    /// [`crate::artifact::load_netlist`]. The netlist is re-verified with
-    /// the gate-level 0-1 sweep before it serves a single request.
+    /// [`crate::artifact::load_netlist`] — through [`Engine::from_netlist`],
+    /// which re-verifies it before it serves a single request.
     ///
     /// # Errors
     ///
     /// See [`ServerError`].
     pub fn from_netlist(
         cfg: ServerConfig,
-        circuit: &Netlist,
+        circuit: Netlist,
     ) -> Result<SortEngine, ServerError> {
         validate(&cfg)?;
-        if cfg.channels <= MAX_CHECK_CHANNELS {
-            zero_one_circuit_check(circuit, cfg.channels, cfg.width)?;
-        } else if circuit.input_count() != cfg.channels * cfg.width
-            || circuit.output_count() != cfg.channels * cfg.width
-        {
-            return Err(ServerError::BadConfig {
-                reason: format!(
-                    "netlist ports ({} in / {} out) disagree with {} \
-                     channels x {} bits",
-                    circuit.input_count(),
-                    circuit.output_count(),
-                    cfg.channels,
-                    cfg.width
-                ),
-            });
-        }
+        let engine = Engine::from_netlist(cfg.channels, cfg.width, cfg.kernel, circuit)?;
+        SortEngine::with_engine(cfg, engine)
+    }
+
+    fn with_engine(cfg: ServerConfig, engine: Engine) -> Result<SortEngine, ServerError> {
         let pad = ValidString::stable(cfg.width, (1u64 << cfg.width) - 1)
-            .map_err(|e| ServerError::BadConfig {
-                reason: format!("width {}: {e}", cfg.width),
+            .map_err(|e| EngineError::UnsupportedCell {
+                channels: cfg.channels,
+                width: cfg.width,
+                reason: e.to_string(),
             })?
             .into_bits();
-        Ok(SortEngine {
-            cfg,
-            tape: EvalTape::compile(circuit),
-            pad,
-        })
+        Ok(SortEngine { cfg, engine, pad })
     }
 
     /// The configuration the engine was built for.
@@ -658,9 +617,7 @@ impl SortEngine {
     /// Allocates one worker's (or connection's) reusable scratch for the
     /// configured plane width and kernel backend.
     pub fn scratch(&self) -> TapeScratch {
-        self.tape
-            .try_scratch(self.cfg.plane_width, self.cfg.kernel)
-            .expect("kernel availability is validated at engine construction")
+        self.engine.scratch(self.cfg.plane_width)
     }
 
     /// Sorts a coalesced batch: request `i` occupies lane `i` of one shared
@@ -721,7 +678,8 @@ impl SortEngine {
         }
         let eval_start = Instant::now();
         let out = self
-            .tape
+            .engine
+            .tape()
             .try_eval_block_with(&blocks, scratch)
             .map_err(|e| FrameError::Internal {
                 detail: format!("tape rejected the batch: {e}"),
@@ -754,14 +712,9 @@ impl SortEngine {
     }
 }
 
+/// Checks the serving fields; the cell itself is the engine's to check.
 fn validate(cfg: &ServerConfig) -> Result<(), ServerError> {
     let bad = |reason: String| Err(ServerError::BadConfig { reason });
-    if cfg.channels < 2 {
-        return bad("need at least 2 channels".into());
-    }
-    if cfg.width == 0 || cfg.width > MAX_WIDTH {
-        return bad(format!("width must be in 1..={MAX_WIDTH}"));
-    }
     if cfg.max_batch == 0 {
         return bad("max_batch must be positive".into());
     }
@@ -771,9 +724,6 @@ fn validate(cfg: &ServerConfig) -> Result<(), ServerError> {
     if cfg.max_frame_bytes == 0 {
         return bad("max_frame_bytes must be positive".into());
     }
-    // Typed refusal for backends this CPU cannot run, so worker scratch
-    // construction after this point is infallible.
-    kernel::require(cfg.kernel)?;
     Ok(())
 }
 
@@ -989,14 +939,6 @@ pub struct ServeReport {
     pub stages: StageSnapshot,
 }
 
-fn resolve_workers(requested: usize) -> usize {
-    if requested == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        requested
-    }
-}
-
 /// The worker loop: drain plane batches, sort, route responses. Shared by
 /// both serving modes. All timing here is observational: the responses
 /// are byte-identical whether or not anyone ever reads the histograms.
@@ -1045,6 +987,9 @@ fn worker_loop(engine: &SortEngine, queue: &CoalescerQueue, stats: &ServerStats)
             .collect();
         match engine.sort_batch_recording(&requests, &mut scratch, Some(stats)) {
             Ok(sorted) => {
+                // Counted per outcome, like `rejected`: served + rejected
+                // adds up to the frames received.
+                stats.add_served(sorted.len());
                 for (job, keys) in live.iter().zip(&sorted) {
                     let _ = job.reply.send((
                         job.seq,
@@ -1127,7 +1072,8 @@ fn writer_loop<W: Write>(
 
 /// Serves one line stream (stdin mode, or one accepted socket): parse
 /// frames, submit jobs, and deliver re-sequenced responses to `output`.
-/// Served/rejected counts go straight into `stats`, which also answers
+/// Frames rejected here count into `stats` (the workers count the rest),
+/// which also answers
 /// any `stats` frame on the stream with a mid-serve snapshot line.
 /// `after_input` runs once the input is exhausted (EOF, shutdown frame, or
 /// a torn read), *before* the writer is waited on — stdin mode closes the
@@ -1194,9 +1140,8 @@ fn pump_connection<R: BufRead, W: Write + Send>(
                     } else {
                         queue.try_submit(job)
                     };
-                    match submitted {
-                        Ok(()) => stats.add_served(),
-                        Err((job, e)) => reject(seq, &job.id, &e, &tx),
+                    if let Err((job, e)) = submitted {
+                        reject(seq, &job.id, &e, &tx);
                     }
                     seq += 1;
                 }
@@ -1407,15 +1352,21 @@ mod tests {
 
     #[test]
     fn engine_rejects_bad_configs() {
-        for (channels, width) in [(1, 2), (4, 0), (4, MAX_WIDTH + 1)] {
+        for (channels, width) in [(1, 2), (4, 0), (4, crate::engine::MAX_WIDTH + 1)] {
             let err = SortEngine::new(ServerConfig::new(channels, width))
                 .err()
                 .expect("must be rejected");
-            assert!(matches!(err, ServerError::BadConfig { .. }), "{err}");
+            assert!(
+                matches!(err, ServerError::Engine(EngineError::UnsupportedCell { .. })),
+                "{err}"
+            );
         }
         let mut cfg = cfg4x2();
         cfg.max_batch = 0;
-        assert!(SortEngine::new(cfg).is_err());
+        assert!(matches!(
+            SortEngine::new(cfg),
+            Err(ServerError::BadConfig { .. })
+        ));
     }
 
     #[test]
@@ -1426,10 +1377,13 @@ mod tests {
         for (i, &node) in ins.iter().enumerate() {
             n.set_output(format!("out{i}_b0"), node);
         }
-        let err = SortEngine::from_netlist(ServerConfig::new(4, 1), &n)
+        let err = SortEngine::from_netlist(ServerConfig::new(4, 1), n)
             .err()
             .expect("identity must be rejected");
-        assert!(matches!(err, ServerError::Circuit(_)), "{err}");
+        assert!(
+            matches!(err, ServerError::Engine(EngineError::Circuit(_))),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1459,8 +1413,7 @@ mod tests {
     #[test]
     fn stats_line_and_json_carry_every_stage() {
         let stats = ServerStats::new(3, KernelId::Scalar);
-        stats.add_served();
-        stats.add_served();
+        stats.add_served(2);
         stats.add_rejected();
         stats.add_batch();
         stats.queue.record(1_500);
@@ -1502,6 +1455,93 @@ mod tests {
             json.matches('}').count(),
             "{json}"
         );
+    }
+
+    #[test]
+    fn stats_json_bytes_are_pinned() {
+        let stats = ServerStats::new(4, KernelId::Avx2);
+        stats.add_served(5);
+        stats.add_rejected();
+        stats.add_rejected();
+        stats.add_batch();
+        stats.add_batch();
+        stats.add_batch();
+        for ns in [0, 2_500, 70_000] {
+            stats.queue.record(ns);
+        }
+        stats.coalesce.record(1_999_999);
+        stats.pack.record(12_345);
+        stats.eval.record(4_000);
+        stats.eval.record(6_000);
+        stats.write.record(800);
+        stats.e2e.record(9_000_000);
+        // The bytes the per-field emitter wrote before the shared writer.
+        let want = r#"{
+  "schema": "mcs-serverstats-v1",
+  "served": 5,
+  "rejected": 2,
+  "batches": 3,
+  "workers": 4,
+  "kernel": "avx2",
+  "stages": {
+    "queue": {
+      "count": 3,
+      "p50_us": 4,
+      "p90_us": 70,
+      "p99_us": 70,
+      "p999_us": 70,
+      "max_us": 70,
+      "mean_us": 24
+    },
+    "coalesce": {
+      "count": 1,
+      "p50_us": 1999,
+      "p90_us": 1999,
+      "p99_us": 1999,
+      "p999_us": 1999,
+      "max_us": 1999,
+      "mean_us": 1999
+    },
+    "pack": {
+      "count": 1,
+      "p50_us": 12,
+      "p90_us": 12,
+      "p99_us": 12,
+      "p999_us": 12,
+      "max_us": 12,
+      "mean_us": 12
+    },
+    "eval": {
+      "count": 2,
+      "p50_us": 4,
+      "p90_us": 6,
+      "p99_us": 6,
+      "p999_us": 6,
+      "max_us": 6,
+      "mean_us": 5
+    },
+    "write": {
+      "count": 1,
+      "p50_us": 0,
+      "p90_us": 0,
+      "p99_us": 0,
+      "p999_us": 0,
+      "max_us": 0,
+      "mean_us": 0
+    },
+    "e2e": {
+      "count": 1,
+      "p50_us": 9000,
+      "p90_us": 9000,
+      "p99_us": 9000,
+      "p999_us": 9000,
+      "max_us": 9000,
+      "mean_us": 9000
+    }
+  }
+}
+"#;
+        assert_eq!(stats_json(&stats.snapshot()), want);
     }
 
     #[test]

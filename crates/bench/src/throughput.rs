@@ -4,13 +4,15 @@
 //!
 //! The pipeline per benchmark cell `(n, B)`:
 //!
-//! 1. Pick a comparator network (best-known optimal table for small `n`,
-//!    Batcher odd-even otherwise), 0-1-verify it, and instantiate the
-//!    paper-flavour MC sorting circuit.
-//! 2. Compile the circuit into an [`EvalTape`] and re-verify the tape
-//!    against [`Netlist::eval_block`] lane-for-lane on a differential
-//!    sample at every plane width, including a rank-level sortedness check
-//!    (outputs must be the sorted valid strings of the inputs).
+//! 1. Build the verified [`Engine`] for the cell (the same engine
+//!    `sort_server` serves through): the best-known optimal network for
+//!    small `n`, Batcher odd-even otherwise, 0-1-verified, instantiated as
+//!    the paper-flavour MC sorting circuit, checked at gate level and
+//!    compiled into an [`EvalTape`].
+//! 2. Re-verify the tape against [`Netlist::eval_block`] lane-for-lane on
+//!    a differential sample at every plane width, including a rank-level
+//!    sortedness check (outputs must be the sorted valid strings of the
+//!    inputs).
 //! 3. Stream `vectors` pseudorandom valid strings through the tape in
 //!    fixed-size chunks sharded round-robin across `std::thread::scope`
 //!    workers — the PR 3 determinism contract: worker `w` owns chunks
@@ -45,6 +47,8 @@
 //! [`report_json`] serialises the per-cell results as
 //! `BENCH_throughput.json` (schema [`JSON_SCHEMA`]) so the perf trajectory
 //! is trackable across PRs.
+//!
+//! [`Netlist::eval_block`]: mcs_netlist::Netlist::eval_block
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -52,22 +56,16 @@ use std::time::{Duration, Instant};
 use mcs_gray::ValidString;
 use mcs_logic::plane::kernel::{self, KernelId, UnknownKernel};
 use mcs_logic::{PlaneWidth, TritBlock, TritVec, TritWord};
-use mcs_netlist::{EvalTape, Netlist, TapeEvalError};
-use mcs_networks::circuit::{build_sorting_circuit, TwoSortFlavor};
-use mcs_networks::generators::batcher_odd_even;
-use mcs_networks::optimal::best_size;
-use mcs_networks::verify::zero_one_verify;
-use mcs_networks::Network;
+use mcs_netlist::{EvalTape, TapeEvalError, TapeScratch};
 
+pub use crate::engine::{cell_network, MAX_WIDTH};
+use crate::engine::{resolve_workers, Engine, EngineError};
+use crate::json::JsonWriter;
 use crate::metrics::{nanos_u64, LatencyHistogram};
-use crate::verify::{zero_one_circuit_check, CircuitVerifyError, MAX_CHECK_CHANNELS};
 
 /// Schema tag of the JSON emitted by [`report_json`]. Bump on any
 /// backwards-incompatible field change.
 pub const JSON_SCHEMA: &str = "mcs-throughput-v1";
-
-/// Widest supported channel value (rank arithmetic uses `u64` codewords).
-pub const MAX_WIDTH: usize = 32;
 
 /// Most chunks one run may schedule. The per-chunk checksum vector holds
 /// one `u64` per chunk, so this bound also caps that allocation at 32 GiB
@@ -116,7 +114,7 @@ pub struct ThroughputConfig {
     /// Plane width of the tape evaluation.
     pub plane_width: PlaneWidth,
     /// Compile tier of the tape evaluation and of the stimulus generator.
-    /// Must be available on this CPU ([`ThroughputError::Kernel`]
+    /// Must be available on this CPU ([`EngineError::Kernel`]
     /// otherwise); the checksum is tier-independent by the kernel
     /// conformance contract.
     pub kernel: KernelId,
@@ -148,11 +146,11 @@ impl ThroughputConfig {
     }
 }
 
-/// Everything that can go wrong while setting up or validating a cell.
-/// The timed loop itself cannot fail.
+/// Everything that can go wrong while setting up, validating or streaming
+/// a cell.
 #[derive(Debug)]
 pub enum ThroughputError {
-    /// The cell parameters are outside the supported range.
+    /// `chunk_lanes` is zero.
     UnsupportedCell {
         /// Channel count of the offending cell.
         channels: usize,
@@ -161,10 +159,9 @@ pub enum ThroughputError {
         /// What exactly is unsupported.
         reason: String,
     },
-    /// The comparator network failed 0-1 verification.
-    Network(String),
-    /// The instantiated circuit failed the gate-level 0-1 sweep.
-    Circuit(CircuitVerifyError),
+    /// The cell's engine could not be built: a bad channel count or width,
+    /// a failed verification, or an unavailable kernel.
+    Engine(EngineError),
     /// The plane-packed input generator disagreed with
     /// [`ValidString::from_rank`] on the differential sample.
     Generator {
@@ -175,7 +172,7 @@ pub enum ThroughputError {
         /// Its bit position (MSB first).
         bit: usize,
     },
-    /// The tape refused the differential sample.
+    /// The tape refused the differential sample or a streamed chunk.
     Tape(TapeEvalError),
     /// The tape disagreed with `eval_block` on the differential sample.
     Differential {
@@ -203,8 +200,6 @@ pub enum ThroughputError {
         /// The resulting chunk count that overflowed the bound.
         chunks: u64,
     },
-    /// The requested kernel backend cannot run on this CPU.
-    Kernel(UnknownKernel),
 }
 
 impl fmt::Display for ThroughputError {
@@ -215,18 +210,13 @@ impl fmt::Display for ThroughputError {
                 width,
                 reason,
             } => write!(f, "cell {channels}x{width}: {reason}"),
-            ThroughputError::Network(msg) => {
-                write!(f, "network verification failed: {msg}")
-            }
-            ThroughputError::Circuit(e) => {
-                write!(f, "circuit verification failed: {e}")
-            }
+            ThroughputError::Engine(e) => write!(f, "{e}"),
             ThroughputError::Generator { lane, channel, bit } => write!(
                 f,
                 "input generator diverged from ValidString::from_rank at \
                  lane {lane}, channel {channel}, bit {bit}"
             ),
-            ThroughputError::Tape(e) => write!(f, "differential sample: {e}"),
+            ThroughputError::Tape(e) => write!(f, "tape refused a block: {e}"),
             ThroughputError::Differential {
                 lane,
                 plane_width,
@@ -249,28 +239,21 @@ impl fmt::Display for ThroughputError {
                  chunks, beyond the addressable bound of {}",
                 MAX_CHUNKS
             ),
-            ThroughputError::Kernel(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for ThroughputError {}
 
-impl From<CircuitVerifyError> for ThroughputError {
-    fn from(e: CircuitVerifyError) -> ThroughputError {
-        ThroughputError::Circuit(e)
+impl From<EngineError> for ThroughputError {
+    fn from(e: EngineError) -> ThroughputError {
+        ThroughputError::Engine(e)
     }
 }
 
 impl From<TapeEvalError> for ThroughputError {
     fn from(e: TapeEvalError) -> ThroughputError {
         ThroughputError::Tape(e)
-    }
-}
-
-impl From<UnknownKernel> for ThroughputError {
-    fn from(e: UnknownKernel) -> ThroughputError {
-        ThroughputError::Kernel(e)
     }
 }
 
@@ -324,64 +307,46 @@ impl CellReport {
 ///
 /// # Errors
 ///
-/// See [`ThroughputError`]; all failures are pre-flight — once streaming
-/// starts the cell completes.
+/// See [`ThroughputError`].
 pub fn run_cell(cfg: &ThroughputConfig) -> Result<CellReport, ThroughputError> {
-    let unsupported = |reason: String| ThroughputError::UnsupportedCell {
-        channels: cfg.channels,
-        width: cfg.width,
-        reason,
-    };
-    if cfg.channels < 2 {
-        return Err(unsupported("need at least 2 channels".into()));
-    }
-    if cfg.width == 0 || cfg.width > MAX_WIDTH {
-        return Err(unsupported(format!("width must be in 1..={MAX_WIDTH}")));
-    }
     if cfg.chunk_lanes == 0 {
-        return Err(unsupported("chunk_lanes must be positive".into()));
+        return Err(ThroughputError::UnsupportedCell {
+            channels: cfg.channels,
+            width: cfg.width,
+            reason: "chunk_lanes must be positive".into(),
+        });
     }
-    // Refuse unavailable tiers up front, so the per-worker scratch
-    // construction below cannot fail and the generator may enter the tier.
-    let stimulus = Stimulus::new(cfg)?;
-
-    let network = cell_network(cfg.channels);
-    if cfg.channels <= MAX_CHECK_CHANNELS {
-        zero_one_verify(&network)
-            .map_err(|e| ThroughputError::Network(e.to_string()))?;
-    }
-    let circuit = build_sorting_circuit(&network, cfg.width, TwoSortFlavor::Paper);
-    if cfg.channels <= MAX_CHECK_CHANNELS {
-        zero_one_circuit_check(&circuit, cfg.channels, cfg.width)?;
-    }
-    let tape = EvalTape::compile(&circuit);
+    let engine = Engine::for_cell(cfg.channels, cfg.width, cfg.kernel)?;
+    // The engine admitted the tier, so the generator may enter it.
+    let stimulus = Stimulus::new(cfg).map_err(EngineError::from)?;
 
     let differential_lanes = if cfg.sample_lanes > 0 {
-        differential_check(cfg, &circuit, &tape, &stimulus)?
+        differential_check(cfg, &engine, &stimulus)?
     } else {
         0
     };
 
     let chunks = chunk_count(cfg.vectors, cfg.chunk_lanes)?;
-    let workers = resolve_workers(cfg.workers, chunks);
+    let workers = resolve_workers(cfg.workers).min(chunks.max(1));
+    let tape = engine.tape();
 
     let start = Instant::now();
     let mut sums = vec![0u64; chunks];
     let mut eval_latency = LatencyHistogram::new();
     if workers <= 1 {
-        let mut scratch = cell_scratch(&tape, cfg);
+        let mut scratch = engine.scratch(cfg.plane_width);
         for (chunk, sum) in sums.iter_mut().enumerate() {
             let t0 = Instant::now();
-            *sum = eval_chunk(cfg, &stimulus, &tape, &mut scratch, chunk);
+            *sum = eval_chunk(cfg, &stimulus, tape, &mut scratch, chunk)?;
             eval_latency.record(nanos_u64(t0.elapsed()));
         }
     } else {
-        let (tape, stimulus) = (&tape, &stimulus);
-        std::thread::scope(|s| {
+        let (engine, stimulus) = (&engine, &stimulus);
+        std::thread::scope(|s| -> Result<(), ThroughputError> {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
-                    s.spawn(move || {
-                        let mut scratch = cell_scratch(tape, cfg);
+                    s.spawn(move || -> Result<_, TapeEvalError> {
+                        let mut scratch = engine.scratch(cfg.plane_width);
                         let mut local = Vec::new();
                         // Allocation-free per-worker recording; merged
                         // after join so the hot loop takes no locks.
@@ -392,30 +357,25 @@ pub fn run_cell(cfg: &ThroughputConfig) -> Result<CellReport, ThroughputError> {
                         // index, never of timing.
                         while chunk < chunks {
                             let t0 = Instant::now();
-                            let sum = eval_chunk(
-                                cfg,
-                                stimulus,
-                                tape,
-                                &mut scratch,
-                                chunk,
-                            );
+                            let sum = eval_chunk(cfg, stimulus, tape, &mut scratch, chunk)?;
                             latency.record(nanos_u64(t0.elapsed()));
                             local.push((chunk, sum));
                             chunk += workers;
                         }
-                        (local, latency)
+                        Ok((local, latency))
                     })
                 })
                 .collect();
             for h in handles {
                 // Index-keyed merge: arrival order cannot influence sums.
-                let (local, latency) = h.join().expect("worker panicked");
+                let (local, latency) = h.join().expect("worker panicked")?;
                 for (chunk, sum) in local {
                     sums[chunk] = sum;
                 }
                 eval_latency.merge(&latency);
             }
-        });
+            Ok(())
+        })?;
     }
     let elapsed = start.elapsed();
 
@@ -427,9 +387,9 @@ pub fn run_cell(cfg: &ThroughputConfig) -> Result<CellReport, ThroughputError> {
     Ok(CellReport {
         channels: cfg.channels,
         width: cfg.width,
-        comparators: network.size(),
-        gates: circuit.gate_count(),
-        depth: circuit.depth(),
+        comparators: engine.comparators().unwrap_or(0),
+        gates: engine.circuit().gate_count(),
+        depth: engine.circuit().depth(),
         vectors: cfg.vectors,
         workers,
         plane_width: cfg.plane_width,
@@ -441,42 +401,20 @@ pub fn run_cell(cfg: &ThroughputConfig) -> Result<CellReport, ThroughputError> {
     })
 }
 
-/// Allocates one worker's scratch for the cell's forced kernel. Infallible
-/// because [`run_cell`] re-validated availability before any worker spawns.
-fn cell_scratch(tape: &EvalTape, cfg: &ThroughputConfig) -> mcs_netlist::TapeScratch {
-    tape.try_scratch(cfg.plane_width, cfg.kernel)
-        .expect("kernel availability is pre-checked by run_cell")
-}
-
-/// The comparator network a cell streams: the best-known optimal table
-/// where one exists (n ≤ 10), Batcher odd-even beyond.
-pub fn cell_network(channels: usize) -> Network {
-    best_size(channels).unwrap_or_else(|| batcher_odd_even(channels))
-}
-
-fn resolve_workers(requested: usize, chunks: usize) -> usize {
-    let workers = if requested == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        requested
-    };
-    workers.clamp(1, chunks.max(1))
-}
-
 /// Evaluates chunk `chunk` and returns its output digest. Pure in
 /// `(cfg, chunk)` — scratch is only a buffer.
 fn eval_chunk(
     cfg: &ThroughputConfig,
     stimulus: &Stimulus,
     tape: &EvalTape,
-    scratch: &mut mcs_netlist::TapeScratch,
+    scratch: &mut TapeScratch,
     chunk: usize,
-) -> u64 {
+) -> Result<u64, TapeEvalError> {
     let lane0 = chunk as u64 * cfg.chunk_lanes as u64;
     let lanes = (cfg.vectors - lane0).min(cfg.chunk_lanes as u64) as usize;
     let inputs = stimulus.chunk_inputs(lane0, lanes);
-    let out = tape.eval_block_with(&inputs, scratch);
-    checksum_blocks(&out)
+    let out = tape.try_eval_block_with(&inputs, scratch)?;
+    Ok(checksum_blocks(&out))
 }
 
 /// Multiplier of the lane index in the stream definition ([`rank_for`]).
@@ -687,8 +625,7 @@ fn checksum_blocks(blocks: &[TritBlock]) -> u64 {
 ///   input ranks.
 fn differential_check(
     cfg: &ThroughputConfig,
-    circuit: &Netlist,
-    tape: &EvalTape,
+    engine: &Engine,
     stimulus: &Stimulus,
 ) -> Result<usize, ThroughputError> {
     let lanes = cfg.sample_lanes;
@@ -696,13 +633,14 @@ fn differential_check(
     let inputs = stimulus.chunk_inputs(0, lanes);
     generator_check(cfg, 0, &inputs)?;
 
+    let circuit = engine.circuit();
     let want = circuit.eval_block(&inputs);
     for plane_width in PlaneWidth::ALL {
         // The sample runs under the cell's forced kernel, so a backend
         // that diverged from the interpreter would be caught before the
         // timed loop streams a single vector.
-        let mut scratch = tape.try_scratch(plane_width, cfg.kernel)?;
-        let got = tape.try_eval_block_with(&inputs, &mut scratch)?;
+        let mut scratch = engine.scratch(plane_width);
+        let got = engine.tape().try_eval_block_with(&inputs, &mut scratch)?;
         for (port, (g, w)) in got.iter().zip(&want).enumerate() {
             if let Some(lane) = g.first_mismatch(w) {
                 let name = circuit
@@ -783,95 +721,45 @@ fn generator_check(
     Ok(())
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => {
-                format!("\\u{:04x}", c as u32).chars().collect()
-            }
-            c => vec![c],
-        })
-        .collect()
-}
-
 /// Serialises cell reports as the `BENCH_throughput.json` document
-/// (schema [`JSON_SCHEMA`]). Hand-rolled: the repo takes no serde
-/// dependency.
+/// (schema [`JSON_SCHEMA`]).
 pub fn report_json(seed: u64, chunk_lanes: usize, cells: &[CellReport]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{}\",\n", json_escape(JSON_SCHEMA)));
-    out.push_str(&format!("  \"seed\": {seed},\n"));
-    out.push_str(&format!("  \"chunk_lanes\": {chunk_lanes},\n"));
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"channels\": {},\n", c.channels));
-        out.push_str(&format!("      \"width\": {},\n", c.width));
-        out.push_str(&format!("      \"comparators\": {},\n", c.comparators));
-        out.push_str(&format!("      \"gates\": {},\n", c.gates));
-        out.push_str(&format!("      \"depth\": {},\n", c.depth));
-        out.push_str(&format!("      \"vectors\": {},\n", c.vectors));
-        out.push_str(&format!("      \"workers\": {},\n", c.workers));
-        out.push_str(&format!(
-            "      \"plane_width\": {},\n",
-            c.plane_width.words()
-        ));
-        // Additive field (schema stays v1): which kernel backend streamed
-        // the cell. The checksum is backend-independent.
-        out.push_str(&format!(
-            "      \"kernel\": \"{}\",\n",
-            json_escape(c.kernel.name())
-        ));
-        out.push_str(&format!(
-            "      \"elapsed_s\": {:.6},\n",
-            c.elapsed.as_secs_f64()
-        ));
-        out.push_str(&format!(
-            "      \"vectors_per_s\": {:.1},\n",
-            c.vectors_per_s()
-        ));
-        out.push_str(&format!(
-            "      \"checksum\": \"0x{:016x}\",\n",
-            c.checksum
-        ));
-        out.push_str(&format!(
-            "      \"differential_lanes\": {},\n",
-            c.differential_lanes
-        ));
-        // Per-chunk tape-eval latency quantiles (additive fields — the
-        // schema tag stays v1).
-        let us = |ns: u64| ns / 1_000;
-        out.push_str(&format!(
-            "      \"eval_chunks\": {},\n",
-            c.eval_latency.count()
-        ));
-        out.push_str(&format!(
-            "      \"eval_p50_us\": {},\n",
-            us(c.eval_latency.quantile(0.50))
-        ));
-        out.push_str(&format!(
-            "      \"eval_p90_us\": {},\n",
-            us(c.eval_latency.quantile(0.90))
-        ));
-        out.push_str(&format!(
-            "      \"eval_p99_us\": {},\n",
-            us(c.eval_latency.quantile(0.99))
-        ));
-        out.push_str(&format!(
-            "      \"eval_p999_us\": {},\n",
-            us(c.eval_latency.quantile(0.999))
-        ));
-        out.push_str(&format!(
-            "      \"eval_max_us\": {}\n",
-            us(c.eval_latency.max())
-        ));
-        out.push_str(if i + 1 == cells.len() { "    }\n" } else { "    },\n" });
+    let us = |ns: u64| ns / 1_000;
+    let mut w = JsonWriter::new();
+    w.string("schema", JSON_SCHEMA)
+        .raw("seed", seed)
+        .raw("chunk_lanes", chunk_lanes)
+        .open(Some("cells"), '[');
+    for c in cells {
+        let h = &c.eval_latency;
+        w.open(None, '{')
+            .raw("channels", c.channels)
+            .raw("width", c.width)
+            .raw("comparators", c.comparators)
+            .raw("gates", c.gates)
+            .raw("depth", c.depth)
+            .raw("vectors", c.vectors)
+            .raw("workers", c.workers)
+            .raw("plane_width", c.plane_width.words())
+            // Additive field (schema stays v1): which kernel backend
+            // streamed the cell. The checksum is backend-independent.
+            .string("kernel", c.kernel.name())
+            .raw("elapsed_s", format!("{:.6}", c.elapsed.as_secs_f64()))
+            .raw("vectors_per_s", format!("{:.1}", c.vectors_per_s()))
+            .string("checksum", &format!("0x{:016x}", c.checksum))
+            .raw("differential_lanes", c.differential_lanes)
+            // Per-chunk latency quantiles (additive fields — the schema
+            // tag stays v1).
+            .raw("eval_chunks", h.count())
+            .raw("eval_p50_us", us(h.quantile(0.50)))
+            .raw("eval_p90_us", us(h.quantile(0.90)))
+            .raw("eval_p99_us", us(h.quantile(0.99)))
+            .raw("eval_p999_us", us(h.quantile(0.999)))
+            .raw("eval_max_us", us(h.max()))
+            .close('}');
     }
-    out.push_str("  ]\n}\n");
-    out
+    w.close(']');
+    w.finish()
 }
 
 #[cfg(test)]
@@ -1034,22 +922,24 @@ mod tests {
 
     #[test]
     fn bad_cells_are_typed_errors() {
-        let mut cfg = ThroughputConfig::new(1, 2);
-        cfg.vectors = 10;
-        assert!(matches!(
-            run_cell(&cfg),
-            Err(ThroughputError::UnsupportedCell { .. })
-        ));
-        let mut cfg = ThroughputConfig::new(4, 0);
-        cfg.vectors = 10;
-        assert!(matches!(
-            run_cell(&cfg),
-            Err(ThroughputError::UnsupportedCell { .. })
-        ));
+        for (channels, width) in [(1, 2), (4, 0)] {
+            let mut cfg = ThroughputConfig::new(channels, width);
+            cfg.vectors = 10;
+            assert!(matches!(
+                run_cell(&cfg),
+                Err(ThroughputError::Engine(EngineError::UnsupportedCell { .. }))
+            ));
+        }
         let mut cfg = ThroughputConfig::new(4, MAX_WIDTH + 1);
         cfg.vectors = 10;
         let err = run_cell(&cfg).unwrap_err();
         assert!(err.to_string().contains("width"));
+        let mut cfg = small_cfg();
+        cfg.chunk_lanes = 0;
+        assert!(matches!(
+            run_cell(&cfg),
+            Err(ThroughputError::UnsupportedCell { .. })
+        ));
     }
 
     #[test]
@@ -1084,6 +974,95 @@ mod tests {
         }
         // Exactly one cell object.
         assert_eq!(json.matches("\"channels\"").count(), 1);
+    }
+
+    /// A report with every field fixed, so [`report_json`]'s bytes can be
+    /// pinned exactly.
+    fn synthetic_report(channels: usize, kernel: KernelId) -> CellReport {
+        let mut eval_latency = LatencyHistogram::new();
+        for ns in [0, 999, 1_500, 250_000, 3_000_000] {
+            eval_latency.record(ns);
+        }
+        CellReport {
+            channels,
+            width: 2,
+            comparators: 19,
+            gates: 247,
+            depth: 23,
+            vectors: 1_000_000,
+            workers: 2,
+            plane_width: PlaneWidth::X4,
+            kernel,
+            elapsed: Duration::from_nanos(1_234_567_891),
+            checksum: 0x0123_4567_89ab_cdef,
+            differential_lanes: 2048,
+            eval_latency,
+        }
+    }
+
+    #[test]
+    fn report_json_bytes_are_pinned() {
+        let cells = [
+            synthetic_report(8, KernelId::Scalar),
+            synthetic_report(4, KernelId::Avx2),
+        ];
+        // The bytes the per-field emitter wrote before the shared writer.
+        let want = r#"{
+  "schema": "mcs-throughput-v1",
+  "seed": 42,
+  "chunk_lanes": 8192,
+  "cells": [
+    {
+      "channels": 8,
+      "width": 2,
+      "comparators": 19,
+      "gates": 247,
+      "depth": 23,
+      "vectors": 1000000,
+      "workers": 2,
+      "plane_width": 4,
+      "kernel": "scalar",
+      "elapsed_s": 1.234568,
+      "vectors_per_s": 810000.0,
+      "checksum": "0x0123456789abcdef",
+      "differential_lanes": 2048,
+      "eval_chunks": 5,
+      "eval_p50_us": 2,
+      "eval_p90_us": 3000,
+      "eval_p99_us": 3000,
+      "eval_p999_us": 3000,
+      "eval_max_us": 3000
+    },
+    {
+      "channels": 4,
+      "width": 2,
+      "comparators": 19,
+      "gates": 247,
+      "depth": 23,
+      "vectors": 1000000,
+      "workers": 2,
+      "plane_width": 4,
+      "kernel": "avx2",
+      "elapsed_s": 1.234568,
+      "vectors_per_s": 810000.0,
+      "checksum": "0x0123456789abcdef",
+      "differential_lanes": 2048,
+      "eval_chunks": 5,
+      "eval_p50_us": 2,
+      "eval_p90_us": 3000,
+      "eval_p99_us": 3000,
+      "eval_p999_us": 3000,
+      "eval_max_us": 3000
+    }
+  ]
+}
+"#;
+        assert_eq!(report_json(42, 8192, &cells), want);
+        assert_eq!(
+            report_json(7, 64, &[]),
+            "{\n  \"schema\": \"mcs-throughput-v1\",\n  \"seed\": 7,\n  \
+             \"chunk_lanes\": 64,\n  \"cells\": [\n  ]\n}\n"
+        );
     }
 
     #[test]
@@ -1126,7 +1105,12 @@ mod tests {
             cfg.kernel = k;
             match (kernel::available(k), run_cell(&cfg)) {
                 (true, Ok(r)) => assert_eq!(r.kernel, k),
-                (false, Err(ThroughputError::Kernel(UnknownKernel::Unavailable(got)))) => {
+                (
+                    false,
+                    Err(ThroughputError::Engine(EngineError::Kernel(
+                        UnknownKernel::Unavailable(got),
+                    ))),
+                ) => {
                     assert_eq!(got, k)
                 }
                 (_, other) => panic!("kernel {k}: unexpected result {other:?}"),
@@ -1136,8 +1120,10 @@ mod tests {
         // without AVX2 gives, whatever this host has.
         let refusal = kernel::require_on(KernelId::Avx2, false).unwrap_err();
         assert!(matches!(
-            ThroughputError::from(refusal),
-            ThroughputError::Kernel(UnknownKernel::Unavailable(KernelId::Avx2))
+            ThroughputError::from(EngineError::from(refusal)),
+            ThroughputError::Engine(EngineError::Kernel(UnknownKernel::Unavailable(
+                KernelId::Avx2
+            )))
         ));
     }
 
@@ -1157,6 +1143,7 @@ mod tests {
 
     #[test]
     fn cell_network_covers_optimal_and_batcher_ranges() {
+        use mcs_networks::optimal::best_size;
         assert_eq!(cell_network(8).size(), best_size(8).unwrap().size());
         // n = 16 has no optimal table; Batcher's 16-sorter has 63 CEs.
         assert_eq!(cell_network(16).size(), 63);

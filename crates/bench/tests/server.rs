@@ -12,6 +12,9 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::mpsc::channel;
 use std::time::{Duration, Instant};
 
+use mcs_bench::artifact::load_netlist;
+use mcs_bench::engine::EngineError;
+use mcs_bench::verify::CircuitVerifyError;
 use mcs_bench::server::{
     format_err, serve_lines, serve_tcp, stats_json, CoalescerQueue,
     FrameError, Job, Reply, Request, ServeReport, ServerConfig, ServerError,
@@ -162,6 +165,10 @@ fn zero_timeout_expires_every_request() {
         );
     }
     assert_eq!(report.rejected, 2);
+    // Outcomes, not submissions: nothing was served, and every frame is
+    // counted exactly once.
+    assert_eq!(report.served, 0);
+    assert_eq!(report.served + report.rejected, 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -331,7 +338,10 @@ fn unavailable_kernel_is_refused_at_construction() {
         cfg.kernel = k;
         match (kernel::available(k), SortEngine::new(cfg)) {
             (true, Ok(_)) => {}
-            (false, Err(ServerError::Kernel(UnknownKernel::Unavailable(got)))) => {
+            (
+                false,
+                Err(ServerError::Engine(EngineError::Kernel(UnknownKernel::Unavailable(got)))),
+            ) => {
                 assert_eq!(got, k)
             }
             (_, other) => {
@@ -344,7 +354,9 @@ fn unavailable_kernel_is_refused_at_construction() {
     }
     let refusal = kernel::require_on(KernelId::Avx2, false).unwrap_err();
     assert!(
-        ServerError::Kernel(refusal).to_string().contains("avx2"),
+        ServerError::from(EngineError::from(refusal))
+            .to_string()
+            .contains("avx2"),
         "the refusal names the tier"
     );
 }
@@ -542,13 +554,16 @@ fn tcp_connections_interleave_without_cross_talk() {
 // Committed golden: the request file CI pipes through the real bin.
 // ---------------------------------------------------------------------------
 
+fn golden_dir() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden")
+}
+
 /// The committed request file serves byte-identically to the committed
 /// golden (the `server-smoke` CI job runs the same pair through the
 /// actual `sort_server` bin).
 #[test]
 fn committed_golden_request_file_matches() {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/golden");
+    let dir = golden_dir();
     let requests = std::fs::read_to_string(dir.join("server_requests.txt"))
         .expect("tests/golden/server_requests.txt");
     let golden = std::fs::read_to_string(dir.join("server_responses.golden"))
@@ -556,4 +571,47 @@ fn committed_golden_request_file_matches() {
     let engine = engine(ServerConfig::new(4, 2));
     let (out, _) = run_lines(&engine, &requests);
     assert_eq!(out, golden, "server_responses.golden is stale");
+}
+
+/// The loaded-artifact path serves the same bytes: the committed optimized
+/// 4×2 netlist, loaded and re-verified by `SortEngine::from_netlist`,
+/// answers the committed request file exactly like the stock cell (the
+/// `server-smoke` CI job repeats this through `sort_server --circuit`).
+#[test]
+fn loaded_golden_netlist_serves_the_committed_golden() {
+    let dir = golden_dir();
+    let requests = std::fs::read_to_string(dir.join("server_requests.txt"))
+        .expect("tests/golden/server_requests.txt");
+    let golden = std::fs::read_to_string(dir.join("server_responses.golden"))
+        .expect("tests/golden/server_responses.golden");
+    let netlist = load_netlist(&dir.join("four_sort_2b_opt.mcsnl")).expect("golden netlist loads");
+    for workers in [1usize, 4] {
+        let mut cfg = ServerConfig::new(4, 2);
+        cfg.workers = workers;
+        let engine = SortEngine::from_netlist(cfg, netlist.clone()).expect("golden netlist verifies");
+        let (out, _) = run_lines(&engine, &requests);
+        assert_eq!(out, golden, "workers={workers}");
+    }
+}
+
+/// Above the exhaustive 0-1 bound (20 channels) the netlist constructor
+/// still checks the port counts, and refuses a mismatch with a typed
+/// `PortMismatch` before compiling anything.
+#[test]
+fn netlist_constructor_refuses_wrong_ports_beyond_the_check_bound() {
+    let mut n = mcs_netlist::Netlist::new("too-narrow");
+    for i in 0..21 {
+        let a = n.input(format!("ch{i}_b0"));
+        n.set_output(format!("out{i}_b0"), a);
+    }
+    // 21 ports, but a 21-channel × 2-bit engine needs 42 each way.
+    match SortEngine::from_netlist(ServerConfig::new(21, 2), n) {
+        Err(ServerError::Engine(EngineError::Circuit(CircuitVerifyError::PortMismatch {
+            inputs,
+            outputs,
+            channels,
+            width,
+        }))) => assert_eq!((inputs, outputs, channels, width), (21, 21, 21, 2)),
+        other => panic!("expected PortMismatch, got {:?}", other.err()),
+    }
 }

@@ -5,6 +5,7 @@
 //! over to the streaming engine, and it is what makes the benchmark's
 //! numbers comparable across machines and across PRs.
 
+use mcs_bench::engine::EngineError;
 use mcs_bench::throughput::{
     cell_network, report_json, run_cell, ThroughputConfig, ThroughputError,
     JSON_SCHEMA,
@@ -81,14 +82,21 @@ fn unavailable_kernel_is_a_typed_preflight_error() {
         c.kernel = k;
         match (kernel::available(k), run_cell(&c)) {
             (true, Ok(r)) => assert_eq!(r.kernel, k),
-            (false, Err(ThroughputError::Kernel(UnknownKernel::Unavailable(got)))) => {
+            (
+                false,
+                Err(ThroughputError::Engine(EngineError::Kernel(UnknownKernel::Unavailable(
+                    got,
+                )))),
+            ) => {
                 assert_eq!(got, k)
             }
             (_, other) => panic!("kernel {k}: unexpected preflight result {other:?}"),
         }
     }
     let refusal = kernel::require_on(KernelId::Avx2, false).unwrap_err();
-    assert!(ThroughputError::from(refusal).to_string().contains("avx2"));
+    assert!(ThroughputError::from(EngineError::from(refusal))
+        .to_string()
+        .contains("avx2"));
 }
 
 /// Back-to-back runs repeat exactly; a different seed diverges (the digest
@@ -233,7 +241,7 @@ fn pinned_checksums_hold_under_every_tier() {
 fn preflight_rejects_bad_configs() {
     assert!(matches!(
         run_cell(&cfg(1, 2, 10)),
-        Err(ThroughputError::UnsupportedCell { .. })
+        Err(ThroughputError::Engine(EngineError::UnsupportedCell { .. }))
     ));
     let mut zero_chunk = cfg(4, 2, 10);
     zero_chunk.chunk_lanes = 0;

@@ -21,8 +21,8 @@
 //!   of its boolean function.
 //! * [`export`] — Graphviz DOT and structural Verilog writers, plus a
 //!   Verilog importer closing the loop back to a [`Netlist`].
-//! * [`serdes`] — the versioned netlist artifact format (diffable text and
-//!   length-prefixed binary) with byte-identical save/load round-trip.
+//! * [`serdes`] — the versioned, diffable text netlist artifact format
+//!   with byte-identical save/load round-trip.
 //! * [`passes`] — ternary-exact optimization passes (constant folding,
 //!   CSE, dead sweep, depth rebalancing) behind a [`Pass`]/[`PassManager`]
 //!   framework with per-pass before/after figures.

@@ -1,13 +1,9 @@
 //! Netlist serialisation: a compact, versioned, serde-free artifact format.
 //!
-//! Two on-disk representations of a [`Netlist`], sharing one data model:
-//!
-//! * **Text** ([`to_text`] / [`from_text`]) — line-oriented, diffable,
-//!   suitable for golden files and code review. The writer emits a single
-//!   canonical form, so `save → load → save` is byte-identical.
-//! * **Binary** ([`to_bytes`] / [`from_bytes`]) — length-prefixed,
-//!   magic-tagged, for caches where artifact size matters. Equally
-//!   canonical and byte-identical under round-trip.
+//! The on-disk form of a [`Netlist`] is text ([`to_text`] / [`from_text`]):
+//! line-oriented, diffable, suitable for golden files and code review. The
+//! writer emits a single canonical form, so `save → load → save` is
+//! byte-identical.
 //!
 //! # Text format, version 1
 //!
@@ -35,7 +31,7 @@
 //!
 //! # Versioning policy
 //!
-//! The version after the magic (`v1` / binary u16) is bumped on **any**
+//! The version after the magic (`v1`) is bumped on **any**
 //! incompatible change — new opcode, reordered header field, changed
 //! operand encoding. Loaders reject versions they do not know
 //! ([`SerdesError::UnsupportedVersion`]) instead of guessing: a cache miss
@@ -58,9 +54,6 @@ pub const FORMAT_VERSION: u32 = 1;
 /// Magic first line of the text format (followed by ` v<version>`).
 pub const TEXT_MAGIC: &str = "mcs-netlist";
 
-/// Magic prefix of the binary format.
-pub const BINARY_MAGIC: &[u8; 4] = b"MCSB";
-
 /// Error produced by the artifact loaders (and, for unserialisable names,
 /// by the writers).
 #[derive(Clone, Eq, PartialEq, Debug)]
@@ -77,16 +70,16 @@ pub enum SerdesError {
         /// The version found in the artifact.
         found: u32,
     },
-    /// A line (text) or field (binary) that does not parse.
+    /// A line that does not parse.
     Syntax {
-        /// 1-based line number (0 for binary artifacts).
+        /// 1-based line number.
         line: usize,
         /// Human-readable description.
         detail: String,
     },
     /// A node reference that is out of range or not strictly backwards.
     BadNodeRef {
-        /// 1-based line number (0 for binary artifacts).
+        /// 1-based line number.
         line: usize,
         /// The offending reference.
         detail: String,
@@ -115,11 +108,6 @@ pub enum SerdesError {
         header: u64,
         /// Value recomputed from the body.
         actual: u64,
-    },
-    /// Bytes after the end of the structure (binary only).
-    TrailingBytes {
-        /// How many bytes were left over.
-        count: usize,
     },
     /// A name that the format cannot carry (embedded newline).
     UnserializableName {
@@ -156,9 +144,6 @@ impl fmt::Display for SerdesError {
                 f,
                 "header claims {field} {header} but the body has {actual}"
             ),
-            SerdesError::TrailingBytes { count } => {
-                write!(f, "{count} trailing bytes after the artifact")
-            }
             SerdesError::UnserializableName { name } => {
                 write!(f, "name {name:?} contains a newline and cannot be serialised")
             }
@@ -253,7 +238,7 @@ pub fn to_text(netlist: &Netlist) -> Result<String, SerdesError> {
     Ok(s)
 }
 
-/// Header figures carried (redundantly) by both formats and re-checked on
+/// Header figures carried (redundantly) by the format and re-checked on
 /// load.
 struct Header {
     nodes: u64,
@@ -490,8 +475,8 @@ pub fn from_text(text: &str) -> Result<Netlist, SerdesError> {
             context: "body (missing `end`)",
         });
     }
-    // Like the binary form's TrailingBytes guard: a concatenated or
-    // corrupt cache entry must not half-load as its first artifact.
+    // A concatenated or corrupt cache entry must not half-load as its
+    // first artifact.
     for (line_no, line) in lines {
         if !line.trim().is_empty() {
             return Err(SerdesError::Syntax {
@@ -502,234 +487,6 @@ pub fn from_text(text: &str) -> Result<Netlist, SerdesError> {
     }
     for (name, node) in outputs {
         netlist.set_output(name, node);
-    }
-    header.check(&netlist)?;
-    Ok(netlist)
-}
-
-// ---------------------------------------------------------------------------
-// Binary format
-// ---------------------------------------------------------------------------
-
-/// Binary opcode of a gate (stable across versions within v1).
-fn binary_opcode(g: &Gate) -> u8 {
-    match g {
-        Gate::Input(_) => 0,
-        Gate::Const(_) => 1,
-        Gate::Inv(_) => 2,
-        Gate::And2(..) => 3,
-        Gate::Or2(..) => 4,
-        Gate::Nand2(..) => 5,
-        Gate::Nor2(..) => 6,
-        Gate::Xor2(..) => 7,
-        Gate::Xnor2(..) => 8,
-        Gate::Mux2 { .. } => 9,
-        Gate::AndNot2(..) => 10,
-        Gate::Ao21 { .. } => 11,
-    }
-}
-
-fn push_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(u32::try_from(s.len()).expect("name fits u32")).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Serialises the netlist in the length-prefixed binary form.
-///
-/// # Errors
-///
-/// [`SerdesError::UnserializableName`] under the same conditions as
-/// [`to_text`] (kept identical so the two formats carry the same set of
-/// netlists).
-pub fn to_bytes(netlist: &Netlist) -> Result<Vec<u8>, SerdesError> {
-    check_name(netlist.name())?;
-    for n in netlist.input_names() {
-        check_name(n)?;
-    }
-    for (n, _) in netlist.outputs() {
-        check_name(n)?;
-    }
-    let mut out = Vec::new();
-    out.extend_from_slice(BINARY_MAGIC);
-    out.extend_from_slice(&(FORMAT_VERSION as u16).to_le_bytes());
-    push_str(&mut out, netlist.name());
-    let counts: [u32; 5] = [
-        netlist.node_count() as u32,
-        netlist.input_count() as u32,
-        netlist.output_count() as u32,
-        netlist.gate_count() as u32,
-        netlist.depth(),
-    ];
-    for c in counts {
-        out.extend_from_slice(&c.to_le_bytes());
-    }
-    let input_names: Vec<&str> = netlist.input_names().collect();
-    for g in netlist.gates() {
-        out.push(binary_opcode(g));
-        match g {
-            Gate::Input(port) => push_str(&mut out, input_names[*port as usize]),
-            Gate::Const(b) => out.push(u8::from(*b)),
-            _ => {
-                for dep in g.fanin() {
-                    out.extend_from_slice(&(dep.index() as u32).to_le_bytes());
-                }
-            }
-        }
-    }
-    for (name, node) in netlist.outputs() {
-        out.extend_from_slice(&(node.index() as u32).to_le_bytes());
-        push_str(&mut out, name);
-    }
-    Ok(out)
-}
-
-/// Cursor over a binary artifact with typed truncation errors.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], SerdesError> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len());
-        match end {
-            Some(end) => {
-                let s = &self.bytes[self.pos..end];
-                self.pos = end;
-                Ok(s)
-            }
-            None => Err(SerdesError::Truncated { context }),
-        }
-    }
-
-    fn u8(&mut self, context: &'static str) -> Result<u8, SerdesError> {
-        Ok(self.take(1, context)?[0])
-    }
-
-    fn u16(&mut self, context: &'static str) -> Result<u16, SerdesError> {
-        let b = self.take(2, context)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self, context: &'static str) -> Result<u32, SerdesError> {
-        let b = self.take(4, context)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn string(&mut self, context: &'static str) -> Result<String, SerdesError> {
-        let len = self.u32(context)? as usize;
-        let bytes = self.take(len, context)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| SerdesError::Syntax {
-            line: 0,
-            detail: format!("{context}: name is not valid UTF-8"),
-        })
-    }
-
-    fn node_ref(&mut self, built: usize, context: &'static str) -> Result<NodeId, SerdesError> {
-        let idx = self.u32(context)?;
-        if (idx as usize) >= built {
-            return Err(SerdesError::BadNodeRef {
-                line: 0,
-                detail: format!(
-                    "n{idx} is not defined yet (forward or out-of-range reference)"
-                ),
-            });
-        }
-        Ok(NodeId(idx))
-    }
-}
-
-/// Loads a netlist from the binary format.
-///
-/// # Errors
-///
-/// Typed [`SerdesError`]s on any malformed input; never panics. Trailing
-/// bytes after a well-formed artifact are an error, so a concatenated or
-/// corrupt cache entry cannot half-load.
-pub fn from_bytes(bytes: &[u8]) -> Result<Netlist, SerdesError> {
-    let mut r = Reader { bytes, pos: 0 };
-    if r.take(4, "magic")? != BINARY_MAGIC {
-        return Err(SerdesError::BadMagic);
-    }
-    let version = u32::from(r.u16("version")?);
-    if version != FORMAT_VERSION {
-        return Err(SerdesError::UnsupportedVersion { found: version });
-    }
-    let name = r.string("netlist name")?;
-    let header = Header {
-        nodes: u64::from(r.u32("node count")?),
-        inputs: u64::from(r.u32("input count")?),
-        outputs: u64::from(r.u32("output count")?),
-        gates: u64::from(r.u32("gate count")?),
-        depth: u64::from(r.u32("depth")?),
-    };
-    let mut netlist = Netlist::new(name);
-    for _ in 0..header.nodes {
-        let op = r.u8("opcode")?;
-        let built = netlist.node_count();
-        match op {
-            0 => {
-                let name = r.string("input name")?;
-                let _ = netlist.input(name);
-            }
-            1 => match r.u8("const value")? {
-                0 => {
-                    let _ = netlist.constant(false);
-                }
-                1 => {
-                    let _ = netlist.constant(true);
-                }
-                v => {
-                    return Err(SerdesError::Syntax {
-                        line: 0,
-                        detail: format!("const takes 0 or 1, found {v}"),
-                    })
-                }
-            },
-            2 => {
-                let a = r.node_ref(built, "inv operand")?;
-                let _ = netlist.inv(a);
-            }
-            3..=8 | 10 => {
-                let a = r.node_ref(built, "gate operand")?;
-                let b = r.node_ref(built, "gate operand")?;
-                let _ = match op {
-                    3 => netlist.and2(a, b),
-                    4 => netlist.or2(a, b),
-                    5 => netlist.nand2(a, b),
-                    6 => netlist.nor2(a, b),
-                    7 => netlist.xor2(a, b),
-                    8 => netlist.xnor2(a, b),
-                    _ => netlist.andnot2(a, b),
-                };
-            }
-            9 | 11 => {
-                let a = r.node_ref(built, "gate operand")?;
-                let b = r.node_ref(built, "gate operand")?;
-                let c = r.node_ref(built, "gate operand")?;
-                let _ = if op == 9 {
-                    netlist.mux2(a, b, c)
-                } else {
-                    netlist.ao21(a, b, c)
-                };
-            }
-            _ => {
-                return Err(SerdesError::Syntax {
-                    line: 0,
-                    detail: format!("unknown opcode {op}"),
-                })
-            }
-        }
-    }
-    for _ in 0..header.outputs {
-        let node = r.node_ref(netlist.node_count(), "output node")?;
-        let name = r.string("output name")?;
-        netlist.set_output(name, node);
-    }
-    if r.pos != bytes.len() {
-        return Err(SerdesError::TrailingBytes {
-            count: bytes.len() - r.pos,
-        });
     }
     header.check(&netlist)?;
     Ok(netlist)
@@ -795,16 +552,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_roundtrip_is_byte_identical_and_eval_equal() {
-        let n = kitchen_sink();
-        let bytes = to_bytes(&n).unwrap();
-        let back = from_bytes(&bytes).unwrap();
-        assert_eq!(to_bytes(&back).unwrap(), bytes);
-        assert_eq!(back.gates(), n.gates());
-        eval_equal(&n, &back);
-    }
-
-    #[test]
     fn text_format_matches_the_documented_example() {
         let mut n = Netlist::new("sample-2");
         let a = n.input("a");
@@ -859,13 +606,6 @@ mod tests {
         assert_eq!(
             from_text("mcs-netlist v2\nname x\nnodes 0 inputs 0 outputs 0 gates 0 depth 0\nend\n"),
             Err(SerdesError::UnsupportedVersion { found: 2 })
-        );
-        assert_eq!(from_bytes(b"NOPE"), Err(SerdesError::BadMagic));
-        let mut bytes = to_bytes(&kitchen_sink()).unwrap();
-        bytes[4] = 9; // version low byte
-        assert_eq!(
-            from_bytes(&bytes),
-            Err(SerdesError::UnsupportedVersion { found: 9 })
         );
     }
 
@@ -951,25 +691,22 @@ mod tests {
         assert!(matches!(from_text(cst), Err(SerdesError::Syntax { line: 4, .. })));
     }
 
+    /// Text laid out like a binary artifact (`MCSB` magic, then raw
+    /// figures), whole, truncated at every length or with trailing bytes,
+    /// is refused with a typed error, never a panic.
     #[test]
     fn binary_truncation_and_trailing_bytes_are_rejected() {
-        let bytes = to_bytes(&kitchen_sink()).unwrap();
-        // Every strict prefix must fail with a typed error, never panic.
-        for cut in 0..bytes.len() {
-            let err = from_bytes(&bytes[..cut]).unwrap_err();
+        let binary = "MCSB\u{1}\0\u{3}\0\0\0kit\u{2}\0\0\0";
+        for cut in 0..=binary.len() {
+            let err = from_text(&binary[..cut]).unwrap_err();
             assert!(
-                matches!(
-                    err,
-                    SerdesError::Truncated { .. } | SerdesError::BadMagic
-                ),
+                matches!(err, SerdesError::Truncated { .. } | SerdesError::BadMagic),
                 "prefix of {cut} bytes gave {err:?}"
             );
         }
-        let mut extended = bytes.clone();
-        extended.extend_from_slice(b"junk");
         assert_eq!(
-            from_bytes(&extended),
-            Err(SerdesError::TrailingBytes { count: 4 })
+            from_text(&format!("{binary}junk")),
+            Err(SerdesError::BadMagic)
         );
     }
 
@@ -984,8 +721,6 @@ mod tests {
         assert_eq!(back.input_names().next(), Some("port with spaces"));
         assert_eq!(back.outputs().next().unwrap().0, "out with spaces");
         assert_eq!(to_text(&back).unwrap(), text);
-        let bytes = to_bytes(&n).unwrap();
-        assert_eq!(to_bytes(&from_bytes(&bytes).unwrap()).unwrap(), bytes);
 
         let mut bad = Netlist::new("two\nlines");
         let _ = bad.input("a");
@@ -993,16 +728,11 @@ mod tests {
             to_text(&bad),
             Err(SerdesError::UnserializableName { .. })
         ));
-        assert!(matches!(
-            to_bytes(&bad),
-            Err(SerdesError::UnserializableName { .. })
-        ));
     }
 
     #[test]
     fn trailing_content_after_end_is_rejected() {
-        // Concatenated cache entries must not half-load as the first one
-        // (the text-form counterpart of the binary TrailingBytes guard).
+        // Concatenated cache entries must not half-load as the first one.
         let text = to_text(&kitchen_sink()).unwrap();
         let doubled = text.clone() + &text;
         assert!(matches!(
@@ -1021,8 +751,6 @@ mod tests {
         let back = from_text(&text).unwrap();
         assert_eq!(back.node_count(), 0);
         assert_eq!(to_text(&back).unwrap(), text);
-        let bytes = to_bytes(&n).unwrap();
-        assert_eq!(to_bytes(&from_bytes(&bytes).unwrap()).unwrap(), bytes);
     }
 
     #[test]
@@ -1038,7 +766,6 @@ mod tests {
                 actual: 1,
             }
             .to_string(),
-            SerdesError::TrailingBytes { count: 9 }.to_string(),
         ];
         for m in &msgs {
             assert!(!m.is_empty());

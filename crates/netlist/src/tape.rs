@@ -24,10 +24,13 @@
 //!   `u64` gate formulas of [`mcs_logic::plane::kernel`] and is compiled
 //!   twice: for the build's baseline features ([`KernelId::Scalar`]) and
 //!   under `#[target_feature(enable = "avx2")]` ([`KernelId::Avx2`]). Each
-//!   [`TapeScratch`] carries the tier it was built for —
-//!   [`EvalTape::scratch`] picks the best one the CPU supports,
-//!   [`EvalTape::try_scratch`] forces a specific one (refusing an
-//!   unavailable tier with a typed error).
+//!   [`TapeScratch`] carries the tier it was built for:
+//!   [`EvalTape::try_scratch`] takes one and refuses a tier this CPU cannot
+//!   run with a typed error.
+//!
+//! There is one scratch constructor and one evaluation entry point,
+//! [`EvalTape::try_eval_block_with`], which reuses the caller's scratch and
+//! returns misuse as a typed [`TapeEvalError`].
 //!
 //! The tape computes exactly the function of [`Netlist::eval_block`] — the
 //! per-cell plane formulas are the same as [`Gate::eval_word`], lifted to
@@ -37,6 +40,7 @@
 //! # Example
 //!
 //! ```
+//! use mcs_logic::plane::kernel;
 //! use mcs_logic::{PlaneWidth, Trit, TritBlock};
 //! use mcs_netlist::{EvalTape, Netlist};
 //!
@@ -51,7 +55,8 @@
 //!     TritBlock::splat(Trit::Meta, 100),
 //!     TritBlock::splat(Trit::Zero, 100),
 //! ];
-//! let out = tape.eval_block_wide(&inputs, PlaneWidth::X4);
+//! let mut scratch = tape.try_scratch(PlaneWidth::X4, kernel::preferred()).unwrap();
+//! let out = tape.try_eval_block_with(&inputs, &mut scratch).unwrap();
 //! assert_eq!(out, n.eval_block(&inputs)); // M NAND 0 = 1, all 100 lanes
 //! ```
 
@@ -73,7 +78,8 @@ use mcs_logic::word::LANES;
 /// panic mid-stream.
 #[derive(Clone, Eq, PartialEq, Debug)]
 pub enum TapeEvalError {
-    /// The scratch was created by [`EvalTape::scratch`] of a different tape.
+    /// The scratch was created by [`EvalTape::try_scratch`] of a different
+    /// tape.
     ScratchMismatch {
         /// Slot count the scratch was sized for.
         scratch_slots: usize,
@@ -188,7 +194,7 @@ pub struct TapeRun {
 ///
 /// Holds `slot_count × width.words()` `u64`s per plane. Constant slots are
 /// prefilled once at construction and never overwritten, so one scratch can
-/// be reused across any number of [`EvalTape::eval_block_with`] calls —
+/// be reused across any number of [`EvalTape::try_eval_block_with`] calls —
 /// which is exactly what the throughput engine's streaming workers do.
 ///
 /// The scratch also pins the [`KernelId`] compile tier evaluation runs
@@ -220,7 +226,6 @@ impl TapeScratch {
 /// [module docs](self) for the layout.
 #[derive(Clone, Debug)]
 pub struct EvalTape {
-    name: String,
     input_count: usize,
     levels: u32,
     /// `(slot, port)`: input port `port` is loaded into `slot` each chunk.
@@ -259,7 +264,6 @@ impl EvalTape {
         }
 
         let mut tape = EvalTape {
-            name: netlist.name().to_string(),
             input_count: netlist.input_count(),
             levels: levels.iter().copied().max().unwrap_or(0),
             input_loads: Vec::new(),
@@ -305,11 +309,6 @@ impl EvalTape {
         tape
     }
 
-    /// The compiled netlist's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Number of primary inputs.
     pub fn input_count(&self) -> usize {
         self.input_count
@@ -341,13 +340,7 @@ impl EvalTape {
     }
 
     /// Allocates plane buffers for this tape at the given width, with
-    /// constant slots prefilled, running under the best kernel tier
-    /// available on this CPU ([`kernel::preferred`]).
-    pub fn scratch(&self, width: PlaneWidth) -> TapeScratch {
-        self.scratch_impl(width, kernel::preferred())
-    }
-
-    /// Like [`EvalTape::scratch`], but forcing a specific kernel tier.
+    /// constant slots prefilled, running under the `kernel` tier.
     ///
     /// # Errors
     ///
@@ -358,10 +351,7 @@ impl EvalTape {
         width: PlaneWidth,
         kernel: KernelId,
     ) -> Result<TapeScratch, UnknownKernel> {
-        Ok(self.scratch_impl(width, kernel::require(kernel)?))
-    }
-
-    fn scratch_impl(&self, width: PlaneWidth, kernel: KernelId) -> TapeScratch {
+        let kernel = kernel::require(kernel)?;
         let w = width.words();
         let n = self.slot_count() * w;
         // Everything starts as stable 0 so unwritten pad words stay
@@ -380,56 +370,15 @@ impl EvalTape {
                 scratch.o[base + j] = if value { !0 } else { 0 };
             }
         }
-        scratch
+        Ok(scratch)
     }
 
-    /// Evaluates the tape at plane width 1 — a drop-in replacement for
-    /// [`Netlist::eval_block`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input count is wrong or the lane counts disagree.
-    pub fn eval_block(&self, inputs: &[TritBlock]) -> Vec<TritBlock> {
-        self.eval_block_wide(inputs, PlaneWidth::X1)
-    }
-
-    /// Evaluates the tape at the given plane width, allocating fresh
-    /// scratch. The result is lane-for-lane independent of the width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input count is wrong or the lane counts disagree.
-    pub fn eval_block_wide(
-        &self,
-        inputs: &[TritBlock],
-        width: PlaneWidth,
-    ) -> Vec<TritBlock> {
-        let mut scratch = self.scratch(width);
-        self.eval_block_with(inputs, &mut scratch)
-    }
-
-    /// Evaluates the tape reusing caller-owned scratch — the zero-allocation
-    /// (besides outputs) streaming entry point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scratch was not created by this tape's
-    /// [`EvalTape::scratch`], the input count is wrong, or the lane counts
-    /// disagree.
-    pub fn eval_block_with(
-        &self,
-        inputs: &[TritBlock],
-        scratch: &mut TapeScratch,
-    ) -> Vec<TritBlock> {
-        self.try_eval_block_with(inputs, scratch)
-            .unwrap_or_else(|e| panic!("{}: {e}", self.name))
-    }
-
-    /// The never-panicking twin of [`EvalTape::eval_block_with`]: a scratch
-    /// from a different tape, a wrong input count, or disagreeing lane
-    /// counts come back as a typed [`TapeEvalError`] instead of a panic.
-    /// This is the entry point for long-running streaming callers (e.g. a
-    /// serving loop) that must not die on a malformed batch.
+    /// Evaluates the tape reusing caller-owned scratch — the one evaluation
+    /// entry point, computing exactly [`Netlist::eval_block`] lane for lane
+    /// at any plane width. A scratch from a different tape, a wrong input
+    /// count, or disagreeing lane counts come back as a typed
+    /// [`TapeEvalError`], so streaming callers (the throughput workers, a
+    /// serving loop) never die on a malformed batch.
     ///
     /// # Errors
     ///
@@ -447,10 +396,8 @@ impl EvalTape {
         })
     }
 
-    /// The one validation gate every eval entry point funnels through
-    /// (directly or via [`EvalTape::try_eval_block_with`]), so no tier
-    /// or width can grow its own divergent error surface. Returns the
-    /// shared lane count.
+    /// The one validation gate of [`EvalTape::try_eval_block_with`], shared
+    /// by every tier and width. Returns the shared lane count.
     fn check_call(
         &self,
         inputs: &[TritBlock],
@@ -629,6 +576,12 @@ mod tests {
         n
     }
 
+    /// Evaluates through a fresh scratch at `width` under the preferred tier.
+    fn eval_at(tape: &EvalTape, inputs: &[TritBlock], width: PlaneWidth) -> Vec<TritBlock> {
+        let mut scratch = tape.try_scratch(width, kernel::preferred()).unwrap();
+        tape.try_eval_block_with(inputs, &mut scratch).unwrap()
+    }
+
     fn ternary_inputs(count: usize, lanes: usize) -> Vec<TritBlock> {
         (0..count)
             .map(|i| {
@@ -647,7 +600,7 @@ mod tests {
             let inputs = ternary_inputs(n.input_count(), lanes);
             let want = n.eval_block(&inputs);
             for width in PlaneWidth::ALL {
-                let got = tape.eval_block_wide(&inputs, width);
+                let got = eval_at(&tape, &inputs, width);
                 assert_eq!(got, want, "{lanes} lanes at {width}");
             }
         }
@@ -705,19 +658,17 @@ mod tests {
     fn scratch_reuse_is_stateless() {
         let n = full_cell_netlist();
         let tape = EvalTape::compile(&n);
-        let mut scratch = tape.scratch(PlaneWidth::X4);
+        let mut scratch = tape.try_scratch(PlaneWidth::X4, kernel::preferred()).unwrap();
         let first = ternary_inputs(3, 130);
         let second: Vec<TritBlock> = (0..3)
             .map(|_| TritBlock::splat(Trit::Meta, 130))
             .collect();
         let want_first = n.eval_block(&first);
         // Interleave domains: results must not depend on scratch history.
-        assert_eq!(tape.eval_block_with(&first, &mut scratch), want_first);
-        assert_eq!(
-            tape.eval_block_with(&second, &mut scratch),
-            n.eval_block(&second)
-        );
-        assert_eq!(tape.eval_block_with(&first, &mut scratch), want_first);
+        let mut eval = |inputs| tape.try_eval_block_with(inputs, &mut scratch).unwrap();
+        assert_eq!(eval(&first), want_first);
+        assert_eq!(eval(&second), n.eval_block(&second));
+        assert_eq!(eval(&first), want_first);
     }
 
     #[test]
@@ -727,7 +678,7 @@ mod tests {
         let f = n.inv(one);
         n.set_output("f", f);
         let tape = EvalTape::compile(&n);
-        let out = tape.eval_block(&[]);
+        let out = eval_at(&tape, &[], PlaneWidth::X1);
         assert_eq!(out.len(), 1);
         assert!(out[0].is_empty());
         assert_eq!(out, n.eval_block(&[]));
@@ -742,7 +693,9 @@ mod tests {
         let mut small = Netlist::new("small");
         let a = small.input("a");
         small.set_output("a", a);
-        let mut wrong = EvalTape::compile(&small).scratch(PlaneWidth::X1);
+        let mut wrong = EvalTape::compile(&small)
+            .try_scratch(PlaneWidth::X1, kernel::preferred())
+            .unwrap();
         let err = tape
             .try_eval_block_with(&ternary_inputs(3, 4), &mut wrong)
             .unwrap_err();
@@ -750,7 +703,7 @@ mod tests {
         assert!(err.to_string().contains("different tape"));
 
         // Wrong input count.
-        let mut scratch = tape.scratch(PlaneWidth::X4);
+        let mut scratch = tape.try_scratch(PlaneWidth::X4, kernel::preferred()).unwrap();
         let err = tape
             .try_eval_block_with(&ternary_inputs(2, 4), &mut scratch)
             .unwrap_err();
@@ -803,7 +756,6 @@ mod tests {
     #[test]
     fn try_scratch_refuses_unavailable_backends_with_a_typed_error() {
         let tape = EvalTape::compile(&full_cell_netlist());
-        assert_eq!(tape.scratch(PlaneWidth::X4).kernel(), kernel::preferred());
         for k in KernelId::ALL {
             match tape.try_scratch(PlaneWidth::X4, k) {
                 Ok(s) => {
@@ -826,14 +778,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "different tape")]
     fn scratch_from_another_tape_is_rejected() {
         let n = full_cell_netlist();
         let mut small = Netlist::new("small");
         let a = small.input("a");
         small.set_output("a", a);
-        let mut scratch = EvalTape::compile(&small).scratch(PlaneWidth::X1);
-        let _ = EvalTape::compile(&n)
-            .eval_block_with(&ternary_inputs(3, 1), &mut scratch);
+        for k in kernel::kernels() {
+            let mut scratch = EvalTape::compile(&small).try_scratch(PlaneWidth::X1, k).unwrap();
+            let err = EvalTape::compile(&n)
+                .try_eval_block_with(&ternary_inputs(3, 1), &mut scratch)
+                .unwrap_err();
+            assert!(err.to_string().contains("different tape"), "{k}: {err}");
+        }
     }
 }

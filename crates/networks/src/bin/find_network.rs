@@ -24,8 +24,7 @@
 //! seed for review diffs; a Rust array literal (for pinning into
 //! `optimal.rs`) goes to stderr.
 //!
-//! `--load` closes the cache loop: the artifact (text or binary, sniffed
-//! by magic) is loaded, **re-verified** with the 0-1 principle, and
+//! `--load` closes the cache loop: the artifact is loaded, **re-verified** with the 0-1 principle, and
 //! re-emitted through the same writer — a cache can never silently serve a
 //! non-sorting network.
 //!
@@ -59,22 +58,12 @@ use mcs_networks::Network;
 
 /// Prints the artifact through the single shared formatting path: the
 /// stdout report **is** the artifact text, and `--save` writes the same
-/// bytes (binary when the path ends in `.mcsnb`).
+/// bytes.
 fn report(artifact: &NetworkArtifact, save: Option<&str>) -> ExitCode {
     let text = artifact.to_text();
     print!("{text}");
     if let Some(path) = save {
-        // Case-insensitive, like the bench artifact layer: FOO.MCSNB is
-        // binary too, not silently text.
-        let binary = std::path::Path::new(path)
-            .extension()
-            .is_some_and(|e| e.eq_ignore_ascii_case("mcsnb"));
-        let result = if binary {
-            std::fs::write(path, artifact.to_bytes())
-        } else {
-            std::fs::write(path, text.as_bytes())
-        };
-        if let Err(e) = result {
+        if let Err(e) = std::fs::write(path, text.as_bytes()) {
             eprintln!("cannot write {path}: {e}");
             return ExitCode::from(3);
         }
@@ -96,8 +85,8 @@ fn report(artifact: &NetworkArtifact, save: Option<&str>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Loads an artifact (text or binary, sniffed by magic), re-verifies it,
-/// and re-reports it through the shared writer.
+/// Loads an artifact, re-verifies it, and re-reports it through the
+/// shared writer.
 fn load(path: &str, save: Option<&str>) -> ExitCode {
     let bytes = match std::fs::read(path) {
         Ok(b) => b,

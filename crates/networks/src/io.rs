@@ -18,10 +18,9 @@
 //!    searched networks across runs: a header carrying the format version,
 //!    channel count, size, depth and the master seed that found the
 //!    network, followed by one comparator per line in execution order —
-//!    diffable in review, byte-identical under `save → load → save`. A
-//!    length-prefixed binary variant ([`NetworkArtifact::to_bytes`]) serves
-//!    caches where size matters. Loaders recompute every header figure and
-//!    reject artifacts on any mismatch, and [`NetworkArtifact::reverify`]
+//!    diffable in review, byte-identical under `save → load → save`.
+//!    Loaders recompute every header figure and reject artifacts on any
+//!    mismatch, and [`NetworkArtifact::reverify`]
 //!    re-runs 0-1-principle verification so a cache can never silently
 //!    serve a non-sorting network.
 //!
@@ -53,8 +52,8 @@
 //! The version is bumped on any incompatible change; unknown versions are
 //! rejected, never guessed at. Older versions down to
 //! [`ARTIFACT_MIN_VERSION`] remain loadable: a v1 artifact (no provenance
-//! lines, shorter binary header) loads as a v2 artifact without provenance
-//! — re-saving it writes the current version.
+//! lines) loads as a v2 artifact without provenance — re-saving it writes
+//! the current version.
 
 use std::error::Error;
 use std::fmt;
@@ -180,9 +179,6 @@ pub const ARTIFACT_MIN_VERSION: u32 = 1;
 /// Magic first line of the text artifact (followed by ` v<version>`).
 pub const ARTIFACT_TEXT_MAGIC: &str = "mcs-network";
 
-/// Magic prefix of the binary artifact.
-pub const ARTIFACT_BINARY_MAGIC: &[u8; 4] = b"MCSN";
-
 /// The largest channel count [`NetworkArtifact::reverify`] will check
 /// exhaustively (2^n 0-1 inputs; matches [`zero_one_verify`]'s bound).
 pub const MAX_VERIFY_CHANNELS: usize = 24;
@@ -232,21 +228,21 @@ pub enum NetworkArtifactError {
     },
     /// A header line that does not parse.
     Header {
-        /// 1-based line number (0 for binary artifacts).
+        /// 1-based line number.
         line: usize,
         /// Human-readable description.
         detail: String,
     },
     /// A comparator that does not parse or is not standard form.
     Comparator {
-        /// 1-based line number (0 for binary artifacts).
+        /// 1-based line number.
         line: usize,
         /// Human-readable description.
         detail: String,
     },
     /// A comparator channel at or beyond the declared channel count.
     ChannelOutOfRange {
-        /// 1-based line number (0 for binary artifacts).
+        /// 1-based line number.
         line: usize,
         /// The offending channel.
         channel: usize,
@@ -261,11 +257,6 @@ pub enum NetworkArtifactError {
         header: u64,
         /// Value recomputed from the body.
         actual: u64,
-    },
-    /// Bytes after the end of the structure (binary only).
-    TrailingBytes {
-        /// How many bytes were left over.
-        count: usize,
     },
     /// Re-verification found a 0-1 input the network does not sort.
     NotASorter {
@@ -307,9 +298,6 @@ impl fmt::Display for NetworkArtifactError {
             }
             NetworkArtifactError::CountMismatch { field, header, actual } => {
                 write!(f, "header claims {field} {header} but the body has {actual}")
-            }
-            NetworkArtifactError::TrailingBytes { count } => {
-                write!(f, "{count} trailing bytes after the artifact")
             }
             NetworkArtifactError::NotASorter { failure } => {
                 write!(f, "artifact does not sort: {failure}")
@@ -457,9 +445,8 @@ impl NetworkArtifact {
         } else {
             None
         };
-        // The same bounds the binary form enforces by construction (u16
-        // channel fields): a wider figure must be a typed error here, not
-        // a panic in `Comparator::new` or `to_bytes` later.
+        // Channel counts are capped at u16::MAX: a wider figure must be a
+        // typed error here, not a panic in `Comparator::new` later.
         if channels_figure == 0 || channels_figure > u64::from(u16::MAX) {
             return Err(NetworkArtifactError::Header {
                 line: 2,
@@ -517,8 +504,8 @@ impl NetworkArtifact {
                 context: "body (missing `end`)",
             });
         }
-        // Like the binary form's TrailingBytes guard: a concatenated or
-        // corrupt cache entry must not half-load as its first artifact.
+        // A concatenated or corrupt cache entry must not half-load as its
+        // first artifact.
         for (line, l) in lines {
             if !l.trim().is_empty() {
                 return Err(NetworkArtifactError::Header {
@@ -535,145 +522,18 @@ impl NetworkArtifact {
         })
     }
 
-    /// Loads from either form, sniffing the binary magic — the single
-    /// dispatch point for file-based loaders (`find_network --load`,
-    /// `mcs-bench`'s cache helpers).
+    /// Loads from raw file bytes — the single dispatch point for
+    /// file-based loaders (`find_network --load`, `mcs-bench`'s cache
+    /// helpers).
     ///
     /// # Errors
     ///
-    /// [`NetworkArtifactError::BadMagic`] when the bytes are neither
-    /// form (including non-UTF-8 without the binary magic); otherwise
-    /// whatever the selected loader returns.
+    /// [`NetworkArtifactError::BadMagic`] for bytes that are not UTF-8;
+    /// otherwise whatever [`NetworkArtifact::from_text`] returns.
     pub fn from_slice(bytes: &[u8]) -> Result<NetworkArtifact, NetworkArtifactError> {
-        if bytes.starts_with(ARTIFACT_BINARY_MAGIC) {
-            return NetworkArtifact::from_bytes(bytes);
-        }
         let text =
             std::str::from_utf8(bytes).map_err(|_| NetworkArtifactError::BadMagic)?;
         NetworkArtifact::from_text(text)
-    }
-
-    /// Serialises in the length-prefixed binary form. v2 inserts one
-    /// provenance-flag byte after the seed (0 = none, 1 = followed by the
-    /// parent seed and size), so presence round-trips byte-identically.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(ARTIFACT_BINARY_MAGIC);
-        out.extend_from_slice(&(ARTIFACT_VERSION as u16).to_le_bytes());
-        out.extend_from_slice(
-            &u16::try_from(self.network.channels())
-                .expect("channels fit u16")
-                .to_le_bytes(),
-        );
-        out.extend_from_slice(&self.master_seed.to_le_bytes());
-        match &self.provenance {
-            None => out.push(0),
-            Some(p) => {
-                out.push(1);
-                out.extend_from_slice(&p.parent_seed.to_le_bytes());
-                out.extend_from_slice(&p.parent_size.to_le_bytes());
-            }
-        }
-        out.extend_from_slice(&(self.network.size() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.network.depth() as u32).to_le_bytes());
-        for c in self.network.comparators() {
-            out.extend_from_slice(&(c.lo() as u16).to_le_bytes());
-            out.extend_from_slice(&(c.hi() as u16).to_le_bytes());
-        }
-        out
-    }
-
-    /// Loads from the binary form.
-    ///
-    /// # Errors
-    ///
-    /// Typed [`NetworkArtifactError`]s; trailing bytes are an error, so a
-    /// corrupt cache entry cannot half-load.
-    pub fn from_bytes(bytes: &[u8]) -> Result<NetworkArtifact, NetworkArtifactError> {
-        let take = |pos: &mut usize, n: usize, context: &'static str| {
-            let end = pos
-                .checked_add(n)
-                .filter(|&e| e <= bytes.len())
-                .ok_or(NetworkArtifactError::Truncated { context })?;
-            let s = &bytes[*pos..end];
-            *pos = end;
-            Ok::<&[u8], NetworkArtifactError>(s)
-        };
-        let mut pos = 0usize;
-        if take(&mut pos, 4, "magic")? != ARTIFACT_BINARY_MAGIC {
-            return Err(NetworkArtifactError::BadMagic);
-        }
-        let b = take(&mut pos, 2, "version")?;
-        let version = u32::from(u16::from_le_bytes([b[0], b[1]]));
-        if !(ARTIFACT_MIN_VERSION..=ARTIFACT_VERSION).contains(&version) {
-            return Err(NetworkArtifactError::UnsupportedVersion { found: version });
-        }
-        let b = take(&mut pos, 2, "channel count")?;
-        let channels = u16::from_le_bytes([b[0], b[1]]) as usize;
-        if channels == 0 {
-            return Err(NetworkArtifactError::Header {
-                line: 0,
-                detail: "network needs at least one channel".to_string(),
-            });
-        }
-        let b = take(&mut pos, 8, "seed")?;
-        let seed = u64::from_le_bytes(b.try_into().expect("8 bytes"));
-        // v1 has no provenance field; v2 carries a flag byte.
-        let provenance = if version >= 2 {
-            match take(&mut pos, 1, "provenance flag")?[0] {
-                0 => None,
-                1 => {
-                    let b = take(&mut pos, 8, "parent seed")?;
-                    let parent_seed = u64::from_le_bytes(b.try_into().expect("8 bytes"));
-                    let b = take(&mut pos, 4, "parent size")?;
-                    let parent_size = u32::from_le_bytes(b.try_into().expect("4 bytes"));
-                    Some(WarmStartProvenance { parent_seed, parent_size })
-                }
-                flag => {
-                    return Err(NetworkArtifactError::Header {
-                        line: 0,
-                        detail: format!("bad provenance flag {flag}"),
-                    })
-                }
-            }
-        } else {
-            None
-        };
-        let b = take(&mut pos, 4, "size")?;
-        let size = u64::from(u32::from_le_bytes(b.try_into().expect("4 bytes")));
-        let b = take(&mut pos, 4, "depth")?;
-        let depth = u64::from(u32::from_le_bytes(b.try_into().expect("4 bytes")));
-        let mut network = Network::new(channels);
-        for _ in 0..size {
-            let b = take(&mut pos, 4, "comparator")?;
-            let lo = u16::from_le_bytes([b[0], b[1]]) as usize;
-            let hi = u16::from_le_bytes([b[2], b[3]]) as usize;
-            if lo >= hi {
-                return Err(NetworkArtifactError::Comparator {
-                    line: 0,
-                    detail: format!("non-standard comparator ({lo},{hi})"),
-                });
-            }
-            if hi >= channels {
-                return Err(NetworkArtifactError::ChannelOutOfRange {
-                    line: 0,
-                    channel: hi,
-                    channels,
-                });
-            }
-            network.push(lo, hi);
-        }
-        if pos != bytes.len() {
-            return Err(NetworkArtifactError::TrailingBytes {
-                count: bytes.len() - pos,
-            });
-        }
-        check_figures(&network, size, depth)?;
-        Ok(NetworkArtifact {
-            network,
-            master_seed: seed,
-            provenance,
-        })
     }
 
     /// Re-runs 0-1-principle verification on the loaded network — the
@@ -785,18 +645,6 @@ mod tests {
     }
 
     #[test]
-    fn artifact_binary_roundtrip_is_byte_identical() {
-        for n in 2..=10usize {
-            let net = best_size(n).unwrap();
-            let artifact = NetworkArtifact::new(net, 77);
-            let bytes = artifact.to_bytes();
-            let back = NetworkArtifact::from_bytes(&bytes).unwrap();
-            assert_eq!(back, artifact, "n={n}");
-            assert_eq!(back.to_bytes(), bytes, "n={n}");
-        }
-    }
-
-    #[test]
     fn artifact_text_matches_the_documented_example() {
         let artifact = NetworkArtifact::new(
             Network::from_pairs(4, [(0, 1), (2, 3), (0, 2), (1, 3), (1, 2)]),
@@ -820,6 +668,7 @@ mod tests {
         );
     }
 
+    /// Both header forms: without and with the provenance lines.
     #[test]
     fn provenance_roundtrips_byte_identically_in_both_forms() {
         for provenance in [
@@ -836,10 +685,6 @@ mod tests {
             let from_text = NetworkArtifact::from_text(&text).unwrap();
             assert_eq!(from_text, artifact, "{provenance:?}");
             assert_eq!(from_text.to_text(), text, "{provenance:?}");
-            let bytes = artifact.to_bytes();
-            let from_bytes = NetworkArtifact::from_bytes(&bytes).unwrap();
-            assert_eq!(from_bytes, artifact, "{provenance:?}");
-            assert_eq!(from_bytes.to_bytes(), bytes, "{provenance:?}");
         }
     }
 
@@ -867,35 +712,6 @@ mod tests {
     }
 
     #[test]
-    fn headerless_v1_binary_artifacts_still_load() {
-        // Hand-build the v1 layout: magic, version 1, channels, seed,
-        // size, depth, pairs — no provenance flag byte.
-        let net = best_size(4).unwrap();
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(ARTIFACT_BINARY_MAGIC);
-        v1.extend_from_slice(&1u16.to_le_bytes());
-        v1.extend_from_slice(&(net.channels() as u16).to_le_bytes());
-        v1.extend_from_slice(&77u64.to_le_bytes());
-        v1.extend_from_slice(&(net.size() as u32).to_le_bytes());
-        v1.extend_from_slice(&(net.depth() as u32).to_le_bytes());
-        for c in net.comparators() {
-            v1.extend_from_slice(&(c.lo() as u16).to_le_bytes());
-            v1.extend_from_slice(&(c.hi() as u16).to_le_bytes());
-        }
-        let loaded = NetworkArtifact::from_bytes(&v1).unwrap();
-        assert_eq!(loaded.network, net);
-        assert_eq!(loaded.master_seed, 77);
-        assert_eq!(loaded.provenance, None);
-        // Every truncation of the v1 layout is typed, like v2's.
-        for cut in 0..v1.len() {
-            assert!(matches!(
-                NetworkArtifact::from_bytes(&v1[..cut]).unwrap_err(),
-                NetworkArtifactError::Truncated { .. } | NetworkArtifactError::BadMagic
-            ));
-        }
-    }
-
-    #[test]
     fn malformed_provenance_is_a_typed_error() {
         // parent-seed without parent-size.
         let half = "mcs-network v2\nchannels 3\nsize 1\ndepth 1\nseed 0\n\
@@ -904,24 +720,12 @@ mod tests {
             NetworkArtifact::from_text(half),
             Err(NetworkArtifactError::Header { line: 7, .. })
         ));
-        // parent-size beyond u32 (the binary field's bound).
+        // parent-size beyond u32.
         let wide = "mcs-network v2\nchannels 3\nsize 1\ndepth 1\nseed 0\n\
                     parent-seed 7\nparent-size 4294967296\n(0,1)\nend\n";
         assert!(matches!(
             NetworkArtifact::from_text(wide),
             Err(NetworkArtifactError::Header { line: 7, .. })
-        ));
-        // A bad binary provenance flag.
-        let mut artifact = NetworkArtifact::new(best_size(4).unwrap(), 1);
-        artifact.provenance =
-            Some(WarmStartProvenance { parent_seed: 1, parent_size: 9 });
-        let mut bytes = artifact.to_bytes();
-        let flag_at = ARTIFACT_BINARY_MAGIC.len() + 2 + 2 + 8;
-        assert_eq!(bytes[flag_at], 1);
-        bytes[flag_at] = 9;
-        assert!(matches!(
-            NetworkArtifact::from_bytes(&bytes),
-            Err(NetworkArtifactError::Header { line: 0, .. })
         ));
     }
 
@@ -981,8 +785,8 @@ mod tests {
 
     #[test]
     fn artifact_rejects_oversized_channel_counts_without_panicking() {
-        // Channel figures beyond u16 (the binary form's bound) must be a
-        // typed error, not a downstream panic in Comparator::new/to_bytes.
+        // Channel figures beyond u16 must be a typed error, not a
+        // downstream panic in Comparator::new.
         let wide = "mcs-network v1\nchannels 70000\nsize 1\ndepth 1\nseed 0\n(0,69999)\nend\n";
         assert!(matches!(
             NetworkArtifact::from_text(wide),
@@ -1009,6 +813,8 @@ mod tests {
         assert_eq!(NetworkArtifact::from_text(&padded).unwrap(), artifact);
     }
 
+    /// Both text versions load from raw bytes: v2, and v1 without the
+    /// provenance lines.
     #[test]
     fn from_slice_sniffs_both_forms() {
         let artifact = NetworkArtifact::new(best_size(5).unwrap(), 9);
@@ -1016,10 +822,8 @@ mod tests {
             NetworkArtifact::from_slice(artifact.to_text().as_bytes()).unwrap(),
             artifact
         );
-        assert_eq!(
-            NetworkArtifact::from_slice(&artifact.to_bytes()).unwrap(),
-            artifact
-        );
+        let v1 = artifact.to_text().replacen("mcs-network v2", "mcs-network v1", 1);
+        assert_eq!(NetworkArtifact::from_slice(v1.as_bytes()).unwrap(), artifact);
         assert_eq!(
             NetworkArtifact::from_slice(b"\xff\xfe not an artifact"),
             Err(NetworkArtifactError::BadMagic)
@@ -1048,11 +852,19 @@ mod tests {
         );
     }
 
+    /// Bytes laid out like a binary artifact (`MCSN` magic, little-endian
+    /// figures), whole, truncated at every length or with trailing bytes,
+    /// are refused with a typed error, never a panic.
     #[test]
     fn artifact_binary_truncation_and_trailing_bytes_are_typed() {
-        let bytes = NetworkArtifact::new(best_size(6).unwrap(), 3).to_bytes();
-        for cut in 0..bytes.len() {
-            let err = NetworkArtifact::from_bytes(&bytes[..cut]).unwrap_err();
+        let mut bytes = b"MCSN".to_vec();
+        bytes.extend_from_slice(&2u16.to_le_bytes());
+        bytes.extend_from_slice(&4u16.to_le_bytes());
+        bytes.extend_from_slice(&2018u64.to_le_bytes());
+        bytes.push(0);
+        bytes.extend_from_slice(&[1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0]);
+        for cut in 0..=bytes.len() {
+            let err = NetworkArtifact::from_slice(&bytes[..cut]).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -1061,11 +873,10 @@ mod tests {
                 "prefix of {cut} bytes gave {err:?}"
             );
         }
-        let mut extended = bytes.clone();
-        extended.push(0);
+        bytes.extend_from_slice(b"junk");
         assert_eq!(
-            NetworkArtifact::from_bytes(&extended),
-            Err(NetworkArtifactError::TrailingBytes { count: 1 })
+            NetworkArtifact::from_slice(&bytes),
+            Err(NetworkArtifactError::BadMagic)
         );
     }
 

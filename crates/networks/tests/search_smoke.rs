@@ -50,31 +50,22 @@ fn rediscovers_the_optimal_eight_sorter() {
     assert_eq!(parallel_search(&resharded).unwrap(), Some(net.clone()));
 
     // The cache path, end to end: the found network is saved as an
-    // artifact (text and binary), reloaded, re-verified, and must come
-    // back byte-identical — so a later run can seed from the cache instead
-    // of re-searching. The CI job repeats this across processes with
-    // `find_network --save` / `--load`.
+    // artifact, reloaded, re-verified, and must come back byte-identical —
+    // so a later run can seed from the cache instead of re-searching. The
+    // CI job repeats this across processes with `find_network --save` /
+    // `--load`.
     let artifact = NetworkArtifact::new(net, smoke_config().master_seed);
     let dir = std::env::temp_dir().join("mcs-search-smoke");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let text_path = dir.join("eight_sort.mcsn");
-    let bin_path = dir.join("eight_sort.mcsnb");
     std::fs::write(&text_path, artifact.to_text()).expect("save text");
-    std::fs::write(&bin_path, artifact.to_bytes()).expect("save binary");
-    let from_text = NetworkArtifact::from_text(
-        &std::fs::read_to_string(&text_path).expect("reload text"),
-    )
-    .expect("text artifact loads");
-    let from_bin =
-        NetworkArtifact::from_bytes(&std::fs::read(&bin_path).expect("reload binary"))
-            .expect("binary artifact loads");
-    for reloaded in [from_text, from_bin] {
-        reloaded.reverify().expect("cached network re-verifies");
-        assert_eq!(reloaded, artifact);
-        assert_eq!(reloaded.to_text(), artifact.to_text());
-        assert_eq!(reloaded.network.size(), 19);
-        assert_eq!(reloaded.master_seed, 2018);
-    }
+    let reloaded = NetworkArtifact::from_slice(&std::fs::read(&text_path).expect("reload"))
+        .expect("text artifact loads");
+    reloaded.reverify().expect("cached network re-verifies");
+    assert_eq!(reloaded, artifact);
+    assert_eq!(reloaded.to_text(), artifact.to_text());
+    assert_eq!(reloaded.network.size(), 19);
+    assert_eq!(reloaded.master_seed, 2018);
 
     // Warm-start resume, in process: the cached incumbent already meets
     // the stop-at-size target, so a warm-started run with a tiny budget

@@ -126,7 +126,9 @@ fn assert_kernels_match(n: &Netlist, tape: &EvalTape, inputs: &[TritBlock]) {
             let mut scratch = tape
                 .try_scratch(width, k)
                 .expect("kernels_under_test() only lists available tiers");
-            let got = tape.eval_block_with(inputs, &mut scratch);
+            let got = tape
+                .try_eval_block_with(inputs, &mut scratch)
+                .expect("inputs fit the tape");
             assert_eq!(want.len(), got.len());
             for (out, (w, g)) in want.iter().zip(&got).enumerate() {
                 assert_eq!(w.lanes(), g.lanes(), "output {out} lane count");
@@ -179,7 +181,8 @@ proptest! {
                 for &lanes in EDGE_LANES.iter().rev() {
                     let blocks = input_blocks(inputs, &seed_bits, lanes);
                     let want = n.eval_block(&blocks);
-                    let got = tape.eval_block_with(&blocks, &mut scratch);
+                    let got = tape.try_eval_block_with(&blocks, &mut scratch)
+                        .expect("inputs fit the tape");
                     for (out, (w, g)) in want.iter().zip(&got).enumerate() {
                         prop_assert_eq!(w.lanes(), g.lanes());
                         prop_assert_eq!(

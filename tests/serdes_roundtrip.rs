@@ -1,8 +1,7 @@
 //! Round-trip property tests for the serialization subsystem: random
 //! certified networks and synthesized netlists must survive
-//! `save → load → save` **byte-identically** in both the text and binary
-//! artifact forms, evaluate lane-for-lane equal under `eval_block` after
-//! reload, and — for the Verilog path — re-import to an
+//! `save → load → save` **byte-identically** in the text artifact form,
+//! evaluate lane-for-lane equal under `eval_block` after reload, and — for the Verilog path — re-import to an
 //! evaluation-equivalent netlist.
 
 use mcs::logic::{Trit, TritBlock, TruthTable};
@@ -131,8 +130,8 @@ fn provenance_strategy() -> impl Strategy<Value = Option<WarmStartProvenance>> {
 }
 
 proptest! {
-    /// Random networks survive save→load→save byte-identically in both
-    /// forms, with the master seed and any warm-start provenance preserved.
+    /// Random networks survive save→load→save byte-identically, with the
+    /// master seed and any warm-start provenance preserved.
     #[test]
     fn network_artifacts_roundtrip_byte_identically(
         net in network_strategy(),
@@ -145,10 +144,6 @@ proptest! {
         let from_text = NetworkArtifact::from_text(&text).expect("text loads");
         prop_assert_eq!(&from_text, &artifact);
         prop_assert_eq!(from_text.to_text(), text);
-        let bytes = artifact.to_bytes();
-        let from_bytes = NetworkArtifact::from_bytes(&bytes).expect("binary loads");
-        prop_assert_eq!(&from_bytes, &artifact);
-        prop_assert_eq!(from_bytes.to_bytes(), bytes);
         // A second full cycle pins save→load→save, not just load→save.
         prop_assert_eq!(
             NetworkArtifact::from_text(&from_text.to_text()).expect("reloads"),
@@ -157,9 +152,8 @@ proptest! {
     }
 
     /// Version compatibility: the same random networks, hand-written in
-    /// the v1 text and binary layouts (no provenance, shorter binary
-    /// header), still load — as provenance-free artifacts equal to their
-    /// v2 counterparts.
+    /// the v1 text layout (no provenance), still load — as provenance-free
+    /// artifacts equal to their v2 counterparts.
     #[test]
     fn headerless_v1_artifacts_still_load(
         net in network_strategy(),
@@ -173,25 +167,8 @@ proptest! {
             .replacen("mcs-network v2\n", "mcs-network v1\n", 1);
         let from_text = NetworkArtifact::from_text(&v1_text).expect("v1 text loads");
         prop_assert_eq!(&from_text, &expected);
-        // v1 binary: magic, version 1, channels, seed, size, depth, pairs
-        // — no provenance flag byte.
-        let mut v1_bytes = Vec::new();
-        v1_bytes.extend_from_slice(b"MCSN");
-        v1_bytes.extend_from_slice(&1u16.to_le_bytes());
-        v1_bytes.extend_from_slice(&(net.channels() as u16).to_le_bytes());
-        v1_bytes.extend_from_slice(&seed.to_le_bytes());
-        v1_bytes.extend_from_slice(&(net.size() as u32).to_le_bytes());
-        v1_bytes.extend_from_slice(&(net.depth() as u32).to_le_bytes());
-        for c in net.comparators() {
-            v1_bytes.extend_from_slice(&(c.lo() as u16).to_le_bytes());
-            v1_bytes.extend_from_slice(&(c.hi() as u16).to_le_bytes());
-        }
-        let from_bytes =
-            NetworkArtifact::from_bytes(&v1_bytes).expect("v1 binary loads");
-        prop_assert_eq!(&from_bytes, &expected);
         // Re-saving a v1 load writes the current (v2) bytes.
         prop_assert_eq!(from_text.to_text(), expected.to_text());
-        prop_assert_eq!(from_bytes.to_bytes(), expected.to_bytes());
     }
 
     /// Random netlists over the full cell set survive save→load→save
@@ -206,12 +183,7 @@ proptest! {
         let from_text = serdes::from_text(&text).expect("text loads");
         prop_assert_eq!(&from_text, &n);
         prop_assert_eq!(serdes::to_text(&from_text).expect("reserialises"), text);
-        let bytes = serdes::to_bytes(&n).expect("serialises");
-        let from_bytes = serdes::from_bytes(&bytes).expect("binary loads");
-        prop_assert_eq!(&from_bytes, &n);
-        prop_assert_eq!(serdes::to_bytes(&from_bytes).expect("reserialises"), bytes);
         assert_blocks_equal(&n, &from_text, &trits, inputs);
-        assert_blocks_equal(&n, &from_bytes, &trits, inputs);
     }
 
     /// The Verilog loop: writer output re-imports to a netlist that agrees
@@ -250,7 +222,7 @@ proptest! {
 }
 
 /// Every certified (0-1-verified) network in the seed — the optimal tables
-/// and the three classic generators — survives both round trips
+/// and the three classic generators — survives the round trip
 /// byte-identically and re-verifies after reload.
 #[test]
 fn certified_networks_roundtrip_and_reverify() {
@@ -268,14 +240,11 @@ fn certified_networks_roundtrip_and_reverify() {
         assert_eq!(text_trip, artifact);
         assert_eq!(text_trip.to_text(), artifact.to_text());
         text_trip.reverify().expect("loaded network re-verifies");
-        let bin_trip = NetworkArtifact::from_bytes(&artifact.to_bytes()).unwrap();
-        assert_eq!(bin_trip, artifact);
-        assert_eq!(bin_trip.to_bytes(), artifact.to_bytes());
     }
 }
 
 /// A full sorting circuit (network × 2-sort) — the biggest netlists the
-/// repo produces — survives the text, binary and Verilog trips.
+/// repo produces — survives the text and Verilog trips.
 #[test]
 fn sorting_circuit_roundtrips_through_all_formats() {
     use mcs::networks::circuit::{build_sorting_circuit, TwoSortFlavor};
@@ -286,11 +255,9 @@ fn sorting_circuit_roundtrips_through_all_formats() {
     );
     let text_trip = serdes::from_text(&serdes::to_text(&circuit).unwrap()).unwrap();
     assert_eq!(text_trip, circuit);
-    let bin_trip = serdes::from_bytes(&serdes::to_bytes(&circuit).unwrap()).unwrap();
-    assert_eq!(bin_trip, circuit);
     let v_trip = from_verilog(&to_verilog(&circuit)).unwrap();
     assert_eq!(v_trip.gate_count(), circuit.gate_count());
-    // 200 random-ish ternary lanes through all four netlists at once.
+    // 200 random-ish ternary lanes through all three netlists at once.
     let k = circuit.input_count();
     let blocks: Vec<TritBlock> = (0..k)
         .map(|i| {
@@ -304,7 +271,6 @@ fn sorting_circuit_roundtrips_through_all_formats() {
     let want = circuit.eval_block(&blocks);
     for (name, other) in [
         ("text", &text_trip),
-        ("binary", &bin_trip),
         ("verilog", &v_trip),
     ] {
         let got = other.eval_block(&blocks);

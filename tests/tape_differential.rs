@@ -1,7 +1,7 @@
 //! Differential suite for the compiled evaluation tape.
 //!
 //! The tape contract is *lane-for-lane exactness*: for every netlist the
-//! compiler accepts, [`EvalTape::eval_block_wide`] must agree with
+//! compiler accepts, [`EvalTape::try_eval_block_with`] must agree with
 //! [`Netlist::eval_block`] on every lane, at every plane width, at every
 //! lane count — including the masked-tail edge cases (0, 1, 63, 64, 65,
 //! 1000 lanes) where stale bits in the unused tail of the last word would
@@ -14,6 +14,7 @@
 //! that are not multiples of its internal 64-lane words) — the block-eval
 //! edge cases the tape path must reproduce bit for bit.
 
+use mcs::logic::plane::kernel;
 use mcs::logic::{PlaneWidth, Trit, TritBlock};
 use mcs::netlist::{EvalTape, Netlist};
 use proptest::prelude::*;
@@ -102,11 +103,20 @@ fn input_blocks(inputs: usize, seed_bits: &[u8], lanes: usize) -> Vec<TritBlock>
 /// not a multiple of 64.
 const EDGE_LANES: [usize; 6] = [0, 1, 63, 64, 65, 1000];
 
+/// Evaluates through a fresh scratch at `width` under the preferred tier.
+fn eval_at(tape: &EvalTape, inputs: &[TritBlock], width: PlaneWidth) -> Vec<TritBlock> {
+    let mut scratch = tape
+        .try_scratch(width, kernel::preferred())
+        .expect("the preferred tier is available");
+    tape.try_eval_block_with(inputs, &mut scratch)
+        .expect("inputs fit the tape")
+}
+
 /// Asserts tape ≡ `eval_block` lane for lane at every plane width.
 fn assert_tape_matches(n: &Netlist, tape: &EvalTape, inputs: &[TritBlock]) {
     let want = n.eval_block(inputs);
     for width in PlaneWidth::ALL {
-        let got = tape.eval_block_wide(inputs, width);
+        let got = eval_at(tape, inputs, width);
         assert_eq!(want.len(), got.len());
         for (k, (w, g)) in want.iter().zip(&got).enumerate() {
             assert_eq!(w.lanes(), g.lanes(), "output {k} lane count");
@@ -148,13 +158,15 @@ proptest! {
         let n = build(inputs, &recipes);
         let tape = EvalTape::compile(&n);
         for width in PlaneWidth::ALL {
-            let mut scratch = tape.scratch(width);
+            let mut scratch = tape.try_scratch(width, kernel::preferred())
+                .expect("the preferred tier is available");
             // Descending: the 1000-lane run dirties the scratch before the
             // short and empty runs reuse it.
             for &lanes in EDGE_LANES.iter().rev() {
                 let blocks = input_blocks(inputs, &seed_bits, lanes);
                 let want = n.eval_block(&blocks);
-                let got = tape.eval_block_with(&blocks, &mut scratch);
+                let got = tape.try_eval_block_with(&blocks, &mut scratch)
+                    .expect("inputs fit the tape");
                 for (k, (w, g)) in want.iter().zip(&got).enumerate() {
                     prop_assert_eq!(w.lanes(), g.lanes());
                     prop_assert_eq!(
@@ -238,8 +250,8 @@ fn tape_compile_and_eval_are_deterministic() {
     assert_eq!(t1.run_count(), t2.run_count());
     let seed_bits: Vec<u8> = (0..617u32).map(|i| ((i * 7) % 3) as u8).collect();
     let blocks = input_blocks(circuit.input_count(), &seed_bits, 321);
-    let a = t1.eval_block(&blocks);
-    let b = t2.eval_block(&blocks);
+    let a = eval_at(&t1, &blocks, PlaneWidth::X1);
+    let b = eval_at(&t2, &blocks, PlaneWidth::X1);
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.first_mismatch(y), None);
     }
