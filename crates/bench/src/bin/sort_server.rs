@@ -33,6 +33,7 @@
 //! quantiles without perturbing any sorted output byte.
 
 use std::fmt;
+use std::io::BufWriter;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -169,9 +170,11 @@ fn run() -> Result<(), CliError> {
         }
         None => {
             let stdin = std::io::stdin();
-            // `Stdout` is `Send` (needed by the writer thread) and already
-            // line-buffered; locking it here would pin it to this thread.
-            serve_lines(&engine, stdin.lock(), std::io::stdout())?
+            // `Stdout` is `Send` (needed by the writer thread); locking it
+            // here would pin it to this thread. Its own line buffering
+            // would cost one write per response, so the writer gets a
+            // block buffer that it flushes whenever no reply is ready.
+            serve_lines(&engine, stdin.lock(), BufWriter::new(std::io::stdout()))?
         }
     };
     if let Some(path) = stats_path {

@@ -25,8 +25,18 @@
 //!   only on that lane, workers drain whole batches, and every response is
 //!   re-sequenced into per-connection request order before it is written.
 //!   `cat requests | sort_server` is byte-identical across 1/2/4/8 workers
-//!   and plane widths 1/4/8; the `server` test suite pins this against
-//!   serial [`Netlist::eval_block`].
+//!   and plane widths 1/4/8; the `server` test suite pins this against a
+//!   rank-sorted reference and against one-request-at-a-time
+//!   [`SortEngine::sort_batch`], and the committed goldens pin the bytes.
+//!
+//! Between bytes and circuit nothing is allocated per key. A key token is
+//! parsed in one pass into a `Copy` [`Key`] (two bit masks checked by
+//! [`valid_rank`], the same rule behind [`ValidString::new`]). One core
+//! serves both the workers and [`SortEngine::sort_batch_recording`]: it
+//! packs each request's keys and the pad key straight into the batch's
+//! plane words, evaluates the tape once, gathers each output lane's bits
+//! back into a [`Key`] under the same rule, and the `ok` line is written
+//! as bytes.
 //!
 //! Robustness is typed end to end: malformed frames, invalid strings,
 //! oversized requests, overload, timeouts and shutdown are all
@@ -38,7 +48,8 @@
 //! # Observability
 //!
 //! Every request is stamped with per-stage monotonic timings — queue wait,
-//! coalesce/linger, plane pack, tape eval, re-sequence/write, end-to-end —
+//! coalesce/linger, plane pack (keys → plane words, per batch), tape eval,
+//! re-sequence/write, end-to-end —
 //! aggregated into allocation-free log₂-bucketed [`LatencyHistogram`]s
 //! (lock-free relaxed atomics on the hot path, see [`crate::metrics`]).
 //! The aggregates surface three ways: the extended [`ServeReport`] returned
@@ -80,10 +91,11 @@
 
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Condvar, LockResult, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -91,9 +103,10 @@ use crate::metrics::{
     millis_u64, nanos_u64, LatencyHistogram, SharedHistogram, StageSnapshot,
 };
 
+use mcs_gray::valid::{valid_rank, InvalidStringError};
 use mcs_gray::ValidString;
 use mcs_logic::plane::kernel::{self, KernelId};
-use mcs_logic::{PlaneWidth, Trit, TritBlock, TritVec};
+use mcs_logic::{PlaneWidth, Trit, TritBlock, TritWord};
 use mcs_netlist::{Netlist, TapeScratch};
 
 use crate::engine::{resolve_workers, Engine, EngineError};
@@ -300,13 +313,148 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
+/// One served key: a valid string of width `1..=63` held as the two
+/// possibility planes of [`valid_rank`] (character `i`, MSB first, is bit
+/// `width − 1 − i`). It is `Copy`, so parsing, packing and decoding never
+/// allocate per key, and every value has passed the valid-string rule.
+///
+/// ```
+/// use mcs_bench::server::Key;
+///
+/// let key: Key = "0M10".parse()?;
+/// assert_eq!((key.width(), key.rank()), (4, 7));
+/// assert_eq!(key.to_string(), "0M10");
+/// assert!("0M00".parse::<Key>().is_err());
+/// # Ok::<(), mcs_gray::valid::InvalidStringError>(())
+/// ```
+#[derive(Copy, Clone, Eq, PartialEq, Hash, Debug)]
+pub struct Key {
+    can_zero: u64,
+    can_one: u64,
+    rank: u64,
+    width: u8,
+}
+
+impl Key {
+    /// The key with the given planes, if they spell a valid string of
+    /// `width` bits; bits at or above `width` are ignored.
+    fn from_planes(
+        can_zero: u64,
+        can_one: u64,
+        width: usize,
+    ) -> Result<Key, InvalidStringError> {
+        let rank = valid_rank(can_zero, can_one, width)?;
+        let mask = (1u64 << width) - 1;
+        Ok(Key {
+            can_zero: can_zero & mask,
+            can_one: can_one & mask,
+            rank,
+            width: width as u8,
+        })
+    }
+
+    /// Bit width `B`.
+    pub fn width(&self) -> usize {
+        usize::from(self.width)
+    }
+
+    /// Rank in the total order on valid strings, as [`ValidString::rank`].
+    pub fn rank(&self) -> u64 {
+        self.rank
+    }
+
+    fn planes(&self) -> (u64, u64) {
+        (self.can_zero, self.can_one)
+    }
+
+    fn push_to(&self, line: &mut String) {
+        push_planes(line, self.can_zero, self.can_one, self.width());
+    }
+}
+
+/// Appends the `width` characters spelled by two plane masks, MSB first;
+/// a bit in neither plane (only ever in a broken output lane) shows as `?`.
+fn push_planes(line: &mut String, can_zero: u64, can_one: u64, width: usize) {
+    for shift in (0..width).rev() {
+        line.push(match (can_zero >> shift & 1, can_one >> shift & 1) {
+            (1, 0) => '0',
+            (0, 1) => '1',
+            (1, 1) => 'M',
+            _ => '?',
+        });
+    }
+}
+
+/// Per byte, the planes of the trit it spells (bit 0: may read `0`,
+/// bit 1: may read `1`), or `0` for a byte that is not a trit character —
+/// [`Trit::from_char`]'s alphabet, tabulated.
+const TRIT_BYTE_PLANES: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 128 {
+        table[b] = match Trit::from_char(b as u8 as char) {
+            Ok(Trit::Zero) => 0b01,
+            Ok(Trit::One) => 0b10,
+            Ok(Trit::Meta) => 0b11,
+            Err(_) => 0,
+        };
+        b += 1;
+    }
+    table
+};
+
+impl FromStr for Key {
+    type Err = InvalidStringError;
+
+    /// Parses a token in one pass over its bytes; the width is the token
+    /// length. Accepts and rejects exactly what `ValidString` does, with
+    /// the same error.
+    fn from_str(s: &str) -> Result<Key, InvalidStringError> {
+        let (mut can_zero, mut can_one, mut bad) = (0u64, 0u64, false);
+        // Table lookups, not a `match`: random key bytes would mispredict
+        // a branch per character.
+        for &b in s.as_bytes() {
+            let planes = TRIT_BYTE_PLANES[usize::from(b)];
+            bad |= planes == 0;
+            can_zero = (can_zero << 1) | u64::from(planes & 1);
+            can_one = (can_one << 1) | u64::from(planes >> 1);
+        }
+        if bad || s.len() > 63 {
+            // The cold path: `ValidString` names the offending character
+            // (it may be multi-byte) or the width.
+            return s.parse::<ValidString>().map(|v| Key::from(&v));
+        }
+        Key::from_planes(can_zero, can_one, s.len())
+    }
+}
+
+impl fmt::Display for Key {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut s = String::with_capacity(self.width());
+        self.push_to(&mut s);
+        f.write_str(&s)
+    }
+}
+
+impl From<&ValidString> for Key {
+    fn from(v: &ValidString) -> Key {
+        let (can_zero, can_one) = v.planes();
+        Key {
+            can_zero,
+            can_one,
+            rank: v.rank(),
+            width: v.width() as u8,
+        }
+    }
+}
+
 /// A parsed `sort` request: opaque client id plus 1 ..= `channels` keys.
 #[derive(Clone, Eq, PartialEq, Debug)]
 pub struct Request {
     /// Client token, echoed back verbatim on the response line.
     pub id: String,
     /// The keys to sort, in arrival order.
-    pub keys: Vec<ValidString>,
+    pub keys: Vec<Key>,
 }
 
 /// One parsed frame of the line protocol.
@@ -357,13 +505,12 @@ pub fn parse_frame(
                     reason: "sort frame is missing the request id".into(),
                 })?
                 .to_string();
-            let mut keys = Vec::new();
+            let mut keys = Vec::with_capacity(cfg.channels);
             for (index, tok) in tokens.enumerate() {
-                let key: ValidString =
-                    tok.parse().map_err(|e| FrameError::BadKey {
-                        index,
-                        detail: format!("{tok:?} is not a valid string: {e}"),
-                    })?;
+                let key: Key = tok.parse().map_err(|e| FrameError::BadKey {
+                    index,
+                    detail: format!("{tok:?} is not a valid string: {e}"),
+                })?;
                 if key.width() != cfg.width {
                     return Err(FrameError::BadKey {
                         index,
@@ -399,12 +546,16 @@ pub fn parse_frame(
     }
 }
 
-/// Formats the `ok` response line for a served request.
-pub fn format_ok(id: &str, sorted: &[ValidString]) -> String {
-    let mut line = format!("ok {id}");
+/// Formats the `ok` response line for a served request, sized up front
+/// (with room for the writer's newline) so it is built without regrowth.
+pub fn format_ok(id: &str, sorted: &[Key]) -> String {
+    let key_bytes: usize = sorted.iter().map(|k| 1 + k.width()).sum();
+    let mut line = String::with_capacity(3 + id.len() + key_bytes + 1);
+    line.push_str("ok ");
+    line.push_str(id);
     for key in sorted {
         line.push(' ');
-        line.push_str(&key.to_string());
+        key.push_to(&mut line);
     }
     line
 }
@@ -561,9 +712,9 @@ pub fn stats_json(report: &ServeReport) -> String {
 pub struct SortEngine {
     cfg: ServerConfig,
     engine: Engine,
-    /// Bits of the maximum valid string — free channels of a short request
-    /// are padded with it so the sorted prefix is exactly the request.
-    pad: TritVec,
+    /// The maximum valid string — free channels of a short request are
+    /// padded with it so the sorted prefix is exactly the request.
+    pad: Key,
 }
 
 impl SortEngine {
@@ -599,13 +750,14 @@ impl SortEngine {
     }
 
     fn with_engine(cfg: ServerConfig, engine: Engine) -> Result<SortEngine, ServerError> {
-        let pad = ValidString::stable(cfg.width, (1u64 << cfg.width) - 1)
-            .map_err(|e| EngineError::UnsupportedCell {
+        let pad = ValidString::stable(cfg.width, (1u64 << cfg.width) - 1).map_err(|e| {
+            EngineError::UnsupportedCell {
                 channels: cfg.channels,
                 width: cfg.width,
                 reason: e.to_string(),
-            })?
-            .into_bits();
+            }
+        })?;
+        let pad = Key::from(&pad);
         Ok(SortEngine { cfg, engine, pad })
     }
 
@@ -630,13 +782,15 @@ impl SortEngine {
     ///
     /// # Errors
     ///
+    /// [`FrameError::TooManyKeys`] or [`FrameError::BadKey`] if a request
+    /// does not fit the circuit (never for a parsed frame), and
     /// [`FrameError::Internal`] if the tape rejects the batch or an output
     /// lane is not a valid string — both impossible for a verified circuit.
     pub fn sort_batch(
         &self,
         requests: &[Request],
         scratch: &mut TapeScratch,
-    ) -> Result<Vec<Vec<ValidString>>, FrameError> {
+    ) -> Result<Vec<Vec<Key>>, FrameError> {
         self.sort_batch_recording(requests, scratch, None)
     }
 
@@ -653,26 +807,38 @@ impl SortEngine {
         requests: &[Request],
         scratch: &mut TapeScratch,
         stats: Option<&ServerStats>,
-    ) -> Result<Vec<Vec<ValidString>>, FrameError> {
-        if requests.is_empty() {
-            return Ok(Vec::new());
-        }
-        let ports = self.cfg.channels * self.cfg.width;
-        let pack_start = Instant::now();
-        let rows: Vec<Vec<Trit>> = requests
+    ) -> Result<Vec<Vec<Key>>, FrameError> {
+        let mut sorted = Vec::new();
+        self.sort_lanes(requests, scratch, stats, &mut sorted)?;
+        let mut rest = &sorted[..];
+        Ok(requests
             .iter()
             .map(|r| {
-                let mut row = Vec::with_capacity(ports);
-                for key in &r.keys {
-                    row.extend(key.bits().iter());
-                }
-                for _ in r.keys.len()..self.cfg.channels {
-                    row.extend(self.pad.iter());
-                }
-                row
+                let (keys, tail) = rest.split_at(r.keys.len());
+                rest = tail;
+                keys.to_vec()
             })
-            .collect();
-        let blocks = TritBlock::pack_rows(&rows);
+            .collect())
+    }
+
+    /// The one serving core, shared by the worker and
+    /// [`SortEngine::sort_batch_recording`]: pack the batch into plane
+    /// words, evaluate the tape once, and decode each lane's first
+    /// `keys().len()` output channels into `sorted`, lane after lane.
+    /// Nothing is appended unless the whole batch succeeds.
+    fn sort_lanes<L: Lane>(
+        &self,
+        batch: &[L],
+        scratch: &mut TapeScratch,
+        stats: Option<&ServerStats>,
+        sorted: &mut Vec<Key>,
+    ) -> Result<(), FrameError> {
+        sorted.clear();
+        if batch.is_empty() {
+            return Ok(());
+        }
+        let pack_start = Instant::now();
+        let blocks = pack_lanes(batch, self.cfg.channels, self.pad)?.into_blocks(batch.len());
         if let Some(stats) = stats {
             stats.pack.record(nanos_u64(pack_start.elapsed()));
         }
@@ -687,29 +853,174 @@ impl SortEngine {
         if let Some(stats) = stats {
             stats.eval.record(nanos_u64(eval_start.elapsed()));
         }
-        requests
-            .iter()
-            .enumerate()
-            .map(|(lane, r)| {
-                (0..r.keys.len())
-                    .map(|c| {
-                        let bits: TritVec = (0..self.cfg.width)
-                            .map(|b| out[c * self.cfg.width + b].lane(lane))
-                            .collect();
-                        ValidString::new(bits.clone()).map_err(|e| {
-                            FrameError::Internal {
-                                detail: format!(
-                                    "output channel {c} of request {:?} is \
-                                     not a valid string ({bits}): {e}",
-                                    r.id
-                                ),
-                            }
-                        })
-                    })
-                    .collect()
+        if out.len() != blocks.len() {
+            return Err(FrameError::Internal {
+                detail: format!(
+                    "tape has {} outputs, batch needs {}",
+                    out.len(),
+                    blocks.len()
+                ),
+            });
+        }
+        let planes = BatchPlanes::from_blocks(&out, batch.len());
+        let decoded = decode_lanes(batch, self.cfg.width, &planes, sorted);
+        if decoded.is_err() {
+            sorted.clear();
+        }
+        decoded
+    }
+}
+
+/// What the serving core reads of one lane of a batch: a parsed
+/// [`Request`] or a queued [`Job`], so the worker never copies its jobs.
+trait Lane {
+    fn id(&self) -> &str;
+    fn keys(&self) -> &[Key];
+}
+
+impl Lane for Request {
+    fn id(&self) -> &str {
+        &self.id
+    }
+
+    fn keys(&self) -> &[Key] {
+        &self.keys
+    }
+}
+
+impl Lane for Job {
+    fn id(&self) -> &str {
+        &self.id
+    }
+
+    fn keys(&self) -> &[Key] {
+        &self.keys
+    }
+}
+
+/// The plane words of one batch, word-major: the two planes of port `p`
+/// in 64-lane word `k` are `z[k·ports + p]` and `o[k·ports + p]`, so one
+/// lane's ports sit side by side. Port `c·B + b` carries bit `b` (MSB
+/// first) of channel `c`, for the tape's inputs and outputs alike.
+#[derive(Debug)]
+struct BatchPlanes {
+    ports: usize,
+    z: Vec<u64>,
+    o: Vec<u64>,
+}
+
+impl BatchPlanes {
+    /// The port blocks the tape takes. Lanes past the batch in the last
+    /// word become stable `0`.
+    fn into_blocks(self, lanes: usize) -> Vec<TritBlock> {
+        let words = lanes.div_ceil(64);
+        let used = (lanes - (words - 1) * 64) as u32;
+        let unused = u64::MAX.checked_shl(used).unwrap_or(0);
+        (0..self.ports)
+            .map(|p| {
+                let planes = (0..words).map(|k| {
+                    let at = k * self.ports + p;
+                    let pad = if k + 1 == words { unused } else { 0 };
+                    TritWord::from_planes(self.z[at] | pad, self.o[at])
+                });
+                TritBlock::from_words(planes.collect(), lanes)
             })
             .collect()
     }
+
+    /// The planes of the tape's output blocks.
+    fn from_blocks(blocks: &[TritBlock], lanes: usize) -> BatchPlanes {
+        let (ports, words) = (blocks.len(), lanes.div_ceil(64));
+        let (mut z, mut o) = (vec![0u64; words * ports], vec![0u64; words * ports]);
+        for (p, block) in blocks.iter().enumerate() {
+            for (k, w) in block.words().iter().enumerate().take(words) {
+                z[k * ports + p] = w.can_zero_plane();
+                o[k * ports + p] = w.can_one_plane();
+            }
+        }
+        BatchPlanes { ports, z, o }
+    }
+}
+
+/// The pack stage: writes each lane's keys, then `pad` on its free
+/// channels, straight into the batch's plane words.
+fn pack_lanes<L: Lane>(batch: &[L], channels: usize, pad: Key) -> Result<BatchPlanes, FrameError> {
+    let width = pad.width();
+    let ports = channels * width;
+    let words = batch.len().div_ceil(64);
+    let mut planes = BatchPlanes {
+        ports,
+        z: vec![0u64; words * ports],
+        o: vec![0u64; words * ports],
+    };
+    for (lane, l) in batch.iter().enumerate() {
+        let keys = l.keys();
+        if keys.len() > channels {
+            return Err(FrameError::TooManyKeys {
+                got: keys.len(),
+                max: channels,
+            });
+        }
+        let (word, j) = (lane / 64, lane % 64);
+        let zs = &mut planes.z[word * ports..(word + 1) * ports];
+        let os = &mut planes.o[word * ports..(word + 1) * ports];
+        let channels = zs.chunks_exact_mut(width).zip(os.chunks_exact_mut(width));
+        for (c, (zc, oc)) in channels.enumerate() {
+            let key = keys.get(c).copied().unwrap_or(pad);
+            if key.width() != width {
+                return Err(FrameError::BadKey {
+                    index: c,
+                    detail: format!(
+                        "\"{key}\" has width {}, server sorts width {width}",
+                        key.width()
+                    ),
+                });
+            }
+            let (kz, ko) = key.planes();
+            // The last port of a channel carries its least significant bit.
+            for (shift, (zp, op)) in zc.iter_mut().zip(oc.iter_mut()).rev().enumerate() {
+                *zp |= (kz >> shift & 1) << j;
+                *op |= (ko >> shift & 1) << j;
+            }
+        }
+    }
+    Ok(planes)
+}
+
+/// The decode stage: gathers each lane's first `keys().len()` output
+/// channels into keys, each checked by the valid-string rule. A lane that
+/// is not a valid string fails the batch with [`FrameError::Internal`].
+fn decode_lanes<L: Lane>(
+    batch: &[L],
+    width: usize,
+    planes: &BatchPlanes,
+    sorted: &mut Vec<Key>,
+) -> Result<(), FrameError> {
+    let ports = planes.ports;
+    for (lane, l) in batch.iter().enumerate() {
+        let (word, j) = (lane / 64, lane % 64);
+        let zs = &planes.z[word * ports..(word + 1) * ports];
+        let os = &planes.o[word * ports..(word + 1) * ports];
+        let channels = zs.chunks_exact(width).zip(os.chunks_exact(width));
+        for (c, (zc, oc)) in channels.take(l.keys().len()).enumerate() {
+            let gather =
+                |plane: &[u64]| plane.iter().fold(0u64, |key, p| (key << 1) | (p >> j & 1));
+            let (kz, ko) = (gather(zc), gather(oc));
+            let key = Key::from_planes(kz, ko, width).map_err(|e| {
+                let mut bits = String::new();
+                push_planes(&mut bits, kz, ko, width);
+                FrameError::Internal {
+                    detail: format!(
+                        "output channel {c} of request {:?} is not a valid \
+                         string ({bits}): {e}",
+                        l.id()
+                    ),
+                }
+            })?;
+            sorted.push(key);
+        }
+    }
+    Ok(())
 }
 
 /// Checks the serving fields; the cell itself is the engine's to check.
@@ -741,7 +1052,7 @@ pub struct Job {
     /// Client id echoed on the response.
     pub id: String,
     /// The keys to sort.
-    pub keys: Vec<ValidString>,
+    pub keys: Vec<Key>,
     /// Arrival time (linger, timeout, queue wait and end-to-end latency
     /// are all measured from it).
     pub enqueued: Instant,
@@ -944,6 +1255,7 @@ pub struct ServeReport {
 /// are byte-identical whether or not anyone ever reads the histograms.
 fn worker_loop(engine: &SortEngine, queue: &CoalescerQueue, stats: &ServerStats) {
     let mut scratch = engine.scratch();
+    let mut sorted = Vec::new();
     while let Some(batch) = queue.next_batch() {
         let popped = Instant::now();
         stats.add_batch();
@@ -978,19 +1290,15 @@ fn worker_loop(engine: &SortEngine, queue: &CoalescerQueue, stats: &ServerStats)
         if live.is_empty() {
             continue;
         }
-        let requests: Vec<Request> = live
-            .iter()
-            .map(|job| Request {
-                id: job.id.clone(),
-                keys: job.keys.clone(),
-            })
-            .collect();
-        match engine.sort_batch_recording(&requests, &mut scratch, Some(stats)) {
-            Ok(sorted) => {
+        match engine.sort_lanes(&live, &mut scratch, Some(stats), &mut sorted) {
+            Ok(()) => {
                 // Counted per outcome, like `rejected`: served + rejected
                 // adds up to the frames received.
-                stats.add_served(sorted.len());
-                for (job, keys) in live.iter().zip(&sorted) {
+                stats.add_served(live.len());
+                let mut rest = &sorted[..];
+                for job in &live {
+                    let (keys, tail) = rest.split_at(job.keys.len());
+                    rest = tail;
                     let _ = job.reply.send((
                         job.seq,
                         Reply::new(format_ok(&job.id, keys), Some(job.enqueued)),
@@ -1041,11 +1349,14 @@ impl Ord for PendingReply {
 
 /// Re-sequencing response writer: responses arrive keyed by the reader's
 /// per-connection sequence number and are written in exactly that order,
-/// making output bytes independent of worker scheduling. Closes out the
-/// `write` stage (writer-channel latency) and, for lines that went through
-/// the queue, the `e2e` stage (submit → written).
+/// making output bytes independent of worker scheduling. Each line goes
+/// out as one buffer with its newline, and `out` is flushed whenever no
+/// further reply is ready, so a buffered `out` costs one write per burst
+/// rather than per line, and a lone reply is never held back. Closes out
+/// the `write` stage (writer-channel latency) and, for lines that went
+/// through the queue, the `e2e` stage (submit → written to `out`).
 fn writer_loop<W: Write>(
-    rx: std::sync::mpsc::Receiver<(u64, Reply)>,
+    rx: Receiver<(u64, Reply)>,
     mut out: W,
     stats: &ServerStats,
 ) -> std::io::Result<()> {
@@ -1053,12 +1364,25 @@ fn writer_loop<W: Write>(
     let mut pending: BinaryHeap<std::cmp::Reverse<PendingReply>> =
         BinaryHeap::new();
     let mut next = 0u64;
-    for (seq, reply) in rx {
+    loop {
+        let (seq, reply) = match rx.try_recv() {
+            Ok(msg) => msg,
+            Err(TryRecvError::Empty) => {
+                out.flush()?;
+                match rx.recv() {
+                    Ok(msg) => msg,
+                    Err(_) => break,
+                }
+            }
+            Err(TryRecvError::Disconnected) => break,
+        };
         pending.push(std::cmp::Reverse(PendingReply { seq, reply }));
         while pending.peek().is_some_and(|r| r.0.seq == next) {
-            let std::cmp::Reverse(PendingReply { reply, .. }) =
-                pending.pop().expect("peeked");
-            writeln!(out, "{}", reply.line)?;
+            let Some(std::cmp::Reverse(PendingReply { mut reply, .. })) = pending.pop() else {
+                break;
+            };
+            reply.line.push('\n');
+            out.write_all(reply.line.as_bytes())?;
             stats.write.record(nanos_u64(reply.sent.elapsed()));
             if let Some(enqueued) = reply.enqueued {
                 stats.e2e.record(nanos_u64(enqueued.elapsed()));
@@ -1083,7 +1407,7 @@ fn pump_connection<R: BufRead, W: Write + Send>(
     engine: &SortEngine,
     queue: &CoalescerQueue,
     stats: &ServerStats,
-    input: R,
+    mut input: R,
     output: W,
     blocking_submit: bool,
     after_input: impl FnOnce(),
@@ -1099,17 +1423,26 @@ fn pump_connection<R: BufRead, W: Write + Send>(
                 stats.add_rejected();
                 let _ = tx.send((seq, Reply::new(format_err(id, e), None)));
             };
-        for line in input.lines() {
-            let line = match line {
-                Ok(line) => line,
+        // One line buffer for the whole connection; lines end as for
+        // `BufRead::lines` (`\n`, or `\r\n`).
+        let mut buf = String::new();
+        loop {
+            buf.clear();
+            match input.read_line(&mut buf) {
+                Ok(0) => break,
+                Ok(_) => {}
                 Err(e) => {
                     // A torn read ends the connection; everything already
                     // submitted still drains through the writer.
                     read_err = Some(e);
                     break;
                 }
+            }
+            let line = match buf.strip_suffix('\n') {
+                Some(line) => line.strip_suffix('\r').unwrap_or(line),
+                None => &buf,
             };
-            match parse_frame(&line, &engine.cfg) {
+            match parse_frame(line, &engine.cfg) {
                 Ok(None) => {}
                 Ok(Some(Frame::Shutdown { id })) => {
                     let _ = tx.send((
@@ -1243,7 +1576,7 @@ pub fn serve_tcp(
                     queue,
                     stats,
                     reader,
-                    stream,
+                    BufWriter::new(stream),
                     false,
                     || {},
                 ) {
@@ -1408,6 +1741,170 @@ mod tests {
             .collect();
         assert_eq!(strs[0], vec!["00", "11"]);
         assert_eq!(strs[1], vec!["0M"]);
+    }
+
+    /// Every string of `{0,1,M}^w` for `w ≤ 8`: `Key` parsing accepts
+    /// exactly the valid strings, with their rank and spelling, rejects the
+    /// rest with `ValidString`'s own error, and every accepted key survives
+    /// pack → identity planes → decode.
+    #[test]
+    fn key_codec_is_exhaustive_up_to_width_8() {
+        for w in 1..=8usize {
+            let valid: std::collections::HashMap<String, u64> = (0..ValidString::count(w))
+                .map(|r| (ValidString::from_rank(w, r).unwrap().to_string(), r))
+                .collect();
+            let mut keys = Vec::new();
+            for n in 0..3usize.pow(w as u32) {
+                let s: String = (0..w)
+                    .rev()
+                    .map(|i| ['0', '1', 'M'][n / 3usize.pow(i as u32) % 3])
+                    .collect();
+                match s.parse::<Key>() {
+                    Ok(key) => {
+                        assert_eq!(valid.get(&s), Some(&key.rank()), "{s}");
+                        assert_eq!((key.width(), key.to_string()), (w, s.clone()));
+                        let v: ValidString = s.parse().unwrap();
+                        assert_eq!(Key::from(&v), key);
+                        keys.push(key);
+                    }
+                    Err(e) => {
+                        assert!(!valid.contains_key(&s), "{s} rejected: {e}");
+                        assert_eq!(s.parse::<ValidString>().err(), Some(e), "{s}");
+                    }
+                }
+            }
+            assert_eq!(keys.len(), valid.len(), "width {w}");
+
+            // Tokens one bit short or long are refused by the frame parser.
+            let mut cfg = ServerConfig::new(3, w);
+            cfg.workers = 1;
+            for other in [w - 1, w + 1].into_iter().filter(|&o| o > 0) {
+                let line = format!("sort r {} {}", keys[0], "0".repeat(other));
+                let e = parse_frame(&line, &cfg).unwrap_err();
+                assert_eq!(e.code(), "bad-key", "{line}");
+                assert!(e.to_string().contains(&format!("has width {other}")), "{e}");
+            }
+
+            // Three keys per lane (the last lane shorter, so padded); from
+            // width 7 up the batch spans more than one plane word.
+            let requests: Vec<Request> = keys
+                .chunks(3)
+                .map(|k| Request {
+                    id: String::new(),
+                    keys: k.to_vec(),
+                })
+                .collect();
+            let pad = Key::from(&ValidString::stable(w, (1 << w) - 1).unwrap());
+            let planes = pack_lanes(&requests, 3, pad).unwrap();
+            let mut decoded = Vec::new();
+            decode_lanes(&requests, w, &planes, &mut decoded).unwrap();
+            assert_eq!(decoded, keys, "width {w}");
+            // The same through the tape's block shape.
+            let blocks = planes.into_blocks(requests.len());
+            assert_eq!(blocks.len(), 3 * w);
+            for (lane, r) in requests.iter().enumerate() {
+                let padded = r.keys.iter().chain(std::iter::repeat(&pad));
+                for (c, key) in padded.take(3).enumerate() {
+                    let bits: String = (0..w)
+                        .map(|b| blocks[c * w + b].lane(lane).to_string())
+                        .collect();
+                    assert_eq!(bits, key.to_string());
+                }
+            }
+            let planes = BatchPlanes::from_blocks(&blocks, requests.len());
+            decoded.clear();
+            decode_lanes(&requests, w, &planes, &mut decoded).unwrap();
+            assert_eq!(decoded, keys, "width {w}");
+        }
+    }
+
+    #[test]
+    fn key_parse_errors_match_valid_string() {
+        for s in [
+            "",
+            "Z",
+            "0é",
+            "00000é00",
+            "mX",
+            "0M00",
+            "1M11",
+            "0MM0",
+            "0000000x",
+            &"0".repeat(63),
+            &"0".repeat(64),
+            &"M".repeat(64),
+            &"1".repeat(65),
+            &format!("{}Z", "0".repeat(70)),
+            &format!("0M{}", "0".repeat(61)),
+        ] {
+            let key = s.parse::<Key>();
+            let valid = s.parse::<ValidString>();
+            assert_eq!(key.as_ref().err(), valid.as_ref().err(), "{s:?}");
+            if let (Ok(key), Ok(valid)) = (key, valid) {
+                assert_eq!(key, Key::from(&valid), "{s:?}");
+            }
+        }
+        // The byte table spells `Trit::from_char`'s alphabet exactly.
+        for b in 0..128u8 {
+            let s = format!("1{}", char::from(b));
+            let key = s.parse::<Key>();
+            assert_eq!(
+                key,
+                s.parse::<ValidString>().map(|v| Key::from(&v)),
+                "{s:?}"
+            );
+        }
+    }
+
+    /// Output lanes the valid-string rule refuses fail the batch with a
+    /// typed `internal` error, never a wrong answer.
+    #[test]
+    fn decode_refuses_invalid_output_lanes() {
+        let request = Request {
+            id: "r".into(),
+            keys: vec!["0000".parse().unwrap()],
+        };
+        // (can_zero, can_one) of one 4-bit lane: two Ms, a non-adjacent M,
+        // an unencoded bit.
+        for (z, o, shown) in [
+            (0b1111u64, 0b1100u64, "MM00"),
+            (0b1111, 0b0100, "0M00"),
+            (0b1011, 0b0010, "0?M0"),
+        ] {
+            let planes = BatchPlanes {
+                ports: 4,
+                z: (0..4).map(|b| z >> (3 - b) & 1).collect(),
+                o: (0..4).map(|b| o >> (3 - b) & 1).collect(),
+            };
+            let mut decoded = Vec::new();
+            let e =
+                decode_lanes(std::slice::from_ref(&request), 4, &planes, &mut decoded).unwrap_err();
+            assert_eq!(e.code(), "internal");
+            assert!(e.to_string().contains(&format!("({shown})")), "{e}");
+        }
+    }
+
+    #[test]
+    fn sort_batch_refuses_requests_that_do_not_fit() {
+        let engine = SortEngine::new(cfg4x2()).unwrap();
+        let mut scratch = engine.scratch();
+        let request = |keys: &[&str]| Request {
+            id: "r".into(),
+            keys: keys.iter().map(|k| k.parse().unwrap()).collect(),
+        };
+        let too_many = request(&["00", "00", "00", "00", "00"]);
+        assert_eq!(
+            engine.sort_batch(&[too_many], &mut scratch),
+            Err(FrameError::TooManyKeys { got: 5, max: 4 })
+        );
+        let e = engine
+            .sort_batch(&[request(&["00", "000"])], &mut scratch)
+            .unwrap_err();
+        assert_eq!(e.code(), "bad-key");
+        assert_eq!(
+            engine.sort_batch(&[request(&[])], &mut scratch),
+            Ok(vec![vec![]])
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@ use mcs_bench::engine::EngineError;
 use mcs_bench::verify::CircuitVerifyError;
 use mcs_bench::server::{
     format_err, serve_lines, serve_tcp, stats_json, CoalescerQueue,
-    FrameError, Job, Reply, Request, ServeReport, ServerConfig, ServerError,
+    FrameError, Job, Key, Reply, Request, ServeReport, ServerConfig, ServerError,
     SortEngine, STATS_SCHEMA,
 };
 use mcs_gray::ValidString;
@@ -397,8 +397,7 @@ fn coalesced_serving_matches_serial_sort_batch() {
     for (line, response) in file.lines().skip(1).zip(out.lines()) {
         let mut tok = line.split_ascii_whitespace().skip(1);
         let id = tok.next().unwrap();
-        let keys: Vec<ValidString> =
-            tok.map(|t| t.parse().unwrap()).collect();
+        let keys: Vec<Key> = tok.map(|t| t.parse().unwrap()).collect();
         let serial = engine
             .sort_batch(
                 &[Request {
@@ -550,6 +549,56 @@ fn tcp_connections_interleave_without_cross_talk() {
     });
 }
 
+/// The socket writer is buffered, but a lone request on an open
+/// connection is still answered at once: the writer flushes as soon as no
+/// further reply is ready, not when the client hangs up.
+#[test]
+fn lone_tcp_request_is_answered_without_waiting() {
+    use std::io::{BufRead, BufReader, Write};
+    let mut cfg = ServerConfig::new(4, 2);
+    cfg.workers = 1;
+    cfg.max_linger = Duration::from_millis(1);
+    let engine = engine(cfg);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    std::thread::scope(|s| {
+        let server = s.spawn(|| serve_tcp(&engine, listener).expect("serve"));
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut answers = Vec::new();
+        for request in ["sort one 11 0M\n", "sort two\r\n", "sort three 10\r\n"] {
+            stream.write_all(request.as_bytes()).expect("send");
+            let mut line = String::new();
+            // A timed-out read stops the exchange; the shutdown below
+            // still ends the server, so a failure cannot hang the test.
+            match reader.read_line(&mut line) {
+                Ok(_) => answers.push(line),
+                Err(e) => {
+                    answers.push(format!("no answer while the connection is open: {e}"));
+                    break;
+                }
+            }
+        }
+        stream.write_all(b"shutdown op\n").expect("send");
+        let report = server.join().expect("server thread");
+        assert_eq!(
+            answers,
+            [
+                format!("{}\n", expected_ok("one", &["11", "0M"])),
+                "err - empty request carries no keys\n".to_string(),
+                format!("{}\n", expected_ok("three", &["10"])),
+            ]
+        );
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read");
+        assert_eq!(line, "ok op draining\n");
+        assert_eq!((report.served, report.rejected), (2, 1));
+    });
+}
+
 // ---------------------------------------------------------------------------
 // Committed golden: the request file CI pipes through the real bin.
 // ---------------------------------------------------------------------------
@@ -571,6 +620,31 @@ fn committed_golden_request_file_matches() {
     let engine = engine(ServerConfig::new(4, 2));
     let (out, _) = run_lines(&engine, &requests);
     assert_eq!(out, golden, "server_responses.golden is stale");
+}
+
+/// The width-8 golden (recorded before the byte → plane serving path):
+/// an `M` at every bit position, every request size, and every typed
+/// rejection form, oversized frame and shutdown included. The
+/// `server-smoke` CI job runs the same pair through
+/// `sort_server --channels 8 --width 8`.
+#[test]
+fn committed_width_8_golden_matches() {
+    let dir = golden_dir();
+    let requests = std::fs::read_to_string(dir.join("server_requests_w8.txt"))
+        .expect("tests/golden/server_requests_w8.txt");
+    let golden = std::fs::read_to_string(dir.join("server_responses_w8.golden"))
+        .expect("tests/golden/server_responses_w8.golden");
+    for (workers, planes) in [
+        (1, PlaneWidth::X1),
+        (2, PlaneWidth::X4),
+        (4, PlaneWidth::X8),
+    ] {
+        let mut cfg = ServerConfig::new(8, 8);
+        cfg.workers = workers;
+        cfg.plane_width = planes;
+        let (out, _) = run_lines(&engine(cfg), &requests);
+        assert_eq!(out, golden, "workers={workers} planes={planes:?}");
+    }
 }
 
 /// The loaded-artifact path serves the same bytes: the committed optimized

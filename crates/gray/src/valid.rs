@@ -7,7 +7,7 @@ use std::str::FromStr;
 
 use mcs_logic::{ParseTritError, Trit, TritVec};
 
-use crate::code::{gray_decode, gray_encode};
+use crate::code::gray_encode;
 
 /// A valid string: either a stable Gray codeword `rg_B(x)`, or the
 /// superposition `rg_B(x) ∗ rg_B(x+1)` of two adjacent codewords
@@ -50,30 +50,9 @@ impl ValidString {
     /// bits, has more than one metastable bit, or its resolutions are not
     /// adjacent codewords.
     pub fn new(bits: TritVec) -> Result<ValidString, InvalidStringError> {
-        let width = bits.len();
-        if width == 0 || width > 63 {
-            return Err(InvalidStringError::UnsupportedWidth { width });
-        }
-        match bits.meta_count() {
-            0 => {
-                let x = gray_decode(&bits).expect("stable string decodes");
-                Ok(ValidString { bits, rank: 2 * x })
-            }
-            1 => {
-                let rs: Vec<TritVec> = bits.resolutions().collect();
-                let a = gray_decode(&rs[0]).expect("resolution is stable");
-                let b = gray_decode(&rs[1]).expect("resolution is stable");
-                let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-                if hi != lo + 1 {
-                    return Err(InvalidStringError::NotAdjacent { lo, hi });
-                }
-                Ok(ValidString {
-                    bits,
-                    rank: 2 * lo + 1,
-                })
-            }
-            n => Err(InvalidStringError::TooManyMeta { count: n }),
-        }
+        let (can_zero, can_one) = planes_of(&bits);
+        let rank = valid_rank(can_zero, can_one, bits.len())?;
+        Ok(ValidString { bits, rank })
     }
 
     /// The stable valid string encoding `value`, i.e. `rg_width(value)`.
@@ -145,6 +124,12 @@ impl ValidString {
         &self.bits
     }
 
+    /// The string as the `(can_zero, can_one)` bit masks of [`valid_rank`]:
+    /// character `i` (MSB first) is bit `width − 1 − i`.
+    pub fn planes(&self) -> (u64, u64) {
+        planes_of(&self.bits)
+    }
+
     /// Consumes the valid string and returns the underlying ternary string.
     pub fn into_bits(self) -> TritVec {
         self.bits
@@ -206,6 +191,86 @@ impl ValidString {
         assert!(width > 0 && width <= 62);
         (1u64 << (width + 1)) - 1
     }
+}
+
+/// The one valid-string rule (Definition 2.3), on bit masks: returns the
+/// rank of the `width`-bit string whose character `i` (MSB first) is bit
+/// `width − 1 − i` of the two possibility planes — set in `can_zero` if it
+/// may read `0`, in `can_one` if it may read `1`, in both if it is `M`.
+/// Bits at or above `width` are ignored.
+///
+/// The string is valid iff every bit can take a value, at most one bit is
+/// `M`, and the two resolutions of an `M`, Gray-decoded by prefix XOR,
+/// differ by exactly 1. The checks run in that order, after the width
+/// check, so [`ValidString::new`] and this rule report the same error.
+///
+/// ```
+/// use mcs_gray::valid::{valid_rank, InvalidStringError};
+///
+/// // 0M10 (between 3 and 4): M at character 1, i.e. bit 2.
+/// assert_eq!(valid_rank(0b1101, 0b0110, 4), Ok(7));
+/// // 0M00 resolves to 0000 (0) and 0100 (7).
+/// assert_eq!(
+///     valid_rank(0b1111, 0b0100, 4),
+///     Err(InvalidStringError::NotAdjacent { lo: 0, hi: 7 })
+/// );
+/// ```
+///
+/// # Errors
+///
+/// [`InvalidStringError::UnsupportedWidth`] for a width outside `1..=63`,
+/// [`InvalidStringError::Unencoded`] for a bit in neither plane,
+/// [`InvalidStringError::TooManyMeta`] and
+/// [`InvalidStringError::NotAdjacent`] as for [`ValidString::new`].
+pub fn valid_rank(can_zero: u64, can_one: u64, width: usize) -> Result<u64, InvalidStringError> {
+    check_width(width)?;
+    let mask = (1u64 << width) - 1;
+    let unencoded = !(can_zero | can_one) & mask;
+    if unencoded != 0 {
+        return Err(InvalidStringError::Unencoded {
+            position: width - 1 - (63 - unencoded.leading_zeros() as usize),
+        });
+    }
+    let meta = can_zero & can_one & mask;
+    let count = u64::from(meta.count_ones());
+    if count > 1 {
+        return Err(InvalidStringError::TooManyMeta {
+            count: count as usize,
+        });
+    }
+    // The resolutions with M read as 0 and as 1 (the same string when
+    // stable). Resolving M flips every decoded bit from the M position
+    // down, so either may be the smaller one. No branch depends on whether
+    // the key is stable, which keeps mixed traffic free of mispredictions.
+    let low = can_one & mask & !meta;
+    let (a, b) = (gray_decode_word(low), gray_decode_word(low | meta));
+    let (lo, hi) = (a.min(b), a.max(b));
+    if hi - lo != count {
+        return Err(InvalidStringError::NotAdjacent { lo, hi });
+    }
+    Ok(2 * lo + count)
+}
+
+/// The [`valid_rank`] masks of a string of at most 63 bits; `(0, 0)` for a
+/// wider one, which [`valid_rank`] refuses on its width alone.
+fn planes_of(bits: &TritVec) -> (u64, u64) {
+    let (mut can_zero, mut can_one) = (0u64, 0u64);
+    if bits.len() <= 63 {
+        for t in bits.iter() {
+            can_zero = (can_zero << 1) | u64::from(t != Trit::One);
+            can_one = (can_one << 1) | u64::from(t != Trit::Zero);
+        }
+    }
+    (can_zero, can_one)
+}
+
+/// Gray-decodes a stable codeword held in the low bits of a word: bit `k`
+/// of the value is the XOR of codeword bits `k` and above.
+fn gray_decode_word(mut g: u64) -> u64 {
+    for shift in [1, 2, 4, 8, 16, 32] {
+        g ^= g >> shift;
+    }
+    g
 }
 
 fn check_width(width: usize) -> Result<(), InvalidStringError> {
@@ -281,6 +346,12 @@ pub enum InvalidStringError {
         /// Number of metastable bits found.
         count: usize,
     },
+    /// A bit can take neither value (possible only in raw plane words,
+    /// see [`valid_rank`]).
+    Unencoded {
+        /// Character position of the first such bit, MSB first.
+        position: usize,
+    },
     /// The two resolutions decode to non-adjacent values.
     NotAdjacent {
         /// Smaller decoded value.
@@ -308,6 +379,9 @@ impl fmt::Display for InvalidStringError {
             InvalidStringError::TooManyMeta { count } => {
                 write!(f, "valid strings allow at most one metastable bit, found {count}")
             }
+            InvalidStringError::Unencoded { position } => {
+                write!(f, "bit {position} can take neither 0 nor 1")
+            }
             InvalidStringError::NotAdjacent { lo, hi } => write!(
                 f,
                 "metastable bit resolves to non-adjacent values {lo} and {hi}"
@@ -331,6 +405,7 @@ impl From<ParseTritError> for InvalidStringError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::code::gray_decode;
 
     /// Table 2 of the paper: the 4-bit valid strings in ascending order.
     const TABLE_2: [&str; 31] = [
@@ -394,6 +469,79 @@ mod tests {
             "01x2".parse::<ValidString>(),
             Err(InvalidStringError::Parse(_))
         ));
+    }
+
+    /// The exact error value of each rejected string, recorded from the
+    /// resolution-decoding validator before it became a bitwise one.
+    #[test]
+    fn invalid_string_errors_are_pinned() {
+        use InvalidStringError::*;
+        let bad_char = |c| Parse(Trit::from_char(c).unwrap_err());
+        let long_zero = format!("0M{}", "0".repeat(61));
+        let long_one = format!("M{}", "1".repeat(62));
+        let cases: Vec<(String, InvalidStringError)> = vec![
+            ("MM".into(), TooManyMeta { count: 2 }),
+            ("0MM0".into(), TooManyMeta { count: 2 }),
+            ("MMMM".into(), TooManyMeta { count: 4 }),
+            ("M0M0M0M0".into(), TooManyMeta { count: 4 }),
+            ("mx".into(), TooManyMeta { count: 2 }),
+            ("M".repeat(63), TooManyMeta { count: 63 }),
+            ("0M0".into(), NotAdjacent { lo: 0, hi: 3 }),
+            ("0M00".into(), NotAdjacent { lo: 0, hi: 7 }),
+            ("M000".into(), NotAdjacent { lo: 0, hi: 15 }),
+            ("1M11".into(), NotAdjacent { lo: 10, hi: 13 }),
+            ("11M0".into(), NotAdjacent { lo: 8, hi: 11 }),
+            ("00000M00".into(), NotAdjacent { lo: 0, hi: 7 }),
+            ("M0000000".into(), NotAdjacent { lo: 0, hi: 255 }),
+            (
+                long_zero,
+                NotAdjacent {
+                    lo: 0,
+                    hi: 4_611_686_018_427_387_903,
+                },
+            ),
+            (
+                long_one,
+                NotAdjacent {
+                    lo: 3_074_457_345_618_258_602,
+                    hi: 6_148_914_691_236_517_205,
+                },
+            ),
+            ("01x2".into(), bad_char('2')),
+            ("0Z".into(), bad_char('Z')),
+            ("00é0".into(), bad_char('é')),
+            ("Z".repeat(64), bad_char('Z')),
+            (String::new(), UnsupportedWidth { width: 0 }),
+            ("0".repeat(64), UnsupportedWidth { width: 64 }),
+            ("M".repeat(64), UnsupportedWidth { width: 64 }),
+            ("1".repeat(80), UnsupportedWidth { width: 80 }),
+        ];
+        for (s, want) in cases {
+            assert_eq!(s.parse::<ValidString>(), Err(want.clone()), "{s:?}");
+            if let Ok(bits) = s.parse::<TritVec>() {
+                assert_eq!(ValidString::new(bits), Err(want), "{s:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn valid_rank_flags_unencoded_bits_first() {
+        // 0?M0 with M at position 2 would be fine; the hole at position 1
+        // is reported before anything else.
+        assert_eq!(
+            valid_rank(0b1011, 0b0010, 4),
+            Err(InvalidStringError::Unencoded { position: 1 })
+        );
+        assert_eq!(
+            valid_rank(0, 0, 63),
+            Err(InvalidStringError::Unencoded { position: 0 })
+        );
+        // Bits above the width are ignored.
+        assert_eq!(valid_rank(!0b0110, 0b0110 | (1 << 40), 3), Ok(2 * 4));
+        assert_eq!(
+            valid_rank(1, 1, 64),
+            Err(InvalidStringError::UnsupportedWidth { width: 64 })
+        );
     }
 
     #[test]
