@@ -1,17 +1,21 @@
 //! Criterion benches for the gate-level simulator itself: scalar vs
 //! 64-lane batched vs multi-word block ternary evaluation, exhaustive
-//! 2-sort verification on the block tier, and full sorting-network
-//! simulation.
+//! 2-sort verification on the block tier, full sorting-network
+//! simulation, and bare compiled-tape eval of the 16×16 cell at every
+//! plane width.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
+use mcs_bench::engine::Engine;
 use mcs_core::ppc::PrefixTopology;
 use mcs_core::two_sort::{
     build_two_sort, simulate_two_sort, simulate_two_sort_batch,
     simulate_two_sort_block, verify_two_sort_exhaustive,
 };
 use mcs_gray::ValidString;
+use mcs_logic::plane::kernel;
+use mcs_logic::PlaneWidth;
 use mcs_networks::circuit::{build_sorting_circuit, simulate_sorting_circuit, TwoSortFlavor};
 use mcs_networks::optimal::ten_sort_depth;
 
@@ -93,10 +97,36 @@ fn bench_network_simulation(c: &mut Criterion) {
     group.finish();
 }
 
+/// Bare tape eval of the 16×16 stock cell (25,641 gates, 1,020
+/// registers): one `TapePlanes::run` per iteration under the preferred
+/// tier, inputs written once, so elem/s is vectors per second of the eval
+/// layer alone at each plane width.
+fn bench_tape_run(c: &mut Criterion) {
+    let engine = Engine::for_cell(16, 16, kernel::preferred()).expect("the stock cell builds");
+    let mut group = c.benchmark_group("tape_run_16x16");
+    for width in PlaneWidth::ALL {
+        let mut scratch = engine.scratch(width);
+        let mut planes = engine
+            .tape()
+            .try_planes(&mut scratch)
+            .expect("the engine's own scratch");
+        for port in 0..planes.input_count() {
+            // Stable 0; eval is branch-free, so the data does not matter.
+            let (z, o) = planes.input_mut(port);
+            z.fill(!0);
+            o.fill(0);
+        }
+        group.throughput(Throughput::Elements(64 * width.words() as u64));
+        group.bench_function(width.to_string(), |b| b.iter(|| planes.run()));
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_eval,
     bench_exhaustive_verification,
-    bench_network_simulation
+    bench_network_simulation,
+    bench_tape_run
 );
 criterion_main!(benches);

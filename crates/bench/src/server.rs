@@ -106,8 +106,8 @@ use crate::metrics::{
 use mcs_gray::valid::{valid_rank, InvalidStringError};
 use mcs_gray::ValidString;
 use mcs_logic::plane::kernel::{self, KernelId};
-use mcs_logic::{PlaneWidth, Trit, TritBlock, TritWord};
-use mcs_netlist::{Netlist, TapeScratch};
+use mcs_logic::{PlaneWidth, Trit, TritWord};
+use mcs_netlist::{EvalTape, Netlist, TapeScratch};
 
 use crate::engine::{resolve_workers, Engine, EngineError};
 use crate::json::JsonWriter;
@@ -822,10 +822,8 @@ impl SortEngine {
     }
 
     /// The one serving core, shared by the worker and
-    /// [`SortEngine::sort_batch_recording`]: pack the batch into plane
-    /// words, evaluate the tape once, and decode each lane's first
-    /// `keys().len()` output channels into `sorted`, lane after lane.
-    /// Nothing is appended unless the whole batch succeeds.
+    /// [`SortEngine::sort_batch_recording`]: see [`sort_groups`]. Nothing
+    /// is appended to `sorted` unless the whole batch succeeds.
     fn sort_lanes<L: Lane>(
         &self,
         batch: &[L],
@@ -837,38 +835,93 @@ impl SortEngine {
         if batch.is_empty() {
             return Ok(());
         }
-        let pack_start = Instant::now();
-        let blocks = pack_lanes(batch, self.cfg.channels, self.pad)?.into_blocks(batch.len());
-        if let Some(stats) = stats {
-            stats.pack.record(nanos_u64(pack_start.elapsed()));
-        }
-        let eval_start = Instant::now();
-        let out = self
-            .engine
-            .tape()
-            .try_eval_block_with(&blocks, scratch)
-            .map_err(|e| FrameError::Internal {
-                detail: format!("tape rejected the batch: {e}"),
-            })?;
-        if let Some(stats) = stats {
-            stats.eval.record(nanos_u64(eval_start.elapsed()));
-        }
-        if out.len() != blocks.len() {
-            return Err(FrameError::Internal {
-                detail: format!(
-                    "tape has {} outputs, batch needs {}",
-                    out.len(),
-                    blocks.len()
-                ),
-            });
-        }
-        let planes = BatchPlanes::from_blocks(&out, batch.len());
-        let decoded = decode_lanes(batch, self.cfg.width, &planes, sorted);
-        if decoded.is_err() {
+        let done = sort_groups(
+            self.engine.tape(),
+            scratch,
+            batch,
+            self.cfg.channels,
+            self.pad,
+            stats,
+            sorted,
+        );
+        if done.is_err() {
             sorted.clear();
         }
-        decoded
+        done
     }
+}
+
+/// Sorts `batch` through `tape` one plane group (`64 · W` lanes) at a
+/// time, appending each lane's first `keys().len()` output channels to
+/// `sorted`, lane after lane. Per 64-lane word, [`pack_lanes`] stages the
+/// lanes' keys (and `pad` on free channels) in a port column that goes
+/// straight into the tape's input registers; after the run, the output
+/// registers' word is read back into the column and [`decode_lanes`]
+/// gathers the keys. The pack and eval time of the whole batch is recorded
+/// into `stats` (when given).
+fn sort_groups<L: Lane>(
+    tape: &EvalTape,
+    scratch: &mut TapeScratch,
+    batch: &[L],
+    channels: usize,
+    pad: Key,
+    stats: Option<&ServerStats>,
+    sorted: &mut Vec<Key>,
+) -> Result<(), FrameError> {
+    let width = pad.width();
+    check_fit(batch, channels, width)?;
+    let internal = |detail: String| FrameError::Internal { detail };
+    let mut planes = tape
+        .try_planes(scratch)
+        .map_err(|e| internal(format!("tape rejected the batch: {e}")))?;
+    let ports = channels * width;
+    if (planes.input_count(), planes.output_count()) != (ports, ports) {
+        return Err(internal(format!(
+            "tape has {} inputs and {} outputs, batch needs {ports}",
+            planes.input_count(),
+            planes.output_count()
+        )));
+    }
+    let mut col = Column {
+        z: vec![0; ports],
+        o: vec![0; ports],
+    };
+    let (mut pack, mut eval) = (Duration::ZERO, Duration::ZERO);
+    let mut decoded = Ok(());
+    'groups: for group in batch.chunks(64 * planes.words()) {
+        let pack_start = Instant::now();
+        let mut words = group.chunks(64);
+        for k in 0..planes.words() {
+            let lanes = words.next().unwrap_or_default();
+            pack_lanes(lanes, pad, &mut col);
+            // Lanes past the batch are stable 0.
+            let unused = !TritWord::lane_mask(lanes.len());
+            for (p, (&z, &o)) in col.z.iter().zip(&col.o).enumerate() {
+                let (zs, os) = planes.input_mut(p);
+                zs[k] = z | unused;
+                os[k] = o;
+            }
+        }
+        let eval_start = Instant::now();
+        planes.run();
+        pack += eval_start - pack_start;
+        eval += eval_start.elapsed();
+        for (k, lanes) in group.chunks(64).enumerate() {
+            for (p, (z, o)) in col.z.iter_mut().zip(col.o.iter_mut()).enumerate() {
+                let (zs, os) = planes.output(p);
+                (*z, *o) = (zs[k], os[k]);
+            }
+            decoded = decode_lanes(lanes, width, &col, sorted);
+            if decoded.is_err() {
+                break 'groups;
+            }
+        }
+    }
+    if let Some(stats) = stats {
+        stats.pack.record(nanos_u64(pack));
+        stats.eval.record(nanos_u64(eval));
+    }
+    decoded
 }
 
 /// What the serving core reads of one lane of a batch: a parsed
@@ -898,62 +951,20 @@ impl Lane for Job {
     }
 }
 
-/// The plane words of one batch, word-major: the two planes of port `p`
-/// in 64-lane word `k` are `z[k·ports + p]` and `o[k·ports + p]`, so one
-/// lane's ports sit side by side. Port `c·B + b` carries bit `b` (MSB
-/// first) of channel `c`, for the tape's inputs and outputs alike.
+/// One 64-lane word of every port: `z[p]`, `o[p]` are the two planes of
+/// port `p`. Port `c·B + b` carries bit `b` (MSB first) of channel `c`,
+/// for the tape's inputs and outputs alike, so one lane's ports sit side
+/// by side.
 #[derive(Debug)]
-struct BatchPlanes {
-    ports: usize,
+struct Column {
     z: Vec<u64>,
     o: Vec<u64>,
 }
 
-impl BatchPlanes {
-    /// The port blocks the tape takes. Lanes past the batch in the last
-    /// word become stable `0`.
-    fn into_blocks(self, lanes: usize) -> Vec<TritBlock> {
-        let words = lanes.div_ceil(64);
-        let used = (lanes - (words - 1) * 64) as u32;
-        let unused = u64::MAX.checked_shl(used).unwrap_or(0);
-        (0..self.ports)
-            .map(|p| {
-                let planes = (0..words).map(|k| {
-                    let at = k * self.ports + p;
-                    let pad = if k + 1 == words { unused } else { 0 };
-                    TritWord::from_planes(self.z[at] | pad, self.o[at])
-                });
-                TritBlock::from_words(planes.collect(), lanes)
-            })
-            .collect()
-    }
-
-    /// The planes of the tape's output blocks.
-    fn from_blocks(blocks: &[TritBlock], lanes: usize) -> BatchPlanes {
-        let (ports, words) = (blocks.len(), lanes.div_ceil(64));
-        let (mut z, mut o) = (vec![0u64; words * ports], vec![0u64; words * ports]);
-        for (p, block) in blocks.iter().enumerate() {
-            for (k, w) in block.words().iter().enumerate().take(words) {
-                z[k * ports + p] = w.can_zero_plane();
-                o[k * ports + p] = w.can_one_plane();
-            }
-        }
-        BatchPlanes { ports, z, o }
-    }
-}
-
-/// The pack stage: writes each lane's keys, then `pad` on its free
-/// channels, straight into the batch's plane words.
-fn pack_lanes<L: Lane>(batch: &[L], channels: usize, pad: Key) -> Result<BatchPlanes, FrameError> {
-    let width = pad.width();
-    let ports = channels * width;
-    let words = batch.len().div_ceil(64);
-    let mut planes = BatchPlanes {
-        ports,
-        z: vec![0u64; words * ports],
-        o: vec![0u64; words * ports],
-    };
-    for (lane, l) in batch.iter().enumerate() {
+/// Refuses a batch that does not fit the circuit: more keys than
+/// channels, or a key of another width. Checked before anything is packed.
+fn check_fit<L: Lane>(batch: &[L], channels: usize, width: usize) -> Result<(), FrameError> {
+    for l in batch {
         let keys = l.keys();
         if keys.len() > channels {
             return Err(FrameError::TooManyKeys {
@@ -961,22 +972,34 @@ fn pack_lanes<L: Lane>(batch: &[L], channels: usize, pad: Key) -> Result<BatchPl
                 max: channels,
             });
         }
-        let (word, j) = (lane / 64, lane % 64);
-        let zs = &mut planes.z[word * ports..(word + 1) * ports];
-        let os = &mut planes.o[word * ports..(word + 1) * ports];
-        let channels = zs.chunks_exact_mut(width).zip(os.chunks_exact_mut(width));
+        if let Some((index, key)) = keys.iter().enumerate().find(|(_, k)| k.width() != width) {
+            return Err(FrameError::BadKey {
+                index,
+                detail: format!(
+                    "\"{key}\" has width {}, server sorts width {width}",
+                    key.width()
+                ),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// The pack stage of one 64-lane word: writes each lane's keys, then `pad`
+/// on its free channels, into `col`. `lanes` fit the circuit
+/// ([`check_fit`]) and number at most 64; ports of absent lanes stay 0.
+fn pack_lanes<L: Lane>(lanes: &[L], pad: Key, col: &mut Column) {
+    let width = pad.width();
+    col.z.fill(0);
+    col.o.fill(0);
+    for (j, l) in lanes.iter().enumerate() {
+        let keys = l.keys();
+        let channels = col
+            .z
+            .chunks_exact_mut(width)
+            .zip(col.o.chunks_exact_mut(width));
         for (c, (zc, oc)) in channels.enumerate() {
-            let key = keys.get(c).copied().unwrap_or(pad);
-            if key.width() != width {
-                return Err(FrameError::BadKey {
-                    index: c,
-                    detail: format!(
-                        "\"{key}\" has width {}, server sorts width {width}",
-                        key.width()
-                    ),
-                });
-            }
-            let (kz, ko) = key.planes();
+            let (kz, ko) = keys.get(c).copied().unwrap_or(pad).planes();
             // The last port of a channel carries its least significant bit.
             for (shift, (zp, op)) in zc.iter_mut().zip(oc.iter_mut()).rev().enumerate() {
                 *zp |= (kz >> shift & 1) << j;
@@ -984,24 +1007,20 @@ fn pack_lanes<L: Lane>(batch: &[L], channels: usize, pad: Key) -> Result<BatchPl
             }
         }
     }
-    Ok(planes)
 }
 
-/// The decode stage: gathers each lane's first `keys().len()` output
-/// channels into keys, each checked by the valid-string rule. A lane that
-/// is not a valid string fails the batch with [`FrameError::Internal`].
+/// The decode stage of one 64-lane word: gathers each lane's first
+/// `keys().len()` output channels from `col` into keys, each checked by
+/// the valid-string rule. A lane that is not a valid string fails the
+/// batch with [`FrameError::Internal`].
 fn decode_lanes<L: Lane>(
-    batch: &[L],
+    lanes: &[L],
     width: usize,
-    planes: &BatchPlanes,
+    col: &Column,
     sorted: &mut Vec<Key>,
 ) -> Result<(), FrameError> {
-    let ports = planes.ports;
-    for (lane, l) in batch.iter().enumerate() {
-        let (word, j) = (lane / 64, lane % 64);
-        let zs = &planes.z[word * ports..(word + 1) * ports];
-        let os = &planes.o[word * ports..(word + 1) * ports];
-        let channels = zs.chunks_exact(width).zip(os.chunks_exact(width));
+    for (j, l) in lanes.iter().enumerate() {
+        let channels = col.z.chunks_exact(width).zip(col.o.chunks_exact(width));
         for (c, (zc, oc)) in channels.take(l.keys().len()).enumerate() {
             let gather =
                 |plane: &[u64]| plane.iter().fold(0u64, |key, p| (key << 1) | (p >> j & 1));
@@ -1795,25 +1814,44 @@ mod tests {
                 })
                 .collect();
             let pad = Key::from(&ValidString::stable(w, (1 << w) - 1).unwrap());
-            let planes = pack_lanes(&requests, 3, pad).unwrap();
+            let mut col = Column {
+                z: vec![0; 3 * w],
+                o: vec![0; 3 * w],
+            };
             let mut decoded = Vec::new();
-            decode_lanes(&requests, w, &planes, &mut decoded).unwrap();
-            assert_eq!(decoded, keys, "width {w}");
-            // The same through the tape's block shape.
-            let blocks = planes.into_blocks(requests.len());
-            assert_eq!(blocks.len(), 3 * w);
-            for (lane, r) in requests.iter().enumerate() {
-                let padded = r.keys.iter().chain(std::iter::repeat(&pad));
-                for (c, key) in padded.take(3).enumerate() {
-                    let bits: String = (0..w)
-                        .map(|b| blocks[c * w + b].lane(lane).to_string())
-                        .collect();
-                    assert_eq!(bits, key.to_string());
+            for lanes in requests.chunks(64) {
+                pack_lanes(lanes, pad, &mut col);
+                for (j, r) in lanes.iter().enumerate() {
+                    let padded = r.keys.iter().chain(std::iter::repeat(&pad));
+                    for (c, key) in padded.take(3).enumerate() {
+                        let bits: String = (0..w)
+                            .map(|b| {
+                                let p = c * w + b;
+                                let unused = !TritWord::lane_mask(lanes.len());
+                                TritWord::from_planes(col.z[p] | unused, col.o[p])
+                                    .lane(j)
+                                    .to_string()
+                            })
+                            .collect();
+                        assert_eq!(bits, key.to_string());
+                    }
                 }
+                decode_lanes(lanes, w, &col, &mut decoded).unwrap();
             }
-            let planes = BatchPlanes::from_blocks(&blocks, requests.len());
+            assert_eq!(decoded, keys, "width {w}");
+            // The same through the registers of an identity tape, one
+            // 64-lane group at a time.
+            let mut identity = Netlist::new("identity");
+            for p in 0..3 * w {
+                let i = identity.input(format!("i{p}"));
+                identity.set_output(format!("o{p}"), i);
+            }
+            let tape = EvalTape::compile(&identity);
+            let mut scratch = tape
+                .try_scratch(PlaneWidth::X1, kernel::preferred())
+                .unwrap();
             decoded.clear();
-            decode_lanes(&requests, w, &planes, &mut decoded).unwrap();
+            sort_groups(&tape, &mut scratch, &requests, 3, pad, None, &mut decoded).unwrap();
             assert_eq!(decoded, keys, "width {w}");
         }
     }
@@ -1871,14 +1909,13 @@ mod tests {
             (0b1111, 0b0100, "0M00"),
             (0b1011, 0b0010, "0?M0"),
         ] {
-            let planes = BatchPlanes {
-                ports: 4,
+            let col = Column {
                 z: (0..4).map(|b| z >> (3 - b) & 1).collect(),
                 o: (0..4).map(|b| o >> (3 - b) & 1).collect(),
             };
             let mut decoded = Vec::new();
             let e =
-                decode_lanes(std::slice::from_ref(&request), 4, &planes, &mut decoded).unwrap_err();
+                decode_lanes(std::slice::from_ref(&request), 4, &col, &mut decoded).unwrap_err();
             assert_eq!(e.code(), "internal");
             assert!(e.to_string().contains(&format!("({shown})")), "{e}");
         }

@@ -9,16 +9,24 @@
 //!    small `n`, Batcher odd-even otherwise, 0-1-verified, instantiated as
 //!    the paper-flavour MC sorting circuit, checked at gate level and
 //!    compiled into an [`EvalTape`].
-//! 2. Re-verify the tape against [`Netlist::eval_block`] lane-for-lane on
-//!    a differential sample at every plane width, including a rank-level
-//!    sortedness check (outputs must be the sorted valid strings of the
-//!    inputs).
+//! 2. Re-verify the streaming path against [`Netlist::eval_block`]
+//!    lane-for-lane on a differential sample at every plane width,
+//!    including a rank-level sortedness check (outputs must be the sorted
+//!    valid strings of the inputs).
 //! 3. Stream `vectors` pseudorandom valid strings through the tape in
 //!    fixed-size chunks sharded round-robin across `std::thread::scope`
 //!    workers — the PR 3 determinism contract: worker `w` owns chunks
 //!    `w, w+workers, …`, results merge by chunk index, so the final
 //!    checksum is **byte-identical across runs and worker counts** (and
-//!    across plane widths).
+//!    across plane widths). A worker panic is a typed
+//!    [`ThroughputError::WorkerPanicked`].
+//!
+//! Each worker binds its scratch once ([`EvalTape::try_planes`]) and works
+//! in place: the generator writes every input port's plane words straight
+//! into the tape's input registers, one group (`64 · W` lanes) at a time,
+//! and the output registers are read, tail lanes masked, into one reused
+//! port-major buffer that the chunk digest walks in `(port, word)` order.
+//! Nothing is allocated per chunk.
 //!
 //! Input generation is a pure function of `(seed, lane, channel)`: the
 //! rank `splitmix64(seed ^ lane·C₁ ^ channel·C₂) mod (2^{B+1}−1)` selects
@@ -41,14 +49,18 @@
 //! the build's baseline features under [`KernelId::Scalar`], and under
 //! `#[target_feature(enable = "avx2")]` under [`KernelId::Avx2`], picked by
 //! the cell's `kernel`. Every cell's pre-flight compares the generated
-//! planes against [`ValidString::from_rank`] of `rank_for`, so the fast
-//! path is cross-checked against the definition before anything is timed.
+//! planes against [`ValidString::from_rank`] of `rank_for`, and streams its
+//! sample through the timed loop's own generator-into-registers path, so
+//! the fast path is cross-checked against the definition before anything
+//! is timed.
 //!
 //! [`report_json`] serialises the per-cell results as
 //! `BENCH_throughput.json` (schema [`JSON_SCHEMA`]) so the perf trajectory
 //! is trackable across PRs.
 //!
 //! [`Netlist::eval_block`]: mcs_netlist::Netlist::eval_block
+//! [`EvalTape`]: mcs_netlist::EvalTape
+//! [`EvalTape::try_planes`]: mcs_netlist::EvalTape::try_planes
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -56,7 +68,7 @@ use std::time::{Duration, Instant};
 use mcs_gray::ValidString;
 use mcs_logic::plane::kernel::{self, KernelId, UnknownKernel};
 use mcs_logic::{PlaneWidth, TritBlock, TritVec, TritWord};
-use mcs_netlist::{EvalTape, TapeEvalError, TapeScratch};
+use mcs_netlist::{TapeEvalError, TapePlanes};
 
 pub use crate::engine::{cell_network, MAX_WIDTH};
 use crate::engine::{resolve_workers, Engine, EngineError};
@@ -190,6 +202,11 @@ pub enum ThroughputError {
         /// Human-readable diagnosis.
         detail: String,
     },
+    /// A streaming worker thread panicked; its chunks have no checksum.
+    WorkerPanicked {
+        /// Index of the worker that panicked.
+        worker: usize,
+    },
     /// `vectors / chunk_lanes` produces more chunks than the per-chunk
     /// bookkeeping (one checksum slot each) can address.
     TooManyChunks {
@@ -228,6 +245,9 @@ impl fmt::Display for ThroughputError {
             ),
             ThroughputError::NotSorted { lane, detail } => {
                 write!(f, "unsorted output at lane {lane}: {detail}")
+            }
+            ThroughputError::WorkerPanicked { worker } => {
+                write!(f, "streaming worker {worker} panicked")
             }
             ThroughputError::TooManyChunks {
                 vectors,
@@ -335,9 +355,11 @@ pub fn run_cell(cfg: &ThroughputConfig) -> Result<CellReport, ThroughputError> {
     let mut eval_latency = LatencyHistogram::new();
     if workers <= 1 {
         let mut scratch = engine.scratch(cfg.plane_width);
+        let mut planes = tape.try_planes(&mut scratch)?;
+        let mut out = Vec::new();
         for (chunk, sum) in sums.iter_mut().enumerate() {
             let t0 = Instant::now();
-            *sum = eval_chunk(cfg, &stimulus, tape, &mut scratch, chunk)?;
+            *sum = eval_chunk(cfg, &stimulus, &mut planes, &mut out, chunk);
             eval_latency.record(nanos_u64(t0.elapsed()));
         }
     } else {
@@ -346,7 +368,13 @@ pub fn run_cell(cfg: &ThroughputConfig) -> Result<CellReport, ThroughputError> {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
                     s.spawn(move || -> Result<_, TapeEvalError> {
+                        #[cfg(test)]
+                        if cfg.seed == tests::PANIC_SEED && w == 1 {
+                            panic!("injected worker panic");
+                        }
                         let mut scratch = engine.scratch(cfg.plane_width);
+                        let mut planes = tape.try_planes(&mut scratch)?;
+                        let mut out = Vec::new();
                         let mut local = Vec::new();
                         // Allocation-free per-worker recording; merged
                         // after join so the hot loop takes no locks.
@@ -357,7 +385,7 @@ pub fn run_cell(cfg: &ThroughputConfig) -> Result<CellReport, ThroughputError> {
                         // index, never of timing.
                         while chunk < chunks {
                             let t0 = Instant::now();
-                            let sum = eval_chunk(cfg, stimulus, tape, &mut scratch, chunk)?;
+                            let sum = eval_chunk(cfg, stimulus, &mut planes, &mut out, chunk);
                             latency.record(nanos_u64(t0.elapsed()));
                             local.push((chunk, sum));
                             chunk += workers;
@@ -366,15 +394,28 @@ pub fn run_cell(cfg: &ThroughputConfig) -> Result<CellReport, ThroughputError> {
                     })
                 })
                 .collect();
-            for h in handles {
-                // Index-keyed merge: arrival order cannot influence sums.
-                let (local, latency) = h.join().expect("worker panicked")?;
-                for (chunk, sum) in local {
-                    sums[chunk] = sum;
+            // Join every worker before reporting, so one failure cannot
+            // leave a panicked thread for the scope to re-raise.
+            let mut first_err = None;
+            for (worker, h) in handles.into_iter().enumerate() {
+                let joined = h
+                    .join()
+                    .map_err(|_| ThroughputError::WorkerPanicked { worker })
+                    .and_then(|r| r.map_err(ThroughputError::from));
+                match joined {
+                    // Index-keyed merge: arrival order cannot influence sums.
+                    Ok((local, latency)) => {
+                        for (chunk, sum) in local {
+                            sums[chunk] = sum;
+                        }
+                        eval_latency.merge(&latency);
+                    }
+                    Err(e) => {
+                        first_err.get_or_insert(e);
+                    }
                 }
-                eval_latency.merge(&latency);
             }
-            Ok(())
+            first_err.map_or(Ok(()), Err)
         })?;
     }
     let elapsed = start.elapsed();
@@ -402,19 +443,48 @@ pub fn run_cell(cfg: &ThroughputConfig) -> Result<CellReport, ThroughputError> {
 }
 
 /// Evaluates chunk `chunk` and returns its output digest. Pure in
-/// `(cfg, chunk)` — scratch is only a buffer.
+/// `(cfg, chunk)` — the planes and `out` are only buffers.
 fn eval_chunk(
     cfg: &ThroughputConfig,
     stimulus: &Stimulus,
-    tape: &EvalTape,
-    scratch: &mut TapeScratch,
+    planes: &mut TapePlanes<'_>,
+    out: &mut Vec<u64>,
     chunk: usize,
-) -> Result<u64, TapeEvalError> {
+) -> u64 {
     let lane0 = chunk as u64 * cfg.chunk_lanes as u64;
     let lanes = (cfg.vectors - lane0).min(cfg.chunk_lanes as u64) as usize;
-    let inputs = stimulus.chunk_inputs(lane0, lanes);
-    let out = tape.try_eval_block_with(&inputs, scratch)?;
-    Ok(checksum_blocks(&out))
+    eval_lanes(stimulus, planes, out, lane0, lanes);
+    fnv_digest(out)
+}
+
+/// Streams the `lanes` vectors from global lane `lane0` through the tape:
+/// each group of plane words is generated straight into the input
+/// registers, evaluated, and its output registers copied, tail lanes
+/// masked to stable 0, into `out`. `out` is port-major — port `p`'s word
+/// `k` is `out[2·(p·words + k)]` (`can_zero`) and the entry after it
+/// (`can_one`) — so the digest reads the words in `(port, word)` order.
+fn eval_lanes(
+    stimulus: &Stimulus,
+    planes: &mut TapePlanes<'_>,
+    out: &mut Vec<u64>,
+    lane0: u64,
+    lanes: usize,
+) {
+    let (nwords, w) = (lanes.div_ceil(64), planes.words());
+    out.clear();
+    out.resize(2 * planes.output_count() * nwords, 0);
+    for k0 in (0..nwords).step_by(w) {
+        stimulus.load_group(lane0, lanes, k0, planes);
+        planes.run();
+        for (p, port) in out.chunks_exact_mut(2 * nwords).enumerate() {
+            let (z, o) = planes.output(p);
+            for (j, k) in (k0..nwords.min(k0 + w)).enumerate() {
+                let live = TritWord::lane_mask(lanes - 64 * k);
+                port[2 * k] = z[j] | !live;
+                port[2 * k + 1] = o[j] & live;
+            }
+        }
+    }
 }
 
 /// Multiplier of the lane index in the stream definition ([`rank_for`]).
@@ -494,7 +564,7 @@ struct Stimulus {
 
 impl Stimulus {
     /// The stream of `cfg`, refusing a `kernel` tier this CPU cannot run:
-    /// [`Stimulus::chunk_inputs`] enters the tier on that condition.
+    /// [`Stimulus::generate`] enters the tier on that condition.
     fn new(cfg: &ThroughputConfig) -> Result<Stimulus, UnknownKernel> {
         Ok(Stimulus {
             seed: cfg.seed,
@@ -505,59 +575,111 @@ impl Stimulus {
         })
     }
 
+    /// Generates one group straight into the input registers of `planes`:
+    /// words `k0 .. k0 + planes.words()` of the `lanes` vectors starting
+    /// at global lane `lane0`.
+    fn load_group(&self, lane0: u64, lanes: usize, k0: usize, planes: &mut TapePlanes<'_>) {
+        self.generate(lane0, lanes, k0, planes.words(), |port, j, z, o| {
+            let (zs, os) = planes.input_mut(port);
+            zs[j] = z;
+            os[j] = o;
+        });
+    }
+
     /// The input blocks for `lanes` vectors starting at global lane
     /// `lane0`: one [`TritBlock`] per port, channel-major, each channel's
-    /// Gray codeword MSB first.
+    /// Gray codeword MSB first. The pre-flight's view of the same
+    /// generator body [`Stimulus::load_group`] streams through.
     fn chunk_inputs(&self, lane0: u64, lanes: usize) -> Vec<TritBlock> {
+        let nwords = lanes.div_ceil(64);
+        let mut words = vec![vec![TritWord::ZERO; nwords]; self.channels * self.width];
+        self.generate(lane0, lanes, 0, nwords, |port, k, z, o| {
+            words[port][k] = TritWord::from_planes(z, o);
+        });
+        words
+            .into_iter()
+            .map(|w| TritBlock::from_words(w, lanes))
+            .collect()
+    }
+
+    /// Emits words `k0 .. k0 + count` of every port as `emit(port, k − k0,
+    /// can_zero, can_one)`, under the stream's compile tier. Words past
+    /// the `lanes` vectors come out stable 0.
+    fn generate(
+        &self,
+        lane0: u64,
+        lanes: usize,
+        k0: usize,
+        count: usize,
+        emit: impl FnMut(usize, usize, u64, u64),
+    ) {
         match self.kernel {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `Stimulus::new` admits `Avx2` only after
             // `kernel::require` detected the feature on this CPU.
-            KernelId::Avx2 => unsafe { self.chunk_inputs_avx2(lane0, lanes) },
+            KernelId::Avx2 => unsafe { self.generate_avx2(lane0, lanes, k0, count, emit) },
             // `Scalar`, and off x86-64 a tier `kernel::require` never admits.
-            _ => self.chunk_inputs_v(lane0, lanes),
+            _ => self.generate_v(lane0, lanes, k0, count, emit),
         }
     }
 
-    /// [`Stimulus::chunk_inputs_v`] compiled with AVX2 enabled.
+    /// [`Stimulus::generate_v`] compiled with AVX2 enabled.
     ///
     /// # Safety
     ///
     /// The CPU must support `avx2`.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn chunk_inputs_avx2(&self, lane0: u64, lanes: usize) -> Vec<TritBlock> {
-        self.chunk_inputs_v(lane0, lanes)
+    unsafe fn generate_avx2(
+        &self,
+        lane0: u64,
+        lanes: usize,
+        k0: usize,
+        count: usize,
+        emit: impl FnMut(usize, usize, u64, u64),
+    ) {
+        self.generate_v(lane0, lanes, k0, count, emit)
     }
 
     /// The generator body, shared by both tiers.
     #[inline(always)]
-    fn chunk_inputs_v(&self, lane0: u64, lanes: usize) -> Vec<TritBlock> {
+    fn generate_v(
+        &self,
+        lane0: u64,
+        lanes: usize,
+        k0: usize,
+        count: usize,
+        mut emit: impl FnMut(usize, usize, u64, u64),
+    ) {
         let width = self.width;
-        let nwords = lanes.div_ceil(64);
-        let mut words: Vec<Vec<TritWord>> =
-            vec![Vec::with_capacity(nwords); self.channels * width];
         let mut ranks = [0u64; 64];
         // Rank planes R_0 ..= R_B; R_{B+1} stays 0, the zero bit above
         // x = rank >> 1.
         let mut r = [0u64; MAX_WIDTH + 2];
         // Planes of x + 1; Y_B stays 0 (see below).
         let mut y = [0u64; MAX_WIDTH + 1];
-        for k in 0..nwords {
+        for j in 0..count {
+            let k = k0 + j;
+            if 64 * k >= lanes {
+                for port in 0..self.channels * width {
+                    emit(port, j, !0, 0);
+                }
+                continue;
+            }
             let first = lane0 + 64 * k as u64;
             // Lanes past the chunk end are generated like any other and
             // then forced to stable 0.
             let live = TritWord::lane_mask(lanes - 64 * k);
             for c in 0..self.channels {
                 let base = self.seed ^ (c as u64).wrapping_mul(CHANNEL_MIX);
-                for (j, rank) in ranks.iter_mut().enumerate() {
-                    let lane = first + j as u64;
+                for (l, rank) in ranks.iter_mut().enumerate() {
+                    let lane = first + l as u64;
                     *rank = splitmix64(base ^ lane.wrapping_mul(LANE_MIX));
                 }
                 for rank in &mut ranks {
                     *rank = self.ranks.reduce(*rank);
                 }
-                // Rank bit i of lane j, selected by mask rather than
+                // Rank bit i of lane l, selected by mask rather than
                 // shifted into place: no per-lane shift count, so the
                 // loop vectorises in both tiers.
                 for (i, plane) in r[..=width].iter_mut().enumerate() {
@@ -583,14 +705,10 @@ impl Stimulus {
                     // whose differing bit can take both values.
                     let can_zero = !(g & (h | !odd)) | !live;
                     let can_one = (g | (h & odd)) & live;
-                    words[c * width + b].push(TritWord::from_planes(can_zero, can_one));
+                    emit(c * width + b, j, can_zero, can_one);
                 }
             }
         }
-        words
-            .into_iter()
-            .map(|w| TritBlock::from_words(w, lanes))
-            .collect()
     }
 }
 
@@ -602,25 +720,22 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Digest of a chunk's output blocks, canonical `(port, word)` order.
-fn checksum_blocks(blocks: &[TritBlock]) -> u64 {
+/// FNV-1a digest of a chunk's output words, in the order given: `eval_chunk`
+/// lays them out port-major, each word as `can_zero` then `can_one`.
+fn fnv_digest(words: &[u64]) -> u64 {
     const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in blocks {
-        for w in b.words() {
-            h = (h ^ w.can_zero_plane()).wrapping_mul(FNV_PRIME);
-            h = (h ^ w.can_one_plane()).wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
+    words.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, &w| {
+        (h ^ w).wrapping_mul(FNV_PRIME)
+    })
 }
 
 /// Pre-flight differential harness over the first `sample_lanes` vectors:
 ///
 /// * the plane-packed generator must agree bit-for-bit with
 ///   [`ValidString::from_rank`];
-/// * the tape must match [`Netlist::eval_block`] lane-for-lane at every
-///   plane width;
+/// * the streaming path ([`eval_lanes`]: the same generator body writing
+///   into the input registers, the tape, the masked output read) must
+///   match [`Netlist::eval_block`] lane-for-lane at every plane width;
 /// * every sampled output must be the ascending sequence of the lane's
 ///   input ranks.
 fn differential_check(
@@ -635,14 +750,24 @@ fn differential_check(
 
     let circuit = engine.circuit();
     let want = circuit.eval_block(&inputs);
+    let mut out = Vec::new();
     for plane_width in PlaneWidth::ALL {
-        // The sample runs under the cell's forced kernel, so a backend
-        // that diverged from the interpreter would be caught before the
-        // timed loop streams a single vector.
+        // The sample streams through the timed loop's own path — generator
+        // into the input registers, tape, output registers — under the
+        // cell's forced kernel, so a backend or plane I/O that diverged
+        // from the interpreter is caught before a single vector is timed.
         let mut scratch = engine.scratch(plane_width);
-        let got = engine.tape().try_eval_block_with(&inputs, &mut scratch)?;
-        for (port, (g, w)) in got.iter().zip(&want).enumerate() {
-            if let Some(lane) = g.first_mismatch(w) {
+        let mut planes = engine.tape().try_planes(&mut scratch)?;
+        eval_lanes(stimulus, &mut planes, &mut out, 0, lanes);
+        let ports = out.chunks_exact(2 * lanes.div_ceil(64)).zip(&want);
+        for (port, (got, w)) in ports.enumerate() {
+            let mut words = got.chunks_exact(2).zip(w.words()).enumerate();
+            let diff = words.find_map(|(k, (g, w))| {
+                let d = (g[0] ^ w.can_zero_plane()) | (g[1] ^ w.can_one_plane());
+                (d != 0).then_some((k, d))
+            });
+            if let Some((k, d)) = diff {
+                let lane = 64 * k + d.trailing_zeros() as usize;
                 let name = circuit
                     .outputs()
                     .nth(port)
@@ -766,6 +891,10 @@ pub fn report_json(seed: u64, chunk_lanes: usize, cells: &[CellReport]) -> Strin
 mod tests {
     use super::*;
     use mcs_logic::Trit;
+
+    /// A seed whose streaming worker 1 panics before its first chunk: the
+    /// test-only trigger of [`ThroughputError::WorkerPanicked`].
+    pub(super) const PANIC_SEED: u64 = 0x7061_6e69_6321_2121;
 
     fn small_cfg() -> ThroughputConfig {
         let mut cfg = ThroughputConfig::new(4, 2);
@@ -1083,6 +1212,25 @@ mod tests {
                 "workers={workers}"
             );
         }
+    }
+
+    #[test]
+    fn a_worker_panic_is_a_typed_error() {
+        let mut cfg = small_cfg();
+        cfg.seed = PANIC_SEED;
+        cfg.workers = 3;
+        match run_cell(&cfg) {
+            Err(ThroughputError::WorkerPanicked { worker }) => assert_eq!(worker, 1),
+            other => panic!("expected WorkerPanicked, got {other:?}"),
+        }
+        assert_eq!(
+            ThroughputError::WorkerPanicked { worker: 1 }.to_string(),
+            "streaming worker 1 panicked"
+        );
+        // The trigger is worker 1 of a threaded run only: the same seed on
+        // one worker streams normally.
+        cfg.workers = 1;
+        assert!(run_cell(&cfg).is_ok());
     }
 
     #[test]

@@ -250,3 +250,20 @@ fn preflight_rejects_bad_configs() {
         Err(ThroughputError::UnsupportedCell { .. })
     ));
 }
+
+/// The register allocator on the largest stock cell: the 16×16 Batcher
+/// sorter's schedule replays cleanly against its netlist, and its scratch
+/// holds a small fraction of one register per node.
+#[test]
+fn register_allocation_replays_on_the_16x16_cell() {
+    let engine = mcs_bench::engine::Engine::for_cell(16, 16, kernel::preferred()).unwrap();
+    let tape = engine.tape();
+    tape.check_registers(engine.circuit()).unwrap();
+    assert_eq!(tape.slot_count(), engine.circuit().node_count());
+    assert!(
+        tape.register_count() * 16 < tape.slot_count(),
+        "{} registers for {} slots",
+        tape.register_count(),
+        tape.slot_count()
+    );
+}

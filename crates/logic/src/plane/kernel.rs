@@ -4,7 +4,7 @@
 //! The compiled-tape evaluator in `mcs-netlist` spends essentially all of
 //! its time doing bitwise AND/OR over `u64` plane words. The formulas
 //! ([`GateOp`] impls below) are written once, over plain `u64`, and
-//! [`apply_slot`] applies one to every word of a tape slot; the compiler
+//! [`apply_slot`] applies one to every word of a tape register; the compiler
 //! vectorises that word loop itself. A [`KernelId`] names the instruction
 //! set the evaluator's loop is compiled for, not a separate implementation:
 //!
@@ -416,20 +416,23 @@ unsafe fn load<const W: usize>(p: *const u64, s: usize) -> [u64; W] {
     unsafe { p.add(s * W).cast::<[u64; W]>().read() }
 }
 
-/// Applies gate `G` to one `W`-word tape slot: reads the fanin slots `a`,
-/// `b`, `c` from the `z`/`o` plane buffers and writes slot `dst`. All
-/// fan-in words are loaded before any result word is stored, which leaves
-/// the compiler free to turn the word loop into whole-vector operations.
+/// Applies gate `G` to one `W`-word tape register: reads the fanin
+/// registers `a`, `b`, `c` from the `z`/`o` plane buffers and writes
+/// register `dst`. All fan-in words are loaded before any result word is
+/// stored, which leaves the compiler free to turn the word loop into
+/// whole-vector operations.
 ///
-/// Fanins a unary or binary gate does not read may be any in-bounds slot
-/// (the loads are dead and eliminated after inlining).
+/// Fanins a unary or binary gate does not read may be any in-bounds
+/// register (the loads are dead and eliminated after inlining).
 ///
 /// # Safety
 ///
 /// `z.len() == o.len()`, and `(s + 1) * W <= z.len()` for each of `dst`,
 /// `a`, `b`, `c`.
 ///
-/// Reads happen before the write, so `dst` may alias a fanin.
+/// Reads happen before the write, so `dst` may alias a fanin: the tape's
+/// register allocator relies on this to reuse a fan-in's register for the
+/// result.
 #[inline(always)]
 pub unsafe fn apply_slot<G: GateOp, const W: usize>(
     z: &mut [u64],

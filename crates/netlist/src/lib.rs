@@ -124,6 +124,6 @@ pub use netlist::Netlist;
 pub use passes::{
     NetlistFigures, OptimizeResult, Pass, PassManager, PassStats,
 };
-pub use tape::{EvalTape, TapeEvalError, TapeOp, TapeRun, TapeScratch};
+pub use tape::{EvalTape, TapeEvalError, TapeOp, TapePlanes, TapeRun, TapeScratch};
 pub use tech::{CellSpec, CellTiming, TechLibrary};
 pub use timing::TimingReport;

@@ -8,18 +8,26 @@
 //! per-gate branch and pointer-chasing dominate. `EvalTape` pays the
 //! dispatch cost once, at compile time:
 //!
-//! * **Slot-renumbered values.** Every node gets a dense *slot* in a
-//!   struct-of-arrays pair of plane buffers (`can_zero[slot]`,
-//!   `can_one[slot]`), with sources (inputs, constants) first and cells
-//!   ordered by logic level. Every fan-in slot is strictly below its
-//!   consumer's slot.
+//! * **Scheduled slots.** Every node gets a dense *slot*, its position in
+//!   the schedule: sources (inputs, constants) first, then cells ordered
+//!   by `(logic level, kind, netlist index)`.
+//! * **Liveness-allocated registers.** Values live in *registers* of a
+//!   struct-of-arrays pair of plane buffers (`can_zero[reg]`,
+//!   `can_one[reg]`). A linear scan over the schedule gives each cell a
+//!   destination register `d[s]` and names its fan-ins' registers in
+//!   `a[s]`, `b[s]`, `c[s]`. A register is freed after its value's last
+//!   read, so the scratch holds the peak number of live values
+//!   ([`EvalTape::register_count`]), not one word group per node: 1,022
+//!   registers instead of 25,897 slots for the 16×16 sorter. Constants and
+//!   outputs are never freed, and neither is an input nobody reads — its
+//!   register is reloaded every group, so it must not go to a constant.
 //! * **Contiguous runs.** Cells of the same kind on the same level occupy
 //!   consecutive slots, recorded as a [`TapeRun`] `{op, start, len}` — the
 //!   inner loop dispatches once per run, not once per gate, and walks the
-//!   fan-in index arrays (`a`, `b`, `c`) linearly.
-//! * **Wide planes.** Evaluation is monomorphised over the slot width
+//!   register index arrays linearly.
+//! * **Wide planes.** Evaluation is monomorphised over the register width
 //!   `W ∈ {1, 4, 8}` ([`PlaneWidth`]), so one pass over the tape advances
-//!   64, 256 or 512 lanes.
+//!   64, 256 or 512 lanes: one *group*.
 //! * **Two compile tiers.** The per-run inner loop applies the shared
 //!   `u64` gate formulas of [`mcs_logic::plane::kernel`] and is compiled
 //!   twice: for the build's baseline features ([`KernelId::Scalar`]) and
@@ -29,13 +37,19 @@
 //!   run with a typed error.
 //!
 //! There is one scratch constructor and one evaluation entry point,
-//! [`EvalTape::try_eval_block_with`], which reuses the caller's scratch and
-//! returns misuse as a typed [`TapeEvalError`].
+//! [`EvalTape::try_planes`]: it binds a scratch to the tape after checking
+//! the scratch's layout, and the returned [`TapePlanes`] lets the caller
+//! write each input port's `W` words straight into its register, run one
+//! group, and read the output registers in place.
+//! [`EvalTape::try_eval_block_with`] is a thin [`TritBlock`] wrapper over
+//! it. Misuse comes back as a typed [`TapeEvalError`].
 //!
 //! The tape computes exactly the function of [`Netlist::eval_block`] — the
 //! per-cell plane formulas are the same as [`Gate::eval_word`], lifted to
 //! `W` words — and the `tape_differential` + `kernel_conformance` suites
 //! pin lane-for-lane equality at every plane width under every tier.
+//! [`EvalTape::check_registers`] replays the register allocation
+//! symbolically against the netlist.
 //!
 //! # Example
 //!
@@ -51,13 +65,24 @@
 //! n.set_output("f", f);
 //!
 //! let tape = EvalTape::compile(&n);
+//! let mut scratch = tape.try_scratch(PlaneWidth::X4, kernel::preferred()).unwrap();
+//!
+//! // Blocks in, blocks out.
 //! let inputs = [
 //!     TritBlock::splat(Trit::Meta, 100),
 //!     TritBlock::splat(Trit::Zero, 100),
 //! ];
-//! let mut scratch = tape.try_scratch(PlaneWidth::X4, kernel::preferred()).unwrap();
 //! let out = tape.try_eval_block_with(&inputs, &mut scratch).unwrap();
 //! assert_eq!(out, n.eval_block(&inputs)); // M NAND 0 = 1, all 100 lanes
+//!
+//! // Plane words in place: one group of 4 × 64 lanes, a = M, b = 0.
+//! let mut planes = tape.try_planes(&mut scratch).unwrap();
+//! planes.input_mut(0).0.fill(!0);
+//! planes.input_mut(0).1.fill(!0);
+//! planes.input_mut(1).0.fill(!0);
+//! planes.input_mut(1).1.fill(0);
+//! planes.run();
+//! assert_eq!(planes.output(0), (&[0u64; 4][..], &[!0u64; 4][..])); // stable 1
 //! ```
 
 use std::fmt;
@@ -72,19 +97,19 @@ use crate::netlist::Netlist;
 use mcs_logic::word::LANES;
 
 /// A rejected [`EvalTape`] evaluation: the inputs or the scratch do not fit
-/// the tape. Returned by [`EvalTape::try_eval_block_with`] so streaming
-/// callers (the throughput engine's workers, the serving layer's
-/// per-connection loops) can surface misuse as a typed error instead of a
-/// panic mid-stream.
+/// the tape. Returned by [`EvalTape::try_planes`] and
+/// [`EvalTape::try_eval_block_with`] so streaming callers (the throughput
+/// engine's workers, the serving layer's per-connection loops) can surface
+/// misuse as a typed error instead of a panic mid-stream.
 #[derive(Clone, Eq, PartialEq, Debug)]
 pub enum TapeEvalError {
-    /// The scratch was created by [`EvalTape::try_scratch`] of a different
-    /// tape.
+    /// The scratch was created by [`EvalTape::try_scratch`] of a tape with
+    /// a different register layout.
     ScratchMismatch {
-        /// Slot count the scratch was sized for.
-        scratch_slots: usize,
-        /// Slot count of this tape.
-        tape_slots: usize,
+        /// Layout fingerprint the scratch was built for.
+        scratch_layout: u64,
+        /// Layout fingerprint of this tape.
+        tape_layout: u64,
     },
     /// The number of input blocks differs from the tape's input count.
     InputCount {
@@ -108,12 +133,12 @@ impl fmt::Display for TapeEvalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TapeEvalError::ScratchMismatch {
-                scratch_slots,
-                tape_slots,
+                scratch_layout,
+                tape_layout,
             } => write!(
                 f,
-                "scratch was sized for a different tape ({scratch_slots} \
-                 slots, tape has {tape_slots})"
+                "scratch was built for a different tape (layout \
+                 {scratch_layout:#018x}, tape has {tape_layout:#018x})"
             ),
             TapeEvalError::InputCount { got, want } => write!(
                 f,
@@ -192,20 +217,24 @@ pub struct TapeRun {
 
 /// Reusable per-worker plane buffers for [`EvalTape`] evaluation.
 ///
-/// Holds `slot_count × width.words()` `u64`s per plane. Constant slots are
-/// prefilled once at construction and never overwritten, so one scratch can
-/// be reused across any number of [`EvalTape::try_eval_block_with`] calls —
-/// which is exactly what the throughput engine's streaming workers do.
+/// Holds `register_count × width.words()` `u64`s per plane. Constant
+/// registers are prefilled once at construction and never overwritten —
+/// the allocator never frees them — so one scratch can be reused across
+/// any number of groups, which is exactly what the throughput engine's
+/// streaming workers and the server's batch workers do.
 ///
-/// The scratch also pins the [`KernelId`] compile tier evaluation runs
-/// under. The AVX2 tier can only enter a scratch after [`kernel::require`]
-/// confirmed the CPU supports it, which is what makes calling the
-/// AVX2-compiled loop sound.
+/// The scratch records the layout fingerprint of the tape that built it
+/// (register count, input and constant registers, output registers), and
+/// [`EvalTape::try_planes`] refuses it for any tape with another layout.
+/// It also pins the [`KernelId`] compile tier evaluation runs under. The
+/// AVX2 tier can only enter a scratch after [`kernel::require`] confirmed
+/// the CPU supports it, which is what makes calling the AVX2-compiled loop
+/// sound.
 #[derive(Clone, Debug)]
 pub struct TapeScratch {
     width: PlaneWidth,
     kernel: KernelId,
-    slots: usize,
+    layout: u64,
     z: kernel::PlaneBuf,
     o: kernel::PlaneBuf,
 }
@@ -226,18 +255,27 @@ impl TapeScratch {
 /// [module docs](self) for the layout.
 #[derive(Clone, Debug)]
 pub struct EvalTape {
-    input_count: usize,
     levels: u32,
-    /// `(slot, port)`: input port `port` is loaded into `slot` each chunk.
-    input_loads: Vec<(u32, u32)>,
-    /// `(slot, value)`: constant slots, prefilled into every scratch.
+    /// Registers one scratch holds per plane word group.
+    registers: usize,
+    /// Fingerprint of everything a scratch depends on (see
+    /// [`TapeScratch`]).
+    layout: u64,
+    /// Register of input port `p`, loaded by the caller every group.
+    inputs: Vec<u32>,
+    /// `(register, value)`: constant registers, prefilled into every
+    /// scratch.
     const_loads: Vec<(u32, bool)>,
     runs: Vec<TapeRun>,
-    /// Fan-in slots per output slot (unused entries for sources stay 0).
+    /// Netlist node scheduled in each slot.
+    nodes: Vec<u32>,
+    /// Destination register per slot (a source's own register), and the
+    /// fan-in registers (unused entries, and those of a source, stay 0).
+    d: Vec<u32>,
     a: Vec<u32>,
     b: Vec<u32>,
     c: Vec<u32>,
-    /// Output slots in declaration order.
+    /// Output registers in declaration order.
     outputs: Vec<u32>,
 }
 
@@ -247,71 +285,142 @@ impl EvalTape {
     /// Infallible: the [`Netlist`] builder only constructs well-formed,
     /// topologically-ordered netlists. Cells are stably re-ordered by
     /// `(level, op, original index)` — sources keep their relative order at
-    /// the front — which guarantees every fan-in slot is strictly smaller
-    /// than its consumer's slot and makes same-kind cells on one level
-    /// contiguous.
+    /// the front — which evaluates every fan-in before its consumer and
+    /// makes same-kind cells on one level contiguous. Registers are then
+    /// allocated by one linear scan over that order: a cell's fan-ins are
+    /// released at their last read before its destination is taken, so a
+    /// cell may overwrite its own operand (every fan-in word is loaded
+    /// before the result is stored).
     pub fn compile(netlist: &Netlist) -> EvalTape {
         let gates = netlist.gates();
         let levels = netlist.levels();
-        let mut order: Vec<usize> = (0..gates.len()).collect();
-        order.sort_by_key(|&i| {
-            let rank = TapeOp::from_gate(&gates[i]).map_or(0, |op| op as u8 + 1);
-            (levels[i], rank, i)
-        });
-        let mut slot_of = vec![0u32; gates.len()];
-        for (s, &i) in order.iter().enumerate() {
-            slot_of[i] = s as u32;
-        }
+        // Sort the keys themselves: the node index makes each unique.
+        let mut keys: Vec<(u32, u8, u32)> = gates
+            .iter()
+            .zip(&levels)
+            .enumerate()
+            .map(|(i, (g, &level))| {
+                let rank = TapeOp::from_gate(g).map_or(0, |op| op as u8 + 1);
+                (level, rank, i as u32)
+            })
+            .collect();
+        keys.sort_unstable();
+        let order: Vec<u32> = keys.into_iter().map(|(_, _, i)| i).collect();
 
-        let mut tape = EvalTape {
-            input_count: netlist.input_count(),
-            levels: levels.iter().copied().max().unwrap_or(0),
-            input_loads: Vec::new(),
-            const_loads: Vec::new(),
-            runs: Vec::new(),
-            a: vec![0u32; gates.len()],
-            b: vec![0u32; gates.len()],
-            c: vec![0u32; gates.len()],
-            outputs: netlist
-                .outputs()
-                .map(|(_, n)| slot_of[n.index()])
-                .collect(),
-        };
-        for (s, &i) in order.iter().enumerate() {
-            let s32 = s as u32;
-            match gates[i] {
-                Gate::Input(port) => tape.input_loads.push((s32, port)),
-                Gate::Const(v) => tape.const_loads.push((s32, v)),
-                ref g => {
-                    let op = TapeOp::from_gate(g).expect("cell");
-                    let mut fanin = g.fanin().map(|n| slot_of[n.index()]);
-                    tape.a[s] = fanin.next().expect("cells have fan-in");
-                    tape.b[s] = fanin.next().unwrap_or(0);
-                    tape.c[s] = fanin.next().unwrap_or(0);
-                    match tape.runs.last_mut() {
-                        Some(r)
-                            if r.op == op
-                                && r.level == levels[i]
-                                && r.start + r.len == s32 =>
-                        {
-                            r.len += 1;
-                        }
-                        _ => tape.runs.push(TapeRun {
-                            op,
-                            level: levels[i],
-                            start: s32,
-                            len: 1,
-                        }),
-                    }
-                }
+        // Reads left per node. A register is freed at its value's last
+        // read, so a source nobody reads keeps its register: an input's is
+        // reloaded every group and must never go to a constant. A pinned
+        // node (a constant, prefilled once per scratch, or an output, read
+        // after the run) keeps its register for good.
+        let mut reads = vec![0u32; gates.len()];
+        for g in gates {
+            for f in g.fanin() {
+                reads[f.index()] += 1;
             }
         }
+        let mut pinned: Vec<bool> = gates.iter().map(|g| matches!(g, Gate::Const(_))).collect();
+        for (_, n) in netlist.outputs() {
+            pinned[n.index()] = true;
+        }
+        let mut reg_of = vec![0u32; gates.len()];
+        let mut free: Vec<u32> = Vec::with_capacity(gates.len());
+        let mut registers = 0u32;
+        let mut take = |free: &mut Vec<u32>| {
+            free.pop().unwrap_or_else(|| {
+                registers += 1;
+                registers - 1
+            })
+        };
+
+        let slots = gates.len();
+        let mut tape = EvalTape {
+            levels: levels.iter().copied().max().unwrap_or(0),
+            registers: 0,
+            layout: 0,
+            inputs: vec![0u32; netlist.input_count()],
+            const_loads: Vec::new(),
+            runs: Vec::new(),
+            nodes: Vec::new(),
+            d: vec![0u32; slots],
+            a: vec![0u32; slots],
+            b: vec![0u32; slots],
+            c: vec![0u32; slots],
+            outputs: Vec::with_capacity(netlist.output_count()),
+        };
+        for (s, &i) in order.iter().enumerate() {
+            let (s32, i) = (s as u32, i as usize);
+            let op = match gates[i] {
+                Gate::Input(port) => {
+                    reg_of[i] = take(&mut free);
+                    tape.d[s] = reg_of[i];
+                    tape.inputs[port as usize] = reg_of[i];
+                    continue;
+                }
+                Gate::Const(v) => {
+                    reg_of[i] = take(&mut free);
+                    tape.d[s] = reg_of[i];
+                    tape.const_loads.push((reg_of[i], v));
+                    continue;
+                }
+                ref g => TapeOp::from_gate(g).expect("cell"),
+            };
+            let mut fanin = [0u32; 3];
+            for (k, f) in gates[i].fanin().enumerate() {
+                let f = f.index();
+                fanin[k] = reg_of[f];
+                reads[f] -= 1;
+                if reads[f] == 0 && !pinned[f] {
+                    free.push(reg_of[f]);
+                }
+            }
+            [tape.a[s], tape.b[s], tape.c[s]] = fanin;
+            reg_of[i] = take(&mut free);
+            tape.d[s] = reg_of[i];
+            if reads[i] == 0 && !pinned[i] {
+                // A dead cell: its value is written and never read.
+                free.push(reg_of[i]);
+            }
+            match tape.runs.last_mut() {
+                Some(r) if r.op == op && r.level == levels[i] && r.start + r.len == s32 => {
+                    r.len += 1;
+                }
+                _ => tape.runs.push(TapeRun {
+                    op,
+                    level: levels[i],
+                    start: s32,
+                    len: 1,
+                }),
+            }
+        }
+        tape.outputs
+            .extend(netlist.outputs().map(|(_, n)| reg_of[n.index()]));
+        tape.nodes = order;
+        tape.registers = registers as usize;
+        tape.layout = tape.layout_fingerprint();
         tape
+    }
+
+    /// FNV-1a over the register count, the input, constant and output
+    /// registers: two tapes with equal fingerprints can share a scratch.
+    fn layout_fingerprint(&self) -> u64 {
+        const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        let mut mix = |x: u64| h = (h ^ x).wrapping_mul(FNV_PRIME);
+        mix(self.registers as u64);
+        mix(self.inputs.len() as u64);
+        self.inputs.iter().for_each(|&r| mix(u64::from(r)));
+        mix(self.const_loads.len() as u64);
+        for &(r, v) in &self.const_loads {
+            mix(u64::from(r) << 1 | u64::from(v));
+        }
+        mix(self.outputs.len() as u64);
+        self.outputs.iter().for_each(|&r| mix(u64::from(r)));
+        h
     }
 
     /// Number of primary inputs.
     pub fn input_count(&self) -> usize {
-        self.input_count
+        self.inputs.len()
     }
 
     /// Number of primary outputs.
@@ -319,9 +428,15 @@ impl EvalTape {
         self.outputs.len()
     }
 
-    /// Total slot count (sources + cells).
+    /// Total slot count: the scheduled node count (sources + cells).
     pub fn slot_count(&self) -> usize {
-        self.a.len()
+        self.nodes.len()
+    }
+
+    /// Registers per scratch: the peak number of values live at once,
+    /// plus the constant and output registers that are never freed.
+    pub fn register_count(&self) -> usize {
+        self.registers
     }
 
     /// Number of dispatch runs.
@@ -340,7 +455,7 @@ impl EvalTape {
     }
 
     /// Allocates plane buffers for this tape at the given width, with
-    /// constant slots prefilled, running under the `kernel` tier.
+    /// constant registers prefilled, running under the `kernel` tier.
     ///
     /// # Errors
     ///
@@ -353,32 +468,52 @@ impl EvalTape {
     ) -> Result<TapeScratch, UnknownKernel> {
         let kernel = kernel::require(kernel)?;
         let w = width.words();
-        let n = self.slot_count() * w;
-        // Everything starts as stable 0 so unwritten pad words stay
+        let n = self.registers * w;
+        // Everything starts as stable 0 so unwritten registers stay
         // well-encoded.
         let mut scratch = TapeScratch {
             width,
             kernel,
-            slots: self.slot_count(),
+            layout: self.layout,
             z: kernel::PlaneBuf::filled(n, !0),
             o: kernel::PlaneBuf::filled(n, 0),
         };
-        for &(slot, value) in &self.const_loads {
-            let base = slot as usize * w;
-            for j in 0..w {
-                scratch.z[base + j] = if value { 0 } else { !0 };
-                scratch.o[base + j] = if value { !0 } else { 0 };
-            }
+        for &(reg, value) in &self.const_loads {
+            let at = reg as usize * w..(reg as usize + 1) * w;
+            scratch.z[at.clone()].fill(if value { 0 } else { !0 });
+            scratch.o[at].fill(if value { !0 } else { 0 });
         }
         Ok(scratch)
     }
 
-    /// Evaluates the tape reusing caller-owned scratch — the one evaluation
-    /// entry point, computing exactly [`Netlist::eval_block`] lane for lane
-    /// at any plane width. A scratch from a different tape, a wrong input
-    /// count, or disagreeing lane counts come back as a typed
-    /// [`TapeEvalError`], so streaming callers (the throughput workers, a
-    /// serving loop) never die on a malformed batch.
+    /// Binds `scratch` to this tape: the plane-level evaluation entry
+    /// point. See [`TapePlanes`] for the load / run / read protocol.
+    ///
+    /// # Errors
+    ///
+    /// [`TapeEvalError::ScratchMismatch`] if the scratch was built for a
+    /// tape with another register layout.
+    pub fn try_planes<'a>(
+        &'a self,
+        scratch: &'a mut TapeScratch,
+    ) -> Result<TapePlanes<'a>, TapeEvalError> {
+        let words = self.registers * scratch.width.words();
+        if scratch.layout != self.layout || scratch.z.len() != words || scratch.o.len() != words {
+            return Err(TapeEvalError::ScratchMismatch {
+                scratch_layout: scratch.layout,
+                tape_layout: self.layout,
+            });
+        }
+        Ok(TapePlanes {
+            tape: self,
+            scratch,
+        })
+    }
+
+    /// Evaluates `TritBlock`s through [`EvalTape::try_planes`], computing
+    /// exactly [`Netlist::eval_block`] lane for lane at any plane width. A
+    /// scratch from a different tape, a wrong input count, or disagreeing
+    /// lane counts come back as a typed [`TapeEvalError`].
     ///
     /// # Errors
     ///
@@ -388,31 +523,11 @@ impl EvalTape {
         inputs: &[TritBlock],
         scratch: &mut TapeScratch,
     ) -> Result<Vec<TritBlock>, TapeEvalError> {
-        let lanes = self.check_call(inputs, scratch)?;
-        Ok(match scratch.width {
-            PlaneWidth::X1 => self.eval_generic::<1>(inputs, lanes, scratch),
-            PlaneWidth::X4 => self.eval_generic::<4>(inputs, lanes, scratch),
-            PlaneWidth::X8 => self.eval_generic::<8>(inputs, lanes, scratch),
-        })
-    }
-
-    /// The one validation gate of [`EvalTape::try_eval_block_with`], shared
-    /// by every tier and width. Returns the shared lane count.
-    fn check_call(
-        &self,
-        inputs: &[TritBlock],
-        scratch: &TapeScratch,
-    ) -> Result<usize, TapeEvalError> {
-        if scratch.slots != self.slot_count() {
-            return Err(TapeEvalError::ScratchMismatch {
-                scratch_slots: scratch.slots,
-                tape_slots: self.slot_count(),
-            });
-        }
-        if inputs.len() != self.input_count {
+        let mut planes = self.try_planes(scratch)?;
+        if inputs.len() != self.input_count() {
             return Err(TapeEvalError::InputCount {
                 got: inputs.len(),
-                want: self.input_count,
+                want: self.input_count(),
             });
         }
         let lanes = inputs.first().map_or(0, TritBlock::lanes);
@@ -423,53 +538,160 @@ impl EvalTape {
                 want: lanes,
             });
         }
-        Ok(lanes)
-    }
-
-    fn eval_generic<const W: usize>(
-        &self,
-        inputs: &[TritBlock],
-        lanes: usize,
-        scratch: &mut TapeScratch,
-    ) -> Vec<TritBlock> {
-        let nwords = lanes.div_ceil(LANES);
-        let mut out: Vec<TritBlock> = (0..self.outputs.len())
+        let (nwords, w) = (lanes.div_ceil(LANES), planes.words());
+        let mut out: Vec<TritBlock> = (0..self.output_count())
             .map(|_| TritBlock::zeros(lanes))
             .collect();
-        for group in 0..nwords.div_ceil(W) {
-            let k0 = group * W;
-            for &(slot, port) in &self.input_loads {
-                let base = slot as usize * W;
-                // copy_planes pads words past the block with stable 0 so
-                // every slot keeps the well-encoding invariant.
-                inputs[port as usize].copy_planes(
-                    k0,
-                    &mut scratch.z[base..base + W],
-                    &mut scratch.o[base..base + W],
-                );
+        for k0 in (0..nwords).step_by(w) {
+            for (port, block) in inputs.iter().enumerate() {
+                // copy_planes pads words past the block with stable 0.
+                let (z, o) = planes.input_mut(port);
+                block.copy_planes(k0, z, o);
             }
-            self.run_tape::<W>(scratch.kernel, &mut scratch.z, &mut scratch.o);
-            for (p, &slot) in self.outputs.iter().enumerate() {
-                let base = slot as usize * W;
-                for j in 0..W {
-                    let k = k0 + j;
-                    if k >= nwords {
-                        break;
-                    }
+            planes.run();
+            for (p, block) in out.iter_mut().enumerate() {
+                let (z, o) = planes.output(p);
+                for (j, k) in (k0..nwords.min(k0 + w)).enumerate() {
                     // set_word re-masks the tail word, so constants (which
-                    // occupy all 64 lanes of their slot) and pad lanes end
-                    // up stable 0 past the logical lane count.
-                    out[p].set_word(
-                        k,
-                        TritWord::from_planes(
-                            scratch.z[base + j],
-                            scratch.o[base + j],
-                        ),
-                    );
+                    // fill all 64 lanes of their register) and pad lanes
+                    // end up stable 0 past the logical lane count.
+                    block.set_word(k, TritWord::from_planes(z[j], o[j]));
                 }
             }
         }
-        out
+        Ok(out)
+    }
+
+    /// Replays the register allocation symbolically against `netlist`, the
+    /// netlist this tape was compiled from, over two consecutive groups:
+    ///
+    /// * every register index is `< register_count()`;
+    /// * the slots are the netlist's nodes, sources first, and the runs
+    ///   tile the cell slots with each cell's own operation;
+    /// * every register a cell reads holds the node the netlist names as
+    ///   that fan-in, so no live value is overwritten before its last read
+    ///   — including by the next group's input loads;
+    /// * every constant register still holds its constant after each
+    ///   group, and every output register holds its output node.
+    ///
+    /// # Errors
+    ///
+    /// The first violation, described.
+    pub fn check_registers(&self, netlist: &Netlist) -> Result<(), String> {
+        let gates = netlist.gates();
+        let regs = self.registers;
+        if self.nodes.len() != gates.len()
+            || self.inputs.len() != netlist.input_count()
+            || self.outputs.len() != netlist.output_count()
+        {
+            return Err("slot or port counts differ from the netlist".into());
+        }
+        let in_range = |what: &str, r: u32| {
+            if (r as usize) < regs {
+                Ok(())
+            } else {
+                Err(format!("{what} register {r} is not below {regs}"))
+            }
+        };
+        let mut seen = vec![false; gates.len()];
+        for (s, &i) in self.nodes.iter().enumerate() {
+            if std::mem::replace(&mut seen[i as usize], true) {
+                return Err(format!("node {i} is scheduled twice (slot {s})"));
+            }
+        }
+        // Sources first, each loaded into the register it names.
+        let sources = self.inputs.len() + self.const_loads.len();
+        for s in 0..sources {
+            let r = self.d[s];
+            in_range(&format!("source slot {s}"), r)?;
+            let loaded = match gates[self.nodes[s] as usize] {
+                Gate::Input(port) => self.inputs[port as usize] == r,
+                Gate::Const(v) => self.const_loads.contains(&(r, v)),
+                _ => false,
+            };
+            if !loaded {
+                return Err(format!("slot {s} is not a source loaded into register {r}"));
+            }
+        }
+        for &r in &self.outputs {
+            in_range("output", r)?;
+        }
+        // The runs tile the cell slots, each with its own cells' operation.
+        let mut next = sources;
+        for run in &self.runs {
+            if run.start as usize != next {
+                return Err(format!("run at slot {} leaves a gap at {next}", run.start));
+            }
+            next += run.len as usize;
+            for s in run.start as usize..next {
+                for (what, r) in [
+                    ("d", self.d[s]),
+                    ("a", self.a[s]),
+                    ("b", self.b[s]),
+                    ("c", self.c[s]),
+                ] {
+                    in_range(&format!("slot {s} {what}"), r)?;
+                }
+                if TapeOp::from_gate(&gates[self.nodes[s] as usize]) != Some(run.op) {
+                    return Err(format!("slot {s} is not a {:?} cell", run.op));
+                }
+            }
+        }
+        if next != gates.len() {
+            return Err(format!("runs end at slot {next}, tape has {}", gates.len()));
+        }
+
+        // holder[r]: the netlist node register r holds, if any. Constants
+        // are prefilled once per scratch, inputs loaded every group.
+        let mut holder: Vec<Option<u32>> = vec![None; regs];
+        let consts: Vec<usize> = (0..sources)
+            .filter(|&s| matches!(gates[self.nodes[s] as usize], Gate::Const(_)))
+            .collect();
+        for &s in &consts {
+            holder[self.d[s] as usize] = Some(self.nodes[s]);
+        }
+        for group in 0..2 {
+            for (port, &r) in self.inputs.iter().enumerate() {
+                holder[r as usize] = Some(netlist.input_node(port).index() as u32);
+            }
+            for s in sources..gates.len() {
+                let node = self.nodes[s];
+                let fanin = [self.a[s], self.b[s], self.c[s]];
+                for (k, f) in gates[node as usize].fanin().enumerate() {
+                    let got = holder[fanin[k] as usize];
+                    if got != Some(f.index() as u32) {
+                        return Err(format!(
+                            "group {group}: slot {s} (node {node}) reads fan-in {k} \
+                             from register {} holding {got:?}, want node {}",
+                            fanin[k],
+                            f.index()
+                        ));
+                    }
+                }
+                holder[self.d[s] as usize] = Some(node);
+            }
+            for &s in &consts {
+                let r = self.d[s] as usize;
+                if holder[r] != Some(self.nodes[s]) {
+                    return Err(format!(
+                        "group {group}: constant node {} in register {r} was \
+                         overwritten by {:?}",
+                        self.nodes[s], holder[r]
+                    ));
+                }
+            }
+            for (p, ((_, n), &r)) in netlist.outputs().zip(&self.outputs).enumerate() {
+                if holder[r as usize] != Some(n.index() as u32) {
+                    return Err(format!(
+                        "group {group}: output {p} register {r} holds {:?}, want \
+                         node {}",
+                        holder[r as usize],
+                        n.index()
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Executes every run under the compile tier the scratch was built for.
@@ -501,27 +723,29 @@ impl EvalTape {
     /// [`kernel::apply_slot`]).
     #[inline(always)]
     fn run_tape_v<const W: usize>(&self, z: &mut [u64], o: &mut [u64]) {
-        debug_assert_eq!(z.len(), self.slot_count() * W);
-        debug_assert_eq!(o.len(), self.slot_count() * W);
+        assert_eq!(z.len(), self.registers * W);
+        assert_eq!(o.len(), self.registers * W);
         for run in &self.runs {
             let start = run.start as usize;
             let end = start + run.len as usize;
             macro_rules! sweep {
                 ($gate:ty) => {
                     for s in start..end {
-                        // SAFETY: compile() keeps every fan-in slot strictly
-                        // below its consumer and below slot_count(), and the
-                        // buffers hold slot_count() × W words. `s` stays
-                        // below `end <= slot_count() == a.len() == b.len()
-                        // == c.len()` (compile() sizes all three to one
-                        // entry per slot), so the unchecked fan-in loads are
-                        // in bounds; skipping the per-slot bounds checks is
+                        // SAFETY: compile() gives every register index
+                        // (`d`, `a`, `b`, `c`, unused fan-ins included) a
+                        // value below register_count(), and the asserts
+                        // above pin both buffers at register_count() × W
+                        // words. `s` stays below `end <= slot_count() ==
+                        // d.len() == a.len() == b.len() == c.len()`
+                        // (compile() sizes all four to one entry per
+                        // slot), so the unchecked index loads are in
+                        // bounds; skipping the per-slot bounds checks is
                         // worth several percent on this loop.
                         unsafe {
                             kernel::apply_slot::<$gate, W>(
                                 z,
                                 o,
-                                s,
+                                *self.d.get_unchecked(s) as usize,
                                 *self.a.get_unchecked(s) as usize,
                                 *self.b.get_unchecked(s) as usize,
                                 *self.c.get_unchecked(s) as usize,
@@ -543,6 +767,92 @@ impl EvalTape {
                 TapeOp::Ao21 => sweep!(ops::Ao21),
             }
         }
+    }
+}
+
+/// A scratch bound to its tape by [`EvalTape::try_planes`]: plane-level
+/// I/O for one group of `words()` plane words (`64 · words()` lanes) at a
+/// time, reusable for any number of groups.
+///
+/// The protocol per group:
+///
+/// 1. write all `words()` words of **every** input port's register with
+///    [`TapePlanes::input_mut`] — lanes past the caller's data as stable
+///    `0` (`can_zero` set, `can_one` clear), so every register stays
+///    well-encoded;
+/// 2. [`TapePlanes::run`];
+/// 3. read the output registers in place with [`TapePlanes::output`].
+///
+/// An input register may be reused by a cell once the input is read for
+/// the last time, so read the outputs before writing the next group's
+/// inputs. Output words past the caller's lanes hold whatever the circuit
+/// computes from stable `0` (constants fill all 64 lanes): mask them.
+#[derive(Debug)]
+pub struct TapePlanes<'a> {
+    tape: &'a EvalTape,
+    scratch: &'a mut TapeScratch,
+}
+
+impl TapePlanes<'_> {
+    /// Plane words per register: one group is `64 · words()` lanes.
+    pub fn words(&self) -> usize {
+        self.scratch.width.words()
+    }
+
+    /// Number of input ports.
+    pub fn input_count(&self) -> usize {
+        self.tape.input_count()
+    }
+
+    /// Number of output ports.
+    pub fn output_count(&self) -> usize {
+        self.tape.output_count()
+    }
+
+    /// The `(can_zero, can_one)` plane words of input port `port`'s
+    /// register, `words()` each, for the caller to overwrite.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `port ≥ input_count()`.
+    #[inline]
+    pub fn input_mut(&mut self, port: usize) -> (&mut [u64], &mut [u64]) {
+        let w = self.words();
+        let at = self.tape.inputs[port] as usize * w;
+        (
+            &mut self.scratch.z[at..at + w],
+            &mut self.scratch.o[at..at + w],
+        )
+    }
+
+    /// Evaluates one group: every run of the tape, under the scratch's
+    /// kernel tier and width.
+    pub fn run(&mut self) {
+        let TapeScratch {
+            width,
+            kernel,
+            z,
+            o,
+            ..
+        } = &mut *self.scratch;
+        match width {
+            PlaneWidth::X1 => self.tape.run_tape::<1>(*kernel, z, o),
+            PlaneWidth::X4 => self.tape.run_tape::<4>(*kernel, z, o),
+            PlaneWidth::X8 => self.tape.run_tape::<8>(*kernel, z, o),
+        }
+    }
+
+    /// The `(can_zero, can_one)` plane words of output port `port`'s
+    /// register after [`TapePlanes::run`], `words()` each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `port ≥ output_count()`.
+    #[inline]
+    pub fn output(&self, port: usize) -> (&[u64], &[u64]) {
+        let w = self.words();
+        let at = self.tape.outputs[port] as usize * w;
+        (&self.scratch.z[at..at + w], &self.scratch.o[at..at + w])
     }
 }
 
@@ -618,10 +928,9 @@ mod tests {
         let first_cell = tape.runs()[0].start;
         assert_eq!(
             first_cell as usize,
-            tape.input_loads.len() + tape.const_loads.len()
+            tape.inputs.len() + tape.const_loads.len()
         );
-        // Runs are contiguous, level-ordered, and every fan-in slot is
-        // strictly below its consumer.
+        // Runs are contiguous and level-ordered.
         let mut next = first_cell;
         let mut last_level = 0;
         for run in tape.runs() {
@@ -629,14 +938,140 @@ mod tests {
             assert!(run.level >= last_level, "levels must not decrease");
             last_level = run.level;
             next = run.start + run.len;
-            for s in run.start..next {
-                let s = s as usize;
-                assert!(tape.a[s] < s as u32);
-                assert!(tape.b[s] < s as u32 || tape.b[s] == 0);
-                assert!(tape.c[s] < s as u32 || tape.c[s] == 0);
-            }
         }
         assert_eq!(next as usize, tape.slot_count());
+        // Every register index is in range and every read finds its value.
+        tape.check_registers(&n).unwrap();
+        assert!(tape.register_count() < tape.slot_count());
+    }
+
+    /// A netlist whose register allocation has every hazard: a dead input
+    /// declared before a constant, constants between inputs, a dead cell,
+    /// `and2(a, a)`, and outputs wired to an input and a constant.
+    fn hazard_netlist() -> Netlist {
+        let mut n = Netlist::new("hazards");
+        let dead = n.input("dead");
+        let one = n.constant(true);
+        let a = n.input("a");
+        let zero = n.constant(false);
+        let b = n.input("b");
+        let aa = n.and2(a, a);
+        let _unused = n.or2(aa, b);
+        let g = n.xor2(aa, one);
+        let h = n.mux2(g, zero, b);
+        let f = n.nand2(h, one);
+        n.set_output("f", f);
+        n.set_output("b", b);
+        n.set_output("zero", zero);
+        let _ = dead;
+        n
+    }
+
+    #[test]
+    fn registers_are_reused_and_never_clobber_live_values() {
+        let n = hazard_netlist();
+        let tape = EvalTape::compile(&n);
+        tape.check_registers(&n).unwrap();
+        assert!(
+            tape.register_count() < tape.slot_count(),
+            "no register was reused"
+        );
+        for lanes in [1usize, 64, 65, 600] {
+            let inputs = ternary_inputs(n.input_count(), lanes);
+            for width in PlaneWidth::ALL {
+                // Two passes through one scratch: the second group of a
+                // reused scratch sees what the first left behind.
+                let mut scratch = tape.try_scratch(width, kernel::preferred()).unwrap();
+                for _ in 0..2 {
+                    let got = tape.try_eval_block_with(&inputs, &mut scratch).unwrap();
+                    assert_eq!(got, n.eval_block(&inputs), "{lanes} lanes at {width}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_dead_input_keeps_its_register_from_later_constants() {
+        // The clobber this pins: were the dead input's register free from
+        // the start, the constant would take it, and every group's input
+        // load would overwrite the constant.
+        let mut n = Netlist::new("dead-input");
+        let dead = n.input("dead");
+        let one = n.constant(true);
+        let a = n.input("a");
+        let f = n.and2(a, one);
+        n.set_output("f", f);
+        let tape = EvalTape::compile(&n);
+        tape.check_registers(&n).unwrap();
+        let (dead_reg, const_reg) = (tape.inputs[0], tape.const_loads[0].0);
+        assert_ne!(dead_reg, const_reg);
+        let _ = dead;
+        let mut scratch = tape
+            .try_scratch(PlaneWidth::X1, kernel::preferred())
+            .unwrap();
+        let inputs = [
+            TritBlock::splat(Trit::Zero, 64),
+            TritBlock::splat(Trit::One, 64),
+        ];
+        for _ in 0..2 {
+            let out = tape.try_eval_block_with(&inputs, &mut scratch).unwrap();
+            assert_eq!(out[0], TritBlock::splat(Trit::One, 64));
+        }
+
+        // The validator catches exactly that clobber when it is forced:
+        // move the constant into the dead input's register.
+        let mut bad = tape.clone();
+        bad.const_loads[0].0 = dead_reg;
+        for r in [&mut bad.d, &mut bad.a, &mut bad.b, &mut bad.c]
+            .into_iter()
+            .flat_map(|v| v.iter_mut())
+            .filter(|r| **r == const_reg)
+        {
+            *r = dead_reg;
+        }
+        let err = bad.check_registers(&n).unwrap_err();
+        assert!(err.contains("holding"), "{err}");
+    }
+
+    #[test]
+    fn the_validator_rejects_broken_schedules() {
+        let n = hazard_netlist();
+        let tape = EvalTape::compile(&n);
+        let last = tape.slot_count() - 1;
+
+        // A register past the scratch.
+        let mut bad = tape.clone();
+        bad.a[last] = bad.register_count() as u32;
+        assert!(bad.check_registers(&n).unwrap_err().contains("not below"));
+
+        // A cell writing over a value that is still to be read: cell `s`
+        // takes the register cell `t > s` reads its first fan-in from,
+        // while that fan-in was written before `s`.
+        let gates = n.gates();
+        let first = tape.runs()[0].start as usize;
+        let slot_of = |node: usize| tape.nodes.iter().position(|&i| i as usize == node);
+        let (s, t) = (first..tape.slot_count())
+            .flat_map(|t| (first..t).map(move |s| (s, t)))
+            .find(|&(s, t)| {
+                let f = gates[tape.nodes[t] as usize]
+                    .fanin()
+                    .next()
+                    .unwrap()
+                    .index();
+                slot_of(f).unwrap() < s && tape.d[s] != tape.a[t]
+            })
+            .expect("the hazard netlist has a long-lived fan-in");
+        let mut bad = tape.clone();
+        bad.d[s] = bad.a[t];
+        assert!(bad.check_registers(&n).unwrap_err().contains("holding"));
+
+        // An output register that does not hold the output.
+        let mut bad = tape.clone();
+        bad.outputs[0] = bad.inputs[0];
+        assert!(bad.check_registers(&n).unwrap_err().contains("output 0"));
+
+        // The wrong netlist.
+        assert!(tape.check_registers(&full_cell_netlist()).is_err());
     }
 
     #[test]
@@ -701,6 +1136,10 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, TapeEvalError::ScratchMismatch { .. }));
         assert!(err.to_string().contains("different tape"));
+        assert!(matches!(
+            tape.try_planes(&mut wrong),
+            Err(TapeEvalError::ScratchMismatch { .. })
+        ));
 
         // Wrong input count.
         let mut scratch = tape.try_scratch(PlaneWidth::X4, kernel::preferred()).unwrap();
@@ -789,6 +1228,84 @@ mod tests {
                 .try_eval_block_with(&ternary_inputs(3, 1), &mut scratch)
                 .unwrap_err();
             assert!(err.to_string().contains("different tape"), "{k}: {err}");
+        }
+    }
+
+    #[test]
+    fn scratch_of_an_equal_register_count_but_other_layout_is_rejected() {
+        // Both tapes hold two registers: `and2(a, b)` reuses b's register
+        // for its output, `inv(a)` with b unread reuses a's.
+        let mut and = Netlist::new("and");
+        let (a, b) = (and.input("a"), and.input("b"));
+        let f = and.and2(a, b);
+        and.set_output("f", f);
+        let mut inv = Netlist::new("inv");
+        let (a, _b) = (inv.input("a"), inv.input("b"));
+        let f = inv.inv(a);
+        inv.set_output("f", f);
+        let (t_and, t_inv) = (EvalTape::compile(&and), EvalTape::compile(&inv));
+        assert_eq!(t_and.register_count(), t_inv.register_count());
+        assert_ne!(t_and.outputs, t_inv.outputs);
+        let mut scratch = t_inv
+            .try_scratch(PlaneWidth::X4, kernel::preferred())
+            .unwrap();
+        let err = t_and
+            .try_eval_block_with(&ternary_inputs(2, 10), &mut scratch)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            TapeEvalError::ScratchMismatch {
+                scratch_layout: t_inv.layout,
+                tape_layout: t_and.layout,
+            }
+        );
+        // A tape with the same layout is a compatible tape: `or2` in place
+        // of `and2` shares every register, so the scratch is accepted.
+        let mut or = Netlist::new("or");
+        let (a, b) = (or.input("a"), or.input("b"));
+        let f = or.or2(a, b);
+        or.set_output("f", f);
+        let t_or = EvalTape::compile(&or);
+        let mut scratch = t_and
+            .try_scratch(PlaneWidth::X1, kernel::preferred())
+            .unwrap();
+        let inputs = ternary_inputs(2, 9);
+        assert_eq!(
+            t_or.try_eval_block_with(&inputs, &mut scratch).unwrap(),
+            or.eval_block(&inputs)
+        );
+    }
+
+    #[test]
+    fn plane_io_matches_the_block_wrapper() {
+        let n = full_cell_netlist();
+        let tape = EvalTape::compile(&n);
+        let lanes = 300;
+        let inputs = ternary_inputs(n.input_count(), lanes);
+        let want = n.eval_block(&inputs);
+        for width in PlaneWidth::ALL {
+            let mut scratch = tape.try_scratch(width, kernel::preferred()).unwrap();
+            let mut planes = tape.try_planes(&mut scratch).unwrap();
+            let w = planes.words();
+            assert_eq!(w, width.words());
+            assert_eq!((planes.input_count(), planes.output_count()), (3, 3));
+            for k0 in (0..lanes.div_ceil(LANES)).step_by(w) {
+                for (port, block) in inputs.iter().enumerate() {
+                    let (z, o) = planes.input_mut(port);
+                    block.copy_planes(k0, z, o);
+                }
+                planes.run();
+                for (p, block) in want.iter().enumerate() {
+                    let (z, o) = planes.output(p);
+                    for j in 0..w {
+                        let k = k0 + j;
+                        if k < block.word_count() {
+                            let got = TritWord::from_planes(z[j], o[j]).masked(block.word_lanes(k));
+                            assert_eq!(got, block.word(k), "port {p} word {k} at {width}");
+                        }
+                    }
+                }
+            }
         }
     }
 }

@@ -214,6 +214,88 @@ proptest! {
     }
 }
 
+/// Random netlists built to stress register allocation: inputs and
+/// constants declared anywhere among the cells (so some inputs are dead
+/// and constants sit between inputs), `and2(a, a)`, dead cells, and
+/// outputs on any node — inputs and constants included.
+fn hazard_strategy() -> impl Strategy<Value = (Vec<GateRecipe>, Vec<usize>)> {
+    (
+        proptest::collection::vec(
+            (0u8..16, 0usize..1000, 0usize..1000, 0usize..1000)
+                .prop_map(|(kind, a, b, c)| GateRecipe { kind, a, b, c }),
+            1..60,
+        ),
+        proptest::collection::vec(0usize..1000, 1..6),
+    )
+}
+
+/// Materialises a hazard recipe: kinds 0–11 as in [`build`], 12 a new
+/// input, 13 a constant, 14 `and2(a, a)`, 15 an `or2` nobody reads.
+fn build_hazards(recipes: &[GateRecipe], outputs: &[usize]) -> Netlist {
+    let mut n = Netlist::new("hazards");
+    let mut nodes = vec![n.input("i0")];
+    for (k, r) in recipes.iter().enumerate() {
+        let a = nodes[r.a % nodes.len()];
+        let b = nodes[r.b % nodes.len()];
+        let c = nodes[r.c % nodes.len()];
+        let out = match r.kind {
+            0 => n.and2(a, b),
+            1 => n.or2(a, b),
+            2 => n.inv(a),
+            3 => n.nand2(a, b),
+            4 => n.nor2(a, b),
+            5 | 13 => n.constant(r.b % 2 == 1),
+            6 => n.constant(true),
+            7 => n.xor2(a, b),
+            8 => n.xnor2(a, b),
+            9 => n.mux2(a, b, c),
+            10 => n.andnot2(a, b),
+            11 => n.ao21(a, b, c),
+            12 => n.input(format!("i{k}")),
+            14 => n.and2(a, a),
+            _ => {
+                n.or2(a, b);
+                continue;
+            }
+        };
+        nodes.push(out);
+    }
+    for (k, &o) in outputs.iter().enumerate() {
+        n.set_output(format!("o{k}"), nodes[o % nodes.len()]);
+    }
+    n
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The register-allocation validator: replaying the schedule finds
+    /// every read holding the node the netlist names, no constant or
+    /// output overwritten, and every index below `register_count()`; and
+    /// the tape still agrees with `eval_block` through one reused scratch.
+    #[test]
+    fn register_allocation_replays_on_random_netlists(
+        (recipes, outputs) in hazard_strategy(),
+        seed_bits in proptest::collection::vec(0u8..3, 300),
+    ) {
+        let n = build_hazards(&recipes, &outputs);
+        let tape = EvalTape::compile(&n);
+        prop_assert_eq!(tape.check_registers(&n), Ok(()));
+        prop_assert!(tape.register_count() <= tape.slot_count());
+        let blocks = input_blocks(n.input_count(), &seed_bits, 130);
+        let want = n.eval_block(&blocks);
+        for width in PlaneWidth::ALL {
+            let mut scratch = tape.try_scratch(width, kernel::preferred())
+                .expect("the preferred tier is available");
+            for _ in 0..2 {
+                let got = tape.try_eval_block_with(&blocks, &mut scratch)
+                    .expect("inputs fit the tape");
+                prop_assert_eq!(&got, &want, "width {}", width);
+            }
+        }
+    }
+}
+
 /// The paper's own circuit on the edge grid: a certified 4×2 sorting
 /// circuit streams every edge lane count through the tape identically to
 /// the interpreter, at every plane width.
