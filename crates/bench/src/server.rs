@@ -178,6 +178,9 @@ pub enum ServerError {
     Engine(EngineError),
     /// An I/O error on the listener, a pipe, or a socket.
     Io(std::io::Error),
+    /// A connection's response writer thread panicked; responses it had
+    /// not written yet are lost.
+    WriterPanicked,
 }
 
 impl fmt::Display for ServerError {
@@ -188,6 +191,7 @@ impl fmt::Display for ServerError {
             }
             ServerError::Engine(e) => write!(f, "{e}"),
             ServerError::Io(e) => write!(f, "i/o error: {e}"),
+            ServerError::WriterPanicked => f.write_str("response writer thread panicked"),
         }
     }
 }
@@ -1395,6 +1399,10 @@ fn writer_loop<W: Write>(
             }
             Err(TryRecvError::Disconnected) => break,
         };
+        #[cfg(test)]
+        if reply.line.contains(tests::WRITER_PANIC_ID) {
+            panic!("injected writer panic");
+        }
         pending.push(std::cmp::Reverse(PendingReply { seq, reply }));
         while pending.peek().is_some_and(|r| r.0.seq == next) {
             let Some(std::cmp::Reverse(PendingReply { mut reply, .. })) = pending.pop() else {
@@ -1505,9 +1513,9 @@ fn pump_connection<R: BufRead, W: Write + Send>(
         }
         after_input();
         drop(tx);
-        writer.join().expect("writer thread")
+        writer.join().map_err(|_| ServerError::WriterPanicked)
     });
-    write_result?;
+    write_result??;
     if let Some(e) = read_err {
         return Err(ServerError::Io(e));
     }
@@ -1617,6 +1625,10 @@ pub fn serve_tcp(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A request id whose response makes the writer thread panic: the
+    /// test-only trigger of [`ServerError::WriterPanicked`].
+    pub(super) const WRITER_PANIC_ID: &str = "panic-the-writer";
 
     fn cfg4x2() -> ServerConfig {
         let mut cfg = ServerConfig::new(4, 2);
@@ -1736,6 +1748,25 @@ mod tests {
             matches!(err, ServerError::Engine(EngineError::Circuit(_))),
             "{err}"
         );
+    }
+
+    #[test]
+    fn a_writer_panic_is_a_typed_error() {
+        let engine = SortEngine::new(cfg4x2()).unwrap();
+        let input = format!("sort r1 00 11\nsort {WRITER_PANIC_ID} 11 00\nsort r3 0M\n");
+        let mut out = Vec::new();
+        match serve_lines(&engine, input.as_bytes(), &mut out) {
+            Err(ServerError::WriterPanicked) => {}
+            other => panic!("expected WriterPanicked, got {other:?}"),
+        }
+        assert_eq!(
+            ServerError::WriterPanicked.to_string(),
+            "response writer thread panicked"
+        );
+        // Without the trigger id the same stream serves normally.
+        let mut out = Vec::new();
+        serve_lines(&engine, "sort r1 00 11\nsort r3 0M\n".as_bytes(), &mut out).unwrap();
+        assert_eq!(String::from_utf8(out).unwrap().lines().count(), 2);
     }
 
     #[test]

@@ -252,18 +252,44 @@ fn preflight_rejects_bad_configs() {
 }
 
 /// The register allocator on the largest stock cell: the 16×16 Batcher
-/// sorter's schedule replays cleanly against its netlist, and its scratch
-/// holds a small fraction of one register per node.
+/// sorter's schedule replays cleanly against its netlist, its scratch
+/// holds a small fraction of one register per node, and each of its 63
+/// 2-sorts dispatches 95 ops: 78 fused selection cores and 17 single gates.
 #[test]
 fn register_allocation_replays_on_the_16x16_cell() {
     let engine = mcs_bench::engine::Engine::for_cell(16, 16, kernel::preferred()).unwrap();
     let tape = engine.tape();
     tape.check_registers(engine.circuit()).unwrap();
     assert_eq!(tape.slot_count(), engine.circuit().node_count());
+    assert_eq!(engine.comparators(), Some(63));
+    assert_eq!(tape.op_count(), 63 * (78 + 17));
     assert!(
         tape.register_count() * 16 < tape.slot_count(),
         "{} registers for {} slots",
         tape.register_count(),
         tape.slot_count()
     );
+}
+
+/// Every cell of the default grid, n ∈ {4, 8, 16} × B ∈ {2, 4, 8, 16}:
+/// the schedule replays against the netlist, fused selection cores
+/// included, and every 2-sort fuses its selection circuits.
+#[test]
+fn register_allocation_replays_on_every_grid_cell() {
+    for channels in [4usize, 8, 16] {
+        for width in [2usize, 4, 8, 16] {
+            let engine =
+                mcs_bench::engine::Engine::for_cell(channels, width, kernel::preferred()).unwrap();
+            let tape = engine.tape();
+            tape.check_registers(engine.circuit())
+                .unwrap_or_else(|e| panic!("{channels}x{width}: {e}"));
+            assert_eq!(tape.slot_count(), engine.circuit().node_count());
+            assert!(
+                tape.op_count() < engine.circuit().gate_count() / 2,
+                "{channels}x{width}: {} ops for {} gates",
+                tape.op_count(),
+                engine.circuit().gate_count()
+            );
+        }
+    }
 }

@@ -101,7 +101,7 @@ mod tests {
             (z[W + j], o[W + j]) = (b[j].can_zero_plane(), b[j].can_one_plane());
         }
         // SAFETY: slots 0..3 all lie within the 3-slot buffers.
-        unsafe { apply_slot::<G, W>(&mut z, &mut o, 2, 0, 1, 0) };
+        unsafe { apply_slot::<G, W>(&mut z, &mut o, 2, 0, 1, 0, 0) };
         (0..W)
             .map(|j| TritWord::from_planes(z[2 * W + j], o[2 * W + j]))
             .collect()

@@ -1,5 +1,6 @@
-//! Plane kernels: the ten Kleene gate formulas over `u64` possibility
-//! planes, and the two compile tiers the tape evaluator runs them under.
+//! Plane kernels: the ten Kleene gate formulas and the fused selection op
+//! over `u64` possibility planes, and the two compile tiers the tape
+//! evaluator runs them under.
 //!
 //! The compiled-tape evaluator in `mcs-netlist` spends essentially all of
 //! its time doing bitwise AND/OR over `u64` plane words. The formulas
@@ -264,14 +265,15 @@ pub fn from_env() -> Result<Option<KernelId>, UnknownKernel> {
 ///
 /// The operands are `(can_zero, can_one)` plane pairs in the [`TritWord`]
 /// encoding (`0 = (1,0)`, `1 = (0,1)`, `M = (1,1)`); unary ops read only
-/// `a`, binary ops `a`/`b`, ternary ops all three. Pessimistic
-/// (non-MC-certified) cells fold their `meta_poison` step into the formula
-/// so the result is a single pure bitwise expression.
+/// `a`, binary ops `a`/`b`, ternary ops `a`/`b`/`c`, and the fused
+/// selection op [`ops::Sel`] all four. Pessimistic (non-MC-certified)
+/// cells fold their `meta_poison` step into the formula so the result is a
+/// single pure bitwise expression.
 ///
 /// [`TritWord`]: crate::TritWord
 pub trait GateOp {
     /// Evaluates the formula on one word of lanes.
-    fn eval(a: (u64, u64), b: (u64, u64), c: (u64, u64)) -> (u64, u64);
+    fn eval(a: (u64, u64), b: (u64, u64), c: (u64, u64), e: (u64, u64)) -> (u64, u64);
 }
 
 /// The meta mask `can_zero ∧ can_one` of one operand.
@@ -289,7 +291,12 @@ pub mod ops {
 
     impl GateOp for Inv {
         #[inline(always)]
-        fn eval((za, oa): (u64, u64), _b: (u64, u64), _c: (u64, u64)) -> (u64, u64) {
+        fn eval(
+            (za, oa): (u64, u64),
+            _b: (u64, u64),
+            _c: (u64, u64),
+            _e: (u64, u64),
+        ) -> (u64, u64) {
             (oa, za)
         }
     }
@@ -299,7 +306,12 @@ pub mod ops {
 
     impl GateOp for And2 {
         #[inline(always)]
-        fn eval((za, oa): (u64, u64), (zb, ob): (u64, u64), _c: (u64, u64)) -> (u64, u64) {
+        fn eval(
+            (za, oa): (u64, u64),
+            (zb, ob): (u64, u64),
+            _c: (u64, u64),
+            _e: (u64, u64),
+        ) -> (u64, u64) {
             (za | zb, oa & ob)
         }
     }
@@ -309,7 +321,12 @@ pub mod ops {
 
     impl GateOp for Or2 {
         #[inline(always)]
-        fn eval((za, oa): (u64, u64), (zb, ob): (u64, u64), _c: (u64, u64)) -> (u64, u64) {
+        fn eval(
+            (za, oa): (u64, u64),
+            (zb, ob): (u64, u64),
+            _c: (u64, u64),
+            _e: (u64, u64),
+        ) -> (u64, u64) {
             (za & zb, oa | ob)
         }
     }
@@ -319,7 +336,12 @@ pub mod ops {
 
     impl GateOp for Nand2 {
         #[inline(always)]
-        fn eval((za, oa): (u64, u64), (zb, ob): (u64, u64), _c: (u64, u64)) -> (u64, u64) {
+        fn eval(
+            (za, oa): (u64, u64),
+            (zb, ob): (u64, u64),
+            _c: (u64, u64),
+            _e: (u64, u64),
+        ) -> (u64, u64) {
             (oa & ob, za | zb)
         }
     }
@@ -329,7 +351,12 @@ pub mod ops {
 
     impl GateOp for Nor2 {
         #[inline(always)]
-        fn eval((za, oa): (u64, u64), (zb, ob): (u64, u64), _c: (u64, u64)) -> (u64, u64) {
+        fn eval(
+            (za, oa): (u64, u64),
+            (zb, ob): (u64, u64),
+            _c: (u64, u64),
+            _e: (u64, u64),
+        ) -> (u64, u64) {
             (oa | ob, za & zb)
         }
     }
@@ -339,7 +366,7 @@ pub mod ops {
 
     impl GateOp for Xor2 {
         #[inline(always)]
-        fn eval(a: (u64, u64), b: (u64, u64), _c: (u64, u64)) -> (u64, u64) {
+        fn eval(a: (u64, u64), b: (u64, u64), _c: (u64, u64), _e: (u64, u64)) -> (u64, u64) {
             let ((za, oa), (zb, ob)) = (a, b);
             let m = meta(a) | meta(b);
             let z = (za | ob) & (oa | zb);
@@ -353,7 +380,7 @@ pub mod ops {
 
     impl GateOp for Xnor2 {
         #[inline(always)]
-        fn eval(a: (u64, u64), b: (u64, u64), _c: (u64, u64)) -> (u64, u64) {
+        fn eval(a: (u64, u64), b: (u64, u64), _c: (u64, u64), _e: (u64, u64)) -> (u64, u64) {
             let ((za, oa), (zb, ob)) = (a, b);
             let m = meta(a) | meta(b);
             let z = (za | zb) & (oa | ob);
@@ -368,7 +395,7 @@ pub mod ops {
 
     impl GateOp for Mux2 {
         #[inline(always)]
-        fn eval(v0: (u64, u64), v1: (u64, u64), sel: (u64, u64)) -> (u64, u64) {
+        fn eval(v0: (u64, u64), v1: (u64, u64), sel: (u64, u64), _e: (u64, u64)) -> (u64, u64) {
             let ((z0, o0), (z1, o1), (zs, os)) = (v0, v1, sel);
             let m = meta(sel);
             let z = (z1 | zs) & (z0 | os);
@@ -382,7 +409,7 @@ pub mod ops {
 
     impl GateOp for AndNot2 {
         #[inline(always)]
-        fn eval(a: (u64, u64), b: (u64, u64), _c: (u64, u64)) -> (u64, u64) {
+        fn eval(a: (u64, u64), b: (u64, u64), _c: (u64, u64), _e: (u64, u64)) -> (u64, u64) {
             let ((za, oa), (zb, ob)) = (a, b);
             let m = meta(a) | meta(b);
             (za | ob | m, (oa & zb) | m)
@@ -394,12 +421,29 @@ pub mod ops {
 
     impl GateOp for Ao21 {
         #[inline(always)]
-        fn eval(a: (u64, u64), b: (u64, u64), c: (u64, u64)) -> (u64, u64) {
+        fn eval(a: (u64, u64), b: (u64, u64), c: (u64, u64), _e: (u64, u64)) -> (u64, u64) {
             let ((za, oa), (zb, ob), (zc, oc)) = (a, b, c);
             let m = meta(a) | meta(b) | meta(c);
             let z = za & (zb | zc);
             let o = oa | (ob & oc);
             (z | m, o | m)
+        }
+    }
+
+    /// The paper's selection core with its inverter folded in:
+    /// `b·(a + s1) + a·¬t`, with `a`, `b`, `s1 = c` and `t = e`. It is the
+    /// Kleene composition `Or2(And2(b, Or2(a, s1)), And2(a, Inv(t)))`, so it
+    /// contains metastability exactly as those five gates do; the inverter
+    /// is a plane swap and costs nothing.
+    pub struct Sel;
+
+    impl GateOp for Sel {
+        #[inline(always)]
+        fn eval(a: (u64, u64), b: (u64, u64), s1: (u64, u64), t: (u64, u64)) -> (u64, u64) {
+            let ((za, oa), (zb, ob), (zs, os), (zt, ot)) = (a, b, s1, t);
+            let z = (zb | (za & zs)) & (za | ot);
+            let o = (ob & (oa | os)) | (oa & zt);
+            (z, o)
         }
     }
 }
@@ -417,23 +461,24 @@ unsafe fn load<const W: usize>(p: *const u64, s: usize) -> [u64; W] {
 }
 
 /// Applies gate `G` to one `W`-word tape register: reads the fanin
-/// registers `a`, `b`, `c` from the `z`/`o` plane buffers and writes
+/// registers `a`, `b`, `c`, `e` from the `z`/`o` plane buffers and writes
 /// register `dst`. All fan-in words are loaded before any result word is
 /// stored, which leaves the compiler free to turn the word loop into
 /// whole-vector operations.
 ///
-/// Fanins a unary or binary gate does not read may be any in-bounds
-/// register (the loads are dead and eliminated after inlining).
+/// Fanins a gate does not read may be any in-bounds register (the loads
+/// are dead and eliminated after inlining); only [`ops::Sel`] reads `e`.
 ///
 /// # Safety
 ///
 /// `z.len() == o.len()`, and `(s + 1) * W <= z.len()` for each of `dst`,
-/// `a`, `b`, `c`.
+/// `a`, `b`, `c`, `e`.
 ///
-/// Reads happen before the write, so `dst` may alias a fanin: the tape's
-/// register allocator relies on this to reuse a fan-in's register for the
-/// result.
+/// Reads happen before the write, so fan-ins may alias each other and
+/// `dst`: the tape's register allocator relies on this to reuse a fan-in's
+/// register for the result.
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 pub unsafe fn apply_slot<G: GateOp, const W: usize>(
     z: &mut [u64],
     o: &mut [u64],
@@ -441,15 +486,16 @@ pub unsafe fn apply_slot<G: GateOp, const W: usize>(
     a: usize,
     b: usize,
     c: usize,
+    e: usize,
 ) {
     debug_assert_eq!(z.len(), o.len());
-    for s in [dst, a, b, c] {
+    for s in [dst, a, b, c, e] {
         debug_assert!((s + 1) * W <= z.len(), "slot {s} out of bounds");
     }
     let zp = z.as_mut_ptr();
     let op = o.as_mut_ptr();
     // SAFETY: the caller guarantees every slot lies within both buffers.
-    let (za, oa, zb, ob, zc, oc) = unsafe {
+    let (za, oa, zb, ob, zc, oc, ze, oe) = unsafe {
         (
             load::<W>(zp, a),
             load::<W>(op, a),
@@ -457,12 +503,19 @@ pub unsafe fn apply_slot<G: GateOp, const W: usize>(
             load::<W>(op, b),
             load::<W>(zp, c),
             load::<W>(op, c),
+            load::<W>(zp, e),
+            load::<W>(op, e),
         )
     };
     let mut rz = [0u64; W];
     let mut ro = [0u64; W];
     for j in 0..W {
-        (rz[j], ro[j]) = G::eval((za[j], oa[j]), (zb[j], ob[j]), (zc[j], oc[j]));
+        (rz[j], ro[j]) = G::eval(
+            (za[j], oa[j]),
+            (zb[j], ob[j]),
+            (zc[j], oc[j]),
+            (ze[j], oe[j]),
+        );
     }
     // SAFETY: as above; every load has completed.
     unsafe {
@@ -511,7 +564,7 @@ mod tests {
     }
 
     fn kernel_result<G: GateOp>(a: (u64, u64), b: (u64, u64), c: (u64, u64)) -> TritWord {
-        word(G::eval(a, b, c))
+        word(G::eval(a, b, c, (0, 0)))
     }
 
     #[test]
@@ -537,47 +590,97 @@ mod tests {
                     "op {op} seed {seed}"
                 );
             }
+            // The fourth operand is read by `Sel` only.
+            let e = planes(seed + 4242);
+            assert_eq!(word(Ao21::eval(a, b, c, e)), kernel_result::<Ao21>(a, b, c));
+            let sel = (word(b) & (word(a) | word(c))) | (word(a) & !word(e));
+            assert_eq!(word(Sel::eval(a, b, c, e)), sel, "Sel seed {seed}");
+        }
+    }
+
+    /// `Sel` is the composition of the five single-gate formulas it
+    /// replaces, on all 3^4 ternary operand combinations.
+    #[test]
+    fn sel_is_the_composed_selection_core_on_all_81_inputs() {
+        const Z: (u64, u64) = (0, 0);
+        // Every lane of a splat word carries the same trit.
+        let splat = |trit: u32| match trit {
+            0 => (!0, 0),
+            1 => (0, !0),
+            _ => (!0, !0),
+        };
+        for combo in 0..81u32 {
+            let [a, b, s1, t] = [0, 1, 2, 3].map(|k| splat(combo / 3u32.pow(k) % 3));
+            let q = Or2::eval(a, s1, Z, Z);
+            let x = And2::eval(b, q, Z, Z);
+            let y = And2::eval(a, Inv::eval(t, Z, Z, Z), Z, Z);
+            let want = Or2::eval(x, y, Z, Z);
+            assert_eq!(Sel::eval(a, b, s1, t), want, "combination {combo}");
         }
     }
 
     #[test]
     fn apply_slot_scalar_matches_direct_formula() {
-        // 4 slots × W=4 words: slot 3 = Mux2(slot 0, slot 1, slot 2).
+        // 5 slots × W=4 words: slot 4 = Mux2(slot 0, slot 1, slot 2), then
+        // Sel(slot 0, slot 1, slot 2, slot 3).
         const W: usize = 4;
-        let mut z = vec![0u64; 4 * W];
-        let mut o = vec![0u64; 4 * W];
-        for (j, (zz, oo)) in (0..3 * W as u64).map(planes).enumerate() {
+        let mut z = vec![0u64; 5 * W];
+        let mut o = vec![0u64; 5 * W];
+        for (j, (zz, oo)) in (0..4 * W as u64).map(planes).enumerate() {
             z[j] = zz;
             o[j] = oo;
         }
-        // SAFETY: slots 0..4 all lie within the 4-slot buffers.
-        unsafe { apply_slot::<Mux2, W>(&mut z, &mut o, 3, 0, 1, 2) };
+        let at = |z: &[u64], o: &[u64], s: usize, j: usize| (z[s * W + j], o[s * W + j]);
+        // SAFETY: slots 0..5 all lie within the 5-slot buffers.
+        unsafe { apply_slot::<Mux2, W>(&mut z, &mut o, 4, 0, 1, 2, 0) };
         for j in 0..W {
-            let (rz, ro) = Mux2::eval(
-                (z[j], o[j]),
-                (z[W + j], o[W + j]),
-                (z[2 * W + j], o[2 * W + j]),
-            );
-            assert_eq!((z[3 * W + j], o[3 * W + j]), (rz, ro), "word {j}");
+            let [a, b, c] = [0, 1, 2].map(|s| at(&z, &o, s, j));
+            assert_eq!(at(&z, &o, 4, j), Mux2::eval(a, b, c, (0, 0)), "Mux2 word {j}");
+        }
+        // SAFETY: as above.
+        unsafe { apply_slot::<Sel, W>(&mut z, &mut o, 4, 0, 1, 2, 3) };
+        for j in 0..W {
+            let [a, b, c, e] = [0, 1, 2, 3].map(|s| at(&z, &o, s, j));
+            assert_eq!(at(&z, &o, 4, j), Sel::eval(a, b, c, e), "Sel word {j}");
         }
     }
 
     #[test]
     fn apply_slot_may_overwrite_a_fanin_in_place() {
         const W: usize = 2;
-        let mut z = vec![0u64; 2 * W];
-        let mut o = vec![0u64; 2 * W];
-        for (j, (zz, oo)) in (0..2 * W as u64).map(planes).enumerate() {
-            z[j] = zz;
-            o[j] = oo;
-        }
+        let fill = || {
+            let mut z = vec![0u64; 4 * W];
+            let mut o = vec![0u64; 4 * W];
+            for (j, (zz, oo)) in (0..4 * W as u64).map(planes).enumerate() {
+                z[j] = zz;
+                o[j] = oo;
+            }
+            (z, o)
+        };
+        let at = |z: &[u64], o: &[u64], s: usize, j: usize| (z[s * W + j], o[s * W + j]);
+
+        let (mut z, mut o) = fill();
         let expect: Vec<(u64, u64)> = (0..W)
-            .map(|j| And2::eval((z[j], o[j]), (z[W + j], o[W + j]), (0, 0)))
+            .map(|j| And2::eval(at(&z, &o, 0, j), at(&z, &o, 1, j), (0, 0), (0, 0)))
             .collect();
         // SAFETY: in-bounds slots.
-        unsafe { apply_slot::<And2, W>(&mut z, &mut o, 0, 0, 1, 1) };
+        unsafe { apply_slot::<And2, W>(&mut z, &mut o, 0, 0, 1, 1, 0) };
         for j in 0..W {
-            assert_eq!((z[j], o[j]), expect[j], "word {j}");
+            assert_eq!(at(&z, &o, 0, j), expect[j], "And2 word {j}");
+        }
+
+        // The destination aliases the 4th fan-in, and `a` is read twice.
+        let (mut z, mut o) = fill();
+        let expect: Vec<(u64, u64)> = (0..W)
+            .map(|j| {
+                let (a, b, t) = (at(&z, &o, 0, j), at(&z, &o, 1, j), at(&z, &o, 3, j));
+                Sel::eval(a, b, a, t)
+            })
+            .collect();
+        // SAFETY: in-bounds slots.
+        unsafe { apply_slot::<Sel, W>(&mut z, &mut o, 3, 0, 1, 0, 3) };
+        for j in 0..W {
+            assert_eq!(at(&z, &o, 3, j), expect[j], "Sel word {j}");
         }
     }
 

@@ -8,22 +8,34 @@
 //! per-gate branch and pointer-chasing dominate. `EvalTape` pays the
 //! dispatch cost once, at compile time:
 //!
-//! * **Scheduled slots.** Every node gets a dense *slot*, its position in
-//!   the schedule: sources (inputs, constants) first, then cells ordered
-//!   by `(logic level, kind, netlist index)`.
+//! * **Fused selection cores.** Both operator blocks of the paper, `⋄̂_M`
+//!   and `out_M`, are two copies of the Figure 3 selection circuit, each
+//!   fed by one of the block's inverters: the 5-gate shape
+//!   `or2(and2(b, or2(a, s1)), and2(a, inv(t)))` makes up 390 of the 407
+//!   gates of a 16-bit 2-sort. Compilation finds it structurally — any
+//!   operand order, one shared `a`, every inner node read once and not an
+//!   output — and schedules it as one [`TapeOp::Sel`] slot over the
+//!   fan-ins `[a, b, s1, t]`; the inverter is a plane swap inside the
+//!   formula. The four inner nodes get no slot and no register. Every
+//!   other cell stays a single-gate slot: the 16×16 sorter dispatches
+//!   5,985 ops for its 25,641 gates ([`EvalTape::op_count`]).
+//! * **Scheduled slots.** Every source, cell and fused root gets a dense
+//!   *slot*, its position in the schedule: sources (inputs, constants)
+//!   first, then ops ordered by `(logic level, kind, netlist index)`.
 //! * **Liveness-allocated registers.** Values live in *registers* of a
 //!   struct-of-arrays pair of plane buffers (`can_zero[reg]`,
-//!   `can_one[reg]`). A linear scan over the schedule gives each cell a
+//!   `can_one[reg]`). A linear scan over the schedule gives each op a
 //!   destination register `d[s]` and names its fan-ins' registers in
-//!   `a[s]`, `b[s]`, `c[s]`. A register is freed after its value's last
-//!   read, so the scratch holds the peak number of live values
-//!   ([`EvalTape::register_count`]), not one word group per node: 1,022
-//!   registers instead of 25,897 slots for the 16×16 sorter. Constants and
-//!   outputs are never freed, and neither is an input nobody reads — its
-//!   register is reloaded every group, so it must not go to a constant.
-//! * **Contiguous runs.** Cells of the same kind on the same level occupy
+//!   `a[s]`, `b[s]`, `c[s]` and, for a fused slot, `e[s]`. A register is
+//!   freed after its value's last read, so the scratch holds the peak
+//!   number of live values ([`EvalTape::register_count`]), not one word
+//!   group per node: 652 registers for the 25,897 nodes of the 16×16
+//!   sorter. Constants and outputs are never freed, and neither is an
+//!   input nobody reads — its register is reloaded every group, so it must
+//!   not go to a constant.
+//! * **Contiguous runs.** Ops of the same kind on the same level occupy
 //!   consecutive slots, recorded as a [`TapeRun`] `{op, start, len}` — the
-//!   inner loop dispatches once per run, not once per gate, and walks the
+//!   inner loop dispatches once per run, not once per op, and walks the
 //!   register index arrays linearly.
 //! * **Wide planes.** Evaluation is monomorphised over the register width
 //!   `W ∈ {1, 4, 8}` ([`PlaneWidth`]), so one pass over the tape advances
@@ -46,10 +58,11 @@
 //!
 //! The tape computes exactly the function of [`Netlist::eval_block`] — the
 //! per-cell plane formulas are the same as [`Gate::eval_word`], lifted to
-//! `W` words — and the `tape_differential` + `kernel_conformance` suites
-//! pin lane-for-lane equality at every plane width under every tier.
+//! `W` words, and the fused formula is their composition — and the
+//! `tape_differential` + `kernel_conformance` suites pin lane-for-lane
+//! equality at every plane width under every tier.
 //! [`EvalTape::check_registers`] replays the register allocation
-//! symbolically against the netlist.
+//! symbolically against the netlist, fused slots included.
 //!
 //! # Example
 //!
@@ -90,7 +103,7 @@ use std::fmt;
 use mcs_logic::plane::kernel::{self, ops, KernelId, UnknownKernel};
 use mcs_logic::{PlaneWidth, TritBlock, TritWord};
 
-use crate::gate::Gate;
+use crate::gate::{Gate, NodeId};
 use crate::netlist::Netlist;
 
 /// Number of lanes per scratch word (64).
@@ -156,8 +169,9 @@ impl fmt::Display for TapeEvalError {
 
 impl std::error::Error for TapeEvalError {}
 
-/// The cell operation of a [`TapeRun`]. Sources (inputs and constants) never
-/// appear in runs — they are loaded or prefilled before the tape executes.
+/// The operation of a [`TapeRun`]: one cell, or a fused selection core
+/// ([`TapeOp::Sel`]). Sources (inputs and constants) never appear in runs
+/// — they are loaded or prefilled before the tape executes.
 #[derive(Copy, Clone, Eq, PartialEq, Hash, Debug)]
 #[repr(u8)]
 pub enum TapeOp {
@@ -181,6 +195,10 @@ pub enum TapeOp {
     AndNot2,
     /// AND-OR `a + (b·c)` (pessimistic).
     Ao21,
+    /// The paper's selection core with its inverter, fused into one op:
+    /// `b·(a + s1) + a·¬t` over the fan-ins `[a, b, s1, t]`, computing the
+    /// root `Or2` of `or2(and2(b, or2(a, s1)), and2(a, inv(t)))`.
+    Sel,
 }
 
 impl TapeOp {
@@ -201,13 +219,116 @@ impl TapeOp {
     }
 }
 
-/// A maximal range of consecutive slots holding cells of one kind on one
+/// The fan-ins `[a, b, s1, t]` and the inner nodes `[x, q, y, n]` of a
+/// selection core rooted at `root`, if it is one the tape may fuse:
+///
+/// ```text
+/// root = or2(x, y),  x = and2(b, q),  q = or2(a, s1),  y = and2(a, n),  n = inv(t)
+/// ```
+///
+/// Operand order is free on every commutative gate, the `a` both inner
+/// gates read must be the same node, and `q` must not be `or2(a, a)`. Each
+/// inner node must be read once — by its parent in the shape — and not be
+/// an output (`fanout` counts outputs), so fusing leaves no reader without
+/// its value. That also makes the four inner nodes distinct from each
+/// other and from the fan-ins.
+fn selection_core(
+    gates: &[Gate],
+    fanout: &[u32],
+    root: usize,
+) -> Option<([NodeId; 4], [NodeId; 4])> {
+    let inner = |v: NodeId| fanout[v.index()] == 1;
+    let Gate::Or2(l, r) = gates[root] else {
+        return None;
+    };
+    for (x, y) in [(l, r), (r, l)] {
+        let (Gate::And2(x0, x1), Gate::And2(y0, y1)) = (gates[x.index()], gates[y.index()])
+        else {
+            continue;
+        };
+        if !inner(x) || !inner(y) {
+            continue;
+        }
+        for (a, n) in [(y0, y1), (y1, y0)] {
+            let Gate::Inv(t) = gates[n.index()] else {
+                continue;
+            };
+            if !inner(n) {
+                continue;
+            }
+            for (b, q) in [(x0, x1), (x1, x0)] {
+                let Gate::Or2(q0, q1) = gates[q.index()] else {
+                    continue;
+                };
+                let s1 = match (q0 == a, q1 == a) {
+                    (true, false) => q1,
+                    (false, true) => q0,
+                    _ => continue,
+                };
+                if inner(q) {
+                    return Some(([a, b, s1, t], [x, q, y, n]));
+                }
+            }
+        }
+    }
+    None
+}
+
+/// The inner nodes `[x, q, y, n]` through which `root` computes
+/// `b·(a + s1) + a·¬t` from `[a, b, s1, t]`, if the netlist wires it so:
+/// the structural half of [`EvalTape::check_registers`]' proof for a fused
+/// slot, independent of the matcher that chose it.
+fn core_through(
+    gates: &[Gate],
+    root: usize,
+    [a, b, s1, t]: [NodeId; 4],
+) -> Option<[NodeId; 4]> {
+    // The operand of a 2-input cell beside `v`.
+    let beside = |(p, q): (NodeId, NodeId), v: NodeId| match (p == v, q == v) {
+        (true, _) => Some(q),
+        (_, true) => Some(p),
+        _ => None,
+    };
+    let Gate::Or2(l, r) = gates[root] else {
+        return None;
+    };
+    [(l, r), (r, l)].into_iter().find_map(|(x, y)| {
+        let (Gate::And2(x0, x1), Gate::And2(y0, y1)) = (gates[x.index()], gates[y.index()])
+        else {
+            return None;
+        };
+        let q = beside((x0, x1), b)?;
+        let Gate::Or2(q0, q1) = gates[q.index()] else {
+            return None;
+        };
+        let n = beside((y0, y1), a)?;
+        let wired = beside((q0, q1), a)? == s1 && gates[n.index()] == Gate::Inv(t);
+        wired.then_some([x, q, y, n])
+    })
+}
+
+/// The fan-ins a scheduled node reads on the tape: the four of a fused
+/// selection, else the gate's own. Returns them with their count.
+fn tape_fanin(gate: &Gate, fused: Option<[NodeId; 4]>) -> ([NodeId; 4], usize) {
+    if let Some(f) = fused {
+        return (f, 4);
+    }
+    let mut f = [NodeId(0); 4];
+    let mut len = 0;
+    for (k, v) in gate.fanin().enumerate() {
+        f[k] = v;
+        len = k + 1;
+    }
+    (f, len)
+}
+
+/// A maximal range of consecutive slots holding ops of one kind on one
 /// logic level: the dispatch unit of the compiled tape.
 #[derive(Copy, Clone, Eq, PartialEq, Debug)]
 pub struct TapeRun {
-    /// The cell operation shared by every slot in the run.
+    /// The operation shared by every slot in the run.
     pub op: TapeOp,
-    /// Logic level of every cell in the run.
+    /// Logic level of every op in the run (a fused core's root level).
     pub level: u32,
     /// First slot of the run.
     pub start: u32,
@@ -267,14 +388,19 @@ pub struct EvalTape {
     /// scratch.
     const_loads: Vec<(u32, bool)>,
     runs: Vec<TapeRun>,
-    /// Netlist node scheduled in each slot.
+    /// Netlist node scheduled in each slot: a source, a cell, or the root
+    /// of a fused selection core.
     nodes: Vec<u32>,
+    /// Inner nodes folded into fused slots: evaluated, but given no slot
+    /// and no register of their own.
+    absorbed: usize,
     /// Destination register per slot (a source's own register), and the
     /// fan-in registers (unused entries, and those of a source, stay 0).
     d: Vec<u32>,
     a: Vec<u32>,
     b: Vec<u32>,
     c: Vec<u32>,
+    e: Vec<u32>,
     /// Output registers in declaration order.
     outputs: Vec<u32>,
 }
@@ -283,38 +409,60 @@ impl EvalTape {
     /// Compiles a netlist into a tape.
     ///
     /// Infallible: the [`Netlist`] builder only constructs well-formed,
-    /// topologically-ordered netlists. Cells are stably re-ordered by
-    /// `(level, op, original index)` — sources keep their relative order at
-    /// the front — which evaluates every fan-in before its consumer and
-    /// makes same-kind cells on one level contiguous. Registers are then
-    /// allocated by one linear scan over that order: a cell's fan-ins are
+    /// topologically-ordered netlists. First every selection core the
+    /// netlist holds is fused into one [`TapeOp::Sel`] slot, claiming roots
+    /// from the last node down, so a root absorbed into a later match is
+    /// never fused itself. The scheduled nodes are then stably re-ordered
+    /// by `(level, op, original index)` — sources keep their relative order
+    /// at the front — which evaluates every fan-in before its consumer and
+    /// makes same-kind slots on one level contiguous. Registers are then
+    /// allocated by one linear scan over that order: a slot's fan-ins are
     /// released at their last read before its destination is taken, so a
-    /// cell may overwrite its own operand (every fan-in word is loaded
+    /// slot may overwrite its own operand (every fan-in word is loaded
     /// before the result is stored).
     pub fn compile(netlist: &Netlist) -> EvalTape {
         let gates = netlist.gates();
         let levels = netlist.levels();
+        let fanout = netlist.fanouts();
+        let mut fused: Vec<Option<[NodeId; 4]>> = vec![None; gates.len()];
+        let mut absorbed = vec![false; gates.len()];
+        for root in (0..gates.len()).rev() {
+            if absorbed[root] {
+                continue;
+            }
+            if let Some((fanin, inner)) = selection_core(gates, &fanout, root) {
+                fused[root] = Some(fanin);
+                for v in inner {
+                    absorbed[v.index()] = true;
+                }
+            }
+        }
+        let op_of = |i: usize| match fused[i] {
+            Some(_) => Some(TapeOp::Sel),
+            None => TapeOp::from_gate(&gates[i]),
+        };
+
         // Sort the keys themselves: the node index makes each unique.
-        let mut keys: Vec<(u32, u8, u32)> = gates
-            .iter()
-            .zip(&levels)
-            .enumerate()
-            .map(|(i, (g, &level))| {
-                let rank = TapeOp::from_gate(g).map_or(0, |op| op as u8 + 1);
-                (level, rank, i as u32)
+        let mut keys: Vec<(u32, u8, u32)> = (0..gates.len())
+            .filter(|&i| !absorbed[i])
+            .map(|i| {
+                let rank = op_of(i).map_or(0, |op| op as u8 + 1);
+                (levels[i], rank, i as u32)
             })
             .collect();
         keys.sort_unstable();
         let order: Vec<u32> = keys.into_iter().map(|(_, _, i)| i).collect();
 
-        // Reads left per node. A register is freed at its value's last
-        // read, so a source nobody reads keeps its register: an input's is
-        // reloaded every group and must never go to a constant. A pinned
-        // node (a constant, prefilled once per scratch, or an output, read
-        // after the run) keeps its register for good.
+        // Reads left per node, counted over the fan-ins the tape reads (an
+        // absorbed node is read by nobody). A register is freed at its
+        // value's last read, so a source nobody reads keeps its register:
+        // an input's is reloaded every group and must never go to a
+        // constant. A pinned node (a constant, prefilled once per scratch,
+        // or an output, read after the run) keeps its register for good.
         let mut reads = vec![0u32; gates.len()];
-        for g in gates {
-            for f in g.fanin() {
+        for &i in &order {
+            let (fanin, len) = tape_fanin(&gates[i as usize], fused[i as usize]);
+            for f in &fanin[..len] {
                 reads[f.index()] += 1;
             }
         }
@@ -332,7 +480,7 @@ impl EvalTape {
             })
         };
 
-        let slots = gates.len();
+        let slots = order.len();
         let mut tape = EvalTape {
             levels: levels.iter().copied().max().unwrap_or(0),
             registers: 0,
@@ -341,10 +489,12 @@ impl EvalTape {
             const_loads: Vec::new(),
             runs: Vec::new(),
             nodes: Vec::new(),
+            absorbed: gates.len() - slots,
             d: vec![0u32; slots],
             a: vec![0u32; slots],
             b: vec![0u32; slots],
             c: vec![0u32; slots],
+            e: vec![0u32; slots],
             outputs: Vec::with_capacity(netlist.output_count()),
         };
         for (s, &i) in order.iter().enumerate() {
@@ -362,18 +512,19 @@ impl EvalTape {
                     tape.const_loads.push((reg_of[i], v));
                     continue;
                 }
-                ref g => TapeOp::from_gate(g).expect("cell"),
+                _ => op_of(i).expect("cell"),
             };
-            let mut fanin = [0u32; 3];
-            for (k, f) in gates[i].fanin().enumerate() {
+            let (fanin, len) = tape_fanin(&gates[i], fused[i]);
+            let mut regs = [0u32; 4];
+            for (k, f) in fanin[..len].iter().enumerate() {
                 let f = f.index();
-                fanin[k] = reg_of[f];
+                regs[k] = reg_of[f];
                 reads[f] -= 1;
                 if reads[f] == 0 && !pinned[f] {
                     free.push(reg_of[f]);
                 }
             }
-            [tape.a[s], tape.b[s], tape.c[s]] = fanin;
+            [tape.a[s], tape.b[s], tape.c[s], tape.e[s]] = regs;
             reg_of[i] = take(&mut free);
             tape.d[s] = reg_of[i];
             if reads[i] == 0 && !pinned[i] {
@@ -428,9 +579,17 @@ impl EvalTape {
         self.outputs.len()
     }
 
-    /// Total slot count: the scheduled node count (sources + cells).
+    /// The netlist nodes the tape evaluates, fused or not: the scheduled
+    /// slots (sources, cells and fused roots) plus the inner nodes folded
+    /// into fused slots. Always the netlist's node count.
     pub fn slot_count(&self) -> usize {
-        self.nodes.len()
+        self.nodes.len() + self.absorbed
+    }
+
+    /// Number of dispatched ops per group: one per cell slot, a fused
+    /// selection counting once.
+    pub fn op_count(&self) -> usize {
+        self.nodes.len() - self.inputs.len() - self.const_loads.len()
     }
 
     /// Registers per scratch: the peak number of values live at once,
@@ -566,11 +725,17 @@ impl EvalTape {
     /// netlist this tape was compiled from, over two consecutive groups:
     ///
     /// * every register index is `< register_count()`;
-    /// * the slots are the netlist's nodes, sources first, and the runs
-    ///   tile the cell slots with each cell's own operation;
-    /// * every register a cell reads holds the node the netlist names as
-    ///   that fan-in, so no live value is overwritten before its last read
-    ///   — including by the next group's input loads;
+    /// * the slots are netlist nodes, sources first, and the runs tile the
+    ///   cell slots with each cell's own operation — a fused slot's node is
+    ///   an `Or2`;
+    /// * every register a single-gate slot reads holds the node the netlist
+    ///   names as that fan-in, so no live value is overwritten before its
+    ///   last read — including by the next group's input loads;
+    /// * the four registers a fused slot reads hold nodes `[a, b, s1, t]`
+    ///   from which the netlist computes its root as
+    ///   `or2(and2(b, or2(a, s1)), and2(a, inv(t)))`;
+    /// * the scheduled nodes and the inner nodes of the fused slots cover
+    ///   the netlist exactly once;
     /// * every constant register still holds its constant after each
     ///   group, and every output register holds its output node.
     ///
@@ -580,7 +745,8 @@ impl EvalTape {
     pub fn check_registers(&self, netlist: &Netlist) -> Result<(), String> {
         let gates = netlist.gates();
         let regs = self.registers;
-        if self.nodes.len() != gates.len()
+        let slots = self.nodes.len();
+        if slots + self.absorbed != gates.len()
             || self.inputs.len() != netlist.input_count()
             || self.outputs.len() != netlist.output_count()
         {
@@ -594,10 +760,15 @@ impl EvalTape {
             }
         };
         let mut seen = vec![false; gates.len()];
-        for (s, &i) in self.nodes.iter().enumerate() {
-            if std::mem::replace(&mut seen[i as usize], true) {
-                return Err(format!("node {i} is scheduled twice (slot {s})"));
+        let mut cover = |i: usize, what: &str| {
+            if std::mem::replace(&mut seen[i], true) {
+                Err(format!("node {i} is covered twice ({what})"))
+            } else {
+                Ok(())
             }
+        };
+        for (s, &i) in self.nodes.iter().enumerate() {
+            cover(i as usize, &format!("slot {s}"))?;
         }
         // Sources first, each loaded into the register it names.
         let sources = self.inputs.len() + self.const_loads.len();
@@ -618,6 +789,7 @@ impl EvalTape {
         }
         // The runs tile the cell slots, each with its own cells' operation.
         let mut next = sources;
+        let mut op = vec![TapeOp::Inv; slots];
         for run in &self.runs {
             if run.start as usize != next {
                 return Err(format!("run at slot {} leaves a gap at {next}", run.start));
@@ -629,16 +801,23 @@ impl EvalTape {
                     ("a", self.a[s]),
                     ("b", self.b[s]),
                     ("c", self.c[s]),
+                    ("e", self.e[s]),
                 ] {
                     in_range(&format!("slot {s} {what}"), r)?;
                 }
-                if TapeOp::from_gate(&gates[self.nodes[s] as usize]) != Some(run.op) {
+                let gate = &gates[self.nodes[s] as usize];
+                let fits = match run.op {
+                    TapeOp::Sel => matches!(gate, Gate::Or2(..)),
+                    single => TapeOp::from_gate(gate) == Some(single),
+                };
+                if !fits {
                     return Err(format!("slot {s} is not a {:?} cell", run.op));
                 }
+                op[s] = run.op;
             }
         }
-        if next != gates.len() {
-            return Err(format!("runs end at slot {next}, tape has {}", gates.len()));
+        if next != slots {
+            return Err(format!("runs end at slot {next}, tape has {slots}"));
         }
 
         // holder[r]: the netlist node register r holds, if any. Constants
@@ -654,18 +833,40 @@ impl EvalTape {
             for (port, &r) in self.inputs.iter().enumerate() {
                 holder[r as usize] = Some(netlist.input_node(port).index() as u32);
             }
-            for s in sources..gates.len() {
+            for s in sources..slots {
                 let node = self.nodes[s];
-                let fanin = [self.a[s], self.b[s], self.c[s]];
-                for (k, f) in gates[node as usize].fanin().enumerate() {
-                    let got = holder[fanin[k] as usize];
-                    if got != Some(f.index() as u32) {
+                let fanin = [self.a[s], self.b[s], self.c[s], self.e[s]];
+                if op[s] == TapeOp::Sel {
+                    let held = fanin.map(|r| holder[r as usize]);
+                    let inner = match held {
+                        [Some(a), Some(b), Some(s1), Some(t)] => {
+                            core_through(gates, node as usize, [a, b, s1, t].map(NodeId))
+                        }
+                        _ => None,
+                    };
+                    let Some(inner) = inner else {
                         return Err(format!(
-                            "group {group}: slot {s} (node {node}) reads fan-in {k} \
-                             from register {} holding {got:?}, want node {}",
-                            fanin[k],
-                            f.index()
+                            "group {group}: fused slot {s} (node {node}) reads \
+                             registers {fanin:?} holding {held:?}, which are not \
+                             the pins of its selection core"
                         ));
+                    };
+                    if group == 0 {
+                        for v in inner {
+                            cover(v.index(), &format!("fused into slot {s}"))?;
+                        }
+                    }
+                } else {
+                    for (k, f) in gates[node as usize].fanin().enumerate() {
+                        let got = holder[fanin[k] as usize];
+                        if got != Some(f.index() as u32) {
+                            return Err(format!(
+                                "group {group}: slot {s} (node {node}) reads fan-in {k} \
+                                 from register {} holding {got:?}, want node {}",
+                                fanin[k],
+                                f.index()
+                            ));
+                        }
                     }
                 }
                 holder[self.d[s] as usize] = Some(node);
@@ -690,6 +891,9 @@ impl EvalTape {
                     ));
                 }
             }
+        }
+        if let Some(i) = seen.iter().position(|&c| !c) {
+            return Err(format!("node {i} is neither scheduled nor fused"));
         }
         Ok(())
     }
@@ -719,8 +923,8 @@ impl EvalTape {
     }
 
     /// One pass over every run: one dispatch per run, then a branch-free
-    /// sweep applying its gate formula to each slot (see
-    /// [`kernel::apply_slot`]).
+    /// sweep applying its formula — a gate's, or the fused selection
+    /// core's — to each slot (see [`kernel::apply_slot`]).
     #[inline(always)]
     fn run_tape_v<const W: usize>(&self, z: &mut [u64], o: &mut [u64]) {
         assert_eq!(z.len(), self.registers * W);
@@ -732,15 +936,16 @@ impl EvalTape {
                 ($gate:ty) => {
                     for s in start..end {
                         // SAFETY: compile() gives every register index
-                        // (`d`, `a`, `b`, `c`, unused fan-ins included) a
-                        // value below register_count(), and the asserts
-                        // above pin both buffers at register_count() × W
-                        // words. `s` stays below `end <= slot_count() ==
-                        // d.len() == a.len() == b.len() == c.len()`
-                        // (compile() sizes all four to one entry per
-                        // slot), so the unchecked index loads are in
-                        // bounds; skipping the per-slot bounds checks is
-                        // worth several percent on this loop.
+                        // (`d`, `a`, `b`, `c`, `e`, unused fan-ins
+                        // included) a value below register_count(), and
+                        // the asserts above pin both buffers at
+                        // register_count() × W words. `s` stays below
+                        // `end <= nodes.len() == d.len() == a.len() ==
+                        // b.len() == c.len() == e.len()` (compile() sizes
+                        // all five to one entry per scheduled slot), so the
+                        // unchecked index loads are in bounds; skipping the
+                        // per-slot bounds checks is worth several percent
+                        // on this loop.
                         unsafe {
                             kernel::apply_slot::<$gate, W>(
                                 z,
@@ -749,6 +954,7 @@ impl EvalTape {
                                 *self.a.get_unchecked(s) as usize,
                                 *self.b.get_unchecked(s) as usize,
                                 *self.c.get_unchecked(s) as usize,
+                                *self.e.get_unchecked(s) as usize,
                             )
                         }
                     }
@@ -765,6 +971,7 @@ impl EvalTape {
                 TapeOp::Mux2 => sweep!(ops::Mux2),
                 TapeOp::AndNot2 => sweep!(ops::AndNot2),
                 TapeOp::Ao21 => sweep!(ops::Ao21),
+                TapeOp::Sel => sweep!(ops::Sel),
             }
         }
     }
@@ -1022,7 +1229,7 @@ mod tests {
         // move the constant into the dead input's register.
         let mut bad = tape.clone();
         bad.const_loads[0].0 = dead_reg;
-        for r in [&mut bad.d, &mut bad.a, &mut bad.b, &mut bad.c]
+        for r in [&mut bad.d, &mut bad.a, &mut bad.b, &mut bad.c, &mut bad.e]
             .into_iter()
             .flat_map(|v| v.iter_mut())
             .filter(|r| **r == const_reg)
@@ -1274,6 +1481,146 @@ mod tests {
             t_or.try_eval_block_with(&inputs, &mut scratch).unwrap(),
             or.eval_block(&inputs)
         );
+    }
+
+    /// Pins of a selection core, and what to do to it before the root.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Core {
+        /// The paper's shape, operands in the order `selection` wires them.
+        Plain,
+        /// Every commutative gate's operands swapped.
+        Swapped,
+        /// `q = or2(a, s1)` also read by a second gate.
+        InnerReadTwice,
+        /// The inverter is also an output.
+        InnerIsOutput,
+        /// `or2(a, s1)` and `and2(a2, inv(t))` read different `a`s.
+        UnsharedA,
+        /// `q = or2(a, a)`.
+        OrOfA,
+        /// The root is `or2(x, x)`.
+        RootOfOneAnd,
+    }
+
+    /// `f = or2(and2(b, or2(a, s1)), and2(a, inv(t)))` over five inputs,
+    /// with the variation `core` names, and every node evaluated.
+    fn core_netlist(core: Core) -> Netlist {
+        let mut n = Netlist::new("core");
+        let [a, b, s1, t, a2] = ["a", "b", "s1", "t", "a2"].map(|p| n.input(p));
+        let q = if core == Core::OrOfA {
+            n.or2(a, a)
+        } else if core == Core::Swapped {
+            n.or2(s1, a)
+        } else {
+            n.or2(a, s1)
+        };
+        let x = if core == Core::Swapped { n.and2(q, b) } else { n.and2(b, q) };
+        let nt = n.inv(t);
+        let y = match core {
+            Core::Swapped => n.and2(nt, a),
+            Core::UnsharedA => n.and2(a2, nt),
+            _ => n.and2(a, nt),
+        };
+        let f = match core {
+            Core::Swapped => n.or2(y, x),
+            Core::RootOfOneAnd => n.or2(x, x),
+            _ => n.or2(x, y),
+        };
+        n.set_output("f", f);
+        if core == Core::InnerReadTwice {
+            let g = n.xor2(q, b);
+            n.set_output("g", g);
+        }
+        if core == Core::InnerIsOutput {
+            n.set_output("nt", nt);
+        }
+        n
+    }
+
+    fn fused_ops(tape: &EvalTape) -> u32 {
+        tape.runs().iter().filter(|r| r.op == TapeOp::Sel).map(|r| r.len).sum()
+    }
+
+    #[test]
+    fn the_selection_core_fuses_in_either_operand_order() {
+        for core in [Core::Plain, Core::Swapped] {
+            let n = core_netlist(core);
+            let tape = EvalTape::compile(&n);
+            assert_eq!(fused_ops(&tape), 1);
+            assert_eq!(tape.op_count(), 1);
+            assert_eq!(tape.slot_count(), n.node_count());
+            tape.check_registers(&n).unwrap();
+            let inputs = ternary_inputs(n.input_count(), 3usize.pow(5));
+            for width in PlaneWidth::ALL {
+                assert_eq!(eval_at(&tape, &inputs, width), n.eval_block(&inputs));
+            }
+        }
+    }
+
+    #[test]
+    fn near_misses_of_the_selection_core_do_not_fuse() {
+        for core in [
+            Core::InnerReadTwice,
+            Core::InnerIsOutput,
+            Core::UnsharedA,
+            Core::OrOfA,
+            Core::RootOfOneAnd,
+        ] {
+            let n = core_netlist(core);
+            let tape = EvalTape::compile(&n);
+            assert_eq!(fused_ops(&tape), 0);
+            assert_eq!(tape.op_count(), n.gate_count());
+            tape.check_registers(&n).unwrap();
+            let inputs = ternary_inputs(n.input_count(), 3usize.pow(5));
+            assert_eq!(eval_at(&tape, &inputs, PlaneWidth::X1), n.eval_block(&inputs));
+        }
+    }
+
+    #[test]
+    fn chained_cores_both_fuse() {
+        // One core's root is a pin of the next, as in the paper's prefix
+        // network: both fuse, and the second reads the first's register.
+        let mut n = Netlist::new("chained");
+        let [a, b, s1, t, b2, t2] = ["a", "b", "s1", "t", "b2", "t2"].map(|p| n.input(p));
+        let core = |n: &mut Netlist, a, b, s1, t| {
+            let q = n.or2(a, s1);
+            let x = n.and2(b, q);
+            let nt = n.inv(t);
+            let y = n.and2(a, nt);
+            n.or2(x, y)
+        };
+        let inner = core(&mut n, a, b, s1, t);
+        let outer = core(&mut n, a, b2, inner, t2);
+        n.set_output("f", outer);
+        let tape = EvalTape::compile(&n);
+        assert_eq!(fused_ops(&tape), 2);
+        assert_eq!(tape.op_count(), 2);
+        tape.check_registers(&n).unwrap();
+        let inputs = ternary_inputs(n.input_count(), 3usize.pow(6));
+        assert_eq!(eval_at(&tape, &inputs, PlaneWidth::X4), n.eval_block(&inputs));
+    }
+
+    #[test]
+    fn the_validator_proves_fused_slots() {
+        let n = core_netlist(Core::Plain);
+        let tape = EvalTape::compile(&n);
+        let s = tape.runs()[0].start as usize;
+        assert_eq!(tape.runs()[0].op, TapeOp::Sel);
+
+        // Pins in the wrong roles: `a` and `s1` swapped.
+        let mut bad = tape.clone();
+        std::mem::swap(&mut bad.a[s], &mut bad.c[s]);
+        assert!(bad.check_registers(&n).unwrap_err().contains("pins"));
+
+        // An unfused netlist of the same shape: the root's fan-ins are
+        // read by another gate, so they must have registers.
+        let twice = core_netlist(Core::InnerReadTwice);
+        assert!(tape.check_registers(&twice).is_err());
+
+        // A claimed inner node left out of the count.
+        let mut bad = tape.clone();
+        bad.absorbed -= 1;
+        assert!(bad.check_registers(&n).unwrap_err().contains("counts"));
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //! is compared against), so CI can run the whole file once per tier and a
 //! forced run is never silently vacuous.
 
-use mcs::logic::plane::kernel::{self, KernelId, UnknownKernel};
+use mcs::core::{selection, SelectionInputs};
+use mcs::logic::plane::kernel::{self, ops, GateOp, KernelId, UnknownKernel};
 use mcs::logic::{PlaneWidth, Trit, TritBlock};
-use mcs::netlist::{EvalTape, Netlist};
+use mcs::netlist::{EvalTape, Netlist, TapeOp};
 use proptest::prelude::*;
 
 /// Recipe for one random gate: cell selector plus three source selectors.
@@ -31,14 +32,15 @@ struct GateRecipe {
 }
 
 /// Random recipes over the full cell set (kinds 0..12): certified cells,
-/// constants, and every pessimistic cell — so every `TapeOp` kernel body
-/// is exercised under every backend.
+/// constants, and every pessimistic cell, plus planted selection cores
+/// (kind 12) that the tape fuses — so every `TapeOp` kernel body is
+/// exercised under every backend.
 fn full_strategy(
     max_gates: usize,
 ) -> impl Strategy<Value = (usize, Vec<GateRecipe>)> {
     (2usize..=5).prop_flat_map(move |inputs| {
         let gates = proptest::collection::vec(
-            (0u8..12, 0usize..1000, 0usize..1000, 0usize..1000)
+            (0u8..13, 0usize..1000, 0usize..1000, 0usize..1000)
                 .prop_map(|(kind, a, b, c)| GateRecipe { kind, a, b, c }),
             1..max_gates,
         );
@@ -71,7 +73,13 @@ fn build(inputs: usize, recipes: &[GateRecipe]) -> Netlist {
             8 => n.xnor2(a, b),
             9 => n.mux2(a, b, c),
             10 => n.andnot2(a, b),
-            _ => n.ao21(a, b, c),
+            11 => n.ao21(a, b, c),
+            _ => {
+                // The paper's selection core with an inverter on `sel2`;
+                // only the root is kept, so the tape fuses it.
+                let sel2 = n.inv(nodes[(r.c / 7) % nodes.len()]);
+                selection(&mut n, SelectionInputs { a, b, sel1: c, sel2 })
+            }
         };
         nodes.push(out);
     }
@@ -240,6 +248,39 @@ fn meta_poison_propagates_identically_under_every_kernel() {
         .collect();
 
     let tape = EvalTape::compile(&n);
+    assert_kernels_match(&n, &tape, &blocks);
+}
+
+/// The fused selection op is the paper's selection circuit: on all 3^4
+/// ternary pin combinations, `ops::Sel` equals [`Netlist::eval`] of
+/// `mcs_core::selection` with an inverter on `sel2`, and the compiled tape
+/// of that netlist — one fused op — agrees under every tier.
+#[test]
+fn sel_is_the_selection_circuit_with_an_inverter_on_sel2() {
+    let mut n = Netlist::new("selection");
+    let [a, b, sel1, t] = ["a", "b", "sel1", "t"].map(|p| n.input(p));
+    let sel2 = n.inv(t);
+    let f = selection(&mut n, SelectionInputs { a, b, sel1, sel2 });
+    n.set_output("f", f);
+    let splat = |trit: Trit| match trit {
+        Trit::Zero => (!0u64, 0u64),
+        Trit::One => (0, !0),
+        Trit::Meta => (!0, !0),
+    };
+    let mut lanes: Vec<Vec<Trit>> = vec![Vec::new(); 4];
+    for combo in 0..81usize {
+        let pins: Vec<Trit> = (0..4).map(|k| Trit::ALL[combo / 3usize.pow(k) % 3]).collect();
+        let want = n.eval(&pins)[0];
+        let [pa, pb, ps1, pt] = [0, 1, 2, 3].map(|k| splat(pins[k]));
+        assert_eq!(ops::Sel::eval(pa, pb, ps1, pt), splat(want), "pins {pins:?}");
+        for (k, &p) in pins.iter().enumerate() {
+            lanes[k].push(p);
+        }
+    }
+    let tape = EvalTape::compile(&n);
+    assert_eq!(tape.op_count(), 1);
+    assert_eq!(tape.runs()[0].op, TapeOp::Sel);
+    let blocks: Vec<TritBlock> = lanes.iter().map(|l| TritBlock::from_lanes(l)).collect();
     assert_kernels_match(&n, &tape, &blocks);
 }
 

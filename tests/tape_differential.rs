@@ -10,13 +10,22 @@
 //! (certified cells, constants, and every pessimistic cell), so every
 //! `TapeOp` kernel is exercised against the interpreter it replaces.
 //!
+//! Random gates almost never form the paper's selection core, so the
+//! generators also plant it (built by [`mcs::core::selection`] with an
+//! inverter on `sel2`), which the tape fuses into one `TapeOp::Sel`; the
+//! hazard generator also plants it with its inverter exposed to later
+//! gates, a near miss that must not fuse. The fused-op count of every
+//! paper 2-sort is pinned, and the other 2-sort flavours and the
+//! pass-optimised 8-channel artifact are checked lane for lane.
+//!
 //! The suite also pins the streaming edges of `eval_batch_iter` (domains
 //! that are not multiples of its internal 64-lane words) — the block-eval
 //! edge cases the tape path must reproduce bit for bit.
 
+use mcs::core::{selection, SelectionInputs};
 use mcs::logic::plane::kernel;
 use mcs::logic::{PlaneWidth, Trit, TritBlock};
-use mcs::netlist::{EvalTape, Netlist};
+use mcs::netlist::{EvalTape, Netlist, NodeId, TapeOp};
 use proptest::prelude::*;
 
 /// Recipe for one random gate: cell selector plus three source selectors.
@@ -29,13 +38,14 @@ struct GateRecipe {
 }
 
 /// Random recipes over the full cell set (kinds 0..12): certified cells,
-/// constants, and every pessimistic cell.
+/// constants, and every pessimistic cell, plus planted selection cores
+/// (kind 12).
 fn full_strategy(
     max_gates: usize,
 ) -> impl Strategy<Value = (usize, Vec<GateRecipe>)> {
     (2usize..=5).prop_flat_map(move |inputs| {
         let gates = proptest::collection::vec(
-            (0u8..12, 0usize..1000, 0usize..1000, 0usize..1000)
+            (0u8..13, 0usize..1000, 0usize..1000, 0usize..1000)
                 .prop_map(|(kind, a, b, c)| GateRecipe { kind, a, b, c }),
             1..max_gates,
         );
@@ -43,10 +53,21 @@ fn full_strategy(
     })
 }
 
+/// The paper's selection core `b·(a + s1) + a·¬t`, with `t` picked from
+/// `nodes` by `r.c / 7`: returns its inverter and its root. While nothing
+/// else reads the inverter, the inner nodes keep a fan-out of one and the
+/// tape fuses the core.
+fn plant_selection(n: &mut Netlist, nodes: &[NodeId], r: &GateRecipe) -> (NodeId, NodeId) {
+    let pick = |k: usize| nodes[k % nodes.len()];
+    let sel2 = n.inv(pick(r.c / 7));
+    let (a, b, sel1) = (pick(r.a), pick(r.b), pick(r.c));
+    (sel2, selection(n, SelectionInputs { a, b, sel1, sel2 }))
+}
+
 /// Materialises a recipe into a netlist: sources index any previously
 /// created node (mod current count), so the circuit is always well-formed
 /// and acyclic. Kinds 0–4 are the certified cells, 5/6 constants, 7–11
-/// the pessimistic cells.
+/// the pessimistic cells, 12 a planted selection core.
 fn build(inputs: usize, recipes: &[GateRecipe]) -> Netlist {
     let mut n = Netlist::new("random");
     let mut nodes = Vec::new();
@@ -69,7 +90,8 @@ fn build(inputs: usize, recipes: &[GateRecipe]) -> Netlist {
             8 => n.xnor2(a, b),
             9 => n.mux2(a, b, c),
             10 => n.andnot2(a, b),
-            _ => n.ao21(a, b, c),
+            11 => n.ao21(a, b, c),
+            _ => plant_selection(&mut n, &nodes, r).1,
         };
         nodes.push(out);
     }
@@ -216,12 +238,13 @@ proptest! {
 
 /// Random netlists built to stress register allocation: inputs and
 /// constants declared anywhere among the cells (so some inputs are dead
-/// and constants sit between inputs), `and2(a, a)`, dead cells, and
-/// outputs on any node — inputs and constants included.
+/// and constants sit between inputs), `and2(a, a)`, dead cells, outputs
+/// on any node — inputs and constants included — and planted selection
+/// cores, fusable or with an inner node exposed.
 fn hazard_strategy() -> impl Strategy<Value = (Vec<GateRecipe>, Vec<usize>)> {
     (
         proptest::collection::vec(
-            (0u8..16, 0usize..1000, 0usize..1000, 0usize..1000)
+            (0u8..18, 0usize..1000, 0usize..1000, 0usize..1000)
                 .prop_map(|(kind, a, b, c)| GateRecipe { kind, a, b, c }),
             1..60,
         ),
@@ -230,7 +253,9 @@ fn hazard_strategy() -> impl Strategy<Value = (Vec<GateRecipe>, Vec<usize>)> {
 }
 
 /// Materialises a hazard recipe: kinds 0–11 as in [`build`], 12 a new
-/// input, 13 a constant, 14 `and2(a, a)`, 15 an `or2` nobody reads.
+/// input, 13 a constant, 14 `and2(a, a)`, 15 an `or2` nobody reads, 16 a
+/// planted selection core, 17 one whose inverter later gates and outputs
+/// may also read (fusable only while they do not).
 fn build_hazards(recipes: &[GateRecipe], outputs: &[usize]) -> Netlist {
     let mut n = Netlist::new("hazards");
     let mut nodes = vec![n.input("i0")];
@@ -253,9 +278,15 @@ fn build_hazards(recipes: &[GateRecipe], outputs: &[usize]) -> Netlist {
             11 => n.ao21(a, b, c),
             12 => n.input(format!("i{k}")),
             14 => n.and2(a, a),
-            _ => {
+            15 => {
                 n.or2(a, b);
                 continue;
+            }
+            16 => plant_selection(&mut n, &nodes, r).1,
+            _ => {
+                let (inv, root) = plant_selection(&mut n, &nodes, r);
+                nodes.push(inv);
+                root
             }
         };
         nodes.push(out);
@@ -336,5 +367,108 @@ fn tape_compile_and_eval_are_deterministic() {
     let b = eval_at(&t2, &blocks, PlaneWidth::X1);
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.first_mismatch(y), None);
+    }
+}
+
+/// Ops the tape fuses into `TapeOp::Sel`.
+fn fused_ops(tape: &EvalTape) -> usize {
+    tape.runs()
+        .iter()
+        .filter(|r| r.op == TapeOp::Sel)
+        .map(|r| r.len as usize)
+        .sum()
+}
+
+/// The planted recipe fuses: a 40-gate netlist of every cell kind with
+/// five planted cores fuses each one, so the generators above do reach
+/// `TapeOp::Sel`.
+#[test]
+fn planted_selection_cores_fuse() {
+    let recipes: Vec<GateRecipe> = (0..40)
+        .map(|k| GateRecipe {
+            kind: if k % 8 == 3 { 12 } else { (k % 12) as u8 },
+            a: 7 * k,
+            b: 13 * k + 1,
+            c: 29 * k + 2,
+        })
+        .collect();
+    let n = build(4, &recipes);
+    let tape = EvalTape::compile(&n);
+    tape.check_registers(&n).unwrap();
+    assert_eq!(fused_ops(&tape), 5);
+    assert_eq!(tape.op_count(), n.gate_count() - 4 * 5);
+    assert_eq!(tape.slot_count(), n.node_count());
+    let seed_bits: Vec<u8> = (0..499u32).map(|i| (i * 5 % 3) as u8).collect();
+    assert_tape_matches(&n, &tape, &input_blocks(4, &seed_bits, 200));
+}
+
+/// Every paper 2-sort — Ladner–Fischer and each explicit prefix topology,
+/// B = 2..16 — fuses exactly its selection circuits: two per `⋄̂_M` block
+/// of the prefix network (`C(B − 1)` blocks) and two per `out_M` block
+/// (`B − 1`), 78 at B = 16. The rest stays single-gate, the allocation
+/// replays, and the tape matches `eval_block` lane for lane.
+#[test]
+fn paper_two_sorts_fuse_every_selection_circuit() {
+    use mcs::core::ppc::PrefixTopology;
+    use mcs::networks::circuit::TwoSortFlavor;
+
+    let seed_bits: Vec<u8> = (0..701u32).map(|i| (i * 7 % 3) as u8).collect();
+    let flavours = std::iter::once((TwoSortFlavor::Paper, PrefixTopology::LadnerFischer)).chain(
+        PrefixTopology::ALL
+            .into_iter()
+            .map(|t| (TwoSortFlavor::PaperWithTopology(t), t)),
+    );
+    for (flavour, topology) in flavours {
+        for width in 2..=16 {
+            let n = flavour.build(width);
+            let tape = EvalTape::compile(&n);
+            let want = 2 * (topology.op_count(width - 1) + (width - 1));
+            assert_eq!(fused_ops(&tape), want, "{flavour:?} B = {width}");
+            assert_eq!(tape.op_count(), n.gate_count() - 4 * want);
+            assert_eq!(tape.slot_count(), n.node_count());
+            tape.check_registers(&n)
+                .unwrap_or_else(|e| panic!("{flavour:?} B = {width}: {e}"));
+            assert_tape_matches(&n, &tape, &input_blocks(n.input_count(), &seed_bits, 130));
+        }
+    }
+    let paper16 = EvalTape::compile(&TwoSortFlavor::Paper.build(16));
+    assert_eq!(fused_ops(&paper16), 78);
+}
+
+/// The other 2-sort flavours and the pass-optimised 8-channel artifact
+/// carry whatever shapes they carry: the tape still replays and matches
+/// `eval_block` lane for lane on them.
+#[test]
+fn other_flavours_and_the_optimised_artifact_match_eval_block() {
+    use mcs::netlist::serdes;
+    use mcs::networks::circuit::TwoSortFlavor;
+
+    let seed_bits: Vec<u8> = (0..883u32).map(|i| (i * 11 % 3) as u8).collect();
+    let mut circuits: Vec<(String, Netlist)> = Vec::new();
+    for flavour in [
+        TwoSortFlavor::Bund2017,
+        TwoSortFlavor::Serial2016,
+        TwoSortFlavor::BinComp,
+    ] {
+        for width in [2, 3, 8, 16] {
+            circuits.push((format!("{flavour:?} B = {width}"), flavour.build(width)));
+        }
+    }
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/eight_sort_2b_opt.mcsnl");
+    let text = std::fs::read_to_string(path).expect("the optimised artifact is committed");
+    circuits.push(("eight_sort_2b_opt".into(), serdes::from_text(&text).unwrap()));
+    for (name, n) in &circuits {
+        let tape = EvalTape::compile(n);
+        tape.check_registers(n)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(tape.slot_count(), n.node_count(), "{name}");
+        let inputs = input_blocks(n.input_count(), &seed_bits, 200);
+        for k in kernel::kernels() {
+            for width in PlaneWidth::ALL {
+                let mut scratch = tape.try_scratch(width, k).unwrap();
+                let got = tape.try_eval_block_with(&inputs, &mut scratch).unwrap();
+                assert_eq!(got, n.eval_block(&inputs), "{name} under {k} at {width}");
+            }
+        }
     }
 }
