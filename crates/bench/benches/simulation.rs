@@ -1,13 +1,14 @@
 //! Criterion benches for the gate-level simulator itself: scalar vs
 //! 64-lane batched vs multi-word block ternary evaluation, exhaustive
 //! 2-sort verification on the block tier, full sorting-network
-//! simulation, and bare compiled-tape eval of the 16×16 cell at every
-//! plane width.
+//! simulation, bare compiled-tape eval of the 16×16 cell at every plane
+//! width, and engine set-up (build, compile and certify).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use mcs_bench::engine::Engine;
+use mcs_bench::engine::{cell_network, Engine};
+use mcs_bench::verify::zero_one_circuit_check;
 use mcs_core::ppc::PrefixTopology;
 use mcs_core::two_sort::{
     build_two_sort, simulate_two_sort, simulate_two_sort_batch,
@@ -122,11 +123,32 @@ fn bench_tape_run(c: &mut Criterion) {
     group.finish();
 }
 
+/// Engine set-up under the preferred tier: `Engine::for_cell` (network
+/// verify, circuit build, compile, register proof and 0-1 sweep on the
+/// tape) on 16×16 and 8×8, and the netlist-level `zero_one_circuit_check`
+/// (compile + proof + sweep) of the 16×16 circuit alone.
+fn bench_engine_setup(c: &mut Criterion) {
+    let mut group = c.benchmark_group("engine_setup");
+    for (channels, width) in [(16, 16), (8, 8)] {
+        group.bench_function(format!("for_cell_{channels}x{width}"), |b| {
+            b.iter(|| {
+                black_box(Engine::for_cell(channels, width, kernel::preferred()).expect("builds"))
+            })
+        });
+    }
+    let circuit = build_sorting_circuit(&cell_network(16), 16, TwoSortFlavor::Paper);
+    group.bench_function("zero_one_circuit_check_16x16", |b| {
+        b.iter(|| zero_one_circuit_check(&circuit, 16, 16).expect("sorts"))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_eval,
     bench_exhaustive_verification,
     bench_network_simulation,
-    bench_tape_run
+    bench_tape_run,
+    bench_engine_setup
 );
 criterion_main!(benches);

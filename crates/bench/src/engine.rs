@@ -6,15 +6,18 @@
 //! streams or serves through it:
 //!
 //! * [`Engine::for_cell`] — a stock cell: validate → [`cell_network`] →
-//!   [`zero_one_verify`] → the paper-flavour circuit → check → compile.
-//! * [`Engine::from_netlist`] — a loaded artifact: validate → check →
-//!   compile.
+//!   [`zero_one_verify`] → the paper-flavour circuit → certify.
+//! * [`Engine::from_netlist`] — a loaded artifact: validate → certify.
 //!
-//! "Check" is the gate-level [`zero_one_circuit_check`] up to
-//! [`MAX_CHECK_CHANNELS`] channels. Above that bound the exhaustive sweep
-//! is out of reach and only the port counts are checked
-//! ([`CircuitVerifyError::PortMismatch`]). The network-level
-//! [`zero_one_verify`] follows the same bound.
+//! "Certify" checks the port counts, compiles the tape once, and proves it
+//! against the circuit: [`EvalTape::check_registers`] on every engine,
+//! then, up to [`MAX_CHECK_CHANNELS`] channels, the exhaustive 0-1 sweep
+//! of [`zero_one_tape_check`] on that same tape under the engine's own
+//! kernel tier. The register proof shows the tape computes the circuit
+//! gate for gate, so the sweep certifies both the netlist and the tape that
+//! streams (see [`crate::verify`] for the argument). Above the bound the
+//! sweep is out of reach and only the ports and the register proof are
+//! checked. The network-level [`zero_one_verify`] follows the same bound.
 
 use std::fmt;
 
@@ -27,7 +30,7 @@ use mcs_networks::optimal::best_size;
 use mcs_networks::verify::zero_one_verify;
 use mcs_networks::Network;
 
-use crate::verify::{zero_one_circuit_check, CircuitVerifyError, MAX_CHECK_CHANNELS};
+use crate::verify::{check_ports, zero_one_tape_check, CircuitVerifyError, MAX_CHECK_CHANNELS};
 
 /// Widest supported channel value (rank arithmetic uses `u64` codewords).
 pub const MAX_WIDTH: usize = 32;
@@ -47,7 +50,8 @@ pub enum EngineError {
     },
     /// The comparator network failed 0-1 verification.
     Network(String),
-    /// The circuit failed the gate-level 0-1 sweep or the port check.
+    /// The circuit failed the port check, the tape's register proof or
+    /// the gate-level 0-1 sweep.
     Circuit(CircuitVerifyError),
     /// The requested kernel backend cannot run on this CPU.
     Kernel(UnknownKernel),
@@ -174,7 +178,8 @@ impl Engine {
         Engine::certify(channels, width, kernel, circuit, None)
     }
 
-    /// Check, then compile.
+    /// Check the ports, compile, then prove the tape against the circuit
+    /// (see the [module docs](self)).
     fn certify(
         channels: usize,
         width: usize,
@@ -182,19 +187,13 @@ impl Engine {
         circuit: Netlist,
         comparators: Option<usize>,
     ) -> Result<Engine, EngineError> {
-        if channels <= MAX_CHECK_CHANNELS {
-            zero_one_circuit_check(&circuit, channels, width)?;
-        } else if circuit.input_count() != channels * width
-            || circuit.output_count() != channels * width
-        {
-            return Err(EngineError::Circuit(CircuitVerifyError::PortMismatch {
-                inputs: circuit.input_count(),
-                outputs: circuit.output_count(),
-                channels,
-                width,
-            }));
-        }
+        check_ports(&circuit, channels, width)?;
         let tape = EvalTape::compile(&circuit);
+        if channels <= MAX_CHECK_CHANNELS {
+            zero_one_tape_check(&circuit, &tape, kernel, channels, width)?;
+        } else {
+            tape.check_registers(&circuit).map_err(CircuitVerifyError::TapeMismatch)?;
+        }
         Ok(Engine {
             kernel,
             comparators,

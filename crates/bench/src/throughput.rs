@@ -65,6 +65,7 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
+use mcs_gray::valid::valid_rank;
 use mcs_gray::ValidString;
 use mcs_logic::plane::kernel::{self, KernelId, UnknownKernel};
 use mcs_logic::{PlaneWidth, TritBlock, TritVec, TritWord};
@@ -744,7 +745,6 @@ fn differential_check(
     stimulus: &Stimulus,
 ) -> Result<usize, ThroughputError> {
     let lanes = cfg.sample_lanes;
-    let rank_count = rank_count(cfg.width);
     let inputs = stimulus.chunk_inputs(0, lanes);
     generator_check(cfg, 0, &inputs)?;
 
@@ -781,15 +781,81 @@ fn differential_check(
         }
     }
 
-    // Rank-level sortedness: outputs must be the sorted input ranks.
-    for lane in 0..lanes {
-        let mut in_ranks: Vec<u64> = (0..cfg.channels)
-            .map(|c| rank_for(cfg.seed, lane as u64, c as u64, rank_count))
-            .collect();
+    rank_check(cfg, 0, &want)?;
+    Ok(lanes)
+}
+
+/// Generator cross-check: the plane-packed `inputs` (one block per
+/// `(channel, bit)` port, as [`Stimulus::chunk_inputs`] lays them out from
+/// global lane `lane0`) must agree bit-for-bit with
+/// [`ValidString::from_rank`] of each lane's [`rank_for`] rank. A mismatch
+/// reports its global lane and first differing bit.
+///
+/// Valid strings map one-to-one onto ranks, so a lane equals
+/// `ValidString::from_rank(width, r)` iff [`valid_rank`] of its planes is
+/// `Ok(r)`: each `(lane, channel)` is checked on two bit masks, and only a
+/// failing one is walked bit by bit to name the bit.
+fn generator_check(
+    cfg: &ThroughputConfig,
+    lane0: u64,
+    inputs: &[TritBlock],
+) -> Result<(), ThroughputError> {
+    let rank_count = rank_count(cfg.width);
+    let lanes = inputs.first().map_or(0, TritBlock::lanes);
+    for i in 0..lanes {
+        let lane = (lane0 + i as u64) as usize;
+        for channel in 0..cfg.channels {
+            let rank = rank_for(cfg.seed, lane as u64, channel as u64, rank_count);
+            let (z, o) = lane_planes(&inputs[channel * cfg.width..][..cfg.width], i);
+            if valid_rank(z, o, cfg.width) == Ok(rank) {
+                continue;
+            }
+            // `rank_for` reduces modulo the rank count, so a refusal here
+            // means the generator itself is broken: report its first bit.
+            let want = ValidString::from_rank(cfg.width, rank).map_err(|_| {
+                ThroughputError::Generator {
+                    lane,
+                    channel,
+                    bit: 0,
+                }
+            })?;
+            for (bit, t) in want.bits().iter().enumerate() {
+                if inputs[channel * cfg.width + bit].lane(i) != t {
+                    return Err(ThroughputError::Generator { lane, channel, bit });
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Rank-level sortedness: the `outputs` of the lanes from global lane
+/// `lane0` (one block per `(channel, bit)` port) must be the ascending
+/// sequence of each lane's [`rank_for`] input ranks. A failure reports its
+/// global lane. As in [`generator_check`], each `(lane, channel)` is
+/// checked by [`valid_rank`] on its bit masks, and only a failing one is
+/// rebuilt as a [`ValidString`] to describe it.
+fn rank_check(
+    cfg: &ThroughputConfig,
+    lane0: u64,
+    outputs: &[TritBlock],
+) -> Result<(), ThroughputError> {
+    let rank_count = rank_count(cfg.width);
+    let lanes = outputs.first().map_or(0, TritBlock::lanes);
+    let mut in_ranks = vec![0u64; cfg.channels];
+    for i in 0..lanes {
+        let lane = (lane0 + i as u64) as usize;
+        for (c, rank) in in_ranks.iter_mut().enumerate() {
+            *rank = rank_for(cfg.seed, lane as u64, c as u64, rank_count);
+        }
         in_ranks.sort_unstable();
         for (c, &want_rank) in in_ranks.iter().enumerate() {
+            let (z, o) = lane_planes(&outputs[c * cfg.width..][..cfg.width], i);
+            if valid_rank(z, o, cfg.width) == Ok(want_rank) {
+                continue;
+            }
             let bits: TritVec = (0..cfg.width)
-                .map(|b| want[c * cfg.width + b].lane(lane))
+                .map(|b| outputs[c * cfg.width + b].lane(i))
                 .collect();
             let got = ValidString::new(bits.clone()).map_err(|e| {
                 ThroughputError::NotSorted {
@@ -808,42 +874,20 @@ fn differential_check(
             }
         }
     }
-    Ok(lanes)
+    Ok(())
 }
 
-/// Generator cross-check: the plane-packed `inputs` (one block per
-/// `(channel, bit)` port, as [`Stimulus::chunk_inputs`] lays them out from
-/// global lane `lane0`) must agree bit-for-bit with
-/// [`ValidString::from_rank`] of each lane's [`rank_for`] rank. A mismatch
-/// reports its global lane.
-fn generator_check(
-    cfg: &ThroughputConfig,
-    lane0: u64,
-    inputs: &[TritBlock],
-) -> Result<(), ThroughputError> {
-    let rank_count = rank_count(cfg.width);
-    let lanes = inputs.first().map_or(0, TritBlock::lanes);
-    for i in 0..lanes {
-        let lane = (lane0 + i as u64) as usize;
-        for channel in 0..cfg.channels {
-            let rank = rank_for(cfg.seed, lane as u64, channel as u64, rank_count);
-            // `rank_for` reduces modulo the rank count, so a refusal here
-            // means the generator itself is broken: report its first bit.
-            let want = ValidString::from_rank(cfg.width, rank).map_err(|_| {
-                ThroughputError::Generator {
-                    lane,
-                    channel,
-                    bit: 0,
-                }
-            })?;
-            for (bit, t) in want.bits().iter().enumerate() {
-                if inputs[channel * cfg.width + bit].lane(i) != t {
-                    return Err(ThroughputError::Generator { lane, channel, bit });
-                }
-            }
-        }
-    }
-    Ok(())
+/// The [`valid_rank`] masks of lane `i` of one channel's bit blocks (MSB
+/// first): character `b` lands on bit `width − 1 − b`.
+fn lane_planes(bits: &[TritBlock], i: usize) -> (u64, u64) {
+    let (k, at) = (i / 64, i % 64);
+    bits.iter().fold((0, 0), |(z, o), block| {
+        let w = block.words()[k];
+        (
+            (z << 1) | ((w.can_zero_plane() >> at) & 1),
+            (o << 1) | ((w.can_one_plane() >> at) & 1),
+        )
+    })
 }
 
 /// Serialises cell reports as the `BENCH_throughput.json` document
@@ -1001,6 +1045,96 @@ mod tests {
             }
             other => panic!("expected a generator divergence, got {other:?}"),
         }
+    }
+
+    /// The `lanes` sampled inputs of `cfg` from global lane `lane0` and
+    /// their interpreted outputs.
+    fn sample(cfg: &ThroughputConfig, lane0: u64, lanes: usize) -> (Vec<TritBlock>, Vec<TritBlock>) {
+        let inputs = Stimulus::new(cfg).unwrap().chunk_inputs(lane0, lanes);
+        let engine = Engine::for_cell(cfg.channels, cfg.width, cfg.kernel).unwrap();
+        let outputs = engine.circuit().eval_block(&inputs);
+        (inputs, outputs)
+    }
+
+    /// The `(lane, detail)` of a [`ThroughputError::NotSorted`].
+    fn not_sorted(r: Result<(), ThroughputError>) -> (usize, String) {
+        match r {
+            Err(ThroughputError::NotSorted { lane, detail }) => (lane, detail),
+            other => panic!("expected an unsorted output, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn generator_check_reports_a_lane_with_two_metastable_bits() {
+        let cfg = small_cfg();
+        let lane0 = 100;
+        let (mut inputs, _) = sample(&cfg, lane0, 130);
+        let (lane, channel) = (70, 3);
+        for bit in 0..cfg.width {
+            inputs[channel * cfg.width + bit].set_lane(lane, Trit::Meta);
+        }
+        // Pinned: the first bit that differs from the lane's valid string.
+        match generator_check(&cfg, lane0, &inputs) {
+            Err(e @ ThroughputError::Generator { .. }) => assert_eq!(
+                e.to_string(),
+                "input generator diverged from ValidString::from_rank at \
+                 lane 170, channel 3, bit 0"
+            ),
+            other => panic!("expected a generator divergence, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rank_check_reports_a_flipped_output_lane() {
+        let cfg = small_cfg();
+        let lane0 = 100;
+        let (_, mut outputs) = sample(&cfg, lane0, 130);
+        rank_check(&cfg, lane0, &outputs).unwrap();
+        let port = &mut outputs[2 * cfg.width + 1];
+        let flipped = match port.lane(97) {
+            Trit::Zero => Trit::One,
+            _ => Trit::Zero,
+        };
+        port.set_lane(97, flipped);
+        let r = rank_check(&cfg, lane0, &outputs);
+        assert_eq!(not_sorted(r), (197, "out2 has rank 0, want 2".into()));
+    }
+
+    #[test]
+    fn rank_check_reports_two_metastable_bits() {
+        let cfg = small_cfg();
+        let lane0 = 100;
+        let (_, mut outputs) = sample(&cfg, lane0, 130);
+        for bit in 0..cfg.width {
+            outputs[cfg.width + bit].set_lane(5, Trit::Meta);
+        }
+        let r = rank_check(&cfg, lane0, &outputs);
+        assert_eq!(
+            not_sorted(r),
+            (
+                105,
+                "out1 = MM is not a valid string: valid strings allow at most \
+                 one metastable bit, found 2"
+                    .into()
+            )
+        );
+    }
+
+    #[test]
+    fn rank_check_reports_a_wrong_valid_rank() {
+        let cfg = small_cfg();
+        let lane0 = 100;
+        let (_, mut outputs) = sample(&cfg, lane0, 130);
+        // Replace channel 0 of lane 64 with the valid string one rank up.
+        let bits: TritVec = (0..cfg.width).map(|b| outputs[b].lane(64)).collect();
+        let rank = ValidString::new(bits).unwrap().rank();
+        let other = ValidString::from_rank(cfg.width, (rank + 1) % rank_count(cfg.width)).unwrap();
+        for (b, t) in other.bits().iter().enumerate() {
+            outputs[b].set_lane(64, t);
+        }
+        assert_eq!(rank, 4);
+        let r = rank_check(&cfg, lane0, &outputs);
+        assert_eq!(not_sorted(r), (164, "out0 has rank 5, want 4".into()));
     }
 
     #[test]
