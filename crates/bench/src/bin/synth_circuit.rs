@@ -11,9 +11,9 @@
 //! ```
 //!
 //! The network comes from the best-known optimal tables (`--channels`,
-//! n ≤ 10) or — the cache path — from a `find_network --save` artifact via
-//! `--network`, re-verified with the 0-1 principle on load instead of
-//! being re-searched. The instantiated circuit is then re-verified at gate
+//! n ≤ 10) or — the cache path — from a saved network artifact (such as
+//! `tests/golden/eight_sort_best.mcsn`) via `--network`, re-verified with
+//! the 0-1 principle on load. The instantiated circuit is then re-verified at gate
 //! level (every 0-1 channel pattern must sort), measured under the
 //! calibrated technology model, and optionally written with `--save`; the
 //! extension picks the format (`.mcsnl` netlist artifact, `.v` structural
@@ -256,8 +256,8 @@ fn run() -> Result<(), SynthError> {
         netlist
     } else {
         let artifact: NetworkArtifact = if let Some(path) = network_path {
-            // The cache path: a searched network is loaded (and re-verified
-            // by the loader) instead of being re-searched.
+            // The cache path: a saved network is loaded (and re-verified by
+            // the loader) instead of taken from the optimal tables.
             let a = load_network(Path::new(&path))?;
             eprintln!(
                 "loaded cached network {path}: {} (seed {})",

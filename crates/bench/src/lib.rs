@@ -10,7 +10,7 @@
 //! * `ablation_prefix` — prefix-topology ablation (not in the paper):
 //!   Ladner–Fischer vs serial vs Sklansky vs unshared recursion.
 //! * `synth_circuit` — synthesis driver: network (optimal table or a
-//!   cached `find_network --save` artifact via `--network`) × 2-sort
+//!   cached network artifact via `--network`) × 2-sort
 //!   flavour → full gate-level netlist, re-verified, measured, and
 //!   saved/loaded as netlist artifacts (`--save`/`--load`).
 //! * `throughput` — sustained-throughput benchmark: streams millions of

@@ -115,7 +115,6 @@ pub mod synth;
 pub mod tape;
 pub mod tech;
 pub mod timing;
-pub mod vcd;
 
 pub use area::AreaReport;
 pub use gate::{CellKind, Gate, NodeId};

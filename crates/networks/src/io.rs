@@ -15,10 +15,11 @@
 //!    recovers the parallel structure).
 //!
 //! 2. The versioned **artifact format** ([`NetworkArtifact`]) used to cache
-//!    searched networks across runs: a header carrying the format version,
-//!    channel count, size, depth and the master seed that found the
-//!    network, followed by one comparator per line in execution order —
-//!    diffable in review, byte-identical under `save → load → save`.
+//!    networks across runs: a header carrying the format version, channel
+//!    count, size, depth and a seed (the master seed of the run that found
+//!    the network, 0 when unknown), followed by one comparator per line in
+//!    execution order — diffable in review, byte-identical under
+//!    `save → load → save`.
 //!    Loaders recompute every header figure and reject artifacts on any
 //!    mismatch, and [`NetworkArtifact::reverify`]
 //!    re-runs 0-1-principle verification so a cache can never silently
@@ -38,22 +39,13 @@
 //! end
 //! ```
 //!
-//! v2 artifacts produced by a **warm-started** search additionally carry
-//! their provenance — the master seed and size of the cached incumbent the
-//! search resumed from — as two optional header lines after `seed`:
-//!
-//! ```text
-//! parent-seed 2018
-//! parent-size 33
-//! ```
-//!
-//! so a chain of resumed runs is auditable from the artifacts alone.
-//!
 //! The version is bumped on any incompatible change; unknown versions are
 //! rejected, never guessed at. Older versions down to
-//! [`ARTIFACT_MIN_VERSION`] remain loadable: a v1 artifact (no provenance
-//! lines) loads as a v2 artifact without provenance — re-saving it writes
-//! the current version.
+//! [`ARTIFACT_MIN_VERSION`] remain loadable: a v1 artifact has the same
+//! layout and loads as a v2 artifact — re-saving it writes the current
+//! version. Any other header line after `seed` (such as the warm-start
+//! provenance lines a since-retired search once wrote) is not a comparator
+//! and is rejected as a typed error.
 
 use std::error::Error;
 use std::fmt;
@@ -168,12 +160,11 @@ impl FromStr for Network {
 // The versioned network artifact format
 // ---------------------------------------------------------------------------
 
-/// Format version written by this module (v2: optional warm-start
-/// provenance in the header).
+/// Format version written by this module.
 pub const ARTIFACT_VERSION: u32 = 2;
 
-/// Oldest format version the loaders still accept. v1 artifacts carry no
-/// provenance; they load as provenance-free v2 artifacts.
+/// Oldest format version the loaders still accept. v1 artifacts share the
+/// v2 layout; they load as v2 artifacts.
 pub const ARTIFACT_MIN_VERSION: u32 = 1;
 
 /// Magic first line of the text artifact (followed by ` v<version>`).
@@ -183,32 +174,14 @@ pub const ARTIFACT_TEXT_MAGIC: &str = "mcs-network";
 /// exhaustively (2^n 0-1 inputs; matches [`zero_one_verify`]'s bound).
 pub const MAX_VERIFY_CHANNELS: usize = 24;
 
-/// Where a warm-started search result came from: the header figures of the
-/// cached incumbent it resumed from. Stamped into the saved artifact so a
-/// long hunt — a chain of cheap resumed runs — stays auditable from its
-/// artifacts alone.
-#[derive(Copy, Clone, Eq, PartialEq, Debug)]
-pub struct WarmStartProvenance {
-    /// Master seed recorded in the incumbent artifact.
-    pub parent_seed: u64,
-    /// Comparator count of the incumbent (the warm-started result is never
-    /// larger — the search's monotonicity guarantee).
-    pub parent_size: u32,
-}
-
-/// A comparator network plus the provenance its cache entry carries: the
-/// master seed of the search that produced it (0 when unknown — e.g. a
-/// hand-written or generator-built network) and, for warm-started results,
-/// the incumbent artifact's seed and size.
+/// A comparator network plus the master seed its cache entry carries (0
+/// when unknown — e.g. a hand-written or generator-built network).
 #[derive(Clone, Eq, PartialEq, Debug)]
 pub struct NetworkArtifact {
     /// The network, comparators in execution order.
     pub network: Network,
-    /// Master seed of the search run that found it (0 = not from a search).
+    /// Master seed of the run that found it (0 = unknown).
     pub master_seed: u64,
-    /// Warm-start provenance; `None` for cold-searched or hand-built
-    /// networks (and for every v1 artifact).
-    pub provenance: Option<WarmStartProvenance>,
 }
 
 /// Error from the [`NetworkArtifact`] loaders and [`NetworkArtifact::reverify`].
@@ -313,28 +286,11 @@ impl fmt::Display for NetworkArtifactError {
 impl Error for NetworkArtifactError {}
 
 impl NetworkArtifact {
-    /// Wraps a network with the master seed that found it (no warm-start
-    /// provenance; set [`NetworkArtifact::provenance`] or use
-    /// [`NetworkArtifact::with_provenance`] for resumed results).
+    /// Wraps a network with the master seed that found it.
     pub fn new(network: Network, master_seed: u64) -> NetworkArtifact {
         NetworkArtifact {
             network,
             master_seed,
-            provenance: None,
-        }
-    }
-
-    /// Wraps a warm-started search result: the network, the master seed of
-    /// the run that refined it, and the incumbent's provenance figures.
-    pub fn with_provenance(
-        network: Network,
-        master_seed: u64,
-        provenance: WarmStartProvenance,
-    ) -> NetworkArtifact {
-        NetworkArtifact {
-            network,
-            master_seed,
-            provenance: Some(provenance),
         }
     }
 
@@ -348,10 +304,6 @@ impl NetworkArtifact {
         s.push_str(&format!("size {}\n", self.network.size()));
         s.push_str(&format!("depth {}\n", self.network.depth()));
         s.push_str(&format!("seed {}\n", self.master_seed));
-        if let Some(p) = &self.provenance {
-            s.push_str(&format!("parent-seed {}\n", p.parent_seed));
-            s.push_str(&format!("parent-size {}\n", p.parent_size));
-        }
         for c in self.network.comparators() {
             s.push_str(&format!("({},{})\n", c.lo(), c.hi()));
         }
@@ -369,8 +321,7 @@ impl NetworkArtifact {
         let mut lines = text
             .lines()
             .enumerate()
-            .map(|(i, l)| (i + 1, l.trim_end()))
-            .peekable();
+            .map(|(i, l)| (i + 1, l.trim_end()));
         let (_, magic) = lines.next().ok_or(NetworkArtifactError::Truncated {
             context: "magic line",
         })?;
@@ -385,11 +336,10 @@ impl NetworkArtifact {
         if !(ARTIFACT_MIN_VERSION..=ARTIFACT_VERSION).contains(&version) {
             return Err(NetworkArtifactError::UnsupportedVersion { found: version });
         }
-        fn field_value(
-            line: usize,
-            l: &str,
-            key: &str,
-        ) -> Result<u64, NetworkArtifactError> {
+        let mut header_field = |key: &str| -> Result<u64, NetworkArtifactError> {
+            let (line, l) = lines.next().ok_or(NetworkArtifactError::Truncated {
+                context: "header",
+            })?;
             let value = l
                 .strip_prefix(key)
                 .map(str::trim)
@@ -402,49 +352,11 @@ impl NetworkArtifact {
                 line,
                 detail: format!("bad {key} value {value:?}"),
             })
-        }
-        // A macro rather than a closure: the optional provenance block
-        // below peeks `lines` between field reads, which a capturing
-        // closure's long-lived mutable borrow would forbid.
-        macro_rules! header_field {
-            ($key:literal) => {{
-                let (line, l) = lines.next().ok_or(NetworkArtifactError::Truncated {
-                    context: "header",
-                })?;
-                field_value(line, l, $key)?
-            }};
-        }
-        let channels_figure = header_field!("channels");
-        let size = header_field!("size");
-        let depth = header_field!("depth");
-        let seed = header_field!("seed");
-        // Optional warm-start provenance (v2): two lines after `seed`.
-        // v1 artifacts never carried them, so a v1 `parent-seed` line falls
-        // through to the comparator parser and is rejected there.
-        let provenance = if version >= 2
-            && lines.peek().is_some_and(|&(_, l)| l.starts_with("parent-se"))
-        {
-            let parent_seed = header_field!("parent-seed");
-            let (ps_line, _) = *lines.peek().ok_or(NetworkArtifactError::Truncated {
-                context: "header",
-            })?;
-            let parent_size_figure = header_field!("parent-size");
-            if parent_size_figure > u64::from(u32::MAX) {
-                return Err(NetworkArtifactError::Header {
-                    line: ps_line,
-                    detail: format!(
-                        "parent-size {parent_size_figure} exceeds {}",
-                        u32::MAX
-                    ),
-                });
-            }
-            Some(WarmStartProvenance {
-                parent_seed,
-                parent_size: parent_size_figure as u32,
-            })
-        } else {
-            None
         };
+        let channels_figure = header_field("channels")?;
+        let size = header_field("size")?;
+        let depth = header_field("depth")?;
+        let seed = header_field("seed")?;
         // Channel counts are capped at u16::MAX: a wider figure must be a
         // typed error here, not a panic in `Comparator::new` later.
         if channels_figure == 0 || channels_figure > u64::from(u16::MAX) {
@@ -518,12 +430,11 @@ impl NetworkArtifact {
         Ok(NetworkArtifact {
             network,
             master_seed: seed,
-            provenance,
         })
     }
 
     /// Loads from raw file bytes — the single dispatch point for
-    /// file-based loaders (`find_network --load`, `mcs-bench`'s cache
+    /// file-based loaders (`synth_circuit --network`, `mcs-bench`'s cache
     /// helpers).
     ///
     /// # Errors
@@ -655,78 +566,42 @@ mod tests {
             "mcs-network v2\nchannels 4\nsize 5\ndepth 3\nseed 2018\n\
              (0,1)\n(2,3)\n(0,2)\n(1,3)\n(1,2)\nend\n"
         );
-        let resumed = NetworkArtifact::with_provenance(
-            Network::from_pairs(4, [(0, 1), (2, 3), (0, 2), (1, 3), (1, 2)]),
-            2018,
-            WarmStartProvenance { parent_seed: 7, parent_size: 33 },
-        );
-        assert_eq!(
-            resumed.to_text(),
-            "mcs-network v2\nchannels 4\nsize 5\ndepth 3\nseed 2018\n\
-             parent-seed 7\nparent-size 33\n\
-             (0,1)\n(2,3)\n(0,2)\n(1,3)\n(1,2)\nend\n"
-        );
-    }
-
-    /// Both header forms: without and with the provenance lines.
-    #[test]
-    fn provenance_roundtrips_byte_identically_in_both_forms() {
-        for provenance in [
-            None,
-            Some(WarmStartProvenance { parent_seed: 0, parent_size: 0 }),
-            Some(WarmStartProvenance {
-                parent_seed: u64::MAX,
-                parent_size: u32::MAX,
-            }),
-        ] {
-            let mut artifact = NetworkArtifact::new(best_size(6).unwrap(), 2018);
-            artifact.provenance = provenance;
-            let text = artifact.to_text();
-            let from_text = NetworkArtifact::from_text(&text).unwrap();
-            assert_eq!(from_text, artifact, "{provenance:?}");
-            assert_eq!(from_text.to_text(), text, "{provenance:?}");
-        }
     }
 
     #[test]
     fn headerless_v1_text_artifacts_still_load() {
-        // The exact bytes PR 4's writer produced: no provenance lines.
+        // The exact bytes PR 4's writer produced.
         let v1 = "mcs-network v1\nchannels 4\nsize 5\ndepth 3\nseed 2018\n\
                   (0,1)\n(2,3)\n(0,2)\n(1,3)\n(1,2)\nend\n";
         let loaded = NetworkArtifact::from_text(v1).unwrap();
         assert_eq!(loaded.master_seed, 2018);
-        assert_eq!(loaded.provenance, None);
         assert_eq!(loaded.network.size(), 5);
         loaded.reverify().unwrap();
         // Re-saving writes the current version (not byte-identical to v1).
         assert!(loaded.to_text().starts_with("mcs-network v2\n"));
-        // A v1 artifact cannot carry provenance lines: they fall through to
-        // the comparator parser and are rejected as typed errors.
-        let bogus = "mcs-network v1\nchannels 4\nsize 5\ndepth 3\nseed 2018\n\
-                     parent-seed 7\nparent-size 33\n\
-                     (0,1)\n(2,3)\n(0,2)\n(1,3)\n(1,2)\nend\n";
-        assert!(matches!(
-            NetworkArtifact::from_text(bogus),
-            Err(NetworkArtifactError::Comparator { line: 6, .. })
-        ));
     }
 
+    /// The provenance header lines of the retired warm-start search
+    /// (parent seed and size) are no longer part of the format, in either
+    /// version: they reach the comparator parser and come back as a typed
+    /// error, never a panic or a silently dropped line.
     #[test]
     fn malformed_provenance_is_a_typed_error() {
-        // parent-seed without parent-size.
-        let half = "mcs-network v2\nchannels 3\nsize 1\ndepth 1\nseed 0\n\
-                    parent-seed 7\n(0,1)\nend\n";
-        assert!(matches!(
-            NetworkArtifact::from_text(half),
-            Err(NetworkArtifactError::Header { line: 7, .. })
-        ));
-        // parent-size beyond u32.
-        let wide = "mcs-network v2\nchannels 3\nsize 1\ndepth 1\nseed 0\n\
-                    parent-seed 7\nparent-size 4294967296\n(0,1)\nend\n";
-        assert!(matches!(
-            NetworkArtifact::from_text(wide),
-            Err(NetworkArtifactError::Header { line: 7, .. })
-        ));
+        for version in ["v1", "v2"] {
+            let text = format!(
+                "mcs-network {version}\nchannels 4\nsize 5\ndepth 3\nseed 2018\n\
+                 parent-seed 7\nparent-size 33\n\
+                 (0,1)\n(2,3)\n(0,2)\n(1,3)\n(1,2)\nend\n"
+            );
+            assert!(matches!(
+                NetworkArtifact::from_text(&text),
+                Err(NetworkArtifactError::Comparator { line: 6, .. })
+            ));
+            assert!(matches!(
+                NetworkArtifact::from_slice(text.as_bytes()),
+                Err(NetworkArtifactError::Comparator { line: 6, .. })
+            ));
+        }
     }
 
     #[test]
@@ -813,8 +688,7 @@ mod tests {
         assert_eq!(NetworkArtifact::from_text(&padded).unwrap(), artifact);
     }
 
-    /// Both text versions load from raw bytes: v2, and v1 without the
-    /// provenance lines.
+    /// Both text versions load from raw bytes.
     #[test]
     fn from_slice_sniffs_both_forms() {
         let artifact = NetworkArtifact::new(best_size(5).unwrap(), 9);

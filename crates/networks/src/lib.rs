@@ -16,14 +16,10 @@
 //!   standardization of reversed comparators), insertion/bubble networks.
 //! * [`optimal`] — best-known networks for n ≤ 10, including the paper's
 //!   `10-sort#` (29 comparators, size-optimal) and `10-sortd`
-//!   (31 comparators, depth 7).
+//!   (31 comparators, depth 7; found by a simulated-annealing search since
+//!   retired from this repository, pinned here and 0-1-verified).
 //! * [`circuit`] — network × 2-sort flavour → gate-level netlist.
 //! * [`reference`](mod@reference) — software reference semantics for MC sorting networks.
-//! * [`search`] — a multi-threaded simulated-annealing sorting-network
-//!   search (SorterHunter-style), used to (re)discover small networks:
-//!   independent restarts sharded across workers with a shared
-//!   best-so-far, deterministic for a fixed master seed regardless of
-//!   worker count (see the module docs' determinism contract).
 //!
 //! # Example
 //!
@@ -46,7 +42,6 @@ pub mod generators;
 pub mod io;
 pub mod optimal;
 pub mod reference;
-pub mod search;
 pub mod verify;
 
 pub use circuit::{build_sorting_circuit, TwoSortFlavor};

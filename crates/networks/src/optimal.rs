@@ -8,8 +8,9 @@
 //!
 //! Every network returned here is verified by the 0-1 principle in this
 //! module's tests; the classic lists follow Knuth (TAOCP vol. 3, §5.3.4)
-//! and the cited papers, and the depth-optimal 10-channel entry was
-//! rediscovered with [`crate::search`] and pinned here.
+//! and the cited papers. The depth-optimal 9- and 10-channel entries were
+//! found by a simulated-annealing search (since retired from this
+//! repository), pinned here and 0-1-verified.
 
 use crate::comparator::Network;
 
@@ -156,8 +157,8 @@ pub fn best_size(n: usize) -> Option<Network> {
 /// optimal). Returns `None` for other sizes.
 ///
 /// For `n ∈ {4, 7}` the networks are optimal in both measures, as the paper
-/// notes. The `n = 9, 10` entries (depth 7) were rediscovered with the
-/// local search in [`crate::search`] and verified by the 0-1 principle.
+/// notes. The `n = 9, 10` entries (depth 7) were found by the retired
+/// simulated-annealing search, pinned here and 0-1-verified.
 pub fn best_depth(n: usize) -> Option<Network> {
     match n {
         1..=4 => best_size(n), // also depth-optimal
@@ -248,9 +249,8 @@ pub fn best_depth(n: usize) -> Option<Network> {
     }
 }
 
-/// Depth-7, 26-comparator network for 9 channels, found by the local
-/// search in [`crate::search`] (`find_network 9 7`, seed 1) and verified by
-/// the 0-1 principle.
+/// Depth-7, 26-comparator network for 9 channels, found by the retired
+/// simulated-annealing search (seed 1), pinned here and 0-1-verified.
 const DEPTH_OPT_9: [(usize, usize); 26] = [
     (3, 8),
     (1, 4),
@@ -281,8 +281,8 @@ const DEPTH_OPT_9: [(usize, usize); 26] = [
 ];
 
 /// Depth-7, 31-comparator network for 10 channels — the paper's `10-sortd`
-/// parameters, rediscovered by the saturated-matching search
-/// (`find_network 10 7 31`, seed 712) and verified by the 0-1 principle.
+/// parameters, found by the retired simulated-annealing search (saturated
+/// matchings, seed 712), pinned here and 0-1-verified.
 const DEPTH_OPT_10: [(usize, usize); 31] = [
     (0, 1),
     (2, 3),

@@ -203,15 +203,15 @@ fn golden_network_artifact_reloads_and_reverifies() {
 #[test]
 fn golden_v1_network_artifact_still_loads() {
     // The frozen v1 golden (PR 4's exact writer output, never
-    // regenerated): version compatibility means old caches keep loading —
-    // as provenance-free artifacts — after the v2 header extension.
+    // regenerated): version compatibility means old caches keep loading
+    // as v2 artifacts.
     let source = fs::read_to_string(golden_path("eight_sort_best_v1.mcsn"))
         .expect("missing golden eight_sort_best_v1.mcsn");
     assert!(source.starts_with("mcs-network v1\n"), "fixture must stay v1");
     let loaded = NetworkArtifact::from_text(&source).expect("v1 golden loads");
     loaded.reverify().expect("v1 golden network sorts");
     assert_eq!(loaded.network, best_size(8).unwrap());
-    assert_eq!(loaded.provenance, None);
+    assert_eq!(loaded.master_seed, 0);
     // Re-saving writes the current version: byte-identity is promised for
     // save → load → save of the *current* writer, not across versions.
     let resaved = NetworkArtifact::from_text(&loaded.to_text()).expect("v2 reload");

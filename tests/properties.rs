@@ -311,61 +311,6 @@ proptest! {
         }
     }
 
-    /// Shrink safety of the search's pruning pass: for random sorting
-    /// networks with injected redundancy, `prune` must keep the network
-    /// sorting while never growing its size or ASAP depth.
-    ///
-    /// Redundancy is injected only in ways that provably preserve the
-    /// sorting property: prepending a comparator (the sorter behind it
-    /// still sorts anything), appending one (sorted stays sorted under a
-    /// standard compare-exchange), and duplicating one in place
-    /// (compare-exchange is idempotent).
-    #[test]
-    fn prune_is_shrink_safe(
-        n in 3usize..=8,
-        generator in 0usize..3,
-        ops in proptest::collection::vec((0usize..3, 0usize..10_000, 0usize..10_000), 1..12),
-    ) {
-        use mcs::networks::generators::{batcher_odd_even, bitonic, insertion};
-        use mcs::networks::search::prune;
-        use mcs::networks::verify::zero_one_failures;
-
-        let base = match generator {
-            0 => insertion(n),
-            1 => batcher_odd_even(n),
-            _ => bitonic(n),
-        };
-        let mut comps: Vec<(usize, usize)> = base
-            .comparators()
-            .iter()
-            .map(|c| (c.lo(), c.hi()))
-            .collect();
-        for &(kind, x, y) in &ops {
-            let a = x % n;
-            let b = if y % n == a { (a + 1) % n } else { y % n };
-            let pair = (a.min(b), a.max(b));
-            match kind {
-                0 => comps.insert(0, pair),
-                1 => comps.push(pair),
-                _ => {
-                    let k = x % comps.len();
-                    let dup = comps[k];
-                    comps.insert(k, dup);
-                }
-            }
-        }
-        let bloated = Network::from_pairs(n, comps);
-        prop_assert_eq!(zero_one_failures(&bloated), 0, "redundancy injection broke {}", bloated);
-
-        let pruned = prune(&bloated);
-        prop_assert_eq!(zero_one_failures(&pruned), 0, "prune broke {}", bloated);
-        prop_assert!(pruned.size() <= bloated.size(), "prune grew {} to {}", bloated, pruned);
-        prop_assert!(pruned.depth() <= bloated.depth(), "prune deepened {} to {}", bloated, pruned);
-        prop_assert_eq!(pruned.channels(), bloated.channels());
-        // Prune reaches a fixed point in one call: pruning again is a no-op.
-        prop_assert_eq!(&prune(&pruned), &pruned);
-    }
-
     #[test]
     fn two_sort_idempotent_and_commutative(pair in valid_pair_strategy()) {
         let (g, h) = pair;

@@ -11,7 +11,7 @@ use mcs::netlist::serdes;
 use mcs::netlist::synth::sop_for_table;
 use mcs::netlist::Netlist;
 use mcs::networks::generators::{batcher_odd_even, bitonic, insertion};
-use mcs::networks::io::{NetworkArtifact, WarmStartProvenance};
+use mcs::networks::io::NetworkArtifact;
 use mcs::networks::optimal::{best_depth, best_size};
 use mcs::networks::Network;
 use proptest::prelude::*;
@@ -118,28 +118,15 @@ fn network_strategy() -> impl Strategy<Value = Network> {
     })
 }
 
-/// Strategy: optional warm-start provenance — absent, or any parent seed
-/// and size (the formats must carry the extremes).
-fn provenance_strategy() -> impl Strategy<Value = Option<WarmStartProvenance>> {
-    prop_oneof![
-        Just(None),
-        (0u64..=u64::MAX, 0u32..=u32::MAX).prop_map(|(parent_seed, parent_size)| {
-            Some(WarmStartProvenance { parent_seed, parent_size })
-        }),
-    ]
-}
-
 proptest! {
     /// Random networks survive save→load→save byte-identically, with the
-    /// master seed and any warm-start provenance preserved.
+    /// master seed preserved.
     #[test]
     fn network_artifacts_roundtrip_byte_identically(
         net in network_strategy(),
         seed in 0u64..=u64::MAX / 2,
-        provenance in provenance_strategy(),
     ) {
-        let mut artifact = NetworkArtifact::new(net, seed);
-        artifact.provenance = provenance;
+        let artifact = NetworkArtifact::new(net, seed);
         let text = artifact.to_text();
         let from_text = NetworkArtifact::from_text(&text).expect("text loads");
         prop_assert_eq!(&from_text, &artifact);
@@ -152,16 +139,16 @@ proptest! {
     }
 
     /// Version compatibility: the same random networks, hand-written in
-    /// the v1 text layout (no provenance), still load — as provenance-free
-    /// artifacts equal to their v2 counterparts.
+    /// the v1 text layout, still load — as artifacts equal to their v2
+    /// counterparts.
     #[test]
     fn headerless_v1_artifacts_still_load(
         net in network_strategy(),
         seed in 0u64..=u64::MAX / 2,
     ) {
         let expected = NetworkArtifact::new(net.clone(), seed);
-        // v1 text: the v2 writer's output with the version swapped (v1
-        // bodies are identical when there is no provenance).
+        // v1 text: the v2 writer's output with the version swapped (the
+        // two versions share one layout).
         let v1_text = expected
             .to_text()
             .replacen("mcs-network v2\n", "mcs-network v1\n", 1);
