@@ -1,5 +1,5 @@
 //! Criterion benches for the gate-level simulator itself: scalar vs
-//! 64-lane batched vs multi-word block ternary evaluation, exhaustive
+//! multi-word block ternary evaluation, exhaustive
 //! 2-sort verification on the block tier, full sorting-network
 //! simulation, bare compiled-tape eval of the 16×16 cell at every plane
 //! width, and engine set-up (build, compile and certify).
@@ -11,8 +11,8 @@ use mcs_bench::engine::{cell_network, Engine};
 use mcs_bench::verify::zero_one_circuit_check;
 use mcs_core::ppc::PrefixTopology;
 use mcs_core::two_sort::{
-    build_two_sort, simulate_two_sort, simulate_two_sort_batch,
-    simulate_two_sort_block, verify_two_sort_exhaustive,
+    build_two_sort, simulate_two_sort, simulate_two_sort_block,
+    verify_two_sort_exhaustive,
 };
 use mcs_gray::ValidString;
 use mcs_logic::plane::kernel;
@@ -40,9 +40,6 @@ fn bench_eval(c: &mut Criterion) {
                 black_box(simulate_two_sort(&circuit, g, h));
             }
         })
-    });
-    group.bench_function("batched_64_lanes", |b| {
-        b.iter(|| black_box(simulate_two_sort_batch(&circuit, &pairs)))
     });
     group.finish();
 

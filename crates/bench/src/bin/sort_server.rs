@@ -3,7 +3,7 @@
 //! Usage:
 //!
 //! ```text
-//! sort_server [--channels N] [--width B] [--workers W] [--planes 1|4|8]
+//! sort_server [--channels N] [--width B] [--workers W]
 //!             [--max-batch L] [--linger-us U | --linger-ms M]
 //!             [--queue-depth D] [--timeout-ms T] [--circuit PATH]
 //!             [--listen ADDR] [--stats-json PATH] [--quiet]
@@ -11,7 +11,8 @@
 //!
 //! Defaults: a 4-channel × 2-bit circuit built from the stock cell network
 //! (optimal table for small `n`, Batcher odd-even beyond), one worker per
-//! core, 4-wide planes, 256-lane batches, 2 ms linger, 4096-request queue,
+//! core, 256-lane batches (one pass of the 4-wide planes every batch is
+//! evaluated at), 2 ms linger, 4096-request queue,
 //! no per-request timeout, stdin/stdout mode.
 //!
 //! `--circuit PATH` loads a saved netlist artifact (e.g. an optimized
@@ -26,7 +27,7 @@
 //!
 //! The frame protocol, coalescing and backpressure semantics are
 //! documented in [`mcs_bench::server`]; stdin-mode output is byte-identical
-//! across worker counts, plane widths and kernels. Timing is observational
+//! across worker counts and kernels. Timing is observational
 //! only:
 //! `stats` response lines and the `--stats-json PATH` dump (the versioned
 //! `mcs-serverstats-v1` document, written on exit) carry per-stage latency
@@ -44,7 +45,6 @@ use mcs_bench::server::{
     serve_lines, serve_tcp, stats_json, ServerConfig, ServerError, SortEngine,
 };
 use mcs_logic::plane::kernel::{self, UnknownKernel};
-use mcs_logic::PlaneWidth;
 
 #[derive(Debug)]
 enum CliError {
@@ -119,11 +119,6 @@ fn run() -> Result<(), CliError> {
             "--channels" => cfg.channels = parse_usize("--channels", value("--channels")?)?,
             "--width" => cfg.width = parse_usize("--width", value("--width")?)?,
             "--workers" => cfg.workers = parse_usize("--workers", value("--workers")?)?,
-            "--planes" => {
-                cfg.plane_width = value("--planes")?
-                    .parse::<PlaneWidth>()
-                    .map_err(|e| CliError::Usage(format!("--planes: {e}")))?;
-            }
             "--max-batch" => cfg.max_batch = parse_usize("--max-batch", value("--max-batch")?)?,
             "--linger-us" => {
                 cfg.max_linger =

@@ -5,13 +5,14 @@
 //! Usage:
 //!
 //! ```text
-//! throughput [--vectors N] [--workers W] [--planes 1|4|8] [--seed S]
+//! throughput [--vectors N] [--workers W] [--planes 1|4] [--seed S]
 //!            [--kernels scalar,avx2] [--chunk-lanes L]
 //!            [--cells nxB[,nxB...]] [--json PATH]
 //! ```
 //!
 //! Defaults: the full paper-adjacent grid n ∈ {4, 8, 16} × B ∈ {2, 4, 8, 16},
-//! 1 M vectors per cell, one worker per core, 4-wide planes, results written
+//! 1 M vectors per cell, one worker per core, 4-wide planes (`--planes 1`
+//! runs the 1-wide reference width), results written
 //! to `BENCH_throughput.json`.
 //!
 //! `--kernels` runs every cell once per listed kernel tier (side-by-side
@@ -89,7 +90,7 @@ fn parse_cell(spec: &str) -> Result<(usize, usize), CliError> {
 fn run() -> Result<(), CliError> {
     let mut vectors = 1_000_000u64;
     let mut workers = 0usize;
-    let mut planes = PlaneWidth::X4;
+    let mut planes = PlaneWidth::default();
     let mut seed: Option<u64> = None;
     let mut chunk_lanes = 8192usize;
     let mut cells: Vec<(usize, usize)> = Vec::new();

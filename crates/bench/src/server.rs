@@ -12,20 +12,21 @@
 //! * **Request coalescing.** Each request is one lane. Small concurrent
 //!   requests are packed into shared plane words — the [`CoalescerQueue`]
 //!   holds arrivals until a full `max_batch`-lane plane is ready (64 lanes
-//!   per plane word, [`PlaneWidth`] words per pass) or the oldest pending
-//!   request has lingered for `max_linger`, whichever is first, so latency
-//!   stays bounded while throughput approaches the engine's streaming rate.
+//!   per plane word, [`PlaneWidth::default`] words per pass) or the oldest
+//!   pending request has lingered for `max_linger`, whichever is first, so
+//!   latency stays bounded while throughput approaches the engine's
+//!   streaming rate.
 //! * **Backpressure.** The inbound queue is bounded (`queue_depth`
 //!   requests). Socket traffic beyond the bound is *rejected* with a typed
 //!   `overloaded` response carrying a retry hint — never buffered without
 //!   limit. The stdin pipe blocks the producer instead (classic pipe
 //!   backpressure), so batch files of any size stream through safely.
 //! * **Determinism.** Per-request results are independent of batch
-//!   packing, worker count and plane width — each lane's output depends
+//!   packing, worker count and kernel tier — each lane's output depends
 //!   only on that lane, workers drain whole batches, and every response is
 //!   re-sequenced into per-connection request order before it is written.
 //!   `cat requests | sort_server` is byte-identical across 1/2/4/8 workers
-//!   and plane widths 1/4/8; the `server` test suite pins this against a
+//!   and both kernel tiers; the `server` test suite pins this against a
 //!   rank-sorted reference and against one-request-at-a-time
 //!   [`SortEngine::sort_batch`], and the committed goldens pin the bytes.
 //!
@@ -41,7 +42,9 @@
 //! Robustness is typed end to end: malformed frames, invalid strings,
 //! oversized requests, overload, timeouts and shutdown are all
 //! [`FrameError`] responses on the wire ([`ServerError`] covers setup and
-//! I/O), and the serving loop itself never panics on input.
+//! I/O), and the serving loop itself never panics on input. A panic inside
+//! a worker's batch is caught: that batch's requests are answered
+//! `internal` and every other request is still served.
 //!
 //! [`EvalTape`]: mcs_netlist::EvalTape
 //!
@@ -93,6 +96,7 @@ use std::collections::BinaryHeap;
 use std::fmt;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
@@ -122,8 +126,6 @@ pub struct ServerConfig {
     pub width: usize,
     /// Worker threads draining the queue; `0` means one per core.
     pub workers: usize,
-    /// Plane width of each tape pass (64 lanes per plane word).
-    pub plane_width: PlaneWidth,
     /// Kernel backend of each tape pass. Must be available on this CPU
     /// (refused at engine construction otherwise); responses are
     /// backend-independent by the kernel conformance contract.
@@ -144,17 +146,16 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// Defaults: auto workers, 4-wide planes, the widest available kernel,
-    /// 256-lane batches (one full 4-word plane pass), 2 ms linger,
+    /// Defaults: auto workers, the widest available kernel, batches of one
+    /// full plane pass at [`PlaneWidth::default`] (256 lanes), 2 ms linger,
     /// 4096-request queue, no timeout, 64 KiB frames.
     pub fn new(channels: usize, width: usize) -> ServerConfig {
         ServerConfig {
             channels,
             width,
             workers: 0,
-            plane_width: PlaneWidth::X4,
             kernel: kernel::preferred(),
-            max_batch: PlaneWidth::X4.lanes(),
+            max_batch: PlaneWidth::default().lanes(),
             max_linger: Duration::from_millis(2),
             queue_depth: 4096,
             request_timeout: None,
@@ -770,10 +771,10 @@ impl SortEngine {
         &self.cfg
     }
 
-    /// Allocates one worker's (or connection's) reusable scratch for the
-    /// configured plane width and kernel backend.
+    /// Allocates one worker's (or connection's) reusable scratch at
+    /// [`PlaneWidth::default`] for the configured kernel backend.
     pub fn scratch(&self) -> TapeScratch {
-        self.engine.scratch(self.cfg.plane_width)
+        self.engine.scratch(PlaneWidth::default())
     }
 
     /// Sorts a coalesced batch: request `i` occupies lane `i` of one shared
@@ -781,7 +782,7 @@ impl SortEngine {
     ///
     /// Per-request results are a function of that request alone — lanes are
     /// independent in the word-parallel evaluator — which is the whole
-    /// determinism contract: packing, worker count and plane width cannot
+    /// determinism contract: packing, worker count and kernel tier cannot
     /// change any response.
     ///
     /// # Errors
@@ -1276,6 +1277,11 @@ pub struct ServeReport {
 /// The worker loop: drain plane batches, sort, route responses. Shared by
 /// both serving modes. All timing here is observational: the responses
 /// are byte-identical whether or not anyone ever reads the histograms.
+///
+/// A panic while sorting a batch is caught here: every request of that
+/// batch is answered `internal` and counted as rejected, the scratch it may
+/// have left half-written is rebuilt, and the worker keeps draining, so the
+/// connection writer never waits on a reply that cannot come.
 fn worker_loop(engine: &SortEngine, queue: &CoalescerQueue, stats: &ServerStats) {
     let mut scratch = engine.scratch();
     let mut sorted = Vec::new();
@@ -1313,7 +1319,20 @@ fn worker_loop(engine: &SortEngine, queue: &CoalescerQueue, stats: &ServerStats)
         if live.is_empty() {
             continue;
         }
-        match engine.sort_lanes(&live, &mut scratch, Some(stats), &mut sorted) {
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            #[cfg(test)]
+            if live.iter().any(|job| job.id == tests::WORKER_PANIC_ID) {
+                panic!("injected worker panic");
+            }
+            engine.sort_lanes(&live, &mut scratch, Some(stats), &mut sorted)
+        }))
+        .unwrap_or_else(|_| {
+            scratch = engine.scratch();
+            Err(FrameError::Internal {
+                detail: "worker panicked while sorting the batch".into(),
+            })
+        });
+        match outcome {
             Ok(()) => {
                 // Counted per outcome, like `rejected`: served + rejected
                 // adds up to the frames received.
@@ -1630,6 +1649,10 @@ mod tests {
     /// test-only trigger of [`ServerError::WriterPanicked`].
     pub(super) const WRITER_PANIC_ID: &str = "panic-the-writer";
 
+    /// A request id whose batch makes the worker panic mid-sort: the
+    /// test-only trigger of the worker's `catch_unwind`.
+    pub(super) const WORKER_PANIC_ID: &str = "panic-the-worker";
+
     fn cfg4x2() -> ServerConfig {
         let mut cfg = ServerConfig::new(4, 2);
         cfg.workers = 1;
@@ -1767,6 +1790,52 @@ mod tests {
         let mut out = Vec::new();
         serve_lines(&engine, "sort r1 00 11\nsort r3 0M\n".as_bytes(), &mut out).unwrap();
         assert_eq!(String::from_utf8(out).unwrap().lines().count(), 2);
+    }
+
+    /// A worker panic fails only its own batch: with one request per
+    /// batch, the trigger is answered `internal`, every other response of
+    /// the committed mixed request file is byte-identical to its golden,
+    /// and `served + rejected` still adds up to the frames received.
+    #[test]
+    fn a_worker_panic_fails_only_its_batch() {
+        let requests = include_str!("../../../tests/golden/server_requests.txt");
+        let golden = include_str!("../../../tests/golden/server_responses.golden");
+        let (head, tail) = requests.split_at(requests.find("sort q12").unwrap());
+        let input = format!("{head}sort {WORKER_PANIC_ID} 11 00\n{tail}");
+        let frames = golden.lines().count() as u64 + 1;
+        let q12 = golden
+            .lines()
+            .position(|l| l.starts_with("ok q12 "))
+            .unwrap();
+        for workers in [1, 4] {
+            let mut cfg = cfg4x2();
+            cfg.workers = workers;
+            cfg.max_batch = 1;
+            let engine = SortEngine::new(cfg).unwrap();
+            // An uncaught panic leaves the writer waiting forever on the
+            // lost replies, so serve on a thread and fail on a deadline.
+            let (done, result) = channel();
+            let input = input.clone();
+            std::thread::spawn(move || {
+                let mut out = Vec::new();
+                let report = serve_lines(&engine, input.as_bytes(), &mut out);
+                let _ = done.send(report.map(|r| (r, out)));
+            });
+            let (report, out) = result
+                .recv_timeout(Duration::from_secs(60))
+                .expect("serving hung after a worker panic")
+                .unwrap();
+            let out = String::from_utf8(out).unwrap();
+            let mut lines: Vec<&str> = out.lines().collect();
+            let panicked = lines.remove(q12);
+            assert!(
+                panicked.starts_with(&format!("err {WORKER_PANIC_ID} internal ")),
+                "{panicked}"
+            );
+            let want: Vec<&str> = golden.lines().collect();
+            assert_eq!(lines, want, "workers={workers}");
+            assert_eq!(report.served + report.rejected, frames, "workers={workers}");
+        }
     }
 
     #[test]

@@ -150,7 +150,7 @@ impl ThroughputConfig {
             width,
             vectors: 1_000_000,
             workers: 0,
-            plane_width: PlaneWidth::X4,
+            plane_width: PlaneWidth::default(),
             kernel: kernel::preferred(),
             seed: 0x6d63_735f_7468_7270, // "mcs_thrp"
             chunk_lanes: 8192,

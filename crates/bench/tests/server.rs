@@ -1,7 +1,7 @@
 //! Contract tests of the serving layer: framing edge cases, coalescing
 //! semantics, backpressure, and — above all — the determinism criterion:
 //! per-request responses are a pure function of the request, never of
-//! batch packing, worker count, plane width or arrival interleaving.
+//! batch packing, worker count, kernel tier or arrival interleaving.
 //!
 //! The ground truth is independent of the circuit: a request's `ok` line
 //! must carry its keys sorted ascending by Gray rank (padding with the
@@ -22,7 +22,6 @@ use mcs_bench::server::{
 };
 use mcs_gray::ValidString;
 use mcs_logic::plane::kernel::{self, KernelId, UnknownKernel};
-use mcs_logic::PlaneWidth;
 
 /// Deterministic splitmix64 (no RNG deps in the workspace).
 fn splitmix64(state: &mut u64) -> u64 {
@@ -272,24 +271,20 @@ fn saturation_rejects_with_typed_retry_not_buffering() {
 // ---------------------------------------------------------------------------
 
 /// The 10k-request mixed-size batch file produces byte-identical output
-/// across 1/2/4/8 workers and plane widths 1/4/8 — and that output is the
-/// rank-sorted reference.
+/// across 1/2/4/8 workers and every available kernel tier — and that
+/// output is the rank-sorted reference.
 #[test]
-fn ten_k_requests_identical_across_workers_and_planes() {
+fn ten_k_requests_identical_across_workers_and_kernels() {
     let file = mixed_request_file(10_000, 0xBD5_2018);
     let want = reference_output(&file);
     for workers in [1usize, 2, 4, 8] {
-        for planes in PlaneWidth::ALL {
+        for k in kernel::kernels() {
             let mut cfg = ServerConfig::new(4, 2);
             cfg.workers = workers;
-            cfg.plane_width = planes;
-            cfg.max_batch = planes.lanes();
+            cfg.kernel = k;
             let engine = engine(cfg);
             let (out, report) = run_lines(&engine, &file);
-            assert_eq!(
-                out, want,
-                "output diverged at workers={workers} planes={planes}"
-            );
+            assert_eq!(out, want, "output diverged at workers={workers} kernel={k}");
             assert_eq!(report.served, 10_000);
             assert_eq!(report.rejected, 0);
             assert_eq!(report.workers, workers);
@@ -298,21 +293,20 @@ fn ten_k_requests_identical_across_workers_and_planes() {
 }
 
 /// The kernel tier must not matter either: the same mixed-size batch file
-/// serves byte-identical output under every available tier, at a 1-wide
-/// and a 4-wide plane, and the report names the kernel that actually ran.
+/// serves byte-identical output under every available tier, at one and at
+/// two workers, and the report names the kernel that actually ran.
 #[test]
 fn forced_kernels_serve_byte_identical_output() {
     let file = mixed_request_file(2_000, 0x51D_2018);
     let want = reference_output(&file);
     for k in kernel::kernels() {
-        for planes in [PlaneWidth::X1, PlaneWidth::X4] {
+        for workers in [1usize, 2] {
             let mut cfg = ServerConfig::new(4, 2);
-            cfg.workers = 2;
-            cfg.plane_width = planes;
+            cfg.workers = workers;
             cfg.kernel = k;
             let engine = engine(cfg);
             let (out, report) = run_lines(&engine, &file);
-            assert_eq!(out, want, "output diverged at kernel={k} planes={planes}");
+            assert_eq!(out, want, "output diverged at kernel={k} workers={workers}");
             assert_eq!(report.served, 2_000);
             assert_eq!(report.kernel, k);
             // The stats document names the backend — what `--stats-json`
@@ -634,16 +628,14 @@ fn committed_width_8_golden_matches() {
         .expect("tests/golden/server_requests_w8.txt");
     let golden = std::fs::read_to_string(dir.join("server_responses_w8.golden"))
         .expect("tests/golden/server_responses_w8.golden");
-    for (workers, planes) in [
-        (1, PlaneWidth::X1),
-        (2, PlaneWidth::X4),
-        (4, PlaneWidth::X8),
-    ] {
-        let mut cfg = ServerConfig::new(8, 8);
-        cfg.workers = workers;
-        cfg.plane_width = planes;
-        let (out, _) = run_lines(&engine(cfg), &requests);
-        assert_eq!(out, golden, "workers={workers} planes={planes:?}");
+    for workers in [1, 4] {
+        for k in kernel::kernels() {
+            let mut cfg = ServerConfig::new(8, 8);
+            cfg.workers = workers;
+            cfg.kernel = k;
+            let (out, _) = run_lines(&engine(cfg), &requests);
+            assert_eq!(out, golden, "workers={workers} kernel={k}");
+        }
     }
 }
 

@@ -38,7 +38,7 @@ fn checksum_is_identical_across_worker_counts() {
     }
 }
 
-/// Every plane width (1×, 4×, 8× interleaved u64 blocks) streams the same
+/// Both plane widths (1× and 4× interleaved u64 blocks) stream the same
 /// bytes.
 #[test]
 fn checksum_is_identical_across_plane_widths() {

@@ -141,42 +141,6 @@ pub fn simulate_two_sort(
     (max, min)
 }
 
-/// Batched variant of [`simulate_two_sort`]: up to 64 input pairs at once.
-/// Returns `(max, min)` per lane.
-///
-/// # Panics
-///
-/// Panics if more than 64 pairs are given, widths are inconsistent, or the
-/// netlist's port count does not match.
-pub fn simulate_two_sort_batch(
-    netlist: &Netlist,
-    pairs: &[(ValidString, ValidString)],
-) -> Vec<(TritVec, TritVec)> {
-    assert!(!pairs.is_empty() && pairs.len() <= 64, "1..=64 lanes");
-    let width = pairs[0].0.width();
-    assert_eq!(netlist.input_count(), 2 * width, "port count mismatch");
-    let mut words = vec![TritWord::ZERO; 2 * width];
-    for (lane, (g, h)) in pairs.iter().enumerate() {
-        assert_eq!(g.width(), width, "inconsistent widths");
-        assert_eq!(h.width(), width, "inconsistent widths");
-        for i in 0..width {
-            words[i].set_lane(lane, g.bits()[i]);
-            words[width + i].set_lane(lane, h.bits()[i]);
-        }
-    }
-    let out = netlist.eval_batch(&words);
-    pairs
-        .iter()
-        .enumerate()
-        .map(|(lane, _)| {
-            let max: TritVec = (0..width).map(|i| out[i].lane(lane)).collect();
-            let min: TritVec =
-                (0..width).map(|i| out[width + i].lane(lane)).collect();
-            (max, min)
-        })
-        .collect()
-}
-
 /// Arbitrary-size batched variant of [`simulate_two_sort`]: any number of
 /// input pairs stream through one [`Netlist::eval_block`] call. Returns
 /// `(max, min)` per pair, in order.
@@ -601,7 +565,7 @@ mod tests {
     }
 
     #[test]
-    fn block_simulation_agrees_with_word_batch_past_64_pairs() {
+    fn block_simulation_agrees_with_scalar_past_64_pairs() {
         let c = build_two_sort(5, PrefixTopology::LadnerFischer);
         let all: Vec<ValidString> = ValidString::enumerate(5).collect();
         let pairs: Vec<(ValidString, ValidString)> = all
@@ -611,9 +575,8 @@ mod tests {
             .collect();
         let blocked = simulate_two_sort_block(&c, &pairs);
         assert_eq!(blocked.len(), 300);
-        for (chunk, chunk_out) in pairs.chunks(64).zip(blocked.chunks(64)) {
-            let batched = simulate_two_sort_batch(&c, chunk);
-            assert_eq!(batched, chunk_out);
+        for ((g, h), out) in pairs.iter().zip(&blocked) {
+            assert_eq!(&simulate_two_sort(&c, g, h), out);
         }
     }
 
@@ -629,7 +592,7 @@ mod tests {
             })
             .take(40)
             .collect();
-        let batched = simulate_two_sort_batch(&c, &pairs);
+        let batched = simulate_two_sort_block(&c, &pairs);
         for ((g, h), (bmx, bmn)) in pairs.iter().zip(batched) {
             let (smx, smn) = simulate_two_sort(&c, g, h);
             assert_eq!(bmx, smx);

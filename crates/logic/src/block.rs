@@ -198,19 +198,11 @@ impl TritBlock {
         (0..self.lanes).map(move |i| self.lane(i))
     }
 
-    /// Number of metastable lanes.
-    pub fn meta_lane_count(&self) -> usize {
-        self.words
-            .iter()
-            .map(|w| w.meta_mask(LANES).count_ones() as usize)
-            .sum()
-    }
-
     /// Transposes lane-major rows into port-major blocks: block `p` carries
     /// `rows[i][p]` at lane `i`. This is the packing step of a batching
     /// evaluator — each row is one test vector (or one serving request),
-    /// each output block one circuit port — and the inverse of reading the
-    /// rows back with [`TritBlock::unpack_lane`]. Pad lanes past `rows.len()`
+    /// each output block one circuit port; row `i` reads back as
+    /// [`TritBlock::lane`]`(i)` of each block. Pad lanes past `rows.len()`
     /// stay stable `0`, so the blocks feed straight into `eval_block`-style
     /// consumers.
     ///
@@ -231,7 +223,8 @@ impl TritBlock {
     /// assert_eq!(blocks.len(), 2);          // one block per port
     /// assert_eq!(blocks[0].lanes(), 2);     // one lane per row
     /// assert_eq!(blocks[0].lane(1), Trit::Meta);
-    /// assert_eq!(TritBlock::unpack_lane(&blocks, 0), vec![Trit::Zero, Trit::One]);
+    /// let row0: Vec<Trit> = blocks.iter().map(|b| b.lane(0)).collect();
+    /// assert_eq!(row0, [Trit::Zero, Trit::One]);
     /// ```
     pub fn pack_rows<R: AsRef<[Trit]>>(rows: &[R]) -> Vec<TritBlock> {
         let ports = rows.first().map_or(0, |r| r.as_ref().len());
@@ -262,16 +255,6 @@ impl TritBlock {
             }
         }
         blocks
-    }
-
-    /// Reads lane `lane` across a slice of blocks — one value per block, in
-    /// block order. The row-extraction inverse of [`TritBlock::pack_rows`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range for any block.
-    pub fn unpack_lane(blocks: &[TritBlock], lane: usize) -> Vec<Trit> {
-        blocks.iter().map(|b| b.lane(lane)).collect()
     }
 
     /// Index of the first lane where `self` and `other` differ, or `None`
@@ -418,9 +401,6 @@ mod tests {
                     assert_eq!(b.lane(i), row[p], "lane {i} port {p}");
                 }
             }
-            for (i, row) in rows.iter().enumerate() {
-                assert_eq!(&TritBlock::unpack_lane(&blocks, i), row);
-            }
         }
     }
 
@@ -523,18 +503,18 @@ mod tests {
         assert_eq!(c.lane(63), Trit::Meta);
         assert_eq!(c.lane(64), Trit::Meta);
         assert_tail_invariant(&c);
-        assert_eq!(c.meta_lane_count(), 65);
+        assert!(c.iter_lanes().all(|t| t == Trit::Meta));
     }
 
     #[test]
     fn fill_and_set_lane() {
         let mut b = TritBlock::zeros(130);
         b.fill(Trit::Meta);
-        assert_eq!(b.meta_lane_count(), 130);
+        assert!(b.iter_lanes().all(|t| t == Trit::Meta));
         assert_tail_invariant(&b);
         b.set_lane(129, Trit::One);
         assert_eq!(b.lane(129), Trit::One);
-        assert_eq!(b.meta_lane_count(), 129);
+        assert_eq!(b.iter_lanes().filter(|&t| t == Trit::Meta).count(), 129);
     }
 
     #[test]

@@ -22,14 +22,13 @@
 //!
 //! # Simulation tiers
 //!
-//! Gate-level evaluation (in `mcs-netlist`) comes in three tiers built on
+//! Gate-level evaluation (in `mcs-netlist`) comes in two tiers built on
 //! these types, trading convenience against throughput:
 //!
 //! | tier | carrier | lanes | intended use |
 //! |------|---------------|-------|-------------------------------------|
-//! | `eval` | [`Trit`] | 1 | debugging, one-off queries |
-//! | `eval_batch` | [`TritWord`] | ≤ 64 | fixed-size batches |
-//! | `eval_block` | [`TritBlock`] | any | exhaustive sweeps, verification |
+//! | `eval` | [`Trit`] | 1 | scalar reference, one-off queries |
+//! | `eval_block` | [`TritBlock`] of [`TritWord`]s | any | exhaustive sweeps, verification |
 //!
 //! A >64-lane sweep stays word-parallel end to end:
 //!

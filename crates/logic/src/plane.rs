@@ -13,8 +13,10 @@ use crate::word::LANES;
 /// Runtime selector for how many 64-lane words one tape slot spans.
 ///
 /// The compiled-tape evaluator in `mcs-netlist` is monomorphised over the
-/// slot width `W ∈ {1, 4, 8}` ([`kernel::apply_slot`]); `PlaneWidth` is the
-/// value-level handle benches and CLIs use to pick one.
+/// slot width `W ∈ {1, 4}` ([`kernel::apply_slot`]); `PlaneWidth` is the
+/// value-level handle benches and CLIs use to pick one. [`PlaneWidth::X4`]
+/// is the production width; [`PlaneWidth::X1`] is the narrow reference
+/// that tests and reference checksums compare against.
 #[derive(Copy, Clone, Eq, PartialEq, Hash, Debug, Default)]
 pub enum PlaneWidth {
     /// One 64-lane word per slot (the classic [`TritWord`](crate::TritWord)
@@ -23,20 +25,17 @@ pub enum PlaneWidth {
     /// Four interleaved words (256 lanes) per slot.
     #[default]
     X4,
-    /// Eight interleaved words (512 lanes) per slot.
-    X8,
 }
 
 impl PlaneWidth {
     /// Every width, narrow to wide.
-    pub const ALL: [PlaneWidth; 3] = [PlaneWidth::X1, PlaneWidth::X4, PlaneWidth::X8];
+    pub const ALL: [PlaneWidth; 2] = [PlaneWidth::X1, PlaneWidth::X4];
 
-    /// Number of 64-lane words per slot (`1`, `4` or `8`).
+    /// Number of 64-lane words per slot (`1` or `4`).
     pub const fn words(self) -> usize {
         match self {
             PlaneWidth::X1 => 1,
             PlaneWidth::X4 => 4,
-            PlaneWidth::X8 => 8,
         }
     }
 
@@ -58,7 +57,7 @@ pub struct ParsePlaneWidthError(String);
 
 impl fmt::Display for ParsePlaneWidthError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid plane width {:?} (expected 1, 4 or 8)", self.0)
+        write!(f, "invalid plane width {:?} (expected 1 or 4)", self.0)
     }
 }
 
@@ -67,13 +66,11 @@ impl std::error::Error for ParsePlaneWidthError {}
 impl FromStr for PlaneWidth {
     type Err = ParsePlaneWidthError;
 
-    /// Accepts `"1"`, `"4"`, `"8"` and the display forms `"1x"`, `"4x"`,
-    /// `"8x"`.
+    /// Accepts `"1"`, `"4"` and the display forms `"1x"`, `"4x"`.
     fn from_str(s: &str) -> Result<PlaneWidth, ParsePlaneWidthError> {
         match s.trim_end_matches('x') {
             "1" => Ok(PlaneWidth::X1),
             "4" => Ok(PlaneWidth::X4),
-            "8" => Ok(PlaneWidth::X8),
             _ => Err(ParsePlaneWidthError(s.to_string())),
         }
     }
@@ -123,19 +120,22 @@ mod tests {
         }
         check::<1>();
         check::<4>();
-        check::<8>();
     }
 
     #[test]
     fn plane_width_words_lanes_and_parse() {
         assert_eq!(PlaneWidth::X1.words(), 1);
         assert_eq!(PlaneWidth::X4.lanes(), 256);
-        assert_eq!(PlaneWidth::X8.lanes(), 512);
         for w in PlaneWidth::ALL {
             assert_eq!(w.to_string().parse::<PlaneWidth>(), Ok(w));
             assert_eq!(w.words().to_string().parse::<PlaneWidth>(), Ok(w));
         }
-        assert!("2".parse::<PlaneWidth>().is_err());
+        for refused in ["2", "8", "8x"] {
+            assert_eq!(
+                refused.parse::<PlaneWidth>(),
+                Err(ParsePlaneWidthError(refused.to_string()))
+            );
+        }
         assert!("".parse::<PlaneWidth>().is_err());
     }
 }

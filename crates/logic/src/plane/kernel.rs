@@ -5,8 +5,9 @@
 //! The compiled-tape evaluator in `mcs-netlist` spends essentially all of
 //! its time doing bitwise AND/OR over `u64` plane words. The formulas
 //! ([`GateOp`] impls below) are written once, over plain `u64`, and
-//! [`apply_slot`] applies one to every word of a tape register; the compiler
-//! vectorises that word loop itself. A [`KernelId`] names the instruction
+//! [`apply_slot`] applies one to every word of a `W`-word tape register,
+//! `W ∈ {1, 4}` ([`PlaneWidth`](crate::PlaneWidth)); the compiler vectorises
+//! that word loop itself. A [`KernelId`] names the instruction
 //! set the evaluator's loop is compiled for, not a separate implementation:
 //!
 //! | tier | compiled for | gated on |
@@ -30,67 +31,7 @@
 //! is testable on any host.
 
 use std::fmt;
-use std::ops::{Deref, DerefMut};
 use std::str::FromStr;
-
-/// One cache line of plane words — the allocation unit of [`PlaneBuf`].
-#[repr(C, align(64))]
-#[derive(Copy, Clone)]
-struct CacheLine([u64; 8]);
-
-/// A cache-line-aligned plane buffer.
-///
-/// `Vec<u64>` only guarantees 8-byte alignment, so on x86-64 half of all
-/// 32-byte vector loads against it straddle a cache-line boundary and cost
-/// a split access. Backing the evaluator's plane scratch with 64-byte
-/// aligned lines keeps every whole-vector load and store the compiler
-/// emits inside one line, for any slot stride that is a multiple of the
-/// vector width.
-///
-/// Dereferences to `[u64]` of the exact requested length, so it drops in
-/// wherever a plane slice is indexed or split; the padding words of the
-/// final line are allocated but never exposed.
-#[derive(Clone)]
-pub struct PlaneBuf {
-    lines: Vec<CacheLine>,
-    words: usize,
-}
-
-impl fmt::Debug for PlaneBuf {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PlaneBuf").field("words", &self.words).finish()
-    }
-}
-
-impl PlaneBuf {
-    /// A buffer of `words` plane words, every word set to `fill`.
-    pub fn filled(words: usize, fill: u64) -> PlaneBuf {
-        PlaneBuf {
-            lines: vec![CacheLine([fill; 8]); words.div_ceil(8)],
-            words,
-        }
-    }
-}
-
-impl Deref for PlaneBuf {
-    type Target = [u64];
-    #[inline]
-    fn deref(&self) -> &[u64] {
-        // SAFETY: the allocation holds `words.div_ceil(8) * 8 >= words`
-        // initialised `u64`s, contiguous by `repr(C)`.
-        unsafe { std::slice::from_raw_parts(self.lines.as_ptr().cast(), self.words) }
-    }
-}
-
-impl DerefMut for PlaneBuf {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut [u64] {
-        // SAFETY: as in `Deref`, and the borrow is exclusive.
-        unsafe {
-            std::slice::from_raw_parts_mut(self.lines.as_mut_ptr().cast(), self.words)
-        }
-    }
-}
 
 /// Identifier for one compile tier of the plane kernels.
 ///

@@ -8,9 +8,9 @@
 //! * [`Netlist`] — a combinational circuit over the cell set of
 //!   [`CellKind`]; built through a type-safe builder API, stored in
 //!   topological order.
-//! * [`eval`](Netlist::eval) / [`eval_batch`](Netlist::eval_batch) /
-//!   [`eval_block`](Netlist::eval_block) — functional simulation over
-//!   [`Trit`]s at three tiers (see *Simulation tiers* below).
+//! * [`eval`](Netlist::eval) / [`eval_block`](Netlist::eval_block) —
+//!   functional simulation over [`Trit`]s at two tiers (see *Simulation
+//!   tiers* below).
 //! * [`tech`] — a technology library with per-cell area and a linear delay
 //!   model, including a NanGate-45nm-like library calibrated against the
 //!   paper's post-layout figures.
@@ -29,22 +29,22 @@
 //!
 //! # Simulation tiers
 //!
-//! All functional simulation runs through one word-parallel core with three
-//! entry points:
+//! Functional simulation has two entry points over one set of Kleene cell
+//! formulas:
 //!
-//! 1. [`eval`](Netlist::eval) — one vector of [`Trit`]s. A convenience
-//!    wrapper that packs the vector into single-lane words; use it for
-//!    debugging and one-off queries, never in an inner loop.
-//! 2. [`eval_batch`](Netlist::eval_batch) — up to 64 vectors packed into one
-//!    [`TritWord`] per input: every gate simulates 64 test vectors with a
-//!    handful of `u64` operations.
-//! 3. [`eval_block`](Netlist::eval_block) — arbitrarily many vectors in one
-//!    [`TritBlock`] per input, evaluated word by word with a reused
-//!    node-value buffer; [`eval_batch_iter`](Netlist::eval_batch_iter)
-//!    streams unbounded domains through it in chunks.
+//! 1. [`eval`](Netlist::eval) — one vector of [`Trit`]s, through the scalar
+//!    reference formulas of [`eval_full`](Netlist::eval_full). Use it for
+//!    debugging, one-off queries and as the differential reference, never
+//!    in an inner loop.
+//! 2. [`eval_block`](Netlist::eval_block) — arbitrarily many vectors in one
+//!    [`TritBlock`] per input, evaluated one 64-lane [`TritWord`] at a time
+//!    with a reused node-value buffer: every gate simulates 64 test vectors
+//!    with a handful of `u64` operations.
+//!    [`eval_batch_iter`](Netlist::eval_batch_iter) streams unbounded
+//!    domains through it in chunks.
 //!
 //! The exhaustive pipelines (`mc` closure checks, `hazard` sweeps, the
-//! 2-sort and sorting-network verifiers) all run on tier 3. A >64-lane
+//! 2-sort and sorting-network verifiers) all run on tier 2. A >64-lane
 //! sweep in one call:
 //!
 //! ```

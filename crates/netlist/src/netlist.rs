@@ -351,53 +351,17 @@ impl Netlist {
     /// Evaluates the netlist for one input vector; returns the outputs in
     /// declaration order.
     ///
-    /// This is the width-1 convenience tier: it packs the vector into
-    /// single-lane words and runs the same word-parallel core as
-    /// [`Netlist::eval_batch`] / [`Netlist::eval_block`], so all three tiers
-    /// share one set of cell semantics by construction. Hot loops should
-    /// batch instead of calling this per vector.
+    /// This is the scalar reference tier: it reads the outputs from
+    /// [`Netlist::eval_full`], which applies each gate's [`Trit`] formula
+    /// ([`Gate::eval`]) once. It also covers a netlist without primary
+    /// inputs, which [`Netlist::eval_block`] cannot carry. Hot loops should
+    /// use [`Netlist::eval_block`] instead of calling this per vector.
     ///
     /// # Panics
     ///
     /// Panics if the input count is wrong.
     pub fn eval(&self, inputs: &[Trit]) -> Vec<Trit> {
-        assert_eq!(
-            inputs.len(),
-            self.input_count(),
-            "wrong number of input values for {}",
-            self.name
-        );
-        let words: Vec<TritWord> = inputs
-            .iter()
-            .map(|&t| TritWord::splat(t, 1))
-            .collect();
-        self.eval_batch(&words)
-            .into_iter()
-            .map(|w| w.lane(0))
-            .collect()
-    }
-
-    /// Batched evaluation: each [`TritWord`] carries 64 independent test
-    /// vectors for the corresponding input; returns one word per output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input count is wrong.
-    pub fn eval_batch(&self, inputs: &[TritWord]) -> Vec<TritWord> {
-        assert_eq!(
-            inputs.len(),
-            self.input_count(),
-            "wrong number of input words for {}",
-            self.name
-        );
-        let mut values: Vec<TritWord> = Vec::with_capacity(self.gates.len());
-        for g in &self.gates {
-            let v = match g {
-                Gate::Input(port) => inputs[*port as usize],
-                _ => g.eval_word(|n| values[n.index()]),
-            };
-            values.push(v);
-        }
+        let values = self.eval_full(inputs);
         self.outputs
             .iter()
             .map(|(_, n)| values[n.index()])
@@ -413,9 +377,8 @@ impl Netlist {
     /// constant-only circuits.
     ///
     /// This is the default hot path for exhaustive checks: the circuit is
-    /// evaluated word-by-word through the same bit-plane Kleene operations
-    /// as [`Netlist::eval_batch`], with one node-value buffer reused across
-    /// words.
+    /// evaluated word by word through the bit-plane Kleene operations of
+    /// [`Gate::eval_word`], with one node-value buffer reused across words.
     ///
     /// # Panics
     ///
@@ -640,14 +603,14 @@ mod tests {
                 }
             }
         }
-        let words: Vec<TritWord> = (0..3)
+        let blocks: Vec<TritBlock> = (0..3)
             .map(|i| {
-                TritWord::from_lanes(
+                TritBlock::from_lanes(
                     &lanes.iter().map(|l| l[i]).collect::<Vec<_>>(),
                 )
             })
             .collect();
-        let out = n.eval_batch(&words);
+        let out = n.eval_block(&blocks);
         for (lane, combo) in lanes.iter().enumerate() {
             let scalar = n.eval(combo.as_slice());
             assert_eq!(out[0].lane(lane), scalar[0], "lane {lane} {combo:?}");

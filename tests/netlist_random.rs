@@ -2,7 +2,7 @@
 //! of the simulation substrate itself, independent of the paper's specific
 //! circuits.
 
-use mcs::logic::{Trit, TritWord};
+use mcs::logic::{Trit, TritBlock};
 use mcs::netlist::mc::assert_mc_cells_only;
 use mcs::netlist::Netlist;
 use proptest::prelude::*;
@@ -59,7 +59,7 @@ fn build(inputs: usize, recipes: &[GateRecipe]) -> Netlist {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Batched 64-lane simulation agrees with scalar simulation lane by
+    /// 64-lane block simulation agrees with scalar simulation lane by
     /// lane on random circuits and random ternary inputs.
     #[test]
     fn batch_matches_scalar_on_random_circuits(
@@ -76,14 +76,10 @@ proptest! {
                     .collect()
             })
             .collect();
-        let words: Vec<TritWord> = (0..inputs)
-            .map(|i| {
-                TritWord::from_lanes(
-                    &lanes.iter().map(|l| l[i]).collect::<Vec<_>>(),
-                )
-            })
+        let blocks: Vec<TritBlock> = (0..inputs)
+            .map(|i| lanes.iter().map(|l| l[i]).collect())
             .collect();
-        let batched = n.eval_batch(&words);
+        let batched = n.eval_block(&blocks);
         for (lane, input) in lanes.iter().enumerate() {
             let scalar = n.eval(input);
             for (w, s) in batched.iter().zip(&scalar) {

@@ -4,7 +4,7 @@
 use mcs::prelude::*;
 use mcs::gray::code::{gray_decode, gray_encode, parity};
 use mcs::gray::fsm::{diamond_m, Fsm};
-use mcs::logic::{closure_fn, Trit, TritBlock, TritWord};
+use mcs::logic::{closure_fn, Trit, TritBlock};
 use mcs::netlist::Netlist;
 use proptest::prelude::*;
 
@@ -91,10 +91,10 @@ fn build_netlist(inputs: usize, recipes: &[GateRecipe]) -> Netlist {
 
 proptest! {
     /// The differential harness of the batch refactor: on random certified
-    /// netlists and random ternary input sets, the four simulation paths —
-    /// scalar `eval`, 64-lane `eval_batch`, multi-word `eval_block` (at
-    /// >64 lanes), and the settled state of the event-driven simulator —
-    /// must agree lane for lane.
+    /// netlists and random ternary input sets, the simulation paths —
+    /// scalar `eval`, multi-word `eval_block` (at >64 lanes), single-word
+    /// `eval_block` over each 64-lane chunk, and the settled state of the
+    /// event-driven simulator — must agree lane for lane.
     #[test]
     fn eval_tiers_and_event_sim_agree_lane_for_lane(
         (inputs, recipes) in netlist_strategy(),
@@ -109,7 +109,7 @@ proptest! {
         // Tier 1: scalar reference.
         let scalar: Vec<Vec<Trit>> = lanes.iter().map(|v| n.eval(v)).collect();
 
-        // Tier 3: one multi-word block evaluation.
+        // Tier 2: one multi-word block evaluation.
         let blocks: Vec<TritBlock> = (0..inputs)
             .map(|i| lanes.iter().map(|v| v[i]).collect())
             .collect();
@@ -121,16 +121,12 @@ proptest! {
             }
         }
 
-        // Tier 2: 64-lane word batches over the same lanes.
+        // Tier 2 again, one single-word block per 64-lane chunk.
         for (c, chunk) in lanes.chunks(64).enumerate() {
-            let words: Vec<TritWord> = (0..inputs)
-                .map(|i| {
-                    TritWord::from_lanes(
-                        &chunk.iter().map(|v| v[i]).collect::<Vec<_>>(),
-                    )
-                })
+            let chunk_blocks: Vec<TritBlock> = (0..inputs)
+                .map(|i| chunk.iter().map(|v| v[i]).collect())
                 .collect();
-            let batch_out = n.eval_batch(&words);
+            let batch_out = n.eval_block(&chunk_blocks);
             for (l, want) in scalar[c * 64..].iter().take(chunk.len()).enumerate() {
                 for (j, &w) in want.iter().enumerate() {
                     prop_assert_eq!(batch_out[j].lane(l), w, "batch lane {l}");
@@ -138,7 +134,7 @@ proptest! {
             }
         }
 
-        // Tier 4: the event-driven simulator, driven from an all-zero reset
+        // The event-driven simulator, driven from an all-zero reset
         // to each lane's input vector, must settle to the same outputs.
         use mcs::netlist::event_sim::EventSim;
         use mcs::netlist::TechLibrary;
