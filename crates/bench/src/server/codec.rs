@@ -2,6 +2,12 @@
 //! response formatting, and [`SortEngine`], which packs a batch's keys
 //! into plane words, runs the tape once per plane group and decodes the
 //! sorted keys.
+//!
+//! Every stage works a word at a time: a key of up to 8 characters is
+//! classified with one `u64` load ([`swar_planes`]), the lane ↔ port
+//! crossing of pack and decode is a 64×64 bit transpose per 64-port tile
+//! ([`transpose64`]), and an output key is spelled 4 characters per table
+//! lookup ([`SPELL`]).
 
 use std::fmt;
 use std::str::FromStr;
@@ -9,10 +15,10 @@ use std::time::{Duration, Instant};
 
 use mcs_gray::valid::{valid_rank, InvalidStringError};
 use mcs_gray::ValidString;
-use mcs_logic::{PlaneWidth, Trit, TritWord};
+use mcs_logic::{transpose64, PlaneWidth, Trit, TritWord};
 use mcs_netlist::{EvalTape, Netlist, TapeScratch};
 
-use super::queue::Job;
+use super::queue::{InlineVec, Job, JobKeys};
 use super::stats::ServerStats;
 use super::{validate, FrameError, Key, ServerConfig, ServerError};
 use crate::engine::{Engine, EngineError};
@@ -46,26 +52,46 @@ impl Key {
         self.rank
     }
 
-    fn planes(&self) -> (u64, u64) {
-        (self.can_zero, self.can_one)
-    }
-
-    fn push_to(&self, line: &mut String) {
-        push_planes(line, self.can_zero, self.can_one, self.width());
+    fn push_to(&self, out: &mut Vec<u8>) {
+        push_spelled(out, self.can_zero, self.can_one, self.width());
     }
 }
 
-/// Appends the `width` characters spelled by two plane masks, MSB first;
-/// a bit in neither plane (only ever in a broken output lane) shows as `?`.
-fn push_planes(line: &mut String, can_zero: u64, can_one: u64, width: usize) {
-    for shift in (0..width).rev() {
-        line.push(match (can_zero >> shift & 1, can_one >> shift & 1) {
-            (1, 0) => '0',
-            (0, 1) => '1',
-            (1, 1) => 'M',
-            _ => '?',
-        });
+/// Per pair of plane nibbles, the four characters they spell, MSB first:
+/// entry `z | o << 4` spells `can_zero` nibble `z` and `can_one` nibble
+/// `o`. A bit in neither plane (only ever in a broken output lane) shows
+/// as `?`.
+const SPELL: [[u8; 4]; 256] = {
+    let mut table = [[0u8; 4]; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = 0;
+        while c < 4 {
+            let shift = 3 - c;
+            table[i][c] = match ((i >> shift) & 1, (i >> (4 + shift)) & 1) {
+                (1, 0) => b'0',
+                (0, 1) => b'1',
+                (1, 1) => b'M',
+                _ => b'?',
+            };
+            c += 1;
+        }
+        i += 1;
     }
+    table
+};
+
+/// Appends the `width` (`1..=63`) characters spelled by two plane masks,
+/// MSB first, one [`SPELL`] lookup per 4 characters.
+fn push_spelled(out: &mut Vec<u8>, can_zero: u64, can_one: u64, width: usize) {
+    let end = out.len() + width;
+    let (mut z, mut o) = (can_zero << (64 - width), can_one << (64 - width));
+    for _ in 0..width.div_ceil(4) {
+        out.extend_from_slice(&SPELL[(z >> 60 | (o >> 60) << 4) as usize]);
+        z <<= 4;
+        o <<= 4;
+    }
+    out.truncate(end);
 }
 
 /// Per byte, the planes of the trit it spells (bit 0: may read `0`,
@@ -86,36 +112,76 @@ const TRIT_BYTE_PLANES: [u8; 256] = {
     table
 };
 
+/// The planes of a token of 1 to 8 bytes, classified with one `u64` load:
+/// a byte-wise compare against each trit character of [`Trit::from_char`]
+/// (`0`, `1`, and `M`/`m`/`X`/`x` after folding case), then one multiply
+/// per plane gathers the bytes' flags into bits, MSB first. `None` if some
+/// byte is not a trit character.
+pub(super) fn swar_planes(token: &[u8]) -> Option<(u64, u64)> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const LOW7: u64 = 0x7F7F_7F7F_7F7F_7F7F;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let n = token.len();
+    debug_assert!((1..=8).contains(&n));
+    let mut bytes = [0u8; 8];
+    bytes[..n].copy_from_slice(token);
+    let x = u64::from_le_bytes(bytes);
+    // The high bit of each byte of `x` that equals `c`, exactly (no
+    // borrow crosses a byte).
+    let eq = |x: u64, c: u8| {
+        let t = x ^ (ONES * u64::from(c));
+        !(((t & LOW7) + LOW7) | t) & HIGH
+    };
+    let folded = x | ONES * 0x20;
+    let meta = eq(folded, b'm') | eq(folded, b'x');
+    let (zero, one) = (eq(x, b'0') | meta, eq(x, b'1') | meta);
+    let used = HIGH >> (8 * (8 - n));
+    if (zero | one) & used != used {
+        return None;
+    }
+    // Byte `i`'s flag lands on bit `63 − i`, so character 0 ends up the
+    // most significant of the `n` bits.
+    let gather = |m: u64| ((m >> 7).wrapping_mul(0x8040_2010_0804_0201) >> 56) >> (8 - n);
+    Some((gather(zero), gather(one)))
+}
+
 impl FromStr for Key {
     type Err = InvalidStringError;
 
-    /// Parses a token in one pass over its bytes; the width is the token
-    /// length. Accepts and rejects exactly what `ValidString` does, with
-    /// the same error.
+    /// Parses a token word-at-a-time when it has at most 8 bytes
+    /// ([`swar_planes`]), in one pass over its bytes otherwise; the width is
+    /// the token length. Accepts and rejects exactly what `ValidString`
+    /// does, with the same error.
     fn from_str(s: &str) -> Result<Key, InvalidStringError> {
-        let (mut can_zero, mut can_one, mut bad) = (0u64, 0u64, false);
-        // Table lookups, not a `match`: random key bytes would mispredict
-        // a branch per character.
-        for &b in s.as_bytes() {
-            let planes = TRIT_BYTE_PLANES[usize::from(b)];
-            bad |= planes == 0;
-            can_zero = (can_zero << 1) | u64::from(planes & 1);
-            can_one = (can_one << 1) | u64::from(planes >> 1);
-        }
-        if bad || s.len() > 63 {
+        let bytes = s.as_bytes();
+        let planes = if (1..=8).contains(&bytes.len()) {
+            swar_planes(bytes)
+        } else {
+            let (mut can_zero, mut can_one, mut bad) = (0u64, 0u64, false);
+            // Table lookups, not a `match`: random key bytes would
+            // mispredict a branch per character.
+            for &b in bytes {
+                let planes = TRIT_BYTE_PLANES[usize::from(b)];
+                bad |= planes == 0;
+                can_zero = (can_zero << 1) | u64::from(planes & 1);
+                can_one = (can_one << 1) | u64::from(planes >> 1);
+            }
+            (!bad && s.len() <= 63).then_some((can_zero, can_one))
+        };
+        match planes {
+            Some((can_zero, can_one)) => Key::from_planes(can_zero, can_one, s.len()),
             // The cold path: `ValidString` names the offending character
             // (it may be multi-byte) or the width.
-            return s.parse::<ValidString>().map(|v| Key::from(&v));
+            None => s.parse::<ValidString>().map(|v| Key::from(&v)),
         }
-        Key::from_planes(can_zero, can_one, s.len())
     }
 }
 
 impl fmt::Display for Key {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut s = String::with_capacity(self.width());
-        self.push_to(&mut s);
-        f.write_str(&s)
+        let mut chars = Vec::with_capacity(self.width());
+        self.push_to(&mut chars);
+        f.write_str(&String::from_utf8_lossy(&chars))
     }
 }
 
@@ -157,6 +223,41 @@ pub enum Frame {
     },
 }
 
+/// One line of the protocol as the shared parser sees it: the frame, with
+/// ids borrowed from the line and a `sort` frame's keys left in the
+/// caller's buffer.
+#[derive(Debug, PartialEq, Eq)]
+pub(super) enum Parsed<'a> {
+    /// A blank line or comment: no response owed.
+    Blank,
+    /// A sort request.
+    Sort {
+        /// Client token.
+        id: &'a str,
+    },
+    /// A live statistics snapshot request.
+    Stats {
+        /// Client token (`-` if omitted).
+        id: &'a str,
+    },
+    /// Graceful drain-then-exit.
+    Shutdown {
+        /// Client token (`-` if omitted).
+        id: &'a str,
+    },
+}
+
+/// Refuses a frame of `bytes` bytes over the configured bound.
+pub(super) fn check_frame_len(bytes: usize, cfg: &ServerConfig) -> Result<(), FrameError> {
+    if bytes > cfg.max_frame_bytes {
+        return Err(FrameError::Oversized {
+            bytes,
+            max: cfg.max_frame_bytes,
+        });
+    }
+    Ok(())
+}
+
 /// Parses one line of the protocol. `Ok(None)` is a blank line or comment
 /// (no response owed); errors are per-frame wire rejections.
 ///
@@ -167,28 +268,43 @@ pub fn parse_frame(
     line: &str,
     cfg: &ServerConfig,
 ) -> Result<Option<Frame>, FrameError> {
-    if line.len() > cfg.max_frame_bytes {
-        return Err(FrameError::Oversized {
-            bytes: line.len(),
-            max: cfg.max_frame_bytes,
-        });
-    }
+    check_frame_len(line.len(), cfg)?;
+    let mut keys = JobKeys::new();
+    Ok(match parse_line(line, cfg, &mut keys)? {
+        Parsed::Blank => None,
+        Parsed::Sort { id } => Some(Frame::Sort(Request {
+            id: id.to_string(),
+            keys: keys.to_vec(),
+        })),
+        Parsed::Stats { id } => Some(Frame::Stats { id: id.to_string() }),
+        Parsed::Shutdown { id } => Some(Frame::Shutdown { id: id.to_string() }),
+    })
+}
+
+/// The one frame parser, behind [`parse_frame`] and the connection reader:
+/// parses a line whose length is already checked, pushing a `sort` frame's
+/// keys onto `keys` (which must start empty).
+///
+/// # Errors
+///
+/// See [`FrameError`].
+pub(super) fn parse_line<'a, const N: usize>(
+    line: &'a str,
+    cfg: &ServerConfig,
+    keys: &mut InlineVec<Key, N>,
+) -> Result<Parsed<'a>, FrameError> {
     let line = line.trim_end_matches(['\r', '\n']);
     let mut tokens = line.split_ascii_whitespace();
     let verb = match tokens.next() {
-        None => return Ok(None),
-        Some(v) if v.starts_with('#') => return Ok(None),
+        None => return Ok(Parsed::Blank),
+        Some(v) if v.starts_with('#') => return Ok(Parsed::Blank),
         Some(v) => v,
     };
     match verb {
         "sort" => {
-            let id = tokens
-                .next()
-                .ok_or_else(|| FrameError::Malformed {
-                    reason: "sort frame is missing the request id".into(),
-                })?
-                .to_string();
-            let mut keys = Vec::with_capacity(cfg.channels);
+            let id = tokens.next().ok_or_else(|| FrameError::Malformed {
+                reason: "sort frame is missing the request id".into(),
+            })?;
             for (index, tok) in tokens.enumerate() {
                 let key: Key = tok.parse().map_err(|e| FrameError::BadKey {
                     index,
@@ -215,32 +331,43 @@ pub fn parse_frame(
                     max: cfg.channels,
                 });
             }
-            Ok(Some(Frame::Sort(Request { id, keys })))
+            Ok(Parsed::Sort { id })
         }
-        "stats" => Ok(Some(Frame::Stats {
-            id: tokens.next().unwrap_or("-").to_string(),
-        })),
-        "shutdown" => Ok(Some(Frame::Shutdown {
-            id: tokens.next().unwrap_or("-").to_string(),
-        })),
+        "stats" => Ok(Parsed::Stats {
+            id: tokens.next().unwrap_or("-"),
+        }),
+        "shutdown" => Ok(Parsed::Shutdown {
+            id: tokens.next().unwrap_or("-"),
+        }),
         other => Err(FrameError::Malformed {
             reason: format!("unknown verb {other:?}"),
         }),
     }
 }
 
+/// Bytes of the `ok` line of `sorted`, without its newline.
+pub(super) fn ok_len(id: &[u8], sorted: &[Key]) -> usize {
+    3 + id.len() + sorted.iter().map(|k| 1 + k.width()).sum::<usize>()
+}
+
+/// Appends the `ok` line of a served request (without newline) to `out`,
+/// each key spelled straight from its planes.
+pub(super) fn push_ok(out: &mut Vec<u8>, id: &[u8], sorted: &[Key]) {
+    out.extend_from_slice(b"ok ");
+    out.extend_from_slice(id);
+    for key in sorted {
+        out.push(b' ');
+        key.push_to(out);
+    }
+}
+
 /// Formats the `ok` response line for a served request, sized up front
 /// (with room for the writer's newline) so it is built without regrowth.
 pub fn format_ok(id: &str, sorted: &[Key]) -> String {
-    let key_bytes: usize = sorted.iter().map(|k| 1 + k.width()).sum();
-    let mut line = String::with_capacity(3 + id.len() + key_bytes + 1);
-    line.push_str("ok ");
-    line.push_str(id);
-    for key in sorted {
-        line.push(' ');
-        key.push_to(&mut line);
-    }
-    line
+    let mut line = Vec::with_capacity(ok_len(id.as_bytes(), sorted) + 1);
+    push_ok(&mut line, id.as_bytes(), sorted);
+    // `id` is UTF-8 and every spelled character ASCII.
+    String::from_utf8(line).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 /// Formats the `err` response line for a rejected request.
@@ -377,6 +504,7 @@ impl SortEngine {
         if batch.is_empty() {
             return Ok(());
         }
+        sorted.reserve(batch.iter().map(|l| l.keys().len()).sum());
         let done = sort_groups(
             self.engine.tape(),
             scratch,
@@ -395,12 +523,11 @@ impl SortEngine {
 
 /// Sorts `batch` through `tape` one plane group (`64 · W` lanes) at a
 /// time, appending each lane's first `keys().len()` output channels to
-/// `sorted`, lane after lane. Per 64-lane word, [`pack_lanes`] stages the
-/// lanes' keys (and `pad` on free channels) in a port column that goes
+/// `sorted`, lane after lane. Per 64-lane word, [`pack_tiles`] crosses the
+/// lanes' keys (and `pad` on free channels) into port words that go
 /// straight into the tape's input registers; after the run, the output
-/// registers' word is read back into the column and [`decode_lanes`]
-/// gathers the keys. The pack and eval time of the whole batch is recorded
-/// into `stats` (when given).
+/// registers' words are crossed back by [`decode_tiles`]. The pack and eval
+/// time of the whole batch is recorded into `stats` (when given).
 pub(super) fn sort_groups<L: Lane>(
     tape: &EvalTape,
     scratch: &mut TapeScratch,
@@ -411,7 +538,6 @@ pub(super) fn sort_groups<L: Lane>(
     sorted: &mut Vec<Key>,
 ) -> Result<(), FrameError> {
     let width = pad.width();
-    check_fit(batch, channels, width)?;
     let internal = |detail: String| FrameError::Internal { detail };
     let mut planes = tape
         .try_planes(scratch)
@@ -424,36 +550,47 @@ pub(super) fn sort_groups<L: Lane>(
             planes.output_count()
         )));
     }
-    let mut col = Column {
-        z: vec![0; ports],
-        o: vec![0; ports],
-    };
+    // One tile set per plane word, so each register is read or written
+    // once per group, all its words together.
+    let words = planes.words();
+    let mut tiles: Vec<PortTiles> = (0..words).map(|_| PortTiles::new(ports)).collect();
+    let mut unused = vec![0u64; words];
     let (mut pack, mut eval) = (Duration::ZERO, Duration::ZERO);
     let mut decoded = Ok(());
-    'groups: for group in batch.chunks(64 * planes.words()) {
+    'groups: for group in batch.chunks(64 * words) {
         let pack_start = Instant::now();
-        let mut words = group.chunks(64);
-        for k in 0..planes.words() {
-            let lanes = words.next().unwrap_or_default();
-            pack_lanes(lanes, pad, &mut col);
+        let mut lanes = group.chunks(64);
+        let mut fits = true;
+        for (tiles, unused) in tiles.iter_mut().zip(&mut unused) {
+            let lanes = lanes.next().unwrap_or_default();
+            fits &= pack_tiles(lanes, pad, channels, tiles);
             // Lanes past the batch are stable 0.
-            let unused = !TritWord::lane_mask(lanes.len());
-            for (p, (&z, &o)) in col.z.iter().zip(&col.o).enumerate() {
-                let (zs, os) = planes.input_mut(p);
-                zs[k] = z | unused;
-                os[k] = o;
+            *unused = !TritWord::lane_mask(lanes.len());
+        }
+        if !fits {
+            // Nothing of a batch that does not fit is evaluated; name the
+            // first lane at fault.
+            check_fit(batch, channels, width)?;
+        }
+        for p in 0..ports {
+            let (zs, os) = planes.input_mut(p);
+            for (k, tiles) in tiles.iter().enumerate() {
+                let (z, o) = tiles.port(p);
+                (zs[k], os[k]) = (z | unused[k], o);
             }
         }
         let eval_start = Instant::now();
         planes.run();
         pack += eval_start - pack_start;
         eval += eval_start.elapsed();
-        for (k, lanes) in group.chunks(64).enumerate() {
-            for (p, (z, o)) in col.z.iter_mut().zip(col.o.iter_mut()).enumerate() {
-                let (zs, os) = planes.output(p);
-                (*z, *o) = (zs[k], os[k]);
+        for p in 0..ports {
+            let (zs, os) = planes.output(p);
+            for (k, tiles) in tiles.iter_mut().enumerate() {
+                tiles.set_port(p, zs[k], os[k]);
             }
-            decoded = decode_lanes(lanes, width, &col, sorted);
+        }
+        for (lanes, tiles) in group.chunks(64).zip(&mut tiles) {
+            decoded = decode_tiles(lanes, width, tiles, sorted);
             if decoded.is_err() {
                 break 'groups;
             }
@@ -469,13 +606,14 @@ pub(super) fn sort_groups<L: Lane>(
 /// What the serving core reads of one lane of a batch: a parsed
 /// [`Request`] or a queued [`Job`], so the worker never copies its jobs.
 pub(super) trait Lane {
-    fn id(&self) -> &str;
+    /// The client id, for error detail.
+    fn id(&self) -> &[u8];
     fn keys(&self) -> &[Key];
 }
 
 impl Lane for Request {
-    fn id(&self) -> &str {
-        &self.id
+    fn id(&self) -> &[u8] {
+        self.id.as_bytes()
     }
 
     fn keys(&self) -> &[Key] {
@@ -484,27 +622,69 @@ impl Lane for Request {
 }
 
 impl Lane for Job {
-    fn id(&self) -> &str {
-        &self.id
+    fn id(&self) -> &[u8] {
+        self.id.as_slice()
     }
 
     fn keys(&self) -> &[Key] {
-        &self.keys
+        self.keys.as_slice()
     }
 }
 
-/// One 64-lane word of every port: `z[p]`, `o[p]` are the two planes of
-/// port `p`. Port `c·B + b` carries bit `b` (MSB first) of channel `c`,
-/// for the tape's inputs and outputs alike, so one lane's ports sit side
-/// by side.
+impl<L: Lane> Lane for &L {
+    fn id(&self) -> &[u8] {
+        (*self).id()
+    }
+
+    fn keys(&self) -> &[Key] {
+        (*self).keys()
+    }
+}
+
+/// The two planes of one 64-lane word of every port, held as 64-port tiles
+/// of [`transpose64`] matrices. Port `c·B + b` carries bit `b` (MSB first)
+/// of channel `c`, for the tape's inputs and outputs alike, so one lane's
+/// ports are one bit string: channel after channel, MSB first.
+///
+/// In port order, row `p` of tile `t` is port `64t + p`'s word (lane `j` at
+/// bit `j`). After a transpose, row `63 − j` of tile `t` is lane `j`'s
+/// ports `64t ..` spelled MSB first.
 #[derive(Debug)]
-pub(super) struct Column {
-    pub(super) z: Vec<u64>,
-    pub(super) o: Vec<u64>,
+pub(super) struct PortTiles {
+    z: Vec<[u64; 64]>,
+    o: Vec<[u64; 64]>,
+}
+
+impl PortTiles {
+    pub(super) fn new(ports: usize) -> PortTiles {
+        let tiles = ports.div_ceil(64);
+        PortTiles {
+            z: vec![[0; 64]; tiles],
+            o: vec![[0; 64]; tiles],
+        }
+    }
+
+    /// Port `p`'s word, in port order.
+    pub(super) fn port(&self, p: usize) -> (u64, u64) {
+        (self.z[p / 64][p % 64], self.o[p / 64][p % 64])
+    }
+
+    /// Sets port `p`'s word, in port order.
+    pub(super) fn set_port(&mut self, p: usize, z: u64, o: u64) {
+        (self.z[p / 64][p % 64], self.o[p / 64][p % 64]) = (z, o);
+    }
+
+    /// Swaps port order and lane order, tile by tile.
+    fn transpose(&mut self) {
+        for tile in self.z.iter_mut().chain(self.o.iter_mut()) {
+            transpose64(tile);
+        }
+    }
 }
 
 /// Refuses a batch that does not fit the circuit: more keys than
-/// channels, or a key of another width. Checked before anything is packed.
+/// channels, or a key of another width. The cold path of [`pack_tiles`]'s
+/// check, naming the first lane at fault.
 fn check_fit<L: Lane>(batch: &[L], channels: usize, width: usize) -> Result<(), FrameError> {
     for l in batch {
         let keys = l.keys();
@@ -527,54 +707,99 @@ fn check_fit<L: Lane>(batch: &[L], channels: usize, width: usize) -> Result<(), 
     Ok(())
 }
 
-/// The pack stage of one 64-lane word: writes each lane's keys, then `pad`
-/// on its free channels, into `col`. `lanes` fit the circuit
-/// ([`check_fit`]) and number at most 64; ports of absent lanes stay 0.
-pub(super) fn pack_lanes<L: Lane>(lanes: &[L], pad: Key, col: &mut Column) {
+/// The pack stage of one 64-lane word: spells each lane's keys, then `pad`
+/// on its free channels, as the lane's bit string of both planes, and
+/// transposes the tiles into port order. `lanes` number at most 64; ports
+/// of absent lanes are 0. Returns whether every lane fits the circuit
+/// ([`check_fit`]'s rule); the tiles of one that does not are garbage.
+pub(super) fn pack_tiles<L: Lane>(
+    lanes: &[L],
+    pad: Key,
+    channels: usize,
+    tiles: &mut PortTiles,
+) -> bool {
     let width = pad.width();
-    col.z.fill(0);
-    col.o.fill(0);
-    for (j, l) in lanes.iter().enumerate() {
-        let keys = l.keys();
-        let channels = col
-            .z
-            .chunks_exact_mut(width)
-            .zip(col.o.chunks_exact_mut(width));
-        for (c, (zc, oc)) in channels.enumerate() {
-            let (kz, ko) = keys.get(c).copied().unwrap_or(pad).planes();
-            // The last port of a channel carries its least significant bit.
-            for (shift, (zp, op)) in zc.iter_mut().zip(oc.iter_mut()).rev().enumerate() {
-                *zp |= (kz >> shift & 1) << j;
-                *op |= (ko >> shift & 1) << j;
-            }
-        }
+    for tile in tiles.z.iter_mut().chain(tiles.o.iter_mut()) {
+        *tile = [0; 64];
     }
+    if lanes.is_empty() {
+        return true;
+    }
+    let mut misfit = false;
+    for (j, l) in lanes.iter().enumerate() {
+        // The lane's string so far, right-aligned: `fill` bits (< 64) not
+        // yet stored in tile `t`.
+        let (mut z, mut o, mut fill, mut t) = (0u64, 0u64, 0usize, 0usize);
+        let mut push = |key: &Key| {
+            misfit |= key.width != pad.width;
+            let room = 64 - fill;
+            if width < room {
+                z = z << width | key.can_zero;
+                o = o << width | key.can_one;
+                fill += width;
+            } else {
+                // The key's top `room` bits complete tile `t`'s row.
+                let rest = width - room;
+                tiles.z[t][63 - j] = z << room | key.can_zero >> rest;
+                tiles.o[t][63 - j] = o << room | key.can_one >> rest;
+                t += 1;
+                let low = (1u64 << rest) - 1;
+                (z, o, fill) = (key.can_zero & low, key.can_one & low, rest);
+            }
+        };
+        // Two loops, not a per-channel choice of key or pad: the key count
+        // varies from lane to lane and would mispredict.
+        let keys = l.keys();
+        keys.iter().take(channels).for_each(&mut push);
+        (keys.len()..channels).for_each(|_| push(&pad));
+        if fill > 0 {
+            tiles.z[t][63 - j] = z << (64 - fill);
+            tiles.o[t][63 - j] = o << (64 - fill);
+        }
+        misfit |= keys.len() > channels;
+    }
+    tiles.transpose();
+    !misfit
 }
 
-/// The decode stage of one 64-lane word: gathers each lane's first
-/// `keys().len()` output channels from `col` into keys, each checked by
-/// the valid-string rule. A lane that is not a valid string fails the
-/// batch with [`FrameError::Internal`].
-pub(super) fn decode_lanes<L: Lane>(
+/// The decode stage of one 64-lane word: transposes the output ports'
+/// tiles into lane order and reads each lane's first `keys().len()`
+/// channels as keys, each checked by the valid-string rule. A lane that is
+/// not a valid string fails the batch with [`FrameError::Internal`].
+pub(super) fn decode_tiles<L: Lane>(
     lanes: &[L],
     width: usize,
-    col: &Column,
+    tiles: &mut PortTiles,
     sorted: &mut Vec<Key>,
 ) -> Result<(), FrameError> {
+    tiles.transpose();
     for (j, l) in lanes.iter().enumerate() {
-        let channels = col.z.chunks_exact(width).zip(col.o.chunks_exact(width));
-        for (c, (zc, oc)) in channels.take(l.keys().len()).enumerate() {
-            let gather =
-                |plane: &[u64]| plane.iter().fold(0u64, |key, p| (key << 1) | (p >> j & 1));
-            let (kz, ko) = (gather(zc), gather(oc));
+        // The lane's string not yet read, left-aligned: the top `left` bits
+        // of tile `t`'s row.
+        let (mut t, mut left) = (0usize, 64usize);
+        let (mut z, mut o) = (tiles.z[0][63 - j], tiles.o[0][63 - j]);
+        for c in 0..l.keys().len() {
+            let (mut kz, mut ko) = (z >> (64 - width), o >> (64 - width));
+            if width <= left {
+                (z, o, left) = (z << width, o << width, left - width);
+            } else {
+                // The key's last `rest` bits open the next tile's row.
+                let rest = width - left;
+                t += 1;
+                (z, o) = (tiles.z[t][63 - j], tiles.o[t][63 - j]);
+                kz |= z >> (64 - rest);
+                ko |= o >> (64 - rest);
+                (z, o, left) = (z << rest, o << rest, 64 - rest);
+            }
             let key = Key::from_planes(kz, ko, width).map_err(|e| {
-                let mut bits = String::new();
-                push_planes(&mut bits, kz, ko, width);
+                let mut bits = Vec::with_capacity(width);
+                push_spelled(&mut bits, kz, ko, width);
                 FrameError::Internal {
                     detail: format!(
                         "output channel {c} of request {:?} is not a valid \
-                         string ({bits}): {e}",
-                        l.id()
+                         string ({}): {e}",
+                        String::from_utf8_lossy(l.id()),
+                        String::from_utf8_lossy(&bits)
                     ),
                 }
             })?;
@@ -582,4 +807,100 @@ pub(super) fn decode_lanes<L: Lane>(
         }
     }
     Ok(())
+}
+
+/// The per-bit reference of the codec: the pack, decode and spelling loops
+/// the word-level stages replaced, kept as their test oracles.
+#[cfg(test)]
+pub(super) mod oracle {
+    use super::*;
+
+    /// One 64-lane word of every port: `z[p]`, `o[p]` are the two planes of
+    /// port `p`.
+    #[derive(Debug)]
+    pub(in crate::server) struct Column {
+        pub(in crate::server) z: Vec<u64>,
+        pub(in crate::server) o: Vec<u64>,
+    }
+
+    /// Writes each lane's keys, then `pad` on its free channels, into
+    /// `col`, one bit at a time; ports of absent lanes stay 0.
+    pub(in crate::server) fn pack_lanes<L: Lane>(lanes: &[L], pad: Key, col: &mut Column) {
+        let width = pad.width();
+        col.z.fill(0);
+        col.o.fill(0);
+        for (j, l) in lanes.iter().enumerate() {
+            let keys = l.keys();
+            let channels = col
+                .z
+                .chunks_exact_mut(width)
+                .zip(col.o.chunks_exact_mut(width));
+            for (c, (zc, oc)) in channels.enumerate() {
+                let key = keys.get(c).copied().unwrap_or(pad);
+                let (kz, ko) = (key.can_zero, key.can_one);
+                // The last port of a channel carries its least significant bit.
+                for (shift, (zp, op)) in zc.iter_mut().zip(oc.iter_mut()).rev().enumerate() {
+                    *zp |= (kz >> shift & 1) << j;
+                    *op |= (ko >> shift & 1) << j;
+                }
+            }
+        }
+    }
+
+    /// Gathers each lane's first `keys().len()` channels from `col` into
+    /// keys, one bit at a time, each checked by the valid-string rule.
+    pub(in crate::server) fn decode_lanes<L: Lane>(
+        lanes: &[L],
+        width: usize,
+        col: &Column,
+        sorted: &mut Vec<Key>,
+    ) -> Result<(), FrameError> {
+        for (j, l) in lanes.iter().enumerate() {
+            let channels = col.z.chunks_exact(width).zip(col.o.chunks_exact(width));
+            for (c, (zc, oc)) in channels.take(l.keys().len()).enumerate() {
+                let gather =
+                    |plane: &[u64]| plane.iter().fold(0u64, |key, p| (key << 1) | (p >> j & 1));
+                let (kz, ko) = (gather(zc), gather(oc));
+                let key = Key::from_planes(kz, ko, width).map_err(|e| FrameError::Internal {
+                    detail: format!(
+                        "output channel {c} of request {:?} is not a valid \
+                         string ({}): {e}",
+                        String::from_utf8_lossy(l.id()),
+                        spell_planes(kz, ko, width)
+                    ),
+                })?;
+                sorted.push(key);
+            }
+        }
+        Ok(())
+    }
+
+    /// The `width` characters spelled by two plane masks, MSB first, one
+    /// character at a time.
+    pub(in crate::server) fn spell_planes(can_zero: u64, can_one: u64, width: usize) -> String {
+        (0..width)
+            .rev()
+            .map(|shift| match (can_zero >> shift & 1, can_one >> shift & 1) {
+                (1, 0) => '0',
+                (0, 1) => '1',
+                (1, 1) => 'M',
+                _ => '?',
+            })
+            .collect()
+    }
+
+    /// Loads `col` into port tiles and decodes them: the production decode
+    /// over an oracle column.
+    pub(in crate::server) fn decode_column<L: Lane>(
+        lanes: &[L],
+        width: usize,
+        col: &Column,
+        sorted: &mut Vec<Key>,
+    ) -> Result<(), FrameError> {
+        let mut tiles = PortTiles::new(col.z.len());
+        for (p, (&z, &o)) in col.z.iter().zip(&col.o).enumerate() {
+            tiles.set_port(p, z, o);
+        }
+        decode_tiles(lanes, width, &mut tiles, sorted)
+    }
 }

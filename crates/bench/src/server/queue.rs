@@ -1,4 +1,5 @@
-//! The coalescer: a bounded queue that releases plane-sized batches.
+//! The coalescer: a bounded queue that releases plane-sized batches, and
+//! the job and reply messages that travel through it.
 
 use std::sync::mpsc::Sender;
 use std::sync::{Condvar, LockResult, Mutex, PoisonError};
@@ -7,45 +8,200 @@ use std::time::{Duration, Instant};
 use super::{FrameError, Key};
 use crate::metrics::millis_u64;
 
-/// One queued request on its way to a plane: the parsed keys plus the
-/// routing information needed to deliver the response.
-#[derive(Debug)]
-pub struct Job {
-    /// Per-connection sequence number; the connection writer re-orders
-    /// responses by it.
-    pub seq: u64,
-    /// Client id echoed on the response.
-    pub id: String,
-    /// The keys to sort.
-    pub keys: Vec<Key>,
-    /// Arrival time (linger, timeout, queue wait and end-to-end latency
-    /// are all measured from it).
-    pub enqueued: Instant,
-    /// Where the formatted response line goes.
-    pub reply: Sender<(u64, Reply)>,
+/// A short sequence of `Copy` items: up to `N` inline, on the heap past
+/// that. A queued job keeps its id and keys in it, so a request of the
+/// common shape crosses the queue without a heap allocation.
+#[derive(Clone, Debug)]
+pub(super) enum InlineVec<T: Copy, const N: usize> {
+    /// At most `N` items; the slots past `len` hold filler.
+    Inline {
+        /// Items in use.
+        len: u8,
+        /// The items, then filler.
+        items: [T; N],
+    },
+    /// More than `N` items.
+    Heap(Vec<T>),
 }
 
-/// One formatted response line on its way to the re-sequencing writer,
-/// carrying the timing context the writer needs to close out the
-/// request's `write` and `e2e` stages.
+/// A value that pads the unused inline slots of an [`InlineVec`].
+pub(super) trait Filler: Copy {
+    /// The padding value; never read as an item.
+    const FILLER: Self;
+}
+
+impl Filler for u8 {
+    const FILLER: u8 = 0;
+}
+
+impl Filler for Key {
+    /// The width-1 key `0`: a valid value, so no `Key` ever breaks the
+    /// valid-string invariant.
+    const FILLER: Key = Key {
+        can_zero: 1,
+        can_one: 0,
+        rank: 0,
+        width: 1,
+    };
+}
+
+impl<T: Filler, const N: usize> InlineVec<T, N> {
+    /// The empty sequence.
+    pub(super) fn new() -> InlineVec<T, N> {
+        const { assert!(N <= u8::MAX as usize) };
+        InlineVec::Inline {
+            len: 0,
+            items: [T::FILLER; N],
+        }
+    }
+
+    /// A copy of `items`.
+    pub(super) fn from_slice(items: &[T]) -> InlineVec<T, N> {
+        if items.len() > N {
+            return InlineVec::Heap(items.to_vec());
+        }
+        let mut inline = [T::FILLER; N];
+        inline[..items.len()].copy_from_slice(items);
+        InlineVec::Inline {
+            len: items.len() as u8,
+            items: inline,
+        }
+    }
+
+    /// Appends `item`, moving to the heap once the inline slots are full.
+    pub(super) fn push(&mut self, item: T) {
+        match self {
+            InlineVec::Inline { len, items } if usize::from(*len) < N => {
+                items[usize::from(*len)] = item;
+                *len += 1;
+            }
+            InlineVec::Inline { items, .. } => {
+                let mut heap = Vec::with_capacity(2 * N + 1);
+                heap.extend_from_slice(items);
+                heap.push(item);
+                *self = InlineVec::Heap(heap);
+            }
+            InlineVec::Heap(heap) => heap.push(item),
+        }
+    }
+
+    /// The items.
+    pub(super) fn as_slice(&self) -> &[T] {
+        match self {
+            InlineVec::Inline { len, items } => &items[..usize::from(*len)],
+            InlineVec::Heap(heap) => heap,
+        }
+    }
+
+    /// Number of items.
+    pub(super) fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    /// Whether there are no items.
+    pub(super) fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The items, on the heap.
+    pub(super) fn to_vec(&self) -> Vec<T> {
+        self.as_slice().to_vec()
+    }
+}
+
+/// Id bytes a job holds inline; the longest id of the benchmark stream is
+/// well inside it.
+pub(super) const INLINE_ID: usize = 30;
+/// Keys a job holds inline: a full request of an 8-channel cell.
+pub(super) const INLINE_KEYS: usize = 8;
+/// The key buffer of a job, which the frame parser fills.
+pub(super) type JobKeys = InlineVec<Key, INLINE_KEYS>;
+
+/// One queued request on its way to a plane: the parsed keys plus the
+/// routing information needed to deliver the response. The id and keys
+/// are held inline up to [`INLINE_ID`] bytes and [`INLINE_KEYS`] keys.
+#[derive(Debug)]
+pub struct Job {
+    /// The connection the job came from; replies are grouped per
+    /// connection.
+    pub(super) conn: u64,
+    /// Per-connection sequence number; the connection writer re-orders
+    /// responses by it.
+    pub(super) seq: u64,
+    /// Client id echoed on the response (UTF-8: built from a `&str`).
+    pub(super) id: InlineVec<u8, INLINE_ID>,
+    /// The keys to sort.
+    pub(super) keys: JobKeys,
+    /// Arrival time (linger, timeout, queue wait and end-to-end latency
+    /// are all measured from it).
+    pub(super) enqueued: Instant,
+    /// The connection's writer, where the formatted response goes.
+    pub(super) reply: Sender<Reply>,
+}
+
+impl Job {
+    /// A job of connection `conn` with sequence number `seq`, arriving
+    /// now.
+    pub fn new(conn: u64, seq: u64, id: &str, keys: &[Key], reply: Sender<Reply>) -> Job {
+        Job {
+            conn,
+            seq,
+            id: InlineVec::from_slice(id.as_bytes()),
+            keys: InlineVec::from_slice(keys),
+            enqueued: Instant::now(),
+            reply,
+        }
+    }
+
+    /// Per-connection sequence number.
+    pub fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// Client id.
+    pub fn id(&self) -> &str {
+        // Always UTF-8: the bytes are copied whole from a `&str`.
+        std::str::from_utf8(self.id.as_slice()).unwrap_or_default()
+    }
+
+    /// The keys to sort.
+    pub fn keys(&self) -> &[Key] {
+        self.keys.as_slice()
+    }
+}
+
+/// A run of formatted response lines on its way to the re-sequencing
+/// writer: consecutive sequence numbers of one connection, carrying the
+/// timing context the writer needs to close out each request's `write`
+/// and `e2e` stages. A worker sends one per connection and plane.
 #[derive(Debug)]
 pub struct Reply {
-    /// The formatted response line (without trailing newline).
-    pub line: String,
-    /// When the request entered the queue — `None` for lines that never
-    /// went through it (parse rejections, control-frame acks), which
-    /// therefore have no end-to-end latency to record.
-    pub enqueued: Option<Instant>,
-    /// When the line was handed to the writer channel.
+    /// Sequence number of the first line.
+    pub seq: u64,
+    /// Lines in the run.
+    pub lines: usize,
+    /// The lines, each ending in `\n`.
+    pub text: Vec<u8>,
+    /// Per line, when its request entered the queue; empty for lines that
+    /// never went through it (parse rejections, control-frame answers),
+    /// which therefore have no end-to-end latency to record.
+    pub enqueued: Vec<Instant>,
+    /// When the run was handed to the writer channel.
     pub sent: Instant,
 }
 
 impl Reply {
-    /// A reply stamped "sent now".
-    pub fn new(line: String, enqueued: Option<Instant>) -> Reply {
+    /// One line (without its newline) that never went through the queue,
+    /// stamped "sent now".
+    pub fn line(seq: u64, line: &str) -> Reply {
+        let mut text = Vec::with_capacity(line.len() + 1);
+        text.extend_from_slice(line.as_bytes());
+        text.push(b'\n');
         Reply {
-            line,
-            enqueued,
+            seq,
+            lines: 1,
+            text,
+            enqueued: Vec::new(),
             sent: Instant::now(),
         }
     }
@@ -124,8 +280,7 @@ impl CoalescerQueue {
             };
             return Err((job, e));
         }
-        state.jobs.push_back(job);
-        self.nonempty.notify_one();
+        self.push(&mut state, job);
         Ok(())
     }
 
@@ -143,11 +298,22 @@ impl CoalescerQueue {
                 return Err((job, FrameError::ShuttingDown));
             }
             if state.jobs.len() < self.depth {
-                state.jobs.push_back(job);
-                self.nonempty.notify_one();
+                self.push(&mut state, job);
                 return Ok(());
             }
             state = unpoison(self.space.wait(state));
+        }
+    }
+
+    /// Queues `job`, waking one worker only when that starts a linger
+    /// clock (the queue was empty) or completes a `max_batch` plane: one
+    /// wake per plane, not per request. [`CoalescerQueue::next_batch`]
+    /// passes the wake on when it leaves jobs behind.
+    fn push(&self, state: &mut QueueState, job: Job) {
+        state.jobs.push_back(job);
+        let queued = state.jobs.len();
+        if queued == 1 || queued % self.max_batch == 0 {
+            self.nonempty.notify_one();
         }
     }
 
@@ -188,6 +354,12 @@ impl CoalescerQueue {
         }
         let take = state.jobs.len().min(self.max_batch);
         let batch: Vec<Job> = state.jobs.drain(..take).collect();
+        if !state.jobs.is_empty() {
+            // The pushes of what is left may have woken no one: hand a full
+            // plane to another worker now, or let one time a partial
+            // plane's linger.
+            self.nonempty.notify_one();
+        }
         self.space.notify_all();
         Some(batch)
     }

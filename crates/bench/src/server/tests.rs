@@ -1,13 +1,14 @@
 //! Unit tests of the serving layer's internals.
 
 use std::sync::mpsc::channel;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mcs_gray::ValidString;
 use mcs_logic::plane::kernel::{self, KernelId};
 use mcs_logic::{PlaneWidth, TritWord};
 use mcs_netlist::{EvalTape, Netlist};
 
+use super::codec::oracle::*;
 use super::codec::*;
 use super::queue::*;
 use super::stats::*;
@@ -384,11 +385,13 @@ fn decode_refuses_invalid_output_lanes() {
             z: (0..4).map(|b| z >> (3 - b) & 1).collect(),
             o: (0..4).map(|b| o >> (3 - b) & 1).collect(),
         };
-        let mut decoded = Vec::new();
-        let e =
-            decode_lanes(std::slice::from_ref(&request), 4, &col, &mut decoded).unwrap_err();
-        assert_eq!(e.code(), "internal");
-        assert!(e.to_string().contains(&format!("({shown})")), "{e}");
+        // The production decode and its per-bit oracle alike.
+        for decode in [decode_column::<Request>, decode_lanes::<Request>] {
+            let mut decoded = Vec::new();
+            let e = decode(std::slice::from_ref(&request), 4, &col, &mut decoded).unwrap_err();
+            assert_eq!(e.code(), "internal");
+            assert!(e.to_string().contains(&format!("({shown})")), "{e}");
+        }
     }
 }
 
@@ -553,17 +556,11 @@ fn stats_json_bytes_are_pinned() {
 fn queue_saturation_rejects_with_retry_hint() {
     let queue = CoalescerQueue::new(2, 64, Duration::from_millis(5));
     let (tx, _rx) = channel();
-    let job = |seq| Job {
-        seq,
-        id: format!("r{seq}"),
-        keys: vec!["00".parse().unwrap()],
-        enqueued: Instant::now(),
-        reply: tx.clone(),
-    };
+    let job = |seq| Job::new(0, seq, &format!("r{seq}"), &["00".parse().unwrap()], tx.clone());
     queue.try_submit(job(0)).unwrap();
     queue.try_submit(job(1)).unwrap();
     let (returned, e) = queue.try_submit(job(2)).unwrap_err();
-    assert_eq!(returned.id, "r2");
+    assert_eq!(returned.id(), "r2");
     match e {
         FrameError::Overloaded {
             queued,
@@ -586,13 +583,7 @@ fn queue_saturation_rejects_with_retry_hint() {
 fn a_poisoned_queue_keeps_serving() {
     let queue = CoalescerQueue::new(4, 2, Duration::from_secs(60));
     let (tx, _rx) = channel();
-    let job = |seq| Job {
-        seq,
-        id: format!("r{seq}"),
-        keys: vec!["00".parse().unwrap()],
-        enqueued: Instant::now(),
-        reply: tx.clone(),
-    };
+    let job = |seq| Job::new(0, seq, &format!("r{seq}"), &["00".parse().unwrap()], tx.clone());
     queue.try_submit(job(0)).unwrap();
     std::thread::scope(|s| {
         let panicked = s

@@ -1,16 +1,21 @@
 //! The serving pipeline: worker loop, re-sequencing writer, connection
 //! pump, and the two serving modes.
+//!
+//! Hand-offs are per plane, not per request: a reader's submit wakes a
+//! worker only when it starts a linger clock or completes a plane, and a
+//! worker sends each connection of its batch one [`Reply`] carrying that
+//! connection's run of consecutive response lines.
 
 use std::collections::BinaryHeap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, TryRecvError};
 use std::time::Instant;
 
-use super::codec::{format_err, format_ok, parse_frame, Frame, SortEngine};
-use super::queue::{CoalescerQueue, Job, Reply};
+use super::codec::{check_frame_len, format_err, ok_len, parse_line, push_ok, Parsed, SortEngine};
+use super::queue::{CoalescerQueue, InlineVec, Job, JobKeys, Reply};
 use super::stats::{format_stats_line, ServeReport, ServerStats};
 use super::{FrameError, ServerError};
 use crate::engine::resolve_workers;
@@ -44,76 +49,95 @@ fn worker_loop(engine: &SortEngine, queue: &CoalescerQueue, stats: &ServerStats)
         }
         // Expire requests that waited past their deadline before burning
         // plane lanes on them.
-        let (live, expired): (Vec<Job>, Vec<Job>) =
-            batch.into_iter().partition(|job| {
-                engine.cfg.request_timeout.is_none_or(|t| job.enqueued.elapsed() <= t)
-            });
-        for job in expired {
-            stats.add_rejected();
-            let e = FrameError::Timeout {
-                waited_ms: millis_u64(job.enqueued.elapsed()),
-            };
-            let _ = job.reply.send((
-                job.seq,
-                Reply::new(format_err(&job.id, &e), Some(job.enqueued)),
-            ));
-        }
-        if live.is_empty() {
-            continue;
-        }
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            #[cfg(test)]
-            if live.iter().any(|job| job.id == super::tests::WORKER_PANIC_ID) {
-                panic!("injected worker panic");
-            }
-            engine.sort_lanes(&live, &mut scratch, Some(stats), &mut sorted)
-        }))
-        .unwrap_or_else(|_| {
-            scratch = engine.scratch();
-            Err(FrameError::Internal {
-                detail: "worker panicked while sorting the batch".into(),
+        let timeout = engine.cfg.request_timeout;
+        let expired =
+            |job: &Job| timeout.is_some_and(|t| popped.duration_since(job.enqueued) > t);
+        let live: Vec<&Job> = batch.iter().filter(|job| !expired(job)).collect();
+        let outcome = if live.is_empty() {
+            Ok(())
+        } else {
+            catch_unwind(AssertUnwindSafe(|| {
+                #[cfg(test)]
+                if live.iter().any(|job| job.id() == super::tests::WORKER_PANIC_ID) {
+                    panic!("injected worker panic");
+                }
+                engine.sort_lanes(&live, &mut scratch, Some(stats), &mut sorted)
+            }))
+            .unwrap_or_else(|_| {
+                scratch = engine.scratch();
+                Err(FrameError::Internal {
+                    detail: "worker panicked while sorting the batch".into(),
+                })
             })
-        });
-        match outcome {
-            Ok(()) => {
-                // Counted per outcome, like `rejected`: served + rejected
-                // adds up to the frames received.
-                stats.add_served(live.len());
-                let mut rest = &sorted[..];
-                for job in &live {
-                    let (keys, tail) = rest.split_at(job.keys.len());
-                    rest = tail;
-                    let _ = job.reply.send((
-                        job.seq,
-                        Reply::new(format_ok(&job.id, keys), Some(job.enqueued)),
-                    ));
-                }
-            }
-            Err(e) => {
-                // Typed, never panicking: every request of the failed
-                // batch gets the internal error response.
-                for job in &live {
-                    stats.add_rejected();
-                    let _ = job.reply.send((
-                        job.seq,
-                        Reply::new(format_err(&job.id, &e), Some(job.enqueued)),
-                    ));
-                }
-            }
+        };
+        // Counted per outcome: served + rejected adds up to the frames
+        // received. A failed batch answers every live request `internal`.
+        let served = if outcome.is_ok() { live.len() } else { 0 };
+        stats.add_served(served);
+        for _ in served..batch.len() {
+            stats.add_rejected();
         }
+        let mut keys = &sorted[..];
+        send_replies(&batch, |job, text| {
+            if expired(job) {
+                let e = FrameError::Timeout {
+                    waited_ms: millis_u64(popped.duration_since(job.enqueued)),
+                };
+                text.extend_from_slice(format_err(job.id(), &e).as_bytes());
+            } else if let Err(e) = &outcome {
+                text.extend_from_slice(format_err(job.id(), e).as_bytes());
+            } else {
+                let (mine, rest) = keys.split_at(job.keys.len());
+                keys = rest;
+                push_ok(text, job.id.as_slice(), mine);
+            }
+        });
     }
 }
 
-/// A reply in the writer's re-sequencing heap, ordered by sequence number
-/// alone (the payload carries timing stamps that must not affect order).
-struct PendingReply {
-    seq: u64,
-    reply: Reply,
+/// Sends the responses of `batch` to their connections' writers, one
+/// [`Reply`] per run of jobs of one connection with consecutive sequence
+/// numbers. A run ends where the connection changes or a sequence number
+/// is missing (its line comes from elsewhere, e.g. a reader-side reject).
+/// `line` appends a job's response line, without newline, in batch order.
+pub(super) fn send_replies(batch: &[Job], mut line: impl FnMut(&Job, &mut Vec<u8>)) {
+    let mut rest = batch;
+    while let Some(head) = rest.first() {
+        let run = 1 + rest
+            .windows(2)
+            .take_while(|w| w[1].conn == w[0].conn && w[1].seq == w[0].seq + 1)
+            .count();
+        let (jobs, tail) = rest.split_at(run);
+        rest = tail;
+        // Exact for `ok` lines: a request's sorted keys spell as long as
+        // its own.
+        let bytes = jobs.iter().map(|j| ok_len(j.id.as_slice(), j.keys()) + 1).sum();
+        let mut text = Vec::with_capacity(bytes);
+        let mut enqueued = Vec::with_capacity(run);
+        for job in jobs {
+            line(job, &mut text);
+            text.push(b'\n');
+            enqueued.push(job.enqueued);
+        }
+        // A writer gone (its connection failed) has nobody to answer.
+        let _ = head.reply.send(Reply {
+            seq: head.seq,
+            lines: run,
+            text,
+            enqueued,
+            sent: Instant::now(),
+        });
+    }
 }
+
+/// A run in the writer's re-sequencing heap, ordered by its first sequence
+/// number alone (the payload carries timing stamps that must not affect
+/// order; runs never overlap).
+struct PendingReply(Reply);
 
 impl PartialEq for PendingReply {
     fn eq(&self, other: &PendingReply) -> bool {
-        self.seq == other.seq
+        self.0.seq == other.0.seq
     }
 }
 
@@ -127,29 +151,29 @@ impl PartialOrd for PendingReply {
 
 impl Ord for PendingReply {
     fn cmp(&self, other: &PendingReply) -> std::cmp::Ordering {
-        self.seq.cmp(&other.seq)
+        self.0.seq.cmp(&other.0.seq)
     }
 }
 
-/// Re-sequencing response writer: responses arrive keyed by the reader's
-/// per-connection sequence number and are written in exactly that order,
-/// making output bytes independent of worker scheduling. Each line goes
-/// out as one buffer with its newline, and `out` is flushed whenever no
-/// further reply is ready, so a buffered `out` costs one write per burst
-/// rather than per line, and a lone reply is never held back. Closes out
-/// the `write` stage (writer-channel latency) and, for lines that went
-/// through the queue, the `e2e` stage (submit → written to `out`).
-fn writer_loop<W: Write>(
-    rx: Receiver<(u64, Reply)>,
+/// Re-sequencing response writer: runs of response lines arrive keyed by
+/// the reader's per-connection sequence number of their first line and are
+/// written in exactly that order, making output bytes independent of
+/// worker scheduling. Each run goes out as one buffer, and `out` is flushed
+/// whenever no further run is ready, so a buffered `out` costs one write
+/// per burst rather than per line, and a lone reply is never held back.
+/// With one clock reading per run it closes out, per line, the `write`
+/// stage (writer-channel latency) and, for lines that went through the
+/// queue, the `e2e` stage (submit → written to `out`).
+pub(super) fn writer_loop<W: Write>(
+    rx: Receiver<Reply>,
     mut out: W,
     stats: &ServerStats,
-) -> std::io::Result<()> {
+) -> io::Result<()> {
     // Min-heap on seq via Reverse.
-    let mut pending: BinaryHeap<std::cmp::Reverse<PendingReply>> =
-        BinaryHeap::new();
+    let mut pending: BinaryHeap<std::cmp::Reverse<PendingReply>> = BinaryHeap::new();
     let mut next = 0u64;
     loop {
-        let (seq, reply) = match rx.try_recv() {
+        let reply = match rx.try_recv() {
             Ok(msg) => msg,
             Err(TryRecvError::Empty) => {
                 out.flush()?;
@@ -161,98 +185,159 @@ fn writer_loop<W: Write>(
             Err(TryRecvError::Disconnected) => break,
         };
         #[cfg(test)]
-        if reply.line.contains(super::tests::WRITER_PANIC_ID) {
+        if reply
+            .text
+            .windows(super::tests::WRITER_PANIC_ID.len())
+            .any(|w| w == super::tests::WRITER_PANIC_ID.as_bytes())
+        {
             panic!("injected writer panic");
         }
-        pending.push(std::cmp::Reverse(PendingReply { seq, reply }));
-        while pending.peek().is_some_and(|r| r.0.seq == next) {
-            let Some(std::cmp::Reverse(PendingReply { mut reply, .. })) = pending.pop() else {
+        pending.push(std::cmp::Reverse(PendingReply(reply)));
+        while pending.peek().is_some_and(|r| r.0 .0.seq == next) {
+            let Some(std::cmp::Reverse(PendingReply(reply))) = pending.pop() else {
                 break;
             };
-            reply.line.push('\n');
-            out.write_all(reply.line.as_bytes())?;
-            stats.write.record(nanos_u64(reply.sent.elapsed()));
-            if let Some(enqueued) = reply.enqueued {
-                stats.e2e.record(nanos_u64(enqueued.elapsed()));
+            out.write_all(&reply.text)?;
+            let written = Instant::now();
+            let write = nanos_u64(written.duration_since(reply.sent));
+            for _ in 0..reply.lines {
+                stats.write.record(write);
             }
-            next += 1;
+            for &enqueued in &reply.enqueued {
+                stats.e2e.record(nanos_u64(written.duration_since(enqueued)));
+            }
+            next += reply.lines as u64;
         }
     }
     debug_assert!(pending.is_empty(), "writer lost a sequence number");
     out.flush()
 }
 
-/// Serves one line stream (stdin mode, or one accepted socket): parse
-/// frames, submit jobs, and deliver re-sequenced responses to `output`.
-/// Frames rejected here count into `stats` (the workers count the rest),
-/// which also answers
-/// any `stats` frame on the stream with a mid-serve snapshot line.
-/// `after_input` runs once the input is exhausted (EOF, shutdown frame, or
-/// a torn read), *before* the writer is waited on — stdin mode closes the
-/// queue there so a pending partial plane drains immediately instead of
-/// waiting out its linger. Returns whether a shutdown frame was seen.
+/// Reads one line of `input` into `line`, keeping at most `keep` bytes of
+/// it and discarding the rest up to its newline, so a line of any length
+/// costs at most `keep` bytes of buffer. Lines end as for
+/// `BufRead::lines` (`\n`, or `\r\n`). Returns the length of the whole
+/// line without its line ending, or `None` at the end of input.
+pub(super) fn read_bounded_line<R: BufRead>(
+    input: &mut R,
+    line: &mut Vec<u8>,
+    keep: usize,
+) -> io::Result<Option<usize>> {
+    line.clear();
+    let (mut len, mut last, mut ended) = (0usize, None, false);
+    while !ended {
+        let chunk = match input.fill_buf() {
+            Ok([]) => break,
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        let (body, used) = match chunk.iter().position(|&b| b == b'\n') {
+            Some(i) => {
+                ended = true;
+                (&chunk[..i], i + 1)
+            }
+            None => (chunk, chunk.len()),
+        };
+        let room = keep.saturating_sub(line.len()).min(body.len());
+        line.extend_from_slice(&body[..room]);
+        len += body.len();
+        last = body.last().copied().or(last);
+        input.consume(used);
+    }
+    if !ended && len == 0 {
+        return Ok(None);
+    }
+    if ended && last == Some(b'\r') {
+        len -= 1;
+        line.truncate(len);
+    }
+    Ok(Some(len))
+}
+
+/// Serves one line stream (stdin mode, or one accepted socket) as
+/// connection `conn`: parse frames straight into jobs, submit them, and
+/// deliver re-sequenced responses to `output`. Lines are read with a
+/// buffer bounded by `max_frame_bytes`; a longer one is refused
+/// `oversized` by its length alone. Frames rejected here count into
+/// `stats` (the workers count the rest), which also answers any `stats`
+/// frame on the stream with a mid-serve snapshot line. `after_input` runs
+/// once the input is exhausted (EOF, shutdown frame, or a torn read),
+/// *before* the writer is waited on — stdin mode closes the queue there so
+/// a pending partial plane drains immediately instead of waiting out its
+/// linger. Returns whether a shutdown frame was seen.
+#[allow(clippy::too_many_arguments)]
 fn pump_connection<R: BufRead, W: Write + Send>(
     engine: &SortEngine,
     queue: &CoalescerQueue,
     stats: &ServerStats,
+    conn: u64,
     mut input: R,
     output: W,
     blocking_submit: bool,
     after_input: impl FnOnce(),
 ) -> Result<bool, ServerError> {
-    let (tx, rx) = channel::<(u64, Reply)>();
+    let cfg = &engine.cfg;
+    let (tx, rx) = channel::<Reply>();
     let mut shutdown = false;
-    let mut read_err: Option<std::io::Error> = None;
+    let mut read_err: Option<io::Error> = None;
     let write_result = std::thread::scope(|s| {
         let writer = s.spawn(move || writer_loop(rx, output, stats));
         let mut seq = 0u64;
-        let reject =
-            |seq: u64, id: &str, e: &FrameError, tx: &Sender<(u64, Reply)>| {
-                stats.add_rejected();
-                let _ = tx.send((seq, Reply::new(format_err(id, e), None)));
-            };
-        // One line buffer for the whole connection; lines end as for
-        // `BufRead::lines` (`\n`, or `\r\n`).
-        let mut buf = String::new();
+        let send = |seq: u64, line: &str| {
+            let _ = tx.send(Reply::line(seq, line));
+        };
+        let reject = |seq: u64, id: &str, e: &FrameError| {
+            stats.add_rejected();
+            send(seq, &format_err(id, e));
+        };
+        // One line buffer for the whole connection, never longer than one
+        // byte past the frame bound.
+        let mut line = Vec::new();
         loop {
-            buf.clear();
-            match input.read_line(&mut buf) {
-                Ok(0) => break,
-                Ok(_) => {}
+            let len = match read_bounded_line(&mut input, &mut line, cfg.max_frame_bytes + 1) {
+                Ok(Some(len)) => len,
+                Ok(None) => break,
                 Err(e) => {
                     // A torn read ends the connection; everything already
                     // submitted still drains through the writer.
                     read_err = Some(e);
                     break;
                 }
-            }
-            let line = match buf.strip_suffix('\n') {
-                Some(line) => line.strip_suffix('\r').unwrap_or(line),
-                None => &buf,
             };
-            match parse_frame(line, &engine.cfg) {
-                Ok(None) => {}
-                Ok(Some(Frame::Shutdown { id })) => {
-                    let _ = tx.send((
-                        seq,
-                        Reply::new(format!("ok {id} draining"), None),
-                    ));
+            if let Err(e) = check_frame_len(len, cfg) {
+                reject(seq, "-", &e);
+                seq += 1;
+                continue;
+            }
+            let Ok(text) = std::str::from_utf8(&line) else {
+                read_err = Some(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "stream did not contain valid UTF-8",
+                ));
+                break;
+            };
+            let mut keys = JobKeys::new();
+            match parse_line(text, cfg, &mut keys) {
+                Ok(Parsed::Blank) => {}
+                Ok(Parsed::Shutdown { id }) => {
+                    send(seq, &format!("ok {id} draining"));
                     shutdown = true;
                     break;
                 }
-                Ok(Some(Frame::Stats { id })) => {
+                Ok(Parsed::Stats { id }) => {
                     // A racy-but-consistent mid-serve snapshot; the line
                     // holds its place in the response order like any
                     // other frame.
-                    let line = format_stats_line(&id, &stats.snapshot());
-                    let _ = tx.send((seq, Reply::new(line, None)));
+                    send(seq, &format_stats_line(id, &stats.snapshot()));
                     seq += 1;
                 }
-                Ok(Some(Frame::Sort(req))) => {
+                Ok(Parsed::Sort { id }) => {
                     let job = Job {
+                        conn,
                         seq,
-                        id: req.id,
-                        keys: req.keys,
+                        id: InlineVec::from_slice(id.as_bytes()),
+                        keys,
                         enqueued: Instant::now(),
                         reply: tx.clone(),
                     };
@@ -262,12 +347,12 @@ fn pump_connection<R: BufRead, W: Write + Send>(
                         queue.try_submit(job)
                     };
                     if let Err((job, e)) = submitted {
-                        reject(seq, &job.id, &e, &tx);
+                        reject(seq, job.id(), &e);
                     }
                     seq += 1;
                 }
                 Err(e) => {
-                    reject(seq, "-", &e, &tx);
+                    reject(seq, "-", &e);
                     seq += 1;
                 }
             }
@@ -311,7 +396,7 @@ pub fn serve_lines<R: BufRead, W: Write + Send>(
         // EOF (or shutdown frame): drain-then-exit. The queue closes as
         // soon as input ends, so workers finish every queued plane (no
         // linger wait) before the scope joins them.
-        pump_connection(engine, &queue, &stats, input, output, true, || {
+        pump_connection(engine, &queue, &stats, 0, input, output, true, || {
             queue.close();
         })
     })?;
@@ -346,7 +431,7 @@ pub fn serve_tcp(
         for _ in 0..workers {
             s.spawn(|| worker_loop(engine, &queue, &stats));
         }
-        loop {
+        for conn in 0.. {
             let (stream, _) = listener.accept()?;
             if stop.load(Ordering::SeqCst) {
                 break;
@@ -363,6 +448,7 @@ pub fn serve_tcp(
                     engine,
                     queue,
                     stats,
+                    conn,
                     reader,
                     BufWriter::new(stream),
                     false,

@@ -174,14 +174,8 @@ fn zero_timeout_expires_every_request() {
 // Coalescing semantics, pinned on the queue directly (no timing races).
 // ---------------------------------------------------------------------------
 
-fn test_job(seq: u64, reply: &std::sync::mpsc::Sender<(u64, Reply)>) -> Job {
-    Job {
-        seq,
-        id: format!("r{seq}"),
-        keys: vec!["00".parse().unwrap()],
-        enqueued: Instant::now(),
-        reply: reply.clone(),
-    }
+fn test_job(seq: u64, reply: &std::sync::mpsc::Sender<Reply>) -> Job {
+    Job::new(0, seq, &format!("r{seq}"), &["00".parse().unwrap()], reply.clone())
 }
 
 /// Exactly 64 queued requests release a full plane immediately — the
@@ -251,7 +245,7 @@ fn saturation_rejects_with_typed_retry_not_buffering() {
             } => {
                 assert_eq!((queued, d), (depth, depth));
                 assert!(retry_ms >= 1);
-                let line = format_err(&job.id, &e);
+                let line = format_err(job.id(), &e);
                 assert!(
                     line.contains("overloaded") && line.contains("retry-ms="),
                     "wire line: {line}"

@@ -222,6 +222,7 @@ impl ValidString {
 /// [`InvalidStringError::Unencoded`] for a bit in neither plane,
 /// [`InvalidStringError::TooManyMeta`] and
 /// [`InvalidStringError::NotAdjacent`] as for [`ValidString::new`].
+#[inline]
 pub fn valid_rank(can_zero: u64, can_one: u64, width: usize) -> Result<u64, InvalidStringError> {
     check_width(width)?;
     let mask = (1u64 << width) - 1;
@@ -232,18 +233,20 @@ pub fn valid_rank(can_zero: u64, can_one: u64, width: usize) -> Result<u64, Inva
         });
     }
     let meta = can_zero & can_one & mask;
-    let count = u64::from(meta.count_ones());
-    if count > 1 {
+    // More than one M: clearing the lowest one leaves another.
+    if meta & meta.wrapping_sub(1) != 0 {
         return Err(InvalidStringError::TooManyMeta {
-            count: count as usize,
+            count: meta.count_ones() as usize,
         });
     }
+    let count = u64::from(meta != 0);
     // The resolutions with M read as 0 and as 1 (the same string when
-    // stable). Resolving M flips every decoded bit from the M position
-    // down, so either may be the smaller one. No branch depends on whether
-    // the key is stable, which keeps mixed traffic free of mispredictions.
-    let low = can_one & mask & !meta;
-    let (a, b) = (gray_decode_word(low), gray_decode_word(low | meta));
+    // stable). Resolving M as 1 flips every decoded bit from the M
+    // position down, so either may be the smaller one. No branch depends
+    // on whether the key is stable, which keeps mixed traffic free of
+    // mispredictions.
+    let a = gray_decode_word(can_one & mask & !meta);
+    let b = a ^ ((meta | meta.wrapping_sub(1)) & count.wrapping_neg());
     let (lo, hi) = (a.min(b), a.max(b));
     if hi - lo != count {
         return Err(InvalidStringError::NotAdjacent { lo, hi });

@@ -288,6 +288,51 @@ pub const fn integer_bit_plane(base: u64, i: usize) -> u64 {
     }
 }
 
+/// Transposes a 64×64 bit matrix in place: row `i` is `rows[i]`, column 0
+/// its most significant bit. Afterwards bit `63 − i` of `rows[j]` is what
+/// bit `63 − j` of `rows[i]` was, so a second call restores the input.
+///
+/// This is the lane ↔ port crossing of plane I/O: with lane `j`'s ports
+/// spelled MSB first in `rows[63 − j]`, the call leaves port `p`'s 64-lane
+/// word (lane `j` at bit `j`) in `rows[p]`, and back. It swaps ever smaller
+/// blocks across the diagonal — 32, 16, …, 1 — in 6 · 32 masked word swaps
+/// (Hacker's Delight, `transpose32` widened to 64 bits), instead of 4,096
+/// single-bit moves.
+///
+/// ```
+/// use mcs_logic::transpose64;
+///
+/// let mut rows = [0u64; 64];
+/// rows[63] = 0b101 << 61; // lane 0 carries ports 0 and 2
+/// transpose64(&mut rows);
+/// assert_eq!((rows[0], rows[1], rows[2]), (1, 0, 1));
+/// ```
+#[inline]
+pub fn transpose64(rows: &mut [u64; 64]) {
+    swap_blocks::<32>(rows, 0x0000_0000_FFFF_FFFF);
+    swap_blocks::<16>(rows, 0x0000_FFFF_0000_FFFF);
+    swap_blocks::<8>(rows, 0x00FF_00FF_00FF_00FF);
+    swap_blocks::<4>(rows, 0x0F0F_0F0F_0F0F_0F0F);
+    swap_blocks::<2>(rows, 0x3333_3333_3333_3333);
+    swap_blocks::<1>(rows, 0x5555_5555_5555_5555);
+}
+
+/// One round of [`transpose64`]: in every `2J × 2J` block on the
+/// diagonal, swaps the top-right `J × J` quarter with the bottom-left one.
+/// Row `i` of a block's top half pairs with row `i + J`; `mask` selects
+/// the low `J` columns of each `2J`-column group. `J` is a constant so each
+/// round unrolls into straight-line word operations.
+#[inline(always)]
+fn swap_blocks<const J: usize>(rows: &mut [u64; 64], mask: u64) {
+    for block in (0..64).step_by(2 * J) {
+        for i in block..block + J {
+            let t = (rows[i] ^ (rows[i + J] >> J)) & mask;
+            rows[i] ^= t;
+            rows[i + J] ^= t << J;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,5 +415,39 @@ mod tests {
         let lanes = [Trit::Meta, Trit::Zero, Trit::One];
         let w = TritWord::from_lanes(&lanes);
         assert_eq!(w.to_lanes(3), lanes);
+    }
+
+    /// The per-bit definition, one bit at a time.
+    fn transpose64_oracle(rows: &[u64; 64]) -> [u64; 64] {
+        let mut out = [0u64; 64];
+        for (i, &row) in rows.iter().enumerate() {
+            for (j, o) in out.iter_mut().enumerate() {
+                *o |= (row >> (63 - j) & 1) << (63 - i);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn transpose64_matches_its_per_bit_oracle_and_is_an_involution() {
+        let mut state = 0x5eed_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 31)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z ^ (z >> 29)
+        };
+        let mut cases = vec![[0u64; 64], [!0u64; 64]];
+        cases.push(std::array::from_fn(|i| 1u64 << (63 - i))); // identity
+        cases.push(std::array::from_fn(|i| 1u64 << i)); // anti-diagonal
+        for _ in 0..32 {
+            cases.push(std::array::from_fn(|_| next()));
+        }
+        for rows in cases {
+            let mut t = rows;
+            transpose64(&mut t);
+            assert_eq!(t, transpose64_oracle(&rows));
+            transpose64(&mut t);
+            assert_eq!(t, rows);
+        }
     }
 }
