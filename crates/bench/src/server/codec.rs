@@ -83,7 +83,7 @@ const SPELL: [[u8; 4]; 256] = {
 
 /// Appends the `width` (`1..=63`) characters spelled by two plane masks,
 /// MSB first, one [`SPELL`] lookup per 4 characters.
-fn push_spelled(out: &mut Vec<u8>, can_zero: u64, can_one: u64, width: usize) {
+pub(super) fn push_spelled(out: &mut Vec<u8>, can_zero: u64, can_one: u64, width: usize) {
     let end = out.len() + width;
     let (mut z, mut o) = (can_zero << (64 - width), can_one << (64 - width));
     for _ in 0..width.div_ceil(4) {
@@ -112,26 +112,34 @@ const TRIT_BYTE_PLANES: [u8; 256] = {
     table
 };
 
+const ONES: u64 = 0x0101_0101_0101_0101;
+const HIGH: u64 = 0x8080_8080_8080_8080;
+
+/// The high bit of each byte of `x` that equals `c`, exactly: no borrow
+/// crosses a byte.
+pub(super) fn bytes_equal(x: u64, c: u8) -> u64 {
+    const LOW7: u64 = !HIGH;
+    let t = x ^ (ONES * u64::from(c));
+    !(((t & LOW7) + LOW7) | t) & HIGH
+}
+
 /// The planes of a token of 1 to 8 bytes, classified with one `u64` load:
 /// a byte-wise compare against each trit character of [`Trit::from_char`]
 /// (`0`, `1`, and `M`/`m`/`X`/`x` after folding case), then one multiply
 /// per plane gathers the bytes' flags into bits, MSB first. `None` if some
 /// byte is not a trit character.
 pub(super) fn swar_planes(token: &[u8]) -> Option<(u64, u64)> {
-    const ONES: u64 = 0x0101_0101_0101_0101;
-    const LOW7: u64 = 0x7F7F_7F7F_7F7F_7F7F;
-    const HIGH: u64 = 0x8080_8080_8080_8080;
     let n = token.len();
     debug_assert!((1..=8).contains(&n));
-    let mut bytes = [0u8; 8];
-    bytes[..n].copy_from_slice(token);
-    let x = u64::from_le_bytes(bytes);
-    // The high bit of each byte of `x` that equals `c`, exactly (no
-    // borrow crosses a byte).
-    let eq = |x: u64, c: u8| {
-        let t = x ^ (ONES * u64::from(c));
-        !(((t & LOW7) + LOW7) | t) & HIGH
+    let x = match <[u8; 8]>::try_from(token) {
+        Ok(word) => u64::from_le_bytes(word),
+        Err(_) => {
+            let mut word = [0u8; 8];
+            word[..n].copy_from_slice(token);
+            u64::from_le_bytes(word)
+        }
     };
+    let eq = bytes_equal;
     let folded = x | ONES * 0x20;
     let meta = eq(folded, b'm') | eq(folded, b'x');
     let (zero, one) = (eq(x, b'0') | meta, eq(x, b'1') | meta);
@@ -553,19 +561,15 @@ pub(super) fn sort_groups<L: Lane>(
     // One tile set per plane word, so each register is read or written
     // once per group, all its words together.
     let words = planes.words();
-    let mut tiles: Vec<PortTiles> = (0..words).map(|_| PortTiles::new(ports)).collect();
-    let mut unused = vec![0u64; words];
+    let mut tiles = PortTiles::new(ports, words);
     let (mut pack, mut eval) = (Duration::ZERO, Duration::ZERO);
     let mut decoded = Ok(());
     'groups: for group in batch.chunks(64 * words) {
         let pack_start = Instant::now();
         let mut lanes = group.chunks(64);
         let mut fits = true;
-        for (tiles, unused) in tiles.iter_mut().zip(&mut unused) {
-            let lanes = lanes.next().unwrap_or_default();
-            fits &= pack_tiles(lanes, pad, channels, tiles);
-            // Lanes past the batch are stable 0.
-            *unused = !TritWord::lane_mask(lanes.len());
+        for k in 0..words {
+            fits &= pack_tiles(lanes.next().unwrap_or_default(), pad, channels, &mut tiles, k);
         }
         if !fits {
             // Nothing of a batch that does not fit is evaluated; name the
@@ -574,9 +578,11 @@ pub(super) fn sort_groups<L: Lane>(
         }
         for p in 0..ports {
             let (zs, os) = planes.input_mut(p);
-            for (k, tiles) in tiles.iter().enumerate() {
-                let (z, o) = tiles.port(p);
-                (zs[k], os[k]) = (z | unused[k], o);
+            for k in 0..words {
+                // Lanes past the batch are stable 0.
+                let unused = !TritWord::lane_mask(group.len().saturating_sub(64 * k).min(64));
+                let (z, o) = tiles.port(k, p);
+                (zs[k], os[k]) = (z | unused, o);
             }
         }
         let eval_start = Instant::now();
@@ -585,12 +591,12 @@ pub(super) fn sort_groups<L: Lane>(
         eval += eval_start.elapsed();
         for p in 0..ports {
             let (zs, os) = planes.output(p);
-            for (k, tiles) in tiles.iter_mut().enumerate() {
-                tiles.set_port(p, zs[k], os[k]);
+            for k in 0..words {
+                tiles.set_port(k, p, zs[k], os[k]);
             }
         }
-        for (lanes, tiles) in group.chunks(64).zip(&mut tiles) {
-            decoded = decode_tiles(lanes, width, tiles, sorted);
+        for (k, lanes) in group.chunks(64).enumerate() {
+            decoded = decode_tiles(lanes, width, &mut tiles, k, sorted);
             if decoded.is_err() {
                 break 'groups;
             }
@@ -641,44 +647,57 @@ impl<L: Lane> Lane for &L {
     }
 }
 
-/// The two planes of one 64-lane word of every port, held as 64-port tiles
-/// of [`transpose64`] matrices. Port `c·B + b` carries bit `b` (MSB first)
-/// of channel `c`, for the tape's inputs and outputs alike, so one lane's
-/// ports are one bit string: channel after channel, MSB first.
+/// The two planes of every port for each 64-lane word of a plane group,
+/// held as 64-port tiles of [`transpose64`] matrices. Port `c·B + b`
+/// carries bit `b` (MSB first) of channel `c`, for the tape's inputs and
+/// outputs alike, so one lane's ports are one bit string: channel after
+/// channel, MSB first.
 ///
-/// In port order, row `p` of tile `t` is port `64t + p`'s word (lane `j` at
-/// bit `j`). After a transpose, row `63 − j` of tile `t` is lane `j`'s
-/// ports `64t ..` spelled MSB first.
+/// In port order, row `p` of word `k`'s tile `t` is port `64t + p`'s word
+/// `k` (lane `j` at bit `j`). After a transpose, row `63 − j` of the tile
+/// is lane `64k + j`'s ports `64t ..` spelled MSB first.
 #[derive(Debug)]
 pub(super) struct PortTiles {
+    /// Tiles per word.
+    tiles: usize,
     z: Vec<[u64; 64]>,
     o: Vec<[u64; 64]>,
 }
 
 impl PortTiles {
-    pub(super) fn new(ports: usize) -> PortTiles {
+    /// Zeroed tiles for `ports` ports and `words` words.
+    pub(super) fn new(ports: usize, words: usize) -> PortTiles {
         let tiles = ports.div_ceil(64);
         PortTiles {
-            z: vec![[0; 64]; tiles],
-            o: vec![[0; 64]; tiles],
+            tiles,
+            z: vec![[0; 64]; tiles * words],
+            o: vec![[0; 64]; tiles * words],
         }
     }
 
-    /// Port `p`'s word, in port order.
-    pub(super) fn port(&self, p: usize) -> (u64, u64) {
-        (self.z[p / 64][p % 64], self.o[p / 64][p % 64])
+    /// Port `p`'s word `k`, in port order.
+    pub(super) fn port(&self, k: usize, p: usize) -> (u64, u64) {
+        let t = k * self.tiles + p / 64;
+        (self.z[t][p % 64], self.o[t][p % 64])
     }
 
-    /// Sets port `p`'s word, in port order.
-    pub(super) fn set_port(&mut self, p: usize, z: u64, o: u64) {
-        (self.z[p / 64][p % 64], self.o[p / 64][p % 64]) = (z, o);
+    /// Sets port `p`'s word `k`, in port order.
+    pub(super) fn set_port(&mut self, k: usize, p: usize, z: u64, o: u64) {
+        let t = k * self.tiles + p / 64;
+        (self.z[t][p % 64], self.o[t][p % 64]) = (z, o);
     }
 
-    /// Swaps port order and lane order, tile by tile.
-    fn transpose(&mut self) {
-        for tile in self.z.iter_mut().chain(self.o.iter_mut()) {
-            transpose64(tile);
-        }
+    /// Word `k`'s tiles of both planes.
+    fn word(&mut self, k: usize) -> (&mut [[u64; 64]], &mut [[u64; 64]]) {
+        let word = k * self.tiles..(k + 1) * self.tiles;
+        (&mut self.z[word.clone()], &mut self.o[word])
+    }
+}
+
+/// Swaps port order and lane order in every tile of both planes.
+fn transpose_tiles(z: &mut [[u64; 64]], o: &mut [[u64; 64]]) {
+    for tile in z.iter_mut().chain(o.iter_mut()) {
+        transpose64(tile);
     }
 }
 
@@ -707,7 +726,7 @@ fn check_fit<L: Lane>(batch: &[L], channels: usize, width: usize) -> Result<(), 
     Ok(())
 }
 
-/// The pack stage of one 64-lane word: spells each lane's keys, then `pad`
+/// The pack stage of word `k` of a plane group: spells each lane's keys, then `pad`
 /// on its free channels, as the lane's bit string of both planes, and
 /// transposes the tiles into port order. `lanes` number at most 64; ports
 /// of absent lanes are 0. Returns whether every lane fits the circuit
@@ -717,9 +736,11 @@ pub(super) fn pack_tiles<L: Lane>(
     pad: Key,
     channels: usize,
     tiles: &mut PortTiles,
+    k: usize,
 ) -> bool {
     let width = pad.width();
-    for tile in tiles.z.iter_mut().chain(tiles.o.iter_mut()) {
+    let (tz, to) = tiles.word(k);
+    for tile in tz.iter_mut().chain(to.iter_mut()) {
         *tile = [0; 64];
     }
     if lanes.is_empty() {
@@ -740,8 +761,8 @@ pub(super) fn pack_tiles<L: Lane>(
             } else {
                 // The key's top `room` bits complete tile `t`'s row.
                 let rest = width - room;
-                tiles.z[t][63 - j] = z << room | key.can_zero >> rest;
-                tiles.o[t][63 - j] = o << room | key.can_one >> rest;
+                tz[t][63 - j] = z << room | key.can_zero >> rest;
+                to[t][63 - j] = o << room | key.can_one >> rest;
                 t += 1;
                 let low = (1u64 << rest) - 1;
                 (z, o, fill) = (key.can_zero & low, key.can_one & low, rest);
@@ -753,16 +774,16 @@ pub(super) fn pack_tiles<L: Lane>(
         keys.iter().take(channels).for_each(&mut push);
         (keys.len()..channels).for_each(|_| push(&pad));
         if fill > 0 {
-            tiles.z[t][63 - j] = z << (64 - fill);
-            tiles.o[t][63 - j] = o << (64 - fill);
+            tz[t][63 - j] = z << (64 - fill);
+            to[t][63 - j] = o << (64 - fill);
         }
         misfit |= keys.len() > channels;
     }
-    tiles.transpose();
+    transpose_tiles(tz, to);
     !misfit
 }
 
-/// The decode stage of one 64-lane word: transposes the output ports'
+/// The decode stage of word `k` of a plane group: transposes the output ports'
 /// tiles into lane order and reads each lane's first `keys().len()`
 /// channels as keys, each checked by the valid-string rule. A lane that is
 /// not a valid string fails the batch with [`FrameError::Internal`].
@@ -770,14 +791,16 @@ pub(super) fn decode_tiles<L: Lane>(
     lanes: &[L],
     width: usize,
     tiles: &mut PortTiles,
+    k: usize,
     sorted: &mut Vec<Key>,
 ) -> Result<(), FrameError> {
-    tiles.transpose();
+    let (tz, to) = tiles.word(k);
+    transpose_tiles(tz, to);
     for (j, l) in lanes.iter().enumerate() {
         // The lane's string not yet read, left-aligned: the top `left` bits
         // of tile `t`'s row.
         let (mut t, mut left) = (0usize, 64usize);
-        let (mut z, mut o) = (tiles.z[0][63 - j], tiles.o[0][63 - j]);
+        let (mut z, mut o) = (tz[0][63 - j], to[0][63 - j]);
         for c in 0..l.keys().len() {
             let (mut kz, mut ko) = (z >> (64 - width), o >> (64 - width));
             if width <= left {
@@ -786,7 +809,7 @@ pub(super) fn decode_tiles<L: Lane>(
                 // The key's last `rest` bits open the next tile's row.
                 let rest = width - left;
                 t += 1;
-                (z, o) = (tiles.z[t][63 - j], tiles.o[t][63 - j]);
+                (z, o) = (tz[t][63 - j], to[t][63 - j]);
                 kz |= z >> (64 - rest);
                 ko |= o >> (64 - rest);
                 (z, o, left) = (z << rest, o << rest, 64 - rest);
@@ -897,10 +920,10 @@ pub(super) mod oracle {
         col: &Column,
         sorted: &mut Vec<Key>,
     ) -> Result<(), FrameError> {
-        let mut tiles = PortTiles::new(col.z.len());
+        let mut tiles = PortTiles::new(col.z.len(), 1);
         for (p, (&z, &o)) in col.z.iter().zip(&col.o).enumerate() {
-            tiles.set_port(p, z, o);
+            tiles.set_port(0, p, z, o);
         }
-        decode_tiles(lanes, width, &mut tiles, sorted)
+        decode_tiles(lanes, width, &mut tiles, 0, sorted)
     }
 }

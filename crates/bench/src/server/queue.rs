@@ -210,11 +210,14 @@ impl Reply {
 pub(super) struct QueueState {
     jobs: std::collections::VecDeque<Job>,
     closed: bool,
+    /// Workers blocked in [`CoalescerQueue::next_batch`]: a wake with
+    /// nobody to wake is skipped.
+    idle: usize,
 }
 
 /// Recovers the queue guard from a poisoned lock or wait. Sound because
-/// every critical section changes [`QueueState`] by one push, one drain or
-/// one flag store, so a thread that panicked while holding the lock cannot
+/// every critical section changes [`QueueState`] by one push, one drain,
+/// one flag store or one idle count, so a thread that panicked while holding the lock cannot
 /// have left it half-updated; one panicking worker must not take down
 /// serving for everyone else.
 fn unpoison<T>(result: LockResult<T>) -> T {
@@ -243,6 +246,7 @@ impl CoalescerQueue {
             state: Mutex::new(QueueState {
                 jobs: std::collections::VecDeque::new(),
                 closed: false,
+                idle: 0,
             }),
             nonempty: Condvar::new(),
             space: Condvar::new(),
@@ -305,16 +309,22 @@ impl CoalescerQueue {
         }
     }
 
-    /// Queues `job`, waking one worker only when that starts a linger
+    /// Queues `job`, waking an idle worker only when that starts a linger
     /// clock (the queue was empty) or completes a `max_batch` plane: one
     /// wake per plane, not per request. [`CoalescerQueue::next_batch`]
     /// passes the wake on when it leaves jobs behind.
     fn push(&self, state: &mut QueueState, job: Job) {
         state.jobs.push_back(job);
         let queued = state.jobs.len();
-        if queued == 1 || queued % self.max_batch == 0 {
+        if state.idle > 0 && (queued == 1 || queued % self.max_batch == 0) {
             self.nonempty.notify_one();
         }
+    }
+
+    /// Workers blocked in [`CoalescerQueue::next_batch`].
+    #[cfg(test)]
+    pub(super) fn idle_workers(&self) -> usize {
+        unpoison(self.state.lock()).idle
     }
 
     /// Closes the queue: producers are refused from now on, workers drain
@@ -336,17 +346,21 @@ impl CoalescerQueue {
             if state.jobs.len() >= self.max_batch || state.closed {
                 break;
             }
-            if let Some(oldest) = state.jobs.front() {
-                let waited = oldest.enqueued.elapsed();
-                if waited >= self.max_linger {
-                    break;
-                }
-                let (s, _timeout) =
-                    unpoison(self.nonempty.wait_timeout(state, self.max_linger - waited));
-                state = s;
-            } else {
-                state = unpoison(self.nonempty.wait(state));
-            }
+            // What is left of the oldest job's linger; `None` on an empty
+            // queue.
+            let linger = match state.jobs.front() {
+                Some(oldest) => match self.max_linger.checked_sub(oldest.enqueued.elapsed()) {
+                    Some(left) if !left.is_zero() => Some(left),
+                    _ => break,
+                },
+                None => None,
+            };
+            state.idle += 1;
+            state = match linger {
+                Some(left) => unpoison(self.nonempty.wait_timeout(state, left)).0,
+                None => unpoison(self.nonempty.wait(state)),
+            };
+            state.idle -= 1;
         }
         if state.jobs.is_empty() {
             debug_assert!(state.closed);
@@ -354,7 +368,7 @@ impl CoalescerQueue {
         }
         let take = state.jobs.len().min(self.max_batch);
         let batch: Vec<Job> = state.jobs.drain(..take).collect();
-        if !state.jobs.is_empty() {
+        if state.idle > 0 && !state.jobs.is_empty() {
             // The pushes of what is left may have woken no one: hand a full
             // plane to another worker now, or let one time a partial
             // plane's linger.

@@ -608,3 +608,320 @@ fn a_poisoned_queue_keeps_serving() {
     assert_eq!(queue.next_batch().map(|b| b.len()), Some(1));
     assert!(queue.next_batch().is_none());
 }
+
+/// A deterministic splitmix64 stream.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// `count` requests of 0 ..= `channels` random valid keys of `width` bits.
+fn random_requests(count: usize, channels: usize, width: usize, seed: u64) -> Vec<Request> {
+    let mut state = seed;
+    (0..count)
+        .map(|i| Request {
+            id: format!("r{i}"),
+            keys: (0..splitmix(&mut state) as usize % (channels + 1))
+                .map(|_| {
+                    let rank = splitmix(&mut state) % ValidString::count(width);
+                    Key::from(&ValidString::from_rank(width, rank).unwrap())
+                })
+                .collect(),
+        })
+        .collect()
+}
+
+/// The word-level codec against its per-bit oracle, at 0/1/63/64/65 lanes
+/// and at 15 (3×5), 64 (8×8), 64 (2×32) and 160 (10×16) ports: the
+/// transposed pack leaves every port word `pack_lanes` writes, and the
+/// transposed decode of those words reads back what `decode_lanes` does —
+/// the lanes' own keys.
+#[test]
+fn tile_codec_matches_the_per_bit_oracle() {
+    for (channels, width) in [(3, 5), (8, 8), (2, 32), (10, 16)] {
+        let ports = channels * width;
+        let pad = Key::from(&ValidString::stable(width, (1 << width) - 1).unwrap());
+        for lanes in [0, 1, 63, 64, 65] {
+            let requests = random_requests(lanes, channels, width, (ports * 100 + lanes) as u64);
+            let mut words: Vec<&[Request]> = requests.chunks(64).collect();
+            if words.is_empty() {
+                words.push(&[]);
+            }
+            for word in words {
+                let mut col = Column {
+                    z: vec![0; ports],
+                    o: vec![0; ports],
+                };
+                pack_lanes(word, pad, &mut col);
+                let mut tiles = PortTiles::new(ports, 1);
+                assert!(pack_tiles(word, pad, channels, &mut tiles, 0));
+                for p in 0..ports {
+                    assert_eq!(
+                        tiles.port(0, p),
+                        (col.z[p], col.o[p]),
+                        "{channels}x{width}, {lanes} lanes, port {p}"
+                    );
+                }
+                let (mut want, mut got) = (Vec::new(), Vec::new());
+                decode_lanes(word, width, &col, &mut want).unwrap();
+                decode_tiles(word, width, &mut tiles, 0, &mut got).unwrap();
+                assert_eq!(got, want, "{channels}x{width}, {lanes} lanes");
+                let keys: Vec<Key> = word.iter().flat_map(|r| r.keys.clone()).collect();
+                assert_eq!(got, keys, "{channels}x{width}, {lanes} lanes");
+            }
+        }
+    }
+}
+
+/// A lane with too many keys or a key of another width makes the pack
+/// report a misfit, which `check_fit` then names.
+#[test]
+fn pack_reports_lanes_that_do_not_fit() {
+    let pad = Key::from(&ValidString::stable(2, 3).unwrap());
+    let key = |s: &str| s.parse::<Key>().unwrap();
+    let mut tiles = PortTiles::new(8, 1);
+    let fits = |keys: Vec<Key>, tiles: &mut PortTiles| {
+        let lane = [Request {
+            id: "r".into(),
+            keys,
+        }];
+        pack_tiles(&lane, pad, 4, tiles, 0)
+    };
+    assert!(fits(vec![key("00"), key("0M")], &mut tiles));
+    assert!(!fits(vec![key("00"); 5], &mut tiles));
+    assert!(!fits(vec![key("00"), key("000")], &mut tiles));
+}
+
+/// Every spelled key, character by character, is what the per-bit oracle
+/// spells, `?` for a bit in neither plane included.
+#[test]
+fn spelling_table_matches_the_per_bit_oracle() {
+    let mut state = 5;
+    for width in 1..=63 {
+        for _ in 0..64 {
+            let (z, o) = (splitmix(&mut state), splitmix(&mut state));
+            let mut spelled = Vec::new();
+            push_spelled(&mut spelled, z, o, width);
+            assert_eq!(
+                String::from_utf8(spelled).unwrap(),
+                spell_planes(z, o, width),
+                "width {width}"
+            );
+        }
+    }
+}
+
+/// The word-at-a-time key classifier, at every position of an 8-byte key
+/// and for all 256 byte values: the planes are what a byte-by-byte reading
+/// of [`mcs_logic::Trit::from_char`]'s alphabet gives, and `Key::from_str`
+/// returns the same value or error as `ValidString`.
+#[test]
+fn swar_key_parse_matches_valid_string_at_every_byte() {
+    // Byte by byte: each byte's planes, or `None` if some byte is not a
+    // trit character.
+    let bytewise = |token: &[u8]| {
+        token.iter().try_fold((0u64, 0u64), |(z, o), &b| {
+            let (bz, bo) = match mcs_logic::Trit::from_char(char::from(b)).ok()? {
+                mcs_logic::Trit::Zero => (1, 0),
+                mcs_logic::Trit::One => (0, 1),
+                mcs_logic::Trit::Meta => (1, 1),
+            };
+            Some((z << 1 | bz, o << 1 | bo))
+        })
+    };
+    for base in [*b"00110000", *b"0011M100"] {
+        for pos in 0..8 {
+            for b in 0..=255u8 {
+                let mut token = base;
+                token[pos] = b;
+                assert_eq!(swar_planes(&token), bytewise(&token), "{token:?}");
+                // The same byte closing a shorter token.
+                let prefix = &token[..=pos];
+                assert_eq!(swar_planes(prefix), bytewise(prefix), "{prefix:?}");
+                // A byte past ASCII stands for the character of that code
+                // point, which takes two bytes.
+                let s: String = token.iter().map(|&c| char::from(c)).collect();
+                let key = s.parse::<Key>();
+                let valid = s.parse::<ValidString>();
+                assert_eq!(key.as_ref().err(), valid.as_ref().err(), "{s:?}");
+                if let (Ok(key), Ok(valid)) = (key, valid) {
+                    assert_eq!(key, Key::from(&valid), "{s:?}");
+                }
+            }
+        }
+    }
+}
+
+/// A line longer than the keep bound is read whole — its length counted,
+/// its excess discarded — with the buffer never growing past twice the
+/// bound; the next line reads normally, and `\r\n` and a missing last
+/// newline end lines as `BufRead::lines` does.
+#[test]
+fn bounded_line_reads_discard_the_excess_of_long_lines() {
+    let keep = 65;
+    let mut input = vec![b'x'; 4 << 20];
+    input.extend_from_slice(b"\r\nsort a 00\r\n\nlast");
+    let mut reader = std::io::BufReader::with_capacity(1000, &input[..]);
+    let mut line = Vec::new();
+    assert_eq!(read_bounded_line(&mut reader, &mut line, keep).unwrap(), Some(4 << 20));
+    assert_eq!(line.len(), keep);
+    assert!(line.capacity() <= 2 * keep, "capacity {}", line.capacity());
+    assert_eq!(read_bounded_line(&mut reader, &mut line, keep).unwrap(), Some(9));
+    assert_eq!(line, b"sort a 00");
+    assert_eq!(read_bounded_line(&mut reader, &mut line, keep).unwrap(), Some(0));
+    assert_eq!(read_bounded_line(&mut reader, &mut line, keep).unwrap(), Some(4));
+    assert_eq!(line, b"last");
+    assert_eq!(read_bounded_line(&mut reader, &mut line, keep).unwrap(), None);
+    assert!(line.capacity() <= 2 * keep, "capacity {}", line.capacity());
+}
+
+/// Spins until `n` workers are blocked in `next_batch`.
+fn wait_idle(queue: &CoalescerQueue, n: usize) {
+    while queue.idle_workers() < n {
+        std::thread::yield_now();
+    }
+}
+
+/// A worker already blocked in `next_batch` on a partial plane gets the
+/// full plane as soon as the submit that completes it arrives: the linger
+/// (an hour) never enters into it.
+#[test]
+fn a_blocked_worker_gets_the_plane_its_last_submit_completes() {
+    let queue = CoalescerQueue::new(64, 4, Duration::from_secs(3600));
+    let (tx, _rx) = channel();
+    let job = |seq| Job::new(0, seq, &format!("r{seq}"), &["00".parse().unwrap()], tx.clone());
+    std::thread::scope(|s| {
+        let (done, batches) = channel();
+        let queue = &queue;
+        s.spawn(move || done.send(queue.next_batch()).unwrap());
+        wait_idle(queue, 1);
+        queue.try_submit(job(0)).unwrap();
+        // The first job starts the linger clock; the worker waits on.
+        for seq in 1..3 {
+            queue.try_submit(job(seq)).unwrap();
+        }
+        wait_idle(queue, 1);
+        queue.try_submit(job(3)).unwrap();
+        let batch = batches
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the completing submit wakes the worker")
+            .expect("a plane");
+        assert_eq!(batch.iter().map(Job::seq).collect::<Vec<_>>(), [0, 1, 2, 3]);
+    });
+}
+
+/// A worker blocked on an empty queue is woken by a lone job and
+/// dispatches its partial plane once `max_linger` has passed.
+#[test]
+fn a_blocked_worker_dispatches_a_lone_job_after_the_linger() {
+    let linger = Duration::from_millis(40);
+    let queue = CoalescerQueue::new(64, 4, linger);
+    let (tx, _rx) = channel();
+    std::thread::scope(|s| {
+        let worker = s.spawn(|| queue.next_batch());
+        wait_idle(&queue, 1);
+        let submitted = std::time::Instant::now();
+        queue
+            .try_submit(Job::new(0, 0, "lone", &["0M".parse().unwrap()], tx.clone()))
+            .unwrap();
+        let batch = worker.join().unwrap().expect("a partial plane");
+        let waited = submitted.elapsed();
+        assert_eq!(batch.len(), 1);
+        assert!(waited >= linger - Duration::from_millis(1), "{waited:?}");
+    });
+}
+
+/// Two blocked workers and a burst of two planes: each worker gets one
+/// full plane without waiting out the linger (an hour) — the first one's
+/// pop passes the wake on to the second.
+#[test]
+fn two_blocked_workers_take_a_burst_of_two_planes() {
+    let queue = CoalescerQueue::new(64, 4, Duration::from_secs(3600));
+    let (tx, _rx) = channel();
+    std::thread::scope(|s| {
+        let (done, batches) = channel();
+        for _ in 0..2 {
+            let done = done.clone();
+            let queue = &queue;
+            s.spawn(move || done.send(queue.next_batch()).unwrap());
+        }
+        wait_idle(&queue, 2);
+        for seq in 0..8 {
+            queue
+                .try_submit(Job::new(0, seq, "r", &["11".parse().unwrap()], tx.clone()))
+                .unwrap();
+        }
+        let mut seqs: Vec<Vec<u64>> = (0..2)
+            .map(|_| {
+                let batch = batches
+                    .recv_timeout(Duration::from_secs(60))
+                    .expect("both planes leave without the linger")
+                    .expect("a plane");
+                batch.iter().map(Job::seq).collect()
+            })
+            .collect();
+        seqs.sort();
+        assert_eq!(seqs, [[0, 1, 2, 3], [4, 5, 6, 7]]);
+    });
+}
+
+/// The writer side of one plane shared by two connections: the worker
+/// sends one reply per run of consecutive sequence numbers of one
+/// connection — a run ends where the connection changes or where the
+/// reader answered a frame itself — and each connection's writer puts its
+/// own lines out in request order.
+#[test]
+fn replies_of_one_plane_reach_each_connection_in_order() {
+    let (tx_a, rx_a) = channel();
+    let (tx_b, rx_b) = channel();
+    let key: Key = "01".parse().unwrap();
+    let job = |conn: u64, seq: u64, tx: &std::sync::mpsc::Sender<Reply>| {
+        let id = format!("{}{seq}", if conn == 0 { 'a' } else { 'b' });
+        Job::new(conn, seq, &id, &[key], tx.clone())
+    };
+    // Connection a's reader refused its frame 2 itself.
+    tx_a.send(Reply::line(2, "err - empty request carries no keys")).unwrap();
+    let batch = vec![
+        job(0, 0, &tx_a),
+        job(0, 1, &tx_a),
+        job(1, 0, &tx_b),
+        job(1, 1, &tx_b),
+        job(0, 3, &tx_a),
+        job(0, 4, &tx_a),
+        job(1, 2, &tx_b),
+    ];
+    send_replies(&batch, |job, text| push_ok(text, job.id.as_slice(), job.keys()));
+    drop((batch, tx_a, tx_b));
+    let runs = |rx: &std::sync::mpsc::Receiver<Reply>| {
+        rx.try_iter().map(|r| (r.seq, r.lines, r.enqueued.len(), r.text)).collect::<Vec<_>>()
+    };
+    let (runs_a, runs_b) = (runs(&rx_a), runs(&rx_b));
+    let shape = |runs: &[(u64, usize, usize, Vec<u8>)]| {
+        runs.iter().map(|r| (r.0, r.1, r.2)).collect::<Vec<_>>()
+    };
+    assert_eq!(shape(&runs_a), [(2, 1, 0), (0, 2, 2), (3, 2, 2)]);
+    assert_eq!(shape(&runs_b), [(0, 2, 2), (2, 1, 1)]);
+    for (runs, want, lines, queued) in [
+        (runs_a, "ok a0 01\nok a1 01\nerr - empty request carries no keys\nok a3 01\nok a4 01\n", 5, 4),
+        (runs_b, "ok b0 01\nok b1 01\nok b2 01\n", 3, 3),
+    ] {
+        // Replay the runs in the order they arrived, reversed, so the
+        // writer has to re-sequence them.
+        let (tx, rx) = channel();
+        for (seq, lines, _, text) in runs.into_iter().rev() {
+            let enqueued = vec![std::time::Instant::now(); if text.starts_with(b"err") { 0 } else { lines }];
+            tx.send(Reply { seq, lines, text, enqueued, sent: std::time::Instant::now() }).unwrap();
+        }
+        drop(tx);
+        let stats = ServerStats::new(1, KernelId::Scalar);
+        let mut out = Vec::new();
+        writer_loop(rx, &mut out, &stats).unwrap();
+        assert_eq!(String::from_utf8(out).unwrap(), want);
+        let report = stats.snapshot();
+        assert_eq!(report.stages.write.count(), lines);
+        assert_eq!(report.stages.e2e.count(), queued);
+    }
+}

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, TryRecvError};
 use std::time::Instant;
 
-use super::codec::{check_frame_len, format_err, ok_len, parse_line, push_ok, Parsed, SortEngine};
+use super::codec::{bytes_equal, check_frame_len, format_err, ok_len, parse_line, push_ok, Parsed, SortEngine};
 use super::queue::{CoalescerQueue, InlineVec, Job, JobKeys, Reply};
 use super::stats::{format_stats_line, ServeReport, ServerStats};
 use super::{FrameError, ServerError};
@@ -213,6 +213,21 @@ pub(super) fn writer_loop<W: Write>(
     out.flush()
 }
 
+/// The index of the first `\n` in `bytes`, tested 8 bytes at a time.
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    let words = bytes.chunks_exact(8);
+    let tail = words.remainder();
+    for (i, word) in words.enumerate() {
+        let word = <[u8; 8]>::try_from(word).map_or(0, u64::from_le_bytes);
+        let hits = bytes_equal(word, b'\n');
+        if hits != 0 {
+            return Some(8 * i + hits.trailing_zeros() as usize / 8);
+        }
+    }
+    let start = bytes.len() - tail.len();
+    tail.iter().position(|&b| b == b'\n').map(|i| start + i)
+}
+
 /// Reads one line of `input` into `line`, keeping at most `keep` bytes of
 /// it and discarding the rest up to its newline, so a line of any length
 /// costs at most `keep` bytes of buffer. Lines end as for
@@ -232,7 +247,7 @@ pub(super) fn read_bounded_line<R: BufRead>(
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
         };
-        let (body, used) = match chunk.iter().position(|&b| b == b'\n') {
+        let (body, used) = match find_newline(chunk) {
             Some(i) => {
                 ended = true;
                 (&chunk[..i], i + 1)

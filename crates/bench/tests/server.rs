@@ -140,6 +140,54 @@ fn single_request_roundtrip() {
     assert_eq!((report.served, report.rejected), (1, 0));
 }
 
+/// A line of several MiB is refused `oversized` by its length alone, and
+/// the request after it is served: the reader buffers at most one byte
+/// past the frame bound and discards the rest of the line.
+#[test]
+fn a_multi_mib_line_is_oversized_and_the_stream_goes_on() {
+    let engine = engine(ServerConfig::new(4, 2));
+    let long = 5 << 20;
+    let input = format!("sort big {}\nsort next 11 00\n", "0".repeat(long - 9));
+    let (out, report) = run_lines(&engine, &input);
+    assert_eq!(
+        out,
+        format!(
+            "err - oversized frame of {long} bytes exceeds the 65536-byte bound\n{}\n",
+            expected_ok("next", &["11", "00"])
+        )
+    );
+    assert_eq!((report.served, report.rejected), (1, 1));
+}
+
+/// `sort_batch` on cells whose ports are not one 64-port tile — 15 (3×5)
+/// and 160 (10×16) — over more than one plane group: every request comes
+/// back as its keys sorted by rank.
+#[test]
+fn sort_batch_round_trips_on_odd_and_multi_tile_cells() {
+    for (channels, width) in [(3, 5), (10, 16)] {
+        let engine = engine(ServerConfig::new(channels, width));
+        let mut scratch = engine.scratch();
+        let mut state = (channels * width) as u64;
+        let requests: Vec<Request> = (0..300)
+            .map(|i| Request {
+                id: format!("r{i}"),
+                keys: (0..1 + splitmix64(&mut state) as usize % channels)
+                    .map(|_| {
+                        let rank = splitmix64(&mut state) % ValidString::count(width);
+                        Key::from(&ValidString::from_rank(width, rank).unwrap())
+                    })
+                    .collect(),
+            })
+            .collect();
+        let sorted = engine.sort_batch(&requests, &mut scratch).unwrap();
+        for (request, got) in requests.iter().zip(&sorted) {
+            let mut want = request.keys.clone();
+            want.sort_by_key(Key::rank);
+            assert_eq!(got, &want, "{channels}x{width} {}", request.id);
+        }
+    }
+}
+
 /// A request with every channel occupied (no padding path).
 #[test]
 fn full_width_request_roundtrip() {

@@ -1,0 +1,108 @@
+//! Heap allocations of the serving path, counted by a global allocator.
+//!
+//! A queued job holds its id and keys inline, workers are woken per plane,
+//! and each connection gets one reply message per plane, so `serve_lines`
+//! allocates per plane, not per request. This binary holds one test, so
+//! no other test's allocations land in the count.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
+
+use mcs_bench::server::{serve_lines, ServerConfig, SortEngine};
+use mcs_gray::ValidString;
+
+/// The system allocator, counting every allocation and reallocation.
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter has no effect on memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's `layout` contract is `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
+        // `layout`, as the caller guarantees.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as for `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Deterministic splitmix64.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// 10,000 requests of 1–8 keys to an 8×8 server cost fewer than 0.1 heap
+/// allocations each: no id `String`, key `Vec` or reply `String` per
+/// request. The output is checked against the rank-sorted reference.
+#[test]
+fn serving_allocates_per_plane_not_per_request() {
+    const REQUESTS: usize = 10_000;
+    let mut cfg = ServerConfig::new(8, 8);
+    cfg.workers = 2;
+    // Every plane leaves full however fast the host is, so the count does
+    // not depend on timing.
+    cfg.max_linger = Duration::from_secs(3600);
+    let engine = SortEngine::new(cfg).expect("engine builds");
+
+    let mut state = 0x5eed;
+    let (mut input, mut want) = (String::new(), String::new());
+    for i in 0..REQUESTS {
+        let count = 1 + splitmix64(&mut state) as usize % 8;
+        let mut keys: Vec<ValidString> = (0..count)
+            .map(|_| {
+                let rank = splitmix64(&mut state) % ValidString::count(8);
+                ValidString::from_rank(8, rank).unwrap()
+            })
+            .collect();
+        input.push_str(&format!("sort r{i}"));
+        for k in &keys {
+            input.push_str(&format!(" {k}"));
+        }
+        input.push('\n');
+        keys.sort_by_key(ValidString::rank);
+        want.push_str(&format!("ok r{i}"));
+        for k in &keys {
+            want.push_str(&format!(" {k}"));
+        }
+        want.push('\n');
+    }
+    let mut out = Vec::with_capacity(input.len());
+
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let report = serve_lines(&engine, input.as_bytes(), &mut out).expect("serve_lines");
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+
+    assert_eq!(String::from_utf8(out).unwrap(), want);
+    assert_eq!((report.served, report.rejected), (REQUESTS as u64, 0));
+    let per_request = allocations as f64 / REQUESTS as f64;
+    assert!(
+        per_request < 0.1,
+        "{allocations} heap allocations for {REQUESTS} requests ({per_request:.3} each)"
+    );
+}
