@@ -30,14 +30,30 @@
 //!   rank-sorted reference and against one-request-at-a-time
 //!   [`SortEngine::sort_batch`], and the committed goldens pin the bytes.
 //!
-//! Between bytes and circuit nothing is allocated per key. A key token is
-//! parsed in one pass into a `Copy` [`Key`] (two bit masks checked by
-//! [`valid_rank`], the same rule behind [`ValidString::new`]). One core
-//! serves both the workers and [`SortEngine::sort_batch_recording`]: it
-//! packs each request's keys and the pad key straight into the batch's
-//! plane words, evaluates the tape once, gathers each output lane's bits
-//! back into a [`Key`] under the same rule, and the `ok` line is written
-//! as bytes.
+//! Between bytes and circuit the work is per plane, not per request, and a
+//! request of the common shape costs no heap allocation:
+//!
+//! * The connection reader reads each line into one reused buffer that
+//!   never holds more than one byte past `max_frame_bytes` (a longer line
+//!   is refused `oversized` by its length alone) and parses it straight
+//!   into a [`Job`], which holds the id and keys inline. A key token of up
+//!   to 8 bytes is classified with one `u64` load into a `Copy` [`Key`]:
+//!   two bit masks checked by [`valid_rank`], the same rule behind
+//!   [`ValidString::new`].
+//! * A submit wakes a worker only when it starts a linger clock or
+//!   completes a plane; a worker that pops a plane and leaves jobs behind
+//!   passes the wake on.
+//! * One core serves both the workers and
+//!   [`SortEngine::sort_batch_recording`]: per 64-lane word it spells each
+//!   lane's keys and the pad key as one bit string, crosses lanes into
+//!   ports with a [`transpose64`] per 64-port tile, evaluates the tape once
+//!   per plane group, crosses the output ports back and reads each lane's
+//!   keys under the same rule.
+//! * A worker spells the responses of its batch straight into one buffer
+//!   per connection and run of consecutive requests, and sends it as one
+//!   [`Reply`]; the connection's writer re-sequences the runs and closes
+//!   out each request's `write` and `e2e` stages with one clock reading
+//!   per run.
 //!
 //! Robustness is typed end to end: malformed frames, invalid strings,
 //! oversized requests, overload, timeouts and shutdown are all
@@ -47,12 +63,9 @@
 //! `internal` and every other request is still served.
 //!
 //! [`Engine`]: crate::engine::Engine
-//! [`Engine`]: crate::engine::Engine
 //! [`EvalTape`]: mcs_netlist::EvalTape
 //! [`TapeScratch`]: mcs_netlist::TapeScratch
-//! [`valid_rank`]: mcs_gray::valid::valid_rank
-//! [`ValidString::new`]: mcs_gray::ValidString::new
-//! [`TapeScratch`]: mcs_netlist::TapeScratch
+//! [`transpose64`]: mcs_logic::transpose64
 //! [`valid_rank`]: mcs_gray::valid::valid_rank
 //! [`ValidString::new`]: mcs_gray::ValidString::new
 //!

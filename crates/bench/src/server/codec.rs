@@ -18,7 +18,7 @@ use mcs_gray::ValidString;
 use mcs_logic::{transpose64, PlaneWidth, Trit, TritWord};
 use mcs_netlist::{EvalTape, Netlist, TapeScratch};
 
-use super::queue::{InlineVec, Job, JobKeys};
+use super::queue::{InlineVec, Job};
 use super::stats::ServerStats;
 use super::{validate, FrameError, Key, ServerConfig, ServerError};
 use crate::engine::{Engine, EngineError};
@@ -140,7 +140,7 @@ pub(super) fn swar_planes(token: &[u8]) -> Option<(u64, u64)> {
         }
     };
     let eq = bytes_equal;
-    let folded = x | ONES * 0x20;
+    let folded = x | (ONES * 0x20);
     let meta = eq(folded, b'm') | eq(folded, b'x');
     let (zero, one) = (eq(x, b'0') | meta, eq(x, b'1') | meta);
     let used = HIGH >> (8 * (8 - n));
@@ -156,8 +156,8 @@ pub(super) fn swar_planes(token: &[u8]) -> Option<(u64, u64)> {
 impl FromStr for Key {
     type Err = InvalidStringError;
 
-    /// Parses a token word-at-a-time when it has at most 8 bytes
-    /// ([`swar_planes`]), in one pass over its bytes otherwise; the width is
+    /// Parses a token word-at-a-time when it has at most 8 bytes (one
+    /// `u64` load), in one pass over its bytes otherwise; the width is
     /// the token length. Accepts and rejects exactly what `ValidString`
     /// does, with the same error.
     fn from_str(s: &str) -> Result<Key, InvalidStringError> {
@@ -277,16 +277,43 @@ pub fn parse_frame(
     cfg: &ServerConfig,
 ) -> Result<Option<Frame>, FrameError> {
     check_frame_len(line.len(), cfg)?;
-    let mut keys = JobKeys::new();
+    let mut keys = Vec::with_capacity(cfg.channels);
     Ok(match parse_line(line, cfg, &mut keys)? {
         Parsed::Blank => None,
         Parsed::Sort { id } => Some(Frame::Sort(Request {
             id: id.to_string(),
-            keys: keys.to_vec(),
+            keys,
         })),
         Parsed::Stats { id } => Some(Frame::Stats { id: id.to_string() }),
         Parsed::Shutdown { id } => Some(Frame::Shutdown { id: id.to_string() }),
     })
+}
+
+/// Where the frame parser puts a `sort` frame's keys: a [`Request`]'s
+/// `Vec`, or a job's inline keys.
+pub(super) trait KeySink {
+    fn push(&mut self, key: Key);
+    fn len(&self) -> usize;
+}
+
+impl KeySink for Vec<Key> {
+    fn push(&mut self, key: Key) {
+        Vec::push(self, key);
+    }
+
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+}
+
+impl<const N: usize> KeySink for InlineVec<Key, N> {
+    fn push(&mut self, key: Key) {
+        InlineVec::push(self, key);
+    }
+
+    fn len(&self) -> usize {
+        InlineVec::len(self)
+    }
 }
 
 /// The one frame parser, behind [`parse_frame`] and the connection reader:
@@ -296,10 +323,10 @@ pub fn parse_frame(
 /// # Errors
 ///
 /// See [`FrameError`].
-pub(super) fn parse_line<'a, const N: usize>(
+pub(super) fn parse_line<'a>(
     line: &'a str,
     cfg: &ServerConfig,
-    keys: &mut InlineVec<Key, N>,
+    keys: &mut impl KeySink,
 ) -> Result<Parsed<'a>, FrameError> {
     let line = line.trim_end_matches(['\r', '\n']);
     let mut tokens = line.split_ascii_whitespace();
@@ -330,7 +357,7 @@ pub(super) fn parse_line<'a, const N: usize>(
                 }
                 keys.push(key);
             }
-            if keys.is_empty() {
+            if keys.len() == 0 {
                 return Err(FrameError::Empty);
             }
             if keys.len() > cfg.channels {

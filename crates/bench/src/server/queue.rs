@@ -8,8 +8,8 @@ use std::time::{Duration, Instant};
 use super::{FrameError, Key};
 use crate::metrics::millis_u64;
 
-/// A short sequence of `Copy` items: up to `N` inline, on the heap past
-/// that. A queued job keeps its id and keys in it, so a request of the
+/// A short sequence of `Copy` items: up to `N` (at most 255) inline, on
+/// the heap past that. A queued job keeps its id and keys in it, so a request of the
 /// common shape crosses the queue without a heap allocation.
 #[derive(Clone, Debug)]
 pub(super) enum InlineVec<T: Copy, const N: usize> {
@@ -48,7 +48,6 @@ impl Filler for Key {
 impl<T: Filler, const N: usize> InlineVec<T, N> {
     /// The empty sequence.
     pub(super) fn new() -> InlineVec<T, N> {
-        const { assert!(N <= u8::MAX as usize) };
         InlineVec::Inline {
             len: 0,
             items: [T::FILLER; N],
@@ -97,20 +96,9 @@ impl<T: Filler, const N: usize> InlineVec<T, N> {
     pub(super) fn len(&self) -> usize {
         self.as_slice().len()
     }
-
-    /// Whether there are no items.
-    pub(super) fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The items, on the heap.
-    pub(super) fn to_vec(&self) -> Vec<T> {
-        self.as_slice().to_vec()
-    }
 }
 
-/// Id bytes a job holds inline; the longest id of the benchmark stream is
-/// well inside it.
+/// Id bytes a job holds inline: short request tokens stay off the heap.
 pub(super) const INLINE_ID: usize = 30;
 /// Keys a job holds inline: a full request of an 8-channel cell.
 pub(super) const INLINE_KEYS: usize = 8;
@@ -119,7 +107,7 @@ pub(super) type JobKeys = InlineVec<Key, INLINE_KEYS>;
 
 /// One queued request on its way to a plane: the parsed keys plus the
 /// routing information needed to deliver the response. The id and keys
-/// are held inline up to [`INLINE_ID`] bytes and [`INLINE_KEYS`] keys.
+/// are held inline up to 30 bytes and 8 keys, on the heap past that.
 #[derive(Debug)]
 pub struct Job {
     /// The connection the job came from; replies are grouped per
@@ -262,17 +250,18 @@ impl CoalescerQueue {
     }
 
     /// Socket-mode submission: **rejects** when the queue is at its bound
-    /// (returning the job so the caller can format the error response) —
+    /// (returning the job, boxed, so the caller can format the error
+    /// response) —
     /// backpressure by typed refusal, never by unbounded buffering.
     ///
     /// # Errors
     ///
     /// [`FrameError::Overloaded`] with a retry hint when full,
     /// [`FrameError::ShuttingDown`] after [`CoalescerQueue::close`].
-    pub fn try_submit(&self, job: Job) -> Result<(), (Job, FrameError)> {
+    pub fn try_submit(&self, job: Job) -> Result<(), (Box<Job>, FrameError)> {
         let mut state = unpoison(self.state.lock());
         if state.closed {
-            return Err((job, FrameError::ShuttingDown));
+            return Err((Box::new(job), FrameError::ShuttingDown));
         }
         if state.jobs.len() >= self.depth {
             let e = FrameError::Overloaded {
@@ -282,7 +271,7 @@ impl CoalescerQueue {
                 // into at least one dispatched plane.
                 retry_ms: millis_u64(self.max_linger).max(1),
             };
-            return Err((job, e));
+            return Err((Box::new(job), e));
         }
         self.push(&mut state, job);
         Ok(())
@@ -295,11 +284,11 @@ impl CoalescerQueue {
     ///
     /// [`FrameError::ShuttingDown`] (with the job handed back) if the
     /// queue closes while waiting.
-    pub fn submit_blocking(&self, job: Job) -> Result<(), (Job, FrameError)> {
+    pub fn submit_blocking(&self, job: Job) -> Result<(), (Box<Job>, FrameError)> {
         let mut state = unpoison(self.state.lock());
         loop {
             if state.closed {
-                return Err((job, FrameError::ShuttingDown));
+                return Err((Box::new(job), FrameError::ShuttingDown));
             }
             if state.jobs.len() < self.depth {
                 self.push(&mut state, job);
