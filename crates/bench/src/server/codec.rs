@@ -27,11 +27,7 @@ use crate::metrics::nanos_u64;
 impl Key {
     /// The key with the given planes, if they spell a valid string of
     /// `width` bits; bits at or above `width` are ignored.
-    fn from_planes(
-        can_zero: u64,
-        can_one: u64,
-        width: usize,
-    ) -> Result<Key, InvalidStringError> {
+    fn from_planes(can_zero: u64, can_one: u64, width: usize) -> Result<Key, InvalidStringError> {
         let rank = valid_rank(can_zero, can_one, width)?;
         let mask = (1u64 << width) - 1;
         Ok(Key {
@@ -272,10 +268,7 @@ pub(super) fn check_frame_len(bytes: usize, cfg: &ServerConfig) -> Result<(), Fr
 /// # Errors
 ///
 /// See [`FrameError`].
-pub fn parse_frame(
-    line: &str,
-    cfg: &ServerConfig,
-) -> Result<Option<Frame>, FrameError> {
+pub fn parse_frame(line: &str, cfg: &ServerConfig) -> Result<Option<Frame>, FrameError> {
     check_frame_len(line.len(), cfg)?;
     let mut keys = Vec::with_capacity(cfg.channels);
     Ok(match parse_line(line, cfg, &mut keys)? {
@@ -444,10 +437,7 @@ impl SortEngine {
     /// # Errors
     ///
     /// See [`ServerError`].
-    pub fn from_netlist(
-        cfg: ServerConfig,
-        circuit: Netlist,
-    ) -> Result<SortEngine, ServerError> {
+    pub fn from_netlist(cfg: ServerConfig, circuit: Netlist) -> Result<SortEngine, ServerError> {
         validate(&cfg)?;
         let engine = Engine::from_netlist(cfg.channels, cfg.width, cfg.kernel, circuit)?;
         SortEngine::with_engine(cfg, engine)
@@ -596,7 +586,13 @@ pub(super) fn sort_groups<L: Lane>(
         let mut lanes = group.chunks(64);
         let mut fits = true;
         for k in 0..words {
-            fits &= pack_tiles(lanes.next().unwrap_or_default(), pad, channels, &mut tiles, k);
+            fits &= pack_tiles(
+                lanes.next().unwrap_or_default(),
+                pad,
+                channels,
+                &mut tiles,
+                k,
+            );
         }
         if !fits {
             // Nothing of a batch that does not fit is evaluated; name the
@@ -930,12 +926,14 @@ pub(super) mod oracle {
     pub(in crate::server) fn spell_planes(can_zero: u64, can_one: u64, width: usize) -> String {
         (0..width)
             .rev()
-            .map(|shift| match (can_zero >> shift & 1, can_one >> shift & 1) {
-                (1, 0) => '0',
-                (0, 1) => '1',
-                (1, 1) => 'M',
-                _ => '?',
-            })
+            .map(
+                |shift| match (can_zero >> shift & 1, can_one >> shift & 1) {
+                    (1, 0) => '0',
+                    (0, 1) => '1',
+                    (1, 1) => 'M',
+                    _ => '?',
+                },
+            )
             .collect()
     }
 

@@ -16,7 +16,6 @@ use super::transport::*;
 use super::{FrameError, Key, ServerConfig, ServerError};
 use crate::engine::EngineError;
 
-
 /// A request id whose response makes the writer thread panic: the
 /// test-only trigger of [`ServerError::WriterPanicked`].
 pub(super) const WRITER_PANIC_ID: &str = "panic-the-writer";
@@ -75,10 +74,7 @@ fn parse_frame_typed_rejections() {
         "malformed"
     );
     let too_many = parse_frame("sort r1 00 00 00 00 00", &cfg).unwrap_err();
-    assert_eq!(
-        too_many,
-        FrameError::TooManyKeys { got: 5, max: 4 }
-    );
+    assert_eq!(too_many, FrameError::TooManyKeys { got: 5, max: 4 });
     // Bad character, bad validity, bad width — all `bad-key`.
     for line in ["sort r1 0Z", "sort r1 MM", "sort r1 010"] {
         let e = parse_frame(line, &cfg).unwrap_err();
@@ -116,7 +112,10 @@ fn engine_rejects_bad_configs() {
             .err()
             .expect("must be rejected");
         assert!(
-            matches!(err, ServerError::Engine(EngineError::UnsupportedCell { .. })),
+            matches!(
+                err,
+                ServerError::Engine(EngineError::UnsupportedCell { .. })
+            ),
             "{err}"
         );
     }
@@ -131,8 +130,7 @@ fn engine_rejects_bad_configs() {
 #[test]
 fn engine_rejects_a_non_sorting_netlist() {
     let mut n = Netlist::new("identity");
-    let ins: Vec<_> =
-        (0..4).map(|i| n.input(format!("ch{i}_b0"))).collect();
+    let ins: Vec<_> = (0..4).map(|i| n.input(format!("ch{i}_b0"))).collect();
     for (i, &node) in ins.iter().enumerate() {
         n.set_output(format!("out{i}_b0"), node);
     }
@@ -435,7 +433,10 @@ fn stats_line_and_json_carry_every_stage() {
     assert_eq!(report.stages.eval.max(), 2_000_000);
 
     let line = format_stats_line("q1", &report);
-    assert!(line.starts_with("stats q1 schema=mcs-serverstats-v1 "), "{line}");
+    assert!(
+        line.starts_with("stats q1 schema=mcs-serverstats-v1 "),
+        "{line}"
+    );
     assert!(
         line.contains("served=2 rejected=1 batches=1 workers=3 kernel=scalar"),
         "{line}"
@@ -445,7 +446,10 @@ fn stats_line_and_json_carry_every_stage() {
     }
 
     let json = stats_json(&report);
-    assert!(json.contains("\"schema\": \"mcs-serverstats-v1\""), "{json}");
+    assert!(
+        json.contains("\"schema\": \"mcs-serverstats-v1\""),
+        "{json}"
+    );
     for key in [
         "\"served\": 2",
         "\"kernel\": \"scalar\"",
@@ -453,8 +457,7 @@ fn stats_line_and_json_carry_every_stage() {
         "\"p50_us\"",
         "\"p999_us\"",
         "\"mean_us\"",
-    ]
-    {
+    ] {
         assert!(json.contains(key), "{json}");
     }
     // Balanced braces — the hand-rolled emitter must stay valid JSON.
@@ -556,7 +559,15 @@ fn stats_json_bytes_are_pinned() {
 fn queue_saturation_rejects_with_retry_hint() {
     let queue = CoalescerQueue::new(2, 64, Duration::from_millis(5));
     let (tx, _rx) = channel();
-    let job = |seq| Job::new(0, seq, &format!("r{seq}"), &["00".parse().unwrap()], tx.clone());
+    let job = |seq| {
+        Job::new(
+            0,
+            seq,
+            &format!("r{seq}"),
+            &["00".parse().unwrap()],
+            tx.clone(),
+        )
+    };
     queue.try_submit(job(0)).unwrap();
     queue.try_submit(job(1)).unwrap();
     let (returned, e) = queue.try_submit(job(2)).unwrap_err();
@@ -583,7 +594,15 @@ fn queue_saturation_rejects_with_retry_hint() {
 fn a_poisoned_queue_keeps_serving() {
     let queue = CoalescerQueue::new(4, 2, Duration::from_secs(60));
     let (tx, _rx) = channel();
-    let job = |seq| Job::new(0, seq, &format!("r{seq}"), &["00".parse().unwrap()], tx.clone());
+    let job = |seq| {
+        Job::new(
+            0,
+            seq,
+            &format!("r{seq}"),
+            &["00".parse().unwrap()],
+            tx.clone(),
+        )
+    };
     queue.try_submit(job(0)).unwrap();
     std::thread::scope(|s| {
         let panicked = s
@@ -766,15 +785,30 @@ fn bounded_line_reads_discard_the_excess_of_long_lines() {
     input.extend_from_slice(b"\r\nsort a 00\r\n\nlast");
     let mut reader = std::io::BufReader::with_capacity(1000, &input[..]);
     let mut line = Vec::new();
-    assert_eq!(read_bounded_line(&mut reader, &mut line, keep).unwrap(), Some(4 << 20));
+    assert_eq!(
+        read_bounded_line(&mut reader, &mut line, keep).unwrap(),
+        Some(4 << 20)
+    );
     assert_eq!(line.len(), keep);
     assert!(line.capacity() <= 2 * keep, "capacity {}", line.capacity());
-    assert_eq!(read_bounded_line(&mut reader, &mut line, keep).unwrap(), Some(9));
+    assert_eq!(
+        read_bounded_line(&mut reader, &mut line, keep).unwrap(),
+        Some(9)
+    );
     assert_eq!(line, b"sort a 00");
-    assert_eq!(read_bounded_line(&mut reader, &mut line, keep).unwrap(), Some(0));
-    assert_eq!(read_bounded_line(&mut reader, &mut line, keep).unwrap(), Some(4));
+    assert_eq!(
+        read_bounded_line(&mut reader, &mut line, keep).unwrap(),
+        Some(0)
+    );
+    assert_eq!(
+        read_bounded_line(&mut reader, &mut line, keep).unwrap(),
+        Some(4)
+    );
     assert_eq!(line, b"last");
-    assert_eq!(read_bounded_line(&mut reader, &mut line, keep).unwrap(), None);
+    assert_eq!(
+        read_bounded_line(&mut reader, &mut line, keep).unwrap(),
+        None
+    );
     assert!(line.capacity() <= 2 * keep, "capacity {}", line.capacity());
 }
 
@@ -792,7 +826,15 @@ fn wait_idle(queue: &CoalescerQueue, n: usize) {
 fn a_blocked_worker_gets_the_plane_its_last_submit_completes() {
     let queue = CoalescerQueue::new(64, 4, Duration::from_secs(3600));
     let (tx, _rx) = channel();
-    let job = |seq| Job::new(0, seq, &format!("r{seq}"), &["00".parse().unwrap()], tx.clone());
+    let job = |seq| {
+        Job::new(
+            0,
+            seq,
+            &format!("r{seq}"),
+            &["00".parse().unwrap()],
+            tx.clone(),
+        )
+    };
     std::thread::scope(|s| {
         let (done, batches) = channel();
         let queue = &queue;
@@ -883,7 +925,8 @@ fn replies_of_one_plane_reach_each_connection_in_order() {
         Job::new(conn, seq, &id, &[key], tx.clone())
     };
     // Connection a's reader refused its frame 2 itself.
-    tx_a.send(Reply::line(2, "err - empty request carries no keys")).unwrap();
+    tx_a.send(Reply::line(2, "err - empty request carries no keys"))
+        .unwrap();
     let batch = vec![
         job(0, 0, &tx_a),
         job(0, 1, &tx_a),
@@ -893,10 +936,14 @@ fn replies_of_one_plane_reach_each_connection_in_order() {
         job(0, 4, &tx_a),
         job(1, 2, &tx_b),
     ];
-    send_replies(&batch, |job, text| push_ok(text, job.id.as_slice(), job.keys()));
+    send_replies(&batch, |job, text| {
+        push_ok(text, job.id.as_slice(), job.keys())
+    });
     drop((batch, tx_a, tx_b));
     let runs = |rx: &std::sync::mpsc::Receiver<Reply>| {
-        rx.try_iter().map(|r| (r.seq, r.lines, r.enqueued.len(), r.text)).collect::<Vec<_>>()
+        rx.try_iter()
+            .map(|r| (r.seq, r.lines, r.enqueued.len(), r.text))
+            .collect::<Vec<_>>()
     };
     let (runs_a, runs_b) = (runs(&rx_a), runs(&rx_b));
     let shape = |runs: &[(u64, usize, usize, Vec<u8>)]| {
@@ -905,15 +952,28 @@ fn replies_of_one_plane_reach_each_connection_in_order() {
     assert_eq!(shape(&runs_a), [(2, 1, 0), (0, 2, 2), (3, 2, 2)]);
     assert_eq!(shape(&runs_b), [(0, 2, 2), (2, 1, 1)]);
     for (runs, want, lines, queued) in [
-        (runs_a, "ok a0 01\nok a1 01\nerr - empty request carries no keys\nok a3 01\nok a4 01\n", 5, 4),
+        (
+            runs_a,
+            "ok a0 01\nok a1 01\nerr - empty request carries no keys\nok a3 01\nok a4 01\n",
+            5,
+            4,
+        ),
         (runs_b, "ok b0 01\nok b1 01\nok b2 01\n", 3, 3),
     ] {
         // Replay the runs in the order they arrived, reversed, so the
         // writer has to re-sequence them.
         let (tx, rx) = channel();
         for (seq, lines, _, text) in runs.into_iter().rev() {
-            let enqueued = vec![std::time::Instant::now(); if text.starts_with(b"err") { 0 } else { lines }];
-            tx.send(Reply { seq, lines, text, enqueued, sent: std::time::Instant::now() }).unwrap();
+            let enqueued =
+                vec![std::time::Instant::now(); if text.starts_with(b"err") { 0 } else { lines }];
+            tx.send(Reply {
+                seq,
+                lines,
+                text,
+                enqueued,
+                sent: std::time::Instant::now(),
+            })
+            .unwrap();
         }
         drop(tx);
         let stats = ServerStats::new(1, KernelId::Scalar);

@@ -14,7 +14,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, TryRecvError};
 use std::time::Instant;
 
-use super::codec::{bytes_equal, check_frame_len, format_err, ok_len, parse_line, push_ok, Parsed, SortEngine};
+use super::codec::{
+    bytes_equal, check_frame_len, format_err, ok_len, parse_line, push_ok, Parsed, SortEngine,
+};
 use super::queue::{CoalescerQueue, InlineVec, Job, JobKeys, Reply};
 use super::stats::{format_stats_line, ServeReport, ServerStats};
 use super::{FrameError, ServerError};
@@ -50,15 +52,17 @@ fn worker_loop(engine: &SortEngine, queue: &CoalescerQueue, stats: &ServerStats)
         // Expire requests that waited past their deadline before burning
         // plane lanes on them.
         let timeout = engine.cfg.request_timeout;
-        let expired =
-            |job: &Job| timeout.is_some_and(|t| popped.duration_since(job.enqueued) > t);
+        let expired = |job: &Job| timeout.is_some_and(|t| popped.duration_since(job.enqueued) > t);
         let live: Vec<&Job> = batch.iter().filter(|job| !expired(job)).collect();
         let outcome = if live.is_empty() {
             Ok(())
         } else {
             catch_unwind(AssertUnwindSafe(|| {
                 #[cfg(test)]
-                if live.iter().any(|job| job.id() == super::tests::WORKER_PANIC_ID) {
+                if live
+                    .iter()
+                    .any(|job| job.id() == super::tests::WORKER_PANIC_ID)
+                {
                     panic!("injected worker panic");
                 }
                 engine.sort_lanes(&live, &mut scratch, Some(stats), &mut sorted)
@@ -111,7 +115,10 @@ pub(super) fn send_replies(batch: &[Job], mut line: impl FnMut(&Job, &mut Vec<u8
         rest = tail;
         // Exact for `ok` lines: a request's sorted keys spell as long as
         // its own.
-        let bytes = jobs.iter().map(|j| ok_len(j.id.as_slice(), j.keys()) + 1).sum();
+        let bytes = jobs
+            .iter()
+            .map(|j| ok_len(j.id.as_slice(), j.keys()) + 1)
+            .sum();
         let mut text = Vec::with_capacity(bytes);
         let mut enqueued = Vec::with_capacity(run);
         for job in jobs {
@@ -204,7 +211,9 @@ pub(super) fn writer_loop<W: Write>(
                 stats.write.record(write);
             }
             for &enqueued in &reply.enqueued {
-                stats.e2e.record(nanos_u64(written.duration_since(enqueued)));
+                stats
+                    .e2e
+                    .record(nanos_u64(written.duration_since(enqueued)));
             }
             next += reply.lines as u64;
         }
@@ -310,7 +319,11 @@ fn pump_connection<R: BufRead, W: Write + Send>(
         // byte past the frame bound.
         let mut line = Vec::new();
         loop {
-            let len = match read_bounded_line(&mut input, &mut line, cfg.max_frame_bytes + 1) {
+            let len = match read_bounded_line(
+                &mut input,
+                &mut line,
+                cfg.max_frame_bytes.saturating_add(1),
+            ) {
                 Ok(Some(len)) => len,
                 Ok(None) => break,
                 Err(e) => {
@@ -429,10 +442,7 @@ pub fn serve_lines<R: BufRead, W: Write + Send>(
 ///
 /// Listener/accept errors; per-connection I/O errors only end that
 /// connection.
-pub fn serve_tcp(
-    engine: &SortEngine,
-    listener: TcpListener,
-) -> Result<ServeReport, ServerError> {
+pub fn serve_tcp(engine: &SortEngine, listener: TcpListener) -> Result<ServeReport, ServerError> {
     let workers = resolve_workers(engine.cfg.workers);
     let queue = CoalescerQueue::new(
         engine.cfg.queue_depth,
