@@ -819,6 +819,24 @@ fn wait_idle(queue: &CoalescerQueue, n: usize) {
     }
 }
 
+/// The next batch a worker reports on `batches`; fails — after closing
+/// the queue, so the blocked workers return and the test ends — unless it
+/// comes within a minute.
+fn next_reported(
+    queue: &CoalescerQueue,
+    batches: &std::sync::mpsc::Receiver<Option<Vec<Job>>>,
+    what: &str,
+) -> Vec<Job> {
+    match batches.recv_timeout(Duration::from_secs(60)) {
+        Ok(Some(batch)) => batch,
+        Ok(None) => panic!("{what}: the queue closed"),
+        Err(e) => {
+            queue.close();
+            panic!("{what}: {e}");
+        }
+    }
+}
+
 /// A worker already blocked in `next_batch` on a partial plane gets the
 /// full plane as soon as the submit that completes it arrives: the linger
 /// (an hour) never enters into it.
@@ -835,22 +853,17 @@ fn a_blocked_worker_gets_the_plane_its_last_submit_completes() {
             tx.clone(),
         )
     };
+    for seq in 0..3 {
+        queue.try_submit(job(seq)).unwrap();
+    }
     std::thread::scope(|s| {
         let (done, batches) = channel();
         let queue = &queue;
         s.spawn(move || done.send(queue.next_batch()).unwrap());
-        wait_idle(queue, 1);
-        queue.try_submit(job(0)).unwrap();
-        // The first job starts the linger clock; the worker waits on.
-        for seq in 1..3 {
-            queue.try_submit(job(seq)).unwrap();
-        }
+        // Blocked on the partial plane's linger.
         wait_idle(queue, 1);
         queue.try_submit(job(3)).unwrap();
-        let batch = batches
-            .recv_timeout(Duration::from_secs(60))
-            .expect("the completing submit wakes the worker")
-            .expect("a plane");
+        let batch = next_reported(queue, &batches, "the completing submit wakes the worker");
         assert_eq!(batch.iter().map(Job::seq).collect::<Vec<_>>(), [0, 1, 2, 3]);
     });
 }
@@ -863,13 +876,15 @@ fn a_blocked_worker_dispatches_a_lone_job_after_the_linger() {
     let queue = CoalescerQueue::new(64, 4, linger);
     let (tx, _rx) = channel();
     std::thread::scope(|s| {
-        let worker = s.spawn(|| queue.next_batch());
-        wait_idle(&queue, 1);
+        let (done, batches) = channel();
+        let queue = &queue;
+        s.spawn(move || done.send(queue.next_batch()).unwrap());
+        wait_idle(queue, 1);
         let submitted = std::time::Instant::now();
         queue
             .try_submit(Job::new(0, 0, "lone", &["0M".parse().unwrap()], tx.clone()))
             .unwrap();
-        let batch = worker.join().unwrap().expect("a partial plane");
+        let batch = next_reported(queue, &batches, "the lone job's plane leaves");
         let waited = submitted.elapsed();
         assert_eq!(batch.len(), 1);
         assert!(waited >= linger - Duration::from_millis(1), "{waited:?}");
@@ -877,8 +892,7 @@ fn a_blocked_worker_dispatches_a_lone_job_after_the_linger() {
 }
 
 /// Two blocked workers and a burst of two planes: each worker gets one
-/// full plane without waiting out the linger (an hour) — the first one's
-/// pop passes the wake on to the second.
+/// full plane without waiting out the linger (an hour).
 #[test]
 fn two_blocked_workers_take_a_burst_of_two_planes() {
     let queue = CoalescerQueue::new(64, 4, Duration::from_secs(3600));
@@ -898,10 +912,7 @@ fn two_blocked_workers_take_a_burst_of_two_planes() {
         }
         let mut seqs: Vec<Vec<u64>> = (0..2)
             .map(|_| {
-                let batch = batches
-                    .recv_timeout(Duration::from_secs(60))
-                    .expect("both planes leave without the linger")
-                    .expect("a plane");
+                let batch = next_reported(&queue, &batches, "both planes leave");
                 batch.iter().map(Job::seq).collect()
             })
             .collect();
@@ -912,9 +923,10 @@ fn two_blocked_workers_take_a_burst_of_two_planes() {
 
 /// The writer side of one plane shared by two connections: the worker
 /// sends one reply per run of consecutive sequence numbers of one
-/// connection — a run ends where the connection changes or where the
-/// reader answered a frame itself — and each connection's writer puts its
-/// own lines out in request order.
+/// connection — a run ends where the connection changes, even if the next
+/// sequence number follows on, and where the reader answered a frame
+/// itself — and each connection's writer puts its own lines out in
+/// request order.
 #[test]
 fn replies_of_one_plane_reach_each_connection_in_order() {
     let (tx_a, rx_a) = channel();
@@ -924,22 +936,31 @@ fn replies_of_one_plane_reach_each_connection_in_order() {
         let id = format!("{}{seq}", if conn == 0 { 'a' } else { 'b' });
         Job::new(conn, seq, &id, &[key], tx.clone())
     };
-    // Connection a's reader refused its frame 2 itself.
-    tx_a.send(Reply::line(2, "err - empty request carries no keys"))
-        .unwrap();
+    // Connection a's reader refused its frames 2 and 5 itself; connection
+    // b's frames 0 and 1 were answered by an earlier plane.
+    let empty = "err - empty request carries no keys";
+    for seq in [2, 5] {
+        tx_a.send(Reply::line(seq, empty)).unwrap();
+    }
+    for seq in [0, 1] {
+        tx_b.send(Reply::line(seq, &format!("ok b{seq} 01")))
+            .unwrap();
+    }
     let batch = vec![
         job(0, 0, &tx_a),
         job(0, 1, &tx_a),
-        job(1, 0, &tx_b),
-        job(1, 1, &tx_b),
+        job(1, 2, &tx_b),
         job(0, 3, &tx_a),
         job(0, 4, &tx_a),
-        job(1, 2, &tx_b),
+        job(0, 6, &tx_a),
+        job(1, 3, &tx_b),
     ];
     send_replies(&batch, |job, text| {
         push_ok(text, job.id.as_slice(), job.keys())
     });
     drop((batch, tx_a, tx_b));
+    // (first seq, lines, queued lines, text) of each message, in arrival
+    // order.
     let runs = |rx: &std::sync::mpsc::Receiver<Reply>| {
         rx.try_iter()
             .map(|r| (r.seq, r.lines, r.enqueued.len(), r.text))
@@ -949,29 +970,29 @@ fn replies_of_one_plane_reach_each_connection_in_order() {
     let shape = |runs: &[(u64, usize, usize, Vec<u8>)]| {
         runs.iter().map(|r| (r.0, r.1, r.2)).collect::<Vec<_>>()
     };
-    assert_eq!(shape(&runs_a), [(2, 1, 0), (0, 2, 2), (3, 2, 2)]);
-    assert_eq!(shape(&runs_b), [(0, 2, 2), (2, 1, 1)]);
+    assert_eq!(
+        shape(&runs_a),
+        [(2, 1, 0), (5, 1, 0), (0, 2, 2), (3, 2, 2), (6, 1, 1)]
+    );
+    assert_eq!(shape(&runs_b), [(0, 1, 0), (1, 1, 0), (2, 1, 1), (3, 1, 1)]);
+    let want_a = format!("ok a0 01\nok a1 01\n{empty}\nok a3 01\nok a4 01\n{empty}\nok a6 01\n");
     for (runs, want, lines, queued) in [
-        (
-            runs_a,
-            "ok a0 01\nok a1 01\nerr - empty request carries no keys\nok a3 01\nok a4 01\n",
-            5,
-            4,
-        ),
-        (runs_b, "ok b0 01\nok b1 01\nok b2 01\n", 3, 3),
+        (runs_a, want_a.as_str(), 7, 5),
+        (runs_b, "ok b0 01\nok b1 01\nok b2 01\nok b3 01\n", 4, 2),
     ] {
-        // Replay the runs in the order they arrived, reversed, so the
-        // writer has to re-sequence them.
+        // Replay the messages in reverse, so the writer has to re-sequence
+        // them.
         let (tx, rx) = channel();
-        for (seq, lines, _, text) in runs.into_iter().rev() {
-            let enqueued =
-                vec![std::time::Instant::now(); if text.starts_with(b"err") { 0 } else { lines }];
+        for (seq, lines, stamps, text) in runs.into_iter().rev() {
+            let now = std::time::Instant::now();
+            let enqueued = vec![now; stamps];
+            let sent = now;
             tx.send(Reply {
                 seq,
                 lines,
                 text,
                 enqueued,
-                sent: std::time::Instant::now(),
+                sent,
             })
             .unwrap();
         }
