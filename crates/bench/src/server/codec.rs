@@ -595,8 +595,8 @@ pub(super) fn sort_groups<L: Lane>(
             );
         }
         if !fits {
-            // Nothing of a batch that does not fit is evaluated; name the
-            // first lane at fault.
+            // The batch fails before this group is evaluated: name the
+            // first lane at fault, by the same rule the pack applied.
             check_fit(batch, channels, width)?;
         }
         for p in 0..ports {

@@ -9,8 +9,9 @@ use super::{FrameError, Key};
 use crate::metrics::millis_u64;
 
 /// A short sequence of `Copy` items: up to `N` (at most 255) inline, on
-/// the heap past that. A queued job keeps its id and keys in it, so a request of the
-/// common shape crosses the queue without a heap allocation.
+/// the heap past that. A queued job keeps its id and keys in it, so a
+/// request of the common shape crosses the queue without a heap
+/// allocation.
 #[derive(Clone, Debug)]
 pub(super) enum InlineVec<T: Copy, const N: usize> {
     /// At most `N` items; the slots past `len` hold filler.
@@ -205,9 +206,9 @@ pub(super) struct QueueState {
 
 /// Recovers the queue guard from a poisoned lock or wait. Sound because
 /// every critical section changes [`QueueState`] by one push, one drain,
-/// one flag store or one idle count, so a thread that panicked while holding the lock cannot
-/// have left it half-updated; one panicking worker must not take down
-/// serving for everyone else.
+/// one flag store or one idle count, so a thread that panicked while
+/// holding the lock cannot have left it half-updated; one panicking worker
+/// must not take down serving for everyone else.
 fn unpoison<T>(result: LockResult<T>) -> T {
     result.unwrap_or_else(PoisonError::into_inner)
 }
@@ -251,8 +252,8 @@ impl CoalescerQueue {
 
     /// Socket-mode submission: **rejects** when the queue is at its bound
     /// (returning the job, boxed, so the caller can format the error
-    /// response) —
-    /// backpressure by typed refusal, never by unbounded buffering.
+    /// response) — backpressure by typed refusal, never by unbounded
+    /// buffering.
     ///
     /// # Errors
     ///
