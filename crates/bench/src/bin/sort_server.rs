@@ -12,8 +12,13 @@
 //! Defaults: a 4-channel × 2-bit circuit built from the stock cell network
 //! (optimal table for small `n`, Batcher odd-even beyond), one worker per
 //! core, 256-lane batches (one pass of the 4-wide planes every batch is
-//! evaluated at), 2 ms linger, 4096-request queue,
+//! evaluated at), 2 ms linger cap, 4096-request queue,
 //! no per-request timeout, stdin/stdout mode.
+//!
+//! `--linger-us`/`--linger-ms` cap how long a partial batch may wait to
+//! fill. A partial batch that cannot fill within the cap at the measured
+//! arrival rate leaves at once, so sparse requests are answered without
+//! waiting it out.
 //!
 //! `--circuit PATH` loads a saved netlist artifact (e.g. an optimized
 //! golden from `tests/golden/` or a `synth_circuit --save` output) instead

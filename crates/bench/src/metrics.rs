@@ -273,7 +273,8 @@ pub struct StageSnapshot {
     /// Per batch: oldest member's submission → dispatch (how long the
     /// plane lingered accumulating lanes).
     pub coalesce: LatencyHistogram,
-    /// Per batch: row assembly + plane packing ([`mcs_logic::TritBlock`]).
+    /// Per batch: spelling each lane's keys into port tiles and crossing
+    /// them into plane words ([`mcs_logic::transpose64`]).
     pub pack: LatencyHistogram,
     /// Per batch: the compiled-tape evaluation itself.
     pub eval: LatencyHistogram,

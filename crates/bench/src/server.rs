@@ -12,10 +12,13 @@
 //! * **Request coalescing.** Each request is one lane. Small concurrent
 //!   requests are packed into shared plane words — the [`CoalescerQueue`]
 //!   holds arrivals until a full `max_batch`-lane plane is ready (64 lanes
-//!   per plane word, [`PlaneWidth::default`] words per pass) or the oldest
-//!   pending request has lingered for `max_linger`, whichever is first, so
-//!   latency stays bounded while throughput approaches the engine's
-//!   streaming rate.
+//!   per plane word, [`PlaneWidth::default`] words per pass). A partial
+//!   plane leaves early when, at the measured arrival rate (a moving
+//!   average of the gaps between arrivals), it cannot fill before its
+//!   oldest request has lingered `max_linger`, and at the latest when it
+//!   has: `max_linger` is a cap, not a wait. Saturating traffic gets full
+//!   planes and throughput approaches the engine's streaming rate; sparse
+//!   traffic gets small planes at once instead of waiting out the linger.
 //! * **Backpressure.** The inbound queue is bounded (`queue_depth`
 //!   requests). Socket traffic beyond the bound is *rejected* with a typed
 //!   `overloaded` response carrying a retry hint — never buffered without
@@ -40,9 +43,10 @@
 //!   to 8 bytes is classified with one `u64` load into a `Copy` [`Key`]:
 //!   two bit masks checked by [`valid_rank`], the same rule behind
 //!   [`ValidString::new`].
-//! * A submit wakes a worker only when it starts a linger clock or
-//!   completes a plane; a worker that pops a plane and leaves jobs behind
-//!   passes the wake on.
+//! * A submit wakes a worker only when it starts a linger clock, completes
+//!   a plane, or forms the queue's first gap estimate and that estimate
+//!   sends the pending plane off (the worker slept on no estimate); a
+//!   worker that pops a plane and leaves jobs behind passes the wake on.
 //! * One core serves both the workers and
 //!   [`SortEngine::sort_batch_recording`]: per 64-lane word it spells each
 //!   lane's keys and the pad key as one bit string, crosses lanes into
@@ -151,8 +155,10 @@ pub struct ServerConfig {
     pub kernel: KernelId,
     /// Max requests coalesced into one dispatch (the plane fill target).
     pub max_batch: usize,
-    /// Max time the oldest pending request may wait for its plane to fill
-    /// before a partial plane is dispatched anyway.
+    /// Cap on how long the oldest pending request may wait for its plane
+    /// to fill before a partial plane is dispatched anyway. A partial plane
+    /// that cannot fill in time at the measured arrival rate leaves before
+    /// it: sparse traffic does not wait this long.
     pub max_linger: Duration,
     /// Bound of the inbound queue, in requests. Socket submissions beyond
     /// it are rejected with `overloaded`; pipe submissions block.

@@ -503,7 +503,8 @@ impl SortEngine {
         stats: Option<&ServerStats>,
     ) -> Result<Vec<Vec<Key>>, FrameError> {
         let mut sorted = Vec::new();
-        self.sort_lanes(requests, scratch, stats, &mut sorted)?;
+        let mut tiles = PortTiles::default();
+        self.sort_lanes(requests, scratch, &mut tiles, stats, &mut sorted)?;
         let mut rest = &sorted[..];
         Ok(requests
             .iter()
@@ -522,6 +523,7 @@ impl SortEngine {
         &self,
         batch: &[L],
         scratch: &mut TapeScratch,
+        tiles: &mut PortTiles,
         stats: Option<&ServerStats>,
         sorted: &mut Vec<Key>,
     ) -> Result<(), FrameError> {
@@ -533,6 +535,7 @@ impl SortEngine {
         let done = sort_groups(
             self.engine.tape(),
             scratch,
+            tiles,
             batch,
             self.cfg.channels,
             self.pad,
@@ -551,11 +554,14 @@ impl SortEngine {
 /// `sorted`, lane after lane. Per 64-lane word, [`pack_tiles`] crosses the
 /// lanes' keys (and `pad` on free channels) into port words that go
 /// straight into the tape's input registers; after the run, the output
-/// registers' words are crossed back by [`decode_tiles`]. The pack and eval
-/// time of the whole batch is recorded into `stats` (when given).
+/// registers' words are crossed back by [`decode_tiles`]. `tiles` is
+/// resized to the tape and reused. The pack and eval time of the whole
+/// batch is recorded into `stats` (when given).
+#[allow(clippy::too_many_arguments)]
 pub(super) fn sort_groups<L: Lane>(
     tape: &EvalTape,
     scratch: &mut TapeScratch,
+    tiles: &mut PortTiles,
     batch: &[L],
     channels: usize,
     pad: Key,
@@ -578,7 +584,7 @@ pub(super) fn sort_groups<L: Lane>(
     // One tile set per plane word, so each register is read or written
     // once per group, all its words together.
     let words = planes.words();
-    let mut tiles = PortTiles::new(ports, words);
+    tiles.fit(ports, words);
     let (mut pack, mut eval) = (Duration::ZERO, Duration::ZERO);
     let mut decoded = Ok(());
     'groups: for group in batch.chunks(64 * words) {
@@ -586,13 +592,7 @@ pub(super) fn sort_groups<L: Lane>(
         let mut lanes = group.chunks(64);
         let mut fits = true;
         for k in 0..words {
-            fits &= pack_tiles(
-                lanes.next().unwrap_or_default(),
-                pad,
-                channels,
-                &mut tiles,
-                k,
-            );
+            fits &= pack_tiles(lanes.next().unwrap_or_default(), pad, channels, tiles, k);
         }
         if !fits {
             // The batch fails before this group is evaluated: name the
@@ -619,7 +619,7 @@ pub(super) fn sort_groups<L: Lane>(
             }
         }
         for (k, lanes) in group.chunks(64).enumerate() {
-            decoded = decode_tiles(lanes, width, &mut tiles, k, sorted);
+            decoded = decode_tiles(lanes, width, tiles, k, sorted);
             if decoded.is_err() {
                 break 'groups;
             }
@@ -660,16 +660,6 @@ impl Lane for Job {
     }
 }
 
-impl<L: Lane> Lane for &L {
-    fn id(&self) -> &[u8] {
-        (*self).id()
-    }
-
-    fn keys(&self) -> &[Key] {
-        (*self).keys()
-    }
-}
-
 /// The two planes of every port for each 64-lane word of a plane group,
 /// held as 64-port tiles of [`transpose64`] matrices. Port `c·B + b`
 /// carries bit `b` (MSB first) of channel `c`, for the tape's inputs and
@@ -679,7 +669,7 @@ impl<L: Lane> Lane for &L {
 /// In port order, row `p` of word `k`'s tile `t` is port `64t + p`'s word
 /// `k` (lane `j` at bit `j`). After a transpose, row `63 − j` of the tile
 /// is lane `64k + j`'s ports `64t ..` spelled MSB first.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(super) struct PortTiles {
     /// Tiles per word.
     tiles: usize,
@@ -689,13 +679,19 @@ pub(super) struct PortTiles {
 
 impl PortTiles {
     /// Zeroed tiles for `ports` ports and `words` words.
+    #[cfg(test)]
     pub(super) fn new(ports: usize, words: usize) -> PortTiles {
-        let tiles = ports.div_ceil(64);
-        PortTiles {
-            tiles,
-            z: vec![[0; 64]; tiles * words],
-            o: vec![[0; 64]; tiles * words],
-        }
+        let mut tiles = PortTiles::default();
+        tiles.fit(ports, words);
+        tiles
+    }
+
+    /// Resizes the tiles for `ports` ports and `words` words, keeping the
+    /// buffers (and any contents) they already have.
+    pub(super) fn fit(&mut self, ports: usize, words: usize) {
+        self.tiles = ports.div_ceil(64);
+        self.z.resize(self.tiles * words, [0; 64]);
+        self.o.resize(self.tiles * words, [0; 64]);
     }
 
     /// Port `p`'s word `k`, in port order.

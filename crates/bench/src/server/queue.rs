@@ -142,6 +142,23 @@ impl Job {
         }
     }
 
+    /// [`Job::new`] with an explicit arrival time, so queue tests can
+    /// back-date arrivals instead of sleeping.
+    #[cfg(test)]
+    pub(super) fn arrived(
+        conn: u64,
+        seq: u64,
+        id: &str,
+        keys: &[Key],
+        reply: Sender<Reply>,
+        enqueued: Instant,
+    ) -> Job {
+        Job {
+            enqueued,
+            ..Job::new(conn, seq, id, keys, reply)
+        }
+    }
+
     /// Per-connection sequence number.
     pub fn seq(&self) -> u64 {
         self.seq
@@ -202,6 +219,11 @@ pub(super) struct QueueState {
     /// Workers blocked in [`CoalescerQueue::next_batch`]: a wake with
     /// nobody to wake is skipped.
     idle: usize,
+    /// The latest arrival stamp seen; `None` before the first push.
+    last_arrival: Option<Instant>,
+    /// Moving average (weight 1/8) of the gaps between arrival stamps;
+    /// `None` before the second push.
+    gap_ewma: Option<Duration>,
 }
 
 /// Recovers the queue guard from a poisoned lock or wait. Sound because
@@ -216,6 +238,13 @@ fn unpoison<T>(result: LockResult<T>) -> T {
 /// The bounded request queue with plane-fill/linger batching semantics —
 /// the heart of the serving layer, exposed so tests can pin its contract
 /// without sockets or timing races.
+///
+/// A plane leaves when it is full, when the queue closes, or when its
+/// oldest job has waited `max_linger`, the hard cap. A partial plane also
+/// leaves early when it cannot fill in time at the measured arrival rate:
+/// when the average gap between arrivals times the missing lanes exceeds
+/// what is left of the oldest job's linger. Before the second arrival
+/// there is no gap estimate, and a partial plane waits out the linger.
 pub struct CoalescerQueue {
     pub(super) state: Mutex<QueueState>,
     /// Signals workers: jobs arrived or the queue closed.
@@ -236,6 +265,8 @@ impl CoalescerQueue {
                 jobs: std::collections::VecDeque::new(),
                 closed: false,
                 idle: 0,
+                last_arrival: None,
+                gap_ewma: None,
             }),
             nonempty: Condvar::new(),
             space: Condvar::new(),
@@ -299,16 +330,49 @@ impl CoalescerQueue {
         }
     }
 
-    /// Queues `job`, waking an idle worker only when that starts a linger
-    /// clock (the queue was empty) or completes a `max_batch` plane: one
-    /// wake per plane, not per request. [`CoalescerQueue::next_batch`]
-    /// passes the wake on when it leaves jobs behind.
+    /// Queues `job` and folds its arrival stamp into the gap estimate (no
+    /// clock read of its own).
+    ///
+    /// An idle worker is woken only when the push starts a linger clock
+    /// (the queue was empty), completes a `max_batch` plane, or forms the
+    /// first gap estimate and that estimate sends the pending plane off
+    /// early (the worker timing its linger slept on no estimate at all):
+    /// one wake per plane, not per request.
+    /// [`CoalescerQueue::next_batch`] passes the wake on when it leaves
+    /// jobs behind.
     fn push(&self, state: &mut QueueState, job: Job) {
+        let arrived = job.enqueued;
+        let no_estimate_yet = state.gap_ewma.is_none();
+        if let Some(last) = state.last_arrival {
+            let gap = arrived.saturating_duration_since(last);
+            state.gap_ewma = Some(state.gap_ewma.map_or(gap, |ewma| ewma - ewma / 8 + gap / 8));
+        }
+        state.last_arrival = Some(state.last_arrival.map_or(arrived, |last| last.max(arrived)));
         state.jobs.push_back(job);
         let queued = state.jobs.len();
-        if state.idle > 0 && (queued == 1 || queued % self.max_batch == 0) {
+        if state.idle > 0
+            && (queued == 1
+                || queued % self.max_batch == 0
+                || no_estimate_yet && self.leaves_early(state, arrived))
+        {
             self.nonempty.notify_one();
         }
+    }
+
+    /// Whether the partial plane queued in `state` should leave at `now`
+    /// although it is not full: the average arrival gap times the missing
+    /// lanes exceeds what is left of the oldest job's linger. `false`
+    /// without a gap estimate.
+    fn leaves_early(&self, state: &QueueState, now: Instant) -> bool {
+        let (Some(gap), Some(oldest)) = (state.gap_ewma, state.jobs.front()) else {
+            return false;
+        };
+        let missing = self.max_batch.saturating_sub(state.jobs.len());
+        let fill = gap.saturating_mul(u32::try_from(missing).unwrap_or(u32::MAX));
+        let left = self
+            .max_linger
+            .saturating_sub(now.saturating_duration_since(oldest.enqueued));
+        fill > left
     }
 
     /// Workers blocked in [`CoalescerQueue::next_batch`].
@@ -327,22 +391,42 @@ impl CoalescerQueue {
     }
 
     /// Blocks until a batch is ready and pops it: a full `max_batch` plane
-    /// immediately, a partial plane once its oldest job has lingered
+    /// immediately, a partial plane once it cannot fill in time at the
+    /// measured arrival rate or once its oldest job has lingered
     /// `max_linger`, everything left once the queue closes. `None` when
     /// closed and empty — the worker's exit signal.
     pub fn next_batch(&self) -> Option<Vec<Job>> {
+        let mut batch = Vec::new();
+        self.next_batch_into(&mut batch).then_some(batch)
+    }
+
+    /// [`CoalescerQueue::next_batch`] into a buffer the caller owns and
+    /// reuses: `batch` is cleared, then filled; `false` (and `batch` empty)
+    /// when the queue is closed and empty. Clearing comes before any wait,
+    /// so the previous batch's reply senders are gone by then: a
+    /// connection's writer ends only once every sender is.
+    pub(super) fn next_batch_into(&self, batch: &mut Vec<Job>) -> bool {
+        batch.clear();
         let mut state = unpoison(self.state.lock());
         loop {
             if state.jobs.len() >= self.max_batch || state.closed {
                 break;
             }
-            // What is left of the oldest job's linger; `None` on an empty
-            // queue.
+            // What is left of the oldest job's linger, unless its plane
+            // should leave now; `None` on an empty queue.
             let linger = match state.jobs.front() {
-                Some(oldest) => match self.max_linger.checked_sub(oldest.enqueued.elapsed()) {
-                    Some(left) if !left.is_zero() => Some(left),
-                    _ => break,
-                },
+                Some(oldest) => {
+                    let now = Instant::now();
+                    match self
+                        .max_linger
+                        .checked_sub(now.saturating_duration_since(oldest.enqueued))
+                    {
+                        Some(left) if !left.is_zero() && !self.leaves_early(&state, now) => {
+                            Some(left)
+                        }
+                        _ => break,
+                    }
+                }
                 None => None,
             };
             state.idle += 1;
@@ -354,10 +438,10 @@ impl CoalescerQueue {
         }
         if state.jobs.is_empty() {
             debug_assert!(state.closed);
-            return None;
+            return false;
         }
         let take = state.jobs.len().min(self.max_batch);
-        let batch: Vec<Job> = state.jobs.drain(..take).collect();
+        batch.extend(state.jobs.drain(..take));
         if state.idle > 0 && !state.jobs.is_empty() {
             // The pushes of what is left may have woken no one: hand a full
             // plane to another worker now, or let one time a partial
@@ -365,6 +449,6 @@ impl CoalescerQueue {
             self.nonempty.notify_one();
         }
         self.space.notify_all();
-        Some(batch)
+        true
     }
 }

@@ -1,7 +1,7 @@
 //! Unit tests of the serving layer's internals.
 
 use std::sync::mpsc::channel;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mcs_gray::ValidString;
 use mcs_logic::plane::kernel::{self, KernelId};
@@ -321,7 +321,18 @@ fn key_codec_is_exhaustive_up_to_width_8() {
             .try_scratch(PlaneWidth::X1, kernel::preferred())
             .unwrap();
         decoded.clear();
-        sort_groups(&tape, &mut scratch, &requests, 3, pad, None, &mut decoded).unwrap();
+        let mut tiles = PortTiles::default();
+        sort_groups(
+            &tape,
+            &mut scratch,
+            &mut tiles,
+            &requests,
+            3,
+            pad,
+            None,
+            &mut decoded,
+        )
+        .unwrap();
         assert_eq!(decoded, keys, "width {w}");
     }
 }
@@ -812,9 +823,20 @@ fn bounded_line_reads_discard_the_excess_of_long_lines() {
     assert!(line.capacity() <= 2 * keep, "capacity {}", line.capacity());
 }
 
-/// Spins until `n` workers are blocked in `next_batch`.
-fn wait_idle(queue: &CoalescerQueue, n: usize) {
+/// Spins until `n` workers are blocked in `next_batch`; fails — after
+/// closing the queue, so the test ends — if a worker reports a batch on
+/// `batches` first instead of waiting.
+fn wait_idle(
+    queue: &CoalescerQueue,
+    n: usize,
+    batches: &std::sync::mpsc::Receiver<Option<Vec<Job>>>,
+) {
     while queue.idle_workers() < n {
+        if let Ok(batch) = batches.try_recv() {
+            queue.close();
+            let seqs = batch.map(|b| b.iter().map(Job::seq).collect::<Vec<_>>());
+            panic!("a worker took {seqs:?} instead of waiting");
+        }
         std::thread::yield_now();
     }
 }
@@ -837,39 +859,46 @@ fn next_reported(
     }
 }
 
-/// A worker already blocked in `next_batch` on a partial plane gets the
-/// full plane as soon as the submit that completes it arrives: the linger
-/// (an hour) never enters into it.
+/// Job `seq` of connection 0, arriving at `enqueued`.
+fn job_at(seq: u64, enqueued: Instant, tx: &std::sync::mpsc::Sender<Reply>) -> Job {
+    let key = "00".parse().unwrap();
+    Job::arrived(0, seq, &format!("r{seq}"), &[key], tx.clone(), enqueued)
+}
+
+/// `count` jobs arriving `gap` apart, the last one now.
+fn arrivals(count: u64, gap: Duration, tx: &std::sync::mpsc::Sender<Reply>) -> Vec<Job> {
+    let now = Instant::now();
+    (0..count)
+        .map(|seq| job_at(seq, now - gap * (count - 1 - seq) as u32, tx))
+        .collect()
+}
+
+/// A worker blocked in `next_batch` on a partial plane of dense arrivals
+/// (1 µs apart: the plane should fill long before the hour-long linger)
+/// gets the full plane as soon as the submit that completes it arrives.
 #[test]
 fn a_blocked_worker_gets_the_plane_its_last_submit_completes() {
     let queue = CoalescerQueue::new(64, 4, Duration::from_secs(3600));
     let (tx, _rx) = channel();
-    let job = |seq| {
-        Job::new(
-            0,
-            seq,
-            &format!("r{seq}"),
-            &["00".parse().unwrap()],
-            tx.clone(),
-        )
-    };
-    for seq in 0..3 {
-        queue.try_submit(job(seq)).unwrap();
+    let mut jobs = arrivals(4, Duration::from_micros(1), &tx);
+    let last = jobs.pop().unwrap();
+    for job in jobs {
+        queue.try_submit(job).unwrap();
     }
     std::thread::scope(|s| {
         let (done, batches) = channel();
         let queue = &queue;
         s.spawn(move || done.send(queue.next_batch()).unwrap());
         // Blocked on the partial plane's linger.
-        wait_idle(queue, 1);
-        queue.try_submit(job(3)).unwrap();
+        wait_idle(queue, 1, &batches);
+        queue.try_submit(last).unwrap();
         let batch = next_reported(queue, &batches, "the completing submit wakes the worker");
         assert_eq!(batch.iter().map(Job::seq).collect::<Vec<_>>(), [0, 1, 2, 3]);
     });
 }
 
-/// A worker blocked on an empty queue is woken by a lone job and
-/// dispatches its partial plane once `max_linger` has passed.
+/// A worker blocked on an empty queue is woken by a lone job. One arrival
+/// gives no gap estimate, so the partial plane waits out `max_linger`.
 #[test]
 fn a_blocked_worker_dispatches_a_lone_job_after_the_linger() {
     let linger = Duration::from_millis(40);
@@ -879,8 +908,8 @@ fn a_blocked_worker_dispatches_a_lone_job_after_the_linger() {
         let (done, batches) = channel();
         let queue = &queue;
         s.spawn(move || done.send(queue.next_batch()).unwrap());
-        wait_idle(queue, 1);
-        let submitted = std::time::Instant::now();
+        wait_idle(queue, 1, &batches);
+        let submitted = Instant::now();
         queue
             .try_submit(Job::new(0, 0, "lone", &["0M".parse().unwrap()], tx.clone()))
             .unwrap();
@@ -888,6 +917,103 @@ fn a_blocked_worker_dispatches_a_lone_job_after_the_linger() {
         let waited = submitted.elapsed();
         assert_eq!(batch.len(), 1);
         assert!(waited >= linger - Duration::from_millis(1), "{waited:?}");
+    });
+}
+
+/// Arrivals 20 ms apart cannot fill the other 1,021 lanes of a plane
+/// within a 10 s linger (that would take ~20 s), so the partial plane
+/// leaves at once.
+#[test]
+fn a_sparse_history_dispatches_a_partial_plane_at_once() {
+    let linger = Duration::from_secs(10);
+    let queue = CoalescerQueue::new(1024, 1024, linger);
+    let (tx, _rx) = channel();
+    for job in arrivals(3, Duration::from_millis(20), &tx) {
+        queue.try_submit(job).unwrap();
+    }
+    let start = Instant::now();
+    let batch = queue.next_batch().expect("partial plane");
+    assert_eq!(batch.iter().map(Job::seq).collect::<Vec<_>>(), [0, 1, 2]);
+    assert!(start.elapsed() < linger / 2, "waited {:?}", start.elapsed());
+}
+
+/// Arrivals 1 µs apart fill a plane long before the linger, so a worker
+/// waits for the full plane instead of sending the burst off partial.
+#[test]
+fn a_dense_burst_waits_for_a_full_plane() {
+    let queue = CoalescerQueue::new(64, 8, Duration::from_secs(3600));
+    let (tx, _rx) = channel();
+    let mut jobs = arrivals(8, Duration::from_micros(1), &tx);
+    let last = jobs.pop().unwrap();
+    for job in jobs {
+        queue.try_submit(job).unwrap();
+    }
+    std::thread::scope(|s| {
+        let (done, batches) = channel();
+        let queue = &queue;
+        s.spawn(move || done.send(queue.next_batch()).unwrap());
+        // Waiting on seven of eight lanes, not taking them.
+        wait_idle(queue, 1, &batches);
+        assert_eq!(queue.queued(), 7);
+        queue.try_submit(last).unwrap();
+        let batch = next_reported(queue, &batches, "the full plane leaves");
+        assert_eq!(batch.len(), 8);
+    });
+}
+
+/// A lone arrival gives no gap estimate: even on a queue whose plane
+/// could never fill, the first partial plane waits out the linger.
+#[test]
+fn a_cold_start_waits_out_the_linger() {
+    let linger = Duration::from_millis(40);
+    let queue = CoalescerQueue::new(1024, 1024, linger);
+    let (tx, _rx) = channel();
+    queue.try_submit(job_at(0, Instant::now(), &tx)).unwrap();
+    let batch = queue.next_batch().expect("partial plane");
+    assert_eq!(batch.len(), 1);
+    let waited = batch[0].enqueued.elapsed();
+    assert!(waited >= linger, "released after {waited:?}");
+}
+
+/// Dense arrivals predict that the plane fills, but its last lanes never
+/// come: `max_linger` still caps the wait.
+#[test]
+fn a_mispredicted_wait_is_capped_by_the_linger() {
+    let linger = Duration::from_millis(40);
+    let queue = CoalescerQueue::new(64, 64, linger);
+    let (tx, _rx) = channel();
+    for job in arrivals(3, Duration::from_micros(1), &tx) {
+        queue.try_submit(job).unwrap();
+    }
+    let batch = queue.next_batch().expect("partial plane");
+    assert_eq!(batch.len(), 3);
+    // Only a spurious wake-up in the last ~61 µs (the predicted fill
+    // time) could release the plane before the cap.
+    let waited = batch[0].enqueued.elapsed();
+    assert!(
+        waited >= linger - Duration::from_millis(1),
+        "released after {waited:?}"
+    );
+}
+
+/// A worker timing a lone job's linger slept on no gap estimate; the
+/// second arrival forms one, and when it says the plane cannot fill in
+/// time (a 10 s gap against 1,022 missing lanes and an hour's linger),
+/// that push wakes the worker, which sends the plane off at once.
+#[test]
+fn the_first_gap_estimate_wakes_a_worker_timing_a_cold_linger() {
+    let queue = CoalescerQueue::new(1024, 1024, Duration::from_secs(3600));
+    let (tx, _rx) = channel();
+    let then = Instant::now() - Duration::from_secs(10);
+    queue.try_submit(job_at(0, then, &tx)).unwrap();
+    std::thread::scope(|s| {
+        let (done, batches) = channel();
+        let queue = &queue;
+        s.spawn(move || done.send(queue.next_batch()).unwrap());
+        wait_idle(queue, 1, &batches);
+        queue.try_submit(job_at(1, Instant::now(), &tx)).unwrap();
+        let batch = next_reported(queue, &batches, "the estimate wakes the worker");
+        assert_eq!(batch.iter().map(Job::seq).collect::<Vec<_>>(), [0, 1]);
     });
 }
 
@@ -904,7 +1030,7 @@ fn two_blocked_workers_take_a_burst_of_two_planes() {
             let queue = &queue;
             s.spawn(move || done.send(queue.next_batch()).unwrap());
         }
-        wait_idle(&queue, 2);
+        wait_idle(&queue, 2, &batches);
         for seq in 0..8 {
             queue
                 .try_submit(Job::new(0, seq, "r", &["11".parse().unwrap()], tx.clone()))
@@ -919,6 +1045,46 @@ fn two_blocked_workers_take_a_burst_of_two_planes() {
         seqs.sort();
         assert_eq!(seqs, [[0, 1, 2, 3], [4, 5, 6, 7]]);
     });
+}
+
+/// A plane whose jobs partly expired before dispatch: the worker answers
+/// the expired ones `timeout` and sorts the live ones, and the writer puts
+/// every line out in request order.
+#[test]
+fn a_plane_with_expired_jobs_serves_the_live_ones() {
+    let mut cfg = cfg4x2();
+    cfg.request_timeout = Some(Duration::from_secs(10));
+    let engine = SortEngine::new(cfg).unwrap();
+    let queue = CoalescerQueue::new(64, 8, Duration::from_secs(3600));
+    let (tx, rx) = channel();
+    let (now, long_ago) = (Instant::now(), Instant::now() - Duration::from_secs(20));
+    for (seq, enqueued) in [long_ago, now, long_ago, now, now].into_iter().enumerate() {
+        queue.try_submit(job_at(seq as u64, enqueued, &tx)).unwrap();
+    }
+    drop(tx);
+    queue.close();
+    let stats = ServerStats::new(1, KernelId::Scalar);
+    worker_loop(&engine, &queue, &stats);
+    let mut out = Vec::new();
+    writer_loop(rx, &mut out, &stats).unwrap();
+    let lines: Vec<String> = String::from_utf8(out)
+        .unwrap()
+        .lines()
+        .map(|line| line.split(" waited").next().unwrap_or(line).to_string())
+        .collect();
+    let late = "timeout request";
+    assert_eq!(
+        lines,
+        [
+            format!("err r0 {late}"),
+            "ok r1 00".into(),
+            format!("err r2 {late}"),
+            "ok r3 00".into(),
+            "ok r4 00".into(),
+        ]
+    );
+    let report = stats.snapshot();
+    assert_eq!((report.served, report.rejected, report.batches), (3, 2, 1));
 }
 
 /// The writer side of one plane shared by two connections: the worker
@@ -984,7 +1150,7 @@ fn replies_of_one_plane_reach_each_connection_in_order() {
         // them.
         let (tx, rx) = channel();
         for (seq, lines, stamps, text) in runs.into_iter().rev() {
-            let now = std::time::Instant::now();
+            let now = Instant::now();
             let enqueued = vec![now; stamps];
             let sent = now;
             tx.send(Reply {

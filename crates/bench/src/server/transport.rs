@@ -2,9 +2,10 @@
 //! pump, and the two serving modes.
 //!
 //! Hand-offs are per plane, not per request: a reader's submit wakes a
-//! worker only when it starts a linger clock or completes a plane, and a
-//! worker sends each connection of its batch one [`Reply`] carrying that
-//! connection's run of consecutive response lines.
+//! worker only when it starts a linger clock or completes a plane (see
+//! [`CoalescerQueue`] for when a partial plane leaves), and a worker sends
+//! each connection of its batch one [`Reply`] carrying that connection's
+//! run of consecutive response lines.
 
 use std::collections::BinaryHeap;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
@@ -15,7 +16,8 @@ use std::sync::mpsc::{channel, Receiver, TryRecvError};
 use std::time::Instant;
 
 use super::codec::{
-    bytes_equal, check_frame_len, format_err, ok_len, parse_line, push_ok, Parsed, SortEngine,
+    bytes_equal, check_frame_len, format_err, ok_len, parse_line, push_ok, Parsed, PortTiles,
+    SortEngine,
 };
 use super::queue::{CoalescerQueue, InlineVec, Job, JobKeys, Reply};
 use super::stats::{format_stats_line, ServeReport, ServerStats};
@@ -31,10 +33,12 @@ use crate::metrics::{millis_u64, nanos_u64};
 /// batch is answered `internal` and counted as rejected, the scratch it may
 /// have left half-written is rebuilt, and the worker keeps draining, so the
 /// connection writer never waits on a reply that cannot come.
-fn worker_loop(engine: &SortEngine, queue: &CoalescerQueue, stats: &ServerStats) {
-    let mut scratch = engine.scratch();
-    let mut sorted = Vec::new();
-    while let Some(batch) = queue.next_batch() {
+pub(super) fn worker_loop(engine: &SortEngine, queue: &CoalescerQueue, stats: &ServerStats) {
+    // Reused plane after plane: the tape scratch and port tiles, the sorted
+    // keys and the popped batch.
+    let (mut scratch, mut tiles) = (engine.scratch(), PortTiles::default());
+    let (mut sorted, mut batch) = (Vec::new(), Vec::new());
+    while queue.next_batch_into(&mut batch) {
         let popped = Instant::now();
         stats.add_batch();
         // Coalesce latency: how long this plane spent filling, measured
@@ -50,10 +54,14 @@ fn worker_loop(engine: &SortEngine, queue: &CoalescerQueue, stats: &ServerStats)
                 .record(nanos_u64(popped.duration_since(job.enqueued)));
         }
         // Expire requests that waited past their deadline before burning
-        // plane lanes on them.
+        // plane lanes on them: a stable sort moves them behind the live
+        // ones.
         let timeout = engine.cfg.request_timeout;
-        let expired = |job: &Job| timeout.is_some_and(|t| popped.duration_since(job.enqueued) > t);
-        let live: Vec<&Job> = batch.iter().filter(|job| !expired(job)).collect();
+        let late = |job: &Job| timeout.is_some_and(|t| popped.duration_since(job.enqueued) > t);
+        if batch.iter().any(late) {
+            batch.sort_by_key(late);
+        }
+        let (live, expired) = batch.split_at(batch.partition_point(|job| !late(job)));
         let outcome = if live.is_empty() {
             Ok(())
         } else {
@@ -65,7 +73,7 @@ fn worker_loop(engine: &SortEngine, queue: &CoalescerQueue, stats: &ServerStats)
                 {
                     panic!("injected worker panic");
                 }
-                engine.sort_lanes(&live, &mut scratch, Some(stats), &mut sorted)
+                engine.sort_lanes(live, &mut scratch, &mut tiles, Some(stats), &mut sorted)
             }))
             .unwrap_or_else(|_| {
                 scratch = engine.scratch();
@@ -82,19 +90,19 @@ fn worker_loop(engine: &SortEngine, queue: &CoalescerQueue, stats: &ServerStats)
             stats.add_rejected();
         }
         let mut keys = &sorted[..];
-        send_replies(&batch, |job, text| {
-            if expired(job) {
-                let e = FrameError::Timeout {
-                    waited_ms: millis_u64(popped.duration_since(job.enqueued)),
-                };
-                text.extend_from_slice(format_err(job.id(), &e).as_bytes());
-            } else if let Err(e) = &outcome {
-                text.extend_from_slice(format_err(job.id(), e).as_bytes());
-            } else {
+        send_replies(live, |job, text| match &outcome {
+            Ok(()) => {
                 let (mine, rest) = keys.split_at(job.keys.len());
                 keys = rest;
                 push_ok(text, job.id.as_slice(), mine);
             }
+            Err(e) => text.extend_from_slice(format_err(job.id(), e).as_bytes()),
+        });
+        send_replies(expired, |job, text| {
+            let e = FrameError::Timeout {
+                waited_ms: millis_u64(popped.duration_since(job.enqueued)),
+            };
+            text.extend_from_slice(format_err(job.id(), &e).as_bytes());
         });
     }
 }

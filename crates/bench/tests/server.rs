@@ -226,8 +226,9 @@ fn test_job(seq: u64, reply: &std::sync::mpsc::Sender<Reply>) -> Job {
     Job::new(0, seq, &format!("r{seq}"), &["00".parse().unwrap()], reply.clone())
 }
 
-/// Exactly 64 queued requests release a full plane immediately — the
-/// linger deadline (set absurdly high) never enters into it.
+/// Exactly 64 queued requests release a full plane immediately, whatever
+/// the arrival rate — the linger deadline (set absurdly high) never enters
+/// into it, and the rate rule only ever sends partial planes off early.
 #[test]
 fn exactly_64_lane_fill_dispatches_without_linger() {
     let queue = CoalescerQueue::new(1024, 64, Duration::from_secs(3600));
@@ -250,12 +251,14 @@ fn exactly_64_lane_fill_dispatches_without_linger() {
     assert!(queue.next_batch().is_none());
 }
 
-/// A partial plane is dispatched once its oldest request has lingered the
-/// configured deadline — latency stays bounded under light load.
+/// `max_linger` is the hard cap: a partial plane whose arrivals came fast
+/// enough to fill it (its one missing lane would take a whole linger at
+/// their rate) but whose last lane never comes is dispatched once its
+/// oldest request has lingered the configured deadline.
 #[test]
 fn max_linger_expiry_dispatches_partial_plane() {
     let linger = Duration::from_millis(40);
-    let queue = CoalescerQueue::new(1024, 64, linger);
+    let queue = CoalescerQueue::new(1024, 4, linger);
     let (tx, _rx) = channel();
     for seq in 0..3 {
         queue.try_submit(test_job(seq, &tx)).unwrap();
@@ -632,6 +635,67 @@ fn lone_tcp_request_is_answered_without_waiting() {
         reader.read_line(&mut line).expect("read");
         assert_eq!(line, "ok op draining\n");
         assert_eq!((report.served, report.rejected), (2, 1));
+    });
+}
+
+/// Sparse traffic does not wait out the linger: with `max_linger` at 1 s
+/// and requests sent 5 ms apart (a 256-lane plane would take ~1.3 s to
+/// fill), every request is answered well inside the linger — the first as
+/// soon as the second arrival shows the rate.
+#[test]
+fn sparse_tcp_requests_are_answered_well_inside_the_linger() {
+    use std::io::{BufRead, BufReader, Write};
+    const REQUESTS: usize = 20;
+    let linger = Duration::from_secs(1);
+    let mut cfg = ServerConfig::new(4, 2);
+    cfg.workers = 1;
+    cfg.max_linger = linger;
+    let engine = engine(cfg);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    std::thread::scope(|s| {
+        let server = s.spawn(|| serve_tcp(&engine, listener).expect("serve"));
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let mut writer = stream.try_clone().expect("clone");
+        let sender = s.spawn(move || {
+            let mut sent = Vec::with_capacity(REQUESTS);
+            for i in 0..REQUESTS {
+                sent.push(Instant::now());
+                writer
+                    .write_all(format!("sort s{i} 1M 0{}\n", i % 2).as_bytes())
+                    .expect("send");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            writer.write_all(b"shutdown op\n").expect("send");
+            sent
+        });
+        let mut answered = Vec::with_capacity(REQUESTS);
+        let mut reader = BufReader::new(stream);
+        let mut line = String::new();
+        for i in 0..REQUESTS {
+            line.clear();
+            reader.read_line(&mut line).expect("read");
+            answered.push(Instant::now());
+            let low = format!("0{}", i % 2);
+            assert_eq!(line.trim_end(), expected_ok(&format!("s{i}"), &["1M", &low]));
+        }
+        line.clear();
+        reader.read_line(&mut line).expect("read");
+        assert_eq!(line, "ok op draining\n");
+        let sent = sender.join().expect("sender");
+        let report = server.join().expect("server thread");
+        assert_eq!((report.served, report.rejected), (REQUESTS as u64, 0));
+        for (i, (sent, answered)) in sent.iter().zip(&answered).enumerate() {
+            let latency = answered.duration_since(*sent);
+            assert!(
+                latency < linger / 4,
+                "request {i} answered after {latency:?} under a {linger:?} linger"
+            );
+        }
     });
 }
 

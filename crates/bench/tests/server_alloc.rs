@@ -2,11 +2,12 @@
 //!
 //! A queued job holds its id and keys inline, workers are woken per plane,
 //! and each connection gets one reply message per plane, so `serve_lines`
-//! allocates per plane, not per request. This binary holds one test, so
-//! no other test's allocations land in the count.
+//! allocates per plane, not per request. The tests of this binary take
+//! turns measuring, so no other serve's allocations land in a count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use mcs_bench::server::{serve_lines, ServerConfig, SortEngine};
@@ -57,17 +58,17 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// 10,000 requests of 1–8 keys to an 8×8 server cost fewer than 0.1 heap
-/// allocations each: no id `String`, key `Vec` or reply `String` per
-/// request. The output is checked against the rank-sorted reference.
-#[test]
-fn serving_allocates_per_plane_not_per_request() {
+/// Serializes the tests: the count is process-wide, so one test's work
+/// must not overlap another's measurement.
+static MEASURING: Mutex<()> = Mutex::new(());
+
+/// Serves 10,000 seeded requests of 1–8 keys through an 8×8 server under
+/// `cfg` on 2 workers, checks the output against the rank-sorted reference
+/// and returns the heap allocations per request.
+fn allocations_per_request(mut cfg: ServerConfig) -> f64 {
     const REQUESTS: usize = 10_000;
-    let mut cfg = ServerConfig::new(8, 8);
+    let _turn = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
     cfg.workers = 2;
-    // Every plane leaves full however fast the host is, so the count does
-    // not depend on timing.
-    cfg.max_linger = Duration::from_secs(3600);
     let engine = SortEngine::new(cfg).expect("engine builds");
 
     let mut state = 0x5eed;
@@ -100,9 +101,36 @@ fn serving_allocates_per_plane_not_per_request() {
 
     assert_eq!(String::from_utf8(out).unwrap(), want);
     assert_eq!((report.served, report.rejected), (REQUESTS as u64, 0));
-    let per_request = allocations as f64 / REQUESTS as f64;
+    allocations as f64 / REQUESTS as f64
+}
+
+/// 10,000 requests cost fewer than 0.1 heap allocations each: no id
+/// `String`, key `Vec` or reply `String` per request.
+#[test]
+fn serving_allocates_per_plane_not_per_request() {
+    let mut cfg = ServerConfig::new(8, 8);
+    // Every plane leaves full however fast the host is, so the count does
+    // not depend on timing.
+    cfg.max_linger = Duration::from_secs(3600);
+    let per_request = allocations_per_request(cfg);
     assert!(
         per_request < 0.1,
-        "{allocations} heap allocations for {REQUESTS} requests ({per_request:.3} each)"
+        "{per_request:.3} heap allocations per request"
+    );
+}
+
+/// One-job planes (`max_batch = 1`), the shape sparse traffic gets: the
+/// worker drains each plane into a batch buffer and port tiles it reuses,
+/// so a request costs only its reply message (the text and its arrival
+/// stamps), about 2 allocations, where a fresh batch, lane list and pair of
+/// tile buffers per plane made it about 6.
+#[test]
+fn one_job_planes_allocate_only_their_reply() {
+    let mut cfg = ServerConfig::new(8, 8);
+    cfg.max_batch = 1;
+    let per_request = allocations_per_request(cfg);
+    assert!(
+        per_request < 3.0,
+        "{per_request:.3} heap allocations per request"
     );
 }
