@@ -37,13 +37,21 @@
 //! that works on 64 lanes at a time:
 //!
 //! 1. the 64 splitmix64 values of a (word, channel) pair go into a stack
-//!    array, with `seed ^ channel·C₂` hoisted out of the lane loop;
+//!    array, with `seed ^ channel·C₂` hoisted out of the lane loop and the
+//!    lane multiply hoisted out of it too: `(first + l)·C₁` is
+//!    `first·C₁ + l·C₁` in wrapping arithmetic, so one multiply per word
+//!    plus a constant table of `l·C₁` covers all 64 lanes;
 //! 2. an exact, division-free reducer (`RankReducer`, multiply-high by a
 //!    per-cell reciprocal plus one conditional subtract) replaces the `%`;
-//! 3. only the `B+1` rank bits are transposed into rank planes
-//!    `R_0 ..= R_B`, and every port word follows from word ops: the Gray
-//!    code of `x = rank >> 1` and of `x + 1` (a bit-sliced ripple-carry
-//!    increment), merged per lane by the parity plane `R_0`.
+//! 3. a field-packed transpose turns the ranks into rank planes
+//!    `R_0 ..= R_B`: every rank is below `2^F`, `F = (B+1)` rounded up to
+//!    a power of two, so lane `j·F + r` is packed into field `j` of row
+//!    `r`, and `log₂F` masked-swap rounds over those `F` rows transpose
+//!    every `F × F` field block at once, leaving `R_c` in row `c` (one
+//!    routine, monomorphised per `F`). Every port word then follows from
+//!    word ops: the Gray code of `x = rank >> 1` and of `x + 1` (a
+//!    bit-sliced ripple-carry increment), merged per lane by the parity
+//!    plane `R_0`.
 //!
 //! The generator body is compiled in the same two tiers as the tape: for
 //! the build's baseline features under [`KernelId::Scalar`], and under
@@ -493,16 +501,98 @@ const LANE_MIX: u64 = 0xA24B_AED4_963E_E407;
 /// Multiplier of the channel index in the stream definition.
 const CHANNEL_MIX: u64 = 0x9FB2_1C65_1E98_DF25;
 
-/// `LANE_BIT[j] = 1 << j`: lane `j`'s bit in a plane word.
-const LANE_BIT: [u64; 64] = {
-    let mut bits = [0u64; 64];
-    let mut j = 0;
-    while j < 64 {
-        bits[j] = 1 << j;
-        j += 1;
+/// `LANE_STEP[l] = l · LANE_MIX` (wrapping): lane `first + l` mixes to
+/// `first · LANE_MIX + LANE_STEP[l]`, one multiply per 64-lane word.
+const LANE_STEP: [u64; 64] = {
+    let mut steps = [0u64; 64];
+    let mut l = 0;
+    while l < 64 {
+        steps[l] = (l as u64).wrapping_mul(LANE_MIX);
+        l += 1;
     }
-    bits
+    steps
 };
+
+/// The field width `F` of the rank transpose at bit width `width`: the
+/// least power of two holding a rank's `B+1` bits (2 ..= 64).
+fn field_width(width: usize) -> usize {
+    (width + 1).next_power_of_two()
+}
+
+/// Transposes the `F × F` bit block in every `F`-bit field of `rows[..F]`
+/// at once: bit `c` of row `r`'s field `j` trades places with bit `r` of
+/// row `c`'s field `j`. Its own inverse. Each round swaps, in every
+/// `2J × 2J` block on a field's diagonal, the top-right `J × J` quarter
+/// (high columns of the top rows) with the bottom-left one; `mask`
+/// selects the low `J` columns of each `2J`-column group, which never
+/// reach across a field.
+#[inline(always)]
+fn transpose_fields<const F: usize>(rows: &mut [u64; 64]) {
+    #[inline(always)]
+    fn round<const F: usize, const J: usize>(rows: &mut [u64; 64], mask: u64) {
+        for block in (0..F).step_by(2 * J) {
+            for i in block..block + J {
+                let t = ((rows[i] >> J) ^ rows[i + J]) & mask;
+                rows[i] ^= t << J;
+                rows[i + J] ^= t;
+            }
+        }
+    }
+    if F > 32 {
+        round::<F, 32>(rows, 0x0000_0000_FFFF_FFFF);
+    }
+    if F > 16 {
+        round::<F, 16>(rows, 0x0000_FFFF_0000_FFFF);
+    }
+    if F > 8 {
+        round::<F, 8>(rows, 0x00FF_00FF_00FF_00FF);
+    }
+    if F > 4 {
+        round::<F, 4>(rows, 0x0F0F_0F0F_0F0F_0F0F);
+    }
+    if F > 2 {
+        round::<F, 2>(rows, 0x3333_3333_3333_3333);
+    }
+    round::<F, 1>(rows, 0x5555_5555_5555_5555);
+}
+
+/// [`transpose_fields`] at a run-time field width `f` (see [`field_width`]).
+fn transpose_fields_at(f: usize, rows: &mut [u64; 64]) {
+    match f {
+        2 => transpose_fields::<2>(rows),
+        4 => transpose_fields::<4>(rows),
+        8 => transpose_fields::<8>(rows),
+        16 => transpose_fields::<16>(rows),
+        32 => transpose_fields::<32>(rows),
+        _ => transpose_fields::<64>(rows),
+    }
+}
+
+/// The bit planes of 64 values below `2^F`: afterwards bit `l` of
+/// `planes[c]` is bit `c` of lane `l`'s value, for every `c < F`;
+/// `planes[F..]` is left as it was and `values` is used up.
+///
+/// Lane `j·F + r` is packed into field `j` of row `r` (a shift by the
+/// lane's field offset, then an OR of the lanes of each row, halving the
+/// span from 64 words to `F`), and [`transpose_fields`] turns every field
+/// block around. Shifts by a per-lane constant and whole-word ORs, so both
+/// steps vectorise.
+#[inline(always)]
+fn bit_planes<const F: usize>(values: &mut [u64; 64], planes: &mut [u64; 64]) {
+    for (l, v) in values.iter_mut().enumerate() {
+        *v <<= l & !(F - 1);
+    }
+    let mut half = 32;
+    while half >= F {
+        let (lo, hi) = values.split_at_mut(half);
+        for (a, &b) in lo.iter_mut().zip(&hi[..half]) {
+            *a |= b;
+        }
+        half /= 2;
+    }
+    planes[..F].copy_from_slice(&values[..F]);
+    transpose_fields::<F>(planes);
+}
 
 /// The number of valid strings of width `width`: `2^{B+1} − 1`.
 fn rank_count(width: usize) -> u64 {
@@ -553,7 +643,10 @@ impl RankReducer {
 }
 
 /// A cell's input stream, generated 64 lanes per step: the batched,
-/// bit-sliced twin of [`rank_for`] + [`ValidString::from_rank`].
+/// bit-sliced twin of [`rank_for`] + [`ValidString::from_rank`]. Per
+/// (64-lane word, channel) it takes one lane multiply (the rest is the
+/// `LANE_STEP` table), 64 splitmix64 values, 64 exact reductions, one
+/// field-packed transpose ([`bit_planes`]) and a few word ops per port.
 struct Stimulus {
     seed: u64,
     channels: usize,
@@ -653,10 +746,12 @@ impl Stimulus {
         mut emit: impl FnMut(usize, usize, u64, u64),
     ) {
         let width = self.width;
+        let fields = field_width(width);
         let mut ranks = [0u64; 64];
-        // Rank planes R_0 ..= R_B; R_{B+1} stays 0, the zero bit above
-        // x = rank >> 1.
-        let mut r = [0u64; MAX_WIDTH + 2];
+        // Rank planes R_0 ..= R_{F−1}; the rest are never written. Ranks
+        // are below 2^{B+1}, so R_{B+1} is 0 either way: the zero bit
+        // above x = rank >> 1.
+        let mut r = [0u64; 64];
         // Planes of x + 1; Y_B stays 0 (see below).
         let mut y = [0u64; MAX_WIDTH + 1];
         for j in 0..count {
@@ -667,26 +762,25 @@ impl Stimulus {
                 }
                 continue;
             }
-            let first = lane0 + 64 * k as u64;
+            let first = (lane0 + 64 * k as u64).wrapping_mul(LANE_MIX);
             // Lanes past the chunk end are generated like any other and
             // then forced to stable 0.
             let live = TritWord::lane_mask(lanes - 64 * k);
             for c in 0..self.channels {
                 let base = self.seed ^ (c as u64).wrapping_mul(CHANNEL_MIX);
-                for (l, rank) in ranks.iter_mut().enumerate() {
-                    let lane = first + l as u64;
-                    *rank = splitmix64(base ^ lane.wrapping_mul(LANE_MIX));
+                for (rank, &step) in ranks.iter_mut().zip(&LANE_STEP) {
+                    *rank = splitmix64(base ^ first.wrapping_add(step));
                 }
                 for rank in &mut ranks {
                     *rank = self.ranks.reduce(*rank);
                 }
-                // Rank bit i of lane l, selected by mask rather than
-                // shifted into place: no per-lane shift count, so the
-                // loop vectorises in both tiers.
-                for (i, plane) in r[..=width].iter_mut().enumerate() {
-                    *plane = ranks.iter().zip(&LANE_BIT).fold(0, |acc, (&rank, &bit)| {
-                        acc | (((rank >> i) & 1).wrapping_neg() & bit)
-                    });
+                match fields {
+                    2 => bit_planes::<2>(&mut ranks, &mut r),
+                    4 => bit_planes::<4>(&mut ranks, &mut r),
+                    8 => bit_planes::<8>(&mut ranks, &mut r),
+                    16 => bit_planes::<16>(&mut ranks, &mut r),
+                    32 => bit_planes::<32>(&mut ranks, &mut r),
+                    _ => bit_planes::<64>(&mut ranks, &mut r),
                 }
                 // x + 1, bit-sliced: bit k of x is R_{k+1}. Only odd lanes
                 // read it, and there x ≤ 2^B − 2, so the carry out of bit
@@ -793,8 +887,9 @@ fn differential_check(
 ///
 /// Valid strings map one-to-one onto ranks, so a lane equals
 /// `ValidString::from_rank(width, r)` iff [`valid_rank`] of its planes is
-/// `Ok(r)`: each `(lane, channel)` is checked on two bit masks, and only a
-/// failing one is walked bit by bit to name the bit.
+/// `Ok(r)`: each `(lane, channel)` is checked on two bit masks, read out
+/// of the port words a word at a time by [`LaneMasks`], and only a failing
+/// one is walked bit by bit to name the bit.
 fn generator_check(
     cfg: &ThroughputConfig,
     lane0: u64,
@@ -802,11 +897,15 @@ fn generator_check(
 ) -> Result<(), ThroughputError> {
     let rank_count = rank_count(cfg.width);
     let lanes = inputs.first().map_or(0, TritBlock::lanes);
+    let mut masks = LaneMasks::new(cfg.channels, cfg.width);
     for i in 0..lanes {
+        if i % 64 == 0 {
+            masks.load(inputs, i / 64);
+        }
         let lane = (lane0 + i as u64) as usize;
         for channel in 0..cfg.channels {
             let rank = rank_for(cfg.seed, lane as u64, channel as u64, rank_count);
-            let (z, o) = lane_planes(&inputs[channel * cfg.width..][..cfg.width], i);
+            let (z, o) = masks.lane(channel, i % 64);
             if valid_rank(z, o, cfg.width) == Ok(rank) {
                 continue;
             }
@@ -842,15 +941,19 @@ fn rank_check(
 ) -> Result<(), ThroughputError> {
     let rank_count = rank_count(cfg.width);
     let lanes = outputs.first().map_or(0, TritBlock::lanes);
+    let mut masks = LaneMasks::new(cfg.channels, cfg.width);
     let mut in_ranks = vec![0u64; cfg.channels];
     for i in 0..lanes {
+        if i % 64 == 0 {
+            masks.load(outputs, i / 64);
+        }
         let lane = (lane0 + i as u64) as usize;
         for (c, rank) in in_ranks.iter_mut().enumerate() {
             *rank = rank_for(cfg.seed, lane as u64, c as u64, rank_count);
         }
         in_ranks.sort_unstable();
         for (c, &want_rank) in in_ranks.iter().enumerate() {
-            let (z, o) = lane_planes(&outputs[c * cfg.width..][..cfg.width], i);
+            let (z, o) = masks.lane(c, i % 64);
             if valid_rank(z, o, cfg.width) == Ok(want_rank) {
                 continue;
             }
@@ -877,17 +980,53 @@ fn rank_check(
     Ok(())
 }
 
-/// The [`valid_rank`] masks of lane `i` of one channel's bit blocks (MSB
-/// first): character `b` lands on bit `width − 1 − b`.
-fn lane_planes(bits: &[TritBlock], i: usize) -> (u64, u64) {
-    let (k, at) = (i / 64, i % 64);
-    bits.iter().fold((0, 0), |(z, o), block| {
-        let w = block.words()[k];
-        (
-            (z << 1) | ((w.can_zero_plane() >> at) & 1),
-            (o << 1) | ((w.can_one_plane() >> at) & 1),
-        )
-    })
+/// The [`valid_rank`] masks of one 64-lane word of every channel, turned
+/// lane-major by [`transpose_fields`]: character `b` (MSB first) of a
+/// channel's string is row `width − 1 − b`, so after the transpose lane
+/// `j·F + r`'s masks sit in field `j` of row `r`.
+struct LaneMasks {
+    width: usize,
+    fields: usize,
+    /// The `can_zero` and `can_one` rows of each channel.
+    rows: Vec<[[u64; 64]; 2]>,
+}
+
+impl LaneMasks {
+    fn new(channels: usize, width: usize) -> LaneMasks {
+        LaneMasks {
+            width,
+            fields: field_width(width),
+            rows: vec![[[0; 64]; 2]; channels],
+        }
+    }
+
+    /// Loads word `k` of `blocks`, one block per `(channel, bit)` port.
+    fn load(&mut self, blocks: &[TritBlock], k: usize) {
+        let (width, f) = (self.width, self.fields);
+        for ([z, o], bits) in self.rows.iter_mut().zip(blocks.chunks_exact(width)) {
+            for (b, block) in bits.iter().enumerate() {
+                let w = block.words()[k];
+                z[width - 1 - b] = w.can_zero_plane();
+                o[width - 1 - b] = w.can_one_plane();
+            }
+            // The rows above the string's top bit held the last word's
+            // transpose.
+            z[width..f].fill(0);
+            o[width..f].fill(0);
+            transpose_fields_at(f, z);
+            transpose_fields_at(f, o);
+        }
+    }
+
+    /// The `(can_zero, can_one)` masks of lane `l` (of the loaded word)
+    /// of `channel`.
+    fn lane(&self, channel: usize, l: usize) -> (u64, u64) {
+        let f = self.fields;
+        let (row, shift) = (l & (f - 1), l & !(f - 1));
+        let field = |rows: &[u64; 64]| (rows[row] >> shift) & (u64::MAX >> (64 - f));
+        let [z, o] = &self.rows[channel];
+        (field(z), field(o))
+    }
 }
 
 /// Serialises cell reports as the `BENCH_throughput.json` document
@@ -1015,6 +1154,100 @@ mod tests {
                             panic!("tier {tier}, width {width}, lane0 {lane0}, lanes {lanes}: {e}");
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// [`bit_planes`] at field width `F` against a per-lane fold (each
+    /// plane built one lane bit at a time), on adversarial values below
+    /// `2^F`; then
+    /// [`transpose_fields`] on the planes must give every lane's value back
+    /// in its field.
+    fn field_transpose_matches_the_fold<const F: usize>() {
+        let top = u64::MAX >> (64 - F);
+        let mut state = F as u64;
+        let cases: [[u64; 64]; 5] = [
+            [top; 64],
+            std::array::from_fn(|l| 1 << (l % F)),
+            std::array::from_fn(|l| l as u64 & top),
+            [0; 64],
+            std::array::from_fn(|_| {
+                state = splitmix64(state);
+                state & top
+            }),
+        ];
+        for values in cases {
+            let mut planes = [0u64; 64];
+            let mut scratch = values;
+            bit_planes::<F>(&mut scratch, &mut planes);
+            for (c, &plane) in planes.iter().enumerate() {
+                let fold = values.iter().enumerate().fold(0, |acc, (l, &v)| {
+                    acc | (((v >> c) & 1).wrapping_neg() & (1 << l))
+                });
+                assert_eq!(plane, fold, "F = {F}, plane {c}, values {values:x?}");
+            }
+            transpose_fields::<F>(&mut planes);
+            for (l, &v) in values.iter().enumerate() {
+                let field = (planes[l % F] >> (l / F * F)) & top;
+                assert_eq!(field, v, "F = {F}, lane {l}, values {values:x?}");
+            }
+        }
+    }
+
+    #[test]
+    fn field_transpose_matches_the_per_lane_fold_at_every_field_width() {
+        field_transpose_matches_the_fold::<2>();
+        field_transpose_matches_the_fold::<4>();
+        field_transpose_matches_the_fold::<8>();
+        field_transpose_matches_the_fold::<16>();
+        field_transpose_matches_the_fold::<32>();
+        field_transpose_matches_the_fold::<64>();
+        // `field_width` picks each of them, and every rank fits its field.
+        let widths: Vec<usize> = (1..=MAX_WIDTH).map(field_width).collect();
+        for f in [2, 4, 8, 16, 32, 64] {
+            assert!(widths.contains(&f), "field width {f} unused");
+        }
+        for width in 1..=MAX_WIDTH {
+            assert!(rank_count(width) - 1 <= u64::MAX >> (64 - field_width(width)));
+        }
+    }
+
+    #[test]
+    fn lane_masks_are_the_planes_of_each_lanes_valid_string() {
+        let mut state = 0x1a4e_u64;
+        for width in 1..=MAX_WIDTH {
+            let count = rank_count(width);
+            let channels = 3;
+            // 130 lanes: two full words, then a partial one.
+            let ranks: Vec<u64> = (0..130 * channels)
+                .map(|i| match i % 5 {
+                    0 => 0,
+                    1 => count - 1,
+                    2 => count - 2,
+                    _ => {
+                        state = splitmix64(state);
+                        state % count
+                    }
+                })
+                .collect();
+            let strings: Vec<ValidString> = ranks
+                .iter()
+                .map(|&r| ValidString::from_rank(width, r).unwrap())
+                .collect();
+            let rows: Vec<Vec<Trit>> = strings
+                .chunks(channels)
+                .map(|lane| lane.iter().flat_map(|v| v.bits().iter()).collect())
+                .collect();
+            let blocks = TritBlock::pack_rows(&rows);
+            let mut masks = LaneMasks::new(channels, width);
+            for (i, lane) in strings.chunks(channels).enumerate() {
+                if i % 64 == 0 {
+                    masks.load(&blocks, i / 64);
+                }
+                for (c, v) in lane.iter().enumerate() {
+                    let at = format!("width {width}, lane {i}, channel {c}");
+                    assert_eq!(masks.lane(c, i % 64), v.planes(), "{at}");
                 }
             }
         }

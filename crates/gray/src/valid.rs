@@ -101,7 +101,7 @@ impl ValidString {
     ///
     /// Returns an error if the rank is out of range for the width.
     pub fn from_rank(width: usize, rank: u64) -> Result<ValidString, InvalidStringError> {
-        if rank.is_multiple_of(2) {
+        if rank % 2 == 0 {
             ValidString::stable(width, rank / 2)
         } else {
             ValidString::between(width, rank / 2)
@@ -137,7 +137,7 @@ impl ValidString {
 
     /// Returns `true` if no bit is metastable.
     pub fn is_stable(&self) -> bool {
-        self.rank.is_multiple_of(2)
+        self.rank % 2 == 0
     }
 
     /// The encoded value for stable strings, `None` if one bit is metastable.
