@@ -18,11 +18,17 @@
 //! streams (see [`crate::verify`] for the argument). Above the bound the
 //! sweep is out of reach and only the ports and the register proof are
 //! checked. The network-level [`zero_one_verify`] follows the same bound.
+//!
+//! Both consumers cross lane-major strings and the engine's port-major
+//! plane words the same way: through `PortTiles`, 64-port tiles of
+//! [`transpose_fields`]`::<64>` matrices and one lane reader, used by the
+//! server's pack and decode and by the throughput pre-flight.
 
 use std::fmt;
+use std::ops::Range;
 
 use mcs_logic::plane::kernel::{self, KernelId, UnknownKernel};
-use mcs_logic::PlaneWidth;
+use mcs_logic::{transpose_fields, PlaneWidth};
 use mcs_netlist::{EvalTape, Netlist, TapeScratch};
 use mcs_networks::circuit::{build_sorting_circuit, TwoSortFlavor};
 use mcs_networks::generators::batcher_odd_even;
@@ -227,3 +233,104 @@ impl Engine {
     }
 }
 
+/// The two planes of every port of an [`Engine`] for each 64-lane word of
+/// a plane group, held as 64-port tiles of [`transpose_fields`]`::<64>`
+/// matrices: the lane ↔ port crossing of the server's pack and decode and
+/// of the throughput pre-flight. Port `c·B + b` carries bit `b` (MSB
+/// first) of channel `c`, for the tape's inputs and outputs alike, so one
+/// lane's ports are one bit string: channel after channel, MSB first.
+///
+/// In port order, row `63 − p` of word `k`'s tile `t` is port `64t + p`'s
+/// word `k` (lane `j` at bit `j`). [`PortTiles::transpose`] turns a word's
+/// tiles around: in lane order, row `j` of tile `t` is lane `64k + j`'s
+/// ports `64t ..` spelled MSB first, which [`PortTiles::lane`] reads.
+#[derive(Debug, Default)]
+pub(crate) struct PortTiles {
+    /// Tiles per word.
+    tiles: usize,
+    z: Vec<[u64; 64]>,
+    o: Vec<[u64; 64]>,
+}
+
+impl PortTiles {
+    /// Zeroed tiles for `ports` ports and `words` words.
+    pub(crate) fn new(ports: usize, words: usize) -> PortTiles {
+        let mut tiles = PortTiles::default();
+        tiles.fit(ports, words);
+        tiles
+    }
+
+    /// Resizes the tiles for `ports` ports and `words` words, keeping the
+    /// buffers (and any contents) they already have.
+    pub(crate) fn fit(&mut self, ports: usize, words: usize) {
+        self.tiles = ports.div_ceil(64);
+        self.z.resize(self.tiles * words, [0; 64]);
+        self.o.resize(self.tiles * words, [0; 64]);
+    }
+
+    /// Port `p`'s word `k`, in port order.
+    pub(crate) fn port(&self, k: usize, p: usize) -> (u64, u64) {
+        let (t, row) = (k * self.tiles + p / 64, 63 - p % 64);
+        (self.z[t][row], self.o[t][row])
+    }
+
+    /// Sets port `p`'s word `k`, in port order.
+    pub(crate) fn set_port(&mut self, k: usize, p: usize, z: u64, o: u64) {
+        let (t, row) = (k * self.tiles + p / 64, 63 - p % 64);
+        (self.z[t][row], self.o[t][row]) = (z, o);
+    }
+
+    /// The indices of word `k`'s tiles.
+    fn span(&self, k: usize) -> Range<usize> {
+        k * self.tiles..(k + 1) * self.tiles
+    }
+
+    /// Word `k`'s tiles of both planes.
+    pub(crate) fn word(&mut self, k: usize) -> (&mut [[u64; 64]], &mut [[u64; 64]]) {
+        let span = self.span(k);
+        (&mut self.z[span.clone()], &mut self.o[span])
+    }
+
+    /// Swaps port order and lane order in word `k`'s tiles of both planes.
+    pub(crate) fn transpose(&mut self, k: usize) {
+        let (z, o) = self.word(k);
+        for tile in z.iter_mut().chain(o) {
+            transpose_fields::<64>(tile);
+        }
+    }
+
+    /// The first `count` strings of `width` bits of lane `j` in word `k`,
+    /// in lane order: `(can_zero, can_one)` per channel, channel after
+    /// channel, a string that straddles two tiles included.
+    #[inline]
+    pub(crate) fn lane(
+        &self,
+        k: usize,
+        j: usize,
+        width: usize,
+        count: usize,
+    ) -> impl Iterator<Item = (u64, u64)> + '_ {
+        debug_assert!(count * width <= 64 * self.tiles);
+        let span = self.span(k);
+        let (tz, to) = (&self.z[span.clone()], &self.o[span]);
+        // The lane's string not yet read, left-aligned: the top `left` bits
+        // of tile `t`'s row.
+        let (mut t, mut left) = (0, 64);
+        let (mut z, mut o) = (tz[0][j], to[0][j]);
+        (0..count).map(move |_| {
+            let (mut kz, mut ko) = (z >> (64 - width), o >> (64 - width));
+            if width <= left {
+                (z, o, left) = (z << width, o << width, left - width);
+            } else {
+                // The string's last `rest` bits open the next tile's row.
+                let rest = width - left;
+                t += 1;
+                (z, o) = (tz[t][j], to[t][j]);
+                kz |= z >> (64 - rest);
+                ko |= o >> (64 - rest);
+                (z, o, left) = (z << rest, o << rest, 64 - rest);
+            }
+            (kz, ko)
+        })
+    }
+}

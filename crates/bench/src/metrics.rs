@@ -274,7 +274,7 @@ pub struct StageSnapshot {
     /// plane lingered accumulating lanes).
     pub coalesce: LatencyHistogram,
     /// Per batch: spelling each lane's keys into port tiles and crossing
-    /// them into plane words ([`mcs_logic::transpose64`]).
+    /// them into plane words ([`mcs_logic::transpose_fields`]).
     pub pack: LatencyHistogram,
     /// Per batch: the compiled-tape evaluation itself.
     pub eval: LatencyHistogram,

@@ -50,9 +50,10 @@
 //! * One core serves both the workers and
 //!   [`SortEngine::sort_batch_recording`]: per 64-lane word it spells each
 //!   lane's keys and the pad key as one bit string, crosses lanes into
-//!   ports with a [`transpose64`] per 64-port tile, evaluates the tape once
-//!   per plane group, crosses the output ports back and reads each lane's
-//!   keys under the same rule.
+//!   ports with a 64×64 [`transpose_fields`] per 64-port tile (the port
+//!   tiles the throughput pre-flight reads its sample through), evaluates
+//!   the tape once per plane group, crosses the output ports back and
+//!   reads each lane's keys under the same rule.
 //! * A worker spells the responses of its batch straight into one buffer
 //!   per connection and run of consecutive requests, and sends it as one
 //!   [`Reply`]; the connection's writer re-sequences the runs and closes
@@ -69,7 +70,7 @@
 //! [`Engine`]: crate::engine::Engine
 //! [`EvalTape`]: mcs_netlist::EvalTape
 //! [`TapeScratch`]: mcs_netlist::TapeScratch
-//! [`transpose64`]: mcs_logic::transpose64
+//! [`transpose_fields`]: mcs_logic::transpose_fields
 //! [`valid_rank`]: mcs_gray::valid::valid_rank
 //! [`ValidString::new`]: mcs_gray::ValidString::new
 //!

@@ -6,7 +6,7 @@
 //! Every stage works a word at a time: a key of up to 8 characters is
 //! classified with one `u64` load ([`swar_planes`]), the lane ↔ port
 //! crossing of pack and decode is a 64×64 bit transpose per 64-port tile
-//! ([`transpose64`]), and an output key is spelled 4 characters per table
+//! ([`PortTiles`]), and an output key is spelled 4 characters per table
 //! lookup ([`SPELL`]).
 
 use std::fmt;
@@ -15,13 +15,13 @@ use std::time::{Duration, Instant};
 
 use mcs_gray::valid::{valid_rank, InvalidStringError};
 use mcs_gray::ValidString;
-use mcs_logic::{transpose64, PlaneWidth, Trit, TritWord};
+use mcs_logic::{PlaneWidth, Trit, TritWord};
 use mcs_netlist::{EvalTape, Netlist, TapeScratch};
 
 use super::queue::{InlineVec, Job};
 use super::stats::ServerStats;
 use super::{validate, FrameError, Key, ServerConfig, ServerError};
-use crate::engine::{Engine, EngineError};
+use crate::engine::{Engine, EngineError, PortTiles};
 use crate::metrics::nanos_u64;
 
 impl Key {
@@ -660,66 +660,6 @@ impl Lane for Job {
     }
 }
 
-/// The two planes of every port for each 64-lane word of a plane group,
-/// held as 64-port tiles of [`transpose64`] matrices. Port `c·B + b`
-/// carries bit `b` (MSB first) of channel `c`, for the tape's inputs and
-/// outputs alike, so one lane's ports are one bit string: channel after
-/// channel, MSB first.
-///
-/// In port order, row `p` of word `k`'s tile `t` is port `64t + p`'s word
-/// `k` (lane `j` at bit `j`). After a transpose, row `63 − j` of the tile
-/// is lane `64k + j`'s ports `64t ..` spelled MSB first.
-#[derive(Debug, Default)]
-pub(super) struct PortTiles {
-    /// Tiles per word.
-    tiles: usize,
-    z: Vec<[u64; 64]>,
-    o: Vec<[u64; 64]>,
-}
-
-impl PortTiles {
-    /// Zeroed tiles for `ports` ports and `words` words.
-    #[cfg(test)]
-    pub(super) fn new(ports: usize, words: usize) -> PortTiles {
-        let mut tiles = PortTiles::default();
-        tiles.fit(ports, words);
-        tiles
-    }
-
-    /// Resizes the tiles for `ports` ports and `words` words, keeping the
-    /// buffers (and any contents) they already have.
-    pub(super) fn fit(&mut self, ports: usize, words: usize) {
-        self.tiles = ports.div_ceil(64);
-        self.z.resize(self.tiles * words, [0; 64]);
-        self.o.resize(self.tiles * words, [0; 64]);
-    }
-
-    /// Port `p`'s word `k`, in port order.
-    pub(super) fn port(&self, k: usize, p: usize) -> (u64, u64) {
-        let t = k * self.tiles + p / 64;
-        (self.z[t][p % 64], self.o[t][p % 64])
-    }
-
-    /// Sets port `p`'s word `k`, in port order.
-    pub(super) fn set_port(&mut self, k: usize, p: usize, z: u64, o: u64) {
-        let t = k * self.tiles + p / 64;
-        (self.z[t][p % 64], self.o[t][p % 64]) = (z, o);
-    }
-
-    /// Word `k`'s tiles of both planes.
-    fn word(&mut self, k: usize) -> (&mut [[u64; 64]], &mut [[u64; 64]]) {
-        let word = k * self.tiles..(k + 1) * self.tiles;
-        (&mut self.z[word.clone()], &mut self.o[word])
-    }
-}
-
-/// Swaps port order and lane order in every tile of both planes.
-fn transpose_tiles(z: &mut [[u64; 64]], o: &mut [[u64; 64]]) {
-    for tile in z.iter_mut().chain(o.iter_mut()) {
-        transpose64(tile);
-    }
-}
-
 /// Refuses a batch that does not fit the circuit: more keys than
 /// channels, or a key of another width. The cold path of [`pack_tiles`]'s
 /// check, naming the first lane at fault.
@@ -780,8 +720,8 @@ pub(super) fn pack_tiles<L: Lane>(
             } else {
                 // The key's top `room` bits complete tile `t`'s row.
                 let rest = width - room;
-                tz[t][63 - j] = z << room | key.can_zero >> rest;
-                to[t][63 - j] = o << room | key.can_one >> rest;
+                tz[t][j] = z << room | key.can_zero >> rest;
+                to[t][j] = o << room | key.can_one >> rest;
                 t += 1;
                 let low = (1u64 << rest) - 1;
                 (z, o, fill) = (key.can_zero & low, key.can_one & low, rest);
@@ -793,12 +733,12 @@ pub(super) fn pack_tiles<L: Lane>(
         keys.iter().take(channels).for_each(&mut push);
         (keys.len()..channels).for_each(|_| push(&pad));
         if fill > 0 {
-            tz[t][63 - j] = z << (64 - fill);
-            to[t][63 - j] = o << (64 - fill);
+            tz[t][j] = z << (64 - fill);
+            to[t][j] = o << (64 - fill);
         }
         misfit |= keys.len() > channels;
     }
-    transpose_tiles(tz, to);
+    tiles.transpose(k);
     !misfit
 }
 
@@ -813,26 +753,9 @@ pub(super) fn decode_tiles<L: Lane>(
     k: usize,
     sorted: &mut Vec<Key>,
 ) -> Result<(), FrameError> {
-    let (tz, to) = tiles.word(k);
-    transpose_tiles(tz, to);
+    tiles.transpose(k);
     for (j, l) in lanes.iter().enumerate() {
-        // The lane's string not yet read, left-aligned: the top `left` bits
-        // of tile `t`'s row.
-        let (mut t, mut left) = (0usize, 64usize);
-        let (mut z, mut o) = (tz[0][63 - j], to[0][63 - j]);
-        for c in 0..l.keys().len() {
-            let (mut kz, mut ko) = (z >> (64 - width), o >> (64 - width));
-            if width <= left {
-                (z, o, left) = (z << width, o << width, left - width);
-            } else {
-                // The key's last `rest` bits open the next tile's row.
-                let rest = width - left;
-                t += 1;
-                (z, o) = (tz[t][63 - j], to[t][63 - j]);
-                kz |= z >> (64 - rest);
-                ko |= o >> (64 - rest);
-                (z, o, left) = (z << rest, o << rest, 64 - rest);
-            }
+        for (c, (kz, ko)) in tiles.lane(k, j, width, l.keys().len()).enumerate() {
             let key = Key::from_planes(kz, ko, width).map_err(|e| {
                 let mut bits = Vec::with_capacity(width);
                 push_spelled(&mut bits, kz, ko, width);

@@ -14,7 +14,7 @@ use super::queue::*;
 use super::stats::*;
 use super::transport::*;
 use super::{FrameError, Key, ServerConfig, ServerError};
-use crate::engine::EngineError;
+use crate::engine::{EngineError, PortTiles};
 
 /// A request id whose response makes the writer thread panic: the
 /// test-only trigger of [`ServerError::WriterPanicked`].

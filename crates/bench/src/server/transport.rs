@@ -16,13 +16,12 @@ use std::sync::mpsc::{channel, Receiver, TryRecvError};
 use std::time::Instant;
 
 use super::codec::{
-    bytes_equal, check_frame_len, format_err, ok_len, parse_line, push_ok, Parsed, PortTiles,
-    SortEngine,
+    bytes_equal, check_frame_len, format_err, ok_len, parse_line, push_ok, Parsed, SortEngine,
 };
 use super::queue::{CoalescerQueue, InlineVec, Job, JobKeys, Reply};
 use super::stats::{format_stats_line, ServeReport, ServerStats};
 use super::{FrameError, ServerError};
-use crate::engine::resolve_workers;
+use crate::engine::{resolve_workers, PortTiles};
 use crate::metrics::{millis_u64, nanos_u64};
 
 /// The worker loop: drain plane batches, sort, route responses. Shared by

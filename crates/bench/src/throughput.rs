@@ -18,7 +18,8 @@
 //!    workers — the PR 3 determinism contract: worker `w` owns chunks
 //!    `w, w+workers, …`, results merge by chunk index, so the final
 //!    checksum is **byte-identical across runs and worker counts** (and
-//!    across plane widths). A worker panic is a typed
+//!    across plane widths). Worker 0 streams on the calling thread, so a
+//!    one-worker run spawns no thread; a panic in any worker is a typed
 //!    [`ThroughputError::WorkerPanicked`].
 //!
 //! Each worker binds its scratch once ([`EvalTape::try_planes`]) and works
@@ -47,11 +48,11 @@
 //!    `R_0 ..= R_B`: every rank is below `2^F`, `F = (B+1)` rounded up to
 //!    a power of two, so lane `j·F + r` is packed into field `j` of row
 //!    `r`, and `log₂F` masked-swap rounds over those `F` rows transpose
-//!    every `F × F` field block at once, leaving `R_c` in row `c` (one
-//!    routine, monomorphised per `F`). Every port word then follows from
-//!    word ops: the Gray code of `x = rank >> 1` and of `x + 1` (a
-//!    bit-sliced ripple-carry increment), merged per lane by the parity
-//!    plane `R_0`.
+//!    every `F × F` field block at once, leaving `R_c` in row `c`
+//!    ([`transpose_fields`], monomorphised per `F`). Every port word then
+//!    follows from word ops: the Gray code of `x = rank >> 1` and of
+//!    `x + 1` (a bit-sliced ripple-carry increment), merged per lane by the
+//!    parity plane `R_0`.
 //!
 //! The generator body is compiled in the same two tiers as the tape: for
 //! the build's baseline features under [`KernelId::Scalar`], and under
@@ -60,7 +61,10 @@
 //! planes against [`ValidString::from_rank`] of `rank_for`, and streams its
 //! sample through the timed loop's own generator-into-registers path, so
 //! the fast path is cross-checked against the definition before anything
-//! is timed.
+//! is timed. It reads each sampled lane's strings out of the port words
+//! through the server's port tiles: the same 64×64 [`transpose_fields`]
+//! per 64-port tile and the same lane reader that decode the server's
+//! sorted keys.
 //!
 //! [`report_json`] serialises the per-cell results as
 //! `BENCH_throughput.json` (schema [`JSON_SCHEMA`]) so the perf trajectory
@@ -69,18 +73,20 @@
 //! [`Netlist::eval_block`]: mcs_netlist::Netlist::eval_block
 //! [`EvalTape`]: mcs_netlist::EvalTape
 //! [`EvalTape::try_planes`]: mcs_netlist::EvalTape::try_planes
+//! [`transpose_fields`]: mcs_logic::transpose_fields
 
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use mcs_gray::valid::valid_rank;
 use mcs_gray::ValidString;
 use mcs_logic::plane::kernel::{self, KernelId, UnknownKernel};
-use mcs_logic::{PlaneWidth, TritBlock, TritVec, TritWord};
+use mcs_logic::{transpose_fields, PlaneWidth, TritBlock, TritVec, TritWord};
 use mcs_netlist::{TapeEvalError, TapePlanes};
 
 pub use crate::engine::{cell_network, MAX_WIDTH};
-use crate::engine::{resolve_workers, Engine, EngineError};
+use crate::engine::{resolve_workers, Engine, EngineError, PortTiles};
 use crate::json::JsonWriter;
 use crate::metrics::{nanos_u64, LatencyHistogram};
 
@@ -143,9 +149,8 @@ pub struct ThroughputConfig {
     pub seed: u64,
     /// Vectors per work chunk (the sharding granule).
     pub chunk_lanes: usize,
-    /// Lanes of the pre-flight tape-vs-`eval_block` differential sample
-    /// (`0` skips it — only sensible when a surrounding test already pins
-    /// equality).
+    /// Lanes of the pre-flight tape-vs-`eval_block` differential sample;
+    /// must be positive ([`ThroughputError::UnsupportedCell`] otherwise).
     pub sample_lanes: usize,
 }
 
@@ -171,7 +176,7 @@ impl ThroughputConfig {
 /// a cell.
 #[derive(Debug)]
 pub enum ThroughputError {
-    /// `chunk_lanes` is zero.
+    /// `chunk_lanes` or `sample_lanes` is zero.
     UnsupportedCell {
         /// Channel count of the offending cell.
         channels: usize,
@@ -338,95 +343,82 @@ impl CellReport {
 ///
 /// See [`ThroughputError`].
 pub fn run_cell(cfg: &ThroughputConfig) -> Result<CellReport, ThroughputError> {
-    if cfg.chunk_lanes == 0 {
-        return Err(ThroughputError::UnsupportedCell {
-            channels: cfg.channels,
-            width: cfg.width,
-            reason: "chunk_lanes must be positive".into(),
-        });
+    for (field, lanes) in [
+        ("chunk_lanes", cfg.chunk_lanes),
+        ("sample_lanes", cfg.sample_lanes),
+    ] {
+        if lanes == 0 {
+            return Err(ThroughputError::UnsupportedCell {
+                channels: cfg.channels,
+                width: cfg.width,
+                reason: format!("{field} must be positive"),
+            });
+        }
     }
     let engine = Engine::for_cell(cfg.channels, cfg.width, cfg.kernel)?;
     // The engine admitted the tier, so the generator may enter it.
     let stimulus = Stimulus::new(cfg).map_err(EngineError::from)?;
-
-    let differential_lanes = if cfg.sample_lanes > 0 {
-        differential_check(cfg, &engine, &stimulus)?
-    } else {
-        0
-    };
+    let differential_lanes = differential_check(cfg, &engine, &stimulus)?;
 
     let chunks = chunk_count(cfg.vectors, cfg.chunk_lanes)?;
     let workers = resolve_workers(cfg.workers).min(chunks.max(1));
     let tape = engine.tape();
 
-    let start = Instant::now();
-    let mut sums = vec![0u64; chunks];
-    let mut eval_latency = LatencyHistogram::new();
-    if workers <= 1 {
+    let (engine, stimulus) = (&engine, &stimulus);
+    // Round-robin sharding: worker w owns chunks w, w+workers, … — a pure
+    // function of the worker index, never of timing.
+    let stream = move |w: usize| -> Result<_, TapeEvalError> {
+        #[cfg(test)]
+        if (cfg.seed, w) == (tests::PANIC_SEED, 1) || (cfg.seed, w) == (tests::PANIC_SEED_0, 0) {
+            panic!("injected worker panic");
+        }
         let mut scratch = engine.scratch(cfg.plane_width);
         let mut planes = tape.try_planes(&mut scratch)?;
         let mut out = Vec::new();
-        for (chunk, sum) in sums.iter_mut().enumerate() {
+        let mut local = Vec::new();
+        // Allocation-free per-worker recording; merged after join so the
+        // hot loop takes no locks.
+        let mut latency = LatencyHistogram::new();
+        for chunk in (w..chunks).step_by(workers) {
             let t0 = Instant::now();
-            *sum = eval_chunk(cfg, &stimulus, &mut planes, &mut out, chunk);
-            eval_latency.record(nanos_u64(t0.elapsed()));
+            let sum = eval_chunk(cfg, stimulus, &mut planes, &mut out, chunk);
+            latency.record(nanos_u64(t0.elapsed()));
+            local.push((chunk, sum));
         }
-    } else {
-        let (engine, stimulus) = (&engine, &stimulus);
-        std::thread::scope(|s| -> Result<(), ThroughputError> {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    s.spawn(move || -> Result<_, TapeEvalError> {
-                        #[cfg(test)]
-                        if cfg.seed == tests::PANIC_SEED && w == 1 {
-                            panic!("injected worker panic");
-                        }
-                        let mut scratch = engine.scratch(cfg.plane_width);
-                        let mut planes = tape.try_planes(&mut scratch)?;
-                        let mut out = Vec::new();
-                        let mut local = Vec::new();
-                        // Allocation-free per-worker recording; merged
-                        // after join so the hot loop takes no locks.
-                        let mut latency = LatencyHistogram::new();
-                        let mut chunk = w;
-                        // Round-robin sharding: worker w owns chunks
-                        // w, w+workers, … — a pure function of the worker
-                        // index, never of timing.
-                        while chunk < chunks {
-                            let t0 = Instant::now();
-                            let sum = eval_chunk(cfg, stimulus, &mut planes, &mut out, chunk);
-                            latency.record(nanos_u64(t0.elapsed()));
-                            local.push((chunk, sum));
-                            chunk += workers;
-                        }
-                        Ok((local, latency))
-                    })
-                })
-                .collect();
-            // Join every worker before reporting, so one failure cannot
-            // leave a panicked thread for the scope to re-raise.
-            let mut first_err = None;
-            for (worker, h) in handles.into_iter().enumerate() {
-                let joined = h
-                    .join()
-                    .map_err(|_| ThroughputError::WorkerPanicked { worker })
-                    .and_then(|r| r.map_err(ThroughputError::from));
-                match joined {
-                    // Index-keyed merge: arrival order cannot influence sums.
-                    Ok((local, latency)) => {
-                        for (chunk, sum) in local {
-                            sums[chunk] = sum;
-                        }
-                        eval_latency.merge(&latency);
+        Ok((local, latency))
+    };
+
+    let start = Instant::now();
+    let mut sums = vec![0u64; chunks];
+    let mut eval_latency = LatencyHistogram::new();
+    std::thread::scope(|s| -> Result<(), ThroughputError> {
+        // Worker 0 runs on the calling thread, so a one-worker run spawns
+        // none.
+        let spawned: Vec<_> = (1..workers).map(|w| s.spawn(move || stream(w))).collect();
+        let first = panic::catch_unwind(AssertUnwindSafe(|| stream(0)));
+        let joined = std::iter::once(first).chain(spawned.into_iter().map(|h| h.join()));
+        // Join every worker before reporting, so one failure cannot leave a
+        // panicked thread for the scope to re-raise.
+        let mut first_err = None;
+        for (worker, result) in joined.enumerate() {
+            let result = result
+                .map_err(|_| ThroughputError::WorkerPanicked { worker })
+                .and_then(|r| r.map_err(ThroughputError::from));
+            match result {
+                // Index-keyed merge: arrival order cannot influence sums.
+                Ok((local, latency)) => {
+                    for (chunk, sum) in local {
+                        sums[chunk] = sum;
                     }
-                    Err(e) => {
-                        first_err.get_or_insert(e);
-                    }
+                    eval_latency.merge(&latency);
+                }
+                Err(e) => {
+                    first_err.get_or_insert(e);
                 }
             }
-            first_err.map_or(Ok(()), Err)
-        })?;
-    }
+        }
+        first_err.map_or(Ok(()), Err)
+    })?;
     let elapsed = start.elapsed();
 
     let mut checksum = 0x7468_7270_7574_2131u64;
@@ -517,55 +509,6 @@ const LANE_STEP: [u64; 64] = {
 /// least power of two holding a rank's `B+1` bits (2 ..= 64).
 fn field_width(width: usize) -> usize {
     (width + 1).next_power_of_two()
-}
-
-/// Transposes the `F × F` bit block in every `F`-bit field of `rows[..F]`
-/// at once: bit `c` of row `r`'s field `j` trades places with bit `r` of
-/// row `c`'s field `j`. Its own inverse. Each round swaps, in every
-/// `2J × 2J` block on a field's diagonal, the top-right `J × J` quarter
-/// (high columns of the top rows) with the bottom-left one; `mask`
-/// selects the low `J` columns of each `2J`-column group, which never
-/// reach across a field.
-#[inline(always)]
-fn transpose_fields<const F: usize>(rows: &mut [u64; 64]) {
-    #[inline(always)]
-    fn round<const F: usize, const J: usize>(rows: &mut [u64; 64], mask: u64) {
-        for block in (0..F).step_by(2 * J) {
-            for i in block..block + J {
-                let t = ((rows[i] >> J) ^ rows[i + J]) & mask;
-                rows[i] ^= t << J;
-                rows[i + J] ^= t;
-            }
-        }
-    }
-    if F > 32 {
-        round::<F, 32>(rows, 0x0000_0000_FFFF_FFFF);
-    }
-    if F > 16 {
-        round::<F, 16>(rows, 0x0000_FFFF_0000_FFFF);
-    }
-    if F > 8 {
-        round::<F, 8>(rows, 0x00FF_00FF_00FF_00FF);
-    }
-    if F > 4 {
-        round::<F, 4>(rows, 0x0F0F_0F0F_0F0F_0F0F);
-    }
-    if F > 2 {
-        round::<F, 2>(rows, 0x3333_3333_3333_3333);
-    }
-    round::<F, 1>(rows, 0x5555_5555_5555_5555);
-}
-
-/// [`transpose_fields`] at a run-time field width `f` (see [`field_width`]).
-fn transpose_fields_at(f: usize, rows: &mut [u64; 64]) {
-    match f {
-        2 => transpose_fields::<2>(rows),
-        4 => transpose_fields::<4>(rows),
-        8 => transpose_fields::<8>(rows),
-        16 => transpose_fields::<16>(rows),
-        32 => transpose_fields::<32>(rows),
-        _ => transpose_fields::<64>(rows),
-    }
 }
 
 /// The bit planes of 64 values below `2^F`: afterwards bit `l` of
@@ -888,8 +831,9 @@ fn differential_check(
 /// Valid strings map one-to-one onto ranks, so a lane equals
 /// `ValidString::from_rank(width, r)` iff [`valid_rank`] of its planes is
 /// `Ok(r)`: each `(lane, channel)` is checked on two bit masks, read out
-/// of the port words a word at a time by [`LaneMasks`], and only a failing
-/// one is walked bit by bit to name the bit.
+/// of the port words a word at a time through [`PortTiles`] (the server's
+/// lane ↔ port crossing), and only a failing one is walked bit by bit to
+/// name the bit.
 fn generator_check(
     cfg: &ThroughputConfig,
     lane0: u64,
@@ -897,15 +841,15 @@ fn generator_check(
 ) -> Result<(), ThroughputError> {
     let rank_count = rank_count(cfg.width);
     let lanes = inputs.first().map_or(0, TritBlock::lanes);
-    let mut masks = LaneMasks::new(cfg.channels, cfg.width);
+    let mut tiles = PortTiles::new(inputs.len(), 1);
     for i in 0..lanes {
         if i % 64 == 0 {
-            masks.load(inputs, i / 64);
+            load_lanes(&mut tiles, inputs, i / 64);
         }
         let lane = (lane0 + i as u64) as usize;
-        for channel in 0..cfg.channels {
+        let strings = tiles.lane(0, i % 64, cfg.width, cfg.channels);
+        for (channel, (z, o)) in strings.enumerate() {
             let rank = rank_for(cfg.seed, lane as u64, channel as u64, rank_count);
-            let (z, o) = masks.lane(channel, i % 64);
             if valid_rank(z, o, cfg.width) == Ok(rank) {
                 continue;
             }
@@ -941,19 +885,19 @@ fn rank_check(
 ) -> Result<(), ThroughputError> {
     let rank_count = rank_count(cfg.width);
     let lanes = outputs.first().map_or(0, TritBlock::lanes);
-    let mut masks = LaneMasks::new(cfg.channels, cfg.width);
+    let mut tiles = PortTiles::new(outputs.len(), 1);
     let mut in_ranks = vec![0u64; cfg.channels];
     for i in 0..lanes {
         if i % 64 == 0 {
-            masks.load(outputs, i / 64);
+            load_lanes(&mut tiles, outputs, i / 64);
         }
         let lane = (lane0 + i as u64) as usize;
         for (c, rank) in in_ranks.iter_mut().enumerate() {
             *rank = rank_for(cfg.seed, lane as u64, c as u64, rank_count);
         }
         in_ranks.sort_unstable();
-        for (c, &want_rank) in in_ranks.iter().enumerate() {
-            let (z, o) = masks.lane(c, i % 64);
+        let strings = tiles.lane(0, i % 64, cfg.width, cfg.channels);
+        for (c, ((z, o), &want_rank)) in strings.zip(&in_ranks).enumerate() {
             if valid_rank(z, o, cfg.width) == Ok(want_rank) {
                 continue;
             }
@@ -980,53 +924,14 @@ fn rank_check(
     Ok(())
 }
 
-/// The [`valid_rank`] masks of one 64-lane word of every channel, turned
-/// lane-major by [`transpose_fields`]: character `b` (MSB first) of a
-/// channel's string is row `width − 1 − b`, so after the transpose lane
-/// `j·F + r`'s masks sit in field `j` of row `r`.
-struct LaneMasks {
-    width: usize,
-    fields: usize,
-    /// The `can_zero` and `can_one` rows of each channel.
-    rows: Vec<[[u64; 64]; 2]>,
-}
-
-impl LaneMasks {
-    fn new(channels: usize, width: usize) -> LaneMasks {
-        LaneMasks {
-            width,
-            fields: field_width(width),
-            rows: vec![[[0; 64]; 2]; channels],
-        }
+/// Loads word `k` of `blocks`, one block per `(channel, bit)` port, into
+/// `tiles` and turns it lane-major, for [`PortTiles::lane`].
+fn load_lanes(tiles: &mut PortTiles, blocks: &[TritBlock], k: usize) {
+    for (p, block) in blocks.iter().enumerate() {
+        let w = block.words()[k];
+        tiles.set_port(0, p, w.can_zero_plane(), w.can_one_plane());
     }
-
-    /// Loads word `k` of `blocks`, one block per `(channel, bit)` port.
-    fn load(&mut self, blocks: &[TritBlock], k: usize) {
-        let (width, f) = (self.width, self.fields);
-        for ([z, o], bits) in self.rows.iter_mut().zip(blocks.chunks_exact(width)) {
-            for (b, block) in bits.iter().enumerate() {
-                let w = block.words()[k];
-                z[width - 1 - b] = w.can_zero_plane();
-                o[width - 1 - b] = w.can_one_plane();
-            }
-            // The rows above the string's top bit held the last word's
-            // transpose.
-            z[width..f].fill(0);
-            o[width..f].fill(0);
-            transpose_fields_at(f, z);
-            transpose_fields_at(f, o);
-        }
-    }
-
-    /// The `(can_zero, can_one)` masks of lane `l` (of the loaded word)
-    /// of `channel`.
-    fn lane(&self, channel: usize, l: usize) -> (u64, u64) {
-        let f = self.fields;
-        let (row, shift) = (l & (f - 1), l & !(f - 1));
-        let field = |rows: &[u64; 64]| (rows[row] >> shift) & (u64::MAX >> (64 - f));
-        let [z, o] = &self.rows[channel];
-        (field(z), field(o))
-    }
+    tiles.transpose(0);
 }
 
 /// Serialises cell reports as the `BENCH_throughput.json` document
@@ -1078,6 +983,9 @@ mod tests {
     /// A seed whose streaming worker 1 panics before its first chunk: the
     /// test-only trigger of [`ThroughputError::WorkerPanicked`].
     pub(super) const PANIC_SEED: u64 = 0x7061_6e69_6321_2121;
+    /// A seed whose streaming worker 0, the one on the calling thread,
+    /// panics before its first chunk.
+    pub(super) const PANIC_SEED_0: u64 = 0x7061_6e69_6321_2130;
 
     fn small_cfg() -> ThroughputConfig {
         let mut cfg = ThroughputConfig::new(4, 2);
@@ -1161,9 +1069,8 @@ mod tests {
 
     /// [`bit_planes`] at field width `F` against a per-lane fold (each
     /// plane built one lane bit at a time), on adversarial values below
-    /// `2^F`; then
-    /// [`transpose_fields`] on the planes must give every lane's value back
-    /// in its field.
+    /// `2^F`. The transpose itself is checked against its per-bit oracle
+    /// in `mcs_logic`.
     fn field_transpose_matches_the_fold<const F: usize>() {
         let top = u64::MAX >> (64 - F);
         let mut state = F as u64;
@@ -1186,11 +1093,6 @@ mod tests {
                     acc | (((v >> c) & 1).wrapping_neg() & (1 << l))
                 });
                 assert_eq!(plane, fold, "F = {F}, plane {c}, values {values:x?}");
-            }
-            transpose_fields::<F>(&mut planes);
-            for (l, &v) in values.iter().enumerate() {
-                let field = (planes[l % F] >> (l / F * F)) & top;
-                assert_eq!(field, v, "F = {F}, lane {l}, values {values:x?}");
             }
         }
     }
@@ -1240,15 +1142,14 @@ mod tests {
                 .map(|lane| lane.iter().flat_map(|v| v.bits().iter()).collect())
                 .collect();
             let blocks = TritBlock::pack_rows(&rows);
-            let mut masks = LaneMasks::new(channels, width);
+            let mut tiles = PortTiles::new(blocks.len(), 1);
             for (i, lane) in strings.chunks(channels).enumerate() {
                 if i % 64 == 0 {
-                    masks.load(&blocks, i / 64);
+                    load_lanes(&mut tiles, &blocks, i / 64);
                 }
-                for (c, v) in lane.iter().enumerate() {
-                    let at = format!("width {width}, lane {i}, channel {c}");
-                    assert_eq!(masks.lane(c, i % 64), v.planes(), "{at}");
-                }
+                let got: Vec<(u64, u64)> = tiles.lane(0, i % 64, width, channels).collect();
+                let want: Vec<(u64, u64)> = lane.iter().map(ValidString::planes).collect();
+                assert_eq!(got, want, "width {width}, lane {i}");
             }
         }
     }
@@ -1436,6 +1337,11 @@ mod tests {
             run_cell(&cfg),
             Err(ThroughputError::UnsupportedCell { .. })
         ));
+        let mut cfg = small_cfg();
+        cfg.sample_lanes = 0;
+        let err = run_cell(&cfg).unwrap_err();
+        assert!(matches!(err, ThroughputError::UnsupportedCell { .. }));
+        assert_eq!(err.to_string(), "cell 4x2: sample_lanes must be positive");
     }
 
     #[test]
@@ -1598,6 +1504,21 @@ mod tests {
         // one worker streams normally.
         cfg.workers = 1;
         assert!(run_cell(&cfg).is_ok());
+    }
+
+    /// Worker 0 streams on the calling thread: its panic is the same typed
+    /// error as a spawned worker's, with or without spawned workers.
+    #[test]
+    fn a_panic_on_the_calling_thread_is_a_typed_error() {
+        let mut cfg = small_cfg();
+        cfg.seed = PANIC_SEED_0;
+        for workers in [1, 3] {
+            cfg.workers = workers;
+            match run_cell(&cfg) {
+                Err(ThroughputError::WorkerPanicked { worker }) => assert_eq!(worker, 0),
+                other => panic!("{workers} workers: expected WorkerPanicked, got {other:?}"),
+            }
+        }
     }
 
     #[test]

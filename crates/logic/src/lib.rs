@@ -78,4 +78,4 @@ pub use resolution::{superpose_slices, Resolutions};
 pub use table::{Implicant, TruthTable};
 pub use trit::{ParseTritError, Trit};
 pub use vec::TritVec;
-pub use word::{integer_bit_plane, transpose64, TritWord};
+pub use word::{integer_bit_plane, transpose_fields, TritWord};

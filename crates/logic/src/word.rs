@@ -288,49 +288,62 @@ pub const fn integer_bit_plane(base: u64, i: usize) -> u64 {
     }
 }
 
-/// Transposes a 64×64 bit matrix in place: row `i` is `rows[i]`, column 0
-/// its most significant bit. Afterwards bit `63 − i` of `rows[j]` is what
-/// bit `63 − j` of `rows[i]` was, so a second call restores the input.
+/// Transposes the `F × F` bit block in every `F`-bit field of `rows[..F]`
+/// at once: bit `c` of row `r`'s field `j` trades places with bit `r` of
+/// row `c`'s field `j` (bits numbered from the least significant), so a
+/// second call restores the input. `F` is a power of two, 2 ..= 64; rows
+/// `F..` are left alone.
 ///
-/// This is the lane ↔ port crossing of plane I/O: with lane `j`'s ports
-/// spelled MSB first in `rows[63 − j]`, the call leaves port `p`'s 64-lane
-/// word (lane `j` at bit `j`) in `rows[p]`, and back. It swaps ever smaller
-/// blocks across the diagonal — 32, 16, …, 1 — in 6 · 32 masked word swaps
-/// (Hacker's Delight, `transpose32` widened to 64 bits), instead of 4,096
-/// single-bit moves.
+/// At `F = 64` this is the lane ↔ port crossing of plane I/O: with lane
+/// `j`'s ports spelled MSB first in `rows[j]`, the call leaves port `p`'s
+/// 64-lane word (lane `j` at bit `j`) in `rows[63 − p]`, and back. Below
+/// 64 it turns 64 small values packed `F` to a word into their bit planes
+/// and back. Each of the `log₂F` rounds swaps, in every `2J × 2J` block on
+/// a field's diagonal, the top-right `J × J` quarter (high columns of the
+/// top rows) with the bottom-left one — `J` = 32, 16, …, 1, Hacker's
+/// Delight's `transpose32` widened and cut into fields — in `F/2` masked
+/// word swaps per round instead of one move per bit.
 ///
 /// ```
-/// use mcs_logic::transpose64;
+/// use mcs_logic::transpose_fields;
 ///
 /// let mut rows = [0u64; 64];
-/// rows[63] = 0b101 << 61; // lane 0 carries ports 0 and 2
-/// transpose64(&mut rows);
-/// assert_eq!((rows[0], rows[1], rows[2]), (1, 0, 1));
+/// rows[0] = 0b101 << 61; // lane 0 carries ports 0 and 2
+/// transpose_fields::<64>(&mut rows);
+/// assert_eq!((rows[63], rows[62], rows[61]), (1, 0, 1));
 /// ```
-#[inline]
-pub fn transpose64(rows: &mut [u64; 64]) {
-    swap_blocks::<32>(rows, 0x0000_0000_FFFF_FFFF);
-    swap_blocks::<16>(rows, 0x0000_FFFF_0000_FFFF);
-    swap_blocks::<8>(rows, 0x00FF_00FF_00FF_00FF);
-    swap_blocks::<4>(rows, 0x0F0F_0F0F_0F0F_0F0F);
-    swap_blocks::<2>(rows, 0x3333_3333_3333_3333);
-    swap_blocks::<1>(rows, 0x5555_5555_5555_5555);
-}
-
-/// One round of [`transpose64`]: in every `2J × 2J` block on the
-/// diagonal, swaps the top-right `J × J` quarter with the bottom-left one.
-/// Row `i` of a block's top half pairs with row `i + J`; `mask` selects
-/// the low `J` columns of each `2J`-column group. `J` is a constant so each
-/// round unrolls into straight-line word operations.
 #[inline(always)]
-fn swap_blocks<const J: usize>(rows: &mut [u64; 64], mask: u64) {
-    for block in (0..64).step_by(2 * J) {
-        for i in block..block + J {
-            let t = (rows[i] ^ (rows[i + J] >> J)) & mask;
-            rows[i] ^= t;
-            rows[i + J] ^= t << J;
+pub fn transpose_fields<const F: usize>(rows: &mut [u64; 64]) {
+    debug_assert!(F.is_power_of_two() && (2..=64).contains(&F));
+    /// One round: `mask` selects the high `J` columns of each
+    /// `2J`-column group, which never reach across a field. `J` is a
+    /// constant so the round unrolls into straight-line word operations.
+    #[inline(always)]
+    fn round<const F: usize, const J: usize>(rows: &mut [u64; 64], mask: u64) {
+        for block in (0..F).step_by(2 * J) {
+            for i in block..block + J {
+                let t = (rows[i] ^ (rows[i + J] << J)) & mask;
+                rows[i] ^= t;
+                rows[i + J] ^= t >> J;
+            }
         }
     }
+    if F > 32 {
+        round::<F, 32>(rows, 0xFFFF_FFFF_0000_0000);
+    }
+    if F > 16 {
+        round::<F, 16>(rows, 0xFFFF_0000_FFFF_0000);
+    }
+    if F > 8 {
+        round::<F, 8>(rows, 0xFF00_FF00_FF00_FF00);
+    }
+    if F > 4 {
+        round::<F, 4>(rows, 0xF0F0_F0F0_F0F0_F0F0);
+    }
+    if F > 2 {
+        round::<F, 2>(rows, 0xCCCC_CCCC_CCCC_CCCC);
+    }
+    round::<F, 1>(rows, 0xAAAA_AAAA_AAAA_AAAA);
 }
 
 #[cfg(test)]
@@ -417,37 +430,50 @@ mod tests {
         assert_eq!(w.to_lanes(3), lanes);
     }
 
-    /// The per-bit definition, one bit at a time.
-    fn transpose64_oracle(rows: &[u64; 64]) -> [u64; 64] {
-        let mut out = [0u64; 64];
-        for (i, &row) in rows.iter().enumerate() {
-            for (j, o) in out.iter_mut().enumerate() {
-                *o |= (row >> (63 - j) & 1) << (63 - i);
+    /// The per-bit definition at field width `F`, one bit at a time: bit
+    /// `c` of row `r`'s field `j` goes to bit `r` of row `c`'s field `j`.
+    fn transpose_fields_oracle<const F: usize>(rows: &[u64; 64]) -> [u64; 64] {
+        let mut out = *rows;
+        out[..F].fill(0);
+        for (r, &row) in rows[..F].iter().enumerate() {
+            for (c, o) in out[..F].iter_mut().enumerate() {
+                for j in (0..64).step_by(F) {
+                    *o |= (row >> (j + c) & 1) << (j + r);
+                }
             }
         }
         out
     }
 
-    #[test]
-    fn transpose64_matches_its_per_bit_oracle_and_is_an_involution() {
-        let mut state = 0x5eed_u64;
+    fn transpose_fields_matches_its_oracle<const F: usize>() {
+        let mut state = 0x5eed_u64 ^ F as u64;
         let mut next = || {
             state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
             let z = (state ^ (state >> 31)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
             z ^ (z >> 29)
         };
         let mut cases = vec![[0u64; 64], [!0u64; 64]];
-        cases.push(std::array::from_fn(|i| 1u64 << (63 - i))); // identity
-        cases.push(std::array::from_fn(|i| 1u64 << i)); // anti-diagonal
+        cases.push(std::array::from_fn(|i| 1u64 << i)); // diagonal of field 0
+        cases.push(std::array::from_fn(|i| 1u64 << (63 - i))); // anti-diagonal
         for _ in 0..32 {
             cases.push(std::array::from_fn(|_| next()));
         }
         for rows in cases {
             let mut t = rows;
-            transpose64(&mut t);
-            assert_eq!(t, transpose64_oracle(&rows));
-            transpose64(&mut t);
-            assert_eq!(t, rows);
+            transpose_fields::<F>(&mut t);
+            assert_eq!(t, transpose_fields_oracle::<F>(&rows), "F = {F}");
+            transpose_fields::<F>(&mut t);
+            assert_eq!(t, rows, "F = {F}");
         }
+    }
+
+    #[test]
+    fn transpose_fields_matches_its_per_bit_oracle_and_is_its_own_inverse() {
+        transpose_fields_matches_its_oracle::<2>();
+        transpose_fields_matches_its_oracle::<4>();
+        transpose_fields_matches_its_oracle::<8>();
+        transpose_fields_matches_its_oracle::<16>();
+        transpose_fields_matches_its_oracle::<32>();
+        transpose_fields_matches_its_oracle::<64>();
     }
 }
