@@ -234,8 +234,12 @@ impl SharedHistogram {
     }
 
     /// Records a whole pre-aggregated histogram (one atomic add per
-    /// occupied bucket) — how per-worker locals merge in without a lock.
+    /// occupied bucket, none for an empty one) — how per-worker locals
+    /// merge in without a lock.
     pub fn merge(&self, local: &LatencyHistogram) {
+        if local.count() == 0 {
+            return;
+        }
         for (shared, &n) in self.buckets.iter().zip(local.buckets()) {
             if n > 0 {
                 shared.fetch_add(n, Ordering::Relaxed);

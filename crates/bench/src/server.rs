@@ -43,6 +43,11 @@
 //!   to 8 bytes is classified with one `u64` load into a `Copy` [`Key`]:
 //!   two bit masks checked by [`valid_rank`], the same rule behind
 //!   [`ValidString::new`].
+//! * The [`CoalescerQueue`] is a deque of planes. A submit appends its job
+//!   to the tail plane and attaches the connection's writer to that plane
+//!   once per plane and connection, not once per request; a worker takes
+//!   the front plane whole by swapping buffers under the lock, and the
+//!   emptied buffers come back as spares for later tail planes.
 //! * A submit wakes a worker only when it starts a linger clock, completes
 //!   a plane, or forms the queue's first gap estimate and that estimate
 //!   sends the pending plane off (the worker slept on no estimate); a
@@ -56,9 +61,13 @@
 //!   reads each lane's keys under the same rule.
 //! * A worker spells the responses of its batch straight into one buffer
 //!   per connection and run of consecutive requests, and sends it as one
-//!   [`Reply`]; the connection's writer re-sequences the runs and closes
-//!   out each request's `write` and `e2e` stages with one clock reading
-//!   per run.
+//!   [`Reply`] down the route its plane holds, with each line's queue time
+//!   inline; the connection's writer re-sequences the runs and closes out
+//!   each request's `write` and `e2e` stages with one clock reading per
+//!   run.
+//! * Stage accounting is per plane too: a worker gathers a plane's queue
+//!   waits, and a writer its runs' `write` and `e2e` values, in a local
+//!   histogram that is merged into the shared one in a single pass.
 //!
 //! Robustness is typed end to end: malformed frames, invalid strings,
 //! oversized requests, overload, timeouts and shutdown are all
@@ -80,7 +89,8 @@
 //! coalesce/linger, plane pack (keys → plane words, per batch), tape eval,
 //! re-sequence/write, end-to-end —
 //! aggregated into allocation-free log₂-bucketed [`LatencyHistogram`]s
-//! (lock-free relaxed atomics on the hot path, see [`crate::metrics`]).
+//! (gathered per plane or per reply run and merged into lock-free
+//! relaxed atomics, see [`crate::metrics`]).
 //! The aggregates surface three ways: the extended [`ServeReport`] returned
 //! by [`serve_lines`]/[`serve_tcp`], a live `stats` control frame on the
 //! wire, and the versioned [`stats_json`] blob (`mcs-serverstats-v1`) the

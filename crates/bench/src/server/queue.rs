@@ -1,6 +1,16 @@
 //! The coalescer: a bounded queue that releases plane-sized batches, and
 //! the job and reply messages that travel through it.
+//!
+//! The queue is plane-shaped: it holds a deque of [`Plane`]s, each up to
+//! `max_batch` jobs plus the reply route of every connection with a job in
+//! it. A submit appends to the tail plane (starting one from a spare
+//! buffer when the tail is full) and attaches its connection's writer to
+//! it once per plane and connection; a worker takes the front plane whole
+//! by swapping buffers under the lock and hands its old, emptied buffer
+//! back as a spare. So no job is moved while the lock is held, and the
+//! reply route costs one sender clone per plane, not per request.
 
+use std::collections::VecDeque;
 use std::sync::mpsc::Sender;
 use std::sync::{Condvar, LockResult, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -35,6 +45,10 @@ impl Filler for u8 {
     const FILLER: u8 = 0;
 }
 
+impl Filler for u64 {
+    const FILLER: u64 = 0;
+}
+
 impl Filler for Key {
     /// The width-1 key `0`: a valid value, so no `Key` ever breaks the
     /// valid-string invariant.
@@ -52,6 +66,16 @@ impl<T: Filler, const N: usize> InlineVec<T, N> {
         InlineVec::Inline {
             len: 0,
             items: [T::FILLER; N],
+        }
+    }
+
+    /// The empty sequence, with room for `capacity` items without a
+    /// further allocation.
+    pub(super) fn with_capacity(capacity: usize) -> InlineVec<T, N> {
+        if capacity > N {
+            InlineVec::Heap(Vec::with_capacity(capacity))
+        } else {
+            InlineVec::new()
         }
     }
 
@@ -107,12 +131,14 @@ pub(super) const INLINE_KEYS: usize = 8;
 pub(super) type JobKeys = InlineVec<Key, INLINE_KEYS>;
 
 /// One queued request on its way to a plane: the parsed keys plus the
-/// routing information needed to deliver the response. The id and keys
-/// are held inline up to 30 bytes and 8 keys, on the heap past that.
+/// connection and sequence number its response is delivered by. The id
+/// and keys are held inline up to 30 bytes and 8 keys, on the heap past
+/// that. The connection's writer travels with the job's plane, not the
+/// job.
 #[derive(Debug)]
 pub struct Job {
     /// The connection the job came from; replies are grouped per
-    /// connection.
+    /// connection and sent down the route its plane holds for it.
     pub(super) conn: u64,
     /// Per-connection sequence number; the connection writer re-orders
     /// responses by it.
@@ -124,38 +150,28 @@ pub struct Job {
     /// Arrival time (linger, timeout, queue wait and end-to-end latency
     /// are all measured from it).
     pub(super) enqueued: Instant,
-    /// The connection's writer, where the formatted response goes.
-    pub(super) reply: Sender<Reply>,
 }
 
 impl Job {
     /// A job of connection `conn` with sequence number `seq`, arriving
     /// now.
-    pub fn new(conn: u64, seq: u64, id: &str, keys: &[Key], reply: Sender<Reply>) -> Job {
+    pub fn new(conn: u64, seq: u64, id: &str, keys: &[Key]) -> Job {
         Job {
             conn,
             seq,
             id: InlineVec::from_slice(id.as_bytes()),
             keys: InlineVec::from_slice(keys),
             enqueued: Instant::now(),
-            reply,
         }
     }
 
     /// [`Job::new`] with an explicit arrival time, so queue tests can
     /// back-date arrivals instead of sleeping.
     #[cfg(test)]
-    pub(super) fn arrived(
-        conn: u64,
-        seq: u64,
-        id: &str,
-        keys: &[Key],
-        reply: Sender<Reply>,
-        enqueued: Instant,
-    ) -> Job {
+    pub(super) fn arrived(conn: u64, seq: u64, id: &str, keys: &[Key], enqueued: Instant) -> Job {
         Job {
             enqueued,
-            ..Job::new(conn, seq, id, keys, reply)
+            ..Job::new(conn, seq, id, keys)
         }
     }
 
@@ -176,10 +192,15 @@ impl Job {
     }
 }
 
+/// Queue times a [`Reply`] holds inline: a short run's stamps stay off
+/// the heap.
+pub(super) const INLINE_AGES: usize = 8;
+
 /// A run of formatted response lines on its way to the re-sequencing
 /// writer: consecutive sequence numbers of one connection, carrying the
 /// timing context the writer needs to close out each request's `write`
-/// and `e2e` stages. A worker sends one per connection and plane.
+/// and `e2e` stages. A worker sends one per run of a connection's jobs in
+/// a plane.
 #[derive(Debug)]
 pub struct Reply {
     /// Sequence number of the first line.
@@ -188,10 +209,12 @@ pub struct Reply {
     pub lines: usize,
     /// The lines, each ending in `\n`.
     pub text: Vec<u8>,
-    /// Per line, when its request entered the queue; empty for lines that
-    /// never went through it (parse rejections, control-frame answers),
-    /// which therefore have no end-to-end latency to record.
-    pub enqueued: Vec<Instant>,
+    /// Per line, how long its request had been queued when the run was
+    /// `sent`, in nanoseconds: the writer's `e2e` is `written − sent` plus
+    /// this. Empty for lines that never went through the queue (parse
+    /// rejections, control-frame answers), which therefore have no
+    /// end-to-end latency to record.
+    pub(super) ages: InlineVec<u64, INLINE_AGES>,
     /// When the run was handed to the writer channel.
     pub sent: Instant,
 }
@@ -207,14 +230,57 @@ impl Reply {
             seq,
             lines: 1,
             text,
-            enqueued: Vec::new(),
+            ages: InlineVec::new(),
             sent: Instant::now(),
         }
     }
 }
 
+/// A connection's writer, where the responses of its jobs in a plane go.
+pub(super) type Route = (u64, Sender<Reply>);
+
+/// One plane on its way from the queue to a worker: up to `max_batch`
+/// jobs in arrival order, and the reply route of every connection with a
+/// job among them, attached once per connection by the submit that
+/// brought its first job. A connection's writer ends once its last sender
+/// is dropped, which is when the reader is done and every plane holding
+/// its route has been answered.
+#[derive(Debug, Default)]
+pub(super) struct Plane {
+    /// The jobs.
+    pub(super) jobs: Vec<Job>,
+    /// `(conn, writer)` per connection of `jobs`.
+    pub(super) routes: Vec<Route>,
+}
+
+impl Plane {
+    /// Appends `job`, and `reply` as its connection's route unless the
+    /// plane already holds one; returns the jobs in the plane.
+    fn push(&mut self, job: Job, reply: &Sender<Reply>) -> usize {
+        // A connection's jobs come in runs, so its route is most likely
+        // the latest one.
+        if !self.routes.iter().rev().any(|(conn, _)| *conn == job.conn) {
+            self.routes.push((job.conn, reply.clone()));
+        }
+        self.jobs.push(job);
+        self.jobs.len()
+    }
+
+    /// Empties the plane, dropping its jobs and reply senders but keeping
+    /// the buffers.
+    pub(super) fn clear(&mut self) {
+        self.jobs.clear();
+        self.routes.clear();
+    }
+}
+
 pub(super) struct QueueState {
-    jobs: std::collections::VecDeque<Job>,
+    /// Queued planes, oldest first. Every plane but the last is full.
+    planes: VecDeque<Plane>,
+    /// Emptied planes, whose buffers the next tail planes reuse.
+    spare: Vec<Plane>,
+    /// Jobs in `planes`.
+    queued: usize,
     closed: bool,
     /// Workers blocked in [`CoalescerQueue::next_batch`]: a wake with
     /// nobody to wake is skipped.
@@ -226,9 +292,16 @@ pub(super) struct QueueState {
     gap_ewma: Option<Duration>,
 }
 
+impl QueueState {
+    /// The oldest queued job: the first of the front plane.
+    fn oldest(&self) -> Option<&Job> {
+        self.planes.front().and_then(|plane| plane.jobs.first())
+    }
+}
+
 /// Recovers the queue guard from a poisoned lock or wait. Sound because
-/// every critical section changes [`QueueState`] by one push, one drain,
-/// one flag store or one idle count, so a thread that panicked while
+/// every critical section changes [`QueueState`] by one push, one plane
+/// swap, one flag store or one idle count, so a thread that panicked while
 /// holding the lock cannot have left it half-updated; one panicking worker
 /// must not take down serving for everyone else.
 fn unpoison<T>(result: LockResult<T>) -> T {
@@ -262,7 +335,9 @@ impl CoalescerQueue {
     pub fn new(depth: usize, max_batch: usize, max_linger: Duration) -> CoalescerQueue {
         CoalescerQueue {
             state: Mutex::new(QueueState {
-                jobs: std::collections::VecDeque::new(),
+                planes: VecDeque::new(),
+                spare: Vec::new(),
+                queued: 0,
                 closed: false,
                 idle: 0,
                 last_arrival: None,
@@ -278,26 +353,31 @@ impl CoalescerQueue {
 
     /// Requests currently queued (racy snapshot, for reporting).
     pub fn queued(&self) -> usize {
-        unpoison(self.state.lock()).jobs.len()
+        unpoison(self.state.lock()).queued
     }
 
     /// Socket-mode submission: **rejects** when the queue is at its bound
     /// (returning the job, boxed, so the caller can format the error
     /// response) — backpressure by typed refusal, never by unbounded
-    /// buffering.
+    /// buffering. `reply` is the connection's writer; the job's plane gets
+    /// a clone of it unless it already has one for the job's connection.
     ///
     /// # Errors
     ///
     /// [`FrameError::Overloaded`] with a retry hint when full,
     /// [`FrameError::ShuttingDown`] after [`CoalescerQueue::close`].
-    pub fn try_submit(&self, job: Job) -> Result<(), (Box<Job>, FrameError)> {
+    pub fn try_submit(
+        &self,
+        job: Job,
+        reply: &Sender<Reply>,
+    ) -> Result<(), (Box<Job>, FrameError)> {
         let mut state = unpoison(self.state.lock());
         if state.closed {
             return Err((Box::new(job), FrameError::ShuttingDown));
         }
-        if state.jobs.len() >= self.depth {
+        if state.queued >= self.depth {
             let e = FrameError::Overloaded {
-                queued: state.jobs.len(),
+                queued: state.queued,
                 depth: self.depth,
                 // One linger window is how long a full queue needs to turn
                 // into at least one dispatched plane.
@@ -305,33 +385,40 @@ impl CoalescerQueue {
             };
             return Err((Box::new(job), e));
         }
-        self.push(&mut state, job);
+        self.push(&mut state, job, reply);
         Ok(())
     }
 
     /// Pipe-mode submission: **blocks** until space frees (the producer is
-    /// a pipe — slowing it down *is* the backpressure).
+    /// a pipe — slowing it down *is* the backpressure). `reply` as for
+    /// [`CoalescerQueue::try_submit`].
     ///
     /// # Errors
     ///
     /// [`FrameError::ShuttingDown`] (with the job handed back) if the
     /// queue closes while waiting.
-    pub fn submit_blocking(&self, job: Job) -> Result<(), (Box<Job>, FrameError)> {
+    pub fn submit_blocking(
+        &self,
+        job: Job,
+        reply: &Sender<Reply>,
+    ) -> Result<(), (Box<Job>, FrameError)> {
         let mut state = unpoison(self.state.lock());
         loop {
             if state.closed {
                 return Err((Box::new(job), FrameError::ShuttingDown));
             }
-            if state.jobs.len() < self.depth {
-                self.push(&mut state, job);
+            if state.queued < self.depth {
+                self.push(&mut state, job, reply);
                 return Ok(());
             }
             state = unpoison(self.space.wait(state));
         }
     }
 
-    /// Queues `job` and folds its arrival stamp into the gap estimate (no
-    /// clock read of its own).
+    /// Appends `job` to the tail plane, starting a new one from a spare
+    /// buffer when the tail is full, attaches `reply` to the plane unless
+    /// it already holds the job's connection's route, and folds the job's
+    /// arrival stamp into the gap estimate (no clock read of its own).
     ///
     /// An idle worker is woken only when the push starts a linger clock
     /// (the queue was empty), completes a `max_batch` plane, or forms the
@@ -340,7 +427,7 @@ impl CoalescerQueue {
     /// one wake per plane, not per request.
     /// [`CoalescerQueue::next_batch`] passes the wake on when it leaves
     /// jobs behind.
-    fn push(&self, state: &mut QueueState, job: Job) {
+    fn push(&self, state: &mut QueueState, job: Job, reply: &Sender<Reply>) {
         let arrived = job.enqueued;
         let no_estimate_yet = state.gap_ewma.is_none();
         if let Some(last) = state.last_arrival {
@@ -348,11 +435,20 @@ impl CoalescerQueue {
             state.gap_ewma = Some(state.gap_ewma.map_or(gap, |ewma| ewma - ewma / 8 + gap / 8));
         }
         state.last_arrival = Some(state.last_arrival.map_or(arrived, |last| last.max(arrived)));
-        state.jobs.push_back(job);
-        let queued = state.jobs.len();
+        let filled = match state.planes.back_mut() {
+            Some(tail) if tail.jobs.len() < self.max_batch => tail.push(job, reply),
+            _ => {
+                let mut plane = state.spare.pop().unwrap_or_default();
+                plane.jobs.reserve(self.max_batch.min(self.depth));
+                let filled = plane.push(job, reply);
+                state.planes.push_back(plane);
+                filled
+            }
+        };
+        state.queued += 1;
         if state.idle > 0
-            && (queued == 1
-                || queued % self.max_batch == 0
+            && (state.queued == 1
+                || filled == self.max_batch
                 || no_estimate_yet && self.leaves_early(state, arrived))
         {
             self.nonempty.notify_one();
@@ -364,10 +460,10 @@ impl CoalescerQueue {
     /// lanes exceeds what is left of the oldest job's linger. `false`
     /// without a gap estimate.
     fn leaves_early(&self, state: &QueueState, now: Instant) -> bool {
-        let (Some(gap), Some(oldest)) = (state.gap_ewma, state.jobs.front()) else {
+        let (Some(gap), Some(oldest)) = (state.gap_ewma, state.oldest()) else {
             return false;
         };
-        let missing = self.max_batch.saturating_sub(state.jobs.len());
+        let missing = self.max_batch.saturating_sub(state.queued);
         let fill = gap.saturating_mul(u32::try_from(missing).unwrap_or(u32::MAX));
         let left = self
             .max_linger
@@ -393,28 +489,30 @@ impl CoalescerQueue {
     /// Blocks until a batch is ready and pops it: a full `max_batch` plane
     /// immediately, a partial plane once it cannot fill in time at the
     /// measured arrival rate or once its oldest job has lingered
-    /// `max_linger`, everything left once the queue closes. `None` when
+    /// `max_linger`, every plane left once the queue closes. `None` when
     /// closed and empty — the worker's exit signal.
     pub fn next_batch(&self) -> Option<Vec<Job>> {
-        let mut batch = Vec::new();
-        self.next_batch_into(&mut batch).then_some(batch)
+        let mut plane = Plane::default();
+        self.next_batch_into(&mut plane).then_some(plane.jobs)
     }
 
-    /// [`CoalescerQueue::next_batch`] into a buffer the caller owns and
-    /// reuses: `batch` is cleared, then filled; `false` (and `batch` empty)
-    /// when the queue is closed and empty. Clearing comes before any wait,
-    /// so the previous batch's reply senders are gone by then: a
-    /// connection's writer ends only once every sender is.
-    pub(super) fn next_batch_into(&self, batch: &mut Vec<Job>) -> bool {
-        batch.clear();
+    /// [`CoalescerQueue::next_batch`] into a plane the caller owns and
+    /// reuses: `plane` is cleared, then swapped with the front plane, and
+    /// its emptied buffers become a spare for a later tail plane; `false`
+    /// (and `plane` empty) when the queue is closed and empty. Clearing
+    /// comes before the lock, so the previous plane's reply senders are
+    /// gone before any wait: a connection's writer ends only once every
+    /// sender is.
+    pub(super) fn next_batch_into(&self, plane: &mut Plane) -> bool {
+        plane.clear();
         let mut state = unpoison(self.state.lock());
         loop {
-            if state.jobs.len() >= self.max_batch || state.closed {
+            if state.queued >= self.max_batch || state.closed {
                 break;
             }
             // What is left of the oldest job's linger, unless its plane
             // should leave now; `None` on an empty queue.
-            let linger = match state.jobs.front() {
+            let linger = match state.oldest() {
                 Some(oldest) => {
                     let now = Instant::now();
                     match self
@@ -436,13 +534,14 @@ impl CoalescerQueue {
             };
             state.idle -= 1;
         }
-        if state.jobs.is_empty() {
+        let Some(front) = state.planes.pop_front() else {
             debug_assert!(state.closed);
             return false;
-        }
-        let take = state.jobs.len().min(self.max_batch);
-        batch.extend(state.jobs.drain(..take));
-        if state.idle > 0 && !state.jobs.is_empty() {
+        };
+        state.queued -= front.jobs.len();
+        let emptied = std::mem::replace(plane, front);
+        state.spare.push(emptied);
+        if state.idle > 0 && state.queued > 0 {
             // The pushes of what is left may have woken no one: hand a full
             // plane to another worker now, or let one time a partial
             // plane's linger.

@@ -570,18 +570,10 @@ fn stats_json_bytes_are_pinned() {
 fn queue_saturation_rejects_with_retry_hint() {
     let queue = CoalescerQueue::new(2, 64, Duration::from_millis(5));
     let (tx, _rx) = channel();
-    let job = |seq| {
-        Job::new(
-            0,
-            seq,
-            &format!("r{seq}"),
-            &["00".parse().unwrap()],
-            tx.clone(),
-        )
-    };
-    queue.try_submit(job(0)).unwrap();
-    queue.try_submit(job(1)).unwrap();
-    let (returned, e) = queue.try_submit(job(2)).unwrap_err();
+    let job = |seq| Job::new(0, seq, &format!("r{seq}"), &["00".parse().unwrap()]);
+    queue.try_submit(job(0), &tx).unwrap();
+    queue.try_submit(job(1), &tx).unwrap();
+    let (returned, e) = queue.try_submit(job(2), &tx).unwrap_err();
     assert_eq!(returned.id(), "r2");
     match e {
         FrameError::Overloaded {
@@ -597,7 +589,7 @@ fn queue_saturation_rejects_with_retry_hint() {
     // Rejected is not buffered: the queue still holds exactly 2.
     assert_eq!(queue.queued(), 2);
     queue.close();
-    let (_, e) = queue.try_submit(job(3)).unwrap_err();
+    let (_, e) = queue.try_submit(job(3), &tx).unwrap_err();
     assert_eq!(e, FrameError::ShuttingDown);
 }
 
@@ -605,16 +597,8 @@ fn queue_saturation_rejects_with_retry_hint() {
 fn a_poisoned_queue_keeps_serving() {
     let queue = CoalescerQueue::new(4, 2, Duration::from_secs(60));
     let (tx, _rx) = channel();
-    let job = |seq| {
-        Job::new(
-            0,
-            seq,
-            &format!("r{seq}"),
-            &["00".parse().unwrap()],
-            tx.clone(),
-        )
-    };
-    queue.try_submit(job(0)).unwrap();
+    let job = |seq| Job::new(0, seq, &format!("r{seq}"), &["00".parse().unwrap()]);
+    queue.try_submit(job(0), &tx).unwrap();
     std::thread::scope(|s| {
         let panicked = s
             .spawn(|| {
@@ -625,14 +609,14 @@ fn a_poisoned_queue_keeps_serving() {
         assert!(panicked.is_err());
     });
     assert!(queue.state.is_poisoned());
-    queue.try_submit(job(1)).unwrap();
+    queue.try_submit(job(1), &tx).unwrap();
     assert_eq!(queue.queued(), 2);
     // A full plane leaves at once, without waiting out the linger.
     let batch = queue.next_batch().expect("a full batch");
     assert_eq!(batch.iter().map(|j| j.seq).collect::<Vec<_>>(), [0, 1]);
-    queue.try_submit(job(2)).unwrap();
+    queue.try_submit(job(2), &tx).unwrap();
     queue.close();
-    let (_, e) = queue.try_submit(job(3)).unwrap_err();
+    let (_, e) = queue.try_submit(job(3), &tx).unwrap_err();
     assert_eq!(e, FrameError::ShuttingDown);
     // Close drains what is queued, then signals exit.
     assert_eq!(queue.next_batch().map(|b| b.len()), Some(1));
@@ -860,16 +844,16 @@ fn next_reported(
 }
 
 /// Job `seq` of connection 0, arriving at `enqueued`.
-fn job_at(seq: u64, enqueued: Instant, tx: &std::sync::mpsc::Sender<Reply>) -> Job {
+fn job_at(seq: u64, enqueued: Instant) -> Job {
     let key = "00".parse().unwrap();
-    Job::arrived(0, seq, &format!("r{seq}"), &[key], tx.clone(), enqueued)
+    Job::arrived(0, seq, &format!("r{seq}"), &[key], enqueued)
 }
 
 /// `count` jobs arriving `gap` apart, the last one now.
-fn arrivals(count: u64, gap: Duration, tx: &std::sync::mpsc::Sender<Reply>) -> Vec<Job> {
+fn arrivals(count: u64, gap: Duration) -> Vec<Job> {
     let now = Instant::now();
     (0..count)
-        .map(|seq| job_at(seq, now - gap * (count - 1 - seq) as u32, tx))
+        .map(|seq| job_at(seq, now - gap * (count - 1 - seq) as u32))
         .collect()
 }
 
@@ -880,10 +864,10 @@ fn arrivals(count: u64, gap: Duration, tx: &std::sync::mpsc::Sender<Reply>) -> V
 fn a_blocked_worker_gets_the_plane_its_last_submit_completes() {
     let queue = CoalescerQueue::new(64, 4, Duration::from_secs(3600));
     let (tx, _rx) = channel();
-    let mut jobs = arrivals(4, Duration::from_micros(1), &tx);
+    let mut jobs = arrivals(4, Duration::from_micros(1));
     let last = jobs.pop().unwrap();
     for job in jobs {
-        queue.try_submit(job).unwrap();
+        queue.try_submit(job, &tx).unwrap();
     }
     std::thread::scope(|s| {
         let (done, batches) = channel();
@@ -891,7 +875,7 @@ fn a_blocked_worker_gets_the_plane_its_last_submit_completes() {
         s.spawn(move || done.send(queue.next_batch()).unwrap());
         // Blocked on the partial plane's linger.
         wait_idle(queue, 1, &batches);
-        queue.try_submit(last).unwrap();
+        queue.try_submit(last, &tx).unwrap();
         let batch = next_reported(queue, &batches, "the completing submit wakes the worker");
         assert_eq!(batch.iter().map(Job::seq).collect::<Vec<_>>(), [0, 1, 2, 3]);
     });
@@ -911,7 +895,7 @@ fn a_blocked_worker_dispatches_a_lone_job_after_the_linger() {
         wait_idle(queue, 1, &batches);
         let submitted = Instant::now();
         queue
-            .try_submit(Job::new(0, 0, "lone", &["0M".parse().unwrap()], tx.clone()))
+            .try_submit(Job::new(0, 0, "lone", &["0M".parse().unwrap()]), &tx)
             .unwrap();
         let batch = next_reported(queue, &batches, "the lone job's plane leaves");
         let waited = submitted.elapsed();
@@ -928,8 +912,8 @@ fn a_sparse_history_dispatches_a_partial_plane_at_once() {
     let linger = Duration::from_secs(10);
     let queue = CoalescerQueue::new(1024, 1024, linger);
     let (tx, _rx) = channel();
-    for job in arrivals(3, Duration::from_millis(20), &tx) {
-        queue.try_submit(job).unwrap();
+    for job in arrivals(3, Duration::from_millis(20)) {
+        queue.try_submit(job, &tx).unwrap();
     }
     let start = Instant::now();
     let batch = queue.next_batch().expect("partial plane");
@@ -943,10 +927,10 @@ fn a_sparse_history_dispatches_a_partial_plane_at_once() {
 fn a_dense_burst_waits_for_a_full_plane() {
     let queue = CoalescerQueue::new(64, 8, Duration::from_secs(3600));
     let (tx, _rx) = channel();
-    let mut jobs = arrivals(8, Duration::from_micros(1), &tx);
+    let mut jobs = arrivals(8, Duration::from_micros(1));
     let last = jobs.pop().unwrap();
     for job in jobs {
-        queue.try_submit(job).unwrap();
+        queue.try_submit(job, &tx).unwrap();
     }
     std::thread::scope(|s| {
         let (done, batches) = channel();
@@ -955,7 +939,7 @@ fn a_dense_burst_waits_for_a_full_plane() {
         // Waiting on seven of eight lanes, not taking them.
         wait_idle(queue, 1, &batches);
         assert_eq!(queue.queued(), 7);
-        queue.try_submit(last).unwrap();
+        queue.try_submit(last, &tx).unwrap();
         let batch = next_reported(queue, &batches, "the full plane leaves");
         assert_eq!(batch.len(), 8);
     });
@@ -968,7 +952,7 @@ fn a_cold_start_waits_out_the_linger() {
     let linger = Duration::from_millis(40);
     let queue = CoalescerQueue::new(1024, 1024, linger);
     let (tx, _rx) = channel();
-    queue.try_submit(job_at(0, Instant::now(), &tx)).unwrap();
+    queue.try_submit(job_at(0, Instant::now()), &tx).unwrap();
     let batch = queue.next_batch().expect("partial plane");
     assert_eq!(batch.len(), 1);
     let waited = batch[0].enqueued.elapsed();
@@ -982,8 +966,8 @@ fn a_mispredicted_wait_is_capped_by_the_linger() {
     let linger = Duration::from_millis(40);
     let queue = CoalescerQueue::new(64, 64, linger);
     let (tx, _rx) = channel();
-    for job in arrivals(3, Duration::from_micros(1), &tx) {
-        queue.try_submit(job).unwrap();
+    for job in arrivals(3, Duration::from_micros(1)) {
+        queue.try_submit(job, &tx).unwrap();
     }
     let batch = queue.next_batch().expect("partial plane");
     assert_eq!(batch.len(), 3);
@@ -1005,13 +989,13 @@ fn the_first_gap_estimate_wakes_a_worker_timing_a_cold_linger() {
     let queue = CoalescerQueue::new(1024, 1024, Duration::from_secs(3600));
     let (tx, _rx) = channel();
     let then = Instant::now() - Duration::from_secs(10);
-    queue.try_submit(job_at(0, then, &tx)).unwrap();
+    queue.try_submit(job_at(0, then), &tx).unwrap();
     std::thread::scope(|s| {
         let (done, batches) = channel();
         let queue = &queue;
         s.spawn(move || done.send(queue.next_batch()).unwrap());
         wait_idle(queue, 1, &batches);
-        queue.try_submit(job_at(1, Instant::now(), &tx)).unwrap();
+        queue.try_submit(job_at(1, Instant::now()), &tx).unwrap();
         let batch = next_reported(queue, &batches, "the estimate wakes the worker");
         assert_eq!(batch.iter().map(Job::seq).collect::<Vec<_>>(), [0, 1]);
     });
@@ -1033,7 +1017,7 @@ fn two_blocked_workers_take_a_burst_of_two_planes() {
         wait_idle(&queue, 2, &batches);
         for seq in 0..8 {
             queue
-                .try_submit(Job::new(0, seq, "r", &["11".parse().unwrap()], tx.clone()))
+                .try_submit(Job::new(0, seq, "r", &["11".parse().unwrap()]), &tx)
                 .unwrap();
         }
         let mut seqs: Vec<Vec<u64>> = (0..2)
@@ -1059,7 +1043,7 @@ fn a_plane_with_expired_jobs_serves_the_live_ones() {
     let (tx, rx) = channel();
     let (now, long_ago) = (Instant::now(), Instant::now() - Duration::from_secs(20));
     for (seq, enqueued) in [long_ago, now, long_ago, now, now].into_iter().enumerate() {
-        queue.try_submit(job_at(seq as u64, enqueued, &tx)).unwrap();
+        queue.try_submit(job_at(seq as u64, enqueued), &tx).unwrap();
     }
     drop(tx);
     queue.close();
@@ -1098,9 +1082,9 @@ fn replies_of_one_plane_reach_each_connection_in_order() {
     let (tx_a, rx_a) = channel();
     let (tx_b, rx_b) = channel();
     let key: Key = "01".parse().unwrap();
-    let job = |conn: u64, seq: u64, tx: &std::sync::mpsc::Sender<Reply>| {
+    let job = |conn: u64, seq: u64| {
         let id = format!("{}{seq}", if conn == 0 { 'a' } else { 'b' });
-        Job::new(conn, seq, &id, &[key], tx.clone())
+        Job::new(conn, seq, &id, &[key])
     };
     // Connection a's reader refused its frames 2 and 5 itself; connection
     // b's frames 0 and 1 were answered by an earlier plane.
@@ -1113,23 +1097,24 @@ fn replies_of_one_plane_reach_each_connection_in_order() {
             .unwrap();
     }
     let batch = vec![
-        job(0, 0, &tx_a),
-        job(0, 1, &tx_a),
-        job(1, 2, &tx_b),
-        job(0, 3, &tx_a),
-        job(0, 4, &tx_a),
-        job(0, 6, &tx_a),
-        job(1, 3, &tx_b),
+        job(0, 0),
+        job(0, 1),
+        job(1, 2),
+        job(0, 3),
+        job(0, 4),
+        job(0, 6),
+        job(1, 3),
     ];
-    send_replies(&batch, |job, text| {
+    let routes = [(0, tx_a), (1, tx_b)];
+    send_replies(&batch, &routes, |job, text| {
         push_ok(text, job.id.as_slice(), job.keys())
     });
-    drop((batch, tx_a, tx_b));
+    drop((batch, routes));
     // (first seq, lines, queued lines, text) of each message, in arrival
     // order.
     let runs = |rx: &std::sync::mpsc::Receiver<Reply>| {
         rx.try_iter()
-            .map(|r| (r.seq, r.lines, r.enqueued.len(), r.text))
+            .map(|r| (r.seq, r.lines, r.ages.len(), r.text))
             .collect::<Vec<_>>()
     };
     let (runs_a, runs_b) = (runs(&rx_a), runs(&rx_b));
@@ -1150,14 +1135,13 @@ fn replies_of_one_plane_reach_each_connection_in_order() {
         // them.
         let (tx, rx) = channel();
         for (seq, lines, stamps, text) in runs.into_iter().rev() {
-            let now = Instant::now();
-            let enqueued = vec![now; stamps];
-            let sent = now;
+            let ages = InlineVec::from_slice(&vec![0; stamps]);
+            let sent = Instant::now();
             tx.send(Reply {
                 seq,
                 lines,
                 text,
-                enqueued,
+                ages,
                 sent,
             })
             .unwrap();
@@ -1171,4 +1155,288 @@ fn replies_of_one_plane_reach_each_connection_in_order() {
         assert_eq!(report.stages.write.count(), lines);
         assert_eq!(report.stages.e2e.count(), queued);
     }
+}
+
+/// `count` jobs of connection 0 with sequence numbers from `first`,
+/// arriving now.
+fn jobs_from(first: u64, count: u64) -> impl Iterator<Item = Job> {
+    (first..first + count).map(|seq| Job::new(0, seq, &format!("r{seq}"), &["0M".parse().unwrap()]))
+}
+
+/// The sequence numbers of a popped batch.
+fn seqs(batch: &[Job]) -> Vec<u64> {
+    batch.iter().map(Job::seq).collect()
+}
+
+/// Planes leave in arrival order whether they leave full or partial: two
+/// jobs leave on the linger, six more form a full plane and a partial one,
+/// and four more a full plane again.
+#[test]
+fn the_plane_queue_is_fifo_across_partial_and_full_planes() {
+    let queue = CoalescerQueue::new(64, 4, Duration::from_millis(1));
+    let (tx, _rx) = channel();
+    let mut popped = Vec::new();
+    for (first, count, planes) in [(0, 2, 1), (2, 6, 2), (8, 4, 1)] {
+        for job in jobs_from(first, count) {
+            queue.try_submit(job, &tx).unwrap();
+        }
+        for _ in 0..planes {
+            let batch = queue.next_batch().expect("a plane");
+            assert!(batch.len() <= 4, "{:?}", seqs(&batch));
+            popped.push(seqs(&batch));
+        }
+    }
+    assert_eq!(
+        popped,
+        [vec![0, 1], vec![2, 3, 4, 5], vec![6, 7], vec![8, 9, 10, 11]]
+    );
+    assert_eq!(queue.queued(), 0);
+}
+
+/// `queued()` is the pushes minus the popped planes' jobs; a refused
+/// submit changes nothing.
+#[test]
+fn queued_counts_pushes_minus_pops() {
+    let queue = CoalescerQueue::new(10, 4, Duration::from_secs(3600));
+    let (tx, _rx) = channel();
+    let (mut pushed, mut popped) = (0, 0);
+    for (push, pop) in [(12, 1), (3, 2), (5, 0)] {
+        for job in jobs_from(pushed as u64, push) {
+            if queue.try_submit(job, &tx).is_ok() {
+                pushed += 1;
+            }
+            assert_eq!(queue.queued(), pushed - popped);
+        }
+        for _ in 0..pop {
+            popped += queue.next_batch().expect("a full plane").len();
+            assert_eq!(queue.queued(), pushed - popped);
+        }
+    }
+    // 10 of 12 fit the depth, 4 popped, 3 more, 8 popped, then 5 more.
+    assert_eq!((pushed, popped), (18, 12));
+    assert_eq!(queue.queued(), 6);
+}
+
+/// Closing releases every plane, full or partial, without waiting out the
+/// linger, and then signals exit.
+#[test]
+fn close_drains_every_plane() {
+    let linger = Duration::from_secs(3600);
+    let queue = CoalescerQueue::new(64, 4, linger);
+    let (tx, _rx) = channel();
+    for job in jobs_from(0, 10) {
+        queue.try_submit(job, &tx).unwrap();
+    }
+    queue.close();
+    let start = Instant::now();
+    let mut sizes = Vec::new();
+    while let Some(batch) = queue.next_batch() {
+        sizes.push(batch.len());
+    }
+    assert_eq!(sizes, [4, 4, 2]);
+    assert!(start.elapsed() < linger / 2, "waited {:?}", start.elapsed());
+    assert_eq!(queue.queued(), 0);
+}
+
+/// A popped plane's buffers come back: the worker's previous plane is
+/// emptied into the spare list, and the next tail plane starts from it
+/// instead of a fresh allocation.
+#[test]
+fn popped_plane_buffers_are_reused() {
+    let queue = CoalescerQueue::new(64, 4, Duration::from_secs(3600));
+    let (tx, _rx) = channel();
+    let mut plane = Plane::default();
+    for job in jobs_from(0, 8) {
+        queue.try_submit(job, &tx).unwrap();
+    }
+    assert!(queue.next_batch_into(&mut plane));
+    let first = plane.jobs.as_ptr();
+    assert!(queue.next_batch_into(&mut plane));
+    assert_eq!(seqs(&plane.jobs), [4, 5, 6, 7]);
+    for job in jobs_from(8, 4) {
+        queue.try_submit(job, &tx).unwrap();
+    }
+    assert!(queue.next_batch_into(&mut plane));
+    assert_eq!(seqs(&plane.jobs), [8, 9, 10, 11]);
+    assert_eq!(
+        plane.jobs.as_ptr(),
+        first,
+        "the tail plane took a fresh buffer"
+    );
+}
+
+/// A plane carries one route per connection with a job in it, attached by
+/// that connection's first submit into the plane; the next plane gets its
+/// own.
+#[test]
+fn a_plane_carries_one_route_per_connection() {
+    let queue = CoalescerQueue::new(64, 4, Duration::from_secs(3600));
+    let (tx_a, _rx_a) = channel();
+    let (tx_b, _rx_b) = channel();
+    let key = ["00".parse().unwrap()];
+    for (seq, conn) in [(0, 0), (0, 1), (1, 0), (2, 0), (3, 0), (1, 1)] {
+        let tx = if conn == 0 { &tx_a } else { &tx_b };
+        queue
+            .try_submit(Job::new(conn, seq, "r", &key), tx)
+            .unwrap();
+    }
+    queue.close();
+    let mut plane = Plane::default();
+    let mut routes = Vec::new();
+    while queue.next_batch_into(&mut plane) {
+        routes.push(
+            plane
+                .routes
+                .iter()
+                .map(|(conn, _)| *conn)
+                .collect::<Vec<_>>(),
+        );
+    }
+    assert_eq!(routes, [vec![0, 1], vec![0, 1]]);
+}
+
+/// Runs `serve` on its own thread and returns what it returns; fails,
+/// rather than hangs, unless it ends within a minute.
+fn within_a_minute<T: Send + 'static>(what: &str, serve: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done, result) = channel();
+    std::thread::spawn(move || {
+        let _ = done.send(serve());
+    });
+    match result.recv_timeout(Duration::from_secs(60)) {
+        Ok(value) => value,
+        Err(e) => panic!("{what}: no end within a minute ({e})"),
+    }
+}
+
+/// [`serve_lines`] of `input` under `cfg` on a watchdog: the result and
+/// whatever was written.
+fn serve_watched(
+    what: &str,
+    cfg: ServerConfig,
+    input: &'static [u8],
+) -> (Result<ServeReport, ServerError>, String) {
+    let engine = SortEngine::new(cfg).unwrap();
+    within_a_minute(what, move || {
+        let mut out = Vec::new();
+        let result = serve_lines(&engine, input, &mut out);
+        (result, String::from_utf8(out).unwrap())
+    })
+}
+
+/// The plane shapes and worker counts the route-lifetime tests serve
+/// under, with a linger long enough that only a full plane or the close
+/// sends a plane off.
+fn route_configs() -> impl Iterator<Item = ServerConfig> {
+    [(1, 1), (1, 2), (2, 2), (2, 256)]
+        .into_iter()
+        .map(|(workers, max_batch)| {
+            let mut cfg = cfg4x2();
+            (cfg.workers, cfg.max_batch) = (workers, max_batch);
+            cfg.max_linger = Duration::from_secs(3600);
+            cfg
+        })
+}
+
+/// A reader that hits invalid UTF-8 after submitting jobs ends the
+/// connection with a typed I/O error, and every reply it was owed is
+/// still written: its routes leave with the planes, so the writer neither
+/// hangs on them nor ends before them.
+#[test]
+fn invalid_utf8_after_submits_writes_every_reply_then_fails_typed() {
+    let input = b"sort a 00 11\nsort b 11 00\nsort c 0M\n\xff\xfe\nsort d 00\n";
+    for cfg in route_configs() {
+        let what = format!("workers={} max_batch={}", cfg.workers, cfg.max_batch);
+        let (result, out) = serve_watched(&what, cfg, input);
+        match result {
+            Err(ServerError::Io(e)) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{what}")
+            }
+            other => panic!("{what}: expected an invalid-data error, got {other:?}"),
+        }
+        assert_eq!(out, "ok a 00 11\nok b 00 11\nok c 0M\n", "{what}");
+    }
+}
+
+/// A connection whose every frame is rejected submits nothing and attaches
+/// no route: its writer ends with the reader, after every `err` line.
+#[test]
+fn a_connection_with_every_frame_rejected_ends() {
+    let input = b"sort\nsort e\nsort x 00 00 00 00 00\nsort y 02\nfrob\n";
+    for cfg in route_configs() {
+        let what = format!("workers={} max_batch={}", cfg.workers, cfg.max_batch);
+        let (result, out) = serve_watched(&what, cfg, input);
+        let report = result.unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!((report.served, report.rejected), (0, 5), "{what}");
+        let codes: Vec<&str> = out
+            .lines()
+            .map(|l| l.split(' ').nth(2).unwrap_or(l))
+            .collect();
+        assert_eq!(
+            codes,
+            [
+                "malformed",
+                "empty",
+                "too-many-keys",
+                "bad-key",
+                "malformed"
+            ],
+            "{what}"
+        );
+    }
+}
+
+/// A writer that panics drops its receiver; the workers' sends down the
+/// route then fail quietly, the planes still leave, and the serve ends
+/// with the typed [`ServerError::WriterPanicked`].
+#[test]
+fn a_writer_panic_ends_the_serve_typed_under_every_plane_shape() {
+    let input = b"sort r1 00 11\nsort panic-the-writer 11 00\nsort r3 0M\nsort r4 11\n";
+    assert!(std::str::from_utf8(input)
+        .unwrap()
+        .contains(WRITER_PANIC_ID));
+    for cfg in route_configs() {
+        let what = format!("workers={} max_batch={}", cfg.workers, cfg.max_batch);
+        match serve_watched(&what, cfg, input).0 {
+            Err(ServerError::WriterPanicked) => {}
+            other => panic!("{what}: expected WriterPanicked, got {other:?}"),
+        }
+    }
+}
+
+/// Over a socket the queue stays open when a connection ends, so its
+/// planes leave on the linger: a connection that hits invalid UTF-8 after
+/// submitting jobs still gets every reply, then its socket closes, and
+/// the server goes on serving others.
+#[test]
+fn a_tcp_reader_failing_mid_stream_gets_every_reply_then_eof() {
+    use std::io::{Read, Write};
+    use std::net::{Shutdown, TcpListener, TcpStream};
+    let mut cfg = cfg4x2();
+    cfg.workers = 2;
+    cfg.max_linger = Duration::from_millis(2);
+    let engine = SortEngine::new(cfg).unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (failed, after) = within_a_minute("tcp serve", move || {
+        std::thread::scope(|s| {
+            let server = s.spawn(|| serve_tcp(&engine, listener));
+            let exchange = |bytes: &[u8]| {
+                let mut stream = TcpStream::connect(addr).unwrap();
+                stream.write_all(bytes).unwrap();
+                stream.shutdown(Shutdown::Write).unwrap();
+                let mut got = String::new();
+                stream.read_to_string(&mut got).unwrap();
+                got
+            };
+            // Nothing follows the bad line, so the server leaves no unread
+            // bytes behind, which would turn its close into a reset.
+            let failed = exchange(b"sort a 00 11\nsort b 11 00\n\xff\n");
+            let after = exchange(b"sort d 0M 00\nshutdown op\n");
+            let report = server.join().unwrap().unwrap();
+            assert_eq!((report.served, report.rejected), (3, 0));
+            (failed, after)
+        })
+    });
+    assert_eq!(failed, "ok a 00 11\nok b 00 11\n");
+    assert_eq!(after, "ok d 00 0M\nok op draining\n");
 }

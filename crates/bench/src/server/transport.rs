@@ -1,11 +1,18 @@
 //! The serving pipeline: worker loop, re-sequencing writer, connection
 //! pump, and the two serving modes.
 //!
-//! Hand-offs are per plane, not per request: a reader's submit wakes a
-//! worker only when it starts a linger clock or completes a plane (see
-//! [`CoalescerQueue`] for when a partial plane leaves), and a worker sends
-//! each connection of its batch one [`Reply`] carrying that connection's
-//! run of consecutive response lines.
+//! Hand-offs are per plane, not per request:
+//!
+//! * a reader's submit wakes a worker only when it starts a linger clock or
+//!   completes a plane (see [`CoalescerQueue`] for when a partial plane
+//!   leaves), and attaches the connection's writer to the plane once per
+//!   plane and connection;
+//! * a worker takes a plane by swapping buffers with the queue, records
+//!   its queue waits into a local histogram merged once per plane, and
+//!   sends each connection of the plane one [`Reply`] per run of
+//!   consecutive response lines, through the route the plane carries;
+//! * a writer records the `write` and `e2e` stages of each run it writes
+//!   into local histograms, merged once per run.
 
 use std::collections::BinaryHeap;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
@@ -18,11 +25,11 @@ use std::time::Instant;
 use super::codec::{
     bytes_equal, check_frame_len, format_err, ok_len, parse_line, push_ok, Parsed, SortEngine,
 };
-use super::queue::{CoalescerQueue, InlineVec, Job, JobKeys, Reply};
+use super::queue::{CoalescerQueue, InlineVec, Job, JobKeys, Plane, Reply, Route};
 use super::stats::{format_stats_line, ServeReport, ServerStats};
 use super::{FrameError, ServerError};
 use crate::engine::{resolve_workers, PortTiles};
-use crate::metrics::{millis_u64, nanos_u64};
+use crate::metrics::{millis_u64, nanos_u64, LatencyHistogram};
 
 /// The worker loop: drain plane batches, sort, route responses. Shared by
 /// both serving modes. All timing here is observational: the responses
@@ -34,24 +41,26 @@ use crate::metrics::{millis_u64, nanos_u64};
 /// connection writer never waits on a reply that cannot come.
 pub(super) fn worker_loop(engine: &SortEngine, queue: &CoalescerQueue, stats: &ServerStats) {
     // Reused plane after plane: the tape scratch and port tiles, the sorted
-    // keys and the popped batch.
+    // keys and the popped plane.
     let (mut scratch, mut tiles) = (engine.scratch(), PortTiles::default());
-    let (mut sorted, mut batch) = (Vec::new(), Vec::new());
-    while queue.next_batch_into(&mut batch) {
+    let (mut sorted, mut plane) = (Vec::new(), Plane::default());
+    while queue.next_batch_into(&mut plane) {
         let popped = Instant::now();
         stats.add_batch();
+        let (batch, routes) = (&mut plane.jobs, &plane.routes);
         // Coalesce latency: how long this plane spent filling, measured
-        // from its oldest member. Queue wait is per job.
+        // from its oldest member. Queue wait is per job, gathered locally
+        // and merged once per plane.
         if let Some(oldest) = batch.iter().map(|job| job.enqueued).min() {
             stats
                 .coalesce
                 .record(nanos_u64(popped.duration_since(oldest)));
         }
-        for job in &batch {
-            stats
-                .queue
-                .record(nanos_u64(popped.duration_since(job.enqueued)));
+        let mut waits = LatencyHistogram::new();
+        for job in batch.iter() {
+            waits.record(nanos_u64(popped.duration_since(job.enqueued)));
         }
+        stats.queue.merge(&waits);
         // Expire requests that waited past their deadline before burning
         // plane lanes on them: a stable sort moves them behind the live
         // ones.
@@ -89,7 +98,7 @@ pub(super) fn worker_loop(engine: &SortEngine, queue: &CoalescerQueue, stats: &S
             stats.add_rejected();
         }
         let mut keys = &sorted[..];
-        send_replies(live, |job, text| match &outcome {
+        send_replies(live, routes, |job, text| match &outcome {
             Ok(()) => {
                 let (mine, rest) = keys.split_at(job.keys.len());
                 keys = rest;
@@ -97,7 +106,7 @@ pub(super) fn worker_loop(engine: &SortEngine, queue: &CoalescerQueue, stats: &S
             }
             Err(e) => text.extend_from_slice(format_err(job.id(), e).as_bytes()),
         });
-        send_replies(expired, |job, text| {
+        send_replies(expired, routes, |job, text| {
             let e = FrameError::Timeout {
                 waited_ms: millis_u64(popped.duration_since(job.enqueued)),
             };
@@ -106,12 +115,17 @@ pub(super) fn worker_loop(engine: &SortEngine, queue: &CoalescerQueue, stats: &S
     }
 }
 
-/// Sends the responses of `batch` to their connections' writers, one
-/// [`Reply`] per run of jobs of one connection with consecutive sequence
-/// numbers. A run ends where the connection changes or a sequence number
-/// is missing (its line comes from elsewhere, e.g. a reader-side reject).
-/// `line` appends a job's response line, without newline, in batch order.
-pub(super) fn send_replies(batch: &[Job], mut line: impl FnMut(&Job, &mut Vec<u8>)) {
+/// Sends the responses of `batch` to their connections' writers, found in
+/// `routes`, one [`Reply`] per run of jobs of one connection with
+/// consecutive sequence numbers. A run ends where the connection changes
+/// or a sequence number is missing (its line comes from elsewhere, e.g. a
+/// reader-side reject). `line` appends a job's response line, without
+/// newline, in batch order.
+pub(super) fn send_replies(
+    batch: &[Job],
+    routes: &[Route],
+    mut line: impl FnMut(&Job, &mut Vec<u8>),
+) {
     let mut rest = batch;
     while let Some(head) = rest.first() {
         let run = 1 + rest
@@ -127,20 +141,27 @@ pub(super) fn send_replies(batch: &[Job], mut line: impl FnMut(&Job, &mut Vec<u8
             .map(|j| ok_len(j.id.as_slice(), j.keys()) + 1)
             .sum();
         let mut text = Vec::with_capacity(bytes);
-        let mut enqueued = Vec::with_capacity(run);
         for job in jobs {
             line(job, &mut text);
             text.push(b'\n');
-            enqueued.push(job.enqueued);
         }
-        // A writer gone (its connection failed) has nobody to answer.
-        let _ = head.reply.send(Reply {
-            seq: head.seq,
-            lines: run,
-            text,
-            enqueued,
-            sent: Instant::now(),
-        });
+        let sent = Instant::now();
+        let mut ages = InlineVec::with_capacity(run);
+        for job in jobs {
+            ages.push(nanos_u64(sent.duration_since(job.enqueued)));
+        }
+        let route = routes.iter().find(|(conn, _)| *conn == head.conn);
+        debug_assert!(route.is_some(), "a plane lost its route");
+        if let Some((_, tx)) = route {
+            // A writer gone (its connection failed) has nobody to answer.
+            let _ = tx.send(Reply {
+                seq: head.seq,
+                lines: run,
+                text,
+                ages,
+                sent,
+            });
+        }
     }
 }
 
@@ -177,7 +198,7 @@ impl Ord for PendingReply {
 /// per burst rather than per line, and a lone reply is never held back.
 /// With one clock reading per run it closes out, per line, the `write`
 /// stage (writer-channel latency) and, for lines that went through the
-/// queue, the `e2e` stage (submit → written to `out`).
+/// queue, the `e2e` stage (submit → written to `out`), see [`record_run`].
 pub(super) fn writer_loop<W: Write>(
     rx: Receiver<Reply>,
     mut out: W,
@@ -212,21 +233,29 @@ pub(super) fn writer_loop<W: Write>(
                 break;
             };
             out.write_all(&reply.text)?;
-            let written = Instant::now();
-            let write = nanos_u64(written.duration_since(reply.sent));
-            for _ in 0..reply.lines {
-                stats.write.record(write);
-            }
-            for &enqueued in &reply.enqueued {
-                stats
-                    .e2e
-                    .record(nanos_u64(written.duration_since(enqueued)));
-            }
+            record_run(stats, &reply);
             next += reply.lines as u64;
         }
     }
     debug_assert!(pending.is_empty(), "writer lost a sequence number");
     out.flush()
+}
+
+/// Closes out the stages of `reply`'s lines, just written, with one clock
+/// reading: `write` (sent → written) for every line, and `e2e` for each
+/// line that went through the queue, its queue time at `sent` plus the
+/// `write` value. Both are gathered locally and merged once per run.
+fn record_run(stats: &ServerStats, reply: &Reply) {
+    let write = nanos_u64(reply.sent.elapsed());
+    let (mut writes, mut e2e) = (LatencyHistogram::new(), LatencyHistogram::new());
+    for _ in 0..reply.lines {
+        writes.record(write);
+    }
+    for &age in reply.ages.as_slice() {
+        e2e.record(write.saturating_add(age));
+    }
+    stats.write.merge(&writes);
+    stats.e2e.merge(&e2e);
 }
 
 /// The index of the first `\n` in `bytes`, tested 8 bytes at a time.
@@ -374,12 +403,11 @@ fn pump_connection<R: BufRead, W: Write + Send>(
                         id: InlineVec::from_slice(id.as_bytes()),
                         keys,
                         enqueued: Instant::now(),
-                        reply: tx.clone(),
                     };
                     let submitted = if blocking_submit {
-                        queue.submit_blocking(job)
+                        queue.submit_blocking(job, &tx)
                     } else {
-                        queue.try_submit(job)
+                        queue.try_submit(job, &tx)
                     };
                     if let Err((job, e)) = submitted {
                         reject(seq, job.id(), &e);

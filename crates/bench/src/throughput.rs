@@ -833,7 +833,9 @@ fn differential_check(
 /// `Ok(r)`: each `(lane, channel)` is checked on two bit masks, read out
 /// of the port words a word at a time through [`PortTiles`] (the server's
 /// lane ↔ port crossing), and only a failing one is walked bit by bit to
-/// name the bit.
+/// name the bit. A failing one whose port words hold the right string was
+/// misread by the lane reader, which fails the check too, at the first
+/// bit the reader got wrong.
 fn generator_check(
     cfg: &ThroughputConfig,
     lane0: u64,
@@ -867,6 +869,12 @@ fn generator_check(
                     return Err(ThroughputError::Generator { lane, channel, bit });
                 }
             }
+            // The port words are right, so the reader misread them; the
+            // planes differ, or `valid_rank` would have agreed.
+            let (wz, wo) = want.planes();
+            let wrong = ((z ^ wz) | (o ^ wo)) << (64 - cfg.width);
+            let bit = (wrong.leading_zeros() as usize).min(cfg.width - 1);
+            return Err(ThroughputError::Generator { lane, channel, bit });
         }
     }
     Ok(())
@@ -877,7 +885,8 @@ fn generator_check(
 /// sequence of each lane's [`rank_for`] input ranks. A failure reports its
 /// global lane. As in [`generator_check`], each `(lane, channel)` is
 /// checked by [`valid_rank`] on its bit masks, and only a failing one is
-/// rebuilt as a [`ValidString`] to describe it.
+/// rebuilt as a [`ValidString`] to describe it; one whose port words hold
+/// the right string fails as misread by the lane reader.
 fn rank_check(
     cfg: &ThroughputConfig,
     lane0: u64,
@@ -910,15 +919,12 @@ fn rank_check(
                     detail: format!("out{c} = {bits} is not a valid string: {e}"),
                 }
             })?;
-            if got.rank() != want_rank {
-                return Err(ThroughputError::NotSorted {
-                    lane,
-                    detail: format!(
-                        "out{c} has rank {}, want {want_rank}",
-                        got.rank()
-                    ),
-                });
-            }
+            let detail = if got.rank() == want_rank {
+                format!("the lane reader misread out{c} = {bits}")
+            } else {
+                format!("out{c} has rank {}, want {want_rank}", got.rank())
+            };
+            return Err(ThroughputError::NotSorted { lane, detail });
         }
     }
     Ok(())

@@ -17,7 +17,7 @@ use mcs_bench::engine::EngineError;
 use mcs_bench::verify::CircuitVerifyError;
 use mcs_bench::server::{
     format_err, serve_lines, serve_tcp, stats_json, CoalescerQueue,
-    FrameError, Job, Key, Reply, Request, ServeReport, ServerConfig, ServerError,
+    FrameError, Job, Key, Request, ServeReport, ServerConfig, ServerError,
     SortEngine, STATS_SCHEMA,
 };
 use mcs_gray::ValidString;
@@ -222,8 +222,8 @@ fn zero_timeout_expires_every_request() {
 // Coalescing semantics, pinned on the queue directly (no timing races).
 // ---------------------------------------------------------------------------
 
-fn test_job(seq: u64, reply: &std::sync::mpsc::Sender<Reply>) -> Job {
-    Job::new(0, seq, &format!("r{seq}"), &["00".parse().unwrap()], reply.clone())
+fn test_job(seq: u64) -> Job {
+    Job::new(0, seq, &format!("r{seq}"), &["00".parse().unwrap()])
 }
 
 /// Exactly 64 queued requests release a full plane immediately, whatever
@@ -234,7 +234,7 @@ fn exactly_64_lane_fill_dispatches_without_linger() {
     let queue = CoalescerQueue::new(1024, 64, Duration::from_secs(3600));
     let (tx, _rx) = channel();
     for seq in 0..65 {
-        queue.try_submit(test_job(seq, &tx)).unwrap();
+        queue.try_submit(test_job(seq), &tx).unwrap();
     }
     let start = Instant::now();
     let batch = queue.next_batch().expect("full plane");
@@ -261,7 +261,7 @@ fn max_linger_expiry_dispatches_partial_plane() {
     let queue = CoalescerQueue::new(1024, 4, linger);
     let (tx, _rx) = channel();
     for seq in 0..3 {
-        queue.try_submit(test_job(seq, &tx)).unwrap();
+        queue.try_submit(test_job(seq), &tx).unwrap();
     }
     let start = Instant::now();
     let batch = queue.next_batch().expect("partial plane");
@@ -281,12 +281,12 @@ fn saturation_rejects_with_typed_retry_not_buffering() {
     let queue = CoalescerQueue::new(depth, 64, Duration::from_millis(2));
     let (tx, _rx) = channel();
     for seq in 0..depth as u64 {
-        queue.try_submit(test_job(seq, &tx)).unwrap();
+        queue.try_submit(test_job(seq), &tx).unwrap();
     }
     let mut rejections = 0;
     for seq in depth as u64..depth as u64 + 100 {
         let (job, e) = queue
-            .try_submit(test_job(seq, &tx))
+            .try_submit(test_job(seq), &tx)
             .expect_err("queue is full");
         match e {
             FrameError::Overloaded {
