@@ -186,12 +186,12 @@ impl LatencyHistogram {
 /// The lock-free shared twin of [`LatencyHistogram`]: relaxed atomic
 /// recording for concurrent hot paths, racy-but-monotone snapshots for
 /// reporting. A snapshot taken while writers are active may be mid-update
-/// (its `count`/`sum`/`max` are loaded independently of the buckets), but
-/// every completed `record` is eventually visible and nothing is lost.
+/// (its `sum`/`max` are loaded independently of the buckets), but every
+/// completed `record` is eventually visible and nothing is lost. There is
+/// no count of its own: a snapshot counts its buckets.
 #[derive(Debug)]
 pub struct SharedHistogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
@@ -207,7 +207,6 @@ impl SharedHistogram {
     pub fn new() -> SharedHistogram {
         SharedHistogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
@@ -228,8 +227,21 @@ impl SharedHistogram {
     /// no locks, no allocation.
     pub fn record(&self, value: u64) {
         self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         SharedHistogram::saturating_fetch_add(&self.sum, value);
+        self.max.fetch_max(value, Ordering::Relaxed);
+    }
+
+    /// Records `n` observations of `value` at the cost of one: the same
+    /// histogram as `n` calls of [`SharedHistogram::record`].
+    pub fn record_n(&self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[bucket_of(value)].fetch_add(n, Ordering::Relaxed);
+        SharedHistogram::saturating_fetch_add(
+            &self.sum,
+            value.saturating_mul(n),
+        );
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
@@ -245,13 +257,12 @@ impl SharedHistogram {
                 shared.fetch_add(n, Ordering::Relaxed);
             }
         }
-        self.count.fetch_add(local.count(), Ordering::Relaxed);
         SharedHistogram::saturating_fetch_add(&self.sum, local.sum());
         self.max.fetch_max(local.max(), Ordering::Relaxed);
     }
 
-    /// A value snapshot for quantile math. The `count` is recomputed from
-    /// the bucket loads so the snapshot is always internally consistent
+    /// A value snapshot for quantile math. Its `count` is the sum of the
+    /// bucket loads, so the snapshot is always internally consistent
     /// (quantile ranks can never point past the bucket mass).
     pub fn snapshot(&self) -> LatencyHistogram {
         let mut h = LatencyHistogram::new();
@@ -403,6 +414,28 @@ mod tests {
         let shared2 = SharedHistogram::new();
         shared2.merge(&serial);
         assert_eq!(shared2.snapshot(), serial);
+    }
+
+    #[test]
+    fn record_n_matches_n_records() {
+        let batched = SharedHistogram::new();
+        let mut serial = LatencyHistogram::new();
+        // Zero repeats record nothing; the last two saturate the sum.
+        for (v, n) in [
+            (7u64, 0u64),
+            (0, 3),
+            (65, 1),
+            (1 << 40, 5),
+            (u64::MAX, 2),
+            (1, 4),
+        ] {
+            batched.record_n(v, n);
+            for _ in 0..n {
+                serial.record(v);
+            }
+        }
+        assert_eq!(batched.snapshot(), serial);
+        assert_eq!(serial.sum(), u64::MAX);
     }
 
     fn hist_of(values: &[u64]) -> LatencyHistogram {

@@ -45,9 +45,11 @@
 //!   [`ValidString::new`].
 //! * The [`CoalescerQueue`] is a deque of planes. A submit appends its job
 //!   to the tail plane and attaches the connection's writer to that plane
-//!   once per plane and connection, not once per request; a worker takes
-//!   the front plane whole by swapping buffers under the lock, and the
-//!   emptied buffers come back as spares for later tail planes.
+//!   only when the plane's previous job is of another connection, so a run
+//!   of one connection's jobs shares one sender clone; each job keeps its
+//!   route's index, so no side searches the routes. A worker takes the
+//!   front plane whole by swapping buffers under the lock, and the emptied
+//!   buffers come back as spares for later tail planes.
 //! * A submit wakes a worker only when it starts a linger clock, completes
 //!   a plane, or forms the queue's first gap estimate and that estimate
 //!   sends the pending plane off (the worker slept on no estimate); a

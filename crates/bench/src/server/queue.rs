@@ -2,13 +2,14 @@
 //! the job and reply messages that travel through it.
 //!
 //! The queue is plane-shaped: it holds a deque of [`Plane`]s, each up to
-//! `max_batch` jobs plus the reply route of every connection with a job in
-//! it. A submit appends to the tail plane (starting one from a spare
-//! buffer when the tail is full) and attaches its connection's writer to
-//! it once per plane and connection; a worker takes the front plane whole
-//! by swapping buffers under the lock and hands its old, emptied buffer
-//! back as a spare. So no job is moved while the lock is held, and the
-//! reply route costs one sender clone per plane, not per request.
+//! `max_batch` jobs plus the reply routes of their connections. A submit
+//! appends to the tail plane (starting one from a spare buffer when the
+//! tail is full) and attaches its connection's writer to it whenever the
+//! plane's previous job came from another connection; a worker takes the
+//! front plane whole by swapping buffers under the lock and hands its old,
+//! emptied buffer back as a spare. So no job is moved while the lock is
+//! held, and the reply route costs one sender clone per run of a
+//! connection's jobs in a plane, never more than one per request.
 
 use std::collections::VecDeque;
 use std::sync::mpsc::Sender;
@@ -138,8 +139,11 @@ pub(super) type JobKeys = InlineVec<Key, INLINE_KEYS>;
 #[derive(Debug)]
 pub struct Job {
     /// The connection the job came from; replies are grouped per
-    /// connection and sent down the route its plane holds for it.
+    /// connection.
     pub(super) conn: u64,
+    /// Index of the job's reply route in its plane's `routes`, set when
+    /// the job joins a plane.
+    pub(super) route: usize,
     /// Per-connection sequence number; the connection writer re-orders
     /// responses by it.
     pub(super) seq: u64,
@@ -156,11 +160,18 @@ impl Job {
     /// A job of connection `conn` with sequence number `seq`, arriving
     /// now.
     pub fn new(conn: u64, seq: u64, id: &str, keys: &[Key]) -> Job {
+        Job::parsed(conn, seq, id, InlineVec::from_slice(keys))
+    }
+
+    /// [`Job::new`] of keys the frame parser already put in a job's key
+    /// buffer.
+    pub(super) fn parsed(conn: u64, seq: u64, id: &str, keys: JobKeys) -> Job {
         Job {
             conn,
+            route: 0,
             seq,
             id: InlineVec::from_slice(id.as_bytes()),
-            keys: InlineVec::from_slice(keys),
+            keys,
             enqueued: Instant::now(),
         }
     }
@@ -236,32 +247,30 @@ impl Reply {
     }
 }
 
-/// A connection's writer, where the responses of its jobs in a plane go.
-pub(super) type Route = (u64, Sender<Reply>);
-
 /// One plane on its way from the queue to a worker: up to `max_batch`
-/// jobs in arrival order, and the reply route of every connection with a
-/// job among them, attached once per connection by the submit that
-/// brought its first job. A connection's writer ends once its last sender
-/// is dropped, which is when the reader is done and every plane holding
-/// its route has been answered.
+/// jobs in arrival order, and the reply routes of their connections. A
+/// submit attaches its connection's writer unless the plane's previous
+/// job came from the same connection, and each job keeps the index of its
+/// route, so neither side searches: at most one sender clone per request,
+/// and one per run of a connection's jobs when connections take turns. A
+/// connection's writer ends once its last sender is dropped, which is when
+/// the reader is done and every plane holding its route has been answered.
 #[derive(Debug, Default)]
 pub(super) struct Plane {
     /// The jobs.
     pub(super) jobs: Vec<Job>,
-    /// `(conn, writer)` per connection of `jobs`.
-    pub(super) routes: Vec<Route>,
+    /// The writers the jobs' replies go to, indexed by [`Job::route`].
+    pub(super) routes: Vec<Sender<Reply>>,
 }
 
 impl Plane {
-    /// Appends `job`, and `reply` as its connection's route unless the
-    /// plane already holds one; returns the jobs in the plane.
-    fn push(&mut self, job: Job, reply: &Sender<Reply>) -> usize {
-        // A connection's jobs come in runs, so its route is most likely
-        // the latest one.
-        if !self.routes.iter().rev().any(|(conn, _)| *conn == job.conn) {
-            self.routes.push((job.conn, reply.clone()));
+    /// Appends `job`, routed to `reply`, its connection's writer; returns
+    /// the jobs in the plane.
+    fn push(&mut self, mut job: Job, reply: &Sender<Reply>) -> usize {
+        if self.jobs.last().map_or(true, |last| last.conn != job.conn) {
+            self.routes.push(reply.clone());
         }
+        job.route = self.routes.len() - 1;
         self.jobs.push(job);
         self.jobs.len()
     }
@@ -360,7 +369,8 @@ impl CoalescerQueue {
     /// (returning the job, boxed, so the caller can format the error
     /// response) — backpressure by typed refusal, never by unbounded
     /// buffering. `reply` is the connection's writer; the job's plane gets
-    /// a clone of it unless it already has one for the job's connection.
+    /// a clone of it unless the plane's previous job is of the same
+    /// connection.
     ///
     /// # Errors
     ///
@@ -416,8 +426,8 @@ impl CoalescerQueue {
     }
 
     /// Appends `job` to the tail plane, starting a new one from a spare
-    /// buffer when the tail is full, attaches `reply` to the plane unless
-    /// it already holds the job's connection's route, and folds the job's
+    /// buffer when the tail is full, routed to `reply` (see
+    /// [`Plane`]), and folds the job's
     /// arrival stamp into the gap estimate (no clock read of its own).
     ///
     /// An idle worker is woken only when the push starts a linger clock

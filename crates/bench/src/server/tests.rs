@@ -1084,7 +1084,10 @@ fn replies_of_one_plane_reach_each_connection_in_order() {
     let key: Key = "01".parse().unwrap();
     let job = |conn: u64, seq: u64| {
         let id = format!("{}{seq}", if conn == 0 { 'a' } else { 'b' });
-        Job::new(conn, seq, &id, &[key])
+        Job {
+            route: conn as usize,
+            ..Job::new(conn, seq, &id, &[key])
+        }
     };
     // Connection a's reader refused its frames 2 and 5 itself; connection
     // b's frames 0 and 1 were answered by an earlier plane.
@@ -1105,7 +1108,7 @@ fn replies_of_one_plane_reach_each_connection_in_order() {
         job(0, 6),
         job(1, 3),
     ];
-    let routes = [(0, tx_a), (1, tx_b)];
+    let routes = [tx_a, tx_b];
     send_replies(&batch, &routes, |job, text| {
         push_ok(text, job.id.as_slice(), job.keys())
     });
@@ -1265,14 +1268,15 @@ fn popped_plane_buffers_are_reused() {
     );
 }
 
-/// A plane carries one route per connection with a job in it, attached by
-/// that connection's first submit into the plane; the next plane gets its
-/// own.
+/// A plane routes each job to its own connection's writer: a submit
+/// attaches a route only when the plane's previous job is of another
+/// connection, so a run of one connection's jobs shares one sender, and
+/// connections taking turns cost one per job, never a search.
 #[test]
-fn a_plane_carries_one_route_per_connection() {
+fn a_plane_routes_each_job_to_its_connection() {
     let queue = CoalescerQueue::new(64, 4, Duration::from_secs(3600));
-    let (tx_a, _rx_a) = channel();
-    let (tx_b, _rx_b) = channel();
+    let (tx_a, rx_a) = channel();
+    let (tx_b, rx_b) = channel();
     let key = ["00".parse().unwrap()];
     for (seq, conn) in [(0, 0), (0, 1), (1, 0), (2, 0), (3, 0), (1, 1)] {
         let tx = if conn == 0 { &tx_a } else { &tx_b };
@@ -1282,17 +1286,28 @@ fn a_plane_carries_one_route_per_connection() {
     }
     queue.close();
     let mut plane = Plane::default();
-    let mut routes = Vec::new();
+    let mut shapes = Vec::new();
     while queue.next_batch_into(&mut plane) {
-        routes.push(
-            plane
-                .routes
-                .iter()
-                .map(|(conn, _)| *conn)
-                .collect::<Vec<_>>(),
-        );
+        let routes: Vec<_> = plane.jobs.iter().map(|job| job.route).collect();
+        shapes.push((plane.routes.len(), routes));
+        for job in &plane.jobs {
+            plane.routes[job.route]
+                .send(Reply::line(job.seq, &job.conn.to_string()))
+                .unwrap();
+        }
     }
-    assert_eq!(routes, [vec![0, 1], vec![0, 1]]);
+    assert_eq!(shapes, [(3, vec![0, 1, 2, 2]), (2, vec![0, 1])]);
+    let got = |rx: &std::sync::mpsc::Receiver<Reply>| {
+        rx.try_iter()
+            .map(|r| (r.seq, String::from_utf8(r.text).unwrap()))
+            .collect::<Vec<_>>()
+    };
+    let line = |seq: u64, conn: &str| (seq, format!("{conn}\n"));
+    assert_eq!(
+        got(&rx_a),
+        [line(0, "0"), line(1, "0"), line(2, "0"), line(3, "0")]
+    );
+    assert_eq!(got(&rx_b), [line(0, "1"), line(1, "1")]);
 }
 
 /// Runs `serve` on its own thread and returns what it returns; fails,

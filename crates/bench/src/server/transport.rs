@@ -6,26 +6,27 @@
 //! * a reader's submit wakes a worker only when it starts a linger clock or
 //!   completes a plane (see [`CoalescerQueue`] for when a partial plane
 //!   leaves), and attaches the connection's writer to the plane once per
-//!   plane and connection;
+//!   run of the connection's jobs in it;
 //! * a worker takes a plane by swapping buffers with the queue, records
 //!   its queue waits into a local histogram merged once per plane, and
 //!   sends each connection of the plane one [`Reply`] per run of
-//!   consecutive response lines, through the route the plane carries;
-//! * a writer records the `write` and `e2e` stages of each run it writes
-//!   into local histograms, merged once per run.
+//!   consecutive response lines, through the route the plane carries for
+//!   the run's first job;
+//! * a writer records the `write` stage of each run it writes with one
+//!   call, and its `e2e` values into a local histogram merged once.
 
 use std::collections::BinaryHeap;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::time::Instant;
 
 use super::codec::{
     bytes_equal, check_frame_len, format_err, ok_len, parse_line, push_ok, Parsed, SortEngine,
 };
-use super::queue::{CoalescerQueue, InlineVec, Job, JobKeys, Plane, Reply, Route};
+use super::queue::{CoalescerQueue, InlineVec, Job, JobKeys, Plane, Reply};
 use super::stats::{format_stats_line, ServeReport, ServerStats};
 use super::{FrameError, ServerError};
 use crate::engine::{resolve_workers, PortTiles};
@@ -115,15 +116,15 @@ pub(super) fn worker_loop(engine: &SortEngine, queue: &CoalescerQueue, stats: &S
     }
 }
 
-/// Sends the responses of `batch` to their connections' writers, found in
-/// `routes`, one [`Reply`] per run of jobs of one connection with
+/// Sends the responses of `batch` to their connections' writers, at each
+/// job's [`Job::route`] in `routes`, one [`Reply`] per run of jobs of one connection with
 /// consecutive sequence numbers. A run ends where the connection changes
 /// or a sequence number is missing (its line comes from elsewhere, e.g. a
 /// reader-side reject). `line` appends a job's response line, without
 /// newline, in batch order.
 pub(super) fn send_replies(
     batch: &[Job],
-    routes: &[Route],
+    routes: &[Sender<Reply>],
     mut line: impl FnMut(&Job, &mut Vec<u8>),
 ) {
     let mut rest = batch;
@@ -150,9 +151,8 @@ pub(super) fn send_replies(
         for job in jobs {
             ages.push(nanos_u64(sent.duration_since(job.enqueued)));
         }
-        let route = routes.iter().find(|(conn, _)| *conn == head.conn);
-        debug_assert!(route.is_some(), "a plane lost its route");
-        if let Some((_, tx)) = route {
+        debug_assert!(head.route < routes.len(), "a plane lost its route");
+        if let Some(tx) = routes.get(head.route) {
             // A writer gone (its connection failed) has nobody to answer.
             let _ = tx.send(Reply {
                 seq: head.seq,
@@ -242,19 +242,16 @@ pub(super) fn writer_loop<W: Write>(
 }
 
 /// Closes out the stages of `reply`'s lines, just written, with one clock
-/// reading: `write` (sent → written) for every line, and `e2e` for each
-/// line that went through the queue, its queue time at `sent` plus the
-/// `write` value. Both are gathered locally and merged once per run.
+/// reading: `write` (sent → written), the same value for every line, and
+/// `e2e` for each line that went through the queue, its queue time at
+/// `sent` plus the `write` value, gathered locally and merged once.
 fn record_run(stats: &ServerStats, reply: &Reply) {
     let write = nanos_u64(reply.sent.elapsed());
-    let (mut writes, mut e2e) = (LatencyHistogram::new(), LatencyHistogram::new());
-    for _ in 0..reply.lines {
-        writes.record(write);
-    }
+    stats.write.record_n(write, reply.lines as u64);
+    let mut e2e = LatencyHistogram::new();
     for &age in reply.ages.as_slice() {
         e2e.record(write.saturating_add(age));
     }
-    stats.write.merge(&writes);
     stats.e2e.merge(&e2e);
 }
 
@@ -397,13 +394,7 @@ fn pump_connection<R: BufRead, W: Write + Send>(
                     seq += 1;
                 }
                 Ok(Parsed::Sort { id }) => {
-                    let job = Job {
-                        conn,
-                        seq,
-                        id: InlineVec::from_slice(id.as_bytes()),
-                        keys,
-                        enqueued: Instant::now(),
-                    };
+                    let job = Job::parsed(conn, seq, id, keys);
                     let submitted = if blocking_submit {
                         queue.submit_blocking(job, &tx)
                     } else {

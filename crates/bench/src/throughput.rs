@@ -832,10 +832,8 @@ fn differential_check(
 /// `ValidString::from_rank(width, r)` iff [`valid_rank`] of its planes is
 /// `Ok(r)`: each `(lane, channel)` is checked on two bit masks, read out
 /// of the port words a word at a time through [`PortTiles`] (the server's
-/// lane ↔ port crossing), and only a failing one is walked bit by bit to
-/// name the bit. A failing one whose port words hold the right string was
-/// misread by the lane reader, which fails the check too, at the first
-/// bit the reader got wrong.
+/// lane ↔ port crossing), and only a failing one is diagnosed, by
+/// [`input_error`].
 fn generator_check(
     cfg: &ThroughputConfig,
     lane0: u64,
@@ -848,36 +846,60 @@ fn generator_check(
         if i % 64 == 0 {
             load_lanes(&mut tiles, inputs, i / 64);
         }
-        let lane = (lane0 + i as u64) as usize;
+        let lane = lane0 + i as u64;
         let strings = tiles.lane(0, i % 64, cfg.width, cfg.channels);
         for (channel, (z, o)) in strings.enumerate() {
-            let rank = rank_for(cfg.seed, lane as u64, channel as u64, rank_count);
-            if valid_rank(z, o, cfg.width) == Ok(rank) {
-                continue;
+            let rank = rank_for(cfg.seed, lane, channel as u64, rank_count);
+            if valid_rank(z, o, cfg.width) != Ok(rank) {
+                return Err(input_error(cfg, inputs, (lane0, i), channel, (z, o), rank));
             }
-            // `rank_for` reduces modulo the rank count, so a refusal here
-            // means the generator itself is broken: report its first bit.
-            let want = ValidString::from_rank(cfg.width, rank).map_err(|_| {
-                ThroughputError::Generator {
-                    lane,
-                    channel,
-                    bit: 0,
-                }
-            })?;
-            for (bit, t) in want.bits().iter().enumerate() {
-                if inputs[channel * cfg.width + bit].lane(i) != t {
-                    return Err(ThroughputError::Generator { lane, channel, bit });
-                }
-            }
-            // The port words are right, so the reader misread them; the
-            // planes differ, or `valid_rank` would have agreed.
-            let (wz, wo) = want.planes();
-            let wrong = ((z ^ wz) | (o ^ wo)) << (64 - cfg.width);
-            let bit = (wrong.leading_zeros() as usize).min(cfg.width - 1);
-            return Err(ThroughputError::Generator { lane, channel, bit });
         }
     }
     Ok(())
+}
+
+/// The [`generator_check`] failure of lane `i` of the `inputs` ports,
+/// global lane `lane0 + i`, in `channel`, which should hold the string of
+/// `rank` but which the lane reader read as `read`, [`valid_rank`] masks.
+/// The port words are walked bit by bit to name the first wrong bit; when
+/// they hold the right string, the reader misread them, which fails the
+/// check too, at the first bit the reader got wrong.
+fn input_error(
+    cfg: &ThroughputConfig,
+    inputs: &[TritBlock],
+    (lane0, i): (u64, usize),
+    channel: usize,
+    read: (u64, u64),
+    rank: u64,
+) -> ThroughputError {
+    let lane = (lane0 + i as u64) as usize;
+    // `rank_for` reduces modulo the rank count, so a refusal here means
+    // the generator itself is broken: report its first bit.
+    let Ok(want) = ValidString::from_rank(cfg.width, rank) else {
+        return ThroughputError::Generator {
+            lane,
+            channel,
+            bit: 0,
+        };
+    };
+    let wrong_port = (want.bits().iter().enumerate())
+        .find(|&(bit, t)| inputs[channel * cfg.width + bit].lane(i) != t)
+        .map(|(bit, _)| bit);
+    // Otherwise the masks differ within the width, or `valid_rank` would
+    // have agreed.
+    let bit = wrong_port
+        .or_else(|| first_wrong_bit(read, want.planes(), cfg.width))
+        .unwrap_or(0);
+    ThroughputError::Generator { lane, channel, bit }
+}
+
+/// The first character, MSB first as [`ValidString::planes`] numbers
+/// them, at which the `width`-bit strings with [`valid_rank`] masks `got`
+/// and `want` differ; bits above `width` are ignored. `None` when the two
+/// agree.
+fn first_wrong_bit(got: (u64, u64), want: (u64, u64), width: usize) -> Option<usize> {
+    let wrong = ((got.0 ^ want.0) | (got.1 ^ want.1)) << (64 - width);
+    (wrong != 0).then(|| wrong.leading_zeros() as usize)
 }
 
 /// Rank-level sortedness: the `outputs` of the lanes from global lane
@@ -885,8 +907,7 @@ fn generator_check(
 /// sequence of each lane's [`rank_for`] input ranks. A failure reports its
 /// global lane. As in [`generator_check`], each `(lane, channel)` is
 /// checked by [`valid_rank`] on its bit masks, and only a failing one is
-/// rebuilt as a [`ValidString`] to describe it; one whose port words hold
-/// the right string fails as misread by the lane reader.
+/// diagnosed, by [`output_error`].
 fn rank_check(
     cfg: &ThroughputConfig,
     lane0: u64,
@@ -900,34 +921,45 @@ fn rank_check(
         if i % 64 == 0 {
             load_lanes(&mut tiles, outputs, i / 64);
         }
-        let lane = (lane0 + i as u64) as usize;
+        let lane = lane0 + i as u64;
         for (c, rank) in in_ranks.iter_mut().enumerate() {
-            *rank = rank_for(cfg.seed, lane as u64, c as u64, rank_count);
+            *rank = rank_for(cfg.seed, lane, c as u64, rank_count);
         }
         in_ranks.sort_unstable();
         let strings = tiles.lane(0, i % 64, cfg.width, cfg.channels);
         for (c, ((z, o), &want_rank)) in strings.zip(&in_ranks).enumerate() {
-            if valid_rank(z, o, cfg.width) == Ok(want_rank) {
-                continue;
+            if valid_rank(z, o, cfg.width) != Ok(want_rank) {
+                return Err(output_error(cfg, outputs, (lane0, i), c, want_rank));
             }
-            let bits: TritVec = (0..cfg.width)
-                .map(|b| outputs[c * cfg.width + b].lane(i))
-                .collect();
-            let got = ValidString::new(bits.clone()).map_err(|e| {
-                ThroughputError::NotSorted {
-                    lane,
-                    detail: format!("out{c} = {bits} is not a valid string: {e}"),
-                }
-            })?;
-            let detail = if got.rank() == want_rank {
-                format!("the lane reader misread out{c} = {bits}")
-            } else {
-                format!("out{c} has rank {}, want {want_rank}", got.rank())
-            };
-            return Err(ThroughputError::NotSorted { lane, detail });
         }
     }
     Ok(())
+}
+
+/// The [`rank_check`] failure of lane `i` of output `c`'s ports, global
+/// lane `lane0 + i`, which should have rank `want_rank` but did not as the
+/// lane reader read it: the port words are rebuilt as a [`ValidString`] to
+/// describe it, and when they hold the right string, it fails as misread
+/// by the lane reader.
+fn output_error(
+    cfg: &ThroughputConfig,
+    outputs: &[TritBlock],
+    (lane0, i): (u64, usize),
+    c: usize,
+    want_rank: u64,
+) -> ThroughputError {
+    let lane = (lane0 + i as u64) as usize;
+    let bits: TritVec = (0..cfg.width)
+        .map(|b| outputs[c * cfg.width + b].lane(i))
+        .collect();
+    let detail = match ValidString::new(bits.clone()) {
+        Err(e) => format!("out{c} = {bits} is not a valid string: {e}"),
+        Ok(got) if got.rank() == want_rank => {
+            format!("the lane reader misread out{c} = {bits}")
+        }
+        Ok(got) => format!("out{c} has rank {}, want {want_rank}", got.rank()),
+    };
+    ThroughputError::NotSorted { lane, detail }
 }
 
 /// Loads word `k` of `blocks`, one block per `(channel, bit)` port, into
@@ -1275,6 +1307,76 @@ mod tests {
         assert_eq!(rank, 4);
         let r = rank_check(&cfg, lane0, &outputs);
         assert_eq!(not_sorted(r), (164, "out0 has rank 5, want 4".into()));
+    }
+
+    #[test]
+    fn first_wrong_bit_names_the_first_differing_character() {
+        // Width 1: the only character, wrong in either mask.
+        assert_eq!(first_wrong_bit((1, 0), (0, 0), 1), Some(0));
+        assert_eq!(first_wrong_bit((0, 1), (0, 0), 1), Some(0));
+        // Width 63: character `i` is bit `62 − i`.
+        for i in [0, 1, 31, 62] {
+            let bit = 1u64 << (62 - i);
+            assert_eq!(first_wrong_bit((bit, 0), (0, 0), 63), Some(i));
+            assert_eq!(first_wrong_bit((0, 0), (0, bit), 63), Some(i));
+        }
+        // Two wrong characters: the first one.
+        assert_eq!(first_wrong_bit((0b0100_0001, 0), (0, 0), 8), Some(1));
+        // Garbage above the width only: the strings agree.
+        assert_eq!(first_wrong_bit((!0, !1), (1, 0), 1), None);
+        assert_eq!(
+            first_wrong_bit((1 << 63 | 5, 3), (5, 1 << 63 | 3), 63),
+            None
+        );
+    }
+
+    /// A lane the reader misread, with the right string in its port words,
+    /// fails both checks with a typed error naming the lane, and the
+    /// generator check names the bit the reader got wrong.
+    #[test]
+    fn a_lane_reader_misread_fails_both_checks() {
+        let cfg = small_cfg();
+        let lane0 = 100;
+        let (inputs, outputs) = sample(&cfg, lane0, 130);
+        let (i, c) = (97, 2);
+        let lane = lane0 + i as u64;
+        let rank = rank_for(cfg.seed, lane, c as u64, rank_count(cfg.width));
+        let (z, o) = ValidString::from_rank(cfg.width, rank).unwrap().planes();
+        let bits: TritVec = (0..cfg.width)
+            .map(|b| outputs[c * cfg.width + b].lane(i))
+            .collect();
+        let want_rank = ValidString::new(bits.clone()).unwrap().rank();
+        for bit in 0..cfg.width {
+            let flip = 1u64 << (cfg.width - 1 - bit);
+            for read in [(z ^ flip, o), (z, o ^ flip)] {
+                match input_error(&cfg, &inputs, (lane0, i), c, read, rank) {
+                    ThroughputError::Generator {
+                        lane: l,
+                        channel,
+                        bit: b,
+                    } => assert_eq!((l, channel, b), (lane as usize, c, bit)),
+                    other => panic!("expected a generator divergence, got {other:?}"),
+                }
+            }
+        }
+        let e = output_error(&cfg, &outputs, (lane0, i), c, want_rank);
+        assert_eq!(
+            not_sorted(Err(e)),
+            (
+                lane as usize,
+                format!("the lane reader misread out{c} = {bits}")
+            )
+        );
+        // The lane's string is a different rank's: not a misread.
+        let other = (want_rank + 1) % rank_count(cfg.width);
+        let e = output_error(&cfg, &outputs, (lane0, i), c, other);
+        assert_eq!(
+            not_sorted(Err(e)),
+            (
+                lane as usize,
+                format!("out{c} has rank {want_rank}, want {other}")
+            )
+        );
     }
 
     #[test]
