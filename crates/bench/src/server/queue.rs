@@ -251,10 +251,11 @@ impl Reply {
 /// jobs in arrival order, and the reply routes of their connections. A
 /// submit attaches its connection's writer unless the plane's previous
 /// job came from the same connection, and each job keeps the index of its
-/// route, so neither side searches: at most one sender clone per request,
-/// and one per run of a connection's jobs when connections take turns. A
-/// connection's writer ends once its last sender is dropped, which is when
-/// the reader is done and every plane holding its route has been answered.
+/// route, so neither side searches: one sender clone per run of a
+/// connection's jobs in the plane, one per request only when connections
+/// take turns job by job. A connection's writer ends once its last sender
+/// is dropped, which is when the reader is done and every plane holding
+/// its route has been answered.
 #[derive(Debug, Default)]
 pub(super) struct Plane {
     /// The jobs.
@@ -426,9 +427,9 @@ impl CoalescerQueue {
     }
 
     /// Appends `job` to the tail plane, starting a new one from a spare
-    /// buffer when the tail is full, routed to `reply` (see
-    /// [`Plane`]), and folds the job's
-    /// arrival stamp into the gap estimate (no clock read of its own).
+    /// buffer when the tail is full, routed to `reply` (see [`Plane`]),
+    /// and folds the job's arrival stamp into the gap estimate (no clock
+    /// read of its own).
     ///
     /// An idle worker is woken only when the push starts a linger clock
     /// (the queue was empty), completes a `max_batch` plane, or forms the

@@ -117,11 +117,11 @@ pub(super) fn worker_loop(engine: &SortEngine, queue: &CoalescerQueue, stats: &S
 }
 
 /// Sends the responses of `batch` to their connections' writers, at each
-/// job's [`Job::route`] in `routes`, one [`Reply`] per run of jobs of one connection with
-/// consecutive sequence numbers. A run ends where the connection changes
-/// or a sequence number is missing (its line comes from elsewhere, e.g. a
-/// reader-side reject). `line` appends a job's response line, without
-/// newline, in batch order.
+/// job's [`Job::route`] in `routes`, one [`Reply`] per run of jobs of one
+/// connection with consecutive sequence numbers. A run ends where the
+/// connection changes or a sequence number is missing (its line comes
+/// from elsewhere, e.g. a reader-side reject). `line` appends a job's
+/// response line, without newline, in batch order.
 pub(super) fn send_replies(
     batch: &[Job],
     routes: &[Sender<Reply>],
