@@ -1,19 +1,20 @@
-//! Artifact cache plumbing for the bench binaries: load/save networks and
-//! netlists in any of the repo's serialisation formats, **re-verifying on
-//! every load** so a cache can never silently serve a wrong artifact.
+//! Artifact cache plumbing for the bench binaries: load/save netlists in
+//! any of the repo's serialisation formats. The loaders re-check every
+//! structural figure, and `synth_circuit` re-verifies each loaded circuit
+//! at gate level, so a cache can never silently serve a wrong artifact.
 //!
 //! Every artifact is text. Formats are sniffed by content, not trusted
 //! from the file name:
 //!
-//! * `mcs-network v…` — network artifact, see
-//!   [`mcs_networks::io::NetworkArtifact`].
 //! * `mcs-netlist v…` — netlist artifact, see [`mcs_netlist::serdes`].
 //! * `module …` — structural Verilog, re-imported through
 //!   [`mcs_netlist::export::from_verilog`].
 //!
+//! Anything else is [`ArtifactError::UnknownFormat`].
+//!
 //! On save the format follows the extension, matched **case-insensitively**
-//! (`FOO.V` is Verilog too): `.v` Verilog, `.dot` Graphviz, `.mcsn` /
-//! `.mcsnl` (or no extension at all) the artifact form. Any other
+//! (`FOO.V` is Verilog too): `.v` Verilog, `.dot` Graphviz, `.mcsnl` (or
+//! no extension at all) the artifact form. Any other
 //! extension is a typed
 //! [`ArtifactError::UnknownExtension`] — a typo like `.mcsbn` must fail
 //! loudly at save time, not produce a file the loader then rejects with a
@@ -25,7 +26,6 @@ use std::path::Path;
 use mcs_netlist::export::{from_verilog, to_dot, to_verilog, VerilogImportError};
 use mcs_netlist::serdes::{self, SerdesError};
 use mcs_netlist::Netlist;
-use mcs_networks::io::{NetworkArtifact, NetworkArtifactError};
 
 /// Error from the artifact cache helpers.
 #[derive(Debug)]
@@ -39,8 +39,6 @@ pub enum ArtifactError {
         /// The offending extension (without the dot), as given.
         extension: String,
     },
-    /// A network artifact that fails to load or re-verify.
-    Network(NetworkArtifactError),
     /// A netlist artifact that fails to load.
     Netlist(SerdesError),
     /// A Verilog source that fails to re-import.
@@ -58,7 +56,6 @@ impl fmt::Display for ArtifactError {
                 f,
                 "extension {extension:?} names no supported artifact format"
             ),
-            ArtifactError::Network(e) => write!(f, "network artifact: {e}"),
             ArtifactError::Netlist(e) => write!(f, "netlist artifact: {e}"),
             ArtifactError::Verilog(e) => write!(f, "verilog import: {e}"),
         }
@@ -66,12 +63,6 @@ impl fmt::Display for ArtifactError {
 }
 
 impl std::error::Error for ArtifactError {}
-
-impl From<NetworkArtifactError> for ArtifactError {
-    fn from(e: NetworkArtifactError) -> Self {
-        ArtifactError::Network(e)
-    }
-}
 
 impl From<SerdesError> for ArtifactError {
     fn from(e: SerdesError) -> Self {
@@ -108,34 +99,6 @@ fn read(path: &Path) -> Result<Vec<u8>, ArtifactError> {
 fn write(path: &Path, bytes: &[u8]) -> Result<(), ArtifactError> {
     std::fs::write(path, bytes)
         .map_err(|e| ArtifactError::Io(format!("cannot write {}: {e}", path.display())))
-}
-
-/// Loads a cached network artifact and **re-verifies** it with the 0-1
-/// principle before handing it out.
-///
-/// # Errors
-///
-/// Any load or verification failure; a non-sorting artifact never escapes.
-pub fn load_network(path: &Path) -> Result<NetworkArtifact, ArtifactError> {
-    let artifact = NetworkArtifact::from_slice(&read(path)?)?;
-    artifact.reverify()?;
-    Ok(artifact)
-}
-
-/// Saves a network artifact as text; the extension, matched
-/// case-insensitively, must be `.mcsn` or absent.
-///
-/// # Errors
-///
-/// Filesystem failures, or [`ArtifactError::UnknownExtension`] for an
-/// extension that names no network format.
-pub fn save_network(path: &Path, artifact: &NetworkArtifact) -> Result<(), ArtifactError> {
-    match extension_of(path)?.as_deref() {
-        Some("mcsn") | None => write(path, artifact.to_text().as_bytes()),
-        Some(other) => Err(ArtifactError::UnknownExtension {
-            extension: other.to_string(),
-        }),
-    }
 }
 
 /// Loads a cached netlist from any supported format: the netlist artifact
@@ -184,7 +147,6 @@ pub fn save_netlist(path: &Path, netlist: &Netlist) -> Result<(), ArtifactError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcs_networks::optimal::best_size;
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("mcs-artifact-tests");
@@ -192,31 +154,10 @@ mod tests {
         dir.join(name)
     }
 
-    /// Both save forms: the `.mcsn` extension and none at all.
-    #[test]
-    fn network_cache_roundtrips_in_both_forms() {
-        let artifact = NetworkArtifact::new(best_size(6).unwrap(), 11);
-        for name in ["net.mcsn", "net_no_ext"] {
-            let path = temp_path(name);
-            save_network(&path, &artifact).unwrap();
-            let back = load_network(&path).unwrap();
-            assert_eq!(back, artifact, "{name}");
-        }
-    }
-
     #[test]
     fn extensions_match_case_insensitively() {
         // The format choice must not depend on the case the shell happened
         // to use.
-        let artifact = NetworkArtifact::new(best_size(6).unwrap(), 11);
-        for name in ["net_upper.MCSN", "net_mixed.McSn"] {
-            let path = temp_path(name);
-            save_network(&path, &artifact).unwrap();
-            let bytes = std::fs::read(&path).unwrap();
-            assert!(bytes.starts_with(b"mcs-network"), "{name} must be text");
-            assert_eq!(load_network(&path).unwrap(), artifact, "{name}");
-        }
-
         let mut n = Netlist::new("t");
         let a = n.input("a");
         let b = n.input("b");
@@ -236,31 +177,22 @@ mod tests {
 
     #[test]
     fn unknown_save_extensions_are_typed_errors() {
-        let artifact = NetworkArtifact::new(best_size(6).unwrap(), 11);
         // A typo'd extension errors at save time instead of writing a file
         // the loader will reject with a misleading message, and so do the
-        // extensions of binary forms this repo does not write.
-        for ext in ["mcsbn", "mcsnb", "mcsnlb"] {
-            match save_network(&temp_path(&format!("net.{ext}")), &artifact) {
-                Err(ArtifactError::UnknownExtension { extension }) => {
-                    assert_eq!(extension, ext);
-                }
-                other => panic!("expected UnknownExtension, got {other:?}"),
-            }
-        }
+        // extensions of binary forms this repo does not write and of the
+        // retired network format.
         let mut n = Netlist::new("t");
         let a = n.input("a");
         let b = n.input("b");
         let f = n.nand2(a, b);
         n.set_output("f", f);
-        for ext in ["json", "mcsnb", "mcsnlb", "MCSNLB"] {
-            assert!(
-                matches!(
-                    save_netlist(&temp_path(&format!("n.{ext}")), &n),
-                    Err(ArtifactError::UnknownExtension { .. })
-                ),
-                "{ext}"
-            );
+        for ext in ["json", "mcsbn", "mcsnb", "mcsnlb", "MCSNLB", "mcsn", "MCSN"] {
+            match save_netlist(&temp_path(&format!("n.{ext}")), &n) {
+                Err(ArtifactError::UnknownExtension { extension }) => {
+                    assert_eq!(extension, ext.to_ascii_lowercase());
+                }
+                other => panic!("{ext}: expected UnknownExtension, got {other:?}"),
+            }
         }
         // No extension at all stays the text form (pipes, tempfiles).
         let bare = temp_path("netlist_no_ext");
@@ -269,38 +201,19 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_network_cache_entries_are_refused() {
-        let path = temp_path("corrupt.mcsn");
-        // A syntactically valid artifact that does not sort: the loader
-        // must refuse it at re-verification, not hand it out.
-        std::fs::write(
-            &path,
-            "mcs-network v1\nchannels 3\nsize 1\ndepth 1\nseed 0\n(0,1)\nend\n",
-        )
-        .unwrap();
-        assert!(matches!(
-            load_network(&path),
-            Err(ArtifactError::Network(NetworkArtifactError::NotASorter { .. }))
-        ));
-        std::fs::write(&path, "garbage").unwrap();
-        assert!(load_network(&path).is_err());
-        // Bytes laid out like a binary network artifact: a typed load
-        // error, not a panic.
-        let mut binary = b"MCSN".to_vec();
-        binary.extend_from_slice(&[2, 0, 4, 0, 0xe2, 7, 0, 0, 0, 0, 0, 0, 0, 0xff]);
-        std::fs::write(&path, &binary).unwrap();
-        assert!(matches!(
-            load_network(&path),
-            Err(ArtifactError::Network(NetworkArtifactError::BadMagic))
-        ));
-    }
-
-    #[test]
     fn corrupt_netlist_cache_entries_are_refused() {
         // Bytes laid out like a binary netlist artifact, valid UTF-8 or
-        // not: a typed load error, not a panic.
+        // not, and a comparator-network file of the retired `mcs-network`
+        // format (what `synth_circuit --load` gets from an old network
+        // cache): a typed load error, not a panic.
         let path = temp_path("corrupt.mcsnl");
-        for binary in [&b"MCSB\x01\x00\x01\x00\x00\x00t"[..], b"MCSB\x01\x00\xff\xfe"] {
+        let old_network =
+            b"mcs-network v2\nchannels 4\nsize 5\ndepth 3\nseed 0\n(0,1)\n(2,3)\n(0,2)\n(1,3)\n(1,2)\nend\n";
+        for binary in [
+            &b"MCSB\x01\x00\x01\x00\x00\x00t"[..],
+            b"MCSB\x01\x00\xff\xfe",
+            old_network,
+        ] {
             std::fs::write(&path, binary).unwrap();
             assert!(matches!(
                 load_netlist(&path),

@@ -6,15 +6,16 @@
 //!
 //! ```text
 //! synth_circuit [--channels N] [--width B] [--flavor paper|bund2017|serial2016|bincomp]
-//!               [--network <network artifact>] [--optimize] [--save <path>]
+//!               [--optimize] [--save <path>]
 //! synth_circuit --load <path> [--channels N] [--width B] [--optimize] [--save <path>]
 //! ```
 //!
-//! The network comes from the best-known optimal tables (`--channels`,
-//! n ≤ 10) or — the cache path — from a saved network artifact (such as
-//! `tests/golden/eight_sort_best.mcsn`) via `--network`, re-verified with
-//! the 0-1 principle on load. The instantiated circuit is then re-verified at gate
-//! level (every 0-1 channel pattern must sort), measured under the
+//! `N` must be in `1..=20` (`verify::MAX_CHECK_CHANNELS`, the gate-level
+//! 0-1 check's limit) and `B` in `1..=63`. The network is
+//! [`mcs_bench::engine::cell_network`], the same one `throughput` and
+//! `sort_server` stream: the best-known optimal table for n ≤ 10, Batcher
+//! odd-even mergesort beyond. The instantiated circuit is then re-verified
+//! at gate level (every 0-1 channel pattern must sort), measured under the
 //! calibrated technology model, and optionally written with `--save`; the
 //! extension picks the format (`.mcsnl` netlist artifact, `.v` structural
 //! Verilog, `.dot` Graphviz).
@@ -39,17 +40,14 @@ use std::fmt;
 use std::path::Path;
 use std::process::ExitCode;
 
-use mcs_bench::artifact::{
-    load_netlist, load_network, save_netlist, ArtifactError,
-};
-use mcs_bench::verify::{zero_one_circuit_check, CircuitVerifyError};
+use mcs_bench::artifact::{load_netlist, save_netlist, ArtifactError};
+use mcs_bench::engine::cell_network;
+use mcs_bench::verify::{zero_one_circuit_check, CircuitVerifyError, MAX_CHECK_CHANNELS};
 use mcs_bench::{format_row, improvement_pct, measure, print_header};
 use mcs_netlist::mc::assert_mc_cells_only;
 use mcs_netlist::passes::PassManager;
 use mcs_netlist::{Netlist, NetlistFigures, TechLibrary};
 use mcs_networks::circuit::{build_sorting_circuit, TwoSortFlavor};
-use mcs_networks::io::NetworkArtifact;
-use mcs_networks::optimal::best_size;
 
 /// Everything that can go wrong in the driver, as typed variants instead
 /// of bare strings — `StatsMismatch` in particular turns the "optimizer
@@ -194,7 +192,6 @@ fn run() -> Result<(), SynthError> {
     let mut channels = 4usize;
     let mut width = 2usize;
     let mut flavor = TwoSortFlavor::Paper;
-    let mut network_path: Option<String> = None;
     let mut save: Option<String> = None;
     let mut load_path: Option<String> = None;
     let mut do_optimize = false;
@@ -230,7 +227,6 @@ fn run() -> Result<(), SynthError> {
                     }
                 };
             }
-            "--network" => network_path = Some(value("--network")?),
             "--save" => save = Some(value("--save")?),
             "--load" => load_path = Some(value("--load")?),
             "--optimize" => do_optimize = true,
@@ -244,6 +240,11 @@ fn run() -> Result<(), SynthError> {
     if width == 0 || width > 63 {
         return Err(SynthError::Usage("--width must be in 1..=63".into()));
     }
+    if channels == 0 || channels > MAX_CHECK_CHANNELS {
+        return Err(SynthError::Usage(format!(
+            "--channels must be in 1..={MAX_CHECK_CHANNELS}"
+        )));
+    }
 
     let lib = TechLibrary::paper_calibrated();
     let netlist = if let Some(path) = load_path {
@@ -255,27 +256,7 @@ fn run() -> Result<(), SynthError> {
         eprintln!("loaded and re-verified {path}: {netlist}");
         netlist
     } else {
-        let artifact: NetworkArtifact = if let Some(path) = network_path {
-            // The cache path: a saved network is loaded (and re-verified by
-            // the loader) instead of taken from the optimal tables.
-            let a = load_network(Path::new(&path))?;
-            eprintln!(
-                "loaded cached network {path}: {} (seed {})",
-                a.network, a.master_seed
-            );
-            channels = a.network.channels();
-            a
-        } else {
-            match best_size(channels) {
-                Some(net) => NetworkArtifact::new(net, 0),
-                None => {
-                    return Err(SynthError::Usage(format!(
-                        "no optimal table for {channels} channels; pass --network <artifact>"
-                    )))
-                }
-            }
-        };
-        let netlist = build_sorting_circuit(&artifact.network, width, flavor);
+        let netlist = build_sorting_circuit(&cell_network(channels), width, flavor);
         if flavor != TwoSortFlavor::BinComp {
             // MC flavours must stay within the certified cell set.
             if let Err(e) = assert_mc_cells_only(&netlist) {

@@ -9,8 +9,8 @@
 //!   (4-sort, 7-sort, 10-sort#, 10-sortd) × B ∈ {2, 4, 8, 16} × designs.
 //! * `ablation_prefix` — prefix-topology ablation (not in the paper):
 //!   Ladner–Fischer vs serial vs Sklansky vs unshared recursion.
-//! * `synth_circuit` — synthesis driver: network (optimal table or a
-//!   cached network artifact via `--network`) × 2-sort
+//! * `synth_circuit` — synthesis driver: network ([`engine::cell_network`]:
+//!   the optimal table up to 10 channels, Batcher beyond) × 2-sort
 //!   flavour → full gate-level netlist, re-verified, measured, and
 //!   saved/loaded as netlist artifacts (`--save`/`--load`).
 //! * `throughput` — sustained-throughput benchmark: streams millions of
@@ -23,8 +23,8 @@
 //!   deterministically (see [`server`]).
 //!
 //! Library modules: [`engine`] (the one verified circuit and compiled tape
-//! behind both), [`artifact`] (text and Verilog artifacts, re-verified on
-//! load), [`verify`] (the gate-level 0-1 check), [`metrics`] (latency
+//! behind both), [`artifact`] (netlist artifacts as text or Verilog,
+//! re-checked on load), [`verify`] (the gate-level 0-1 check), [`metrics`] (latency
 //! histograms) and [`published`] (the paper's numbers).
 //!
 //! The Criterion benches (`cargo bench -p mcs-bench`) time the same

@@ -39,7 +39,6 @@
 pub mod circuit;
 pub mod comparator;
 pub mod generators;
-pub mod io;
 pub mod optimal;
 pub mod reference;
 pub mod verify;

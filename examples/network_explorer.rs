@@ -11,7 +11,6 @@ use mcs::prelude::*;
 use mcs_netlist::export::{from_verilog, to_dot, to_verilog};
 use mcs_netlist::serdes;
 use mcs_networks::generators::{batcher_odd_even, bitonic, insertion};
-use mcs_networks::io::NetworkArtifact;
 use mcs_networks::optimal::{best_depth, best_size, OPTIMAL_DEPTHS, OPTIMAL_SIZES};
 use mcs_networks::verify::zero_one_verify;
 
@@ -67,23 +66,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Cache the optimal 8-sorter as a network artifact: the header
-    // (version, channels, size, depth, seed) makes it diffable, and the
-    // loader re-verifies it — the cache can't serve a non-sorter.
+    // Export the 2-sort(4) for inspection with Graphviz or an EDA flow.
     let dir = std::path::Path::new("target/explorer");
     fs::create_dir_all(dir)?;
-    let artifact = NetworkArtifact::new(best_size(8).expect("covered"), 0);
-    fs::write(dir.join("eight_sort.mcsn"), artifact.to_text())?;
-    let reloaded =
-        NetworkArtifact::from_text(&fs::read_to_string(dir.join("eight_sort.mcsn"))?)?;
-    reloaded.reverify()?;
-    assert_eq!(reloaded, artifact);
-    println!(
-        "\ncached + reloaded + re-verified: target/explorer/eight_sort.mcsn ({})",
-        reloaded.network
-    );
-
-    // Export the 2-sort(4) for inspection with Graphviz or an EDA flow.
     let two_sort = build_two_sort(4, PrefixTopology::LadnerFischer);
     fs::write(dir.join("two_sort_4.dot"), to_dot(&two_sort))?;
     fs::write(dir.join("two_sort_4.v"), to_verilog(&two_sort))?;
@@ -104,7 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "\nexported: target/explorer/{{two_sort_4.dot, two_sort_4.v, four_sort_2b.v, \
-         four_sort_2b.mcsnl, eight_sort.mcsn}}"
+         four_sort_2b.mcsnl}}"
     );
     Ok(())
 }

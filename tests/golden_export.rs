@@ -1,6 +1,6 @@
 //! Golden-file snapshot tests for every writer: `export::to_dot`,
-//! `export::to_verilog`, the netlist artifact text format and the network
-//! artifact text format, pinned on the seed's certified netlists.
+//! `export::to_verilog` and the netlist artifact text format, pinned on
+//! the seed's certified netlists.
 //!
 //! The goldens live in `tests/golden/` and are committed: any format drift
 //! shows up as a reviewable diff. To regenerate after an *intentional*
@@ -17,7 +17,6 @@ use mcs::netlist::export::{from_verilog, to_dot, to_verilog};
 use mcs::netlist::serdes;
 use mcs::netlist::Netlist;
 use mcs::networks::circuit::{build_sorting_circuit, TwoSortFlavor};
-use mcs::networks::io::NetworkArtifact;
 use mcs::networks::optimal::best_size;
 use mcs::prelude::*;
 
@@ -147,12 +146,6 @@ fn optimized_goldens_reload_as_the_reoptimized_build() {
 }
 
 #[test]
-fn network_artifact_of_best_eight_sorter_matches_golden() {
-    let artifact = NetworkArtifact::new(best_size(8).expect("n=8 table"), 0);
-    assert_golden("eight_sort_best.mcsn", &artifact.to_text());
-}
-
-#[test]
 fn golden_verilog_reimports_equivalent() {
     // The committed .v goldens must stay within the importable subset:
     // re-import them and check evaluation equivalence gate-for-gate.
@@ -189,31 +182,4 @@ fn golden_netlist_artifact_reloads_identical() {
         .expect("missing golden two_sort_2.mcsnl");
     let loaded = serdes::from_text(&source).expect("golden loads");
     assert_eq!(loaded, two_sort_2());
-}
-
-#[test]
-fn golden_network_artifact_reloads_and_reverifies() {
-    let source = fs::read_to_string(golden_path("eight_sort_best.mcsn"))
-        .expect("missing golden eight_sort_best.mcsn");
-    let loaded = NetworkArtifact::from_text(&source).expect("golden loads");
-    loaded.reverify().expect("golden network sorts");
-    assert_eq!(loaded.network, best_size(8).unwrap());
-}
-
-#[test]
-fn golden_v1_network_artifact_still_loads() {
-    // The frozen v1 golden (PR 4's exact writer output, never
-    // regenerated): version compatibility means old caches keep loading
-    // as v2 artifacts.
-    let source = fs::read_to_string(golden_path("eight_sort_best_v1.mcsn"))
-        .expect("missing golden eight_sort_best_v1.mcsn");
-    assert!(source.starts_with("mcs-network v1\n"), "fixture must stay v1");
-    let loaded = NetworkArtifact::from_text(&source).expect("v1 golden loads");
-    loaded.reverify().expect("v1 golden network sorts");
-    assert_eq!(loaded.network, best_size(8).unwrap());
-    assert_eq!(loaded.master_seed, 0);
-    // Re-saving writes the current version: byte-identity is promised for
-    // save → load → save of the *current* writer, not across versions.
-    let resaved = NetworkArtifact::from_text(&loaded.to_text()).expect("v2 reload");
-    assert_eq!(resaved, loaded);
 }

@@ -1,5 +1,5 @@
-//! Round-trip property tests for the serialization subsystem: random
-//! certified networks and synthesized netlists must survive
+//! Round-trip property tests for the serialization subsystem: random and
+//! synthesized netlists must survive
 //! `save → load → save` **byte-identically** in the text artifact form,
 //! evaluate lane-for-lane equal under `eval_block` after reload, and — for the Verilog path — re-import to an
 //! evaluation-equivalent netlist.
@@ -10,10 +10,7 @@ use mcs::netlist::mc::verify_closure_exhaustive;
 use mcs::netlist::serdes;
 use mcs::netlist::synth::sop_for_table;
 use mcs::netlist::Netlist;
-use mcs::networks::generators::{batcher_odd_even, bitonic, insertion};
-use mcs::networks::io::NetworkArtifact;
-use mcs::networks::optimal::{best_depth, best_size};
-use mcs::networks::Network;
+use mcs::networks::optimal::best_size;
 use proptest::prelude::*;
 
 /// Strategy: one ternary value.
@@ -96,68 +93,7 @@ fn assert_blocks_equal(x: &Netlist, y: &Netlist, trits: &[Trit], inputs: usize) 
     }
 }
 
-/// Strategy: a random comparator network (not necessarily a sorter — the
-/// formats must carry any standard-form network).
-fn network_strategy() -> impl Strategy<Value = Network> {
-    (2usize..=12).prop_flat_map(|channels| {
-        let pairs = proptest::collection::vec(
-            (0usize..10_000, 0usize..10_000),
-            0..40,
-        );
-        (Just(channels), pairs).prop_map(|(channels, raw)| {
-            let mut net = Network::new(channels);
-            for (x, y) in raw {
-                let a = x % channels;
-                let b = y % channels;
-                if a != b {
-                    net.push(a.min(b), a.max(b));
-                }
-            }
-            net
-        })
-    })
-}
-
 proptest! {
-    /// Random networks survive save→load→save byte-identically, with the
-    /// master seed preserved.
-    #[test]
-    fn network_artifacts_roundtrip_byte_identically(
-        net in network_strategy(),
-        seed in 0u64..=u64::MAX / 2,
-    ) {
-        let artifact = NetworkArtifact::new(net, seed);
-        let text = artifact.to_text();
-        let from_text = NetworkArtifact::from_text(&text).expect("text loads");
-        prop_assert_eq!(&from_text, &artifact);
-        prop_assert_eq!(from_text.to_text(), text);
-        // A second full cycle pins save→load→save, not just load→save.
-        prop_assert_eq!(
-            NetworkArtifact::from_text(&from_text.to_text()).expect("reloads"),
-            from_text
-        );
-    }
-
-    /// Version compatibility: the same random networks, hand-written in
-    /// the v1 text layout, still load — as artifacts equal to their v2
-    /// counterparts.
-    #[test]
-    fn headerless_v1_artifacts_still_load(
-        net in network_strategy(),
-        seed in 0u64..=u64::MAX / 2,
-    ) {
-        let expected = NetworkArtifact::new(net.clone(), seed);
-        // v1 text: the v2 writer's output with the version swapped (the
-        // two versions share one layout).
-        let v1_text = expected
-            .to_text()
-            .replacen("mcs-network v2\n", "mcs-network v1\n", 1);
-        let from_text = NetworkArtifact::from_text(&v1_text).expect("v1 text loads");
-        prop_assert_eq!(&from_text, &expected);
-        // Re-saving a v1 load writes the current (v2) bytes.
-        prop_assert_eq!(from_text.to_text(), expected.to_text());
-    }
-
     /// Random netlists over the full cell set survive save→load→save
     /// byte-identically and evaluate lane-for-lane equal under `eval_block`.
     #[test]
@@ -205,28 +141,6 @@ proptest! {
         prop_assert_eq!(&loaded, &n);
         prop_assert_eq!(serdes::to_text(&loaded).expect("reserialises"), text);
         verify_closure_exhaustive(&loaded).expect("loaded SOP re-verifies");
-    }
-}
-
-/// Every certified (0-1-verified) network in the seed — the optimal tables
-/// and the three classic generators — survives the round trip
-/// byte-identically and re-verifies after reload.
-#[test]
-fn certified_networks_roundtrip_and_reverify() {
-    let mut nets: Vec<Network> = Vec::new();
-    for n in 2..=10usize {
-        nets.push(best_size(n).unwrap());
-        nets.push(best_depth(n).unwrap());
-        nets.push(batcher_odd_even(n));
-        nets.push(bitonic(n));
-        nets.push(insertion(n));
-    }
-    for net in nets {
-        let artifact = NetworkArtifact::new(net, 2018);
-        let text_trip = NetworkArtifact::from_text(&artifact.to_text()).unwrap();
-        assert_eq!(text_trip, artifact);
-        assert_eq!(text_trip.to_text(), artifact.to_text());
-        text_trip.reverify().expect("loaded network re-verifies");
     }
 }
 
