@@ -95,8 +95,8 @@ fn bench_network_simulation(c: &mut Criterion) {
     group.finish();
 }
 
-/// Bare tape eval of the 16×16 stock cell (25,641 gates in 5,985 ops,
-/// 652 registers): one `TapePlanes::run` per iteration under the preferred
+/// Bare tape eval of the 16×16 stock cell (25,641 gates in 3,528 ops,
+/// 636 registers): one `TapePlanes::run` per iteration under the preferred
 /// tier, inputs written once, so elem/s is vectors per second of the eval
 /// layer alone at each plane width.
 fn bench_tape_run(c: &mut Criterion) {

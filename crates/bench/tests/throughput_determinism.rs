@@ -254,7 +254,8 @@ fn preflight_rejects_bad_configs() {
 /// The register allocator on the largest stock cell: the 16×16 Batcher
 /// sorter's schedule replays cleanly against its netlist, its scratch
 /// holds a small fraction of one register per node, and each of its 63
-/// 2-sorts dispatches 95 ops: 78 fused selection cores and 17 single gates.
+/// 2-sorts dispatches 56 ops: its 78 fused selection cores as 39 pairs,
+/// and 17 single gates.
 #[test]
 fn register_allocation_replays_on_the_16x16_cell() {
     let engine = mcs_bench::engine::Engine::for_cell(16, 16, kernel::preferred()).unwrap();
@@ -262,7 +263,7 @@ fn register_allocation_replays_on_the_16x16_cell() {
     tape.check_registers(engine.circuit()).unwrap();
     assert_eq!(tape.slot_count(), engine.circuit().node_count());
     assert_eq!(engine.comparators(), Some(63));
-    assert_eq!(tape.op_count(), 63 * (78 + 17));
+    assert_eq!(tape.op_count(), 63 * (39 + 17));
     assert!(
         tape.register_count() * 16 < tape.slot_count(),
         "{} registers for {} slots",

@@ -1,6 +1,6 @@
-//! Plane kernels: the ten Kleene gate formulas and the fused selection op
-//! over `u64` possibility planes, and the two compile tiers the tape
-//! evaluator runs them under.
+//! Plane kernels: the ten Kleene gate formulas, the fused selection op and
+//! its two paired forms over `u64` possibility planes, and the two compile
+//! tiers the tape evaluator runs them under.
 //!
 //! The compiled-tape evaluator in `mcs-netlist` spends essentially all of
 //! its time doing bitwise AND/OR over `u64` plane words. The formulas
@@ -17,7 +17,9 @@
 //!
 //! **Bit-exactness is the contract.** Both tiers compile the identical
 //! pure-bitwise source, so they compute the identical plane words —
-//! including masked tails and meta-poison propagation. The kernel
+//! including masked tails and meta-poison propagation. (The tiers differ
+//! only in the order [`apply_pair`] loads and stores, never in a
+//! formula.) The kernel
 //! conformance suite (`tests/kernel_conformance.rs`) re-proves this
 //! differentially on every run.
 //!
@@ -225,7 +227,7 @@ fn meta((z, o): (u64, u64)) -> u64 {
 
 /// Namespaced marker types, one per tape gate kind.
 pub mod ops {
-    use super::{meta, GateOp};
+    use super::{meta, GateOp, PairOp};
 
     /// Kleene NOT: swap the planes.
     pub struct Inv;
@@ -387,6 +389,48 @@ pub mod ops {
             (z, o)
         }
     }
+
+    /// The `⋄̂_M` pair: `Sel(a, b, c, c)` and `Sel(a, b, e, e)`. Both
+    /// cores read the same `a`, `b`, and each core's `s1` is the wire its
+    /// inverter reads.
+    pub struct SelSel;
+
+    impl PairOp for SelSel {
+        #[inline(always)]
+        fn eval(
+            a: (u64, u64),
+            b: (u64, u64),
+            c: (u64, u64),
+            e: (u64, u64),
+        ) -> ((u64, u64), (u64, u64)) {
+            (Sel::eval(a, b, c, c), Sel::eval(a, b, e, e))
+        }
+    }
+
+    /// The `out_M` pair: `Sel(a, b, c, e)` and `Sel(b, a, e, c)`. The second
+    /// core swaps both the data and the select wires of the first.
+    pub struct SelSwap;
+
+    impl PairOp for SelSwap {
+        #[inline(always)]
+        fn eval(
+            a: (u64, u64),
+            b: (u64, u64),
+            c: (u64, u64),
+            e: (u64, u64),
+        ) -> ((u64, u64), (u64, u64)) {
+            (Sel::eval(a, b, c, e), Sel::eval(b, a, e, c))
+        }
+    }
+}
+
+/// Two selection cores over one set of four fan-ins: the paired form of a
+/// `⋄̂_M` or `out_M` block, whose two copies of the selection circuit read
+/// the same wires. The results go to a slot's `d` and `d2` registers.
+pub trait PairOp {
+    /// Evaluates both cores on one word of lanes: `(d, d2)`.
+    fn eval(a: (u64, u64), b: (u64, u64), c: (u64, u64), e: (u64, u64))
+        -> ((u64, u64), (u64, u64));
 }
 
 /// Reads the `W` words of slot `s` from a plane buffer.
@@ -463,6 +507,75 @@ pub unsafe fn apply_slot<G: GateOp, const W: usize>(
         zp.add(dst * W).cast::<[u64; W]>().write(rz);
         op.add(dst * W).cast::<[u64; W]>().write(ro);
     }
+}
+
+/// The `(can_zero, can_one)` words of one `W`-word register.
+type Planes<const W: usize> = ([u64; W], [u64; W]);
+
+/// Applies the pair `P` to one `W`-word tape register pair: reads the
+/// fan-in registers `a`, `b`, `c`, `e` and writes register `dst`, then
+/// `dst2`.
+///
+/// With `SHARED`, both results come from one load of the fan-ins, and
+/// every fan-in word is loaded before any result word is stored. Without
+/// it, the first result is stored before the fan-ins are loaded again for
+/// the second. That costs the loads a pair saves, but each result is then
+/// a tree of its own, which the baseline target's vectorizer compiles to
+/// SSE2 ops; with shared loads it leaves the pair as 64-bit code that
+/// spills to the stack.
+///
+/// # Safety
+///
+/// As for [`apply_slot`], with `dst2` also in bounds, and `dst ≠ dst2`.
+/// With `SHARED`, fan-ins may alias each other and either destination.
+/// Without it, neither destination may alias a fan-in.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub unsafe fn apply_pair<P: PairOp, const W: usize, const SHARED: bool>(
+    z: &mut [u64],
+    o: &mut [u64],
+    dst: usize,
+    dst2: usize,
+    a: usize,
+    b: usize,
+    c: usize,
+    e: usize,
+) {
+    debug_assert_eq!(z.len(), o.len());
+    for s in [dst, dst2, a, b, c, e] {
+        debug_assert!((s + 1) * W <= z.len(), "slot {s} out of bounds");
+    }
+    let zp = z.as_mut_ptr();
+    let op = o.as_mut_ptr();
+    // SAFETY: the caller guarantees every slot lies within both buffers.
+    let fanins = || unsafe { [a, b, c, e].map(|s| (load::<W>(zp, s), load::<W>(op, s))) };
+    // One result of `P` (the second if `second`) from the loaded fan-ins.
+    let eval = |[a, b, c, e]: [Planes<W>; 4], second: bool| {
+        let (mut rz, mut ro) = ([0u64; W], [0u64; W]);
+        for j in 0..W {
+            let pins = [a, b, c, e].map(|(z, o)| (z[j], o[j]));
+            let (first, other) = P::eval(pins[0], pins[1], pins[2], pins[3]);
+            (rz[j], ro[j]) = if second { other } else { first };
+        }
+        (rz, ro)
+    };
+    // SAFETY: as above; the caller guarantees what each order of loads
+    // and stores needs.
+    let store = |s: usize, (rz, ro): Planes<W>| unsafe {
+        zp.add(s * W).cast::<[u64; W]>().write(rz);
+        op.add(s * W).cast::<[u64; W]>().write(ro);
+    };
+    let pins = fanins();
+    let first = eval(pins, false);
+    if !SHARED {
+        store(dst, first);
+    }
+    let pins = if SHARED { pins } else { fanins() };
+    let second = eval(pins, true);
+    if SHARED {
+        store(dst, first);
+    }
+    store(dst2, second);
 }
 
 #[cfg(test)]
@@ -558,6 +671,65 @@ mod tests {
             let want = Or2::eval(x, y, Z, Z);
             assert_eq!(Sel::eval(a, b, s1, t), want, "combination {combo}");
         }
+    }
+
+    /// Each pair op is two `Sel` evals under its pin map, on all 3^4
+    /// ternary fan-in combinations.
+    #[test]
+    fn pair_ops_are_two_sel_evals_on_all_81_inputs() {
+        let splat = |trit: u32| match trit {
+            0 => (!0, 0),
+            1 => (0, !0),
+            _ => (!0, !0),
+        };
+        for combo in 0..81u32 {
+            let [a, b, c, e] = [0, 1, 2, 3].map(|k| splat(combo / 3u32.pow(k) % 3));
+            let sel = Sel::eval;
+            assert_eq!(
+                SelSel::eval(a, b, c, e),
+                (sel(a, b, c, c), sel(a, b, e, e)),
+                "SelSel combination {combo}"
+            );
+            assert_eq!(
+                SelSwap::eval(a, b, c, e),
+                (sel(a, b, c, e), sel(b, a, e, c)),
+                "SelSwap combination {combo}"
+            );
+        }
+    }
+
+    #[test]
+    fn apply_pair_loads_before_it_stores() {
+        // 4 slots × W=4 words: both destinations alias fan-ins, and `a` is
+        // read twice.
+        const W: usize = 4;
+        let (mut z, mut o) = (vec![0u64; 4 * W], vec![0u64; 4 * W]);
+        for (j, (zz, oo)) in (0..4 * W as u64).map(planes).enumerate() {
+            z[j] = zz;
+            o[j] = oo;
+        }
+        let at = |z: &[u64], o: &[u64], s: usize, j: usize| (z[s * W + j], o[s * W + j]);
+        let want: Vec<_> = (0..W)
+            .map(|j| {
+                let [a, b, e] = [0, 1, 3].map(|s| at(&z, &o, s, j));
+                SelSwap::eval(a, b, a, e)
+            })
+            .collect();
+        // SAFETY: slots 0..4 all lie within the 4-slot buffers.
+        unsafe { apply_pair::<SelSwap, W, true>(&mut z, &mut o, 3, 1, 0, 1, 0, 3) };
+        for (j, &(d, d2)) in want.iter().enumerate() {
+            assert_eq!(at(&z, &o, 3, j), d, "d word {j}");
+            assert_eq!(at(&z, &o, 1, j), d2, "d2 word {j}");
+        }
+
+        // Without shared loads, on destinations apart from the fan-ins.
+        let (mut z2, mut o2) = (z.clone(), o.clone());
+        // SAFETY: as above; slots 2 and 3 are not fan-ins.
+        unsafe {
+            apply_pair::<SelSel, W, true>(&mut z, &mut o, 2, 3, 0, 1, 1, 0);
+            apply_pair::<SelSel, W, false>(&mut z2, &mut o2, 2, 3, 0, 1, 1, 0);
+        }
+        assert_eq!((z, o), (z2, o2));
     }
 
     #[test]

@@ -16,23 +16,33 @@
 //!   operand order, one shared `a`, every inner node read once and not an
 //!   output — and schedules it as one [`TapeOp::Sel`] slot over the
 //!   fan-ins `[a, b, s1, t]`; the inverter is a plane swap inside the
-//!   formula. The four inner nodes get no slot and no register. Every
-//!   other cell stays a single-gate slot: the 16×16 sorter dispatches
-//!   5,985 ops for its 25,641 gates ([`EvalTape::op_count`]).
+//!   formula. The four inner nodes get no slot and no register.
+//! * **Paired cores.** The two cores of one block read the same four
+//!   wires, so they pair into one slot that writes two registers, `d`
+//!   and `d2`: [`TapeOp::SelSel`] for `⋄̂_M`, [`TapeOp::SelSwap`] for
+//!   `out_M`. The AVX2 tier loads the four wires once for both; the
+//!   scalar tier loads them once per core, which its vectorizer needs
+//!   ([`kernel::apply_pair`]), so `d` and `d2` never share a register
+//!   with a fan-in. Two cores pair only when every fan-in of both
+//!   precedes the first root, so neither reads the other.
+//!   Every other cell stays a single-gate slot: the 16×16 sorter
+//!   dispatches 3,528 ops for its 25,641 gates ([`EvalTape::op_count`]),
+//!   63 × (39 pairs + 17 single gates).
 //! * **Scheduled slots.** Every source, cell and fused root gets a dense
 //!   *slot*, its position in the schedule: sources (inputs, constants)
-//!   first, then ops ordered by `(logic level, kind, netlist index)`.
+//!   first, then ops ordered by `(level, kind, netlist index)`, where an
+//!   op's level is one above the deepest fan-in it reads on the tape.
 //! * **Liveness-allocated registers.** Values live in *registers* of a
 //!   struct-of-arrays pair of plane buffers (`can_zero[reg]`,
 //!   `can_one[reg]`). A linear scan over the schedule gives each op a
-//!   destination register `d[s]` and names its fan-ins' registers in
-//!   `a[s]`, `b[s]`, `c[s]` and, for a fused slot, `e[s]`. A register is
-//!   freed after its value's last read, so the scratch holds the peak
-//!   number of live values ([`EvalTape::register_count`]), not one word
-//!   group per node: 652 registers for the 25,897 nodes of the 16×16
-//!   sorter. Constants and outputs are never freed, and neither is an
-//!   input nobody reads — its register is reloaded every group, so it must
-//!   not go to a constant.
+//!   destination register `d[s]` (and a paired op a second, `d2[s]`) and
+//!   names its fan-ins' registers in `a[s]`, `b[s]`, `c[s]` and, for a
+//!   fused slot, `e[s]`. A register is freed after its value's last read,
+//!   so the scratch holds the peak number of live values
+//!   ([`EvalTape::register_count`]), not one word group per node: 636
+//!   registers for the 25,897 nodes of the 16×16 sorter. Constants and
+//!   outputs are never freed, and neither is an input nobody reads — its
+//!   register is reloaded every group, so it must not go to a constant.
 //! * **Contiguous runs.** Ops of the same kind on the same level occupy
 //!   consecutive slots, recorded as a [`TapeRun`] `{op, start, len}` — the
 //!   inner loop dispatches once per run, not once per op, and walks the
@@ -58,14 +68,14 @@
 //!
 //! The tape computes exactly the function of [`Netlist::eval_block`] — the
 //! per-cell plane formulas are the same as [`Gate::eval_word`], lifted to
-//! `W` words, and the fused formula is their composition — and the
+//! `W` words, and the fused formulas are their compositions — and the
 //! `tape_differential` + `kernel_conformance` suites pin lane-for-lane
 //! equality at every plane width under every tier.
 //! [`EvalTape::check_registers`] replays the register allocation
-//! symbolically against the netlist, fused slots included. It is part of
-//! every certificate: the bench crate's `Engine` runs it on the tape it
-//! streams, before the 0-1 sweep on that same tape, so its happy path
-//! formats no error text (about 0.5 ms on the 16×16 sorter).
+//! symbolically against the netlist, fused and paired slots included. It
+//! is part of every certificate: the bench crate's `Engine` runs it on the
+//! tape it streams, before the 0-1 sweep on that same tape, so its happy
+//! path formats no error text (about 0.5 ms on the 16×16 sorter).
 //!
 //! # Example
 //!
@@ -172,8 +182,9 @@ impl fmt::Display for TapeEvalError {
 
 impl std::error::Error for TapeEvalError {}
 
-/// The operation of a [`TapeRun`]: one cell, or a fused selection core
-/// ([`TapeOp::Sel`]). Sources (inputs and constants) never appear in runs
+/// The operation of a [`TapeRun`]: one cell, a fused selection core
+/// ([`TapeOp::Sel`]), or a pair of them ([`TapeOp::SelSel`],
+/// [`TapeOp::SelSwap`]). Sources (inputs and constants) never appear in runs
 /// — they are loaded or prefilled before the tape executes.
 #[derive(Copy, Clone, Eq, PartialEq, Hash, Debug)]
 #[repr(u8)]
@@ -202,6 +213,14 @@ pub enum TapeOp {
     /// `b·(a + s1) + a·¬t` over the fan-ins `[a, b, s1, t]`, computing the
     /// root `Or2` of `or2(and2(b, or2(a, s1)), and2(a, inv(t)))`.
     Sel,
+    /// The two selection cores of a `⋄̂_M` block in one op: over the
+    /// fan-ins `[a, b, c, e]`, `Sel(a, b, c, c)` into the slot's first
+    /// destination and `Sel(a, b, e, e)` into its second.
+    SelSel,
+    /// The two selection cores of an `out_M` block in one op: over the
+    /// fan-ins `[a, b, c, e]`, `Sel(a, b, c, e)` into the slot's first
+    /// destination and `Sel(b, a, e, c)` into its second.
+    SelSwap,
 }
 
 impl TapeOp {
@@ -220,6 +239,40 @@ impl TapeOp {
             Gate::Ao21 { .. } => TapeOp::Ao21,
         })
     }
+
+    /// Whether the op computes two roots, into `d` and `d2`.
+    fn is_pair(self) -> bool {
+        matches!(self, TapeOp::SelSel | TapeOp::SelSwap)
+    }
+
+    /// The pins `[a, b, s1, t]` of the two selection cores a paired op
+    /// computes from its fan-ins `[a, b, c, e]`: its pin map.
+    fn pair_pins(self, [a, b, c, e]: [NodeId; 4]) -> Option<[[NodeId; 4]; 2]> {
+        match self {
+            TapeOp::SelSel => Some([[a, b, c, c], [a, b, e, e]]),
+            TapeOp::SelSwap => Some([[a, b, c, e], [b, a, e, c]]),
+            _ => None,
+        }
+    }
+}
+
+/// The paired op, and its fan-ins, that computes the selection cores with
+/// pins `p` and `p2` in one slot, if the two have one of the paired shapes.
+fn pair_of(p: [NodeId; 4], p2: [NodeId; 4]) -> Option<(TapeOp, [NodeId; 4])> {
+    let [a, b, c, _] = p;
+    [(TapeOp::SelSel, [a, b, c, p2[2]]), (TapeOp::SelSwap, p)]
+        .into_iter()
+        .find(|&(op, fanin)| op.pair_pins(fanin) == Some([p, p2]))
+}
+
+/// A fused slot: its op, the fan-ins it reads and its root; `second` is
+/// the root of a paired op's second core (unused for [`TapeOp::Sel`]).
+#[derive(Copy, Clone)]
+struct Fused {
+    op: TapeOp,
+    fanin: [NodeId; 4],
+    root: u32,
+    second: u32,
 }
 
 /// The fan-ins `[a, b, s1, t]` and the inner nodes `[x, q, y, n]` of a
@@ -311,10 +364,10 @@ fn core_through(
 }
 
 /// The fan-ins a scheduled node reads on the tape: the four of a fused
-/// selection, else the gate's own. Returns them with their count.
-fn tape_fanin(gate: &Gate, fused: Option<[NodeId; 4]>) -> ([NodeId; 4], usize) {
+/// slot, else the gate's own. Returns them with their count.
+fn tape_fanin(gate: &Gate, fused: Option<Fused>) -> ([NodeId; 4], usize) {
     if let Some(f) = fused {
-        return (f, 4);
+        return (f.fanin, 4);
     }
     let mut f = [NodeId(0); 4];
     let mut len = 0;
@@ -326,12 +379,15 @@ fn tape_fanin(gate: &Gate, fused: Option<[NodeId; 4]>) -> ([NodeId; 4], usize) {
 }
 
 /// A maximal range of consecutive slots holding ops of one kind on one
-/// logic level: the dispatch unit of the compiled tape.
+/// schedule level: the dispatch unit of the compiled tape.
 #[derive(Copy, Clone, Eq, PartialEq, Debug)]
 pub struct TapeRun {
     /// The operation shared by every slot in the run.
     pub op: TapeOp,
-    /// Logic level of every op in the run (a fused core's root level).
+    /// Schedule level of every op in the run: one above the deepest
+    /// fan-in the slot reads on the tape (sources sit at 0). A fused slot
+    /// sits one above its pins, a paired slot one above the pins of both
+    /// its cores.
     pub level: u32,
     /// First slot of the run.
     pub start: u32,
@@ -431,14 +487,18 @@ pub struct EvalTape {
     const_loads: Vec<(u32, bool)>,
     runs: Vec<TapeRun>,
     /// Netlist node scheduled in each slot: a source, a cell, or the root
-    /// of a fused selection core.
+    /// of a fused selection core (a paired op's first core).
     nodes: Vec<u32>,
-    /// Inner nodes folded into fused slots: evaluated, but given no slot
-    /// and no register of their own.
+    /// Root of a paired op's second core per slot (0 elsewhere).
+    second: Vec<u32>,
+    /// Nodes folded into fused slots, inner nodes and the second roots of
+    /// paired ops: evaluated, but given no slot of their own.
     absorbed: usize,
-    /// Destination register per slot (a source's own register), and the
-    /// fan-in registers (unused entries, and those of a source, stay 0).
+    /// Destination register per slot (a source's own register), a paired
+    /// op's second destination, and the fan-in registers (unused entries,
+    /// and those of a source, stay 0).
     d: Vec<u32>,
+    d2: Vec<u32>,
     a: Vec<u32>,
     b: Vec<u32>,
     c: Vec<u32>,
@@ -454,33 +514,108 @@ impl EvalTape {
     /// topologically-ordered netlists. First every selection core the
     /// netlist holds is fused into one [`TapeOp::Sel`] slot, claiming roots
     /// from the last node down, so a root absorbed into a later match is
-    /// never fused itself. The scheduled nodes are then stably re-ordered
-    /// by `(level, op, original index)` — sources keep their relative order
+    /// never fused itself. Then the cores pair up, first root first, into
+    /// [`TapeOp::SelSel`] and [`TapeOp::SelSwap`] slots: two cores pair when
+    /// their pins have one of the paired shapes and every fan-in of both
+    /// precedes the first root, so neither reads the other. Each slot's
+    /// level is one above the deepest fan-in it reads on the tape, so a
+    /// pair sits above all of its fan-ins and the nodes that read it above
+    /// the pair. The scheduled nodes are then stably re-ordered by
+    /// `(level, op, original index)` — sources keep their relative order
     /// at the front — which evaluates every fan-in before its consumer and
     /// makes same-kind slots on one level contiguous. Registers are then
     /// allocated by one linear scan over that order: a slot's fan-ins are
     /// released at their last read before its destination is taken, so a
     /// slot may overwrite its own operand (every fan-in word is loaded
-    /// before the result is stored).
+    /// before the result is stored). A paired slot takes its two
+    /// destinations first, apart from its fan-ins (see
+    /// [`kernel::apply_pair`]).
     pub fn compile(netlist: &Netlist) -> EvalTape {
         let gates = netlist.gates();
-        let levels = netlist.levels();
+        let mut levels = netlist.levels();
+        let depth = levels.iter().copied().max().unwrap_or(0);
         let fanout = netlist.fanouts();
-        let mut fused: Vec<Option<[NodeId; 4]>> = vec![None; gates.len()];
+        // The fused slots, last root first, and each node's index into them
+        // (`NONE` for a node that roots none).
+        const NONE: u32 = u32::MAX;
+        let mut cores: Vec<Fused> = Vec::new();
+        let mut core_of = vec![NONE; gates.len()];
         let mut absorbed = vec![false; gates.len()];
         for root in (0..gates.len()).rev() {
             if absorbed[root] {
                 continue;
             }
             if let Some((fanin, inner)) = selection_core(gates, &fanout, root) {
-                fused[root] = Some(fanin);
+                core_of[root] = cores.len() as u32;
+                cores.push(Fused {
+                    op: TapeOp::Sel,
+                    fanin,
+                    root: root as u32,
+                    second: 0,
+                });
                 for v in inner {
                     absorbed[v.index()] = true;
                 }
             }
         }
-        let op_of = |i: usize| match fused[i] {
-            Some(_) => Some(TapeOp::Sel),
+
+        // Pair the cores, first root first. `pending[v]` indexes the last
+        // core left unpaired whose `a` pin is node `v`: the twin of a `⋄̂_M`
+        // core has its `a`, the twin of an `out_M` core its `b`. The
+        // fan-out counts have served, so their buffer holds the index.
+        let mut pending = fanout;
+        pending.fill(NONE);
+        for k in (0..cores.len()).rev() {
+            let Fused {
+                fanin: pins, root, ..
+            } = cores[k];
+            let twin = [pins[0], pins[1]].into_iter().find_map(|v| {
+                let at = pending[v.index()] as usize;
+                let first = *cores.get(at)?;
+                // Every fan-in of both cores precedes the first root, so
+                // neither reads the other.
+                let ahead = pins.iter().all(|f| f.index() < first.root as usize);
+                if first.op != TapeOp::Sel || !ahead {
+                    return None;
+                }
+                pair_of(first.fanin, pins).map(|pair| (at, pair))
+            });
+            match twin {
+                Some((first, (op, fanin))) => {
+                    cores[first] = Fused {
+                        op,
+                        fanin,
+                        second: root,
+                        ..cores[first]
+                    };
+                    absorbed[root as usize] = true;
+                }
+                None => pending[pins[0].index()] = k as u32,
+            }
+        }
+        let fused = |i: usize| cores.get(core_of[i] as usize).copied();
+
+        // Schedule levels, in place, over the tape's own fan-ins: a source
+        // sits at 0 and every other slot one above its deepest fan-in, so a
+        // fused slot sits one above its pins, a pair one above the pins of
+        // both cores, and whatever reads a pair above it.
+        for i in 0..gates.len() {
+            if absorbed[i] {
+                continue;
+            }
+            let (fanin, len) = tape_fanin(&gates[i], fused(i));
+            let level = fanin[..len]
+                .iter()
+                .map(|f| levels[f.index()] + 1)
+                .max()
+                .unwrap_or(0);
+            levels[i] = level;
+            if let Some(f) = fused(i).filter(|f| f.op.is_pair()) {
+                levels[f.second as usize] = level;
+            }
+        }
+        let op_of = |i: usize| match fused(i) {
+            Some(f) => Some(f.op),
             None => TapeOp::from_gate(&gates[i]),
         };
 
@@ -503,7 +638,7 @@ impl EvalTape {
         // or an output, read after the run) keeps its register for good.
         let mut reads = vec![0u32; gates.len()];
         for &i in &order {
-            let (fanin, len) = tape_fanin(&gates[i as usize], fused[i as usize]);
+            let (fanin, len) = tape_fanin(&gates[i as usize], fused(i as usize));
             for f in &fanin[..len] {
                 reads[f.index()] += 1;
             }
@@ -524,15 +659,17 @@ impl EvalTape {
 
         let slots = order.len();
         let mut tape = EvalTape {
-            levels: levels.iter().copied().max().unwrap_or(0),
+            levels: depth,
             registers: 0,
             layout: 0,
             inputs: vec![0u32; netlist.input_count()],
             const_loads: Vec::new(),
             runs: Vec::new(),
             nodes: Vec::new(),
+            second: vec![0u32; slots],
             absorbed: gates.len() - slots,
             d: vec![0u32; slots],
+            d2: vec![0u32; slots],
             a: vec![0u32; slots],
             b: vec![0u32; slots],
             c: vec![0u32; slots],
@@ -541,22 +678,30 @@ impl EvalTape {
         };
         for (s, &i) in order.iter().enumerate() {
             let (s32, i) = (s as u32, i as usize);
-            let op = match gates[i] {
-                Gate::Input(port) => {
-                    reg_of[i] = take(&mut free);
-                    tape.d[s] = reg_of[i];
+            let Some(op) = op_of(i) else {
+                // A source: an input, loaded every group, or a constant.
+                reg_of[i] = take(&mut free);
+                tape.d[s] = reg_of[i];
+                if let Gate::Input(port) = gates[i] {
                     tape.inputs[port as usize] = reg_of[i];
-                    continue;
-                }
-                Gate::Const(v) => {
-                    reg_of[i] = take(&mut free);
-                    tape.d[s] = reg_of[i];
+                } else if let Gate::Const(v) = gates[i] {
                     tape.const_loads.push((reg_of[i], v));
-                    continue;
                 }
-                _ => op_of(i).expect("cell"),
+                continue;
             };
-            let (fanin, len) = tape_fanin(&gates[i], fused[i]);
+            let (fanin, len) = tape_fanin(&gates[i], fused(i));
+            let second = fused(i)
+                .filter(|f| f.op.is_pair())
+                .map(|f| f.second as usize);
+            // A paired slot takes both destinations while its fan-ins
+            // still hold theirs: the scalar tier stores the first result
+            // before it loads the fan-ins again for the second.
+            if let Some(j) = second {
+                reg_of[i] = take(&mut free);
+                reg_of[j] = take(&mut free);
+                tape.d2[s] = reg_of[j];
+                tape.second[s] = j as u32;
+            }
             let mut regs = [0u32; 4];
             for (k, f) in fanin[..len].iter().enumerate() {
                 let f = f.index();
@@ -567,11 +712,15 @@ impl EvalTape {
                 }
             }
             [tape.a[s], tape.b[s], tape.c[s], tape.e[s]] = regs;
-            reg_of[i] = take(&mut free);
+            if second.is_none() {
+                reg_of[i] = take(&mut free);
+            }
             tape.d[s] = reg_of[i];
-            if reads[i] == 0 && !pinned[i] {
-                // A dead cell: its value is written and never read.
-                free.push(reg_of[i]);
+            for v in std::iter::once(i).chain(second) {
+                if reads[v] == 0 && !pinned[v] {
+                    // A dead value: written and never read.
+                    free.push(reg_of[v]);
+                }
             }
             match tape.runs.last_mut() {
                 Some(r) if r.op == op && r.level == levels[i] && r.start + r.len == s32 => {
@@ -622,14 +771,15 @@ impl EvalTape {
     }
 
     /// The netlist nodes the tape evaluates, fused or not: the scheduled
-    /// slots (sources, cells and fused roots) plus the inner nodes folded
-    /// into fused slots. Always the netlist's node count.
+    /// slots (sources, cells and fused roots) plus the nodes folded into
+    /// fused slots (inner nodes and second roots). Always the netlist's
+    /// node count.
     pub fn slot_count(&self) -> usize {
         self.nodes.len() + self.absorbed
     }
 
     /// Number of dispatched ops per group: one per cell slot, a fused
-    /// selection counting once.
+    /// selection or a pair of them counting once.
     pub fn op_count(&self) -> usize {
         self.nodes.len() - self.inputs.len() - self.const_loads.len()
     }
@@ -774,15 +924,18 @@ impl EvalTape {
     /// * every register index is `< register_count()`;
     /// * the slots are netlist nodes, sources first, and the runs tile the
     ///   cell slots with each cell's own operation — a fused slot's node is
-    ///   an `Or2`;
+    ///   an `Or2` — and a paired slot writes two registers apart from the
+    ///   four it reads;
     /// * every register a single-gate slot reads holds the node the netlist
     ///   names as that fan-in, so no live value is overwritten before its
     ///   last read — including by the next group's input loads;
     /// * the four registers a fused slot reads hold nodes `[a, b, s1, t]`
     ///   from which the netlist computes its root as
-    ///   `or2(and2(b, or2(a, s1)), and2(a, inv(t)))`;
-    /// * the scheduled nodes and the inner nodes of the fused slots cover
-    ///   the netlist exactly once;
+    ///   `or2(and2(b, or2(a, s1)), and2(a, inv(t)))`; a paired slot's four
+    ///   registers give, through its op's pin map, the pins of both of its
+    ///   roots, each proved the same way;
+    /// * the scheduled nodes, the second roots of paired slots and the
+    ///   inner nodes of the fused slots cover the netlist exactly once;
     /// * every constant register still holds its constant after each
     ///   group, and every output register holds its output node.
     ///
@@ -848,6 +1001,7 @@ impl EvalTape {
             for s in run.start as usize..next {
                 for (what, r) in [
                     ("d", self.d[s]),
+                    ("d2", self.d2[s]),
                     ("a", self.a[s]),
                     ("b", self.b[s]),
                     ("c", self.c[s]),
@@ -856,12 +1010,26 @@ impl EvalTape {
                     in_range(&|| format!("slot {s} {what}"), r)?;
                 }
                 let gate = &gates[self.nodes[s] as usize];
+                let or2 = |g: Option<&Gate>| matches!(g, Some(Gate::Or2(..)));
                 let fits = match run.op {
-                    TapeOp::Sel => matches!(gate, Gate::Or2(..)),
+                    TapeOp::Sel => or2(Some(gate)),
+                    pair if pair.is_pair() => {
+                        or2(Some(gate)) && or2(gates.get(self.second[s] as usize))
+                    }
                     single => TapeOp::from_gate(gate) == Some(single),
                 };
                 if !fits {
                     return Err(format!("slot {s} is not a {:?} cell", run.op));
+                }
+                let dests = [self.d[s], self.d2[s]];
+                let fanin = [self.a[s], self.b[s], self.c[s], self.e[s]];
+                if run.op.is_pair()
+                    && (dests[0] == dests[1] || fanin.iter().any(|r| dests.contains(r)))
+                {
+                    return Err(format!(
+                        "paired slot {s} writes registers {dests:?}, not two apart \
+                         from its fan-ins {fanin:?}"
+                    ));
                 }
                 op[s] = run.op;
             }
@@ -886,24 +1054,37 @@ impl EvalTape {
             for s in sources..slots {
                 let node = self.nodes[s];
                 let fanin = [self.a[s], self.b[s], self.c[s], self.e[s]];
-                if op[s] == TapeOp::Sel {
+                if op[s] == TapeOp::Sel || op[s].is_pair() {
                     let held = fanin.map(|r| holder[r as usize]);
-                    let inner = match held {
-                        [Some(a), Some(b), Some(s1), Some(t)] => {
-                            core_through(gates, node as usize, [a, b, s1, t].map(NodeId))
-                        }
-                        _ => None,
+                    let unproved = |root: u32| {
+                        format!(
+                            "group {group}: {:?} slot {s} reads registers {fanin:?} \
+                             holding {held:?}, which are not the pins of the \
+                             selection core of node {root}",
+                            op[s]
+                        )
                     };
-                    let Some(inner) = inner else {
-                        return Err(format!(
-                            "group {group}: fused slot {s} (node {node}) reads \
-                             registers {fanin:?} holding {held:?}, which are not \
-                             the pins of its selection core"
-                        ));
+                    let [Some(a), Some(b), Some(c), Some(e)] = held else {
+                        return Err(unproved(node));
                     };
-                    if group == 0 {
-                        for v in inner {
-                            cover(v.index(), &|| format!("fused into slot {s}"))?;
+                    let pins = [a, b, c, e].map(NodeId);
+                    // One core per root: a paired slot's pins go through its
+                    // op's pin map.
+                    let cores = match op[s].pair_pins(pins) {
+                        Some([p, p2]) => [Some((node, p)), Some((self.second[s], p2))],
+                        None => [Some((node, pins)), None],
+                    };
+                    for (root, pins) in cores.into_iter().flatten() {
+                        let Some(inner) = core_through(gates, root as usize, pins) else {
+                            return Err(unproved(root));
+                        };
+                        if group == 0 {
+                            if root != node {
+                                cover(root as usize, &|| format!("paired into slot {s}"))?;
+                            }
+                            for v in inner {
+                                cover(v.index(), &|| format!("fused into slot {s}"))?;
+                            }
                         }
                     }
                 } else {
@@ -920,6 +1101,9 @@ impl EvalTape {
                     }
                 }
                 holder[self.d[s] as usize] = Some(node);
+                if op[s].is_pair() {
+                    holder[self.d2[s] as usize] = Some(self.second[s]);
+                }
             }
             for &s in &consts {
                 let r = self.d[s] as usize;
@@ -956,7 +1140,9 @@ impl EvalTape {
             // detected the feature on this CPU.
             KernelId::Avx2 => unsafe { self.run_tape_avx2::<W>(z, o) },
             // `Scalar`, and off x86-64 a tier that can never enter a scratch.
-            _ => self.run_tape_v::<W>(z, o),
+            // Its paired ops load the fan-ins once per core, so that the
+            // baseline target vectorizes them (see `kernel::apply_pair`).
+            _ => self.run_tape_v::<W, false>(z, o),
         }
     }
 
@@ -969,14 +1155,16 @@ impl EvalTape {
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     unsafe fn run_tape_avx2<const W: usize>(&self, z: &mut [u64], o: &mut [u64]) {
-        self.run_tape_v::<W>(z, o)
+        self.run_tape_v::<W, true>(z, o)
     }
 
     /// One pass over every run: one dispatch per run, then a branch-free
-    /// sweep applying its formula — a gate's, or the fused selection
-    /// core's — to each slot (see [`kernel::apply_slot`]).
+    /// sweep applying its formula — a gate's, the fused selection core's,
+    /// or a pair of cores' — to each slot (see [`kernel::apply_slot`] and
+    /// [`kernel::apply_pair`], whose fan-in loads the two results share
+    /// when `SHARED`).
     #[inline(always)]
-    fn run_tape_v<const W: usize>(&self, z: &mut [u64], o: &mut [u64]) {
+    fn run_tape_v<const W: usize, const SHARED: bool>(&self, z: &mut [u64], o: &mut [u64]) {
         assert_eq!(z.len(), self.registers * W);
         assert_eq!(o.len(), self.registers * W);
         for run in &self.runs {
@@ -986,21 +1174,42 @@ impl EvalTape {
                 ($gate:ty) => {
                     for s in start..end {
                         // SAFETY: compile() gives every register index
-                        // (`d`, `a`, `b`, `c`, `e`, unused fan-ins
+                        // (`d`, `d2`, `a`, `b`, `c`, `e`, unused entries
                         // included) a value below register_count(), and
                         // the asserts above pin both buffers at
                         // register_count() × W words. `s` stays below
-                        // `end <= nodes.len() == d.len() == a.len() ==
-                        // b.len() == c.len() == e.len()` (compile() sizes
-                        // all five to one entry per scheduled slot), so the
-                        // unchecked index loads are in bounds; skipping the
-                        // per-slot bounds checks is worth several percent
-                        // on this loop.
+                        // `end <= nodes.len() == d.len() == d2.len() ==
+                        // a.len() == b.len() == c.len() == e.len()`
+                        // (compile() sizes all six to one entry per
+                        // scheduled slot), so the unchecked index loads are
+                        // in bounds; skipping the per-slot bounds checks is
+                        // worth several percent on this loop.
                         unsafe {
                             kernel::apply_slot::<$gate, W>(
                                 z,
                                 o,
                                 *self.d.get_unchecked(s) as usize,
+                                *self.a.get_unchecked(s) as usize,
+                                *self.b.get_unchecked(s) as usize,
+                                *self.c.get_unchecked(s) as usize,
+                                *self.e.get_unchecked(s) as usize,
+                            )
+                        }
+                    }
+                };
+            }
+            macro_rules! sweep_pair {
+                ($pair:ty) => {
+                    for s in start..end {
+                        // SAFETY: as in `sweep!`; compile() takes `d` and
+                        // `d2` as two registers apart from the slot's
+                        // fan-ins.
+                        unsafe {
+                            kernel::apply_pair::<$pair, W, SHARED>(
+                                z,
+                                o,
+                                *self.d.get_unchecked(s) as usize,
+                                *self.d2.get_unchecked(s) as usize,
                                 *self.a.get_unchecked(s) as usize,
                                 *self.b.get_unchecked(s) as usize,
                                 *self.c.get_unchecked(s) as usize,
@@ -1022,6 +1231,8 @@ impl EvalTape {
                 TapeOp::AndNot2 => sweep!(ops::AndNot2),
                 TapeOp::Ao21 => sweep!(ops::Ao21),
                 TapeOp::Sel => sweep!(ops::Sel),
+                TapeOp::SelSel => sweep_pair!(ops::SelSel),
+                TapeOp::SelSwap => sweep_pair!(ops::SelSwap),
             }
         }
     }
@@ -1274,10 +1485,17 @@ mod tests {
         // move the constant into the dead input's register.
         let mut bad = tape.clone();
         bad.const_loads[0].0 = dead_reg;
-        for r in [&mut bad.d, &mut bad.a, &mut bad.b, &mut bad.c, &mut bad.e]
-            .into_iter()
-            .flat_map(|v| v.iter_mut())
-            .filter(|r| **r == const_reg)
+        for r in [
+            &mut bad.d,
+            &mut bad.d2,
+            &mut bad.a,
+            &mut bad.b,
+            &mut bad.c,
+            &mut bad.e,
+        ]
+        .into_iter()
+        .flat_map(|v| v.iter_mut())
+        .filter(|r| **r == const_reg)
         {
             *r = dead_reg;
         }
@@ -1597,8 +1815,16 @@ mod tests {
         n
     }
 
+    fn ops_of(tape: &EvalTape, op: TapeOp) -> u32 {
+        tape.runs()
+            .iter()
+            .filter(|r| r.op == op)
+            .map(|r| r.len)
+            .sum()
+    }
+
     fn fused_ops(tape: &EvalTape) -> u32 {
-        tape.runs().iter().filter(|r| r.op == TapeOp::Sel).map(|r| r.len).sum()
+        ops_of(tape, TapeOp::Sel)
     }
 
     #[test]
@@ -1681,6 +1907,153 @@ mod tests {
         let mut bad = tape.clone();
         bad.absorbed -= 1;
         assert!(bad.check_registers(&n).unwrap_err().contains("counts"));
+    }
+
+    /// The selection core `or2(and2(b, or2(a, s1)), and2(a, inv(t)))`.
+    fn core(n: &mut Netlist, [a, b, s1, t]: [NodeId; 4]) -> NodeId {
+        let q = n.or2(a, s1);
+        let x = n.and2(b, q);
+        let nt = n.inv(t);
+        let y = n.and2(a, nt);
+        n.or2(x, y)
+    }
+
+    /// Two cores over the inputs `[a, b, c, e]` in the shape `op` pairs —
+    /// `⋄̂_M` for [`TapeOp::SelSel`], `out_M` for [`TapeOp::SelSwap`] — with
+    /// both roots as outputs.
+    fn block_netlist(op: TapeOp) -> Netlist {
+        let mut n = Netlist::new("block");
+        let pins = ["a", "b", "c", "e"].map(|p| n.input(p));
+        for (k, p) in op.pair_pins(pins).unwrap().into_iter().enumerate() {
+            let root = core(&mut n, p);
+            n.set_output(format!("f{k}"), root);
+        }
+        n
+    }
+
+    #[test]
+    fn both_block_shapes_pair_into_one_op() {
+        for op in [TapeOp::SelSel, TapeOp::SelSwap] {
+            let n = block_netlist(op);
+            let tape = EvalTape::compile(&n);
+            assert_eq!((ops_of(&tape, op), tape.op_count()), (1, 1), "{op:?}");
+            assert_eq!(tape.slot_count(), n.node_count());
+            tape.check_registers(&n).unwrap();
+            let inputs = ternary_inputs(n.input_count(), 3usize.pow(4));
+            for width in PlaneWidth::ALL {
+                for k in kernel::kernels() {
+                    let mut scratch = tape.try_scratch(width, k).unwrap();
+                    let got = tape.try_eval_block_with(&inputs, &mut scratch).unwrap();
+                    assert_eq!(got, n.eval_block(&inputs), "{op:?} at {width} under {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_validator_proves_both_roots_of_a_pair() {
+        for op in [TapeOp::SelSel, TapeOp::SelSwap] {
+            let n = block_netlist(op);
+            let tape = EvalTape::compile(&n);
+            let s = tape.runs()[0].start as usize;
+            assert_eq!(tape.runs()[0].op, op);
+
+            // The roots' registers swapped: each output register holds the
+            // other root.
+            let mut bad = tape.clone();
+            std::mem::swap(&mut bad.d[s], &mut bad.d2[s]);
+            let err = bad.check_registers(&n).unwrap_err();
+            assert!(err.contains("output 0"), "{op:?}: {err}");
+
+            // The select fan-ins swapped: the pin map no longer gives the
+            // first root's pins.
+            let mut bad = tape.clone();
+            std::mem::swap(&mut bad.c[s], &mut bad.e[s]);
+            let err = bad.check_registers(&n).unwrap_err();
+            assert!(err.contains("pins"), "{op:?}: {err}");
+
+            // The second root left out of the count.
+            let mut bad = tape.clone();
+            bad.absorbed -= 1;
+            assert!(bad.check_registers(&n).unwrap_err().contains("counts"));
+
+            // A destination on a fan-in's register, or both on one.
+            for d2 in [tape.a[s], tape.d[s]] {
+                let mut bad = tape.clone();
+                bad.d2[s] = d2;
+                let err = bad.check_registers(&n).unwrap_err();
+                assert!(err.contains("apart"), "{op:?}: {err}");
+            }
+        }
+
+        // A second core that reads the first root: the same node layout,
+        // but its `s1` and `t` are the first root, which no register holds
+        // before the slot runs. The netlist itself does not pair.
+        let tape = EvalTape::compile(&block_netlist(TapeOp::SelSel));
+        let mut n = Netlist::new("chained");
+        let [a, b, c, _] = ["a", "b", "c", "e"].map(|p| n.input(p));
+        let first = core(&mut n, [a, b, c, c]);
+        let second = core(&mut n, [a, b, first, first]);
+        n.set_output("f0", first);
+        n.set_output("f1", second);
+        assert_eq!(n.node_count(), tape.slot_count());
+        let err = tape.check_registers(&n).unwrap_err();
+        assert!(err.contains("pins"), "{err}");
+        let own = EvalTape::compile(&n);
+        assert_eq!(fused_ops(&own), 2);
+        own.check_registers(&n).unwrap();
+    }
+
+    #[test]
+    fn cores_with_a_fan_in_after_the_first_root_do_not_pair() {
+        // The cores share `a` and `b`, and would form a `⋄̂_M` pair, but
+        // the second one's select is a gate built after the first root.
+        let mut n = Netlist::new("late");
+        let [a, b, c, e] = ["a", "b", "c", "e"].map(|p| n.input(p));
+        let first = core(&mut n, [a, b, c, c]);
+        let late = n.and2(c, e);
+        let second = core(&mut n, [a, b, late, late]);
+        n.set_output("f0", first);
+        n.set_output("f1", second);
+        let tape = EvalTape::compile(&n);
+        assert_eq!(fused_ops(&tape), 2);
+        assert_eq!(
+            ops_of(&tape, TapeOp::SelSel) + ops_of(&tape, TapeOp::SelSwap),
+            0
+        );
+        assert_eq!(tape.op_count(), 3);
+        tape.check_registers(&n).unwrap();
+        let inputs = ternary_inputs(n.input_count(), 3usize.pow(4));
+        for width in PlaneWidth::ALL {
+            assert_eq!(eval_at(&tape, &inputs, width), n.eval_block(&inputs));
+        }
+    }
+
+    #[test]
+    fn a_node_reading_the_first_root_moves_above_the_pair() {
+        // `g` reads the first root, and its netlist level is below the
+        // second root's: the schedule must still run it after the pair.
+        let mut n = Netlist::new("lift");
+        let [a, b, c, e0] = ["a", "b", "c", "e"].map(|p| n.input(p));
+        let deep = n.inv(e0);
+        let e = n.inv(deep);
+        let first = core(&mut n, [a, b, c, c]);
+        let g = n.xor2(first, a);
+        let second = core(&mut n, [a, b, e, e]);
+        let h = n.and2(g, second);
+        n.set_output("h", h);
+        n.set_output("g", g);
+        let tape = EvalTape::compile(&n);
+        assert_eq!(ops_of(&tape, TapeOp::SelSel), 1);
+        tape.check_registers(&n).unwrap();
+        let levels = n.levels();
+        assert!(levels[g.index()] <= levels[second.index()]);
+        let level_of = |op| tape.runs().iter().find(|r| r.op == op).unwrap().level;
+        assert!(level_of(TapeOp::Xor2) > level_of(TapeOp::SelSel));
+        let inputs = ternary_inputs(n.input_count(), 3usize.pow(4));
+        for width in PlaneWidth::ALL {
+            assert_eq!(eval_at(&tape, &inputs, width), n.eval_block(&inputs));
+        }
     }
 
     #[test]

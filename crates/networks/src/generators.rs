@@ -154,9 +154,7 @@ mod tests {
 
     #[test]
     fn batcher_known_sizes() {
-        // Classic counts: n=4 → 5? No: Batcher n=4 uses 5? Actually 5 for
-        // n=4 is optimal; Batcher gives 5 comparators at n=4 and 9 at n=8
-        // … these are well-known values:
+        // Batcher's odd-even merge sort uses 1/5/19/63 comparators at n = 2/4/8/16.
         assert_eq!(batcher_odd_even(2).size(), 1);
         assert_eq!(batcher_odd_even(4).size(), 5);
         assert_eq!(batcher_odd_even(8).size(), 19);

@@ -16,8 +16,8 @@
 //! is compared against), so CI can run the whole file once per tier and a
 //! forced run is never silently vacuous.
 
-use mcs::core::{selection, SelectionInputs};
-use mcs::logic::plane::kernel::{self, ops, GateOp, KernelId, UnknownKernel};
+use mcs::core::{diamond_block, out_block, selection, SelectionInputs, StatePair};
+use mcs::logic::plane::kernel::{self, ops, GateOp, KernelId, PairOp, UnknownKernel};
 use mcs::logic::{PlaneWidth, Trit, TritBlock};
 use mcs::netlist::{EvalTape, Netlist, TapeOp};
 use proptest::prelude::*;
@@ -33,14 +33,15 @@ struct GateRecipe {
 
 /// Random recipes over the full cell set (kinds 0..12): certified cells,
 /// constants, and every pessimistic cell, plus planted selection cores
-/// (kind 12) that the tape fuses — so every `TapeOp` kernel body is
+/// (kind 12) that the tape fuses and planted `⋄̂_M` / `out_M` blocks
+/// (kinds 13, 14) that it pairs — so every `TapeOp` kernel body is
 /// exercised under every backend.
 fn full_strategy(
     max_gates: usize,
 ) -> impl Strategy<Value = (usize, Vec<GateRecipe>)> {
     (2usize..=5).prop_flat_map(move |inputs| {
         let gates = proptest::collection::vec(
-            (0u8..13, 0usize..1000, 0usize..1000, 0usize..1000)
+            (0u8..15, 0usize..1000, 0usize..1000, 0usize..1000)
                 .prop_map(|(kind, a, b, c)| GateRecipe { kind, a, b, c }),
             1..max_gates,
         );
@@ -74,11 +75,28 @@ fn build(inputs: usize, recipes: &[GateRecipe]) -> Netlist {
             9 => n.mux2(a, b, c),
             10 => n.andnot2(a, b),
             11 => n.ao21(a, b, c),
-            _ => {
+            12 => {
                 // The paper's selection core with an inverter on `sel2`;
                 // only the root is kept, so the tape fuses it.
                 let sel2 = n.inv(nodes[(r.c / 7) % nodes.len()]);
                 selection(&mut n, SelectionInputs { a, b, sel1: c, sel2 })
+            }
+            _ => {
+                // A whole `⋄̂_M` (13) or `out_M` (14) block: the tape pairs
+                // its two selection cores into one op.
+                let y = StatePair {
+                    x1: c,
+                    x2: nodes[(r.c / 7) % nodes.len()],
+                };
+                let [first, second] = if r.kind == 13 {
+                    let o = diamond_block(&mut n, StatePair { x1: a, x2: b }, y);
+                    [o.x1, o.x2]
+                } else {
+                    let (max, min) = out_block(&mut n, y, a, b);
+                    [max, min]
+                };
+                nodes.push(first);
+                second
             }
         };
         nodes.push(out);
@@ -282,6 +300,59 @@ fn sel_is_the_selection_circuit_with_an_inverter_on_sel2() {
     assert_eq!(tape.runs()[0].op, TapeOp::Sel);
     let blocks: Vec<TritBlock> = lanes.iter().map(|l| TritBlock::from_lanes(l)).collect();
     assert_kernels_match(&n, &tape, &blocks);
+}
+
+/// The paired ops are the paper's blocks: on all 3^4 ternary pin
+/// combinations, `ops::SelSel` equals [`Netlist::eval`] of a `⋄̂_M` block
+/// and `ops::SelSwap` that of an `out_M` block, and the compiled tape of
+/// each block — one paired op — agrees under every tier.
+#[test]
+fn pair_ops_are_the_diamond_and_out_blocks() {
+    let mut diamond = Netlist::new("diamond");
+    let [x1, x2, y1, y2] = ["x1", "x2", "y1", "y2"].map(|p| diamond.input(p));
+    let o = diamond_block(
+        &mut diamond,
+        StatePair { x1, x2 },
+        StatePair { x1: y1, x2: y2 },
+    );
+    diamond.set_output("o1", o.x1);
+    diamond.set_output("o2", o.x2);
+    let mut out = Netlist::new("out");
+    let [u1, u2, b1, b2] = ["u1", "u2", "b1", "b2"].map(|p| out.input(p));
+    let (max, min) = out_block(&mut out, StatePair { x1: u1, x2: u2 }, b1, b2);
+    out.set_output("max", max);
+    out.set_output("min", min);
+
+    let splat = |trit: Trit| match trit {
+        Trit::Zero => (!0u64, 0u64),
+        Trit::One => (0, !0),
+        Trit::Meta => (!0, !0),
+    };
+    let mut lanes: Vec<Vec<Trit>> = vec![Vec::new(); 4];
+    for combo in 0..81usize {
+        let pins: Vec<Trit> = (0..4)
+            .map(|k| Trit::ALL[combo / 3usize.pow(k) % 3])
+            .collect();
+        let [p1, p2, p3, p4] = [0, 1, 2, 3].map(|k| splat(pins[k]));
+        // ⋄̂_M: pins `[a, b, c, e] = [x2, x1, y1, y2]`.
+        let want = diamond.eval(&pins);
+        let got = ops::SelSel::eval(p2, p1, p3, p4);
+        assert_eq!(got, (splat(want[0]), splat(want[1])), "⋄̂_M pins {pins:?}");
+        // out_M: pins `[a, b, c, e] = [b1, b2, u1, u2]`.
+        let want = out.eval(&pins);
+        let got = ops::SelSwap::eval(p3, p4, p1, p2);
+        assert_eq!(got, (splat(want[0]), splat(want[1])), "out_M pins {pins:?}");
+        for (k, &p) in pins.iter().enumerate() {
+            lanes[k].push(p);
+        }
+    }
+    let blocks: Vec<TritBlock> = lanes.iter().map(|l| TritBlock::from_lanes(l)).collect();
+    for (n, op) in [(&diamond, TapeOp::SelSel), (&out, TapeOp::SelSwap)] {
+        let tape = EvalTape::compile(n);
+        assert_eq!(tape.op_count(), 1);
+        assert_eq!(tape.runs()[0].op, op);
+        assert_kernels_match(n, &tape, &blocks);
+    }
 }
 
 /// The paper's own circuit: a certified 4×2 sorting circuit streams every

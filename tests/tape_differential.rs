@@ -14,16 +14,22 @@
 //! generators also plant it (built by [`mcs::core::selection`] with an
 //! inverter on `sel2`), which the tape fuses into one `TapeOp::Sel`; the
 //! hazard generator also plants it with its inverter exposed to later
-//! gates, a near miss that must not fuse. The fused-op count of every
+//! gates, a near miss that must not fuse. Both generators also plant whole
+//! `⋄̂_M` and `out_M` blocks ([`mcs::core::diamond_block`],
+//! [`mcs::core::out_block`]), whose two cores the tape pairs into one
+//! `TapeOp::SelSel` or `TapeOp::SelSwap`. The fused-core count of every
 //! paper 2-sort is pinned, and the other 2-sort flavours and the
 //! pass-optimised 8-channel artifact are checked lane for lane.
+//!
+//! Evaluation runs under the tier `MCS_KERNEL` forces, else the preferred
+//! one, so CI can run the suite once per tier.
 //!
 //! The suite also pins the streaming edges of `eval_batch_iter` (domains
 //! that are not multiples of its internal 64-lane words) — the block-eval
 //! edge cases the tape path must reproduce bit for bit.
 
-use mcs::core::{selection, SelectionInputs};
-use mcs::logic::plane::kernel;
+use mcs::core::{diamond_block, out_block, selection, SelectionInputs, StatePair};
+use mcs::logic::plane::kernel::{self, KernelId};
 use mcs::logic::{PlaneWidth, Trit, TritBlock};
 use mcs::netlist::{EvalTape, Netlist, NodeId, TapeOp};
 use proptest::prelude::*;
@@ -39,13 +45,13 @@ struct GateRecipe {
 
 /// Random recipes over the full cell set (kinds 0..12): certified cells,
 /// constants, and every pessimistic cell, plus planted selection cores
-/// (kind 12).
+/// (kind 12) and planted `⋄̂_M` / `out_M` blocks (kinds 13, 14).
 fn full_strategy(
     max_gates: usize,
 ) -> impl Strategy<Value = (usize, Vec<GateRecipe>)> {
     (2usize..=5).prop_flat_map(move |inputs| {
         let gates = proptest::collection::vec(
-            (0u8..13, 0usize..1000, 0usize..1000, 0usize..1000)
+            (0u8..15, 0usize..1000, 0usize..1000, 0usize..1000)
                 .prop_map(|(kind, a, b, c)| GateRecipe { kind, a, b, c }),
             1..max_gates,
         );
@@ -64,10 +70,30 @@ fn plant_selection(n: &mut Netlist, nodes: &[NodeId], r: &GateRecipe) -> (NodeId
     (sel2, selection(n, SelectionInputs { a, b, sel1, sel2 }))
 }
 
+/// A `⋄̂_M` block (`out_m` false) or an `out_M` block over four nodes
+/// picked from `nodes`: returns its two roots. Each block is two selection
+/// cores over shared wires, which the tape pairs into one op.
+fn plant_block(n: &mut Netlist, nodes: &[NodeId], r: &GateRecipe, out_m: bool) -> [NodeId; 2] {
+    let pick = |k: usize| nodes[k % nodes.len()];
+    let (x1, x2) = (pick(r.a), pick(r.b));
+    let y = StatePair {
+        x1: pick(r.c),
+        x2: pick(r.c / 7),
+    };
+    if out_m {
+        let (max, min) = out_block(n, y, x1, x2);
+        [max, min]
+    } else {
+        let o = diamond_block(n, StatePair { x1, x2 }, y);
+        [o.x1, o.x2]
+    }
+}
+
 /// Materialises a recipe into a netlist: sources index any previously
 /// created node (mod current count), so the circuit is always well-formed
 /// and acyclic. Kinds 0–4 are the certified cells, 5/6 constants, 7–11
-/// the pessimistic cells, 12 a planted selection core.
+/// the pessimistic cells, 12 a planted selection core, 13 a planted `⋄̂_M`
+/// block and 14 a planted `out_M` block.
 fn build(inputs: usize, recipes: &[GateRecipe]) -> Netlist {
     let mut n = Netlist::new("random");
     let mut nodes = Vec::new();
@@ -91,7 +117,12 @@ fn build(inputs: usize, recipes: &[GateRecipe]) -> Netlist {
             9 => n.mux2(a, b, c),
             10 => n.andnot2(a, b),
             11 => n.ao21(a, b, c),
-            _ => plant_selection(&mut n, &nodes, r).1,
+            12 => plant_selection(&mut n, &nodes, r).1,
+            _ => {
+                let [first, second] = plant_block(&mut n, &nodes, r, r.kind == 14);
+                nodes.push(first);
+                second
+            }
         };
         nodes.push(out);
     }
@@ -125,11 +156,18 @@ fn input_blocks(inputs: usize, seed_bits: &[u8], lanes: usize) -> Vec<TritBlock>
 /// not a multiple of 64.
 const EDGE_LANES: [usize; 6] = [0, 1, 63, 64, 65, 1000];
 
-/// Evaluates through a fresh scratch at `width` under the preferred tier.
+/// The tier under test: the one `MCS_KERNEL` forces, else the preferred.
+fn tier() -> KernelId {
+    kernel::from_env()
+        .expect("MCS_KERNEL must parse")
+        .unwrap_or_else(kernel::preferred)
+}
+
+/// Evaluates through a fresh scratch at `width` under the tier under test.
 fn eval_at(tape: &EvalTape, inputs: &[TritBlock], width: PlaneWidth) -> Vec<TritBlock> {
     let mut scratch = tape
-        .try_scratch(width, kernel::preferred())
-        .expect("the preferred tier is available");
+        .try_scratch(width, tier())
+        .expect("the tier under test is available");
     tape.try_eval_block_with(inputs, &mut scratch)
         .expect("inputs fit the tape")
 }
@@ -180,8 +218,8 @@ proptest! {
         let n = build(inputs, &recipes);
         let tape = EvalTape::compile(&n);
         for width in PlaneWidth::ALL {
-            let mut scratch = tape.try_scratch(width, kernel::preferred())
-                .expect("the preferred tier is available");
+            let mut scratch = tape.try_scratch(width, tier())
+                .expect("the tier under test is available");
             // Descending: the 1000-lane run dirties the scratch before the
             // short and empty runs reuse it.
             for &lanes in EDGE_LANES.iter().rev() {
@@ -239,12 +277,13 @@ proptest! {
 /// Random netlists built to stress register allocation: inputs and
 /// constants declared anywhere among the cells (so some inputs are dead
 /// and constants sit between inputs), `and2(a, a)`, dead cells, outputs
-/// on any node — inputs and constants included — and planted selection
-/// cores, fusable or with an inner node exposed.
+/// on any node — inputs and constants included — planted selection
+/// cores, fusable or with an inner node exposed, and planted `⋄̂_M` /
+/// `out_M` blocks, whose paired slots write two registers.
 fn hazard_strategy() -> impl Strategy<Value = (Vec<GateRecipe>, Vec<usize>)> {
     (
         proptest::collection::vec(
-            (0u8..18, 0usize..1000, 0usize..1000, 0usize..1000)
+            (0u8..20, 0usize..1000, 0usize..1000, 0usize..1000)
                 .prop_map(|(kind, a, b, c)| GateRecipe { kind, a, b, c }),
             1..60,
         ),
@@ -255,7 +294,8 @@ fn hazard_strategy() -> impl Strategy<Value = (Vec<GateRecipe>, Vec<usize>)> {
 /// Materialises a hazard recipe: kinds 0–11 as in [`build`], 12 a new
 /// input, 13 a constant, 14 `and2(a, a)`, 15 an `or2` nobody reads, 16 a
 /// planted selection core, 17 one whose inverter later gates and outputs
-/// may also read (fusable only while they do not).
+/// may also read (fusable only while they do not), 18 a planted `⋄̂_M`
+/// block and 19 a planted `out_M` block.
 fn build_hazards(recipes: &[GateRecipe], outputs: &[usize]) -> Netlist {
     let mut n = Netlist::new("hazards");
     let mut nodes = vec![n.input("i0")];
@@ -283,10 +323,15 @@ fn build_hazards(recipes: &[GateRecipe], outputs: &[usize]) -> Netlist {
                 continue;
             }
             16 => plant_selection(&mut n, &nodes, r).1,
-            _ => {
+            17 => {
                 let (inv, root) = plant_selection(&mut n, &nodes, r);
                 nodes.push(inv);
                 root
+            }
+            _ => {
+                let [first, second] = plant_block(&mut n, &nodes, r, r.kind == 19);
+                nodes.push(first);
+                second
             }
         };
         nodes.push(out);
@@ -316,8 +361,8 @@ proptest! {
         let blocks = input_blocks(n.input_count(), &seed_bits, 130);
         let want = n.eval_block(&blocks);
         for width in PlaneWidth::ALL {
-            let mut scratch = tape.try_scratch(width, kernel::preferred())
-                .expect("the preferred tier is available");
+            let mut scratch = tape.try_scratch(width, tier())
+                .expect("the tier under test is available");
             for _ in 0..2 {
                 let got = tape.try_eval_block_with(&blocks, &mut scratch)
                     .expect("inputs fit the tape");
@@ -370,13 +415,28 @@ fn tape_compile_and_eval_are_deterministic() {
     }
 }
 
-/// Ops the tape fuses into `TapeOp::Sel`.
-fn fused_ops(tape: &EvalTape) -> usize {
+/// Slots of the tape that run `op`.
+fn ops_of(tape: &EvalTape, op: TapeOp) -> usize {
     tape.runs()
         .iter()
-        .filter(|r| r.op == TapeOp::Sel)
+        .filter(|r| r.op == op)
         .map(|r| r.len as usize)
         .sum()
+}
+
+/// Paired slots: `TapeOp::SelSel` and `TapeOp::SelSwap`.
+fn paired_ops(tape: &EvalTape) -> usize {
+    ops_of(tape, TapeOp::SelSel) + ops_of(tape, TapeOp::SelSwap)
+}
+
+/// Ops the tape fuses into `TapeOp::Sel`.
+fn fused_ops(tape: &EvalTape) -> usize {
+    ops_of(tape, TapeOp::Sel)
+}
+
+/// Selection cores the tape fuses: one per `Sel` op, two per paired op.
+fn fused_cores(tape: &EvalTape) -> usize {
+    fused_ops(tape) + 2 * paired_ops(tape)
 }
 
 /// The planted recipe fuses: a 40-gate netlist of every cell kind with
@@ -402,11 +462,41 @@ fn planted_selection_cores_fuse() {
     assert_tape_matches(&n, &tape, &input_blocks(4, &seed_bits, 200));
 }
 
+/// The planted blocks pair: a netlist of every cell kind with three
+/// planted `⋄̂_M` and three planted `out_M` blocks runs each block as one
+/// paired op, so the generators above do reach both pair kernels.
+#[test]
+fn planted_blocks_pair() {
+    let recipes: Vec<GateRecipe> = (0..48)
+        .map(|k| GateRecipe {
+            kind: match k % 8 {
+                2 => 13,
+                5 => 14,
+                _ => (k % 12) as u8,
+            },
+            a: 7 * k,
+            b: 13 * k + 1,
+            c: 37 * k + 5,
+        })
+        .collect();
+    let n = build(4, &recipes);
+    let tape = EvalTape::compile(&n);
+    tape.check_registers(&n).unwrap();
+    assert_eq!(ops_of(&tape, TapeOp::SelSel), 6);
+    assert_eq!(ops_of(&tape, TapeOp::SelSwap), 6);
+    assert_eq!(fused_ops(&tape), 0);
+    assert_eq!(tape.op_count(), n.gate_count() - 9 * 12);
+    assert_eq!(tape.slot_count(), n.node_count());
+    let seed_bits: Vec<u8> = (0..499u32).map(|i| (i * 5 % 3) as u8).collect();
+    assert_tape_matches(&n, &tape, &input_blocks(4, &seed_bits, 200));
+}
+
 /// Every paper 2-sort — Ladner–Fischer and each explicit prefix topology,
-/// B = 2..16 — fuses exactly its selection circuits: two per `⋄̂_M` block
-/// of the prefix network (`C(B − 1)` blocks) and two per `out_M` block
-/// (`B − 1`), 78 at B = 16. The rest stays single-gate, the allocation
-/// replays, and the tape matches `eval_block` lane for lane.
+/// B = 2..16 — fuses exactly its selection circuits, and pairs all of
+/// them: two per `⋄̂_M` block of the prefix network (`C(B − 1)` blocks)
+/// and two per `out_M` block (`B − 1`), 78 cores in 39 pairs at B = 16.
+/// The rest stays single-gate, the allocation replays, and the tape
+/// matches `eval_block` lane for lane.
 #[test]
 fn paper_two_sorts_fuse_every_selection_circuit() {
     use mcs::core::ppc::PrefixTopology;
@@ -423,8 +513,13 @@ fn paper_two_sorts_fuse_every_selection_circuit() {
             let n = flavour.build(width);
             let tape = EvalTape::compile(&n);
             let want = 2 * (topology.op_count(width - 1) + (width - 1));
-            assert_eq!(fused_ops(&tape), want, "{flavour:?} B = {width}");
-            assert_eq!(tape.op_count(), n.gate_count() - 4 * want);
+            assert_eq!(fused_cores(&tape), want, "{flavour:?} B = {width}");
+            assert_eq!(
+                fused_ops(&tape),
+                0,
+                "{flavour:?} B = {width}: an unpaired core"
+            );
+            assert_eq!(tape.op_count(), n.gate_count() - 4 * want - want / 2);
             assert_eq!(tape.slot_count(), n.node_count());
             tape.check_registers(&n)
                 .unwrap_or_else(|e| panic!("{flavour:?} B = {width}: {e}"));
@@ -432,7 +527,7 @@ fn paper_two_sorts_fuse_every_selection_circuit() {
         }
     }
     let paper16 = EvalTape::compile(&TwoSortFlavor::Paper.build(16));
-    assert_eq!(fused_ops(&paper16), 78);
+    assert_eq!((fused_cores(&paper16), paired_ops(&paper16)), (78, 39));
 }
 
 /// The other 2-sort flavours and the pass-optimised 8-channel artifact
