@@ -42,8 +42,14 @@
 //!    lane multiply hoisted out of it too: `(first + l)·C₁` is
 //!    `first·C₁ + l·C₁` in wrapping arithmetic, so one multiply per word
 //!    plus a constant table of `l·C₁` covers all 64 lanes;
-//! 2. an exact, division-free reducer (`RankReducer`, multiply-high by a
-//!    per-cell reciprocal plus one conditional subtract) replaces the `%`;
+//! 2. an exact, division-free reducer (`RankReducer`) replaces the `%`:
+//!    a Mersenne fold `(x >> s) + (x mod 2^s)` with `(B+1) | s` brings `x`
+//!    below `2^51` without changing it mod `2^{B+1}−1`, an `f64` multiply
+//!    by the per-cell reciprocal rounds to the quotient or one above it,
+//!    and a sign-masked add of the divisor corrects the overshoot. It uses
+//!    only shifts, masks, integer adds and IEEE `f64` adds and multiplies,
+//!    so it vectorises under both tiers and its result depends only on
+//!    binary64 round-to-nearest;
 //! 3. a field-packed transpose turns the ranks into rank planes
 //!    `R_0 ..= R_B`: every rank is below `2^F`, `F = (B+1)` rounded up to
 //!    a power of two, so lane `j·F + r` is packed into field `j` of row
@@ -551,37 +557,87 @@ fn rank_for(seed: u64, lane: u64, channel: u64, rank_count: u64) -> u64 {
         % rank_count
 }
 
-/// Exact `x % d` for a divisor fixed per cell, without a divide.
+/// `2^52` as an `f64`: adding it to a non-negative value below `2^52`
+/// rounds that value to an integer and leaves the integer in the low
+/// mantissa bits, and OR-ing an integer below `2^52` into its bits makes
+/// `2^52` plus that integer.
+const TWO_52: f64 = 4_503_599_627_370_496.0;
+
+/// Exact `x % d` for a divisor `d = 2^k − 1 ≥ 3` fixed per cell, from
+/// shifts, masks, integer adds and IEEE `f64` adds and multiplies only.
+/// None of them is a 64×64-bit multiply-high or an int ↔ float convert,
+/// so LLVM vectorises the reduction under both compile tiers (SSE2 and
+/// AVX2), and both run the same formula.
 #[derive(Copy, Clone, Debug)]
 struct RankReducer {
     d: u64,
-    /// `⌊(2^64 − 1) / d⌋`.
-    m: u64,
+    /// `k`, with `d = 2^k − 1`.
+    k: u32,
+    /// The fold shift `s = k·⌈14/k⌉`.
+    s: u32,
+    /// `fl(1/d)`, the binary64 value nearest `1/d`.
+    inv: f64,
 }
 
 impl RankReducer {
     fn new(d: u64) -> RankReducer {
-        RankReducer { d, m: u64::MAX / d }
+        debug_assert!(
+            d >= 3 && (d + 1).is_power_of_two(),
+            "d = {d} is not 2^k − 1"
+        );
+        let k = d.count_ones();
+        RankReducer {
+            d,
+            k,
+            s: k * 14u32.div_ceil(k),
+            inv: 1.0 / d as f64,
+        }
     }
 
-    /// `x % d`.
+    /// `x % d`: a Mersenne fold, then [`RankReducer::reduce_folded`].
     ///
-    /// `q = ⌊x·m / 2^64⌋` never overshoots the true quotient `⌊x/d⌋`,
-    /// because `m·d ≤ 2^64 − 1`. It falls short by at most 1: flooring
-    /// `(2^64−1)/d` drops less than 1, so `m·d ≥ 2^64 − d`, and then
-    /// `x/d − x·m/2^64 = x·(2^64 − m·d) / (d·2^64) ≤ x/2^64 < 1`. So
-    /// `x·m/2^64 > x/d − 1 ≥ ⌊x/d⌋ − 1`, and flooring keeps `q ≥ ⌊x/d⌋ − 1`.
-    /// Hence `x − q·d` lies in `[0, 2d)` and one conditional subtract
-    /// finishes it.
+    /// **Fold.** `k` divides `s`, so `2^s = (2^k)^{s/k} ≡ 1 (mod d)`, and
+    /// `y = ⌊x / 2^s⌋ + (x mod 2^s) ≡ x (mod d)`. `s ≥ 14` bounds the high
+    /// part below `2^50` and `s ≤ 33` (for `k ≤ 33`, every width up to
+    /// `MAX_WIDTH`) bounds the low part below `2^33`, so `y < 2^51`.
     #[inline(always)]
     fn reduce(self, x: u64) -> u64 {
-        let q = ((u128::from(x) * u128::from(self.m)) >> 64) as u64;
-        let r = x - q * self.d;
-        if r >= self.d {
-            r - self.d
-        } else {
-            r
-        }
+        self.reduce_folded((x >> self.s) + (x & ((1 << self.s) - 1)))
+    }
+
+    /// `y % d` for `y < 2^51`.
+    ///
+    /// **Convert.** `y < 2^52` fills only mantissa bits, so
+    /// `f64::from_bits(y | bits(2^52))` is `2^52 + y` exactly, and
+    /// subtracting `2^52` leaves `yf = y` exactly (Sterbenz).
+    ///
+    /// **Quotient.** `fl(1/d) = (1/d)(1 + δ₁)` and the product rounds to
+    /// `yf·fl(1/d)·(1 + δ₂)`, with `|δᵢ| ≤ 2^−53`. So the product `p`
+    /// misses `y/d` by at most `(y/d)·(2^−52 + 2^−106)`, which for
+    /// `y < 2^51` and `d ≥ 3` is below `1/6 + 2^−56`. `p + 2^52` lies in
+    /// `[2^52, 2^53)`, where binary64 steps by 1, so that add rounds `p` to
+    /// the nearest integer `q` and leaves it in the low bits: `q =
+    /// bits(p + 2^52) − bits(2^52)`. With `y/d = ⌊y/d⌋ + f`, `0 ≤ f ≤
+    /// (d−1)/d`, `p` lies in `(⌊y/d⌋ − 1/2, ⌊y/d⌋ + 3/2)`, so `q` is
+    /// `⌊y/d⌋` or `⌊y/d⌋ + 1`. A fused multiply-add, which rounds once
+    /// where the two steps round twice, misses `y/d` by less still and lands
+    /// `q` in the same two values; Rust never fuses on its own.
+    ///
+    /// **Remainder.** `q·d = (q << k) − q` is at most `y + d < 2^52`, so
+    /// `r = y − q·d` is `y mod d` or, wrapped, `y mod d − d`. The latter has
+    /// its sign bit set, and adding `d` then (a mask from that bit, no
+    /// branch) gives `y mod d`.
+    ///
+    /// Every step is exact or rounds as IEEE binary64 round-to-nearest
+    /// prescribes, so the result depends on nothing else: not on the tier,
+    /// the vector width or the target.
+    #[inline(always)]
+    fn reduce_folded(self, y: u64) -> u64 {
+        debug_assert!(y < 1 << 51);
+        let yf = f64::from_bits(y | TWO_52.to_bits()) - TWO_52;
+        let q = (yf * self.inv + TWO_52).to_bits() - TWO_52.to_bits();
+        let r = y.wrapping_sub((q << self.k) - q);
+        r.wrapping_add(self.d & 0u64.wrapping_sub(r >> 63))
     }
 }
 
@@ -1037,23 +1093,33 @@ mod tests {
     /// `RankReducer::reduce` over `xs`, in place, compiled in `tier` the
     /// way [`Stimulus::chunk_inputs`] compiles it.
     fn reduce_in_tier(tier: KernelId, ranks: RankReducer, xs: &mut [u64]) {
+        map_in_tier(tier, ranks, xs, RankReducer::reduce);
+    }
+
+    /// `f(ranks, x)` for every `x` of `xs`, in place, compiled in `tier`.
+    fn map_in_tier<F: Fn(RankReducer, u64) -> u64>(
+        tier: KernelId,
+        ranks: RankReducer,
+        xs: &mut [u64],
+        f: F,
+    ) {
         #[inline(always)]
-        fn body(ranks: RankReducer, xs: &mut [u64]) {
+        fn body<F: Fn(RankReducer, u64) -> u64>(ranks: RankReducer, xs: &mut [u64], f: F) {
             for x in xs {
-                *x = ranks.reduce(*x);
+                *x = f(ranks, *x);
             }
         }
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx2")]
-        unsafe fn avx2(ranks: RankReducer, xs: &mut [u64]) {
-            body(ranks, xs)
+        unsafe fn avx2<F: Fn(RankReducer, u64) -> u64>(ranks: RankReducer, xs: &mut [u64], f: F) {
+            body(ranks, xs, f)
         }
         match tier {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: callers pass tiers from `kernel::kernels()`, which
             // lists only what this CPU supports.
-            KernelId::Avx2 => unsafe { avx2(ranks, xs) },
-            _ => body(ranks, xs),
+            KernelId::Avx2 => unsafe { avx2(ranks, xs, f) },
+            _ => body(ranks, xs, f),
         }
     }
 
@@ -1079,6 +1145,54 @@ mod tests {
                 reduce_in_tier(tier, RankReducer::new(d), &mut got);
                 for (x, r) in xs.iter().zip(&got) {
                     assert_eq!(*r, x % d, "tier {tier}, width {width}, x = {x:#x}");
+                }
+            }
+        }
+    }
+
+    /// The inputs where the reducer's proof is tight: the fold's carry
+    /// and high-part extremes, and folds one off a multiple of `d` at the
+    /// largest quotients, where the f64 product is furthest from `y/d` and
+    /// `q` overshoots by one. The fold shift is recomputed here from its
+    /// definition, not read from the reducer.
+    #[test]
+    fn rank_reducer_is_exact_at_the_fold_and_rounding_edges() {
+        for tier in kernel::kernels() {
+            for width in 1..=MAX_WIDTH {
+                let d = rank_count(width);
+                let k = width + 1;
+                let s = k * 14usize.div_ceil(k);
+                let low = (1u64 << s) - 1;
+                let high = u64::MAX >> s;
+                // A fold `y` as the input whose high part is as large as
+                // `y` allows.
+                let input = |y: u64| {
+                    let lo = y.min(low);
+                    ((y - lo) << s) | lo
+                };
+                // The largest `q` with `q·d + 1 ≤ y_max`.
+                let largest_q = |y_max: u64| (y_max - 1) / d;
+                let mut xs = vec![low, low + 1, u64::MAX, high << s, (high << s) | 1];
+                let q = largest_q(high + low);
+                xs.extend([q * d - 1, q * d, q * d + 1].map(input));
+                let mut got = xs.clone();
+                reduce_in_tier(tier, RankReducer::new(d), &mut got);
+                for (x, r) in xs.iter().zip(&got) {
+                    assert_eq!(*r, x % d, "tier {tier}, width {width}, x = {x:#x}");
+                }
+                // Folds up to the proof's bound `y < 2^51`, which no input
+                // reaches: the quotient step alone.
+                let q = largest_q((1 << 51) - 1);
+                let ys = [q * d - 1, q * d, q * d + 1];
+                let mut got = ys;
+                map_in_tier(
+                    tier,
+                    RankReducer::new(d),
+                    &mut got,
+                    RankReducer::reduce_folded,
+                );
+                for (y, r) in ys.iter().zip(&got) {
+                    assert_eq!(*r, y % d, "tier {tier}, width {width}, fold y = {y:#x}");
                 }
             }
         }
