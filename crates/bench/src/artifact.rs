@@ -1,16 +1,13 @@
-//! Artifact cache plumbing for the bench binaries: load/save netlists in
-//! any of the repo's serialisation formats. The loaders re-check every
-//! structural figure, and `synth_circuit` re-verifies each loaded circuit
-//! at gate level, so a cache can never silently serve a wrong artifact.
+//! Artifact cache plumbing for the bench binaries: save netlists in the
+//! repo's text formats and load the one form that reads back. The loader
+//! re-checks every structural figure, and `synth_circuit` re-verifies each
+//! loaded circuit at gate level, so a cache can never silently serve a
+//! wrong artifact.
 //!
-//! Every artifact is text. Formats are sniffed by content, not trusted
-//! from the file name:
-//!
-//! * `mcs-netlist v…` — netlist artifact, see [`mcs_netlist::serdes`].
-//! * `module …` — structural Verilog, re-imported through
-//!   [`mcs_netlist::export::from_verilog`].
-//!
-//! Anything else is [`ArtifactError::UnknownFormat`].
+//! Every artifact is text. On load the format is sniffed by content, not
+//! trusted from the file name: only `mcs-netlist v…` (the netlist artifact,
+//! see [`mcs_netlist::serdes`]) loads. Anything else, the write-only
+//! Verilog and DOT exports included, is [`ArtifactError::UnknownFormat`].
 //!
 //! On save the format follows the extension, matched **case-insensitively**
 //! (`FOO.V` is Verilog too): `.v` Verilog, `.dot` Graphviz, `.mcsnl` (or
@@ -23,7 +20,7 @@
 use std::fmt;
 use std::path::Path;
 
-use mcs_netlist::export::{from_verilog, to_dot, to_verilog, VerilogImportError};
+use mcs_netlist::export::{to_dot, to_verilog};
 use mcs_netlist::serdes::{self, SerdesError};
 use mcs_netlist::Netlist;
 
@@ -41,8 +38,6 @@ pub enum ArtifactError {
     },
     /// A netlist artifact that fails to load.
     Netlist(SerdesError),
-    /// A Verilog source that fails to re-import.
-    Verilog(VerilogImportError),
 }
 
 impl fmt::Display for ArtifactError {
@@ -57,7 +52,6 @@ impl fmt::Display for ArtifactError {
                 "extension {extension:?} names no supported artifact format"
             ),
             ArtifactError::Netlist(e) => write!(f, "netlist artifact: {e}"),
-            ArtifactError::Verilog(e) => write!(f, "verilog import: {e}"),
         }
     }
 }
@@ -67,12 +61,6 @@ impl std::error::Error for ArtifactError {}
 impl From<SerdesError> for ArtifactError {
     fn from(e: SerdesError) -> Self {
         ArtifactError::Netlist(e)
-    }
-}
-
-impl From<VerilogImportError> for ArtifactError {
-    fn from(e: VerilogImportError) -> Self {
-        ArtifactError::Verilog(e)
     }
 }
 
@@ -101,8 +89,7 @@ fn write(path: &Path, bytes: &[u8]) -> Result<(), ArtifactError> {
         .map_err(|e| ArtifactError::Io(format!("cannot write {}: {e}", path.display())))
 }
 
-/// Loads a cached netlist from any supported format: the netlist artifact
-/// or structural Verilog (re-imported).
+/// Loads a cached netlist artifact (`mcs-netlist` text).
 ///
 /// Structural validity (node references, header figures) is re-checked by
 /// the loaders; semantic re-verification is the caller's policy — see
@@ -111,15 +98,12 @@ fn write(path: &Path, bytes: &[u8]) -> Result<(), ArtifactError> {
 /// # Errors
 ///
 /// Any load failure, or [`ArtifactError::UnknownFormat`] when the bytes
-/// match no known magic.
+/// do not start with the netlist artifact magic.
 pub fn load_netlist(path: &Path) -> Result<Netlist, ArtifactError> {
     let bytes = read(path)?;
     let text = std::str::from_utf8(&bytes).map_err(|_| ArtifactError::UnknownFormat)?;
     if text.starts_with(mcs_netlist::serdes::TEXT_MAGIC) {
         return Ok(serdes::from_text(text)?);
-    }
-    if text.trim_start().starts_with("module ") {
-        return Ok(from_verilog(text)?);
     }
     Err(ArtifactError::UnknownFormat)
 }
@@ -203,16 +187,19 @@ mod tests {
     #[test]
     fn corrupt_netlist_cache_entries_are_refused() {
         // Bytes laid out like a binary netlist artifact, valid UTF-8 or
-        // not, and a comparator-network file of the retired `mcs-network`
+        // not, a comparator-network file of the retired `mcs-network`
         // format (what `synth_circuit --load` gets from an old network
-        // cache): a typed load error, not a panic.
+        // cache) and a structural Verilog module (an export, not an
+        // artifact): a typed load error, not a panic.
         let path = temp_path("corrupt.mcsnl");
         let old_network =
             b"mcs-network v2\nchannels 4\nsize 5\ndepth 3\nseed 0\n(0,1)\n(2,3)\n(0,2)\n(1,3)\n(1,2)\nend\n";
+        let verilog = b"module t (a, f);\n  input a;\n  output f;\n  assign f = a;\nendmodule\n";
         for binary in [
             &b"MCSB\x01\x00\x01\x00\x00\x00t"[..],
             b"MCSB\x01\x00\xff\xfe",
             old_network,
+            verilog,
         ] {
             std::fs::write(&path, binary).unwrap();
             assert!(matches!(
@@ -223,13 +210,13 @@ mod tests {
     }
 
     #[test]
-    fn netlist_cache_roundtrips_in_all_forms() {
+    fn netlist_cache_roundtrips_text_and_refuses_exports() {
         let mut n = Netlist::new("t");
         let a = n.input("a");
         let b = n.input("b");
         let f = n.nand2(a, b);
         n.set_output("f", f);
-        for name in ["n.mcsnl", "n_no_ext", "n.v"] {
+        for name in ["n.mcsnl", "n_no_ext"] {
             let path = temp_path(name);
             save_netlist(&path, &n).unwrap();
             let back = load_netlist(&path).unwrap();
@@ -241,12 +228,15 @@ mod tests {
                 }
             }
         }
-        // DOT is write-only: loading it back reports an unknown format.
-        let dot = temp_path("n.dot");
-        save_netlist(&dot, &n).unwrap();
-        assert!(matches!(
-            load_netlist(&dot),
-            Err(ArtifactError::UnknownFormat)
-        ));
+        // Verilog and DOT are write-only: loading either back reports an
+        // unknown format.
+        for name in ["n.v", "n.dot"] {
+            let path = temp_path(name);
+            save_netlist(&path, &n).unwrap();
+            assert!(
+                matches!(load_netlist(&path), Err(ArtifactError::UnknownFormat)),
+                "{name}"
+            );
+        }
     }
 }

@@ -20,8 +20,9 @@
 //! arrival rate leaves at once, so sparse requests are answered without
 //! waiting it out.
 //!
-//! `--circuit PATH` loads a saved netlist artifact (e.g. an optimized
-//! golden from `tests/golden/` or a `synth_circuit --save` output) instead
+//! `--circuit PATH` loads a saved `.mcsnl` netlist artifact (e.g. an
+//! optimized golden from `tests/golden/` or a `synth_circuit --save`
+//! output; Verilog and DOT exports do not load) instead
 //! of building one; it is re-verified with the gate-level 0-1 sweep before
 //! serving. `--listen 127.0.0.1:0` switches to TCP mode and prints the
 //! bound address as `listening <addr>` on stderr.

@@ -30,11 +30,11 @@
 //! after-stats — a mismatch is a typed error, not a panic. With `--save`,
 //! the optimized netlist is what gets written.
 //!
-//! `--load` reverses the trip: a cached netlist artifact (any loadable
-//! format, including Verilog) is loaded, re-verified at gate level against
-//! `--channels`/`--width`, optionally optimized, measured, and re-exported
-//! through `--save` — so the binary doubles as a format converter
-//! (`--load c.mcsnl --save c.v`).
+//! `--load` reverses the trip: a cached `.mcsnl` netlist artifact (the one
+//! format that loads; `.v` and `.dot` are write-only exports) is loaded,
+//! re-verified at gate level against `--channels`/`--width`, optionally
+//! optimized, measured, and re-exported through `--save` — so the binary
+//! doubles as an exporter (`--load c.mcsnl --save c.v`).
 
 use std::fmt;
 use std::path::Path;

@@ -23,8 +23,8 @@
 //!   deterministically (see [`server`]).
 //!
 //! Library modules: [`engine`] (the one verified circuit and compiled tape
-//! behind both), [`artifact`] (netlist artifacts as text or Verilog,
-//! re-checked on load), [`verify`] (the gate-level 0-1 check), [`metrics`] (latency
+//! behind both), [`artifact`] (netlist artifacts as text, re-checked
+//! on load, plus the Verilog and DOT exports), [`verify`] (the gate-level 0-1 check), [`metrics`] (latency
 //! histograms) and [`published`] (the paper's numbers).
 //!
 //! The Criterion benches (`cargo bench -p mcs-bench`) time the same

@@ -1,21 +1,14 @@
-//! Netlist export: Graphviz DOT and structural Verilog — and the way back.
+//! Netlist export: Graphviz DOT and structural Verilog, export only.
 //!
 //! These exporters make the generated circuits inspectable with standard
-//! tooling and provide a bridge back to a conventional EDA flow (the
-//! Verilog is plain structural code over the NanGate-style cell names).
-//! [`from_verilog`] closes the loop: it parses the structural subset
-//! [`to_verilog`] emits back into a [`Netlist`], so a netlist that went
-//! through an external flow (or a cache of `.v` artifacts) can be
-//! re-simulated and re-verified here. The reconstruction is
-//! *evaluation-equivalent*, not byte-identical: primary inputs are
-//! recreated first (in port order), then cells in instance order, so node
-//! indices may shift while every output computes the same ternary function.
+//! tooling and provide a bridge to a conventional EDA flow (the Verilog is
+//! plain structural code over the NanGate-style cell names). Nothing reads
+//! either format back: the one loadable netlist form is the
+//! `mcs-netlist` text artifact of [`crate::serdes`].
 
-use std::collections::HashMap;
-use std::fmt;
 use std::fmt::Write as _;
 
-use crate::gate::{CellKind, Gate, NodeId};
+use crate::gate::{CellKind, Gate};
 use crate::netlist::Netlist;
 
 /// Renders the netlist as a Graphviz DOT digraph.
@@ -142,376 +135,6 @@ pub fn to_verilog(netlist: &Netlist) -> String {
     s
 }
 
-/// Error from [`from_verilog`]. Line numbers are 1-based.
-#[derive(Clone, Eq, PartialEq, Debug)]
-pub enum VerilogImportError {
-    /// A line that does not belong to the structural subset.
-    Syntax {
-        /// 1-based line number.
-        line: usize,
-        /// Human-readable description.
-        detail: String,
-    },
-    /// The source ended before `endmodule`.
-    Truncated,
-    /// An instance of a cell name the technology library does not know.
-    UnknownCell {
-        /// 1-based line number.
-        line: usize,
-        /// The unknown cell name.
-        cell: String,
-    },
-    /// A reference to a wire with no driver yet: undeclared, misspelled, or
-    /// used before its driving instance (the subset is topologically
-    /// ordered).
-    UnknownWire {
-        /// 1-based line number.
-        line: usize,
-        /// The unresolved wire name.
-        wire: String,
-    },
-    /// An instance missing one of its cell's pins.
-    MissingPin {
-        /// 1-based line number.
-        line: usize,
-        /// The pin the cell requires.
-        pin: &'static str,
-    },
-    /// Two drivers for the same wire.
-    DuplicateDriver {
-        /// 1-based line number.
-        line: usize,
-        /// The doubly-driven wire.
-        wire: String,
-    },
-    /// A declared output port with no `assign` at `endmodule`.
-    UndrivenOutput {
-        /// The output port name.
-        name: String,
-    },
-    /// The module port list disagrees with the input/output declarations.
-    PortMismatch {
-        /// Human-readable description.
-        detail: String,
-    },
-}
-
-impl fmt::Display for VerilogImportError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            VerilogImportError::Syntax { line, detail } => {
-                write!(f, "line {line}: {detail}")
-            }
-            VerilogImportError::Truncated => {
-                write!(f, "source ended before `endmodule`")
-            }
-            VerilogImportError::UnknownCell { line, cell } => {
-                write!(f, "line {line}: unknown cell {cell:?}")
-            }
-            VerilogImportError::UnknownWire { line, wire } => {
-                write!(f, "line {line}: wire {wire:?} has no driver here")
-            }
-            VerilogImportError::MissingPin { line, pin } => {
-                write!(f, "line {line}: instance is missing pin .{pin}")
-            }
-            VerilogImportError::DuplicateDriver { line, wire } => {
-                write!(f, "line {line}: wire {wire:?} already has a driver")
-            }
-            VerilogImportError::UndrivenOutput { name } => {
-                write!(f, "output {name:?} is never assigned")
-            }
-            VerilogImportError::PortMismatch { detail } => {
-                write!(f, "module ports disagree with declarations: {detail}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for VerilogImportError {}
-
-/// The named pin connections of one cell instance.
-struct PinMap<'a> {
-    line: usize,
-    pins: HashMap<&'a str, &'a str>,
-}
-
-impl<'a> PinMap<'a> {
-    fn get(&self, pin: &'static str) -> Result<&'a str, VerilogImportError> {
-        self.pins
-            .get(pin)
-            .copied()
-            .ok_or(VerilogImportError::MissingPin { line: self.line, pin })
-    }
-}
-
-/// Parses the structural Verilog subset emitted by [`to_verilog`] back into
-/// a [`Netlist`] named after the module.
-///
-/// Accepted constructs: one `module … (ports);` header, `input`/`output`/
-/// `wire` declarations, constant drivers `assign w = 1'b0|1'b1;`, cell
-/// instances over the [`CellKind`] cell names with named pin connections,
-/// output binds `assign <output> = <wire>;`, and `endmodule`. Instances
-/// must appear in topological order (as the writer emits them). `//`
-/// comments and blank lines are ignored.
-///
-/// # Errors
-///
-/// Typed [`VerilogImportError`]s on anything outside the subset; never
-/// panics.
-pub fn from_verilog(source: &str) -> Result<Netlist, VerilogImportError> {
-    let mut netlist: Option<Netlist> = None;
-    let mut module_ports: Vec<String> = Vec::new();
-    let mut input_names: Vec<String> = Vec::new();
-    let mut output_names: Vec<String> = Vec::new();
-    // Wire name → driving node, filled in topological order.
-    let mut wires: HashMap<String, NodeId> = HashMap::new();
-    let mut declared: Vec<String> = Vec::new();
-    let mut output_binds: HashMap<String, NodeId> = HashMap::new();
-    let mut finished = false;
-
-    for (line_no, raw) in source.lines().enumerate() {
-        let line_no = line_no + 1;
-        let line = match raw.split_once("//") {
-            Some((code, _)) => code.trim(),
-            None => raw.trim(),
-        };
-        if line.is_empty() {
-            continue;
-        }
-        if finished {
-            return Err(VerilogImportError::Syntax {
-                line: line_no,
-                detail: "content after `endmodule`".to_string(),
-            });
-        }
-        let syntax = |detail: String| VerilogImportError::Syntax {
-            line: line_no,
-            detail,
-        };
-
-        if let Some(rest) = line.strip_prefix("module ") {
-            if netlist.is_some() {
-                return Err(syntax("second `module` header".to_string()));
-            }
-            let rest = rest
-                .strip_suffix(';')
-                .ok_or_else(|| syntax("missing `;` after module header".to_string()))?;
-            let (name, ports) = rest
-                .split_once('(')
-                .ok_or_else(|| syntax("missing port list".to_string()))?;
-            let ports = ports
-                .strip_suffix(')')
-                .ok_or_else(|| syntax("unterminated port list".to_string()))?;
-            module_ports = ports
-                .split(',')
-                .map(|p| p.trim().to_string())
-                .filter(|p| !p.is_empty())
-                .collect();
-            netlist = Some(Netlist::new(name.trim()));
-            continue;
-        }
-        let n = netlist
-            .as_mut()
-            .ok_or_else(|| syntax("expected `module` header first".to_string()))?;
-
-        if let Some(rest) = line.strip_prefix("input ") {
-            let name = rest
-                .strip_suffix(';')
-                .ok_or_else(|| syntax("missing `;`".to_string()))?
-                .trim();
-            let node = n.input(name);
-            if wires.insert(name.to_string(), node).is_some() {
-                return Err(VerilogImportError::DuplicateDriver {
-                    line: line_no,
-                    wire: name.to_string(),
-                });
-            }
-            input_names.push(name.to_string());
-        } else if let Some(rest) = line.strip_prefix("output ") {
-            let name = rest
-                .strip_suffix(';')
-                .ok_or_else(|| syntax("missing `;`".to_string()))?
-                .trim();
-            output_names.push(name.to_string());
-        } else if let Some(rest) = line.strip_prefix("wire ") {
-            let name = rest
-                .strip_suffix(';')
-                .ok_or_else(|| syntax("missing `;`".to_string()))?
-                .trim();
-            declared.push(name.to_string());
-        } else if let Some(rest) = line.strip_prefix("assign ") {
-            let rest = rest
-                .strip_suffix(';')
-                .ok_or_else(|| syntax("missing `;`".to_string()))?;
-            let (lhs, rhs) = rest
-                .split_once('=')
-                .ok_or_else(|| syntax("assign without `=`".to_string()))?;
-            let (lhs, rhs) = (lhs.trim(), rhs.trim());
-            if output_names.iter().any(|o| o == lhs) {
-                // Output bind: the right-hand side must already be driven.
-                let node = *wires.get(rhs).ok_or(VerilogImportError::UnknownWire {
-                    line: line_no,
-                    wire: rhs.to_string(),
-                })?;
-                if output_binds.insert(lhs.to_string(), node).is_some() {
-                    return Err(VerilogImportError::DuplicateDriver {
-                        line: line_no,
-                        wire: lhs.to_string(),
-                    });
-                }
-            } else if declared.iter().any(|w| w == lhs) {
-                // Constant driver.
-                let value = match rhs {
-                    "1'b0" => false,
-                    "1'b1" => true,
-                    _ => {
-                        return Err(syntax(format!(
-                            "expected 1'b0 or 1'b1, found {rhs:?}"
-                        )))
-                    }
-                };
-                let node = n.constant(value);
-                if wires.insert(lhs.to_string(), node).is_some() {
-                    return Err(VerilogImportError::DuplicateDriver {
-                        line: line_no,
-                        wire: lhs.to_string(),
-                    });
-                }
-            } else {
-                return Err(VerilogImportError::UnknownWire {
-                    line: line_no,
-                    wire: lhs.to_string(),
-                });
-            }
-        } else if line == "endmodule" {
-            finished = true;
-        } else {
-            // A cell instance: `CELL uX (.PIN(wire), …);`.
-            let (cell_name, rest) = line
-                .split_once(' ')
-                .ok_or_else(|| syntax(format!("unrecognised line {line:?}")))?;
-            let kind = CellKind::ALL
-                .into_iter()
-                .find(|k| k.cell_name() == cell_name)
-                .ok_or_else(|| VerilogImportError::UnknownCell {
-                    line: line_no,
-                    cell: cell_name.to_string(),
-                })?;
-            let rest = rest
-                .strip_suffix(';')
-                .ok_or_else(|| syntax("missing `;`".to_string()))?;
-            let open = rest
-                .find('(')
-                .ok_or_else(|| syntax("instance without pin list".to_string()))?;
-            let close = rest
-                .rfind(')')
-                .filter(|&c| c > open)
-                .ok_or_else(|| syntax("unterminated pin list".to_string()))?;
-            let mut pins: HashMap<&str, &str> = HashMap::new();
-            for conn in rest[open + 1..close].split(',') {
-                let conn = conn.trim();
-                if conn.is_empty() {
-                    continue;
-                }
-                let body = conn
-                    .strip_prefix('.')
-                    .and_then(|c| c.strip_suffix(')'))
-                    .ok_or_else(|| {
-                        syntax(format!("bad pin connection {conn:?}"))
-                    })?;
-                let (pin, wire) = body
-                    .split_once('(')
-                    .ok_or_else(|| syntax(format!("bad pin connection {conn:?}")))?;
-                pins.insert(pin.trim(), wire.trim());
-            }
-            let pins = PinMap { line: line_no, pins };
-            let resolve = |wire: &str| -> Result<NodeId, VerilogImportError> {
-                wires
-                    .get(wire)
-                    .copied()
-                    .ok_or(VerilogImportError::UnknownWire {
-                        line: line_no,
-                        wire: wire.to_string(),
-                    })
-            };
-            let (out_pin, node) = match kind {
-                CellKind::Inv => {
-                    let a = resolve(pins.get("A")?)?;
-                    ("ZN", n.inv(a))
-                }
-                CellKind::And2
-                | CellKind::Or2
-                | CellKind::Nand2
-                | CellKind::Nor2
-                | CellKind::Xor2
-                | CellKind::Xnor2
-                | CellKind::AndNot2 => {
-                    let a = resolve(pins.get("A1")?)?;
-                    let b = resolve(pins.get("A2")?)?;
-                    let node = match kind {
-                        CellKind::And2 => n.and2(a, b),
-                        CellKind::Or2 => n.or2(a, b),
-                        CellKind::Nand2 => n.nand2(a, b),
-                        CellKind::Nor2 => n.nor2(a, b),
-                        CellKind::Xor2 => n.xor2(a, b),
-                        CellKind::Xnor2 => n.xnor2(a, b),
-                        _ => n.andnot2(a, b),
-                    };
-                    ("ZN", node)
-                }
-                CellKind::Mux2 => {
-                    let d0 = resolve(pins.get("A")?)?;
-                    let d1 = resolve(pins.get("B")?)?;
-                    let sel = resolve(pins.get("S")?)?;
-                    ("Z", n.mux2(d0, d1, sel))
-                }
-                CellKind::Ao21 => {
-                    let a = resolve(pins.get("A")?)?;
-                    let b = resolve(pins.get("B1")?)?;
-                    let c = resolve(pins.get("B2")?)?;
-                    ("Z", n.ao21(a, b, c))
-                }
-            };
-            let target = pins.get(out_pin)?;
-            if wires.insert(target.to_string(), node).is_some() {
-                return Err(VerilogImportError::DuplicateDriver {
-                    line: line_no,
-                    wire: target.to_string(),
-                });
-            }
-        }
-    }
-    if !finished {
-        return Err(VerilogImportError::Truncated);
-    }
-    let mut n = netlist.ok_or(VerilogImportError::Truncated)?;
-
-    // The module port list must be exactly inputs then outputs.
-    let declared_ports: Vec<&str> = input_names
-        .iter()
-        .map(String::as_str)
-        .chain(output_names.iter().map(String::as_str))
-        .collect();
-    let header_ports: Vec<&str> =
-        module_ports.iter().map(String::as_str).collect();
-    if header_ports != declared_ports {
-        return Err(VerilogImportError::PortMismatch {
-            detail: format!(
-                "header lists {header_ports:?}, declarations give {declared_ports:?}"
-            ),
-        });
-    }
-    for name in &output_names {
-        let node = *output_binds
-            .get(name)
-            .ok_or_else(|| VerilogImportError::UndrivenOutput {
-                name: name.clone(),
-            })?;
-        n.set_output(name, node);
-    }
-    Ok(n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -561,40 +184,8 @@ mod tests {
         assert!(v.contains(".A1(a), .A2(b)"));
     }
 
-    use mcs_logic::Trit;
-
-    /// Exhaustive ternary evaluation equality over all input combinations.
-    fn assert_eval_equal(x: &Netlist, y: &Netlist) {
-        assert_eq!(x.input_count(), y.input_count());
-        assert_eq!(x.output_count(), y.output_count());
-        let k = x.input_count();
-        for i in 0..3usize.pow(k as u32) {
-            let mut v = Vec::with_capacity(k);
-            let mut rest = i;
-            for _ in 0..k {
-                v.push(Trit::ALL[rest % 3]);
-                rest /= 3;
-            }
-            assert_eq!(x.eval(&v), y.eval(&v), "on {v:?}");
-        }
-    }
-
     #[test]
-    fn verilog_reimports_to_an_equivalent_netlist() {
-        let n = sample();
-        let v = to_verilog(&n);
-        let back = from_verilog(&v).expect("writer output reimports");
-        assert_eq!(back.name(), "sample_2"); // sanitised module name
-        assert_eq!(back.gate_count(), n.gate_count());
-        assert_eq!(back.cell_counts(), n.cell_counts());
-        assert_eq!(back.depth(), n.depth());
-        assert_eval_equal(&n, &back);
-        // The sample is inputs-first, so re-export is even byte-identical.
-        assert_eq!(to_verilog(&back), v);
-    }
-
-    #[test]
-    fn verilog_reimport_covers_every_cell_kind() {
+    fn verilog_writer_spells_every_cell_kind() {
         let mut n = Netlist::new("all_cells");
         let a = n.input("a");
         let b = n.input("b");
@@ -612,91 +203,34 @@ mod tests {
         let g9 = n.ao21(g8, a, c);
         n.set_output("f", g9);
         n.set_output("direct", a); // output bound straight to an input
-        let back = from_verilog(&to_verilog(&n)).expect("reimports");
-        assert_eq!(back.cell_counts(), n.cell_counts());
-        assert_eval_equal(&n, &back);
-    }
-
-    #[test]
-    fn verilog_import_accepts_comments_and_blank_lines() {
-        let v = to_verilog(&sample());
-        let commented: String = v
-            .lines()
-            .flat_map(|l| [l.to_string(), "  // a comment".to_string()])
-            .collect::<Vec<_>>()
-            .join("\n");
-        let back = from_verilog(&commented).expect("comments are ignored");
-        assert_eval_equal(&sample(), &back);
-    }
-
-    #[test]
-    fn verilog_import_rejects_malformed_sources() {
-        let v = to_verilog(&sample());
-        // Truncated: no endmodule.
-        let cut = v.replace("endmodule", "");
-        assert_eq!(from_verilog(&cut), Err(VerilogImportError::Truncated));
-        // Unknown cell.
-        let bad_cell = v.replace("AND2_X1", "FROB_X1");
-        assert!(matches!(
-            from_verilog(&bad_cell),
-            Err(VerilogImportError::UnknownCell { ref cell, .. }) if cell == "FROB_X1"
-        ));
-        // Reference to a wire with no driver (forward/out-of-range).
-        let bad_wire = v.replace(".A1(a)", ".A1(n99)");
-        assert!(matches!(
-            from_verilog(&bad_wire),
-            Err(VerilogImportError::UnknownWire { ref wire, .. }) if wire == "n99"
-        ));
-        // Missing pin.
-        let no_pin = v.replace(".A1(a), ", "");
-        assert!(matches!(
-            from_verilog(&no_pin),
-            Err(VerilogImportError::MissingPin { pin: "A1", .. })
-        ));
-        // Output never assigned.
-        let undriven: String = v
-            .lines()
-            .filter(|l| !l.starts_with("  assign f = "))
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert_eq!(
-            from_verilog(&undriven),
-            Err(VerilogImportError::UndrivenOutput { name: "f".to_string() })
-        );
-        // Two drivers for one wire.
-        let doubled = v.replace(
-            "  assign n2 = 1'b1;\n",
-            "  assign n2 = 1'b1;\n  assign n2 = 1'b0;\n",
-        );
-        assert!(matches!(
-            from_verilog(&doubled),
-            Err(VerilogImportError::DuplicateDriver { ref wire, .. }) if wire == "n2"
-        ));
-        // Port list disagreeing with declarations.
-        let bad_ports = v.replace("(a, b, f);", "(a, f);");
-        assert!(matches!(
-            from_verilog(&bad_ports),
-            Err(VerilogImportError::PortMismatch { .. })
-        ));
-        // Garbage constant.
-        let bad_const = v.replace("1'b1", "1'bx");
-        assert!(matches!(
-            from_verilog(&bad_const),
-            Err(VerilogImportError::Syntax { .. })
-        ));
-        // Empty source.
-        assert_eq!(from_verilog(""), Err(VerilogImportError::Truncated));
-    }
-
-    #[test]
-    fn verilog_import_errors_display_usefully() {
-        let e = VerilogImportError::UnknownCell {
-            line: 12,
-            cell: "FOO".to_string(),
-        };
-        assert!(e.to_string().contains("line 12"));
-        assert!(e.to_string().contains("FOO"));
-        let e = VerilogImportError::UndrivenOutput { name: "f".to_string() };
-        assert!(e.to_string().contains('f'));
+        let v = to_verilog(&n);
+        let lines: Vec<&str> = v.lines().collect();
+        let want = [
+            "  assign n3 = 1'b0;",
+            "  INV_X1 u4 (.A(a), .ZN(n4));",
+            "  AND2_X1 u5 (.A1(a), .A2(b), .ZN(n5));",
+            "  OR2_X1 u6 (.A1(n4), .A2(n5), .ZN(n6));",
+            "  NAND2_X1 u7 (.A1(n6), .A2(b), .ZN(n7));",
+            "  NOR2_X1 u8 (.A1(n7), .A2(n3), .ZN(n8));",
+            "  XOR2_X1 u9 (.A1(n8), .A2(a), .ZN(n9));",
+            "  XNOR2_X1 u10 (.A1(n9), .A2(b), .ZN(n10));",
+            // NanGate MUX2: A is the sel = 0 data input, B the sel = 1 one.
+            "  MUX2_X1 u11 (.A(n9), .B(n10), .S(c), .Z(n11));",
+            "  AND2B1_X1 u12 (.A1(n11), .A2(n4), .ZN(n12));",
+            // AO21 computes A + B1·B2.
+            "  AO21_X1 u13 (.A(n12), .B1(a), .B2(c), .Z(n13));",
+            "  assign f = n13;",
+            "  assign direct = a;",
+        ];
+        for line in want {
+            assert!(lines.contains(&line), "missing {line:?} in:\n{v}");
+        }
+        for kind in CellKind::ALL {
+            let spelled = format!("  {} u", kind.cell_name());
+            assert!(
+                want.iter().any(|l| l.starts_with(&spelled)),
+                "{kind} has no pinned instance line"
+            );
+        }
     }
 }

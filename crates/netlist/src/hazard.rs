@@ -122,15 +122,7 @@ pub fn glitch_free_all_single_bit<'a>(
         if entries.is_empty() {
             return Ok(());
         }
-        let lanes = lane_values.len();
-        let mut blocks: Vec<TritBlock> =
-            (0..n).map(|_| TritBlock::zeros(lanes)).collect();
-        for (l, v) in lane_values.iter().enumerate() {
-            for (i, &t) in v.iter().enumerate() {
-                blocks[i].set_lane(l, t);
-            }
-        }
-        let out = netlist.eval_block(&blocks);
+        let out = netlist.eval_block(&TritBlock::pack_rows(lane_values));
         for (before, base, transitions) in entries.drain(..) {
             for (t, &input) in transitions.iter().enumerate() {
                 for (k, o) in out.iter().enumerate() {

@@ -19,8 +19,8 @@
 //! * [`mc`] — metastability-containment checks: cell certification and
 //!   exhaustive verification that a circuit computes the metastable closure
 //!   of its boolean function.
-//! * [`export`] — Graphviz DOT and structural Verilog writers, plus a
-//!   Verilog importer closing the loop back to a [`Netlist`].
+//! * [`export`] — Graphviz DOT and structural Verilog writers (export
+//!   only; [`serdes`] is the format that loads back).
 //! * [`serdes`] — the versioned, diffable text netlist artifact format
 //!   with byte-identical save/load round-trip.
 //! * [`passes`] — ternary-exact optimization passes (constant folding,

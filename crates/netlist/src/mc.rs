@@ -354,15 +354,7 @@ pub fn verify_closure_on<'a>(
         if entries.is_empty() {
             return Ok(());
         }
-        let lanes = lane_values.len();
-        let mut blocks: Vec<TritBlock> =
-            (0..n).map(|_| TritBlock::zeros(lanes)).collect();
-        for (l, v) in lane_values.iter().enumerate() {
-            for (i, &t) in v.iter().enumerate() {
-                blocks[i].set_lane(l, t);
-            }
-        }
-        let out = netlist.eval_block(&blocks);
+        let out = netlist.eval_block(&TritBlock::pack_rows(lane_values));
         for (input, base, count) in entries.drain(..) {
             let got: TritVec = out.iter().map(|b| b.lane(base)).collect();
             // Superpose the resolution lanes into the closure.

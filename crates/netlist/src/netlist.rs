@@ -474,22 +474,15 @@ impl Netlist {
                 }
                 return ready.pop_front();
             }
-            let mut blocks: Vec<TritBlock> = (0..self.input_count())
-                .map(|_| TritBlock::zeros(chunk.len()))
-                .collect();
-            for (lane, v) in chunk.iter().enumerate() {
-                let v = v.as_ref();
+            for v in &chunk {
                 assert_eq!(
-                    v.len(),
+                    v.as_ref().len(),
                     self.input_count(),
                     "wrong number of input values for {}",
                     self.name
                 );
-                for (i, &t) in v.iter().enumerate() {
-                    blocks[i].set_lane(lane, t);
-                }
             }
-            let out = self.eval_block(&blocks);
+            let out = self.eval_block(&TritBlock::pack_rows(&chunk));
             for lane in 0..chunk.len() {
                 ready.push_back(out.iter().map(|b| b.lane(lane)).collect());
             }

@@ -8,7 +8,7 @@
 use std::fs;
 
 use mcs::prelude::*;
-use mcs_netlist::export::{from_verilog, to_dot, to_verilog};
+use mcs_netlist::export::{to_dot, to_verilog};
 use mcs_netlist::serdes;
 use mcs_networks::generators::{batcher_odd_even, bitonic, insertion};
 use mcs_networks::optimal::{best_depth, best_size, OPTIMAL_DEPTHS, OPTIMAL_SIZES};
@@ -78,10 +78,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         TwoSortFlavor::Paper,
     );
     fs::write(dir.join("four_sort_2b.v"), to_verilog(&four_sort))?;
-    // The Verilog is an artifact too: re-import it and save the netlist in
-    // the native format for good measure.
-    let reimported = from_verilog(&fs::read_to_string(dir.join("four_sort_2b.v"))?)?;
-    assert_eq!(reimported.gate_count(), four_sort.gate_count());
+    // The Verilog is an export only; the native text artifact is the form
+    // that loads back.
     fs::write(dir.join("four_sort_2b.mcsnl"), serdes::to_text(&four_sort)?)?;
     assert_eq!(
         serdes::from_text(&fs::read_to_string(dir.join("four_sort_2b.mcsnl"))?)?,
