@@ -8,6 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 
 use mcs_bench::engine::{cell_network, Engine};
+use mcs_bench::throughput::{run_cell, ThroughputConfig};
 use mcs_bench::verify::zero_one_circuit_check;
 use mcs_core::ppc::PrefixTopology;
 use mcs_core::two_sort::{
@@ -122,8 +123,10 @@ fn bench_tape_run(c: &mut Criterion) {
 
 /// Engine set-up under the preferred tier: `Engine::for_cell` (network
 /// verify, circuit build, compile, register proof and 0-1 sweep on the
-/// tape) on 16×16 and 8×8, and the netlist-level `zero_one_circuit_check`
-/// (compile + proof + sweep) of the 16×16 circuit alone.
+/// tape) on 16×16 and 8×8, the netlist-level `zero_one_circuit_check`
+/// (compile + proof + sweep) of the 16×16 circuit alone, and a whole
+/// `run_cell` set-up on 8×2 and 16×16: the engine plus the throughput
+/// pre-flight, with no vector streamed.
 fn bench_engine_setup(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_setup");
     for (channels, width) in [(16, 16), (8, 8)] {
@@ -137,6 +140,14 @@ fn bench_engine_setup(c: &mut Criterion) {
     group.bench_function("zero_one_circuit_check_16x16", |b| {
         b.iter(|| zero_one_circuit_check(&circuit, 16, 16).expect("sorts"))
     });
+    for (channels, width) in [(8, 2), (16, 16)] {
+        let mut cfg = ThroughputConfig::new(channels, width);
+        cfg.vectors = 0;
+        cfg.workers = 1;
+        group.bench_function(format!("run_cell_setup_{channels}x{width}"), |b| {
+            b.iter(|| black_box(run_cell(&cfg).expect("the cell runs")))
+        });
+    }
     group.finish();
 }
 

@@ -67,10 +67,15 @@
 //! planes against [`ValidString::from_rank`] of `rank_for`, and streams its
 //! sample through the timed loop's own generator-into-registers path, so
 //! the fast path is cross-checked against the definition before anything
-//! is timed. It reads each sampled lane's strings out of the port words
-//! through the server's port tiles: the same 64×64 [`transpose_fields`]
-//! per 64-port tile and the same lane reader that decode the server's
-//! sorted keys.
+//! is timed. It turns the sample's port words lane-major through the
+//! server's port tiles (the same 64×64 [`transpose_fields`] per 64-port
+//! tile that decodes the server's sorted keys) and screens them row by
+//! row, 64 lanes per compare, against rows encoded from the definition:
+//! each lane's input strings from `rank_for` through [`rank_planes`], and
+//! its outputs from the same ranks sorted lane-wise by an odd–even
+//! transposition network. Only a side the screen flags is read lane by
+//! lane, through the same lane reader the server decodes with, which names
+//! the failure.
 //!
 //! [`report_json`] serialises the per-cell results as
 //! `BENCH_throughput.json` (schema [`JSON_SCHEMA`]) so the perf trajectory
@@ -85,7 +90,7 @@ use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use mcs_gray::valid::valid_rank;
+use mcs_gray::valid::{rank_planes, valid_rank};
 use mcs_gray::ValidString;
 use mcs_logic::plane::kernel::{self, KernelId, UnknownKernel};
 use mcs_logic::{transpose_fields, PlaneWidth, TritBlock, TritVec, TritWord};
@@ -832,6 +837,8 @@ fn fnv_digest(words: &[u64]) -> u64 {
 ///   match [`Netlist::eval_block`] lane-for-lane at every plane width;
 /// * every sampled output must be the ascending sequence of the lane's
 ///   input ranks.
+///
+/// The first and last are screened 64 lanes at a time ([`sample_checks`]).
 fn differential_check(
     cfg: &ThroughputConfig,
     engine: &Engine,
@@ -839,20 +846,31 @@ fn differential_check(
 ) -> Result<usize, ThroughputError> {
     let lanes = cfg.sample_lanes;
     let inputs = stimulus.chunk_inputs(0, lanes);
-    generator_check(cfg, 0, &inputs)?;
+    let want = engine.circuit().eval_block(&inputs);
+    sample_checks(cfg, 0, &inputs, &want, || {
+        tape_differential(engine, stimulus, lanes, &want)
+    })?;
+    Ok(lanes)
+}
 
-    let circuit = engine.circuit();
-    let want = circuit.eval_block(&inputs);
+/// The streaming path against the interpreter: the first `lanes` vectors
+/// stream through the timed loop's own path — generator into the input
+/// registers, tape, output registers — under the cell's forced kernel, at
+/// every plane width, and must equal `want`, their [`Netlist::eval_block`]
+/// outputs, so a backend or plane I/O that diverged from the interpreter
+/// is caught before a single vector is timed.
+fn tape_differential(
+    engine: &Engine,
+    stimulus: &Stimulus,
+    lanes: usize,
+    want: &[TritBlock],
+) -> Result<(), ThroughputError> {
     let mut out = Vec::new();
     for plane_width in PlaneWidth::ALL {
-        // The sample streams through the timed loop's own path — generator
-        // into the input registers, tape, output registers — under the
-        // cell's forced kernel, so a backend or plane I/O that diverged
-        // from the interpreter is caught before a single vector is timed.
         let mut scratch = engine.scratch(plane_width);
         let mut planes = engine.tape().try_planes(&mut scratch)?;
         eval_lanes(stimulus, &mut planes, &mut out, 0, lanes);
-        let ports = out.chunks_exact(2 * lanes.div_ceil(64)).zip(&want);
+        let ports = out.chunks_exact(2 * lanes.div_ceil(64)).zip(want);
         for (port, (got, w)) in ports.enumerate() {
             let mut words = got.chunks_exact(2).zip(w.words()).enumerate();
             let diff = words.find_map(|(k, (g, w))| {
@@ -861,7 +879,8 @@ fn differential_check(
             });
             if let Some((k, d)) = diff {
                 let lane = 64 * k + d.trailing_zeros() as usize;
-                let name = circuit
+                let name = engine
+                    .circuit()
                     .outputs()
                     .nth(port)
                     .map_or_else(String::new, |(n, _)| n.to_string());
@@ -873,16 +892,184 @@ fn differential_check(
             }
         }
     }
+    Ok(())
+}
 
-    rank_check(cfg, 0, &want)?;
-    Ok(lanes)
+/// The rank-level checks of a sample around its `differential`: the
+/// `inputs` and `outputs` of the lanes from global lane `lane0` (one block
+/// per `(channel, bit)` port) are [`screen`]ed 64 lanes at a time, and
+/// only a side the screen flags runs its per-lane check, which names the
+/// failure: [`generator_check`] before `differential`, [`rank_check`]
+/// after it. So a failing sample reports a generator fault first, then a
+/// differential, then an unsorted output.
+fn sample_checks(
+    cfg: &ThroughputConfig,
+    lane0: u64,
+    inputs: &[TritBlock],
+    outputs: &[TritBlock],
+    differential: impl FnOnce() -> Result<(), ThroughputError>,
+) -> Result<(), ThroughputError> {
+    let clean = screen(cfg, lane0, inputs, outputs);
+    if !clean.inputs {
+        generator_check(cfg, lane0, inputs)?;
+    }
+    differential()?;
+    if !clean.outputs {
+        rank_check(cfg, lane0, outputs)?;
+    }
+    Ok(())
+}
+
+/// Which sides of a sample [`screen`] found equal to their expectation.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+struct Screen {
+    /// Every input string is [`ValidString::from_rank`] of its [`rank_for`]
+    /// rank.
+    inputs: bool,
+    /// Every lane's outputs are its input ranks' strings, ascending.
+    outputs: bool,
+}
+
+/// The word-parallel screen of a sample: the `inputs` and `outputs` of the
+/// lanes from global lane `lane0`, as in [`sample_checks`], are compared
+/// 64 lanes at a time against rows encoded from the definition.
+///
+/// Per 64-lane word, [`rank_for`] runs once per `(lane, channel)` and
+/// [`encode_rows`] packs each lane's strings, channel after channel, into
+/// expected [`PortTiles`] rows; the ranks are then sorted lane-wise by
+/// [`transposition_sort`] and encoded again for the outputs. Each side's
+/// port words are turned lane-major through the same tiles and compared
+/// row by row, masked to the `n·B` used ports and to the live lanes.
+/// A side passes iff its per-lane check would, when the lane reader reads
+/// the rows right: valid strings map one-to-one onto ranks.
+fn screen(
+    cfg: &ThroughputConfig,
+    lane0: u64,
+    inputs: &[TritBlock],
+    outputs: &[TritBlock],
+) -> Screen {
+    let (channels, width) = (cfg.channels, cfg.width);
+    let rank_count = rank_count(width);
+    let lanes = inputs.first().map_or(0, TritBlock::lanes);
+    let ports = channels * width;
+    let mut tiles = PortTiles::new(ports, 1);
+    // Port `64t + i` is bit `63 − i` of tile `t`'s rows.
+    let used: Vec<u64> = (0..ports.div_ceil(64))
+        .map(|t| !0 << (64 - (ports - 64 * t).min(64)))
+        .collect();
+    let mut want = vec![([0u64; 64], [0u64; 64]); used.len()];
+    // `ranks[c][l]`: channel `c` of lane `l` of the current word.
+    let mut ranks = vec![[0u64; 64]; channels];
+    let mut clean = Screen {
+        inputs: true,
+        outputs: true,
+    };
+    for k in 0..lanes.div_ceil(64) {
+        let live = (lanes - 64 * k).min(64);
+        let first = lane0 + 64 * k as u64;
+        for (c, row) in ranks.iter_mut().enumerate() {
+            for (l, rank) in row[..live].iter_mut().enumerate() {
+                *rank = rank_for(cfg.seed, first + l as u64, c as u64, rank_count);
+            }
+        }
+        clean.inputs &= encode_rows(&ranks, width, live, &mut want)
+            && rows_match(&mut tiles, inputs, k, &want, &used, live);
+        transposition_sort(&mut ranks);
+        clean.outputs &= encode_rows(&ranks, width, live, &mut want)
+            && rows_match(&mut tiles, outputs, k, &want, &used, live);
+    }
+    clean
+}
+
+/// Encodes the first `live` lanes of `ranks` (one row per channel) into
+/// `want`, one `(can_zero, can_one)` pair of tile rows per 64 ports: lane
+/// `l`'s strings, channel after channel, each MSB first, at the bits its
+/// ports hold in row `l` of a transposed [`PortTiles`] word. `false` if a
+/// rank has no `width`-bit string.
+fn encode_rows(
+    ranks: &[[u64; 64]],
+    width: usize,
+    live: usize,
+    want: &mut [([u64; 64], [u64; 64])],
+) -> bool {
+    for (z, o) in want.iter_mut() {
+        z[..live].fill(0);
+        o[..live].fill(0);
+    }
+    for (c, row) in ranks.iter().enumerate() {
+        // The string's first port, and its bits past the tile's end.
+        let (t, at) = ((c * width) / 64, (c * width) % 64);
+        let spill = (at + width).saturating_sub(64);
+        for (l, &rank) in row[..live].iter().enumerate() {
+            let Ok((z, o)) = rank_planes(width, rank) else {
+                return false;
+            };
+            if spill == 0 {
+                let shift = 64 - at - width;
+                want[t].0[l] |= z << shift;
+                want[t].1[l] |= o << shift;
+            } else {
+                want[t].0[l] |= z >> spill;
+                want[t].1[l] |= o >> spill;
+                want[t + 1].0[l] |= z << (64 - spill);
+                want[t + 1].1[l] |= o << (64 - spill);
+            }
+        }
+    }
+    true
+}
+
+/// Whether word `k` of `blocks` (one block per port), turned lane-major in
+/// `tiles`, equals `want` on the `used` ports of each tile and the first
+/// `live` lanes.
+fn rows_match(
+    tiles: &mut PortTiles,
+    blocks: &[TritBlock],
+    k: usize,
+    want: &[([u64; 64], [u64; 64])],
+    used: &[u64],
+    live: usize,
+) -> bool {
+    load_lanes(tiles, blocks, k);
+    let (z, o) = tiles.word(0);
+    let mut diff = 0;
+    for (((z, o), (wz, wo)), &mask) in z.iter().zip(o.iter()).zip(want).zip(used) {
+        for l in 0..live {
+            diff |= ((z[l] ^ wz[l]) | (o[l] ^ wo[l])) & mask;
+        }
+    }
+    diff == 0
+}
+
+/// Sorts each of the 64 lanes of `ranks` (one row per channel) ascending,
+/// all lanes at once: an odd–even transposition network of `n` rounds,
+/// round `r` taking the lane-wise `min`/`max` of rows `i` and `i + 1` for
+/// every `i ≡ r (mod 2)`. It shares nothing with the circuit's network.
+///
+/// Every value must be below `2^63`, as every rank is: then `a − b` wraps
+/// exactly when `a < b`, so the compare-exchange is a few word ops that
+/// vectorise without a 64-bit unsigned compare.
+fn transposition_sort(ranks: &mut [[u64; 64]]) {
+    let n = ranks.len();
+    for round in 0..n {
+        for i in (round % 2..n.saturating_sub(1)).step_by(2) {
+            let (lo, hi) = ranks.split_at_mut(i + 1);
+            for (a, b) in lo[i].iter_mut().zip(hi[0].iter_mut()) {
+                // All ones where the pair is already in order.
+                let ordered = 0u64.wrapping_sub(a.wrapping_sub(*b) >> 63);
+                let swap = (*a ^ *b) & !ordered;
+                (*a, *b) = (*a ^ swap, *b ^ swap);
+            }
+        }
+    }
 }
 
 /// Generator cross-check: the plane-packed `inputs` (one block per
 /// `(channel, bit)` port, as [`Stimulus::chunk_inputs`] lays them out from
 /// global lane `lane0`) must agree bit-for-bit with
 /// [`ValidString::from_rank`] of each lane's [`rank_for`] rank. A mismatch
-/// reports its global lane and first differing bit.
+/// reports its global lane and first differing bit. The pre-flight runs it
+/// only on inputs the [`screen`] flagged, to name the failure.
 ///
 /// Valid strings map one-to-one onto ranks, so a lane equals
 /// `ValidString::from_rank(width, r)` iff [`valid_rank`] of its planes is
@@ -963,7 +1150,8 @@ fn first_wrong_bit(got: (u64, u64), want: (u64, u64), width: usize) -> Option<us
 /// sequence of each lane's [`rank_for`] input ranks. A failure reports its
 /// global lane. As in [`generator_check`], each `(lane, channel)` is
 /// checked by [`valid_rank`] on its bit masks, and only a failing one is
-/// diagnosed, by [`output_error`].
+/// diagnosed, by [`output_error`]; the pre-flight runs it only on outputs
+/// the [`screen`] flagged.
 fn rank_check(
     cfg: &ThroughputConfig,
     lane0: u64,
@@ -1491,6 +1679,187 @@ mod tests {
                 format!("out{c} has rank {want_rank}, want {other}")
             )
         );
+    }
+
+    #[test]
+    fn transposition_sort_equals_a_per_lane_sort() {
+        let mut state = 0x50a7_u64;
+        let mut random = |bound: u64| {
+            state = splitmix64(state);
+            state % bound
+        };
+        for n in 2..=20 {
+            let cases: [Vec<[u64; 64]>; 4] = [
+                (0..n)
+                    .map(|_| std::array::from_fn(|_| random(1 << 63)))
+                    .collect(),
+                (0..n).map(|_| std::array::from_fn(|_| random(3))).collect(),
+                vec![[7; 64]; n],
+                (0..n)
+                    .map(|c| std::array::from_fn(|l| (n - c + l) as u64))
+                    .collect(),
+            ];
+            for ranks in cases {
+                let mut sorted = ranks.clone();
+                transposition_sort(&mut sorted);
+                for l in 0..64 {
+                    let mut want: Vec<u64> = ranks.iter().map(|row| row[l]).collect();
+                    want.sort_unstable();
+                    let got: Vec<u64> = sorted.iter().map(|row| row[l]).collect();
+                    assert_eq!(got, want, "n = {n}, lane {l}");
+                }
+            }
+        }
+    }
+
+    /// Sets `lane` of `port` to a stable value it does not hold.
+    fn flip(port: &mut TritBlock, lane: usize) {
+        let flipped = match port.lane(lane) {
+            Trit::Zero => Trit::One,
+            _ => Trit::Zero,
+        };
+        port.set_lane(lane, flipped);
+    }
+
+    /// Flips the last port (channel `n − 1`, bit `B − 1`) of `blocks` at
+    /// their last lane.
+    fn flip_last_port(blocks: &mut [TritBlock]) {
+        let port = blocks.last_mut().unwrap();
+        let lane = port.lanes() - 1;
+        flip(port, lane);
+    }
+
+    /// Sets every bit of output channel `c` at `lane` to `M`.
+    fn meta_output(cfg: &ThroughputConfig, outputs: &mut [TritBlock], c: usize, lane: usize) {
+        for b in 0..cfg.width {
+            outputs[c * cfg.width + b].set_lane(lane, Trit::Meta);
+        }
+    }
+
+    /// The screen against the per-lane checks on real samples: cells whose
+    /// strings straddle two 64-port tiles (3×30, 5×13) or end on one's
+    /// edge (3×32), partial last words (130 lanes) and a 1-lane sample,
+    /// each clean, with a flipped last port of the last lane, and with an
+    /// output lane set to `M`.
+    #[test]
+    fn the_screen_passes_exactly_when_the_per_lane_checks_pass() {
+        let cells = [
+            (8, 2, 0, 2048),
+            (16, 16, 0, 256),
+            (3, 30, 7, 200),
+            (5, 13, 64, 130),
+            (3, 32, 0, 129),
+            (4, 2, 100, 130),
+            (4, 2, 100, 1),
+            (2, 5, 3, 70),
+        ];
+        for (channels, width, lane0, lanes) in cells {
+            let mut cfg = ThroughputConfig::new(channels, width);
+            cfg.kernel = KernelId::Scalar;
+            let (inputs, outputs) = sample(&cfg, lane0, lanes);
+            let mut flipped = inputs.clone();
+            flip_last_port(&mut flipped);
+            let mut meta = outputs.clone();
+            meta_output(&cfg, &mut meta, channels / 2, lanes - 1);
+            for (inputs, outputs) in [(&inputs, &outputs), (&flipped, &outputs), (&inputs, &meta)] {
+                let clean = screen(&cfg, lane0, inputs, outputs);
+                let per_lane = Screen {
+                    inputs: generator_check(&cfg, lane0, inputs).is_ok(),
+                    outputs: rank_check(&cfg, lane0, outputs).is_ok(),
+                };
+                assert_eq!(
+                    clean, per_lane,
+                    "{channels}x{width}, {lanes} lanes from {lane0}"
+                );
+            }
+            assert_eq!(
+                screen(&cfg, lane0, &inputs, &outputs),
+                Screen {
+                    inputs: true,
+                    outputs: true,
+                },
+                "{channels}x{width}: a clean sample"
+            );
+            assert!(!screen(&cfg, lane0, &flipped, &meta).inputs);
+            assert!(!screen(&cfg, lane0, &flipped, &meta).outputs);
+        }
+    }
+
+    /// The error of [`sample_checks`] on `(inputs, outputs)` with a
+    /// passing differential.
+    fn sample_error(
+        cfg: &ThroughputConfig,
+        lane0: u64,
+        inputs: &[TritBlock],
+        outputs: &[TritBlock],
+    ) -> ThroughputError {
+        sample_checks(cfg, lane0, inputs, outputs, || Ok(())).unwrap_err()
+    }
+
+    #[test]
+    fn screened_faults_report_the_per_lane_checks_errors() {
+        for (channels, width) in [(4, 2), (5, 13)] {
+            let mut cfg = ThroughputConfig::new(channels, width);
+            cfg.kernel = KernelId::Scalar;
+            let (lane0, lanes) = (100, 130);
+            let (mut inputs, mut outputs) = sample(&cfg, lane0, lanes);
+            sample_checks(&cfg, lane0, &inputs, &outputs, || Ok(())).unwrap();
+
+            let clean = inputs.clone();
+            flip_last_port(&mut inputs);
+            let e = sample_error(&cfg, lane0, &inputs, &outputs);
+            let want = generator_check(&cfg, lane0, &inputs).unwrap_err();
+            assert_eq!(e.to_string(), want.to_string());
+            match e {
+                ThroughputError::Generator { lane, channel, bit } => {
+                    assert_eq!((lane, channel, bit), (229, channels - 1, width - 1))
+                }
+                other => panic!("expected a generator divergence, got {other:?}"),
+            }
+
+            meta_output(&cfg, &mut outputs, 1, 129);
+            let e = sample_error(&cfg, lane0, &clean, &outputs);
+            let want = rank_check(&cfg, lane0, &outputs).unwrap_err();
+            assert_eq!(e.to_string(), want.to_string());
+            let (lane, detail) = not_sorted(Err(e));
+            assert_eq!(lane, 229);
+            assert!(detail.starts_with("out1 = M"), "{detail}");
+        }
+    }
+
+    /// Two faults at once report in the parent order: a generator fault
+    /// before an unsorted output at an earlier lane, and the differential
+    /// between them.
+    #[test]
+    fn a_generator_fault_outranks_an_earlier_unsorted_output() {
+        let cfg = small_cfg();
+        let lane0 = 100;
+        let (mut inputs, mut outputs) = sample(&cfg, lane0, 130);
+        meta_output(&cfg, &mut outputs, 0, 5);
+        flip(&mut inputs[2 * cfg.width + 1], 97);
+        match sample_error(&cfg, lane0, &inputs, &outputs) {
+            ThroughputError::Generator { lane, channel, bit } => {
+                assert_eq!((lane, channel, bit), (197, 2, 1))
+            }
+            other => panic!("expected a generator divergence, got {other:?}"),
+        }
+        let (clean, _) = sample(&cfg, lane0, 130);
+        let differential = || {
+            Err(ThroughputError::Differential {
+                lane: 3,
+                plane_width: PlaneWidth::X1,
+                port: "out0_0".into(),
+            })
+        };
+        let r = sample_checks(&cfg, lane0, &inputs, &outputs, differential);
+        assert!(matches!(r, Err(ThroughputError::Generator { .. })), "{r:?}");
+        let r = sample_checks(&cfg, lane0, &clean, &outputs, differential);
+        assert!(
+            matches!(r, Err(ThroughputError::Differential { lane: 3, .. })),
+            "{r:?}"
+        );
+        let (lane, _) = not_sorted(sample_checks(&cfg, lane0, &clean, &outputs, || Ok(())));
+        assert_eq!(lane, 105);
     }
 
     #[test]

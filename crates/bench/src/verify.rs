@@ -21,7 +21,10 @@
 //!    output plane words built directly: pattern `m` is lane `m`, channel
 //!    `c < 6` is a fixed lane pattern and channel `c ≥ 6` is a whole word,
 //!    and output channel `c` must be 1 exactly on the lanes with
-//!    `popcount(m) ≥ n − c`. Every output bit of every pattern is
+//!    `popcount(m) ≥ n − c`. Both sets of words depend on the channel and
+//!    not on its bit, so each is built once per channel and group, every
+//!    port of the channel is filled from them, and the mismatches of all
+//!    ports are ORed into one word. Every output bit of every pattern is
 //!    compared; only a group with a mismatch is rescanned lane by lane, in
 //!    `(pattern, channel, bit)` order, for the
 //!    [`CircuitVerifyError::NotSorting`] report.
@@ -214,51 +217,59 @@ pub fn zero_one_tape_check(
     }
     check_ports(netlist, channels, width)?;
     tape.check_registers(netlist).map_err(CircuitVerifyError::TapeMismatch)?;
+    // The sweep's plane width, and the words of one group.
+    const WIDTH: PlaneWidth = PlaneWidth::X4;
+    const GROUP: usize = WIDTH.words();
     let mut scratch = tape
-        .try_scratch(PlaneWidth::X4, kernel)
+        .try_scratch(WIDTH, kernel)
         .map_err(CircuitVerifyError::Kernel)?;
     let mut planes = tape
         .try_planes(&mut scratch)
         .map_err(|e| CircuitVerifyError::TapeMismatch(e.to_string()))?;
     let patterns = 1usize << channels;
     let words = patterns.div_ceil(64);
-    let group = planes.words();
-    // Patterns `64k ..` of word `k` that exist; lanes past 2^n stay stable 0.
-    let live = |k: usize| TritWord::lane_mask(patterns.saturating_sub(64 * k));
-    for k0 in (0..words).step_by(group) {
-        for port in 0..channels * width {
-            let c = port / width;
-            let (z, o) = planes.input_mut(port);
-            for (j, (z, o)) in z.iter_mut().zip(o).enumerate() {
-                let k = k0 + j;
-                let ones = if c < 6 {
-                    LANE_PATTERN[c]
-                } else if (k >> (c - 6)) & 1 == 1 {
-                    !0
-                } else {
-                    0
-                };
-                *o = ones & live(k);
-                *z = !*o;
-            }
+    // Per word of the group: the patterns `64k ..` that exist (lanes past
+    // 2^n stay stable 0), and one channel's input and expected words.
+    let (mut live, mut ones, mut want) = ([0u64; GROUP], [0u64; GROUP], [0u64; GROUP]);
+    for k0 in (0..words).step_by(GROUP) {
+        for (j, live) in live.iter_mut().enumerate() {
+            *live = TritWord::lane_mask(patterns.saturating_sub(64 * (k0 + j)));
         }
-        planes.run();
-        let mut sorted = true;
         for c in 0..channels {
-            for b in 0..width {
-                let (z, o) = planes.output(c * width + b);
-                for (j, (&z, &o)) in z.iter().zip(o).enumerate() {
-                    let k = k0 + j;
-                    // Lane i of word k is pattern 64k + i, with
-                    // popcount(k) + popcount(i) ones; ascending, channel c
-                    // is 1 iff at least n − c of them are.
-                    let need = (channels - c).saturating_sub(k.count_ones() as usize);
-                    let want = AT_LEAST[need.min(7)];
-                    sorted &= ((z ^ !want) | (o ^ want)) & live(k) == 0;
+            for (j, (word, &live)) in ones.iter_mut().zip(&live).enumerate() {
+                let k = k0 + j;
+                let ones = match LANE_PATTERN.get(c) {
+                    Some(&pattern) => pattern,
+                    None if (k >> (c - 6)) & 1 == 1 => !0,
+                    None => 0,
+                };
+                *word = ones & live;
+            }
+            for port in c * width..(c + 1) * width {
+                let (z, o) = planes.input_mut(port);
+                for ((z, o), &ones) in z.iter_mut().zip(o).zip(&ones) {
+                    (*z, *o) = (!ones, ones);
                 }
             }
         }
-        if !sorted {
+        planes.run();
+        let mut mismatch = 0;
+        for c in 0..channels {
+            for (j, want) in want.iter_mut().enumerate() {
+                // Lane i of word k is pattern 64k + i, with popcount(k) +
+                // popcount(i) ones; ascending, channel c is 1 iff at least
+                // n − c of them are.
+                let need = (channels - c).saturating_sub((k0 + j).count_ones() as usize);
+                *want = AT_LEAST[need.min(7)];
+            }
+            for port in c * width..(c + 1) * width {
+                let (z, o) = planes.output(port);
+                for (((&z, &o), &want), &live) in z.iter().zip(o).zip(&want).zip(&live) {
+                    mismatch |= ((z ^ !want) | (o ^ want)) & live;
+                }
+            }
+        }
+        if mismatch != 0 {
             let unsorted = first_unsorted(&planes, k0, patterns, channels, width);
             // The lane scan decides; the word filter may only ever flag a
             // group that holds a mismatch.

@@ -95,7 +95,7 @@ impl ValidString {
 
     /// Reconstructs a valid string from its rank in the total order:
     /// rank `2x` is the stable codeword for `x`, rank `2x+1` lies between
-    /// `x` and `x+1`. Ranks run from `0` to `2^{width+1} − 3`.
+    /// `x` and `x+1`. Ranks run from `0` to `2^{width+1} − 2`.
     ///
     /// # Errors
     ///
@@ -252,6 +252,48 @@ pub fn valid_rank(can_zero: u64, can_one: u64, width: usize) -> Result<u64, Inva
         return Err(InvalidStringError::NotAdjacent { lo, hi });
     }
     Ok(2 * lo + count)
+}
+
+/// The exact inverse of [`valid_rank`]: the `(can_zero, can_one)` masks,
+/// MSB first, of the `width`-bit valid string of rank `rank`, i.e.
+/// [`ValidString::from_rank`]`(width, rank)?.planes()` without building
+/// the string. The Gray codes of `x = rank >> 1` and of `x + 1` are merged
+/// by the rank's parity: an even rank is the stable `rg(x)`, an odd one
+/// `rg(x) ∗ rg(x+1)`, whose one differing bit may read either value.
+///
+/// ```
+/// use mcs_gray::valid::{rank_planes, valid_rank, InvalidStringError};
+///
+/// // Rank 7 is 0M10, between 3 and 4: M at character 1, i.e. bit 2.
+/// assert_eq!(rank_planes(4, 7), Ok((0b1101, 0b0110)));
+/// assert_eq!(valid_rank(0b1101, 0b0110, 4), Ok(7));
+/// // The last 4-bit rank is 2^5 − 2 = 30 (1000).
+/// assert_eq!(rank_planes(4, 30), Ok((0b0111, 0b1000)));
+/// assert_eq!(
+///     rank_planes(4, 31),
+///     Err(InvalidStringError::ValueOutOfRange { value: 16, width: 4 })
+/// );
+/// ```
+///
+/// # Errors
+///
+/// As [`ValidString::from_rank`]: [`InvalidStringError::UnsupportedWidth`]
+/// for a width outside `1..=63`, and
+/// [`InvalidStringError::ValueOutOfRange`] for a rank past the width's
+/// last one.
+#[inline]
+pub fn rank_planes(width: usize, rank: u64) -> Result<(u64, u64), InvalidStringError> {
+    check_width(width)?;
+    let (x, odd) = (rank >> 1, 0u64.wrapping_sub(rank & 1));
+    // The largest value the string may resolve to: x, or x + 1 if odd.
+    let top = x + (rank & 1);
+    if top >> width != 0 {
+        return Err(InvalidStringError::ValueOutOfRange { value: top, width });
+    }
+    let y = x + 1;
+    let (g, h) = (x ^ (x >> 1), y ^ (y >> 1));
+    let mask = (1u64 << width) - 1;
+    Ok((!(g & (h | !odd)) & mask, g | (h & odd)))
 }
 
 /// The [`valid_rank`] masks of a string of at most 63 bits; `(0, 0)` for a
@@ -545,6 +587,68 @@ mod tests {
             valid_rank(1, 1, 64),
             Err(InvalidStringError::UnsupportedWidth { width: 64 })
         );
+    }
+
+    #[test]
+    fn rank_planes_is_the_exact_inverse_of_valid_rank() {
+        let check = |width: usize, rank: u64| {
+            let planes = rank_planes(width, rank).unwrap();
+            assert_eq!(
+                valid_rank(planes.0, planes.1, width),
+                Ok(rank),
+                "width {width}, rank {rank}"
+            );
+            assert_eq!(
+                planes,
+                ValidString::from_rank(width, rank).unwrap().planes(),
+                "width {width}, rank {rank}"
+            );
+        };
+        for width in 1..=12 {
+            for rank in 0..(1u64 << (width + 1)) - 1 {
+                check(width, rank);
+            }
+        }
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for width in 13..=63 {
+            let count = u64::MAX >> (63 - width);
+            // The first, the last and 200 pseudorandom ranks of the width.
+            let mut ranks = vec![0, 1, count - 2, count - 1];
+            for _ in 0..200 {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
+                ranks.push((state >> 1) % count);
+            }
+            for rank in ranks {
+                check(width, rank);
+            }
+        }
+    }
+
+    #[test]
+    fn rank_planes_errors_mirror_from_rank() {
+        let cases = [
+            (0, 0),
+            (64, 0),
+            (4, 31),
+            (4, 32),
+            (4, u64::MAX),
+            (1, 3),
+            (63, u64::MAX),
+        ];
+        for (width, rank) in cases {
+            let want = ValidString::from_rank(width, rank).unwrap_err();
+            assert_eq!(
+                rank_planes(width, rank),
+                Err(want),
+                "width {width}, rank {rank}"
+            );
+        }
+        // The last rank of each width still encodes.
+        assert_eq!(rank_planes(1, 2), Ok((0, 1)));
+        assert_eq!(rank_planes(4, 30), Ok((0b0111, 0b1000)));
+        assert!(rank_planes(63, u64::MAX - 1).is_ok());
     }
 
     #[test]
