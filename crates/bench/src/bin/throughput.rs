@@ -21,14 +21,16 @@
 //! Unknown names and tiers the CPU cannot run are refused with a typed
 //! error and a nonzero exit.
 //!
-//! Every cell pre-flights a differential sample — the tape must match
-//! `Netlist::eval_block` lane-for-lane at every plane width and every
-//! sampled output must be the sorted valid strings of its inputs — before
-//! the timed loop runs. The reported checksum is byte-identical across
-//! runs, worker counts and plane widths (it depends only on the input
-//! stream and `--chunk-lanes`). Per-chunk eval-latency quantiles (p50/p99
-//! in the table, the full p50/p90/p99/p99.9/max set in the JSON) ride
-//! along as observational columns — they never influence the checksum.
+//! Every cell pre-flights a sample before the timed loop runs: its
+//! generated inputs must be the valid strings of their ranks, the tape's
+//! outputs at the 4-wide width must be those strings sorted, and the
+//! 1-wide width must produce the same output words. Only a failing sample
+//! runs the `Netlist::eval_block` interpreter, which names the fault. The
+//! reported checksum is byte-identical across runs, worker counts and
+//! plane widths (it depends only on the input stream and `--chunk-lanes`).
+//! Per-chunk eval-latency quantiles (p50/p99 in the table, the full
+//! p50/p90/p99/p99.9/max set in the JSON) ride along as observational
+//! columns — they never influence the checksum.
 
 use std::fmt;
 use std::path::PathBuf;

@@ -226,6 +226,14 @@ impl Engine {
 
     /// Allocates one worker's scratch at `plane_width` for the engine's
     /// kernel tier.
+    ///
+    /// # Panics
+    ///
+    /// Never for an engine built by [`Engine::for_cell`] or
+    /// [`Engine::from_netlist`]: both admit the kernel through
+    /// `validate_cell` ([`kernel::require`]) before anything is compiled,
+    /// and a tier this CPU can run stays runnable, so the scratch's own
+    /// [`EvalTape::try_scratch`] check cannot refuse it.
     pub fn scratch(&self, plane_width: PlaneWidth) -> TapeScratch {
         self.tape
             .try_scratch(plane_width, self.kernel)

@@ -9,10 +9,12 @@
 //!    small `n`, Batcher odd-even otherwise, 0-1-verified, instantiated as
 //!    the paper-flavour MC sorting circuit, checked at gate level and
 //!    compiled into an [`EvalTape`].
-//! 2. Re-verify the streaming path against [`Netlist::eval_block`]
-//!    lane-for-lane on a differential sample at every plane width,
-//!    including a rank-level sortedness check (outputs must be the sorted
-//!    valid strings of the inputs).
+//! 2. Pre-flight the streaming path on a sample against the definition:
+//!    the generated inputs must be the valid strings of their ranks, the
+//!    tape's X4 outputs the same strings sorted, and its X1 outputs the X4
+//!    ones word for word. Only a sample that fails, or that the tape
+//!    refuses, runs the [`Netlist::eval_block`] interpreter, to name the
+//!    fault.
 //! 3. Stream `vectors` pseudorandom valid strings through the tape in
 //!    fixed-size chunks sharded round-robin across `std::thread::scope`
 //!    workers — the PR 3 determinism contract: worker `w` owns chunks
@@ -73,9 +75,12 @@
 //! row, 64 lanes per compare, against rows encoded from the definition:
 //! each lane's input strings from `rank_for` through [`rank_planes`], and
 //! its outputs from the same ranks sorted lane-wise by an odd–even
-//! transposition network. Only a side the screen flags is read lane by
-//! lane, through the same lane reader the server decodes with, which names
-//! the failure.
+//! transposition network. The outputs screened are the tape's own at X4,
+//! and the X1 outputs must equal them word for word, so a passing sample
+//! runs no interpreter. A sample that fails takes the diagnosis path: the
+//! [`Netlist::eval_block`] outputs, the tape against them at each plane
+//! width, and a lane-by-lane read of each side the screen flags, through
+//! the same lane reader the server decodes with, which names the failure.
 //!
 //! [`report_json`] serialises the per-cell results as
 //! `BENCH_throughput.json` (schema [`JSON_SCHEMA`]) so the perf trajectory
@@ -160,8 +165,9 @@ pub struct ThroughputConfig {
     pub seed: u64,
     /// Vectors per work chunk (the sharding granule).
     pub chunk_lanes: usize,
-    /// Lanes of the pre-flight tape-vs-`eval_block` differential sample;
-    /// must be positive ([`ThroughputError::UnsupportedCell`] otherwise).
+    /// Lanes of the pre-flight sample, streamed through the tape at both
+    /// plane widths and screened against the definition; must be positive
+    /// ([`ThroughputError::UnsupportedCell`] otherwise).
     pub sample_lanes: usize,
 }
 
@@ -497,6 +503,8 @@ fn eval_lanes(
             }
         }
     }
+    #[cfg(test)]
+    tests::inject_output_fault(stimulus.seed, w, out, nwords);
 }
 
 /// Multiplier of the lane index in the stream definition ([`rank_for`]).
@@ -690,14 +698,30 @@ impl Stimulus {
     /// generator body [`Stimulus::load_group`] streams through.
     fn chunk_inputs(&self, lane0: u64, lanes: usize) -> Vec<TritBlock> {
         let nwords = lanes.div_ceil(64);
-        let mut words = vec![vec![TritWord::ZERO; nwords]; self.channels * self.width];
+        let words = self.port_words(lane0, lanes);
+        let word = port_major(&words, nwords);
+        (0..self.channels * self.width)
+            .map(|p| {
+                let port = (0..nwords).map(|k| {
+                    let (z, o) = word(p, k);
+                    TritWord::from_planes(z, o)
+                });
+                TritBlock::from_words(port.collect(), lanes)
+            })
+            .collect()
+    }
+
+    /// The input words for `lanes` vectors starting at global lane
+    /// `lane0`, port-major as [`eval_lanes`] lays out its outputs: the
+    /// pre-flight pass path's view of the generator, with no [`TritBlock`].
+    fn port_words(&self, lane0: u64, lanes: usize) -> Vec<u64> {
+        let nwords = lanes.div_ceil(64);
+        let mut words = vec![0; 2 * self.channels * self.width * nwords];
         self.generate(lane0, lanes, 0, nwords, |port, k, z, o| {
-            words[port][k] = TritWord::from_planes(z, o);
+            let at = 2 * (port * nwords + k);
+            (words[at], words[at + 1]) = (z, o);
         });
         words
-            .into_iter()
-            .map(|w| TritBlock::from_words(w, lanes))
-            .collect()
     }
 
     /// Emits words `k0 .. k0 + count` of every port as `emit(port, k − k0,
@@ -828,48 +852,109 @@ fn fnv_digest(words: &[u64]) -> u64 {
     })
 }
 
-/// Pre-flight differential harness over the first `sample_lanes` vectors:
+/// Pre-flight over the first `sample_lanes` vectors, checking the
+/// streaming path ([`eval_lanes`]: the generator body writing into the
+/// input registers, the tape, the masked output read) against the
+/// definition:
 ///
 /// * the plane-packed generator must agree bit-for-bit with
 ///   [`ValidString::from_rank`];
-/// * the streaming path ([`eval_lanes`]: the same generator body writing
-///   into the input registers, the tape, the masked output read) must
-///   match [`Netlist::eval_block`] lane-for-lane at every plane width;
-/// * every sampled output must be the ascending sequence of the lane's
-///   input ranks.
+/// * every output must be the ascending sequence of the lane's input
+///   ranks, at every plane width.
 ///
-/// The first and last are screened 64 lanes at a time ([`sample_checks`]).
+/// The pass path ([`sample_passes`]) runs no interpreter. A sample it does
+/// not pass is diagnosed by [`diagnose`], whose errors name the fault.
+/// There the tape must also match [`Netlist::eval_block`] lane-for-lane;
+/// on a passing sample the tape alone is held to the definition, and
+/// `tests/tape_differential.rs` keeps tape ≡ interpreter.
 fn differential_check(
     cfg: &ThroughputConfig,
     engine: &Engine,
     stimulus: &Stimulus,
 ) -> Result<usize, ThroughputError> {
     let lanes = cfg.sample_lanes;
+    let stream = |plane_width| stream_sample(engine, stimulus, lanes, plane_width);
+    let passes = match (stream(PlaneWidth::X4), stream(PlaneWidth::X1)) {
+        (Ok(x4), Ok(x1)) => sample_passes(cfg, lanes, &stimulus.port_words(0, lanes), &x4, &x1),
+        _ => false,
+    };
+    if !passes {
+        diagnose(cfg, engine, stimulus, lanes)?;
+    }
+    Ok(lanes)
+}
+
+/// The output words of the first `lanes` vectors streamed through the
+/// timed loop's own path at `plane_width`, port-major as [`eval_lanes`]
+/// lays them out.
+fn stream_sample(
+    engine: &Engine,
+    stimulus: &Stimulus,
+    lanes: usize,
+    plane_width: PlaneWidth,
+) -> Result<Vec<u64>, TapeEvalError> {
+    let mut scratch = engine.scratch(plane_width);
+    let mut planes = engine.tape().try_planes(&mut scratch)?;
+    let mut out = Vec::new();
+    eval_lanes(stimulus, &mut planes, &mut out, 0, lanes);
+    Ok(out)
+}
+
+/// The pre-flight's pass path on the first `lanes` vectors, every side
+/// port-major as [`eval_lanes`] lays it out: the generated `inputs` and
+/// the tape's `x4` outputs pass the [`screen`], and the `x1` outputs equal
+/// the `x4` ones word for word. A sorted X4 output and an equal X1 output
+/// hold both plane widths to the definition.
+fn sample_passes(
+    cfg: &ThroughputConfig,
+    lanes: usize,
+    inputs: &[u64],
+    x4: &[u64],
+    x1: &[u64],
+) -> bool {
+    let nwords = lanes.div_ceil(64);
+    x1 == x4
+        && screen_ports(
+            cfg,
+            0,
+            lanes,
+            port_major(inputs, nwords),
+            port_major(x4, nwords),
+        ) == Screen::CLEAN
+}
+
+/// The pre-flight's diagnosis path, the full check of the first `lanes`
+/// vectors: their input blocks, the [`Netlist::eval_block`] reference,
+/// and [`sample_checks`] around [`tape_differential`]. So every error is
+/// named as the generator fault, the first diverging lane and port, or the
+/// unsorted lane, in that order.
+fn diagnose(
+    cfg: &ThroughputConfig,
+    engine: &Engine,
+    stimulus: &Stimulus,
+    lanes: usize,
+) -> Result<(), ThroughputError> {
     let inputs = stimulus.chunk_inputs(0, lanes);
     let want = engine.circuit().eval_block(&inputs);
     sample_checks(cfg, 0, &inputs, &want, || {
         tape_differential(engine, stimulus, lanes, &want)
-    })?;
-    Ok(lanes)
+    })
 }
 
-/// The streaming path against the interpreter: the first `lanes` vectors
-/// stream through the timed loop's own path — generator into the input
-/// registers, tape, output registers — under the cell's forced kernel, at
-/// every plane width, and must equal `want`, their [`Netlist::eval_block`]
-/// outputs, so a backend or plane I/O that diverged from the interpreter
-/// is caught before a single vector is timed.
+/// The streaming path against the interpreter, on the diagnosis path: the
+/// first `lanes` vectors stream through the timed loop's own path —
+/// generator into the input registers, tape, output registers — under the
+/// cell's forced kernel, at every plane width, and must equal `want`,
+/// their [`Netlist::eval_block`] outputs. The first diverging lane names
+/// the plane width and output port at fault.
 fn tape_differential(
     engine: &Engine,
     stimulus: &Stimulus,
     lanes: usize,
     want: &[TritBlock],
 ) -> Result<(), ThroughputError> {
-    let mut out = Vec::new();
     for plane_width in PlaneWidth::ALL {
-        let mut scratch = engine.scratch(plane_width);
-        let mut planes = engine.tape().try_planes(&mut scratch)?;
-        eval_lanes(stimulus, &mut planes, &mut out, 0, lanes);
+        let out = stream_sample(engine, stimulus, lanes, plane_width)?;
         let ports = out.chunks_exact(2 * lanes.div_ceil(64)).zip(want);
         for (port, (got, w)) in ports.enumerate() {
             let mut words = got.chunks_exact(2).zip(w.words()).enumerate();
@@ -930,6 +1015,14 @@ struct Screen {
     outputs: bool,
 }
 
+impl Screen {
+    /// Both sides equal their expectation.
+    const CLEAN: Screen = Screen {
+        inputs: true,
+        outputs: true,
+    };
+}
+
 /// The word-parallel screen of a sample: the `inputs` and `outputs` of the
 /// lanes from global lane `lane0`, as in [`sample_checks`], are compared
 /// 64 lanes at a time against rows encoded from the definition.
@@ -948,9 +1041,23 @@ fn screen(
     inputs: &[TritBlock],
     outputs: &[TritBlock],
 ) -> Screen {
+    let lanes = inputs.first().map_or(0, TritBlock::lanes);
+    screen_ports(cfg, lane0, lanes, block_words(inputs), block_words(outputs))
+}
+
+/// [`screen`] of the `lanes` lanes from global lane `lane0`, reading each
+/// side's port words through `inputs` and `outputs`: [`block_words`] of
+/// one [`TritBlock`] per port, or [`port_major`] of an [`eval_lanes`]
+/// buffer.
+fn screen_ports(
+    cfg: &ThroughputConfig,
+    lane0: u64,
+    lanes: usize,
+    inputs: impl Fn(usize, usize) -> (u64, u64),
+    outputs: impl Fn(usize, usize) -> (u64, u64),
+) -> Screen {
     let (channels, width) = (cfg.channels, cfg.width);
     let rank_count = rank_count(width);
-    let lanes = inputs.first().map_or(0, TritBlock::lanes);
     let ports = channels * width;
     let mut tiles = PortTiles::new(ports, 1);
     // Port `64t + i` is bit `63 − i` of tile `t`'s rows.
@@ -960,10 +1067,7 @@ fn screen(
     let mut want = vec![([0u64; 64], [0u64; 64]); used.len()];
     // `ranks[c][l]`: channel `c` of lane `l` of the current word.
     let mut ranks = vec![[0u64; 64]; channels];
-    let mut clean = Screen {
-        inputs: true,
-        outputs: true,
-    };
+    let mut clean = Screen::CLEAN;
     for k in 0..lanes.div_ceil(64) {
         let live = (lanes - 64 * k).min(64);
         let first = lane0 + 64 * k as u64;
@@ -973,10 +1077,10 @@ fn screen(
             }
         }
         clean.inputs &= encode_rows(&ranks, width, live, &mut want)
-            && rows_match(&mut tiles, inputs, k, &want, &used, live);
+            && rows_match(&mut tiles, ports, &inputs, k, &want, &used, live);
         transposition_sort(&mut ranks);
         clean.outputs &= encode_rows(&ranks, width, live, &mut want)
-            && rows_match(&mut tiles, outputs, k, &want, &used, live);
+            && rows_match(&mut tiles, ports, &outputs, k, &want, &used, live);
     }
     clean
 }
@@ -1019,18 +1123,19 @@ fn encode_rows(
     true
 }
 
-/// Whether word `k` of `blocks` (one block per port), turned lane-major in
-/// `tiles`, equals `want` on the `used` ports of each tile and the first
-/// `live` lanes.
+/// Whether word `k` of the `ports` ports read as `word(p, k)`, turned
+/// lane-major in `tiles`, equals `want` on the `used` ports of each tile
+/// and the first `live` lanes.
 fn rows_match(
     tiles: &mut PortTiles,
-    blocks: &[TritBlock],
+    ports: usize,
+    word: impl Fn(usize, usize) -> (u64, u64),
     k: usize,
     want: &[([u64; 64], [u64; 64])],
     used: &[u64],
     live: usize,
 ) -> bool {
-    load_lanes(tiles, blocks, k);
+    load_words(tiles, ports, k, word);
     let (z, o) = tiles.word(0);
     let mut diff = 0;
     for (((z, o), (wz, wo)), &mask) in z.iter().zip(o.iter()).zip(want).zip(used) {
@@ -1209,11 +1314,40 @@ fn output_error(
 /// Loads word `k` of `blocks`, one block per `(channel, bit)` port, into
 /// `tiles` and turns it lane-major, for [`PortTiles::lane`].
 fn load_lanes(tiles: &mut PortTiles, blocks: &[TritBlock], k: usize) {
-    for (p, block) in blocks.iter().enumerate() {
-        let w = block.words()[k];
-        tiles.set_port(0, p, w.can_zero_plane(), w.can_one_plane());
+    load_words(tiles, blocks.len(), k, block_words(blocks));
+}
+
+/// Loads word `k` of the first `ports` ports, read as `word(p, k)`, into
+/// `tiles` and turns it lane-major.
+fn load_words(
+    tiles: &mut PortTiles,
+    ports: usize,
+    k: usize,
+    word: impl Fn(usize, usize) -> (u64, u64),
+) {
+    for p in 0..ports {
+        let (z, o) = word(p, k);
+        tiles.set_port(0, p, z, o);
     }
     tiles.transpose(0);
+}
+
+/// Port `p`'s word `k` of `blocks`, one block per port, as
+/// `(can_zero, can_one)`.
+fn block_words(blocks: &[TritBlock]) -> impl Fn(usize, usize) -> (u64, u64) + '_ {
+    move |p, k| {
+        let w = blocks[p].words()[k];
+        (w.can_zero_plane(), w.can_one_plane())
+    }
+}
+
+/// Port `p`'s word `k` of `words`, laid out port-major with `nwords` words
+/// per port as [`eval_lanes`] fills its buffer, as `(can_zero, can_one)`.
+fn port_major(words: &[u64], nwords: usize) -> impl Fn(usize, usize) -> (u64, u64) + '_ {
+    move |p, k| {
+        let at = 2 * (p * nwords + k);
+        (words[at], words[at + 1])
+    }
 }
 
 /// Serialises cell reports as the `BENCH_throughput.json` document
@@ -1268,6 +1402,60 @@ mod tests {
     /// A seed whose streaming worker 0, the one on the calling thread,
     /// panics before its first chunk.
     pub(super) const PANIC_SEED_0: u64 = 0x7061_6e69_6321_2130;
+    /// Seeds whose streamed outputs carry one flipped lane at one plane
+    /// width only ([`inject_output_fault`]): the test-only plane-I/O fault
+    /// of the pre-flight.
+    const FAULT_SEED_X1: u64 = 0x666c_6970_2121_2131;
+    const FAULT_SEED_X4: u64 = 0x666c_6970_2121_2134;
+    /// The output port and the lane the fault flips.
+    const FAULT_PORT: usize = 5;
+    const FAULT_LANE: usize = 67;
+
+    /// Flips lane [`FAULT_LANE`] of port [`FAULT_PORT`] in the `out`
+    /// buffer of [`eval_lanes`] (`nwords` words per port, streamed `words`
+    /// plane words at a time) when `seed` is the fault seed of that plane
+    /// width and the lane is in the buffer.
+    pub(super) fn inject_output_fault(seed: u64, words: usize, out: &mut [u64], nwords: usize) {
+        let faulty = match seed {
+            FAULT_SEED_X1 => PlaneWidth::X1,
+            FAULT_SEED_X4 => PlaneWidth::X4,
+            _ => return,
+        };
+        if faulty.words() == words && FAULT_LANE / 64 < nwords {
+            set_port_lane(out, nwords, FAULT_PORT, FAULT_LANE, flipped);
+        }
+    }
+
+    /// A stable value `t` is not.
+    fn flipped(t: Trit) -> Trit {
+        match t {
+            Trit::Zero => Trit::One,
+            _ => Trit::Zero,
+        }
+    }
+
+    /// Sets lane `lane` of port `p` in the port-major `words` (`nwords`
+    /// words per port, as [`eval_lanes`] lays them out) to `f` of its value.
+    fn set_port_lane(
+        words: &mut [u64],
+        nwords: usize,
+        p: usize,
+        lane: usize,
+        f: impl Fn(Trit) -> Trit,
+    ) {
+        let at = 2 * (p * nwords + lane / 64);
+        let mut w = TritWord::from_planes(words[at], words[at + 1]);
+        w.set_lane(lane % 64, f(w.lane(lane % 64)));
+        (words[at], words[at + 1]) = (w.can_zero_plane(), w.can_one_plane());
+    }
+
+    /// The tier under test: the one `MCS_KERNEL` forces, else the
+    /// preferred.
+    fn tier() -> KernelId {
+        kernel::from_env()
+            .expect("MCS_KERNEL must parse")
+            .unwrap_or_else(kernel::preferred)
+    }
 
     fn small_cfg() -> ThroughputConfig {
         let mut cfg = ThroughputConfig::new(4, 2);
@@ -1714,11 +1902,7 @@ mod tests {
 
     /// Sets `lane` of `port` to a stable value it does not hold.
     fn flip(port: &mut TritBlock, lane: usize) {
-        let flipped = match port.lane(lane) {
-            Trit::Zero => Trit::One,
-            _ => Trit::Zero,
-        };
-        port.set_lane(lane, flipped);
+        port.set_lane(lane, flipped(port.lane(lane)));
     }
 
     /// Flips the last port (channel `n − 1`, bit `B − 1`) of `blocks` at
@@ -1860,6 +2044,107 @@ mod tests {
         );
         let (lane, _) = not_sorted(sample_checks(&cfg, lane0, &clean, &outputs, || Ok(())));
         assert_eq!(lane, 105);
+    }
+
+    /// Tape ≡ interpreter on the stock streamed cells: the tapes of 8×2
+    /// and 16×16 equal [`Netlist::eval_block`] lane for lane on the
+    /// pre-flight's own 2,048-lane stream sample, at X1 and X4, under the
+    /// tier under test. `run_cell` checks this only on a failing sample.
+    #[test]
+    fn stock_tapes_equal_the_interpreter_on_the_stream_sample() {
+        for (channels, width) in [(8, 2), (16, 16)] {
+            let mut cfg = ThroughputConfig::new(channels, width);
+            cfg.kernel = tier();
+            let lanes = cfg.sample_lanes;
+            assert_eq!(lanes, 2048);
+            let engine = Engine::for_cell(channels, width, cfg.kernel).unwrap();
+            let stimulus = Stimulus::new(&cfg).unwrap();
+            let want = engine
+                .circuit()
+                .eval_block(&stimulus.chunk_inputs(0, lanes));
+            tape_differential(&engine, &stimulus, lanes, &want)
+                .unwrap_or_else(|e| panic!("{channels}x{width}: {e}"));
+        }
+    }
+
+    /// The pass path against the full path: on every grid cell and on the
+    /// screen test's tile-straddling cells, at 1, 130 and 2,048 lanes, both
+    /// accept the clean sample, and the pass path rejects a flipped last
+    /// input port of the last lane, and an output channel of the last lane
+    /// set to `M` at X4 alone or at both widths.
+    #[test]
+    fn the_pass_path_agrees_with_the_full_path() {
+        let grid = [4, 8, 16]
+            .into_iter()
+            .flat_map(|n| [2, 4, 8, 16].map(|b| (n, b)));
+        for (channels, width) in grid.chain([(3, 30), (5, 13), (3, 32), (2, 5)]) {
+            let mut cfg = ThroughputConfig::new(channels, width);
+            cfg.kernel = tier();
+            let engine = Engine::for_cell(channels, width, cfg.kernel).unwrap();
+            let stimulus = Stimulus::new(&cfg).unwrap();
+            for lanes in [1, 130, 2048] {
+                let cell = format!("{channels}x{width}, {lanes} lanes");
+                let stream = |w| stream_sample(&engine, &stimulus, lanes, w).unwrap();
+                let (x4, x1) = (stream(PlaneWidth::X4), stream(PlaneWidth::X1));
+                let inputs = stimulus.port_words(0, lanes);
+                assert!(sample_passes(&cfg, lanes, &inputs, &x4, &x1), "{cell}");
+                diagnose(&cfg, &engine, &stimulus, lanes).unwrap_or_else(|e| panic!("{cell}: {e}"));
+
+                let (nwords, last) = (lanes.div_ceil(64), lanes - 1);
+                let mut bad = inputs.clone();
+                set_port_lane(&mut bad, nwords, channels * width - 1, last, flipped);
+                assert!(!sample_passes(&cfg, lanes, &bad, &x4, &x1), "{cell}: input");
+                let (mut meta4, mut meta1) = (x4.clone(), x1.clone());
+                for out in [&mut meta4, &mut meta1] {
+                    for b in 0..width {
+                        let p = channels / 2 * width + b;
+                        set_port_lane(out, nwords, p, last, |_| Trit::Meta);
+                    }
+                }
+                assert!(
+                    !sample_passes(&cfg, lanes, &inputs, &meta4, &x1),
+                    "{cell}: X4 M"
+                );
+                assert!(
+                    !sample_passes(&cfg, lanes, &inputs, &meta4, &meta1),
+                    "{cell}: M"
+                );
+            }
+        }
+    }
+
+    /// A plane-I/O fault at one plane width alone fails the pass path
+    /// (X1 ≠ X4) and is named as before: a differential at that width,
+    /// at the flipped lane and port.
+    #[test]
+    fn a_plane_io_fault_at_one_width_is_a_differential_at_that_width() {
+        for (seed, plane_width) in [
+            (FAULT_SEED_X1, PlaneWidth::X1),
+            (FAULT_SEED_X4, PlaneWidth::X4),
+        ] {
+            let mut cfg = small_cfg();
+            cfg.kernel = tier();
+            cfg.seed = seed;
+            let engine = Engine::for_cell(cfg.channels, cfg.width, cfg.kernel).unwrap();
+            let (name, _) = engine.circuit().outputs().nth(FAULT_PORT).unwrap();
+            let port = name.to_string();
+            let e = run_cell(&cfg).unwrap_err();
+            assert_eq!(
+                e.to_string(),
+                format!(
+                    "tape diverged from eval_block at lane {FAULT_LANE} (plane width \
+                     {plane_width}, port {port})"
+                )
+            );
+            match e {
+                ThroughputError::Differential {
+                    lane,
+                    plane_width: w,
+                    port: p,
+                } => assert_eq!((lane, w, p), (FAULT_LANE, plane_width, port)),
+                other => panic!("expected a differential, got {other:?}"),
+            }
+        }
     }
 
     #[test]
